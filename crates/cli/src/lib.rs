@@ -40,12 +40,11 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bschema_core::checkpoint::{
-    checkpoint_path, recover_with_checkpoint, truncate_journal, write_checkpoint, Checkpoint,
-};
+use bschema_core::checkpoint::{checkpoint_path, RecoveryPlan};
 use bschema_core::consistency::{build_witness, ConsistencyChecker};
+use bschema_core::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
 use bschema_core::evolution::{self, Evolution};
-use bschema_core::journal::{Journal, JournalWriter};
+use bschema_core::journal::Journal;
 use bschema_core::legality::{translate, LegalityChecker, LegalityOptions};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::schema::dsl::{parse_schema, print_schema, ParsedSchema};
@@ -456,21 +455,6 @@ fn build_transaction(
     transaction_from_ldif(dir, records).map_err(|e| usage_error(format!("transaction: {e}")))
 }
 
-/// Appends `text` to the file at `path`, creating it if absent. Used for
-/// the write-ahead journal: records must hit the file *before* the
-/// mutation they describe (begin) and *after* the legality verdict
-/// (commit).
-fn append_file(path: &str, text: &str) -> Result<(), CliError> {
-    use std::io::Write as _;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| usage_error(format!("cannot open journal {path:?}: {e}")))?;
-    file.write_all(text.as_bytes())
-        .map_err(|e| usage_error(format!("cannot write journal {path:?}: {e}")))
-}
-
 fn cmd_apply(args: &[String], out: &mut String) -> Result<i32, CliError> {
     let mut obs = ObsOpts::default();
     let mut limits = LimitOpts::default();
@@ -519,65 +503,48 @@ fn cmd_apply(args: &[String], out: &mut String) -> Result<i32, CliError> {
         managed = managed.with_probe(recorder.clone());
     }
 
-    // Resume the write-ahead journal, repairing a torn tail first so the
-    // new records extend an intact prefix.
-    let mut writer = JournalWriter::new();
-    if let Some(path) = journal_path {
-        let existing = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(usage_error(format!("cannot read journal {path:?}: {e}"))),
-        };
-        let journal = Journal::parse(&existing);
-        if journal.truncated {
-            let _ = writeln!(
-                out,
-                "journal: repaired torn tail ({} damaged record(s) dropped)",
-                journal.dropped_records
-            );
-            std::fs::write(path, &existing[..journal.intact_len])
-                .map_err(|e| usage_error(format!("cannot repair journal {path:?}: {e}")))?;
-        }
-        writer = JournalWriter::resume_after(&journal);
-        // A checkpoint may have truncated the journal past the parsed
-        // cursor; new records must continue the checkpoint's numbering,
-        // or recovery's `first_seq >= ckpt.seq` tail filter would skip
-        // them.
-        if let Some(text) = read_optional_file(&checkpoint_path(std::path::Path::new(path)))? {
-            if let Ok(ckpt) = Checkpoint::decode(&text) {
-                if ckpt.seq > writer.records_emitted() || ckpt.next_tx > writer.next_tx() {
-                    writer = JournalWriter::resume_at(
-                        ckpt.seq.max(writer.records_emitted()),
-                        ckpt.next_tx.max(writer.next_tx()),
-                    );
-                }
+    // With `--journal` the file is opened through the one recovery path:
+    // torn tail repaired in place, checkpoint + history replayed onto the
+    // data file, writer resumed past both cursors. The transaction is
+    // then built and checked against the *recovered* state.
+    let mut engine = match journal_path {
+        None => JournaledDirectory::new(managed),
+        Some(path) => {
+            let (engine, report) =
+                JournaledDirectory::open(managed, path).map_err(|e| match e {
+                    OpenError::Io(e) => usage_error(format!("journal {path:?}: {e}")),
+                    OpenError::Recovery(e) => CliError { message: e.to_string(), code: 1 },
+                })?;
+            if report.truncated {
+                let _ = writeln!(
+                    out,
+                    "journal: repaired torn tail ({} damaged record(s) dropped)",
+                    report.dropped_records
+                );
             }
+            engine
         }
-    }
+    };
 
-    let tx = build_transaction(managed.instance(), &read_file(tx_path)?, &ldif_limits)?;
-    // WAL discipline: the begin record (with the full transaction payload)
-    // is durable before the instance mutates; the commit record is written
-    // only after the transaction is certified legal. A rolled-back or
-    // crashed transaction leaves an uncommitted record that `recover`
-    // discards.
-    let mut tx_id = None;
-    if let Some(path) = journal_path {
-        let id = writer.begin(&tx);
-        append_file(path, &writer.take_pending())?;
-        tx_id = Some(id);
-    }
-    let code = match managed.apply(&tx) {
-        Ok(()) => {
-            if let (Some(path), Some(id)) = (journal_path, tx_id) {
-                writer.commit(id);
-                append_file(path, &writer.take_pending())?;
-            }
+    let tx = build_transaction(engine.instance(), &read_file(tx_path)?, &ldif_limits)?;
+    // WAL discipline, owned by the engine: the begin record (with the
+    // full transaction payload) is synced to the file before the instance
+    // mutates; the commit record is written only after the transaction is
+    // certified legal. A rolled-back or crashed transaction leaves an
+    // uncommitted record that `recover` discards.
+    let journal_error =
+        |e: std::io::Error| usage_error(format!("cannot write journal {journal_path:?}: {e}"));
+    let staged = engine.prepare(Op::Tx { tx: &tx, global: None }).map_err(journal_error)?;
+    let code = match engine.apply_staged(staged) {
+        Ok(certified) => {
+            // Unlike a server, the process ends here: a commit record
+            // that did not reach the file means the change is lost.
+            engine.commit(certified).map_err(journal_error)?;
             let _ = writeln!(
                 out,
                 "APPLIED: {} op(s); directory now has {} entries (legal)",
                 tx.len(),
-                managed.len()
+                engine.managed().len()
             );
             0
         }
@@ -634,11 +601,10 @@ fn cmd_recover(args: &[String], out: &mut String) -> Result<i32, CliError> {
         return Err(usage_error("recover takes <schema.bs> <base.ldif> <journal> [--verify]"));
     };
     let parsed = load_schema(schema_path)?;
-    let journal = Journal::parse(&read_file(journal_path)?);
-    let ckpt_file = checkpoint_path(std::path::Path::new(journal_path));
-    let ckpt_text = read_optional_file(&ckpt_file)?;
+    let JournalFiles { journal, ckpt_text, .. } = read_journal_files(journal_path)?;
+    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt_text.as_deref(), &journal);
     if verify {
-        return cmd_recover_verify(&parsed.schema, &journal, ckpt_text.as_deref(), out);
+        return cmd_recover_verify(&journal, &plan, out);
     }
     let base = load_ldif(base_path, Some(&parsed))?;
     if journal.truncated {
@@ -648,7 +614,7 @@ fn cmd_recover(args: &[String], out: &mut String) -> Result<i32, CliError> {
             journal.dropped_records
         );
     }
-    match recover_with_checkpoint(parsed.schema.clone(), base, ckpt_text.as_deref(), &journal) {
+    match plan.execute(base, &journal) {
         Ok(recovery) => {
             let (managed, report) = (recovery.managed, recovery.report);
             if let Some(seq) = recovery.checkpoint_seq {
@@ -690,95 +656,58 @@ fn cmd_recover(args: &[String], out: &mut String) -> Result<i32, CliError> {
 }
 
 /// `recover --verify`: the dry run. Reports what recovery *would* do —
-/// intact/torn record counts, checkpoint usability, and the recovery
-/// point — without mutating the journal, the checkpoint, or anything
-/// else on disk.
+/// intact/torn record counts and the [`RecoveryPlan`] `recover` itself
+/// executes (checkpoint usability, the recovery point) — without
+/// mutating the journal, the checkpoint, or anything else on disk.
 fn cmd_recover_verify(
-    schema: &bschema_core::schema::DirectorySchema,
     journal: &Journal,
-    ckpt_text: Option<&str>,
+    plan: &RecoveryPlan,
     out: &mut String,
 ) -> Result<i32, CliError> {
-    let stats = journal.stats();
+    let (start, next, committed) =
+        (journal.start_seq, journal.next_seq(), journal.committed().count());
+    let (records, uncommitted) = (next - start, journal.txs.len() - committed);
     let _ = writeln!(
         out,
-        "journal: {} intact record(s) (seq {}..{}), {} committed tx(s), {} uncommitted",
-        stats.records, stats.start_seq, stats.next_seq, stats.committed, stats.uncommitted
+        "journal: {records} intact record(s) (seq {start}..{next}), {committed} committed tx(s), {uncommitted} uncommitted",
     );
-    if stats.truncated {
+    if journal.truncated {
         let _ = writeln!(
             out,
             "journal: TORN tail — {} damaged record(s) would be dropped, file would shrink to {} byte(s)",
-            stats.dropped_records, stats.intact_len
+            journal.dropped_records, journal.intact_len
         );
     } else {
         let _ = writeln!(out, "journal: tail intact");
     }
-    let expected_hash = bschema_core::checkpoint::schema_hash(schema);
-    let usable_ckpt = match ckpt_text {
-        None => {
-            let _ = writeln!(out, "checkpoint: none");
-            None
-        }
-        Some(text) => match Checkpoint::decode(text) {
-            Ok(ckpt) if ckpt.schema_hash == expected_hash => {
-                let _ = writeln!(
-                    out,
-                    "checkpoint: intact, {} entries covering seq {}",
-                    ckpt.rows.len(),
-                    ckpt.seq
-                );
-                Some(ckpt)
-            }
-            Ok(ckpt) => {
-                let _ = writeln!(
-                    out,
-                    "checkpoint: UNUSABLE — schema hash {:016x} does not match {expected_hash:016x}",
-                    ckpt.schema_hash
-                );
-                None
-            }
-            Err(e) => {
-                let _ = writeln!(out, "checkpoint: UNUSABLE — {e}");
-                None
-            }
-        },
-    };
-    let code = match usable_ckpt {
-        Some(ckpt) => {
-            let has_tail = stats.next_seq > stats.start_seq;
-            if has_tail && stats.start_seq > ckpt.seq {
-                let _ = writeln!(
-                    out,
-                    "VERIFY FAILED: gap between checkpoint seq {} and journal start seq {} — recovery would be refused",
-                    ckpt.seq, stats.start_seq
-                );
-                1
-            } else {
-                let tail = journal.committed().filter(|tx| tx.first_seq >= ckpt.seq).count();
-                let _ = writeln!(
-                    out,
-                    "recovery point: checkpoint seq {} + {tail} tail tx(s) would replay",
-                    ckpt.seq
-                );
-                0
-            }
-        }
-        None if stats.start_seq > 0 => {
+    let code = match plan {
+        RecoveryPlan::Restore { ckpt, adopted, tail, .. } => {
+            let (entries, seq) = (ckpt.rows.len(), ckpt.seq);
+            let adoption = match adopted {
+                true => " (schema evolved since boot: adopting the checkpoint's embedded schema)",
+                false => "",
+            };
+            let _ =
+                writeln!(out, "checkpoint: intact, {entries} entries covering seq {seq}{adoption}");
             let _ = writeln!(
                 out,
-                "VERIFY FAILED: journal starts at seq {} with no usable checkpoint — the truncated history is gone",
-                stats.start_seq
-            );
-            1
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "recovery point: full replay, {} committed tx(s) from the seed base",
-                stats.committed
+                "recovery point: checkpoint seq {seq} + {tail} tail tx(s) would replay"
             );
             0
+        }
+        RecoveryPlan::FullReplay { ignored, txs, .. } => {
+            let ckpt =
+                ignored.as_ref().map_or("none".to_owned(), |why| format!("UNUSABLE — {why}"));
+            let _ = writeln!(out, "checkpoint: {ckpt}");
+            let _ = writeln!(
+                out,
+                "recovery point: full replay, {txs} committed tx(s) from the seed base"
+            );
+            0
+        }
+        RecoveryPlan::Fatal(why) => {
+            let _ = writeln!(out, "VERIFY FAILED: {why} — recovery would be refused");
+            1
         }
     };
     let _ = writeln!(out, "VERIFY ONLY: no files were modified");
@@ -803,7 +732,7 @@ fn cmd_checkpoint(args: &[String], out: &mut String) -> Result<i32, CliError> {
     };
     let parsed = load_schema(schema_path)?;
     let base = load_ldif(base_path, Some(&parsed))?;
-    let journal = Journal::parse(&read_file(journal_path)?);
+    let JournalFiles { journal, ckpt_text, .. } = read_journal_files(journal_path)?;
     if journal.truncated {
         let _ = writeln!(
             out,
@@ -811,50 +740,37 @@ fn cmd_checkpoint(args: &[String], out: &mut String) -> Result<i32, CliError> {
             journal.dropped_records
         );
     }
-    let ckpt_file = checkpoint_path(std::path::Path::new(journal_path));
-    let ckpt_text = read_optional_file(&ckpt_file)?;
-    let recovery = match recover_with_checkpoint(
-        parsed.schema.clone(),
-        base,
-        ckpt_text.as_deref(),
-        &journal,
-    ) {
+    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt_text.as_deref(), &journal);
+    let recovery = match plan.execute(base, &journal) {
         Ok(recovery) => recovery,
         Err(e) => {
             let _ = writeln!(out, "RECOVERY FAILED: {e}");
             return Ok(1);
         }
     };
-    let ckpt = Checkpoint::capture(
-        recovery.managed.instance(),
-        &parsed.schema,
-        recovery.writer.records_emitted(),
-        recovery.writer.next_tx(),
-        journal.shard,
-    );
-    let recorder = Recorder::new();
-    write_checkpoint(&ckpt_file, &ckpt.encode(), &recorder)
-        .map_err(|e| usage_error(format!("cannot write checkpoint {ckpt_file:?}: {e}")))?;
-    truncate_journal(std::path::Path::new(journal_path), &recorder)
-        .map_err(|e| usage_error(format!("cannot truncate journal {journal_path:?}: {e}")))?;
+    let folded = recovery.report.replayed;
+    let mut engine = JournaledDirectory::from_recovery(recovery);
+    engine.attach_file(journal_path.into());
+    let seq = engine
+        .checkpoint(&Recorder::new())
+        .map_err(|e| usage_error(format!("checkpointing {journal_path:?}: {e}")))?;
     let _ = writeln!(
         out,
-        "CHECKPOINTED: {} entries at seq {} -> {}; journal truncated ({} committed tx(s) folded in)",
-        recovery.managed.len(),
-        ckpt.seq,
-        ckpt_file.display(),
-        recovery.report.replayed
+        "CHECKPOINTED: {} entries at seq {seq} -> {}; journal truncated ({folded} committed tx(s) folded in)",
+        engine.managed().len(),
+        checkpoint_path(std::path::Path::new(journal_path)).display(),
     );
     Ok(0)
 }
 
-/// Reads a file that is allowed to be absent.
-fn read_optional_file(path: &std::path::Path) -> Result<Option<String>, CliError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(usage_error(format!("cannot read {path:?}: {e}"))),
+/// Reads a journal file (which must exist) and its checkpoint sibling,
+/// writing nothing.
+fn read_journal_files(journal_path: &str) -> Result<JournalFiles, CliError> {
+    let path = std::path::Path::new(journal_path);
+    if !path.exists() {
+        return Err(usage_error(format!("cannot read {journal_path:?}: no such file")));
     }
+    JournalFiles::read(path).map_err(|e| usage_error(format!("{journal_path:?}: {e}")))
 }
 
 fn cmd_consistency(args: &[String], out: &mut String) -> Result<i32, CliError> {

@@ -51,12 +51,13 @@
 //!
 //! ## Crash consistency
 //!
-//! [`write_checkpoint`] writes a temp file and renames it into place;
-//! [`truncate_journal`] then (and only then) replaces the journal with
-//! an empty file, also via rename. The fault sites `checkpoint.write`
-//! and `checkpoint.truncate` sit between the vulnerable steps. A crash
-//! therefore leaves one of exactly three states, and
-//! [`recover_with_checkpoint`] handles each rung of the ladder:
+//! [`write_checkpoint`] writes a temp file, syncs it, renames it into
+//! place and syncs the directory; [`truncate_journal`] then (and only
+//! then) replaces the journal with an empty file the same way. The
+//! fault sites `checkpoint.write` and `checkpoint.truncate` sit between
+//! the vulnerable steps. A crash or power cut therefore leaves one of
+//! exactly three states, and [`RecoveryPlan`] handles each rung of the
+//! ladder:
 //!
 //! 1. old checkpoint (or none) + full journal — the new snapshot never
 //!    landed; recover from what was there before.
@@ -75,14 +76,15 @@
 
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
 use bschema_directory::{AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
 use bschema_obs::Probe;
 
-use crate::journal::{Journal, JournalWriter, RecoveryReport};
+use crate::engine::JournaledDirectory;
+use crate::journal::{Journal, JournalTx, JournalWriter, RecoveryReport};
 use crate::managed::{ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 
@@ -107,7 +109,7 @@ pub const SITE_CHECKPOINT_TRUNCATE: &str = "checkpoint.truncate";
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -325,8 +327,7 @@ impl Checkpoint {
             .first_value("ckpschema")
             .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
             .ok_or_else(|| torn("missing or malformed ckpschema"))?;
-        let schema_dsl =
-            header.entry.first_value("ckpdsl").map(crate::journal::unescape_text);
+        let schema_dsl = header.entry.first_value("ckpdsl").map(crate::journal::unescape_text);
         let slot_bound = field("ckpbound")? as usize;
         let entries = field("ckpentries")? as usize;
         let shard = match header.entry.first_value("ckpshard") {
@@ -420,36 +421,42 @@ fn decode_slot_record(record: &LdifRecord) -> Result<SlotRow, CheckpointError> {
     Ok(SlotRow { slot, parent, rdn, entry })
 }
 
-/// Atomically installs checkpoint `text` at `path`: the bytes go to a
-/// `.tmp` sibling first and are renamed into place, so a reader (or a
-/// crash) sees either the old checkpoint or the new one, never a
-/// partial write. The [`SITE_CHECKPOINT_WRITE`] fault site sits between
-/// the two steps.
+/// Atomically and durably installs checkpoint `text` at `path`: the
+/// bytes go to a `.tmp` sibling, the temp file is synced, renamed into
+/// place, and the parent directory synced — so a reader (or a crash, or
+/// a power cut) sees either the old checkpoint or the complete new one,
+/// never a name without its bytes. The [`SITE_CHECKPOINT_WRITE`] fault
+/// site sits between the synced write and the rename.
 pub fn write_checkpoint(path: &Path, text: &str, probe: &dyn Probe) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    fs::write(&tmp, text)?;
-    probe.add(SITE_CHECKPOINT_WRITE, 1);
-    fs::rename(&tmp, path)
+    replace_durably(path, text.as_bytes(), SITE_CHECKPOINT_WRITE, probe)
 }
 
 /// Truncates `journal` to empty after a checkpoint covering its whole
-/// intact prefix has landed — also via temp file + rename, with the
-/// [`SITE_CHECKPOINT_TRUNCATE`] fault site between the steps. Must only
-/// be called *after* [`write_checkpoint`] succeeded: the replay rule
-/// tolerates checkpoint-without-truncation, not the reverse.
+/// intact prefix has landed — the same synced temp file + rename +
+/// directory sync, with the [`SITE_CHECKPOINT_TRUNCATE`] fault site
+/// before the rename. Must only be called *after* [`write_checkpoint`]
+/// returned: the replay rule tolerates checkpoint-without-truncation,
+/// not the reverse, and because `write_checkpoint` synced the directory
+/// the empty journal can never reach the disk ahead of the checkpoint.
 pub fn truncate_journal(journal: &Path, probe: &dyn Probe) -> io::Result<()> {
-    let tmp = tmp_sibling(journal);
-    fs::write(&tmp, "")?;
-    probe.add(SITE_CHECKPOINT_TRUNCATE, 1);
-    fs::rename(&tmp, journal)
+    replace_durably(journal, b"", SITE_CHECKPOINT_TRUNCATE, probe)
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+fn replace_durably(path: &Path, bytes: &[u8], site: &str, probe: &dyn Probe) -> io::Result<()> {
     let name = path
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "checkpoint".to_owned());
-    path.with_file_name(format!("{name}.tmp"))
+    let tmp = path.with_file_name(format!("{name}.tmp"));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    probe.add(site, 1);
+    fs::rename(&tmp, path)?;
+    // The rename is durable once the directory entry is: sync the
+    // parent (a bare file name lives in the current directory).
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fs::File::open(parent)?.sync_all()
 }
 
 /// Outcome of [`recover_with_checkpoint`].
@@ -467,137 +474,169 @@ pub struct CheckpointRecovery {
     pub checkpoint_seq: Option<u64>,
 }
 
-enum CkptState {
-    Absent,
-    Usable(Checkpoint),
-    Unusable(CheckpointError),
+/// What recovery will do with a journal and its optional checkpoint —
+/// the ladder's decision, taken without touching any state, so a dry
+/// run (`recover --verify`) reports exactly what
+/// [`execute`](RecoveryPlan::execute) then does. The rung table is
+/// DESIGN.md §16.
+#[derive(Debug)]
+pub enum RecoveryPlan {
+    /// Restore the checkpoint and replay the committed transactions
+    /// with `first_seq >= ckpt.seq`.
+    Restore {
+        /// The decoded checkpoint.
+        ckpt: Checkpoint,
+        /// The schema the restored engine runs under: the boot schema,
+        /// or the checkpoint's embedded one when `adopted`.
+        schema: DirectorySchema,
+        /// The checkpoint post-dates a journalled schema evolution: the
+        /// boot schema is merely its epoch-0 ancestor, and the
+        /// hash-verified embedded schema is adopted instead.
+        adopted: bool,
+        /// Committed tail transactions that will replay.
+        tail: usize,
+    },
+    /// Replay the whole journal from the seed base.
+    FullReplay {
+        /// The boot schema.
+        schema: DirectorySchema,
+        /// Why a present checkpoint is being ignored (`None`: there is
+        /// no checkpoint). The full history survives, so the damage is
+        /// harmless — the caller should re-checkpoint.
+        ignored: Option<CheckpointError>,
+        /// Committed transactions that will replay.
+        txs: usize,
+    },
+    /// No consistent state can be rebuilt.
+    Fatal(String),
 }
 
-/// Checkpoint-aware recovery: the torn-checkpoint ladder.
-///
-/// * intact, schema-matching checkpoint → restore it and replay only
-///   committed transactions with `first_seq >= checkpoint.seq`;
-/// * no checkpoint + complete journal (`start_seq == 0`) → plain
-///   [`ManagedDirectory::recover`] from `base`;
-/// * torn or schema-mismatched checkpoint + complete journal → ignore
-///   the checkpoint, full replay (and the caller should re-checkpoint);
-/// * unusable checkpoint + truncated journal (`start_seq > 0`) →
-///   [`ManagedError::Recovery`]: the truncated history is gone and no
-///   consistent state can be rebuilt.
-///
-/// A gap between checkpoint and tail (`journal.start_seq > ckpt.seq`
-/// with records in between missing) is likewise fatal.
+/// The journal transactions a recovery starting at `from` looks at.
+fn tail_from(journal: &Journal, from: u64) -> impl Iterator<Item = &JournalTx> {
+    journal.txs.iter().filter(move |jtx| jtx.first_seq >= from)
+}
+
+impl RecoveryPlan {
+    /// Decides the ladder rung for `journal` + `ckpt_text` under the
+    /// boot `schema`. Pure.
+    pub fn new(schema: DirectorySchema, ckpt_text: Option<&str>, journal: &Journal) -> Self {
+        let ignored = match ckpt_text.map(Checkpoint::decode) {
+            None => None,
+            Some(Err(torn)) => Some(torn),
+            Some(Ok(ckpt)) => {
+                let expected = schema_hash(&schema);
+                let adopted = ckpt.schema_hash != expected;
+                let restore_under =
+                    if adopted { ckpt.embedded_engine_schema() } else { Some(schema.clone()) };
+                let gap = journal.next_seq() > journal.start_seq && journal.start_seq > ckpt.seq;
+                match restore_under {
+                    None => {
+                        Some(CheckpointError::SchemaMismatch { expected, found: ckpt.schema_hash })
+                    }
+                    Some(_) if gap => {
+                        return RecoveryPlan::Fatal(format!(
+                            "journal tail starts at seq {} but the checkpoint only covers {}: \
+                             records in between are missing",
+                            journal.start_seq, ckpt.seq
+                        ))
+                    }
+                    Some(schema) => {
+                        let tail = tail_from(journal, ckpt.seq).filter(|t| t.committed).count();
+                        return RecoveryPlan::Restore { ckpt, schema, adopted, tail };
+                    }
+                }
+            }
+        };
+        match ignored {
+            ignored if journal.start_seq == 0 => {
+                RecoveryPlan::FullReplay { schema, ignored, txs: journal.committed().count() }
+            }
+            None => RecoveryPlan::Fatal(format!(
+                "journal is truncated (starts at seq {}) but its checkpoint is missing",
+                journal.start_seq
+            )),
+            Some(reason) => RecoveryPlan::Fatal(format!(
+                "journal is truncated (starts at seq {}) and its checkpoint is unusable: {reason}",
+                journal.start_seq
+            )),
+        }
+    }
+
+    /// Carries the plan out over the `journal` it was made for: restore
+    /// the checkpoint (or start from `base`), then the one replay loop —
+    /// committed transactions past the covered sequence go back through
+    /// the checked apply path, uncommitted ones are discarded. The
+    /// returned writer resumes at the higher of the journal's and the
+    /// checkpoint's cursors, so numbering never rewinds across a
+    /// truncation.
+    pub fn execute(
+        self,
+        base: DirectoryInstance,
+        journal: &Journal,
+    ) -> Result<CheckpointRecovery, ManagedError> {
+        let (managed, ckpt) = match self {
+            RecoveryPlan::Fatal(reason) => return Err(ManagedError::Recovery(reason)),
+            RecoveryPlan::FullReplay { schema, .. } => {
+                (ManagedDirectory::for_recovery(schema, base)?, None)
+            }
+            RecoveryPlan::Restore { ckpt, schema, .. } => {
+                let restored = ckpt
+                    .restore(base.registry().clone())
+                    .map_err(|e| ManagedError::Recovery(e.to_string()))?;
+                (ManagedDirectory::for_recovery(schema, restored)?, Some(ckpt))
+            }
+        };
+        let covered = ckpt.as_ref().map_or(0, |c| c.seq);
+        let mut engine = JournaledDirectory::new(managed);
+        let mut report = RecoveryReport {
+            replayed: 0,
+            schema_cutovers: 0,
+            discarded: 0,
+            dropped_records: journal.dropped_records,
+            truncated: journal.truncated,
+        };
+        for jtx in tail_from(journal, covered) {
+            if !jtx.committed {
+                report.discarded += 1;
+                continue;
+            }
+            engine.replay(jtx).map_err(|e| {
+                ManagedError::Recovery(format!("replaying committed tx {}: {e}", jtx.id))
+            })?;
+            report.replayed += 1;
+            report.schema_cutovers += usize::from(jtx.schema.is_some());
+        }
+        let mut writer = JournalWriter::resume_at(
+            journal.next_seq().max(covered),
+            journal.next_tx().max(ckpt.as_ref().map_or(0, |c| c.next_tx)),
+        );
+        if let Some(shard) = journal.shard.or(ckpt.as_ref().and_then(|c| c.shard)) {
+            writer = writer.with_shard(shard as usize);
+        }
+        Ok(CheckpointRecovery {
+            managed: engine.into_managed(),
+            writer,
+            report,
+            checkpoint_seq: ckpt.map(|c| c.seq),
+        })
+    }
+}
+
+/// Checkpoint-aware recovery: [`RecoveryPlan::new`] then
+/// [`RecoveryPlan::execute`] — the one recovery ladder.
 pub fn recover_with_checkpoint(
     schema: DirectorySchema,
     base: DirectoryInstance,
     ckpt_text: Option<&str>,
     journal: &Journal,
 ) -> Result<CheckpointRecovery, ManagedError> {
-    let mut schema = schema;
-    let state = match ckpt_text {
-        None => CkptState::Absent,
-        Some(text) => match Checkpoint::decode(text) {
-            Ok(ckpt) => {
-                let expected = schema_hash(&schema);
-                if ckpt.schema_hash == expected {
-                    CkptState::Usable(ckpt)
-                } else if let Some(adopted) = ckpt.embedded_engine_schema() {
-                    // The checkpoint post-dates a journalled schema
-                    // evolution: the boot schema is merely the epoch-0
-                    // ancestor. Adopt the (hash-verified) embedded
-                    // schema the snapshot was certified under.
-                    schema = adopted;
-                    CkptState::Usable(ckpt)
-                } else {
-                    CkptState::Unusable(CheckpointError::SchemaMismatch {
-                        expected,
-                        found: ckpt.schema_hash,
-                    })
-                }
-            }
-            Err(e) => CkptState::Unusable(e),
-        },
-    };
-    match state {
-        CkptState::Usable(ckpt) => {
-            let has_tail = journal.next_seq() > journal.start_seq;
-            if has_tail && journal.start_seq > ckpt.seq {
-                return Err(ManagedError::Recovery(format!(
-                    "journal tail starts at seq {} but the checkpoint only covers {}: \
-                     records in between are missing",
-                    journal.start_seq, ckpt.seq
-                )));
-            }
-            let restored = ckpt
-                .restore(base.registry().clone())
-                .map_err(|e| ManagedError::Recovery(e.to_string()))?;
-            let mut managed = ManagedDirectory::for_recovery(schema, restored)?;
-            let mut replayed = 0;
-            let mut discarded = 0;
-            for jtx in &journal.txs {
-                if jtx.first_seq < ckpt.seq {
-                    // Already folded into the snapshot.
-                    continue;
-                }
-                if jtx.committed {
-                    match (&jtx.schema, &jtx.modify) {
-                        (Some(s), _) => s
-                            .engine_schema()
-                            .map_err(ManagedError::Recovery)
-                            .and_then(|schema| managed.set_schema(schema)),
-                        (None, Some(m)) => managed.modify_entry(m.target, &m.mods),
-                        (None, None) => managed.apply(&jtx.to_transaction()),
-                    }
-                    .map_err(|e| {
-                        ManagedError::Recovery(format!("replaying committed tx {}: {e}", jtx.id))
-                    })?;
-                    replayed += 1;
-                } else {
-                    discarded += 1;
-                }
-            }
-            let seq = journal.next_seq().max(ckpt.seq);
-            let next_tx = journal.next_tx().max(ckpt.next_tx);
-            let mut writer = JournalWriter::resume_at(seq, next_tx);
-            if let Some(shard) = journal.shard.or(ckpt.shard) {
-                writer = writer.with_shard(shard as usize);
-            }
-            Ok(CheckpointRecovery {
-                managed,
-                writer,
-                report: RecoveryReport {
-                    replayed,
-                    discarded,
-                    dropped_records: journal.dropped_records,
-                    truncated: journal.truncated,
-                },
-                checkpoint_seq: Some(ckpt.seq),
-            })
-        }
-        CkptState::Absent | CkptState::Unusable(_) if journal.start_seq == 0 => {
-            if let CkptState::Unusable(reason) = &state {
-                // Full history survives: the damaged checkpoint is
-                // ignorable, full replay rebuilds the same state.
-                let _ = reason;
-            }
-            let (managed, report) = ManagedDirectory::recover(schema, base, journal)?;
-            let writer = JournalWriter::resume_after(journal);
-            Ok(CheckpointRecovery { managed, writer, report, checkpoint_seq: None })
-        }
-        CkptState::Absent => Err(ManagedError::Recovery(format!(
-            "journal is truncated (starts at seq {}) but its checkpoint is missing",
-            journal.start_seq
-        ))),
-        CkptState::Unusable(reason) => Err(ManagedError::Recovery(format!(
-            "journal is truncated (starts at seq {}) and its checkpoint is unusable: {reason}",
-            journal.start_seq
-        ))),
-    }
+    RecoveryPlan::new(schema, ckpt_text, journal).execute(base, journal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{MemoryJournal, Op};
     use crate::paper::{white_pages_instance, white_pages_schema, Figure1};
     use crate::updates::Transaction;
     use bschema_obs::NoopProbe;
@@ -613,19 +652,21 @@ mod tests {
     /// A managed white-pages directory with some journalled history:
     /// two committed transactions (one delete, one insert) and one
     /// aborted tail.
-    fn journalled_fixture() -> (ManagedDirectory, JournalWriter, String, Figure1) {
+    fn journalled_fixture() -> (JournaledDirectory, MemoryJournal, String, Figure1) {
         let schema = white_pages_schema();
         let (dir, ids) = white_pages_instance();
-        let mut managed = ManagedDirectory::with_instance(schema, dir).expect("fixture is legal");
-        let mut writer = JournalWriter::new();
+        let managed = ManagedDirectory::with_instance(schema, dir).expect("fixture is legal");
+        let mut live = JournaledDirectory::new(managed);
+        let mem = MemoryJournal::default();
+        live.set_sink(mem.sink());
 
         let mut tx = Transaction::new();
         tx.delete(ids.suciu);
-        managed.apply_journaled(&tx, &mut writer).expect("delete applies");
+        live.apply(Op::Tx { tx: &tx, global: None }).expect("delete applies");
 
         let mut tx = Transaction::new();
         tx.insert_under(ids.att_labs, researcher("zoe"));
-        managed.apply_journaled(&tx, &mut writer).expect("insert applies");
+        live.apply(Op::Tx { tx: &tx, global: None }).expect("insert applies");
 
         // An aborted transaction: the entry carries an attribute its
         // classes do not allow, so legality rolls it back and the
@@ -639,45 +680,32 @@ mod tests {
                 .attr("mail", "bad@example.net")
                 .build(),
         );
-        let _ = managed.apply_journaled(&tx, &mut writer);
+        let _ = live.apply(Op::Tx { tx: &tx, global: None });
 
-        let text = writer.take_pending();
-        (managed, writer, text, ids)
+        let text = mem.take();
+        (live, mem, text, ids)
     }
 
     #[test]
     fn checkpoint_roundtrips_byte_identically() {
-        let (managed, writer, _text, _ids) = journalled_fixture();
+        let (live, _mem, _text, _ids) = journalled_fixture();
         let schema = white_pages_schema();
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let ckpt = live.capture(None);
         let encoded = ckpt.encode();
         let decoded = Checkpoint::decode(&encoded).expect("decodes");
         assert_eq!(decoded.seq, ckpt.seq);
         assert_eq!(decoded.next_tx, ckpt.next_tx);
         assert_eq!(decoded.schema_hash, schema_hash(&schema));
         assert_eq!(decoded.free, ckpt.free);
-        let restored = decoded.restore(managed.instance().registry().clone()).expect("restores");
-        assert_eq!(restored.canonical_bytes(), managed.instance().canonical_bytes());
-        assert_eq!(restored.forest().free_slots(), managed.instance().forest().free_slots());
+        let restored = decoded.restore(live.instance().registry().clone()).expect("restores");
+        assert_eq!(restored.canonical_bytes(), live.instance().canonical_bytes());
+        assert_eq!(restored.forest().free_slots(), live.instance().forest().free_slots());
     }
 
     #[test]
     fn decode_rejects_damage() {
-        let (managed, writer, _text, _ids) = journalled_fixture();
-        let schema = white_pages_schema();
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let (live, _mem, _text, _ids) = journalled_fixture();
+        let ckpt = live.capture(None);
         let encoded = ckpt.encode();
 
         // Cut anywhere: header damage or short body, never a panic and
@@ -699,23 +727,16 @@ mod tests {
 
     #[test]
     fn recovery_ladder_checkpoint_plus_tail() {
-        let (mut managed, mut writer, history, ids) = journalled_fixture();
-        let schema = white_pages_schema();
+        let (mut live, mem, history, ids) = journalled_fixture();
 
         // Checkpoint at the current cursor, then keep writing: the tail
         // is everything after the checkpoint.
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let ckpt = live.capture(None);
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("post-ckpt"));
-        managed.apply_journaled(&tx, &mut writer).expect("tail tx applies");
-        let tail = writer.take_pending();
+        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        let tail = mem.take();
 
         // Rung 3 (steady state): checkpoint + tail only.
         let journal = Journal::parse(&tail);
@@ -729,9 +750,10 @@ mod tests {
         .expect("checkpoint + tail recovers");
         assert_eq!(rec.checkpoint_seq, Some(ckpt.seq));
         assert_eq!(rec.report.replayed, 1);
-        assert_eq!(rec.managed.instance().canonical_bytes(), managed.instance().canonical_bytes());
-        assert_eq!(rec.writer.records_emitted(), writer.records_emitted());
-        assert_eq!(rec.writer.next_tx(), writer.next_tx());
+        assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
+        let cursor = live.capture(None);
+        assert_eq!(rec.writer.records_emitted(), cursor.seq);
+        assert_eq!(rec.writer.next_tx(), cursor.next_tx);
 
         // Rung 2 (crash before truncation): checkpoint + full journal.
         // The replay rule skips what the snapshot already contains.
@@ -746,7 +768,7 @@ mod tests {
         )
         .expect("checkpoint + full journal recovers");
         assert_eq!(rec.report.replayed, 1, "pre-checkpoint txs must not replay twice");
-        assert_eq!(rec.managed.instance().canonical_bytes(), managed.instance().canonical_bytes());
+        assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
 
         // Rung 1 (no checkpoint): full replay from the paper base.
         let (base, _ids) = white_pages_instance();
@@ -754,25 +776,18 @@ mod tests {
             .expect("full replay recovers");
         assert_eq!(rec.checkpoint_seq, None);
         assert_eq!(rec.report.replayed, 3);
-        assert_eq!(rec.managed.instance().canonical_bytes(), managed.instance().canonical_bytes());
+        assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
     }
 
     #[test]
     fn recovery_ladder_fatal_rungs() {
-        let (mut managed, mut writer, _history, ids) = journalled_fixture();
-        let schema = white_pages_schema();
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let (mut live, mem, _history, ids) = journalled_fixture();
+        let ckpt = live.capture(None);
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("tail-only"));
-        managed.apply_journaled(&tx, &mut writer).expect("tail tx applies");
-        let tail = writer.take_pending();
+        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        let tail = mem.take();
         let journal = Journal::parse(&tail);
 
         // Truncated journal + missing checkpoint: fatal.
@@ -792,15 +807,8 @@ mod tests {
 
     #[test]
     fn torn_checkpoint_with_full_journal_falls_back_to_replay() {
-        let (managed, writer, history, _ids) = journalled_fixture();
-        let schema = white_pages_schema();
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let (live, _mem, history, _ids) = journalled_fixture();
+        let ckpt = live.capture(None);
         let encoded = ckpt.encode();
         let torn = &encoded[..encoded.len() / 2];
         let journal = Journal::parse(&history);
@@ -809,20 +817,13 @@ mod tests {
         let rec = recover_with_checkpoint(white_pages_schema(), base, Some(torn), &journal)
             .expect("full journal survives a torn checkpoint");
         assert_eq!(rec.checkpoint_seq, None);
-        assert_eq!(rec.managed.instance().canonical_bytes(), managed.instance().canonical_bytes());
+        assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
     }
 
     #[test]
     fn schema_mismatch_is_fatal_only_with_truncated_journal() {
-        let (mut managed, mut writer, history, ids) = journalled_fixture();
-        let schema = white_pages_schema();
-        let mut wrong = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let (mut live, mem, history, ids) = journalled_fixture();
+        let mut wrong = live.capture(None);
         wrong.schema_hash ^= 0xdead_beef;
         let encoded = wrong.encode();
 
@@ -837,8 +838,8 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("after"));
-        managed.apply_journaled(&tx, &mut writer).expect("tail tx applies");
-        let tail = writer.take_pending();
+        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        let tail = mem.take();
         let journal = Journal::parse(&tail);
         let (base, _ids) = white_pages_instance();
         let err = recover_with_checkpoint(white_pages_schema(), base, Some(&encoded), &journal)
@@ -854,22 +855,15 @@ mod tests {
         let ckpt_file = checkpoint_path(&journal_path);
         assert_eq!(ckpt_file.file_name().and_then(|s| s.to_str()), Some("wal.ckpt"));
 
-        let (managed, writer, history, _ids) = journalled_fixture();
+        let (live, _mem, history, _ids) = journalled_fixture();
         fs::write(&journal_path, &history).expect("journal written");
-        let schema = white_pages_schema();
-        let ckpt = Checkpoint::capture(
-            managed.instance(),
-            &schema,
-            writer.records_emitted(),
-            writer.next_tx(),
-            None,
-        );
+        let ckpt = live.capture(None);
         write_checkpoint(&ckpt_file, &ckpt.encode(), &NoopProbe).expect("checkpoint lands");
         truncate_journal(&journal_path, &NoopProbe).expect("journal truncates");
 
         let on_disk = fs::read_to_string(&ckpt_file).expect("checkpoint readable");
         let decoded = Checkpoint::decode(&on_disk).expect("decodes");
-        assert_eq!(decoded.seq, writer.records_emitted());
+        assert_eq!(decoded.seq, ckpt.seq);
         assert_eq!(fs::read_to_string(&journal_path).expect("journal readable"), "");
 
         let journal = Journal::parse("");
@@ -880,7 +874,7 @@ mod tests {
             &journal,
         )
         .expect("steady state recovers");
-        assert_eq!(rec.managed.instance().canonical_bytes(), managed.instance().canonical_bytes());
+        assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
         fs::remove_dir_all(&dir).ok();
     }
 }

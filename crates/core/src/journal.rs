@@ -6,10 +6,12 @@
 //! history, not on a half-applied state no checker ever certified. The
 //! journal records every transaction write-ahead — a `begin` record,
 //! one record per operation, then a `commit` record once (and only
-//! once) the incremental check accepted the result — and
-//! [`ManagedDirectory::recover`] replays exactly the committed
-//! transactions, re-validating each through the normal apply path and
-//! discarding uncommitted tails.
+//! once) the incremental check accepted the result — and recovery
+//! ([`recover_with_checkpoint`](crate::checkpoint::recover_with_checkpoint))
+//! replays exactly the committed transactions, re-validating each
+//! through the normal apply path and discarding uncommitted tails.
+//! [`JournaledDirectory`](crate::engine::JournaledDirectory) is the one
+//! place that sequence is driven from.
 //!
 //! ## Format
 //!
@@ -61,9 +63,8 @@
 use std::fmt::Write as _;
 
 use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
-use bschema_directory::{DirectoryInstance, Dn, Entry, EntryId};
+use bschema_directory::{Dn, Entry, EntryId};
 
-use crate::managed::{ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 use crate::updates::{Mod, NodeRef, Transaction, TxOp};
 
@@ -86,8 +87,9 @@ pub fn shard_journal_path(base: &std::path::Path, shard: usize) -> std::path::Pa
 /// An LDAP Modify journalled as its own transaction: `begin`, one
 /// `modify` record per [`Mod`] (all addressing the same slot), then
 /// `commit`. Recovery applies the whole mod list in one
-/// [`ManagedDirectory::modify_entry`] call so intermediate states are
-/// never checked — only the certified end state.
+/// [`ManagedDirectory::modify_entry`](crate::ManagedDirectory::modify_entry)
+/// call so intermediate states are never checked — only the certified
+/// end state.
 #[derive(Debug, Clone)]
 pub struct JournalModify {
     /// The modified entry's slot.
@@ -156,7 +158,8 @@ pub struct JournalTx {
     /// Number of shards participating in the global transaction
     /// (`jrnpeers`). A cross-shard transaction only counts as committed
     /// if a commit record for its `gid` is intact in all `peers`
-    /// journals — the reconciliation `ShardedDirectory::recover` runs.
+    /// journals — the reconciliation
+    /// `ShardedDirectory::recover_with_checkpoints` runs.
     pub peers: Option<u64>,
     /// The recorded operations, in op order.
     pub ops: Vec<TxOp>,
@@ -227,30 +230,6 @@ pub struct Journal {
     next_seq: u64,
     /// One past the highest transaction id seen.
     next_tx: u64,
-}
-
-/// Summary statistics of a parsed journal — what `recover --verify`
-/// reports without touching the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Intact records in the parse.
-    pub records: u64,
-    /// Transactions with an intact `commit` record.
-    pub committed: usize,
-    /// Transactions without one (aborted, or cut by a crash).
-    pub uncommitted: usize,
-    /// Records discarded as a torn/corrupt tail.
-    pub dropped_records: usize,
-    /// Whether structural crash damage was found.
-    pub truncated: bool,
-    /// Sequence number of the first record (non-zero after truncation).
-    pub start_seq: u64,
-    /// One past the highest intact record sequence number.
-    pub next_seq: u64,
-    /// Byte length of the intact prefix.
-    pub intact_len: usize,
-    /// Shard qualifier, for per-shard journals.
-    pub shard: Option<u64>,
 }
 
 /// A fully decoded journal record, before transaction grouping.
@@ -636,22 +615,6 @@ impl Journal {
     pub fn next_tx(&self) -> u64 {
         self.next_tx
     }
-
-    /// Summary statistics, for diagnostics that must not mutate the
-    /// journal (`recover --verify`).
-    pub fn stats(&self) -> JournalStats {
-        JournalStats {
-            records: self.next_seq - self.start_seq,
-            committed: self.committed().count(),
-            uncommitted: self.txs.iter().filter(|tx| !tx.committed).count(),
-            dropped_records: self.dropped_records,
-            truncated: self.truncated,
-            start_seq: self.start_seq,
-            next_seq: self.next_seq,
-            intact_len: self.intact_len,
-            shard: self.shard,
-        }
-    }
 }
 
 /// Serialises transactions into write-ahead journal records.
@@ -662,9 +625,10 @@ impl Journal {
 /// file), apply the transaction, and on success call
 /// [`commit`](JournalWriter::commit) and persist again. A crash at any
 /// point then leaves either no trace, an uncommitted (discarded) tail,
-/// or a fully committed transaction — never a half-truth.
-/// [`ManagedDirectory::apply_journaled`] bundles the sequence for
-/// in-memory use.
+/// or a fully committed transaction — never a half-truth. Production
+/// code does not drive this by hand:
+/// [`JournaledDirectory`](crate::engine::JournaledDirectory) owns the
+/// sequence (`ci/one_wal.sh` enforces it).
 #[derive(Debug, Default)]
 pub struct JournalWriter {
     seq: u64,
@@ -684,22 +648,10 @@ impl JournalWriter {
         JournalWriter::default()
     }
 
-    /// A writer that appends after an existing journal's intact prefix,
-    /// keeping the journal's shard qualifier (if any).
-    pub fn resume_after(journal: &Journal) -> Self {
-        JournalWriter {
-            seq: journal.next_seq,
-            next_tx: journal.next_tx,
-            pending: String::new(),
-            shard: journal.shard.map(|k| k as usize),
-            bytes: 0,
-        }
-    }
-
     /// A writer that continues at an explicit sequence and transaction
-    /// id — the resume path when a checkpoint truncated the journal to
-    /// nothing, so there is no record to parse the cursor out of; both
-    /// values come from the checkpoint header instead.
+    /// id: recovery resumes at the higher of the parsed journal's and
+    /// the checkpoint's cursors (a checkpoint may have truncated the
+    /// journal to nothing, leaving no record to parse a cursor out of).
     pub fn resume_at(seq: u64, next_tx: u64) -> Self {
         JournalWriter { seq, next_tx, ..JournalWriter::default() }
     }
@@ -855,11 +807,6 @@ impl JournalWriter {
         std::mem::take(&mut self.pending)
     }
 
-    /// Whether there is un-drained record text.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
     /// Total journal records ever numbered through this writer's
     /// sequence — for a resumed writer this includes the replayed
     /// history it continues after, so it measures the *journal's*
@@ -875,6 +822,11 @@ impl JournalWriter {
         self.next_tx
     }
 
+    /// The shard qualifier written into every record DN, if any.
+    pub fn shard(&self) -> Option<usize> {
+        self.shard
+    }
+
     /// Record text bytes built by *this* writer (since construction /
     /// resume) — the growth a health check should compare against a
     /// repair threshold.
@@ -883,11 +835,15 @@ impl JournalWriter {
     }
 }
 
-/// Outcome statistics of [`ManagedDirectory::recover`].
+/// Outcome statistics of a recovery
+/// ([`recover_with_checkpoint`](crate::checkpoint::recover_with_checkpoint)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Committed transactions replayed successfully.
     pub replayed: usize,
+    /// Of those, schema evolution cutovers — the epochs the recovered
+    /// state has absorbed beyond its checkpoint (or seed) baseline.
+    pub schema_cutovers: usize,
     /// Uncommitted transactions discarded (the crash tail).
     pub discarded: usize,
     /// Torn/corrupt records dropped during parsing.
@@ -896,73 +852,31 @@ pub struct RecoveryReport {
     pub truncated: bool,
 }
 
-impl ManagedDirectory {
-    /// Applies `tx` under the write-ahead discipline: `begin` + op
-    /// records are staged in `writer` before the mutation, the `commit`
-    /// record only after the transaction was applied and certified
-    /// legal. Failed or panicked transactions leave an uncommitted tail
-    /// that [`recover`](ManagedDirectory::recover) discards.
-    pub fn apply_journaled(
-        &mut self,
-        tx: &Transaction,
-        writer: &mut JournalWriter,
-    ) -> Result<(), ManagedError> {
-        let tx_id = writer.begin(tx);
-        let outcome = self.apply(tx);
-        if outcome.is_ok() {
-            writer.commit(tx_id);
-        }
-        outcome
-    }
-
-    /// Rebuilds a managed directory from `base` (the last durable
-    /// snapshot; often empty) plus a journal: committed transactions are
-    /// replayed in order through the normal checked apply path,
-    /// uncommitted tails are discarded, and the result is re-validated
-    /// end to end. Errors with [`ManagedError::Recovery`] if a committed
-    /// transaction no longer applies — the journal and base disagree.
-    pub fn recover(
-        schema: DirectorySchema,
-        base: DirectoryInstance,
-        journal: &Journal,
-    ) -> Result<(Self, RecoveryReport), ManagedError> {
-        let mut managed = ManagedDirectory::for_recovery(schema, base)?;
-        let mut replayed = 0;
-        let mut discarded = 0;
-        for jtx in &journal.txs {
-            if jtx.committed {
-                match (&jtx.schema, &jtx.modify) {
-                    (Some(s), _) => s
-                        .engine_schema()
-                        .map_err(ManagedError::Recovery)
-                        .and_then(|schema| managed.set_schema(schema)),
-                    (None, Some(m)) => managed.modify_entry(m.target, &m.mods),
-                    (None, None) => managed.apply(&jtx.to_transaction()),
-                }
-                .map_err(|e| {
-                    ManagedError::Recovery(format!("replaying committed tx {}: {e}", jtx.id))
-                })?;
-                replayed += 1;
-            } else {
-                discarded += 1;
-            }
-        }
-        Ok((
-            managed,
-            RecoveryReport {
-                replayed,
-                discarded,
-                dropped_records: journal.dropped_records,
-                truncated: journal.truncated,
-            },
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::recover_with_checkpoint;
+    use crate::engine::{JournaledDirectory, MemoryJournal, Op};
+    use crate::managed::{ManagedDirectory, ManagedError};
     use crate::paper::{white_pages_instance, white_pages_schema};
+    use bschema_directory::DirectoryInstance;
+
+    /// An engine journalling into memory.
+    fn journaled(managed: ManagedDirectory) -> (JournaledDirectory, MemoryJournal) {
+        let mem = MemoryJournal::default();
+        let mut engine = JournaledDirectory::new(managed);
+        engine.set_sink(mem.sink());
+        (engine, mem)
+    }
+
+    /// Full replay from `base`: the ladder's no-checkpoint rung.
+    fn recover(
+        schema: DirectorySchema,
+        base: DirectoryInstance,
+        journal: &Journal,
+    ) -> Result<(ManagedDirectory, RecoveryReport), ManagedError> {
+        recover_with_checkpoint(schema, base, None, journal).map(|rec| (rec.managed, rec.report))
+    }
 
     fn researcher(uid: &str) -> Entry {
         Entry::builder()
@@ -1006,12 +920,12 @@ mod tests {
         let (dir, ids) = white_pages_instance();
         let base = dir.clone();
 
-        let mut managed = ManagedDirectory::with_instance(schema.clone(), dir).unwrap();
-        let mut writer = JournalWriter::new();
+        let (mut live, mem) =
+            journaled(ManagedDirectory::with_instance(schema.clone(), dir).unwrap());
 
         let mut tx1 = Transaction::new();
         tx1.insert_under(ids.databases, researcher("zoe"));
-        managed.apply_journaled(&tx1, &mut writer).unwrap();
+        live.apply(Op::Tx { tx: &tx1, global: None }).unwrap();
 
         // An illegal transaction: journalled write-ahead, never committed.
         let mut tx2 = Transaction::new();
@@ -1019,24 +933,23 @@ mod tests {
             ids.suciu,
             Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "x").build(),
         );
-        managed.apply_journaled(&tx2, &mut writer).unwrap_err();
+        live.apply(Op::Tx { tx: &tx2, global: None }).unwrap_err();
 
         let mut tx3 = Transaction::new();
         tx3.insert_under(ids.att_labs, researcher("pat"));
-        managed.apply_journaled(&tx3, &mut writer).unwrap();
+        live.apply(Op::Tx { tx: &tx3, global: None }).unwrap();
 
-        let text = writer.take_pending();
+        let text = mem.take();
         let journal = Journal::parse(&text);
         assert_eq!(journal.committed().count(), 2);
 
-        let (recovered, report) =
-            ManagedDirectory::recover(schema, base, &journal).expect("recovery succeeds");
+        let (recovered, report) = recover(schema, base, &journal).expect("recovery succeeds");
         assert_eq!(report.replayed, 2);
         assert_eq!(report.discarded, 1);
         assert!(recovered.is_legal());
         assert_eq!(
             recovered.instance().canonical_bytes(),
-            managed.instance().canonical_bytes(),
+            live.instance().canonical_bytes(),
             "recovered state must equal the live state that applied the committed txs"
         );
     }
@@ -1047,16 +960,16 @@ mod tests {
         let (dir, ids) = white_pages_instance();
         let base = dir.clone();
 
-        let mut managed = ManagedDirectory::with_instance(schema.clone(), dir).unwrap();
-        let mut writer = JournalWriter::new();
-        let mut committed_states = vec![managed.instance().canonical_bytes()];
+        let (mut live, mem) =
+            journaled(ManagedDirectory::with_instance(schema.clone(), dir).unwrap());
+        let mut committed_states = vec![live.instance().canonical_bytes()];
         for uid in ["zoe", "pat", "kim"] {
             let mut tx = Transaction::new();
             tx.insert_under(ids.databases, researcher(uid));
-            managed.apply_journaled(&tx, &mut writer).unwrap();
-            committed_states.push(managed.instance().canonical_bytes());
+            live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
+            committed_states.push(live.instance().canonical_bytes());
         }
-        let text = writer.take_pending();
+        let text = mem.take();
 
         // Cut the journal after every byte prefix boundary that ends a
         // line, plus a few mid-line cuts.
@@ -1073,9 +986,8 @@ mod tests {
             let repaired = Journal::parse(&truncated[..journal.intact_len]);
             assert!(!repaired.truncated, "cut at byte {cut}: repaired journal still torn");
             assert_eq!(repaired.committed().count(), committed);
-            let (recovered, report) =
-                ManagedDirectory::recover(schema.clone(), base.clone(), &journal)
-                    .expect("recovery succeeds on every prefix");
+            let (recovered, report) = recover(schema.clone(), base.clone(), &journal)
+                .expect("recovery succeeds on every prefix");
             assert_eq!(report.replayed, committed);
             assert_eq!(
                 recovered.instance().canonical_bytes(),
@@ -1096,7 +1008,7 @@ mod tests {
         let first = writer.take_pending();
 
         let journal = Journal::parse(&first);
-        let mut resumed = JournalWriter::resume_after(&journal);
+        let mut resumed = JournalWriter::resume_at(journal.next_seq(), journal.next_tx());
         let id1 = resumed.begin(&tx);
         assert_eq!(id1, id0 + 1);
         resumed.commit(id1);
@@ -1139,8 +1051,9 @@ mod tests {
         assert_eq!(plain_journal.txs[0].gid, None);
         assert_eq!(plain_journal.txs[0].peers, None);
 
-        // Resuming a shard journal keeps the qualifier.
-        let mut resumed = JournalWriter::resume_after(&journal);
+        // A resumed shard writer keeps numbering and qualifier.
+        let mut resumed =
+            JournalWriter::resume_at(journal.next_seq(), journal.next_tx()).with_shard(3);
         let id = resumed.begin(&tx);
         resumed.commit(id);
         let more = resumed.take_pending();
@@ -1184,8 +1097,8 @@ mod tests {
         let (dir, ids) = white_pages_instance();
         let base = dir.clone();
 
-        let mut managed = ManagedDirectory::with_instance(schema.clone(), dir).unwrap();
-        let mut writer = JournalWriter::new();
+        let (mut live, mem) =
+            journaled(ManagedDirectory::with_instance(schema.clone(), dir).unwrap());
 
         // One tx with several mods, exercising every kind. The delete +
         // re-add of a required attribute is only legal as one atomic
@@ -1199,11 +1112,9 @@ mod tests {
             },
             Mod::DeleteValue { attribute: "title".into(), value: "member of staff".into() },
         ];
-        let id = writer.begin_modify(ids.suciu, &mods);
-        managed.modify_entry(ids.suciu, &mods).unwrap();
-        writer.commit(id);
+        live.apply(Op::Modify { target: ids.suciu, mods: &mods }).unwrap();
 
-        let text = writer.take_pending();
+        let text = mem.take();
         let journal = Journal::parse(&text);
         assert!(!journal.truncated, "{journal:?}");
         assert_eq!(journal.txs.len(), 1);
@@ -1214,12 +1125,11 @@ mod tests {
         assert_eq!(modify.target, ids.suciu);
         assert_eq!(modify.mods, mods);
 
-        let (recovered, report) =
-            ManagedDirectory::recover(schema, base, &journal).expect("recovery succeeds");
+        let (recovered, report) = recover(schema, base, &journal).expect("recovery succeeds");
         assert_eq!(report.replayed, 1);
         assert_eq!(
             recovered.instance().canonical_bytes(),
-            managed.instance().canonical_bytes(),
+            live.instance().canonical_bytes(),
             "modify recovery must reproduce the live state"
         );
     }
@@ -1265,28 +1175,18 @@ mod tests {
         more.commit(id);
         gapped.push_str(&more.take_pending());
         assert!(Journal::parse(&gapped).truncated);
-        // Resuming from the parse continues at the right sequence.
-        let resumed = JournalWriter::resume_after(&journal);
-        assert_eq!(resumed.records_emitted(), 43);
     }
 
     #[test]
-    fn stats_on_empty_torn_and_truncated_journals() {
-        // Empty journal.
-        let stats = Journal::parse("").stats();
-        assert_eq!(stats.records, 0);
-        assert_eq!(stats.committed, 0);
-        assert_eq!(stats.uncommitted, 0);
-        assert_eq!(stats.start_seq, 0);
-        assert_eq!(stats.next_seq, 0);
-        assert!(!stats.truncated);
+    fn cursors_of_empty_torn_and_truncated_journals() {
+        let records = |j: &Journal| j.next_seq() - j.start_seq;
+        let empty = Journal::parse("");
+        assert_eq!((records(&empty), empty.start_seq, empty.truncated), (0, 0, false));
 
         // Torn-tail-only journal: nothing intact, everything dropped.
-        let stats = Journal::parse("dn: op=0,cn=journal\njrntype: begin\n").stats();
-        assert_eq!(stats.records, 0);
-        assert_eq!(stats.dropped_records, 1);
-        assert!(stats.truncated);
-        assert_eq!(stats.intact_len, 0);
+        let torn = Journal::parse("dn: op=0,cn=journal\njrntype: begin\n");
+        assert_eq!((records(&torn), torn.dropped_records, torn.intact_len), (0, 1, 0));
+        assert!(torn.truncated);
 
         // Freshly truncated journal: a tail starting mid-history.
         let (_, ids) = white_pages_instance();
@@ -1295,13 +1195,9 @@ mod tests {
         let mut writer = JournalWriter::resume_at(10, 3);
         let id = writer.begin(&tx);
         writer.commit(id);
-        let stats = Journal::parse(&writer.take_pending()).stats();
-        assert_eq!(stats.records, 3);
-        assert_eq!(stats.start_seq, 10);
-        assert_eq!(stats.next_seq, 13);
-        assert_eq!(stats.committed, 1);
-        assert_eq!(stats.uncommitted, 0);
-        assert!(!stats.truncated);
+        let tail = Journal::parse(&writer.take_pending());
+        assert_eq!((records(&tail), tail.start_seq, tail.next_seq()), (3, 10, 13));
+        assert_eq!((tail.committed().count(), tail.truncated), (1, false));
     }
 
     #[test]
@@ -1313,22 +1209,20 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, ids) = white_pages_instance();
         let base = dir.clone();
-        let mut managed = ManagedDirectory::with_instance(schema.clone(), dir).unwrap();
-        let mut writer = JournalWriter::new();
+        let (mut live, mem) =
+            journaled(ManagedDirectory::with_instance(schema.clone(), dir).unwrap());
 
         // A normal tx, then a journalled evolution, then a tx that is
         // only legal under the evolved schema.
         let mut tx = Transaction::new();
         tx.insert_under(ids.databases, researcher("zoe"));
-        managed.apply_journaled(&tx, &mut writer).unwrap();
+        live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
 
         let step =
             Evolution::AllowAttribute { class: "researcher".into(), attribute: "homePage".into() };
-        let evolved = evolution::evolve(&schema, &step, managed.instance()).unwrap();
+        let evolved = evolution::evolve(&schema, &step, live.instance()).unwrap();
         let dsl = print_schema(&evolved, None);
-        let id = writer.begin_schema(&dsl, false, None);
-        managed.set_schema(evolved.clone()).unwrap();
-        writer.commit(id);
+        live.apply(Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None }).unwrap();
 
         let mut tx = Transaction::new();
         tx.insert_under(
@@ -1340,9 +1234,9 @@ mod tests {
                 .attr("homePage", "https://example.net/~pat")
                 .build(),
         );
-        managed.apply_journaled(&tx, &mut writer).unwrap();
+        live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
 
-        let text = writer.take_pending();
+        let text = mem.take();
         let journal = Journal::parse(&text);
         assert!(!journal.truncated, "{journal:?}");
         assert_eq!(journal.committed().count(), 3);
@@ -1354,10 +1248,11 @@ mod tests {
         // Recovery starting from the *old* schema replays the evolution
         // and converges byte-identically.
         let (recovered, report) =
-            ManagedDirectory::recover(schema, base.clone(), &journal).expect("recovery succeeds");
+            recover(schema, base.clone(), &journal).expect("recovery succeeds");
         assert_eq!(report.replayed, 3);
+        assert_eq!(report.schema_cutovers, 1);
         assert_eq!(schema_hash(recovered.schema()), schema_hash(&evolved));
-        assert_eq!(recovered.instance().canonical_bytes(), managed.instance().canonical_bytes());
+        assert_eq!(recovered.instance().canonical_bytes(), live.instance().canonical_bytes());
 
         // A `local` record strips required classes on replay.
         let mut w = JournalWriter::new();

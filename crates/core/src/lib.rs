@@ -47,6 +47,7 @@
 pub mod checkpoint;
 pub mod consistency;
 pub mod discover;
+pub mod engine;
 pub mod evolution;
 pub mod journal;
 pub mod legality;
@@ -57,11 +58,14 @@ pub mod schema;
 pub mod sharded;
 pub mod updates;
 
-pub use checkpoint::{recover_with_checkpoint, Checkpoint, CheckpointError, CheckpointRecovery};
+pub use checkpoint::{
+    recover_with_checkpoint, Checkpoint, CheckpointError, CheckpointRecovery, RecoveryPlan,
+};
 pub use consistency::ConsistencyChecker;
 pub use discover::{suggest_schema, DiscoveryOptions};
+pub use engine::{JournalSink, JournaledDirectory, Op};
 pub use evolution::{evolve, Evolution, EvolutionError};
-pub use journal::{Journal, JournalModify, JournalStats, JournalTx, JournalWriter, RecoveryReport};
+pub use journal::{Journal, JournalModify, JournalTx, JournalWriter, RecoveryReport};
 pub use legality::{LegalityChecker, LegalityOptions, LegalityReport, Violation};
 pub use managed::ManagedDirectory;
 pub use qopt::SchemaAwareOptimizer;

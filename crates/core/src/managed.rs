@@ -192,46 +192,19 @@ impl ManagedDirectory {
     /// schema has required classes (`◇c`); the first transaction must
     /// populate them, and is checked with a full legality pass.
     pub fn new(schema: DirectorySchema, registry: AttributeRegistry) -> Result<Self, ManagedError> {
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
-        }
-        let mut dir = DirectoryInstance::new(registry);
-        dir.prepare();
-        let known_legal = LegalityChecker::new(&schema).check(&dir).is_legal();
-        Ok(ManagedDirectory {
-            schema,
-            dir,
-            known_legal,
-            poisoned: false,
-            options: LegalityOptions::default(),
-            probe: ProbeHandle::default(),
-        })
+        Self::for_recovery(schema, DirectoryInstance::new(registry))
     }
 
     /// Wraps an existing instance, verifying schema consistency and
     /// instance legality.
     pub fn with_instance(
         schema: DirectorySchema,
-        mut dir: DirectoryInstance,
+        dir: DirectoryInstance,
     ) -> Result<Self, ManagedError> {
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
+        match Self::checked(schema, dir)? {
+            (managed, report) if report.is_legal() => Ok(managed),
+            (_, report) => Err(ManagedError::IllegalInstance(report)),
         }
-        dir.prepare();
-        let report = LegalityChecker::new(&schema).check(&dir);
-        if !report.is_legal() {
-            return Err(ManagedError::IllegalInstance(report));
-        }
-        Ok(ManagedDirectory {
-            schema,
-            dir,
-            known_legal: true,
-            poisoned: false,
-            options: LegalityOptions::default(),
-            probe: ProbeHandle::default(),
-        })
     }
 
     /// Wraps an existing instance for journal recovery: schema consistency
@@ -241,22 +214,32 @@ impl ManagedDirectory {
     /// [`new`](ManagedDirectory::new).
     pub(crate) fn for_recovery(
         schema: DirectorySchema,
-        mut dir: DirectoryInstance,
+        dir: DirectoryInstance,
     ) -> Result<Self, ManagedError> {
+        Self::checked(schema, dir).map(|(managed, _)| managed)
+    }
+
+    /// The one constructor: consistency closure, `prepare()`, one full
+    /// §3 check whose verdict seeds `known_legal`.
+    fn checked(
+        schema: DirectorySchema,
+        mut dir: DirectoryInstance,
+    ) -> Result<(Self, LegalityReport), ManagedError> {
         let result = ConsistencyChecker::new(&schema).check();
         if !result.is_consistent() {
             return Err(inconsistency_error(&result));
         }
         dir.prepare();
-        let known_legal = LegalityChecker::new(&schema).check(&dir).is_legal();
-        Ok(ManagedDirectory {
+        let report = LegalityChecker::new(&schema).check(&dir);
+        let managed = ManagedDirectory {
             schema,
             dir,
-            known_legal,
+            known_legal: report.is_legal(),
             poisoned: false,
             options: LegalityOptions::default(),
             probe: ProbeHandle::default(),
-        })
+        };
+        Ok((managed, report))
     }
 
     /// Selects the execution engine (sequential or data-parallel) used by
@@ -289,6 +272,16 @@ impl ManagedDirectory {
         probe: Option<Arc<dyn Probe + Send + Sync>>,
     ) -> Option<Arc<dyn Probe + Send + Sync>> {
         std::mem::replace(&mut self.probe, ProbeHandle(probe)).0
+    }
+
+    /// The attached probe (the no-op probe when none is).
+    pub(crate) fn probe(&self) -> &dyn Probe {
+        self.probe.get()
+    }
+
+    /// Unwraps into the enforced schema and the instance.
+    pub fn into_parts(self) -> (DirectorySchema, DirectoryInstance) {
+        (self.schema, self.dir)
     }
 
     /// The full legality checker configured with this directory's options.

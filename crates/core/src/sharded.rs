@@ -30,40 +30,37 @@
 //! mutation, carrying a global id + peer count), *commit* stages the
 //! per-shard commit records. Any failure or panic rolls every prepared
 //! shard back to its snapshot. A crash between the phases leaves commit
-//! records on a strict subset of the peers; [`ShardedDirectory::recover`]
-//! reconciles by keeping a global transaction only when its commit is
-//! intact in **all** peer journals, so recovery converges to the same
-//! state the live rollback produced.
+//! records on a strict subset of the peers;
+//! [`ShardedDirectory::recover_with_checkpoints`] reconciles by keeping
+//! a global transaction only when its commit is intact in **all** peer
+//! journals, so recovery converges to the same state the live rollback
+//! produced.
+//!
+//! Every shard is a [`JournaledDirectory`]: the router decides *which*
+//! shards and in *what order*, the engine owns the write-ahead sequence
+//! on each.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bschema_directory::ldif::LdifRecord;
-use bschema_directory::{DirectoryInstance, Dn, Entry, EntryId, Rdn};
+use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
 use bschema_obs::Probe;
 
-use crate::checkpoint::{
-    checkpoint_path, recover_with_checkpoint, truncate_journal, write_checkpoint, Checkpoint,
-};
+use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
-use crate::journal::{Journal, JournalWriter, RecoveryReport};
+pub use crate::engine::JournalSink;
+use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
+use crate::journal::{shard_journal_path, Journal, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::managed::{inconsistency_error, ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 use crate::updates::{transaction_from_ldif, LdifTxError, Mod, Transaction};
-
-/// Durability callback for one shard's journal: invoked with each staged
-/// record batch at the write-ahead points (begin records before the
-/// mutation, commit records after it). The callee appends and syncs;
-/// an error from the *begin* flush aborts the transaction before any
-/// mutation, an error from the *commit* flush is reported but the
-/// transaction stands (matching the single-engine service's
-/// commit-flush discipline).
-pub type JournalSink = Box<dyn FnMut(&str) -> std::io::Result<()> + Send>;
 
 /// Errors from [`ShardedDirectory::apply_ldif`].
 #[derive(Debug)]
@@ -151,22 +148,13 @@ fn simulate_mods(entry: &Entry, mods: &[Mod]) -> Entry {
     simulated
 }
 
-/// FNV-1a over the normalised (lowercased, whitespace-canonical) root
-/// RDN. Stable across runs and platforms, so shard layouts are
-/// reproducible and journals recover onto the same partition.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The shard owning the top-level subtree rooted at `rdn`.
+/// The shard owning the top-level subtree rooted at `rdn`: FNV-1a over
+/// the normalised (lowercased, whitespace-canonical) root RDN. Stable
+/// across runs and platforms, so shard layouts are reproducible and
+/// journals recover onto the same partition.
 pub fn shard_of_root_rdn(rdn: &Rdn, shards: usize) -> usize {
     let normalized = Dn::from_rdns(vec![rdn.clone()]).to_normalized_string();
-    (fnv1a(&normalized) % shards.max(1) as u64) as usize
+    (crate::checkpoint::fnv1a(normalized.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// Splits `dir` into `shards` disjoint instances, each holding the
@@ -241,6 +229,16 @@ fn reject_global_keys(schema: &DirectorySchema) -> Result<(), ManagedError> {
         )));
     }
     Ok(())
+}
+
+/// What every schema a sharded directory runs under must pass: the
+/// Figures 6–7 consistency closure, and no global keys.
+fn shardable(schema: &DirectorySchema) -> Result<(), ManagedError> {
+    let result = ConsistencyChecker::new(schema).check();
+    if !result.is_consistent() {
+        return Err(inconsistency_error(&result));
+    }
+    reject_global_keys(schema)
 }
 
 /// Names of the schema's required classes (`Cr`), the ledger's keys.
@@ -340,33 +338,10 @@ fn final_full_schema(
     Ok(boot.clone())
 }
 
-/// One shard: a managed directory over the `Cr`-stripped schema, its
-/// journal writer, and an optional durability sink.
-struct ShardState {
-    managed: ManagedDirectory,
-    journal: JournalWriter,
-    sink: Option<JournalSink>,
-}
-
-impl ShardState {
-    /// Write-ahead point: flushes staged journal records through the
-    /// sink. Without a sink the records stay pending (callers drain via
-    /// [`ShardedDirectory::take_pending`]).
-    fn persist_pending(&mut self) -> std::io::Result<()> {
-        if let Some(sink) = &mut self.sink {
-            if self.journal.has_pending() {
-                let text = self.journal.take_pending();
-                sink(&text)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One schema generation: the full bounding-schema, its `Cr`-stripped
 /// per-shard projection, and the `◇c` ledger's key set. All three swap
 /// together — atomically, under every shard lock — when
-/// [`ShardedDirectory::swap_schema`] cuts over to an evolved schema.
+/// [`ShardedDirectory::swap_schema_validated`] cuts over to an evolved schema.
 struct SchemaEpoch {
     schema: DirectorySchema,
     local: DirectorySchema,
@@ -391,7 +366,8 @@ pub struct ShardedDirectory {
     /// cutover; the data path takes a brief read and releases it before
     /// or while acquiring shard locks in ascending order).
     epoch: RwLock<SchemaEpoch>,
-    slots: Vec<Mutex<ShardState>>,
+    /// One journaled engine per shard, over the `Cr`-stripped schema.
+    slots: Vec<Mutex<JournaledDirectory>>,
     /// Live-entry count per required class — the global `◇c` ledger.
     /// Locked only while the involved shard locks are already held
     /// (shards-then-ledger order), and only for short critical sections.
@@ -419,11 +395,7 @@ impl ShardedDirectory {
         mut dir: DirectoryInstance,
         shards: usize,
     ) -> Result<Self, ManagedError> {
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
-        }
-        reject_global_keys(&schema)?;
+        shardable(&schema)?;
         dir.prepare();
         let report = LegalityChecker::new(&schema).check(&dir);
         if !report.is_legal() {
@@ -433,91 +405,14 @@ impl ShardedDirectory {
         Self::from_parts(schema, bases)
     }
 
-    /// Rebuilds a sharded directory from per-shard bases and journals:
-    /// global transactions are first reconciled (a `gid` counts as
-    /// committed only when a commit record for it is intact in all
-    /// `peers` journals — a torn 2-phase commit is discarded everywhere),
-    /// then each shard replays through [`ManagedDirectory::recover`].
-    pub fn recover(
-        schema: DirectorySchema,
-        bases: Vec<DirectoryInstance>,
-        journals: &[Journal],
-    ) -> Result<(Self, Vec<RecoveryReport>), ManagedError> {
-        if bases.len() != journals.len() {
-            return Err(ManagedError::Recovery(format!(
-                "{} shard bases but {} journals",
-                bases.len(),
-                journals.len()
-            )));
-        }
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
-        }
-        reject_global_keys(&schema)?;
-        // Reconciliation: count intact commits per gid across all shards.
-        let mut commits: BTreeMap<u64, u64> = BTreeMap::new();
-        for journal in journals {
-            for jtx in &journal.txs {
-                if jtx.committed {
-                    if let Some(gid) = jtx.gid {
-                        *commits.entry(gid).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        // The journals may carry committed schema cutovers; the epoch
-        // the recovered directory lands on is the newest surviving one.
-        let final_schema = final_full_schema(&schema, journals, &commits, &[])?;
-        reject_global_keys(&final_schema)?;
-        let local_schema = schema.without_required_classes();
-        let mut slots = Vec::with_capacity(bases.len());
-        let mut reports = Vec::with_capacity(bases.len());
-        let mut next_gid = 0u64;
-        for (k, (base, journal)) in bases.into_iter().zip(journals).enumerate() {
-            let mut reconciled = journal.clone();
-            for jtx in &mut reconciled.txs {
-                if let (Some(gid), Some(peers)) = (jtx.gid, jtx.peers) {
-                    next_gid = next_gid.max(gid + 1);
-                    if commits.get(&gid).copied().unwrap_or(0) < peers {
-                        jtx.committed = false;
-                    }
-                }
-            }
-            let (managed, report) =
-                ManagedDirectory::recover(local_schema.clone(), base, &reconciled)
-                    .map_err(|e| ManagedError::Recovery(format!("shard {k}: {e}")))?;
-            // Resume after the *original* journal so record sequence
-            // numbers keep advancing past any discarded tail.
-            let journal_writer = JournalWriter::resume_after(journal).with_shard(k);
-            slots.push(Mutex::new(ShardState { managed, journal: journal_writer, sink: None }));
-            reports.push(report);
-        }
-        let epoch = SchemaEpoch::new(final_schema);
-        let counts = {
-            let mut counts = count_required(&epoch.required, &[]);
-            for slot in &slots {
-                let state = slot.lock().unwrap_or_else(|e| e.into_inner());
-                for (name, n) in count_required(&epoch.required, &[state.managed.instance()]) {
-                    *counts.get_mut(&name).expect("ledger key") += n;
-                }
-            }
-            counts
-        };
-        let sharded = ShardedDirectory {
-            epoch: RwLock::new(epoch),
-            slots,
-            counts: Mutex::new(counts),
-            next_gid: AtomicU64::new(next_gid),
-            probe: None,
-        };
-        Ok((sharded, reports))
-    }
-
-    /// Checkpoint-aware recovery: like [`recover`](Self::recover), but
-    /// each shard may bring a checkpoint file's text whose snapshot
-    /// absorbs the truncated part of its journal. Cross-shard (`gid`)
-    /// reconciliation runs over the *visible* journals only — sound
+    /// Rebuilds a sharded directory from per-shard bases, journals and
+    /// (optional) checkpoint texts. Global transactions are first
+    /// reconciled — a `gid` counts as committed only when a commit
+    /// record for it is intact in all `peers` journals, so a torn
+    /// 2-phase commit is discarded everywhere — then each shard goes
+    /// through the one recovery ladder ([`recover_with_checkpoint`]),
+    /// where a checkpoint's snapshot absorbs the truncated part of its
+    /// journal. Reconciliation runs over the *visible* journals only — sound
     /// because a checkpoint campaign writes every shard's checkpoint
     /// before truncating any journal, so a global transaction's commit
     /// records are either all still in journals or all covered by
@@ -537,11 +432,7 @@ impl ShardedDirectory {
                 journals.len()
             )));
         }
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
-        }
-        reject_global_keys(&schema)?;
+        shardable(&schema)?;
         let mut commits: BTreeMap<u64, u64> = BTreeMap::new();
         for journal in journals {
             for jtx in &journal.txs {
@@ -581,103 +472,99 @@ impl ShardedDirectory {
                 &reconciled,
             )
             .map_err(|e| ManagedError::Recovery(format!("shard {k}: {e}")))?;
-            slots.push(Mutex::new(ShardState {
-                managed: recovery.managed,
-                journal: recovery.writer.with_shard(k),
-                sink: None,
-            }));
-            reports.push(recovery.report);
+            reports.push(recovery.report.clone());
+            slots.push(Mutex::new(JournaledDirectory::from_recovery(recovery).with_shard(k)));
         }
         let epoch = SchemaEpoch::new(final_schema);
-        let counts = {
-            let mut counts = count_required(&epoch.required, &[]);
-            for slot in &slots {
-                let state = slot.lock().unwrap_or_else(|e| e.into_inner());
-                for (name, n) in count_required(&epoch.required, &[state.managed.instance()]) {
-                    *counts.get_mut(&name).expect("ledger key") += n;
-                }
-            }
-            counts
-        };
         let sharded = ShardedDirectory {
             epoch: RwLock::new(epoch),
             slots,
-            counts: Mutex::new(counts),
+            counts: Mutex::new(BTreeMap::new()),
             next_gid: AtomicU64::new(next_gid),
             probe: None,
         };
+        let required = sharded.required();
+        sharded.recount(&sharded.lock_all(), &required);
         Ok((sharded, reports))
     }
 
+    /// Opens the journal family `<base>.shard<k>` onto this directory
+    /// (the seed state the journals' history starts from): every file
+    /// is read and its torn tail repaired in place, the family recovers
+    /// through [`recover_with_checkpoints`](Self::recover_with_checkpoints)
+    /// with each shard's sibling checkpoint, and every shard resumes
+    /// appending to its own file. The router probe carries over.
+    pub fn open(self, base: &Path) -> Result<(Self, Vec<RecoveryReport>), OpenError> {
+        let paths: Vec<_> = (0..self.shards()).map(|k| shard_journal_path(base, k)).collect();
+        let mut journals = Vec::with_capacity(paths.len());
+        let mut checkpoints = Vec::with_capacity(paths.len());
+        for path in &paths {
+            let files = JournalFiles::read_repaired(path)?;
+            journals.push(files.journal);
+            checkpoints.push(files.ckpt_text);
+        }
+        let schema = self.schema();
+        let seeds = self.slots.into_iter().map(|slot| {
+            slot.into_inner().unwrap_or_else(|e| e.into_inner()).into_managed().into_parts().1
+        });
+        let (mut recovered, reports) =
+            Self::recover_with_checkpoints(schema, seeds.collect(), &checkpoints, &journals)?;
+        if let Some(probe) = self.probe {
+            recovered = recovered.with_probe(probe);
+        }
+        for (slot, path) in recovered.slots.iter_mut().zip(paths) {
+            slot.get_mut().unwrap_or_else(|e| e.into_inner()).attach_file(path);
+        }
+        Ok((recovered, reports))
+    }
+
+    /// Re-derives the `◇c` ledger from the (locked) shards.
+    fn recount(&self, guards: &[MutexGuard<'_, JournaledDirectory>], required: &[String]) {
+        let parts: Vec<&DirectoryInstance> =
+            guards.iter().map(|engine| engine.instance()).collect();
+        *self.counts.lock().unwrap_or_else(|e| e.into_inner()) = count_required(required, &parts);
+    }
+
+    /// Locks every shard, ascending — the global lock order.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, JournaledDirectory>> {
+        (0..self.slots.len()).map(|k| self.lock_slot(k)).collect()
+    }
+
     /// Snapshots every shard at one quiescent point: all shard locks are
-    /// taken (ascending — the global lock order) before any capture, so
-    /// a cross-shard transaction is in every returned checkpoint or in
-    /// none. Each checkpoint covers its shard's full journal (seq =
-    /// the writer's cursor, the tail after truncation is empty) and is
-    /// hashed against the *shard-local* schema — the one
-    /// [`recover_with_checkpoints`](Self::recover_with_checkpoints)
-    /// verifies against.
+    /// taken before any capture, so a cross-shard transaction is in
+    /// every returned checkpoint or in none. Each checkpoint covers its
+    /// shard's full journal (seq = the writer's cursor, the tail after
+    /// truncation is empty), is hashed against the *shard-local* schema
+    /// — the one [`recover_with_checkpoints`](Self::recover_with_checkpoints)
+    /// verifies against — and embeds the *full* schema so recovery can
+    /// rebuild the epoch (and `Cr`) once the journal prefix is gone.
     pub fn checkpoint_all(&self) -> Vec<Checkpoint> {
         let epoch = self.epoch.read().unwrap_or_else(|e| e.into_inner());
         let full_dsl = crate::schema::dsl::print_schema(&epoch.schema, None);
-        let guards: Vec<MutexGuard<'_, ShardState>> =
-            self.slots.iter().map(|slot| slot.lock().unwrap_or_else(|e| e.into_inner())).collect();
-        guards
-            .iter()
-            .enumerate()
-            .map(|(k, state)| {
-                let mut ckpt = Checkpoint::capture(
-                    state.managed.instance(),
-                    &epoch.local,
-                    state.journal.records_emitted(),
-                    state.journal.next_tx(),
-                    Some(k as u64),
-                );
-                // The hash stays shard-local; the embedded document is
-                // the *full* schema so recovery can rebuild the epoch
-                // (and `Cr`) once the journal prefix is truncated away.
-                ckpt.schema_dsl = Some(full_dsl.clone());
-                ckpt
-            })
-            .collect()
+        self.lock_all().iter().map(|engine| engine.capture(Some(&full_dsl))).collect()
     }
 
     /// Runs a full checkpoint campaign to disk: under all shard locks
     /// (held for the whole campaign, so no commit can slip between a
-    /// capture and its truncation), every shard's pending journal text
-    /// is flushed, its checkpoint written atomically next to `paths[k]`
-    /// (see [`checkpoint_path`]), and — only after **every** shard's
+    /// capture and its truncation), every shard's checkpoint is written
+    /// next to its journal file, and — only after **every** shard's
     /// checkpoint landed — each journal file truncated to empty. The
     /// write-all-then-truncate-all order is what keeps cross-shard
     /// reconciliation sound on recovery: a `gid`'s commit records are
     /// either all still in journals or all covered by checkpoints.
-    /// Returns the covered sequence number per shard.
-    pub fn checkpoint_and_truncate(
-        &self,
-        paths: &[std::path::PathBuf],
-        probe: &dyn Probe,
-    ) -> std::io::Result<Vec<u64>> {
-        assert_eq!(paths.len(), self.slots.len(), "one journal path per shard");
+    /// Returns the covered sequence number per shard; fails with
+    /// [`Unsupported`](std::io::ErrorKind::Unsupported) when the shards
+    /// journal to no file.
+    pub fn checkpoint(&self, probe: &dyn Probe) -> std::io::Result<Vec<u64>> {
         let epoch = self.epoch.read().unwrap_or_else(|e| e.into_inner());
         let full_dsl = crate::schema::dsl::print_schema(&epoch.schema, None);
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            self.slots.iter().map(|slot| slot.lock().unwrap_or_else(|e| e.into_inner())).collect();
-        let mut seqs = Vec::with_capacity(guards.len());
-        for (k, state) in guards.iter_mut().enumerate() {
-            state.persist_pending()?;
-            let mut ckpt = Checkpoint::capture(
-                state.managed.instance(),
-                &epoch.local,
-                state.journal.records_emitted(),
-                state.journal.next_tx(),
-                Some(k as u64),
-            );
-            ckpt.schema_dsl = Some(full_dsl.clone());
-            write_checkpoint(&checkpoint_path(&paths[k]), &ckpt.encode(), probe)?;
-            seqs.push(ckpt.seq);
-        }
-        for path in paths {
-            truncate_journal(path, probe)?;
+        let guards = self.lock_all();
+        let seqs = guards
+            .iter()
+            .map(|engine| engine.write_checkpoint(Some(&full_dsl), probe))
+            .collect::<std::io::Result<Vec<u64>>>()?;
+        for engine in &guards {
+            engine.truncate_journal(probe)?;
         }
         Ok(seqs)
     }
@@ -694,11 +581,7 @@ impl ShardedDirectory {
         let mut slots = Vec::with_capacity(bases.len());
         for (k, base) in bases.into_iter().enumerate() {
             let managed = ManagedDirectory::with_instance(epoch.local.clone(), base)?;
-            slots.push(Mutex::new(ShardState {
-                managed,
-                journal: JournalWriter::new().with_shard(k),
-                sink: None,
-            }));
+            slots.push(Mutex::new(JournaledDirectory::new(managed).with_shard(k)));
         }
         Ok(ShardedDirectory {
             epoch: RwLock::new(epoch),
@@ -712,22 +595,16 @@ impl ShardedDirectory {
     /// Installs `probe` on the router and every shard engine.
     pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
         for slot in &mut self.slots {
-            let state = slot.get_mut().unwrap_or_else(|e| e.into_inner());
-            state.managed.swap_probe(Some(probe.clone()));
+            slot.get_mut().unwrap_or_else(|e| e.into_inner()).swap_probe(Some(probe.clone()));
         }
         self.probe = Some(probe);
         self
     }
 
-    /// Installs the durability sink for shard `k`'s journal.
+    /// Installs the durability sink for shard `k`'s journal. Without
+    /// one the shard journals nothing.
     pub fn set_sink(&self, k: usize, sink: JournalSink) {
-        self.lock_slot(k).sink = Some(sink);
-    }
-
-    /// Drains shard `k`'s staged journal records (sink-less flows only:
-    /// with a sink installed the write-ahead points drain the buffer).
-    pub fn take_pending(&self, k: usize) -> String {
-        self.lock_slot(k).journal.take_pending()
+        self.lock_slot(k).set_sink(sink);
     }
 
     /// Number of shards.
@@ -737,14 +614,9 @@ impl ShardedDirectory {
 
     /// The full bounding-schema (with `Cr`) of the current epoch.
     /// Returned by value: the epoch can be swapped out from under a
-    /// borrow by [`swap_schema`](Self::swap_schema).
+    /// borrow by [`swap_schema_validated`](Self::swap_schema_validated).
     pub fn schema(&self) -> DirectorySchema {
         self.epoch.read().unwrap_or_else(|e| e.into_inner()).schema.clone()
-    }
-
-    /// The per-shard schema (`Cr` stripped) of the current epoch.
-    pub fn local_schema(&self) -> DirectorySchema {
-        self.epoch.read().unwrap_or_else(|e| e.into_inner()).local.clone()
     }
 
     /// The current epoch's `Cr` class names.
@@ -754,7 +626,7 @@ impl ShardedDirectory {
 
     /// Total entry count across shards.
     pub fn len(&self) -> usize {
-        (0..self.slots.len()).map(|k| self.lock_slot(k).managed.len()).sum()
+        (0..self.slots.len()).map(|k| self.with_shard(k, |engine| engine.managed().len())).sum()
     }
 
     /// True when every shard is empty.
@@ -770,25 +642,18 @@ impl ShardedDirectory {
             let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
             required.iter().all(|name| counts.get(name).copied().unwrap_or(0) > 0)
         };
-        counts_ok && (0..self.slots.len()).all(|k| self.lock_slot(k).managed.is_legal())
+        counts_ok && (0..self.slots.len()).all(|k| self.with_shard(k, |e| e.managed().is_legal()))
+    }
+
+    /// Runs `f` on shard `k`'s engine under that shard's lock — a
+    /// consistent read of its instance, schema or journal cursor.
+    pub fn with_shard<R>(&self, k: usize, f: impl FnOnce(&JournaledDirectory) -> R) -> R {
+        f(&self.lock_slot(k))
     }
 
     /// A clone of shard `k`'s current instance.
     pub fn shard_instance(&self, k: usize) -> DirectoryInstance {
-        self.lock_slot(k).managed.instance().clone()
-    }
-
-    /// Entry count of shard `k` alone.
-    pub fn shard_len(&self, k: usize) -> usize {
-        self.lock_slot(k).managed.len()
-    }
-
-    /// Shard `k`'s journal growth: `(records_emitted, bytes_emitted)`
-    /// from its [`JournalWriter`] — the per-shard signals a health
-    /// check compares against repair/compaction thresholds.
-    pub fn journal_stats(&self, k: usize) -> (u64, u64) {
-        let slot = self.lock_slot(k);
-        (slot.journal.records_emitted(), slot.journal.bytes_emitted())
+        self.with_shard(k, |engine| engine.instance().clone())
     }
 
     /// A snapshot of the `◇c` ledger: committed entry count per
@@ -800,9 +665,7 @@ impl ShardedDirectory {
     /// The canonical merge of all shards (see [`canonical_merge`]),
     /// taken under a consistent cut (all shard locks held).
     pub fn merged_instance(&self) -> Result<DirectoryInstance, ManagedError> {
-        let guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.slots.len()).map(|k| self.lock_slot(k)).collect();
-        canonical_merge(guards.iter().map(|g| g.managed.instance()))
+        canonical_merge(self.lock_all().iter().map(|engine| engine.instance()))
     }
 
     /// The shard owning `dn`'s top-level subtree.
@@ -813,7 +676,7 @@ impl ShardedDirectory {
         }
     }
 
-    fn lock_slot(&self, k: usize) -> MutexGuard<'_, ShardState> {
+    fn lock_slot(&self, k: usize) -> MutexGuard<'_, JournaledDirectory> {
         self.slots[k].lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -849,7 +712,7 @@ impl ShardedDirectory {
         }
         // Lock the involved shards in ascending index order (the global
         // lock order) and hold them through the apply.
-        let mut guards: Vec<(usize, MutexGuard<'_, ShardState>)> =
+        let mut guards: Vec<(usize, MutexGuard<'_, JournaledDirectory>)> =
             involved.iter().map(|&k| (k, self.lock_slot(k))).collect();
 
         // Decode and pre-normalise every shard's sub-transaction before
@@ -859,57 +722,61 @@ impl ShardedDirectory {
         let mut delta: BTreeMap<String, i64> = BTreeMap::new();
         for (k, guard) in &guards {
             let group = std::mem::take(&mut groups[*k]);
-            ledger_delta(&required, guard.managed.instance(), &group, &mut delta);
-            let tx = transaction_from_ldif(guard.managed.instance(), group)?;
-            tx.normalize(guard.managed.instance()).map_err(ManagedError::Transaction)?;
+            ledger_delta(&required, guard.instance(), &group, &mut delta);
+            let tx = transaction_from_ldif(guard.instance(), group)?;
+            tx.normalize(guard.instance()).map_err(ManagedError::Transaction)?;
             subtxs.push(tx);
         }
 
-        // `◇c` admission: reject any transaction that would empty a
-        // required class, then pre-deduct the negative side so racing
-        // transactions on other shards see the reservation.
-        self.reserve(&delta)?;
+        self.admitted(&delta, || match &mut guards[..] {
+            // Fast path: one shard, the ordinary journaled apply.
+            [(k, engine)] => engine
+                .apply(Op::Tx { tx: &subtxs[0], global: None })
+                .map(|()| ShardedTxOutcome { shards: vec![*k], gid: None, ops })
+                .map_err(ShardedError::Managed),
+            _ => self.apply_cross(&mut guards, &subtxs, ops),
+        })
+    }
 
-        let outcome = if guards.len() == 1 {
-            self.apply_single(&mut guards[0], &subtxs[0], ops)
-        } else {
-            self.apply_cross(&mut guards, &subtxs, ops)
-        };
+    /// `◇c` admission around an apply: reject any transaction that would
+    /// empty a required class, pre-deduct the negative side so racing
+    /// transactions on other shards see the reservation, then settle the
+    /// positive side on commit or return the reservation on failure.
+    fn admitted(
+        &self,
+        delta: &BTreeMap<String, i64>,
+        apply: impl FnOnce() -> Result<ShardedTxOutcome, ShardedError>,
+    ) -> Result<ShardedTxOutcome, ShardedError> {
+        self.reserve(delta)?;
+        let outcome = apply();
         match outcome {
-            Ok(receipt) => {
-                self.settle(&delta);
-                Ok(receipt)
-            }
-            Err(e) => {
-                self.unreserve(&delta);
-                Err(e)
-            }
+            Ok(_) => self.settle(delta),
+            Err(_) => self.unreserve(delta),
         }
+        outcome
     }
 
     /// Applies an LDAP Modify to the entry named `dn`. A Modify targets
     /// exactly one DN, and the target's top-level subtree pins it — and
     /// every structural consequence (Theorem 4.1 locality) — to one
     /// shard, so this is always a single-shard operation: the shard is
-    /// locked, the mod list is journalled as one `modify` transaction
-    /// (`begin`, one record per [`Mod`], `commit`), and applied through
-    /// the shard engine's checked modify path. A modification can move
+    /// locked and the mod list goes through its engine's journaled
+    /// apply as one `modify` transaction (`begin`, one record per
+    /// [`Mod`], `commit`). A modification can move
     /// the entry in or out of a required class via its `objectClass`
     /// values, so the `◇c` ledger sees the simulated class delta before
     /// admission, exactly like insert/delete routing.
     pub fn modify_dn(&self, dn: &Dn, mods: &[Mod]) -> Result<ShardedTxOutcome, ShardedError> {
         let required = self.required();
         let k = self.shard_of_dn(dn);
-        let mut guard = (k, self.lock_slot(k));
-        let target = guard
-            .1
-            .managed
+        let mut engine = self.lock_slot(k);
+        let target = engine
             .instance()
             .lookup_dn(dn)
             .ok_or_else(|| ShardedError::NoSuchEntry { dn: dn.to_string() })?;
         let mut delta: BTreeMap<String, i64> = BTreeMap::new();
         if !required.is_empty() {
-            let entry = guard.1.managed.instance().entry(target).expect("looked-up entry exists");
+            let entry = engine.instance().entry(target).expect("looked-up entry exists");
             let simulated = simulate_mods(entry, mods);
             for name in &required {
                 match (entry.has_class(name), simulated.has_class(name)) {
@@ -919,37 +786,10 @@ impl ShardedDirectory {
                 }
             }
         }
-        self.reserve(&delta)?;
-        let outcome = self.apply_modify(&mut guard, target, mods);
-        match outcome {
-            Ok(receipt) => {
-                self.settle(&delta);
-                Ok(receipt)
-            }
-            Err(e) => {
-                self.unreserve(&delta);
-                Err(e)
-            }
-        }
-    }
-
-    /// The journaled single-shard modify apply, mirroring
-    /// [`apply_single`](Self::apply_single)'s write-ahead discipline.
-    fn apply_modify(
-        &self,
-        guard: &mut (usize, MutexGuard<'_, ShardState>),
-        target: EntryId,
-        mods: &[Mod],
-    ) -> Result<ShardedTxOutcome, ShardedError> {
-        let (k, state) = guard;
-        let tx_id = state.journal.begin_modify(target, mods);
-        state
-            .persist_pending()
-            .map_err(|e| ManagedError::Internal(format!("shard {k} journal begin flush: {e}")))?;
-        state.managed.modify_entry(target, mods)?;
-        state.journal.commit(tx_id);
-        let _ = state.persist_pending();
-        Ok(ShardedTxOutcome { shards: vec![*k], gid: None, ops: mods.len() })
+        self.admitted(&delta, || {
+            engine.apply(Op::Modify { target, mods })?;
+            Ok(ShardedTxOutcome { shards: vec![k], gid: None, ops: mods.len() })
+        })
     }
 
     /// Atomically cuts every shard over to the evolved `target` schema.
@@ -967,12 +807,8 @@ impl ShardedDirectory {
     /// A crash between the phases tears the cutover; recovery's
     /// all-peers reconciliation then discards it on every shard, so
     /// the directory converges to the pre-cutover epoch.
-    pub fn swap_schema(&self, target: DirectorySchema, dsl: &str) -> Result<(), ShardedError> {
-        self.swap_inner(target, dsl, None::<fn(&DirectoryInstance) -> Result<(), ShardedError>>)
-    }
-
-    /// [`swap_schema`](Self::swap_schema) with a pre-cutover validation
-    /// hook: `validate` runs against the canonical merge of all shards
+    ///
+    /// `validate` runs first, against the canonical merge of all shards
     /// while every shard lock is held — no transaction can commit
     /// between the validation and the epoch swap, which is exactly the
     /// window the §6.2 incremental recheck must close. An `Err` aborts
@@ -983,48 +819,24 @@ impl ShardedDirectory {
         dsl: &str,
         validate: impl FnOnce(&DirectoryInstance) -> Result<(), ShardedError>,
     ) -> Result<(), ShardedError> {
-        self.swap_inner(target, dsl, Some(validate))
-    }
-
-    fn swap_inner<F>(
-        &self,
-        target: DirectorySchema,
-        dsl: &str,
-        validate: Option<F>,
-    ) -> Result<(), ShardedError>
-    where
-        F: FnOnce(&DirectoryInstance) -> Result<(), ShardedError>,
-    {
-        let result = ConsistencyChecker::new(&target).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result).into());
-        }
-        reject_global_keys(&target).map_err(ShardedError::Managed)?;
+        shardable(&target)?;
         let probe = self.probe();
         let mut epoch = self.epoch.write().unwrap_or_else(|e| e.into_inner());
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            (0..self.slots.len()).map(|k| self.lock_slot(k)).collect();
+        let mut guards = self.lock_all();
         // Validation runs under every shard lock, against the same
         // frozen state the swap will publish.
-        if let Some(validate) = validate {
-            let merged = canonical_merge(guards.iter().map(|g| g.managed.instance()))?;
-            validate(&merged)?;
-        }
+        validate(&canonical_merge(guards.iter().map(|engine| engine.instance()))?)?;
         let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
         let peers = guards.len() as u64;
         // Phase 1: write-ahead the schema record on every shard. A
         // flush error aborts with only uncommitted records staged —
         // recovery discards them and the old epoch stands.
-        let mut tx_ids = Vec::with_capacity(guards.len());
-        for (k, state) in guards.iter_mut().enumerate() {
+        let local = target.without_required_classes();
+        let cutover = Op::Schema { schema: &local, dsl, local: true, global: Some((gid, peers)) };
+        let mut staged = Vec::with_capacity(guards.len());
+        for (k, engine) in guards.iter_mut().enumerate() {
             probe.add_labeled("sharded.schema.prepare", &format!("shard{k}"), 1);
-            let tx_id = state.journal.begin_schema(dsl, true, Some((gid, peers)));
-            state.persist_pending().map_err(|e| {
-                ShardedError::Managed(ManagedError::Internal(format!(
-                    "shard {k} journal begin flush: {e}"
-                )))
-            })?;
-            tx_ids.push(tx_id);
+            staged.push(engine.prepare(cutover).map_err(|e| engine.begin_flush_error(e))?);
         }
         // Fault/probe site between epoch prepare (schema records
         // write-ahead on every shard) and the swap: a panic here leaves
@@ -1034,25 +846,19 @@ impl ShardedDirectory {
         // Swap every shard engine onto the Cr-stripped target. The
         // target was consistency-checked above, so per-shard refusal is
         // unreachable; if it ever fires, fail before any engine moved.
-        let local = target.without_required_classes();
-        for state in guards.iter_mut() {
-            state.managed.set_schema(local.clone()).map_err(ShardedError::Managed)?;
+        let mut certified = Vec::with_capacity(guards.len());
+        for (engine, staged) in guards.iter_mut().zip(staged) {
+            certified.push(engine.apply_staged(staged)?);
         }
         // Re-derive the `◇c` ledger under the new `Cr` key set.
         let required = required_class_names(&target);
-        let mut counts = count_required(&required, &[]);
-        for state in guards.iter() {
-            for (name, n) in count_required(&required, &[state.managed.instance()]) {
-                *counts.get_mut(&name).expect("ledger key") += n;
-            }
-        }
-        *self.counts.lock().unwrap_or_else(|e| e.into_inner()) = counts;
+        self.recount(&guards, &required);
         *epoch = SchemaEpoch { schema: target, local, required };
-        // Phase 2: commit records. A torn flush here is repaired at
-        // recovery by the all-peers reconciliation rule.
-        for (i, state) in guards.iter_mut().enumerate() {
-            state.journal.commit(tx_ids[i]);
-            let _ = state.persist_pending();
+        // Phase 2: commit records. A torn flush here is counted by the
+        // engine and repaired at recovery by the all-peers
+        // reconciliation rule.
+        for (engine, certified) in guards.iter_mut().zip(certified) {
+            let _counted = engine.commit(certified);
         }
         Ok(())
     }
@@ -1100,27 +906,6 @@ impl ShardedDirectory {
         }
     }
 
-    /// Fast path: one shard, the ordinary journaled apply.
-    fn apply_single(
-        &self,
-        guard: &mut (usize, MutexGuard<'_, ShardState>),
-        tx: &Transaction,
-        ops: usize,
-    ) -> Result<ShardedTxOutcome, ShardedError> {
-        let (k, state) = guard;
-        let tx_id = state.journal.begin(tx);
-        state
-            .persist_pending()
-            .map_err(|e| ManagedError::Internal(format!("shard {k} journal begin flush: {e}")))?;
-        state.managed.apply(tx)?;
-        state.journal.commit(tx_id);
-        // A commit-flush error cannot un-apply the transaction; recovery
-        // replays it from the begin records' absence of a commit as an
-        // abort, so surface it loudly but keep the verdict.
-        let _ = state.persist_pending();
-        Ok(ShardedTxOutcome { shards: vec![*k], gid: None, ops })
-    }
-
     /// Cross-shard 2-phase apply. Prepare: per shard, snapshot the
     /// engine, stage+flush `begin` records carrying (gid, peers), and
     /// run the shard's guarded apply. Commit: stage+flush every shard's
@@ -1130,7 +915,7 @@ impl ShardedDirectory {
     /// flush is repaired at recovery by the all-peers reconciliation.
     fn apply_cross(
         &self,
-        guards: &mut [(usize, MutexGuard<'_, ShardState>)],
+        guards: &mut [(usize, MutexGuard<'_, JournaledDirectory>)],
         subtxs: &[Transaction],
         ops: usize,
     ) -> Result<ShardedTxOutcome, ShardedError> {
@@ -1142,23 +927,21 @@ impl ShardedDirectory {
         let mut snapshots: Vec<ManagedDirectory> = Vec::with_capacity(guards.len());
         let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), ShardedError> {
             // Phase 1: prepare every shard.
-            let mut tx_ids = Vec::with_capacity(guards.len());
-            for (i, (k, state)) in guards.iter_mut().enumerate() {
+            let mut certified = Vec::with_capacity(guards.len());
+            for ((k, engine), tx) in guards.iter_mut().zip(subtxs) {
                 probe.add_labeled("sharded.prepare", &format!("shard{k}"), 1);
-                snapshots.push(state.managed.clone());
-                let tx_id = state.journal.begin_global(&subtxs[i], gid, peers);
-                state.persist_pending().map_err(|e| {
-                    ManagedError::Internal(format!("shard {k} journal begin flush: {e}"))
-                })?;
-                state.managed.apply(&subtxs[i])?;
-                tx_ids.push(tx_id);
+                snapshots.push(engine.pre_image());
+                let staged = engine
+                    .prepare(Op::Tx { tx, global: Some((gid, peers)) })
+                    .map_err(|e| engine.begin_flush_error(e))?;
+                certified.push(engine.apply_staged(staged)?);
             }
             probe.add("sharded.prepared", 1);
-            // Phase 2: commit every shard.
-            for (i, (k, state)) in guards.iter_mut().enumerate() {
+            // Phase 2: commit every shard. A failed flush is counted by
+            // the engine; the verdict stands.
+            for ((k, engine), certified) in guards.iter_mut().zip(certified) {
                 probe.add_labeled("sharded.commit", &format!("shard{k}"), 1);
-                state.journal.commit(tx_ids[i]);
-                let _ = state.persist_pending();
+                let _counted = engine.commit(certified);
             }
             Ok(())
         }));
@@ -1181,13 +964,13 @@ impl ShardedDirectory {
     /// injected panic here must not abort the restore.
     fn rollback_prepared(
         &self,
-        guards: &mut [(usize, MutexGuard<'_, ShardState>)],
+        guards: &mut [(usize, MutexGuard<'_, JournaledDirectory>)],
         snapshots: Vec<ManagedDirectory>,
     ) {
         let probe = self.probe();
         let _ = catch_unwind(AssertUnwindSafe(|| probe.add("sharded.rollback", 1)));
-        for ((_, state), snapshot) in guards.iter_mut().zip(snapshots) {
-            state.managed = snapshot;
+        for ((_, engine), snapshot) in guards.iter_mut().zip(snapshots) {
+            engine.restore(snapshot);
         }
     }
 }
@@ -1195,8 +978,31 @@ impl ShardedDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MemoryJournal;
     use crate::paper::{white_pages_instance, white_pages_schema};
     use bschema_directory::ldif::parse_ldif;
+
+    /// Journals every shard into memory; index `k` reads shard `k`'s
+    /// record text back.
+    fn journal_in_memory(sharded: &ShardedDirectory) -> Vec<MemoryJournal> {
+        (0..sharded.shards())
+            .map(|k| {
+                let mem = MemoryJournal::default();
+                sharded.set_sink(k, mem.sink());
+                mem
+            })
+            .collect()
+    }
+
+    /// Recovery from journals alone: the ladder with no checkpoints.
+    fn recover(
+        schema: DirectorySchema,
+        bases: Vec<DirectoryInstance>,
+        journals: &[Journal],
+    ) -> Result<(ShardedDirectory, Vec<RecoveryReport>), ManagedError> {
+        let none = vec![None; journals.len()];
+        ShardedDirectory::recover_with_checkpoints(schema, bases, &none, journals)
+    }
 
     fn records(text: &str) -> Vec<LdifRecord> {
         parse_ldif(text).expect("ldif")
@@ -1336,6 +1142,7 @@ mod tests {
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir.clone(), 2)
             .expect("legal seed")
             .with_probe(Arc::new(FaultPlan::fail_at_site("sharded.commit.shard1", 0)));
+        let mems = journal_in_memory(&sharded);
 
         let (name0, name1) = two_names_on_distinct_shards(2);
         let text = format!("{}\n{}", org_ldif(&name0), org_ldif(&name1));
@@ -1351,12 +1158,10 @@ mod tests {
         // Shard 0's journal holds a committed half of the global tx;
         // shard 1's only the begin records. Reconciled recovery must
         // discard the tx on both shards.
-        let journals =
-            [Journal::parse(&sharded.take_pending(0)), Journal::parse(&sharded.take_pending(1))];
+        let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
         let has_commit = |j: &Journal| j.txs.iter().any(|t| t.committed && t.gid.is_some());
         assert!(has_commit(&journals[0]) ^ has_commit(&journals[1]), "expected a torn commit");
-        let (recovered, reports) =
-            ShardedDirectory::recover(schema, bases, &journals).expect("recover");
+        let (recovered, reports) = recover(schema, bases, &journals).expect("recover");
         assert_eq!(reports.iter().map(|r| r.replayed).sum::<usize>(), 0);
         assert_eq!(reports.iter().map(|r| r.discarded).sum::<usize>(), 2);
         let recovered_bytes = recovered.merged_instance().expect("merge").canonical_bytes();
@@ -1370,6 +1175,7 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let mems = journal_in_memory(&sharded);
         let (name0, name1) = two_names_on_distinct_shards(2);
         let text = format!("{}\n{}", org_ldif(&name0), org_ldif(&name1));
         let outcome = sharded.apply_ldif(records(&text)).expect("legal cross-shard tx");
@@ -1377,10 +1183,8 @@ mod tests {
         assert!(outcome.gid.is_some());
 
         let live = sharded.merged_instance().expect("merge").canonical_bytes();
-        let journals =
-            [Journal::parse(&sharded.take_pending(0)), Journal::parse(&sharded.take_pending(1))];
-        let (recovered, reports) =
-            ShardedDirectory::recover(schema, bases, &journals).expect("recover");
+        let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
+        let (recovered, reports) = recover(schema, bases, &journals).expect("recover");
         assert_eq!(reports.iter().map(|r| r.replayed).sum::<usize>(), 2);
         assert_eq!(
             recovered.merged_instance().expect("merge").canonical_bytes(),
@@ -1395,6 +1199,7 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let mems = journal_in_memory(&sharded);
         let name = name_on_shard(0, 2);
         sharded.apply_ldif(records(&org_ldif(&name))).expect("subtree inserts");
 
@@ -1413,19 +1218,19 @@ mod tests {
 
         // The modify is journalled: recovery replays it.
         let live = sharded.merged_instance().expect("merge").canonical_bytes();
-        let journals =
-            [Journal::parse(&sharded.take_pending(0)), Journal::parse(&sharded.take_pending(1))];
+        let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
         assert!(
             journals[0].committed().any(|tx| tx.modify.is_some()),
             "modify tx missing from shard 0 journal"
         );
-        let (recovered, _) = ShardedDirectory::recover(schema, bases, &journals).expect("recover");
+        let (recovered, _) = recover(schema, bases, &journals).expect("recover");
         assert_eq!(recovered.merged_instance().expect("merge").canonical_bytes(), live);
     }
 
     #[test]
     fn modify_respects_the_required_class_ledger() {
         let sharded = sharded(2);
+        let mems = journal_in_memory(&sharded);
         // o=att is the only organization; a modify dropping its class
         // would empty ◇organization — refused at admission, before any
         // journal record or mutation.
@@ -1441,7 +1246,7 @@ mod tests {
             .expect_err("must not empty a required class");
         assert_eq!(err.code(), "rolled-back", "{err}");
         let k = sharded.shard_of_dn(&dn);
-        assert_eq!(sharded.take_pending(k), "", "refused modify must not journal");
+        assert_eq!(mems[k].take(), "", "refused modify must not journal");
 
         // Unknown targets report no-such-entry.
         let ghost = Dn::parse("o=nowhere").expect("dn");
@@ -1457,12 +1262,13 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let mems = journal_in_memory(&sharded);
 
         // History before the checkpoint: one committed cross-shard tx.
         let (name0, name1) = two_names_on_distinct_shards(2);
         let text = format!("{}\n{}", org_ldif(&name0), org_ldif(&name1));
         sharded.apply_ldif(records(&text)).expect("cross-shard tx");
-        let hist: Vec<String> = (0..2).map(|k| sharded.take_pending(k)).collect();
+        let hist: Vec<String> = mems.iter().map(MemoryJournal::take).collect();
 
         let ckpts = sharded.checkpoint_all();
         assert_eq!(ckpts.len(), 2);
@@ -1478,7 +1284,7 @@ mod tests {
         sharded
             .modify_dn(&dn, &[Mod::Add { attribute: "title".into(), value: "tail".into() }])
             .expect("tail modify");
-        let tails: Vec<String> = (0..2).map(|k| sharded.take_pending(k)).collect();
+        let tails: Vec<String> = mems.iter().map(MemoryJournal::take).collect();
         let live = sharded.merged_instance().expect("merge").canonical_bytes();
 
         // Steady state: checkpoint + short tail per shard.
@@ -1536,9 +1342,10 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let mems = journal_in_memory(&sharded);
 
         let (target, dsl) = relaxed_schema();
-        sharded.swap_schema(target.clone(), &dsl).expect("relaxing cutover");
+        sharded.swap_schema_validated(target.clone(), &dsl, |_| Ok(())).expect("relaxing cutover");
         assert_eq!(
             crate::schema::dsl::print_schema(&sharded.schema(), None),
             dsl,
@@ -1555,16 +1362,14 @@ mod tests {
         // Recovery from the boot schema replays the cutover and the
         // post-cutover write, converging on the evolved epoch.
         let live = sharded.merged_instance().expect("merge").canonical_bytes();
-        let journals =
-            [Journal::parse(&sharded.take_pending(0)), Journal::parse(&sharded.take_pending(1))];
+        let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
         for (k, journal) in journals.iter().enumerate() {
             assert!(
                 journal.txs.iter().any(|tx| tx.committed && tx.schema.is_some()),
                 "shard {k} journal is missing the schema record"
             );
         }
-        let (recovered, _) =
-            ShardedDirectory::recover(schema, bases, &journals).expect("recover across cutover");
+        let (recovered, _) = recover(schema, bases, &journals).expect("recover across cutover");
         assert_eq!(crate::schema::dsl::print_schema(&recovered.schema(), None), dsl);
         assert_eq!(recovered.merged_instance().expect("merge").canonical_bytes(), live);
         assert!(recovered.is_legal());
@@ -1576,21 +1381,21 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let mems = journal_in_memory(&sharded);
         let (target, dsl) = relaxed_schema();
-        sharded.swap_schema(target, &dsl).expect("cutover");
+        sharded.swap_schema_validated(target, &dsl, |_| Ok(())).expect("cutover");
 
         // Simulate a crash between the commit flushes: shard 1 keeps
         // only its begin+schema records (strip the trailing commit
         // paragraph). The all-peers rule must discard the cutover on
         // both shards.
-        let full = sharded.take_pending(1);
+        let full = mems[1].take();
         let cut = full.rfind("\ndn: op=").expect("commit record present");
         let torn = &full[..cut + 1];
-        let journals = [Journal::parse(&sharded.take_pending(0)), Journal::parse(torn)];
+        let journals = [Journal::parse(&mems[0].take()), Journal::parse(torn)];
         assert!(journals[0].txs.iter().any(|tx| tx.committed && tx.schema.is_some()));
         assert!(!journals[1].txs.iter().any(|tx| tx.committed && tx.schema.is_some()));
-        let (recovered, _) =
-            ShardedDirectory::recover(schema.clone(), bases, &journals).expect("recover");
+        let (recovered, _) = recover(schema.clone(), bases, &journals).expect("recover");
         assert_eq!(
             crate::schema::dsl::print_schema(&recovered.schema(), None),
             crate::schema::dsl::print_schema(&schema, None),
@@ -1604,11 +1409,9 @@ mod tests {
         let schema = white_pages_schema();
         let bases = partition(&dir, 2).expect("partition");
         let sharded = ShardedDirectory::with_instance(schema.clone(), dir, 2).expect("legal seed");
+        let _mems = journal_in_memory(&sharded);
         let (target, dsl) = relaxed_schema();
-        sharded.swap_schema(target, &dsl).expect("cutover");
-        for k in 0..2 {
-            let _ = sharded.take_pending(k);
-        }
+        sharded.swap_schema_validated(target, &dsl, |_| Ok(())).expect("cutover");
 
         // Checkpoints taken after the cutover embed the full evolved
         // schema; recovery from them (journals truncated, boot schema

@@ -7,8 +7,8 @@
 //!    return it. The follower verifies the schema hash (adopting the
 //!    checkpoint's embedded schema when the primary has evolved past
 //!    the follower's boot schema), restores the
-//!    slot-exact forest ([`Checkpoint::restore`] via
-//!    [`recover_with_checkpoint`]), and starts its cursor at the
+//!    slot-exact forest (the restore rung of
+//!    [`RecoveryPlan`]), and starts its cursor at the
 //!    checkpoint's covered seq. Slot-exactness matters: every later
 //!    shipped record names entries by slot, so primary and replica must
 //!    agree on the arena layout, not just the logical forest.
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bschema_core::checkpoint::{recover_with_checkpoint, schema_hash, Checkpoint};
+use bschema_core::checkpoint::RecoveryPlan;
 use bschema_core::journal::Journal;
 use bschema_core::schema::DirectorySchema;
 use bschema_core::ManagedDirectory;
@@ -243,33 +243,29 @@ impl Follower {
 }
 
 /// Decodes + restores a shipped checkpoint under `schema`, returning
-/// the managed replica state and the schema it was restored under.
-/// Unlike recovery on the primary (where a mismatched checkpoint
-/// degrades to full journal replay), a follower has no journal to fall
-/// back on — so on a hash mismatch (the primary's schema evolved since
-/// this follower booted) it **adopts** the schema embedded in the
-/// checkpoint instead of erroring out permanently. Only a checkpoint
-/// with no verifiable embedded schema is fatal.
+/// the managed replica state and the schema it was restored under —
+/// the recovery ladder run over a checkpoint with no journal. A hash
+/// mismatch (the primary's schema evolved since this follower booted)
+/// takes the ladder's adoption rung: the checkpoint's hash-verified
+/// embedded schema replaces the follower's. Unlike recovery on the
+/// primary, a follower has no journal to fall back on, so any plan
+/// other than a restore is fatal.
 fn decode_state(
     schema: &DirectorySchema,
     text: &str,
 ) -> Result<(ManagedDirectory, DirectorySchema), FollowerError> {
-    let ckpt = Checkpoint::decode(text).map_err(|e| FollowerError::Bootstrap(e.to_string()))?;
-    let expected = schema_hash(schema);
-    let restore_schema = if ckpt.schema_hash == expected {
-        schema.clone()
-    } else if let Some(adopted) = ckpt.embedded_engine_schema() {
-        adopted
-    } else {
-        return Err(FollowerError::Bootstrap(format!(
-            "primary checkpoint schema hash {:016x} does not match follower schema {expected:016x} \
-             and the checkpoint embeds no verifiable schema to adopt",
-            ckpt.schema_hash
-        )));
+    let none = Journal::empty();
+    let plan = RecoveryPlan::new(schema.clone(), Some(text), &none);
+    let restore_schema = match &plan {
+        RecoveryPlan::Restore { schema, .. } => schema.clone(),
+        RecoveryPlan::FullReplay { ignored, .. } => {
+            let why = ignored.as_ref().map_or_else(String::new, ToString::to_string);
+            return Err(FollowerError::Bootstrap(format!("primary checkpoint is unusable: {why}")));
+        }
+        RecoveryPlan::Fatal(why) => return Err(FollowerError::Bootstrap(why.clone())),
     };
     let base = DirectoryInstance::new(AttributeRegistry::default());
     let recovery =
-        recover_with_checkpoint(restore_schema.clone(), base, Some(text), &Journal::empty())
-            .map_err(|e| FollowerError::Bootstrap(e.to_string()))?;
+        plan.execute(base, &none).map_err(|e| FollowerError::Bootstrap(e.to_string()))?;
     Ok((recovery.managed, restore_schema))
 }

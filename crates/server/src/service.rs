@@ -1,15 +1,15 @@
 //! The shared directory service behind every connection.
 //!
 //! [`DirectoryService`] is the concurrency layer of the server: it wraps
-//! one [`ManagedDirectory`] so that
+//! one [`JournaledDirectory`] so that
 //!
 //! * **reads** (`SEARCH`) are served from an immutable snapshot — an
 //!   `Arc<DirectoryInstance>` cloned out of an `RwLock` in O(1), after
 //!   which the search runs with **no lock held**, and
 //! * **writes** (`TXN`, `MODIFY`) are serialized through a single mutex
-//!   around the journaled [`ManagedDirectory::apply`] path, with the
-//!   snapshot swapped only after the transaction has been certified
-//!   legal and committed.
+//!   around the engine's write-ahead sequence (prepare → guarded apply →
+//!   commit), with the snapshot swapped only after the transaction has
+//!   been certified legal and committed.
 //!
 //! Readers therefore observe a sequence of complete, legal instances —
 //! either the pre-transaction or the post-transaction state, never a
@@ -32,21 +32,20 @@
 //! involved shard, then commit everywhere or roll back everywhere).
 //! Each shard publishes its **own** snapshot: readers still only ever
 //! observe complete, §3-legal states, and an unscoped search simply
-//! fans out over the per-shard snapshots in shard order.
+//! fans out over the per-shard snapshots in shard order. The read side
+//! is the same code on both backends — a `Vec` of snapshots, of length
+//! one on the single engine — and the private `Backend` enum survives
+//! only to route the write verbs and `SHIP`.
 
-use std::fs::OpenOptions;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use bschema_core::checkpoint::{
-    checkpoint_path, recover_with_checkpoint, schema_hash, truncate_journal, write_checkpoint,
-    Checkpoint,
-};
+use bschema_core::checkpoint::schema_hash;
+use bschema_core::engine::{append_sync, read_optional, JournaledDirectory, Op, OpenError};
 use bschema_core::evolution::plan::{parse_proposal, EvolutionPlan, PlanError};
-use bschema_core::journal::{shard_journal_path, Journal, JournalTx, JournalWriter};
+use bschema_core::journal::{Journal, JournalTx};
 use bschema_core::legality::LegalityReport;
 use bschema_core::managed::ManagedError;
 use bschema_core::schema::DirectorySchema;
@@ -135,74 +134,21 @@ pub struct TxOutcome {
     pub shards: usize,
 }
 
-/// An open journal file: the parsed history has been replayed/repaired
-/// at attach time, and `writer` continues its id sequence.
-#[derive(Debug)]
-struct JournalFile {
-    path: PathBuf,
-    writer: JournalWriter,
-}
-
-/// The write half: everything a committing transaction touches, behind
-/// one mutex so writes are strictly serialized.
-#[derive(Debug)]
-struct WriteHalf {
-    managed: ManagedDirectory,
-    journal: Option<JournalFile>,
-    /// Commits since the last checkpoint — the trigger counter for
-    /// `--checkpoint-every`. Mutated only under the write mutex.
-    since_checkpoint: u64,
-}
-
-/// The classic backend: one engine, one write mutex, one snapshot.
-#[derive(Debug)]
-struct SingleBackend {
-    write: Mutex<WriteHalf>,
-    snapshot: RwLock<Arc<DirectoryInstance>>,
-}
-
-/// The sharded backend: a [`ShardedDirectory`] routes each `TXN` to the
-/// shards owning its top-level subtrees (Theorem 4.1 boundaries), so
-/// writes to distinct shards never contend. Each shard publishes its own
-/// read snapshot; searches fan out across them in shard order.
-#[derive(Debug)]
-struct ShardedBackend {
-    sharded: ShardedDirectory,
-    snapshots: Vec<RwLock<Arc<DirectoryInstance>>>,
-    /// The journal family base path (`<base>.shard<k>` per shard) when
-    /// journaling is attached — the checkpoint campaign derives its
-    /// per-shard checkpoint paths from this.
-    journal_base: Option<PathBuf>,
-    /// Commits since the last checkpoint campaign. An atomic (not under
-    /// any one shard's lock) because single-shard commits proceed in
-    /// parallel; the worst race is one extra campaign, which is
-    /// idempotent.
-    commits_since_checkpoint: AtomicU64,
-}
-
-impl ShardedBackend {
-    fn new(sharded: ShardedDirectory) -> Self {
-        let snapshots = (0..sharded.shards())
-            .map(|k| RwLock::new(Arc::new(sharded.shard_instance(k))))
-            .collect();
-        ShardedBackend {
-            sharded,
-            snapshots,
-            journal_base: None,
-            commits_since_checkpoint: AtomicU64::new(0),
-        }
-    }
-
-    /// Shard `k`'s published read snapshot.
-    fn snapshot(&self, k: usize) -> Arc<DirectoryInstance> {
-        self.snapshots[k].read().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
+/// The write side. The single backend is one engine behind one write
+/// mutex; the sharded backend is a [`ShardedDirectory`], which routes
+/// each write to the shards owning its top-level subtrees (Theorem 4.1
+/// boundaries) and locks only those. Everything a reader touches lives
+/// in [`DirectoryService::snapshots`], not here.
 #[derive(Debug)]
 enum Backend {
-    Single(SingleBackend),
-    Sharded(ShardedBackend),
+    Single(Mutex<JournaledDirectory>),
+    Sharded(ShardedDirectory),
+}
+
+/// A write verb, parsed but not yet routed.
+enum Write<'a> {
+    Txn(Vec<LdifRecord>),
+    Modify { dn: &'a Dn, dn_src: &'a str, mods: &'a [Mod] },
 }
 
 /// Fault/probe site visited while serving a `SHIP` tail to a follower,
@@ -305,6 +251,17 @@ struct StagedEvolution {
 #[derive(Debug)]
 pub struct DirectoryService {
     backend: Backend,
+    /// One published read snapshot per shard (exactly one on the single
+    /// backend): what every read verb sees.
+    snapshots: Vec<RwLock<Arc<DirectoryInstance>>>,
+    /// Whether a journal is attached — without one there is nothing to
+    /// checkpoint or ship.
+    journaled: bool,
+    /// Commits since the last checkpoint, the `--checkpoint-every`
+    /// trigger. Advisory on the sharded backend (single-shard commits
+    /// race on it); the worst race is one extra campaign, which is
+    /// idempotent.
+    since_checkpoint: AtomicU64,
     probe: Arc<dyn Probe + Send + Sync>,
     recorder: Option<Arc<bschema_obs::Recorder>>,
     flight: Option<Arc<FlightRecorder>>,
@@ -353,11 +310,7 @@ impl DirectoryService {
     /// Wraps a managed directory. The initial snapshot is the current
     /// instance.
     pub fn new(managed: ManagedDirectory) -> Self {
-        let snapshot = Arc::new(managed.instance().clone());
-        Self::from_backend(Backend::Single(SingleBackend {
-            write: Mutex::new(WriteHalf { managed, journal: None, since_checkpoint: 0 }),
-            snapshot: RwLock::new(snapshot),
-        }))
+        Self::from_backend(Backend::Single(Mutex::new(JournaledDirectory::new(managed))), 1)
     }
 
     /// Wraps a sharded directory: `dir` is validated and partitioned
@@ -371,16 +324,17 @@ impl DirectoryService {
     ) -> Result<Self, ServiceError> {
         let sharded = ShardedDirectory::with_instance(schema, dir, shards)
             .map_err(|e| ServiceError::from_managed(&e))?;
-        Ok(Self::from_backend(Backend::Sharded(ShardedBackend::new(sharded))))
+        let shards = sharded.shards();
+        Ok(Self::from_backend(Backend::Sharded(sharded), shards))
     }
 
-    fn from_backend(backend: Backend) -> Self {
-        let shards = match &backend {
-            Backend::Single(_) => 1,
-            Backend::Sharded(b) => b.sharded.shards(),
-        };
-        DirectoryService {
+    fn from_backend(backend: Backend, shards: usize) -> Self {
+        let empty = Arc::new(DirectoryInstance::new(Default::default()));
+        let mut service = DirectoryService {
             backend,
+            snapshots: (0..shards).map(|_| RwLock::new(empty.clone())).collect(),
+            journaled: false,
+            since_checkpoint: AtomicU64::new(0),
             probe: Arc::new(bschema_obs::NoopProbe),
             recorder: None,
             flight: None,
@@ -395,15 +349,40 @@ impl DirectoryService {
             evolution: Mutex::new(None),
             schema_epoch: AtomicU64::new(0),
             commit_counter: AtomicU64::new(0),
-        }
+        };
+        service.refresh_snapshots();
+        service
     }
 
     /// Number of write shards behind this service (1 for the classic
     /// single-engine backend).
     pub fn shards(&self) -> usize {
+        self.snapshots.len()
+    }
+
+    /// The sharded router, when there is one.
+    fn sharded(&self) -> Option<&ShardedDirectory> {
         match &self.backend {
-            Backend::Single(_) => 1,
-            Backend::Sharded(b) => b.sharded.shards(),
+            Backend::Single(_) => None,
+            Backend::Sharded(sharded) => Some(sharded),
+        }
+    }
+
+    /// Runs `f` on shard `k`'s engine under its write lock (`k = 0` on
+    /// the single backend).
+    fn with_engine<R>(&self, k: usize, f: impl FnOnce(&JournaledDirectory) -> R) -> R {
+        match &self.backend {
+            Backend::Single(engine) => f(&lock_unpoisoned(engine)),
+            Backend::Sharded(sharded) => sharded.with_shard(k, f),
+        }
+    }
+
+    /// Re-derives every read snapshot from the engines — at boot and
+    /// after recovery replaced them. Not a commit: nothing is counted.
+    fn refresh_snapshots(&mut self) {
+        for k in 0..self.shards() {
+            let next = Arc::new(self.with_engine(k, |engine| engine.instance().clone()));
+            *self.snapshots[k].get_mut().unwrap_or_else(|e| e.into_inner()) = next;
         }
     }
 
@@ -417,43 +396,17 @@ impl DirectoryService {
     /// engine(s), so one probe sees both the `server.*` sites and the
     /// legality engine's counters/spans (plus, on a sharded backend,
     /// the router's `sharded.*` 2-phase sites).
-    pub fn with_probe(self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        let backend = match self.backend {
-            Backend::Single(b) => {
-                let half = b.write.into_inner().unwrap_or_else(|e| e.into_inner());
-                Backend::Single(SingleBackend {
-                    write: Mutex::new(WriteHalf {
-                        managed: half.managed.with_probe(probe.clone()),
-                        journal: half.journal,
-                        since_checkpoint: half.since_checkpoint,
-                    }),
-                    snapshot: b.snapshot,
-                })
+    pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
+        self.backend = match self.backend {
+            Backend::Single(engine) => {
+                let mut engine = engine.into_inner().unwrap_or_else(|e| e.into_inner());
+                engine.swap_probe(Some(probe.clone()));
+                Backend::Single(Mutex::new(engine))
             }
-            Backend::Sharded(b) => Backend::Sharded(ShardedBackend {
-                sharded: b.sharded.with_probe(probe.clone()),
-                snapshots: b.snapshots,
-                journal_base: b.journal_base,
-                commits_since_checkpoint: b.commits_since_checkpoint,
-            }),
+            Backend::Sharded(sharded) => Backend::Sharded(sharded.with_probe(probe.clone())),
         };
-        DirectoryService {
-            backend,
-            probe,
-            recorder: self.recorder,
-            flight: self.flight,
-            monitor: self.monitor,
-            origin: self.origin,
-            last_swap_us: self.last_swap_us,
-            stats_baseline: self.stats_baseline,
-            limits: self.limits,
-            checkpoint_every: self.checkpoint_every,
-            read_only: self.read_only,
-            replication: self.replication,
-            evolution: self.evolution,
-            schema_epoch: self.schema_epoch,
-            commit_counter: self.commit_counter,
-        }
+        self.probe = probe;
+        self
     }
 
     /// Checkpoints + truncates the journal after every `every` commits
@@ -567,113 +520,45 @@ impl DirectoryService {
     }
 
     /// Attaches a write-ahead journal at `path`, recovering any existing
-    /// state first through the checkpoint-aware ladder: when a sibling
-    /// checkpoint file (`<path>.ckpt`) is present and intact, the forest
-    /// is restored from it and only the journal **tail** (records past
-    /// the checkpoint's covered seq) replays through the checked apply
-    /// path; otherwise the whole journal replays from the seed `base`.
-    /// A torn journal tail (crash during a write) is repaired in place
-    /// by truncating the file to its intact prefix, and the writer
-    /// resumes after the highest recorded seq on either source. Returns
-    /// the number of transactions replayed (tail only, after a
-    /// checkpoint restore).
+    /// state first through the checkpoint-aware ladder
+    /// ([`JournaledDirectory::open`]): when a sibling checkpoint file
+    /// (`<path>.ckpt`) is present and usable, the forest is restored
+    /// from it and only the journal **tail** replays through the checked
+    /// apply path; otherwise the whole journal replays from the seed
+    /// instance. A torn journal tail (crash during a write) is repaired
+    /// in place, and the writer resumes after the highest recorded seq
+    /// on either source. On the sharded backend `path` names a family of
+    /// per-shard files (`<path>.shard<k>`, each with its own checkpoint
+    /// sibling) and 2-phase commits torn between peers are reconciled
+    /// first ([`ShardedDirectory::open`]). Returns the number of
+    /// transactions replayed (tails only, after a checkpoint restore).
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Result<(Self, usize), ServiceError> {
         let path = path.into();
-        let Backend::Single(backend) = &mut self.backend else {
-            return self.with_sharded_journal(path);
+        let refused = |e: OpenError| match e {
+            OpenError::Io(e) => ServiceError::new("io", e.to_string()),
+            OpenError::Recovery(e) => ServiceError::from_managed(&e),
         };
-        let journal = read_repaired_journal(&path)?;
-        let ckpt_text = read_optional(&checkpoint_path(&path))?;
-        let replayed;
-        {
-            let half = backend.write.get_mut().unwrap_or_else(|e| e.into_inner());
-            // Recovery rebuilds the managed directory, so the probe the
-            // builder chain attached earlier moves over to the recovered
-            // engine.
-            let probe = half.managed.swap_probe(None);
-            let schema = half.managed.schema().clone();
-            let base = half.managed.instance().clone();
-            let recovery = recover_with_checkpoint(schema, base, ckpt_text.as_deref(), &journal)
-                .map_err(|e| ServiceError::new("recovery", e.to_string()))?;
-            replayed = recovery.report.replayed;
-            // `STATUS`'s epoch counter survives the restart: every
-            // schema record the replay applied is a cutover this state
-            // has absorbed (evolutions folded into a used checkpoint are
-            // its epoch-0 baseline).
-            let epoch_base = recovery.checkpoint_seq.unwrap_or(0);
-            let replayed_epochs = journal
-                .committed()
-                .filter(|jtx| jtx.schema.is_some() && jtx.first_seq >= epoch_base)
-                .count() as u64;
-            self.schema_epoch.store(replayed_epochs, Ordering::SeqCst);
-            let mut managed = recovery.managed;
-            managed.swap_probe(probe);
-            half.managed = managed;
-            half.journal = Some(JournalFile { path, writer: recovery.writer });
-            let refreshed = Arc::new(half.managed.instance().clone());
-            *backend.snapshot.write().unwrap_or_else(|e| e.into_inner()) = refreshed;
-        }
-        Ok((self, replayed))
-    }
-
-    /// The sharded counterpart of
-    /// [`with_journal`](DirectoryService::with_journal): `base` names a
-    /// family of per-shard journal files (`<base>.shard<k>`, see
-    /// [`shard_journal_path`]). Each file's torn tail is repaired in
-    /// place, 2-phase commits torn between peers are reconciled (a `gid`
-    /// counts as committed only when every peer holds its commit
-    /// record), the committed history replays shard by shard, and each
-    /// shard's writer resumes appending to its own file. Returns the
-    /// total transactions replayed across shards.
-    fn with_sharded_journal(mut self, base: PathBuf) -> Result<(Self, usize), ServiceError> {
-        let probe = self.probe.clone();
-        let Backend::Sharded(backend) = &mut self.backend else {
-            return Err(ServiceError::new("internal", "sharded journal on a single backend"));
+        let (backend, reports) = match self.backend {
+            Backend::Single(engine) => {
+                let base = engine.into_inner().unwrap_or_else(|e| e.into_inner()).into_managed();
+                let (engine, report) = JournaledDirectory::open(base, path).map_err(refused)?;
+                (Backend::Single(Mutex::new(engine)), vec![report])
+            }
+            Backend::Sharded(sharded) => {
+                let (sharded, reports) = sharded.open(&path).map_err(refused)?;
+                (Backend::Sharded(sharded), reports)
+            }
         };
-        let shards = backend.sharded.shards();
-        let mut journals = Vec::with_capacity(shards);
-        let mut paths = Vec::with_capacity(shards);
-        for k in 0..shards {
-            let path = shard_journal_path(&base, k);
-            journals.push(read_repaired_journal(&path)?);
-            paths.push(path);
-        }
-        let mut checkpoints = Vec::with_capacity(shards);
-        for path in &paths {
-            checkpoints.push(read_optional(&checkpoint_path(path))?);
-        }
-        let bases = (0..shards).map(|k| backend.sharded.shard_instance(k)).collect();
-        let (recovered, reports) = ShardedDirectory::recover_with_checkpoints(
-            backend.sharded.schema(),
-            bases,
-            &checkpoints,
-            &journals,
-        )
-        .map_err(|e| ServiceError::new("recovery", e.to_string()))?;
-        let replayed = reports.iter().map(|r| r.replayed).sum();
-        // `STATUS`'s epoch counter survives the restart. Every shard
-        // journals its own copy of each schema record, so shard 0 stands
-        // in for the family; records folded into its checkpoint are the
-        // recovered state's epoch-0 baseline.
-        let epoch_base = checkpoints[0]
-            .as_deref()
-            .and_then(|text| Checkpoint::decode(text).ok())
-            .map(|ckpt| ckpt.seq)
-            .unwrap_or(0);
-        let replayed_epochs = journals[0]
-            .committed()
-            .filter(|jtx| jtx.schema.is_some() && jtx.first_seq >= epoch_base)
-            .count() as u64;
-        self.schema_epoch.store(replayed_epochs, Ordering::SeqCst);
-        // Recovery rebuilds the engine, so the service probe (attached
-        // before this call in the builder chain) is re-installed.
-        let recovered = recovered.with_probe(probe);
-        for (k, path) in paths.into_iter().enumerate() {
-            recovered.set_sink(k, Box::new(move |text: &str| append_file(&path, text)));
-        }
-        *backend = ShardedBackend::new(recovered);
-        backend.journal_base = Some(base);
-        Ok((self, replayed))
+        self.backend = backend;
+        self.journaled = true;
+        // `STATUS`'s epoch counter survives the restart: every schema
+        // record the replay applied is a cutover this state has absorbed
+        // (evolutions folded into a used checkpoint are its epoch-0
+        // baseline). Every shard journals its own copy of each schema
+        // record, so shard 0 stands in for the family.
+        self.schema_epoch.store(reports[0].schema_cutovers as u64, Ordering::SeqCst);
+        self.refresh_snapshots();
+        Ok((self, reports.iter().map(|r| r.replayed).sum()))
     }
 
     /// The configured limits.
@@ -688,34 +573,26 @@ impl DirectoryService {
     /// diagnostics, not the request path (searches fan out over
     /// [`shard_snapshot`](DirectoryService::shard_snapshot)s instead).
     pub fn snapshot(&self) -> Arc<DirectoryInstance> {
-        match &self.backend {
-            Backend::Single(b) => b.snapshot.read().unwrap_or_else(|e| e.into_inner()).clone(),
-            Backend::Sharded(b) => {
-                let parts: Vec<Arc<DirectoryInstance>> =
-                    (0..b.snapshots.len()).map(|k| b.snapshot(k)).collect();
-                let merged = canonical_merge(parts.iter().map(Arc::as_ref))
-                    .expect("published shard snapshots merge");
-                Arc::new(merged)
-            }
+        if self.sharded().is_none() {
+            return self.shard_snapshot(0);
         }
+        let parts: Vec<Arc<DirectoryInstance>> =
+            (0..self.shards()).map(|k| self.shard_snapshot(k)).collect();
+        let merged = canonical_merge(parts.iter().map(Arc::as_ref))
+            .expect("published shard snapshots merge");
+        Arc::new(merged)
     }
 
     /// Shard `k`'s current read snapshot (`k = 0` on the single
     /// backend). Always cheap: one `Arc` clone under that shard's read
     /// lock.
     pub fn shard_snapshot(&self, k: usize) -> Arc<DirectoryInstance> {
-        match &self.backend {
-            Backend::Single(b) => b.snapshot.read().unwrap_or_else(|e| e.into_inner()).clone(),
-            Backend::Sharded(b) => b.snapshot(k),
-        }
+        self.snapshots[k].read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Directory size, from the read snapshot(s).
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Single(b) => b.snapshot.read().unwrap_or_else(|e| e.into_inner()).len(),
-            Backend::Sharded(b) => (0..b.snapshots.len()).map(|k| b.snapshot(k).len()).sum(),
-        }
+        (0..self.shards()).map(|k| self.shard_snapshot(k).len()).sum()
     }
 
     /// Whether the directory is empty.
@@ -835,14 +712,14 @@ impl DirectoryService {
             bschema_obs::json::escape(scope_name),
             base.map_or_else(|| "null".to_owned(), bschema_obs::json::escape),
         );
-        let json = match &self.backend {
-            Backend::Single(_) => {
+        let json = match self.sharded() {
+            None => {
                 let report = reports.pop().map_or_else(|| "null".to_owned(), |(_, json)| json);
                 format!("{head},\"explain\":{report}}}")
             }
             // Sharded: one plan per shard the search fanned out to, in
             // shard order, each labeled with its shard index.
-            Backend::Sharded(_) => {
+            Some(_) => {
                 let body: Vec<String> = reports
                     .into_iter()
                     .map(|(k, json)| format!("{{\"shard\":{k},\"explain\":{json}}}"))
@@ -873,10 +750,7 @@ impl DirectoryService {
             Some(dn_src) => {
                 let dn =
                     Dn::parse(dn_src).map_err(|e| ServiceError::new("bad-dn", e.to_string()))?;
-                let k = match &self.backend {
-                    Backend::Single(_) => 0,
-                    Backend::Sharded(b) => b.sharded.shard_of_dn(&dn),
-                };
+                let k = self.sharded().map_or(0, |sharded| sharded.shard_of_dn(&dn));
                 let snapshot = self.shard_snapshot(k);
                 let id = snapshot.lookup_dn(&dn).ok_or_else(|| {
                     ServiceError::new("no-such-base", format!("no entry named {dn_src}"))
@@ -931,32 +805,78 @@ impl DirectoryService {
             parse_ldif_limited(ldif, &self.limits.ldif)
                 .map_err(|e| ServiceError::new("bad-ldif", e.to_string()))
         })?;
-        let backend = match &self.backend {
-            Backend::Single(b) => b,
-            Backend::Sharded(b) => return self.apply_sharded(b, records, probe),
-        };
-        let mut half = lock_unpoisoned(&backend.write);
+        self.write(Write::Txn(records), probe, trace)
+    }
+
+    /// Applies an attribute-level modification to the entry named `dn`,
+    /// atomically through the same write path as `TXN`. On a journaled
+    /// server the modification is write-ahead logged as a `modify`
+    /// record, so recovery replays it; on the sharded backend it routes
+    /// to the single shard owning the DN's top-level subtree — MODIFY
+    /// never crosses a Theorem 4.1 boundary, so the 2-phase path is
+    /// never needed.
+    pub fn modify(&self, dn_src: &str, mods: &[Mod]) -> Result<TxOutcome, ServiceError> {
+        if self.read_only {
+            self.probe.add_labeled("server.tx_rejected", "read-only", 1);
+            return Err(Self::read_only_refusal());
+        }
+        let dn = Dn::parse(dn_src).map_err(|e| ServiceError::new("bad-dn", e.to_string()))?;
+        self.write(Write::Modify { dn: &dn, dn_src, mods }, &*self.probe, None)
+    }
+
+    /// Routes a write verb to its backend — the one place the write
+    /// side dispatches.
+    fn write(
+        &self,
+        write: Write<'_>,
+        probe: &dyn Probe,
+        trace: Option<&Arc<RequestTrace>>,
+    ) -> Result<TxOutcome, ServiceError> {
+        match &self.backend {
+            Backend::Single(engine) => {
+                self.write_single(&mut lock_unpoisoned(engine), write, probe, trace)
+            }
+            Backend::Sharded(sharded) => self.write_sharded(sharded, write, probe),
+        }
+    }
+
+    /// The single-engine write path, under the held write mutex: build
+    /// the operation against the current instance, then the engine's
+    /// write-ahead sequence — `begin` durable before the mutation, the
+    /// guarded apply, `commit` only after the legal verdict — each step
+    /// in its own `service.*` span, then publish. On any rejection the
+    /// instance — and the snapshot — are exactly what they were.
+    fn write_single(
+        &self,
+        engine: &mut JournaledDirectory,
+        write: Write<'_>,
+        probe: &dyn Probe,
+        trace: Option<&Arc<RequestTrace>>,
+    ) -> Result<TxOutcome, ServiceError> {
         // Fault site: a worker dying here has changed nothing.
         probe.add("server.tx_admitted", 1);
-        let tx = scoped(probe, "service.tx_build", || {
-            transaction_from_ldif(half.managed.instance(), records)
-                .map_err(|e| ServiceError::new("invalid-tx", e.to_string()))
-        })?;
-        let ops = tx.len();
+        let tx;
+        let (op, ops) = match write {
+            Write::Txn(records) => {
+                tx = scoped(probe, "service.tx_build", || {
+                    transaction_from_ldif(engine.instance(), records)
+                        .map_err(|e| ServiceError::new("invalid-tx", e.to_string()))
+                })?;
+                (Op::Tx { tx: &tx, global: None }, tx.len())
+            }
+            Write::Modify { dn, dn_src, mods } => {
+                let target = engine.instance().lookup_dn(dn).ok_or_else(|| {
+                    ServiceError::new("no-such-entry", format!("no entry named {dn_src}"))
+                })?;
+                (Op::Modify { target, mods }, mods.len())
+            }
+        };
 
         // Write-ahead: the begin + op records must be durable before the
         // mutation, so a crash mid-apply leaves an uncommitted tail that
         // recovery discards.
-        let tx_id = scoped(probe, "service.journal_begin", || match &mut half.journal {
-            Some(journal) => {
-                let id = journal.writer.begin(&tx);
-                let pending = journal.writer.take_pending();
-                append_file(&journal.path, &pending)
-                    .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
-                Ok(Some(id))
-            }
-            None => Ok(None),
-        })?;
+        let staged = scoped(probe, "service.journal_begin", || engine.prepare(op))
+            .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
 
         let applied = match trace {
             Some(t) => {
@@ -964,42 +884,34 @@ impl DirectoryService {
                 // tree. The swap is panic-safe: an injected fault inside
                 // the guarded apply must not leave a dead trace wired
                 // into the shared managed directory.
-                let prev = half.managed.swap_probe(Some(t.clone() as Arc<dyn Probe + Send + Sync>));
+                let prev = engine.swap_probe(Some(t.clone() as Arc<dyn Probe + Send + Sync>));
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    half.managed.apply(&tx)
+                    engine.apply_staged(staged)
                 }));
-                half.managed.swap_probe(prev);
+                engine.swap_probe(prev);
                 match caught {
                     Ok(result) => result,
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             }
-            None => half.managed.apply(&tx),
+            None => engine.apply_staged(staged),
         };
 
         match applied {
-            Ok(()) => {
-                scoped(probe, "service.journal_commit", || {
-                    if let (Some(id), Some(journal)) = (tx_id, &mut half.journal) {
-                        journal.writer.commit(id);
-                        let pending = journal.writer.take_pending();
-                        if append_file(&journal.path, &pending).is_err() {
-                            // The in-memory instance is committed and
-                            // legal; only durability degraded. Surface
-                            // via probe, not by failing the
-                            // already-applied request.
-                            probe.add("server.journal_commit_io_error", 1);
-                        }
-                    }
-                });
-                let outcome = TxOutcome { ops, len: half.managed.len(), shards: 1 };
-                scoped(probe, "service.publish", || self.publish_through(&half, probe));
+            Ok(certified) => {
+                // A failed commit flush leaves the in-memory instance
+                // committed and legal; only durability degraded. The
+                // engine counts it (`server.journal_commit_io_error`)
+                // instead of failing the already-applied request.
+                let _counted = scoped(probe, "service.journal_commit", || engine.commit(certified));
+                let outcome = TxOutcome { ops, len: engine.managed().len(), shards: 1 };
+                scoped(probe, "service.publish", || self.publish(0, engine.instance(), probe));
                 // Fault site: a worker dying here has already committed;
                 // the client sees "panicked" (outcome unknown), readers
                 // see the new legal instance.
                 probe.add("server.tx_committed", 1);
                 self.commit_counter.fetch_add(1, Ordering::SeqCst);
-                self.maybe_checkpoint_single(&mut half);
+                self.after_commit(Some(engine));
                 Ok(outcome)
             }
             Err(e) => {
@@ -1011,143 +923,29 @@ impl DirectoryService {
         }
     }
 
-    /// Applies an attribute-level modification to the entry named `dn`,
-    /// atomically through the same guarded path. On a journaled server
-    /// the modification is write-ahead logged as a `modify` record
-    /// (mirroring the `TXN` begin/commit discipline), so recovery
-    /// replays it; on the sharded backend it routes to the single shard
-    /// owning the DN's top-level subtree — MODIFY never crosses a
-    /// Theorem 4.1 boundary, so the 2-phase path is never needed.
-    pub fn modify(&self, dn_src: &str, mods: &[Mod]) -> Result<TxOutcome, ServiceError> {
-        if self.read_only {
-            self.probe.add_labeled("server.tx_rejected", "read-only", 1);
-            return Err(Self::read_only_refusal());
-        }
-        let dn = Dn::parse(dn_src).map_err(|e| ServiceError::new("bad-dn", e.to_string()))?;
-        let backend = match &self.backend {
-            Backend::Single(b) => b,
-            Backend::Sharded(b) => return self.modify_sharded(b, &dn, mods),
-        };
-        let mut half = lock_unpoisoned(&backend.write);
-        self.probe.add("server.tx_admitted", 1);
-        let id = half.managed.instance().lookup_dn(&dn).ok_or_else(|| {
-            ServiceError::new("no-such-entry", format!("no entry named {dn_src}"))
-        })?;
-        // Write-ahead: like TXN, the begin + modify records are durable
-        // before the mutation, so a crash mid-apply leaves an
-        // uncommitted tail that recovery discards.
-        let tx_id = match &mut half.journal {
-            Some(journal) => {
-                let tx_id = journal.writer.begin_modify(id, mods);
-                let pending = journal.writer.take_pending();
-                append_file(&journal.path, &pending)
-                    .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
-                Some(tx_id)
-            }
-            None => None,
-        };
-        match half.managed.modify_entry(id, mods) {
-            Ok(()) => {
-                if let (Some(tx_id), Some(journal)) = (tx_id, &mut half.journal) {
-                    journal.writer.commit(tx_id);
-                    let pending = journal.writer.take_pending();
-                    if append_file(&journal.path, &pending).is_err() {
-                        // Applied and legal; only durability degraded.
-                        self.probe.add("server.journal_commit_io_error", 1);
-                    }
-                }
-                let outcome = TxOutcome { ops: mods.len(), len: half.managed.len(), shards: 1 };
-                self.publish(&half);
-                self.probe.add("server.tx_committed", 1);
-                self.commit_counter.fetch_add(1, Ordering::SeqCst);
-                self.maybe_checkpoint_single(&mut half);
-                Ok(outcome)
-            }
-            Err(e) => {
-                self.probe.add_labeled("server.tx_rejected", e.code(), 1);
-                Err(ServiceError::from_managed(&e))
-            }
-        }
-    }
-
-    /// MODIFY on the sharded backend: the router locks the single shard
-    /// owning the DN, journals + applies the modification there, and the
-    /// touched shard republishes its snapshot.
-    fn modify_sharded(
-        &self,
-        backend: &ShardedBackend,
-        dn: &Dn,
-        mods: &[Mod],
-    ) -> Result<TxOutcome, ServiceError> {
-        self.probe.add("server.tx_admitted", 1);
-        match backend.sharded.modify_dn(dn, mods) {
-            Ok(outcome) => {
-                for &k in &outcome.shards {
-                    let next = Arc::new(backend.sharded.shard_instance(k));
-                    *backend.snapshots[k].write().unwrap_or_else(|e| e.into_inner()) = next;
-                    self.stamp_swap(k);
-                    self.probe.add_labeled("server.shard_snapshot_swap", &format!("shard{k}"), 1);
-                }
-                self.probe.add_labeled("server.tx_route", "single", 1);
-                self.probe.add("server.tx_committed", 1);
-                self.commit_counter.fetch_add(1, Ordering::SeqCst);
-                let shards = outcome.shards.len().max(1);
-                self.maybe_checkpoint_sharded(backend);
-                Ok(TxOutcome { ops: outcome.ops, len: self.len(), shards })
-            }
-            Err(e) => {
-                let code = e.code();
-                self.probe.add_labeled("server.tx_rejected", code, 1);
-                Err(ServiceError { code, detail: e.to_string() })
-            }
-        }
-    }
-
-    /// The stable refusal every write verb gets on a read replica.
-    fn read_only_refusal() -> ServiceError {
-        ServiceError::new("read-only", "this server is a read replica; send writes to the primary")
-    }
-
-    /// Swaps the read snapshot to the current (post-commit) instance.
-    fn publish(&self, half: &WriteHalf) {
-        self.publish_through(half, &*self.probe);
-    }
-
-    /// [`publish`](DirectoryService::publish), counting the swap through
-    /// the given (possibly per-request) probe.
-    fn publish_through(&self, half: &WriteHalf, probe: &dyn Probe) {
-        let Backend::Single(backend) = &self.backend else {
-            return;
-        };
-        let next = Arc::new(half.managed.instance().clone());
-        *backend.snapshot.write().unwrap_or_else(|e| e.into_inner()) = next;
-        self.stamp_swap(0);
-        probe.add("server.snapshot_swap", 1);
-    }
-
     /// The sharded write path: the router decodes, vets (◇c ledger),
-    /// journals and applies the transaction on exactly the shards its
-    /// DN prefixes route to — one locked shard on the fast path, the
-    /// 2-phase apply across all involved shards otherwise — then each
-    /// touched shard republishes its own snapshot. Untouched shards
-    /// keep serving reads and committing concurrently throughout.
-    fn apply_sharded(
+    /// journals and applies the write on exactly the shards its DN
+    /// prefixes route to — one locked shard on the fast path (always,
+    /// for a MODIFY), the 2-phase apply across all involved shards
+    /// otherwise — then each touched shard republishes its own
+    /// snapshot. Untouched shards keep serving reads and committing
+    /// concurrently throughout.
+    fn write_sharded(
         &self,
-        backend: &ShardedBackend,
-        records: Vec<LdifRecord>,
+        sharded: &ShardedDirectory,
+        write: Write<'_>,
         probe: &dyn Probe,
     ) -> Result<TxOutcome, ServiceError> {
         probe.add("server.tx_admitted", 1);
-        let applied =
-            scoped(probe, "service.apply_sharded", || backend.sharded.apply_ldif(records));
+        let applied = scoped(probe, "service.apply_sharded", || match write {
+            Write::Txn(records) => sharded.apply_ldif(records),
+            Write::Modify { dn, mods, .. } => sharded.modify_dn(dn, mods),
+        });
         match applied {
             Ok(outcome) => {
                 scoped(probe, "service.publish", || {
                     for &k in &outcome.shards {
-                        let next = Arc::new(backend.sharded.shard_instance(k));
-                        *backend.snapshots[k].write().unwrap_or_else(|e| e.into_inner()) = next;
-                        self.stamp_swap(k);
-                        probe.add_labeled("server.shard_snapshot_swap", &format!("shard{k}"), 1);
+                        sharded.with_shard(k, |engine| self.publish(k, engine.instance(), probe));
                     }
                 });
                 probe.add_labeled(
@@ -1158,7 +956,7 @@ impl DirectoryService {
                 probe.add("server.tx_committed", 1);
                 self.commit_counter.fetch_add(1, Ordering::SeqCst);
                 let shards = outcome.shards.len().max(1);
-                self.maybe_checkpoint_sharded(backend);
+                self.after_commit(None);
                 Ok(TxOutcome { ops: outcome.ops, len: self.len(), shards })
             }
             Err(e) => {
@@ -1169,108 +967,109 @@ impl DirectoryService {
         }
     }
 
+    /// The stable refusal every write verb gets on a read replica.
+    fn read_only_refusal() -> ServiceError {
+        ServiceError::new("read-only", "this server is a read replica; send writes to the primary")
+    }
+
+    /// Publishes `instance` as shard `k`'s read snapshot — the one
+    /// place a committed state becomes visible to readers, called with
+    /// the lock that serialises shard `k`'s writes still held, so
+    /// snapshots appear in commit order.
+    fn publish(&self, k: usize, instance: &DirectoryInstance, probe: &dyn Probe) {
+        let next = Arc::new(instance.clone());
+        *self.snapshots[k].write().unwrap_or_else(|e| e.into_inner()) = next;
+        self.stamp_swap(k);
+        match self.sharded() {
+            None => probe.add("server.snapshot_swap", 1),
+            Some(_) => probe.add_labeled("server.shard_snapshot_swap", &format!("shard{k}"), 1),
+        }
+    }
+
     /// The probe attached to this service.
     pub fn probe(&self) -> &(dyn Probe + Send + Sync) {
         &*self.probe
     }
 
     /// Checkpoints now: captures the forest into `<journal>.ckpt`
-    /// (atomic temp-file + rename), then truncates the journal to empty.
-    /// Returns the covered seq per shard. Refused with `unsupported`
-    /// when no journal is attached — without one there is nothing to
-    /// compact and recovery has no file to find.
+    /// (synced temp file + rename), then truncates the journal to
+    /// empty. Returns the covered seq per shard. Refused with
+    /// `unsupported` when no journal is attached — without one there is
+    /// nothing to compact and recovery has no file to find.
     pub fn checkpoint_now(&self) -> Result<Vec<u64>, ServiceError> {
-        match &self.backend {
-            Backend::Single(b) => {
-                let mut half = lock_unpoisoned(&b.write);
-                self.checkpoint_single(&mut half).map(|seq| vec![seq])
+        self.checkpoint(None)
+    }
+
+    /// The checkpoint routine behind `CHECKPOINT` and the
+    /// `--checkpoint-every` trigger. Capture → write → truncate admits
+    /// no interleaved commit: on the single backend it runs under the
+    /// write mutex (`held` is the caller's guard when it already has
+    /// one), on the sharded backend the campaign holds every shard lock
+    /// ([`ShardedDirectory::checkpoint`]).
+    fn checkpoint(&self, held: Option<&mut JournaledDirectory>) -> Result<Vec<u64>, ServiceError> {
+        let probe = &*self.probe;
+        let seqs = match &self.backend {
+            Backend::Sharded(sharded) => sharded.checkpoint(probe),
+            Backend::Single(engine) => match held {
+                Some(engine) => engine.checkpoint(probe),
+                None => lock_unpoisoned(engine).checkpoint(probe),
             }
-            Backend::Sharded(b) => self.checkpoint_sharded(b),
+            .map(|seq| vec![seq]),
         }
-    }
-
-    /// The single-engine checkpoint: runs entirely under the held write
-    /// mutex, so capture → write → truncate admits no interleaved
-    /// commit. The crash ordering (checkpoint renamed before the journal
-    /// is truncated) is what makes every intermediate state recoverable.
-    fn checkpoint_single(&self, half: &mut WriteHalf) -> Result<u64, ServiceError> {
-        let Some(journal) = &half.journal else {
-            return Err(ServiceError::new(
+        .map_err(|e| match e.kind() {
+            std::io::ErrorKind::Unsupported => ServiceError::new(
                 "unsupported",
                 "checkpointing needs a journal; start the server with --journal",
-            ));
-        };
-        let ckpt = Checkpoint::capture(
-            half.managed.instance(),
-            half.managed.schema(),
-            journal.writer.records_emitted(),
-            journal.writer.next_tx(),
-            None,
-        );
-        write_checkpoint(&checkpoint_path(&journal.path), &ckpt.encode(), &*self.probe)
-            .map_err(|e| ServiceError::new("io", format!("writing checkpoint: {e}")))?;
-        truncate_journal(&journal.path, &*self.probe)
-            .map_err(|e| ServiceError::new("io", format!("truncating journal: {e}")))?;
-        half.since_checkpoint = 0;
-        self.probe.add("server.checkpoint", 1);
-        Ok(ckpt.seq)
-    }
-
-    /// The sharded checkpoint campaign: delegates to
-    /// [`ShardedDirectory::checkpoint_and_truncate`], which holds every
-    /// shard lock across capture + write + truncate so no commit can
-    /// slip between a shard's capture and its journal truncation.
-    fn checkpoint_sharded(&self, backend: &ShardedBackend) -> Result<Vec<u64>, ServiceError> {
-        let Some(base) = &backend.journal_base else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "checkpointing needs a journal; start the server with --journal",
-            ));
-        };
-        let paths: Vec<PathBuf> =
-            (0..backend.sharded.shards()).map(|k| shard_journal_path(base, k)).collect();
-        let seqs = backend
-            .sharded
-            .checkpoint_and_truncate(&paths, &*self.probe)
-            .map_err(|e| ServiceError::new("io", format!("checkpoint campaign: {e}")))?;
-        backend.commits_since_checkpoint.store(0, Ordering::Relaxed);
-        self.probe.add("server.checkpoint", 1);
+            ),
+            _ => ServiceError::new("io", e.to_string()),
+        })?;
+        self.since_checkpoint.store(0, Ordering::Relaxed);
+        probe.add("server.checkpoint", 1);
         Ok(seqs)
     }
 
-    /// The `--checkpoint-every` trigger on the single backend, called
-    /// with the write mutex still held after a commit. A failed
-    /// checkpoint surfaces through the probe, never by failing the
-    /// already-committed request; the counter stays saturated so the
-    /// next commit retries.
-    fn maybe_checkpoint_single(&self, half: &mut WriteHalf) {
+    /// The `--checkpoint-every` trigger, called after every commit
+    /// (with the write mutex still held on the single backend). A
+    /// failed checkpoint surfaces through the probe, never by failing
+    /// the already-committed request; the counter stays saturated so
+    /// the next commit retries.
+    fn after_commit(&self, held: Option<&mut JournaledDirectory>) {
         let Some(every) = self.checkpoint_every else { return };
-        if half.journal.is_none() {
+        if !self.journaled {
             return;
         }
-        half.since_checkpoint += 1;
-        if half.since_checkpoint >= every {
-            if let Err(e) = self.checkpoint_single(half) {
+        if self.since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1 >= every {
+            if let Err(e) = self.checkpoint(held) {
                 self.probe.add_labeled("server.checkpoint_error", e.code, 1);
             }
         }
     }
 
-    /// The `--checkpoint-every` trigger on the sharded backend. The
-    /// counter is advisory (commits race on it), which at worst runs one
-    /// extra campaign — idempotent, since the campaign serializes on the
-    /// shard locks.
-    fn maybe_checkpoint_sharded(&self, backend: &ShardedBackend) {
-        let Some(every) = self.checkpoint_every else { return };
-        if backend.journal_base.is_none() {
-            return;
+    /// The single engine under its write mutex, for the verbs that only
+    /// exist there (`SHIP` and its follower side).
+    fn single_engine(
+        &self,
+        refusal: &'static str,
+    ) -> Result<MutexGuard<'_, JournaledDirectory>, ServiceError> {
+        match &self.backend {
+            Backend::Single(engine) => Ok(lock_unpoisoned(engine)),
+            Backend::Sharded(_) => Err(ServiceError::new("unsupported", refusal)),
         }
-        let n = backend.commits_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= every {
-            if let Err(e) = self.checkpoint_sharded(backend) {
-                self.probe.add_labeled("server.checkpoint_error", e.code, 1);
-            }
-        }
+    }
+
+    /// [`single_engine`](Self::single_engine) of a journaled primary,
+    /// with its journal file.
+    fn shipping_engine(
+        &self,
+    ) -> Result<(MutexGuard<'_, JournaledDirectory>, PathBuf), ServiceError> {
+        let engine = self.single_engine("SHIP serves single-engine primaries only")?;
+        let Some(path) = engine.path().map(PathBuf::from) else {
+            return Err(ServiceError::new(
+                "unsupported",
+                "SHIP needs a journaled primary; start it with --journal",
+            ));
+        };
+        Ok((engine, path))
     }
 
     /// Serves a follower's bootstrap: captures a fresh checkpoint of the
@@ -1280,26 +1079,8 @@ impl DirectoryService {
     /// `seq` exists at capture time, so the follower's cursor starts
     /// exactly where shipping resumes.
     pub fn ship_bootstrap(&self) -> Result<(u64, u64, String), ServiceError> {
-        let Backend::Single(backend) = &self.backend else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "SHIP serves single-engine primaries only",
-            ));
-        };
-        let half = lock_unpoisoned(&backend.write);
-        let Some(journal) = &half.journal else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "SHIP needs a journaled primary; start it with --journal",
-            ));
-        };
-        let ckpt = Checkpoint::capture(
-            half.managed.instance(),
-            half.managed.schema(),
-            journal.writer.records_emitted(),
-            journal.writer.next_tx(),
-            None,
-        );
+        let (engine, _) = self.shipping_engine()?;
+        let ckpt = engine.capture(None);
         self.probe.add("server.ship_bootstrap", 1);
         Ok((ckpt.seq, ckpt.next_tx, ckpt.encode()))
     }
@@ -1312,20 +1093,8 @@ impl DirectoryService {
     /// into a checkpoint (or lost to a degraded-durability append): the
     /// follower must re-bootstrap.
     pub fn ship_tail(&self, from_seq: u64) -> Result<(u64, String), ServiceError> {
-        let Backend::Single(backend) = &self.backend else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "SHIP serves single-engine primaries only",
-            ));
-        };
-        let half = lock_unpoisoned(&backend.write);
-        let Some(journal) = &half.journal else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "SHIP needs a journaled primary; start it with --journal",
-            ));
-        };
-        let cursor = journal.writer.records_emitted();
+        let (engine, path) = self.shipping_engine()?;
+        let (cursor, _) = engine.journal_stats();
         // Fault site: dying here serves nothing — the follower sees the
         // `panicked` code and retries the same cursor.
         self.probe.add(SITE_SHIP_SERVE, 1);
@@ -1338,11 +1107,9 @@ impl DirectoryService {
         if from_seq == cursor {
             return Ok((cursor, String::new()));
         }
-        let text = match std::fs::read_to_string(&journal.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(ServiceError::new("io", format!("reading journal: {e}"))),
-        };
+        let text = read_optional(&path)
+            .map_err(|e| ServiceError::new("io", format!("reading journal: {e}")))?
+            .unwrap_or_default();
         let parsed = Journal::parse(&text);
         if parsed.next_seq() != cursor || parsed.start_seq > from_seq {
             return Err(ServiceError::new(
@@ -1364,35 +1131,22 @@ impl DirectoryService {
     /// follower's only mutation path — it bypasses the `read-only` gate
     /// by construction, not by flag.
     pub fn replicate_tx(&self, jtx: &JournalTx) -> Result<(), ServiceError> {
-        let Backend::Single(backend) = &self.backend else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "replication applies to the single-engine backend only",
-            ));
-        };
-        let mut half = lock_unpoisoned(&backend.write);
+        let mut engine =
+            self.single_engine("replication applies to the single-engine backend only")?;
         // Fault site: dying here leaves the replica's instance intact;
         // the next sync pass re-ships the same records and converges.
         self.probe.add(SITE_SHIP_APPLY, 1);
-        match (&jtx.schema, &jtx.modify) {
-            // A shipped schema cutover: the primary already certified
-            // the instance legal under the new schema, so the follower
-            // adopts it directly and bumps its own epoch.
-            (Some(s), _) => s
-                .engine_schema()
-                .map_err(ManagedError::Recovery)
-                .and_then(|schema| half.managed.set_schema(schema))
-                .map(|()| {
-                    self.schema_epoch.fetch_add(1, Ordering::SeqCst);
-                    self.probe.add("server.schema_replicated", 1);
-                }),
-            (None, Some(m)) => half.managed.modify_entry(m.target, &m.mods),
-            (None, None) => half.managed.apply(&jtx.to_transaction()),
-        }
-        .map_err(|e| {
+        engine.replay(jtx).map_err(|e| {
             ServiceError::new("replication", format!("applying shipped tx {}: {e}", jtx.id))
         })?;
-        self.publish(&half);
+        if jtx.schema.is_some() {
+            // A shipped schema cutover: the primary already certified
+            // the instance legal under the new schema, so the follower
+            // adopted it directly and bumps its own epoch.
+            self.schema_epoch.fetch_add(1, Ordering::SeqCst);
+            self.probe.add("server.schema_replicated", 1);
+        }
+        self.publish(0, engine.instance(), &*self.probe);
         Ok(())
     }
 
@@ -1400,18 +1154,10 @@ impl DirectoryService {
     /// re-bootstrap path. The previous engine's probe moves over to the
     /// new one, and the snapshot republishes immediately.
     pub fn install_follower_state(&self, managed: ManagedDirectory) -> Result<(), ServiceError> {
-        let Backend::Single(backend) = &self.backend else {
-            return Err(ServiceError::new(
-                "unsupported",
-                "replication applies to the single-engine backend only",
-            ));
-        };
-        let mut half = lock_unpoisoned(&backend.write);
-        let probe = half.managed.swap_probe(None);
-        let mut managed = managed;
-        managed.swap_probe(probe);
-        half.managed = managed;
-        self.publish(&half);
+        let mut engine =
+            self.single_engine("replication applies to the single-engine backend only")?;
+        engine.restore(managed);
+        self.publish(0, engine.instance(), &*self.probe);
         Ok(())
     }
 
@@ -1419,8 +1165,8 @@ impl DirectoryService {
     /// backend.
     pub fn current_schema(&self) -> DirectorySchema {
         match &self.backend {
-            Backend::Single(b) => lock_unpoisoned(&b.write).managed.schema().clone(),
-            Backend::Sharded(b) => b.sharded.schema(),
+            Backend::Single(engine) => lock_unpoisoned(engine).managed().schema().clone(),
+            Backend::Sharded(sharded) => sharded.schema(),
         }
     }
 
@@ -1480,16 +1226,8 @@ impl DirectoryService {
         // instance.
         let counter = self.commit_counter.load(Ordering::SeqCst);
         self.probe.add("server.schema_check", 1);
-        let report = match &self.backend {
-            Backend::Single(_) => staged.plan.recheck(&self.snapshot()),
-            Backend::Sharded(b) => {
-                let merged = b
-                    .sharded
-                    .merged_instance()
-                    .map_err(|e| ServiceError::new("internal", e.to_string()))?;
-                staged.plan.recheck(&merged)
-            }
-        };
+        let snapshot = self.snapshot();
+        let report = staged.plan.recheck(&snapshot);
         if report.is_legal() {
             staged.checked_at = Some(counter);
             Ok(format!(
@@ -1498,14 +1236,7 @@ impl DirectoryService {
             ))
         } else {
             staged.checked_at = None;
-            let dir = match &self.backend {
-                Backend::Single(_) => (*self.snapshot()).clone(),
-                Backend::Sharded(b) => b
-                    .sharded
-                    .merged_instance()
-                    .map_err(|e| ServiceError::new("internal", e.to_string()))?,
-            };
-            Err(ServiceError::new("schema-violates", render_violations(&report, &dir)))
+            Err(ServiceError::new("schema-violates", render_violations(&report, &snapshot)))
         }
     }
 
@@ -1566,46 +1297,35 @@ impl DirectoryService {
         let target = staged.plan.target.clone();
         let dsl = staged.plan.dsl.clone();
         match &self.backend {
-            Backend::Single(b) => {
-                let mut half = lock_unpoisoned(&b.write);
+            Backend::Single(engine) => {
+                let mut engine = lock_unpoisoned(engine);
                 let unchanged =
                     staged.checked_at == Some(self.commit_counter.load(Ordering::SeqCst));
                 if !staged.plan.is_relaxing_only() && !unchanged {
-                    let report = staged.plan.recheck(half.managed.instance());
+                    let report = staged.plan.recheck(engine.instance());
                     if !report.is_legal() {
-                        let detail = render_violations(&report, half.managed.instance());
+                        let detail = render_violations(&report, engine.instance());
                         self.probe.add_labeled("server.tx_rejected", "schema-violates", 1);
                         return Err(ServiceError::new("schema-violates", detail));
                     }
                 }
                 // Write-ahead: the schema record must be durable before
                 // the swap, mirroring the TXN begin/commit discipline.
-                let tx_id = match &mut half.journal {
-                    Some(journal) => {
-                        let id = journal.writer.begin_schema(&dsl, false, None);
-                        let pending = journal.writer.take_pending();
-                        append_file(&journal.path, &pending)
-                            .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
-                        Some(id)
-                    }
-                    None => None,
-                };
+                let cutover = Op::Schema { schema: &target, dsl: &dsl, local: false, global: None };
+                let staged = engine
+                    .prepare(cutover)
+                    .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
                 // Fault site between prepare and swap (see method docs).
                 self.probe.add("schema.cutover", 1);
-                half.managed.set_schema(target).map_err(|e| ServiceError::from_managed(&e))?;
-                if let (Some(id), Some(journal)) = (tx_id, &mut half.journal) {
-                    journal.writer.commit(id);
-                    let pending = journal.writer.take_pending();
-                    if append_file(&journal.path, &pending).is_err() {
-                        self.probe.add("server.journal_commit_io_error", 1);
-                    }
-                }
-                self.publish(&half);
+                let certified =
+                    engine.apply_staged(staged).map_err(|e| ServiceError::from_managed(&e))?;
+                let _counted = engine.commit(certified);
+                self.publish(0, engine.instance(), &*self.probe);
             }
-            Backend::Sharded(b) => {
+            Backend::Sharded(sharded) => {
                 let plan = staged.plan.clone();
                 let violation = std::cell::RefCell::new(None);
-                let result = b.sharded.swap_schema_validated(target, &dsl, |merged| {
+                let result = sharded.swap_schema_validated(target, &dsl, |merged| {
                     // The counter is not trusted here (sharded commits
                     // bump it outside the shard locks); restricting
                     // plans always revalidate under the locks.
@@ -1645,20 +1365,6 @@ impl DirectoryService {
     fn stamp_swap(&self, k: usize) {
         if let Some(slot) = self.last_swap_us.get(k) {
             slot.store(self.uptime_us(), Ordering::Relaxed);
-        }
-    }
-
-    /// Shard `k`'s journal growth `(records, bytes)` — zeros when the
-    /// server runs without a journal.
-    fn shard_journal_stats(&self, k: usize) -> (u64, u64) {
-        match &self.backend {
-            Backend::Single(b) => {
-                let half = lock_unpoisoned(&b.write);
-                half.journal
-                    .as_ref()
-                    .map_or((0, 0), |j| (j.writer.records_emitted(), j.writer.bytes_emitted()))
-            }
-            Backend::Sharded(b) => b.sharded.journal_stats(k),
         }
     }
 
@@ -1750,7 +1456,7 @@ impl DirectoryService {
                 fmt_rate(burn),
                 fmt_rate(err_rate),
             );
-            let _ = append_file(path, &format!("AUDIT {at_us} {event} {detail}\n"));
+            let _ = append_sync(path, &format!("AUDIT {at_us} {event} {detail}\n"));
         }
     }
 
@@ -1802,10 +1508,7 @@ impl DirectoryService {
             1e12,
             1e14,
         ));
-        let ledger = match &self.backend {
-            Backend::Sharded(b) => Some(b.sharded.ledger()),
-            Backend::Single(_) => None,
-        };
+        let ledger = self.sharded().map(ShardedDirectory::ledger);
         if let Some(counts) = &ledger {
             if !counts.is_empty() {
                 let min = counts.values().copied().min().unwrap_or(0);
@@ -1826,7 +1529,7 @@ impl DirectoryService {
         // Per-shard signal groups — the same pinned signal set whatever
         // the backend, so `HEALTH` consumers need no shape switch.
         for k in 0..self.shards() {
-            let (records, bytes) = self.shard_journal_stats(k);
+            let (records, bytes) = self.with_engine(k, JournaledDirectory::journal_stats);
             let entries = self.shard_snapshot(k).len();
             let swap = self.last_swap_us[k].load(Ordering::Relaxed);
             let age_s = now_us.saturating_sub(swap) as f64 / 1e6;
@@ -1975,34 +1678,6 @@ fn scoped<T>(probe: &dyn Probe, name: &'static str, f: impl FnOnce() -> T) -> T 
     out
 }
 
-/// Reads a journal file, repairing a torn tail (crash mid-write) in
-/// place so the surviving prefix reparses cleanly. A missing file is an
-/// empty journal.
-fn read_repaired_journal(path: &std::path::Path) -> Result<Journal, ServiceError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            let journal = Journal::parse(&text);
-            if journal.truncated || journal.dropped_records > 0 {
-                std::fs::write(path, &text[..journal.intact_len])
-                    .map_err(|e| ServiceError::new("io", format!("repairing journal: {e}")))?;
-            }
-            Ok(journal)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Journal::empty()),
-        Err(e) => Err(ServiceError::new("io", format!("reading journal: {e}"))),
-    }
-}
-
-/// Reads a file that may legitimately not exist (checkpoints before the
-/// first campaign).
-fn read_optional(path: &std::path::Path) -> Result<Option<String>, ServiceError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(ServiceError::new("io", format!("reading {}: {e}", path.display()))),
-    }
-}
-
 /// The suffix of `intact` (repaired journal record text) starting at
 /// the record with sequence `from_seq`, or `None` when that record is
 /// not present. Record DNs are the first line of each LDIF paragraph,
@@ -2023,18 +1698,10 @@ fn journal_text_from(intact: &str, from_seq: u64) -> Option<&str> {
     None
 }
 
-fn append_file(path: &std::path::Path, text: &str) -> std::io::Result<()> {
-    if text.is_empty() {
-        return Ok(());
-    }
-    let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-    f.write_all(text.as_bytes())?;
-    f.sync_data()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bschema_core::journal::shard_journal_path;
     use bschema_core::paper::{white_pages_instance, white_pages_schema};
 
     fn service() -> DirectoryService {
@@ -2296,5 +1963,35 @@ mod tests {
         assert_eq!(svc.snapshot().canonical_bytes(), final_bytes);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn an_unjournaled_sharded_service_stages_no_journal_records() {
+        let base = bschema_workload::multi_org_base(4, 12, 7);
+        let svc = DirectoryService::new_sharded(white_pages_schema(), base, 4).unwrap();
+        let (a, b) = orgs_on_distinct_shards(4);
+        // 1 000 commits — cross-shard insert, modify, two deletes — with
+        // |D| back at its start after every round.
+        for i in 0..250 {
+            let pair = format!(
+                "{}\n{}",
+                person_ldif(&format!("x{i}"), &a),
+                person_ldif(&format!("y{i}"), &b)
+            );
+            assert_eq!(svc.apply_ldif_tx(&pair).unwrap().shards, 2);
+            let phone = Mod::Add { attribute: "telephoneNumber".into(), value: "+1".into() };
+            svc.modify(&format!("uid=x{i},o={a}"), &[phone]).unwrap();
+            for (uid, org) in [("x", &a), ("y", &b)] {
+                svc.apply_ldif_tx(&format!("dn: uid={uid}{i},o={org}\nchangetype: delete\n"))
+                    .unwrap();
+            }
+        }
+        for k in 0..4 {
+            assert_eq!(
+                svc.with_engine(k, JournaledDirectory::journal_stats),
+                (0, 0),
+                "shard {k} encoded journal records nothing will ever drain"
+            );
+        }
     }
 }

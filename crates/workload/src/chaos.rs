@@ -26,7 +26,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bschema_core::journal::{Journal, JournalWriter};
+use bschema_core::checkpoint::recover_with_checkpoint;
+use bschema_core::engine::{JournaledDirectory, MemoryJournal, Op};
+use bschema_core::journal::Journal;
 use bschema_core::legality::LegalityOptions;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::white_pages_schema;
@@ -128,11 +130,15 @@ pub struct RunStats {
 /// the atomicity and recovery invariants at every step. Panics with a
 /// diagnostic on the first violation.
 pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPlan>) -> RunStats {
-    let mut managed = ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
-        .expect("chaos base instance is legal")
-        .with_options(options)
-        .with_probe(plan.clone());
-    let mut writer = JournalWriter::new();
+    let mut live = JournaledDirectory::new(
+        ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
+            .expect("chaos base instance is legal")
+            .with_options(options)
+            .with_probe(plan.clone()),
+    );
+    let disk = MemoryJournal::default();
+    live.set_sink(disk.sink());
+    let legal = |live: &JournaledDirectory| live.managed().is_legal();
     let mut journal_text = String::new();
     let mut stats = RunStats {
         applied: 0,
@@ -143,30 +149,30 @@ pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPla
     };
 
     for (i, tx) in w.txs.iter().enumerate() {
-        let before = managed.instance().canonical_bytes();
-        let result = managed.apply_journaled(tx, &mut writer);
-        journal_text.push_str(&writer.take_pending());
+        let before = live.instance().canonical_bytes();
+        let result = live.apply(Op::Tx { tx, global: None });
+        journal_text.push_str(&disk.take());
         match result {
             Ok(()) => {
-                assert!(managed.is_legal(), "tx {i}: committed transaction left illegal state");
+                assert!(legal(&live), "tx {i}: committed transaction left illegal state");
                 stats.applied += 1;
             }
             Err(ManagedError::Panicked { reason }) => {
                 assert_eq!(
-                    managed.instance().canonical_bytes(),
+                    live.instance().canonical_bytes(),
                     before,
                     "tx {i}: panicked transaction ({reason}) was not atomic"
                 );
-                assert!(managed.is_legal(), "tx {i}: panicked transaction poisoned the state");
+                assert!(legal(&live), "tx {i}: panicked transaction poisoned the state");
                 stats.panicked += 1;
             }
             Err(e) => {
                 assert_eq!(
-                    managed.instance().canonical_bytes(),
+                    live.instance().canonical_bytes(),
                     before,
                     "tx {i}: failed transaction ({e}) was not atomic"
                 );
-                assert!(managed.is_legal(), "tx {i}: failed transaction poisoned the state");
+                assert!(legal(&live), "tx {i}: failed transaction poisoned the state");
                 stats.rejected += 1;
             }
         }
@@ -177,16 +183,19 @@ pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPla
     // transactions only.
     let journal = Journal::parse(&journal_text);
     assert!(!journal.truncated, "journal written by an uncrashed run must parse intact");
-    let (recovered, report) = ManagedDirectory::recover(w.schema.clone(), w.base.clone(), &journal)
+    let rec = recover_with_checkpoint(w.schema.clone(), w.base.clone(), None, &journal)
         .expect("recovery from an intact journal succeeds");
-    assert_eq!(report.replayed, stats.applied, "recovery must replay exactly the committed txs");
     assert_eq!(
-        recovered.instance().canonical_bytes(),
-        managed.instance().canonical_bytes(),
+        rec.report.replayed, stats.applied,
+        "recovery must replay exactly the committed txs"
+    );
+    assert_eq!(
+        rec.managed.instance().canonical_bytes(),
+        live.instance().canonical_bytes(),
         "journal recovery must reproduce the live directory byte for byte"
     );
 
-    stats.final_state = managed.instance().canonical_bytes();
+    stats.final_state = live.instance().canonical_bytes();
     stats.journal_text = journal_text;
     stats
 }
@@ -258,11 +267,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
         let journal = Journal::parse(&baseline.journal_text[..cut]);
         let committed = journal.committed().count();
-        let (recovered, rep) =
-            ManagedDirectory::recover(w.schema.clone(), w.base.clone(), &journal)
-                .expect("recovery from a truncated journal succeeds");
-        assert_eq!(rep.replayed, committed, "cut at byte {cut}: replay count mismatch");
-        assert!(recovered.is_legal(), "cut at byte {cut}: recovered directory is illegal");
+        let rec = recover_with_checkpoint(w.schema.clone(), w.base.clone(), None, &journal)
+            .expect("recovery from a truncated journal succeeds");
+        assert_eq!(rec.report.replayed, committed, "cut at byte {cut}: replay count mismatch");
+        assert!(rec.managed.is_legal(), "cut at byte {cut}: recovered directory is illegal");
         report.crash_cuts += 1;
     }
 

@@ -11,9 +11,11 @@
 //!    and asserts the failed transaction left every shard byte-identical
 //!    to its pre-transaction state (all-shards rollback), while a
 //!    fault-free mirror engine tracks what committed;
-//! 3. after each run, [`ShardedDirectory::recover`] is driven from the
-//!    per-shard journals and must converge to the live engine's state —
-//!    in particular for commits torn between peers.
+//! 3. after each run, recovery
+//!    ([`ShardedDirectory::recover_with_checkpoints`], no checkpoints)
+//!    is driven from the per-shard journals — in-memory sinks stand in
+//!    for the files — and must converge to the live engine's state, in
+//!    particular for commits torn between peers.
 //!
 //! `injected == census` is asserted: every event really took its panic.
 //! `CHAOS_SEED` reseeds the workload; `SHARDED_CHAOS_PREFIX` narrows the
@@ -21,6 +23,7 @@
 
 use std::sync::Arc;
 
+use bschema_core::engine::MemoryJournal;
 use bschema_core::journal::Journal;
 use bschema_core::paper::white_pages_schema;
 use bschema_core::sharded::{partition, ShardedDirectory};
@@ -100,6 +103,10 @@ fn replay_and_check(
     context: &str,
 ) -> usize {
     let chaotic = engine(base, plan);
+    let disks: Vec<MemoryJournal> = (0..SHARDS).map(|_| MemoryJournal::default()).collect();
+    for (k, disk) in disks.iter().enumerate() {
+        chaotic.set_sink(k, disk.sink());
+    }
     let mirror = engine(base, None);
     let mut committed = 0usize;
     for (i, tx) in txs.iter().enumerate() {
@@ -129,11 +136,15 @@ fn replay_and_check(
 
     // Post-crash convergence: recover from the per-shard journals onto
     // the pristine partition of the base and compare to the live state.
-    let journals: Vec<Journal> =
-        (0..SHARDS).map(|k| Journal::parse(&chaotic.take_pending(k))).collect();
+    let journals: Vec<Journal> = disks.iter().map(|disk| Journal::parse(&disk.take())).collect();
     let bases = partition(base, SHARDS).expect("partition");
-    let (recovered, _reports) = ShardedDirectory::recover(white_pages_schema(), bases, &journals)
-        .unwrap_or_else(|e| panic!("{context}: recovery failed ({e})"));
+    let (recovered, _reports) = ShardedDirectory::recover_with_checkpoints(
+        white_pages_schema(),
+        bases,
+        &vec![None; SHARDS],
+        &journals,
+    )
+    .unwrap_or_else(|e| panic!("{context}: recovery failed ({e})"));
     let live = chaotic.merged_instance().expect("merge").canonical_bytes();
     let recovered_bytes = recovered.merged_instance().expect("merge").canonical_bytes();
     assert_eq!(recovered_bytes, live, "{context}: recovery diverges from live state");
@@ -224,4 +235,55 @@ fn targeted_2pc_site_matrix() {
         }
     }
     assert!(covered > 0, "no 2-phase sites matched {prefix:?}; census: {census:?}");
+}
+
+/// A shard whose sink accepts begin batches and refuses commit batches:
+/// the engine counts every failed commit flush
+/// (`server.journal_commit_io_error`, as on the single backend) and the
+/// verdict stands.
+#[test]
+fn a_failed_commit_flush_on_a_shard_is_counted_and_the_verdict_stands() {
+    use bschema_core::engine::SITE_COMMIT_IO_ERROR;
+    use bschema_core::updates::Mod;
+    use bschema_directory::{Dn, Rdn};
+
+    let (base, _) = workload();
+    let recorder = Arc::new(bschema_obs::Recorder::new());
+    let sharded = ShardedDirectory::with_instance(white_pages_schema(), base, SHARDS)
+        .expect("generated base is legal")
+        .with_probe(recorder.clone());
+    for k in 0..SHARDS {
+        sharded.set_sink(
+            k,
+            Box::new(|text: &str| match text.contains("jrntype: commit") {
+                true => Err(std::io::Error::other("disk full")),
+                false => Ok(()),
+            }),
+        );
+    }
+    let counted =
+        || recorder.metrics().snapshot().counters.get(SITE_COMMIT_IO_ERROR).copied().unwrap_or(0);
+    let person = |uid: &str, org: &str| {
+        format!("dn: uid={uid},o={org}\nobjectClass: person\nobjectClass: top\nuid: {uid}\nname: {uid}\n")
+    };
+    let shard =
+        |org: &str| bschema_core::sharded::shard_of_root_rdn(&Rdn::single("o", org), SHARDS);
+    let other = (1..4).map(|i| format!("org{i}")).find(|o| shard(o) != shard("org0")).expect("org");
+
+    // A single-shard TXN and a MODIFY flush one commit each, a
+    // cross-shard TXN one per participant.
+    sharded.apply_ldif(parse_ldif(&person("f1", "org0")).expect("ldif")).expect("verdict stands");
+    assert_eq!(counted(), 1);
+    sharded
+        .modify_dn(
+            &Dn::parse("uid=f1,o=org0").expect("dn"),
+            &[Mod::Add { attribute: "telephoneNumber".into(), value: "+1".into() }],
+        )
+        .expect("verdict stands");
+    assert_eq!(counted(), 2);
+    let cross = format!("{}\n{}", person("f2", "org0"), person("f3", &other));
+    let outcome = sharded.apply_ldif(parse_ldif(&cross).expect("ldif")).expect("verdict stands");
+    assert_eq!(outcome.shards.len(), 2);
+    assert_eq!(counted(), 4);
+    assert!(sharded.is_legal());
 }
