@@ -527,19 +527,22 @@ fn cmd_apply(args: &[String], out: &mut String) -> Result<i32, CliError> {
     };
 
     let tx = build_transaction(engine.instance(), &read_file(tx_path)?, &ldif_limits)?;
-    // WAL discipline, owned by the engine: the begin record (with the
-    // full transaction payload) is synced to the file before the instance
-    // mutates; the commit record is written only after the transaction is
-    // certified legal. A rolled-back or crashed transaction leaves an
-    // uncommitted record that `recover` discards.
+    // WAL discipline, owned by the engine: the transaction is certified
+    // legal on a copy first, the begin record (with the full transaction
+    // payload) is synced to the file before the instance changes, then
+    // the commit record. A rolled-back transaction writes nothing; a
+    // crash in between leaves an uncommitted record that `recover`
+    // discards.
     let journal_error =
         |e: std::io::Error| usage_error(format!("cannot write journal {journal_path:?}: {e}"));
-    let staged = engine.prepare(Op::Tx { tx: &tx, global: None }).map_err(journal_error)?;
-    let code = match engine.apply_staged(staged) {
+    let code = match engine.certify(Op::Tx { tx: &tx, global: None }) {
         Ok(certified) => {
+            let begun = engine.begin(certified).map_err(journal_error)?;
             // Unlike a server, the process ends here: a commit record
             // that did not reach the file means the change is lost.
-            engine.commit(certified).map_err(journal_error)?;
+            let (committed, flushed) = engine.commit(begun);
+            flushed.map_err(journal_error)?;
+            engine.install(committed);
             let _ = writeln!(
                 out,
                 "APPLIED: {} op(s); directory now has {} entries (legal)",
@@ -1943,8 +1946,9 @@ name: a
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("APPLIED"), "{out}");
 
-        // Illegal transaction: rolled back, so the journal gains an
-        // uncommitted begin record that recovery must discard.
+        // Illegal transaction: rolled back before anything is
+        // journalled, so the file does not grow.
+        let committed = std::fs::read_to_string(&journal).unwrap();
         let bad = write_tmp(
             "t14b.ldif",
             "dn: uid=c,uid=a,o=acme\nobjectClass: person\nobjectClass: top\nuid: c\nname: c\n",
@@ -1952,6 +1956,18 @@ name: a
         let (code, out) = run_ok(&["apply", &schema, &data, &bad, "--journal", &journal]);
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("ROLLED BACK"), "{out}");
+        assert_eq!(std::fs::read_to_string(&journal).unwrap(), committed);
+
+        // A crash between begin and commit: the begin records are
+        // durable, the commit record never lands. Recovery must discard
+        // them.
+        let parsed = Journal::parse(&committed);
+        let mut writer =
+            bschema_core::journal::JournalWriter::resume_at(parsed.next_seq(), parsed.next_tx());
+        let mut tx = Transaction::new();
+        tx.insert_root(bschema_directory::Entry::builder().classes(["person", "top"]).build());
+        writer.begin(&tx);
+        std::fs::write(&journal, committed + &writer.take_pending()).unwrap();
 
         let (code, out) = run_ok(&["recover", &schema, &data, &journal]);
         assert_eq!(code, 0, "{out}");

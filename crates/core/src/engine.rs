@@ -4,14 +4,18 @@
 //! records, a [`JournalSink`] makes them durable. This type owns all
 //! three and never hands out `&mut ManagedDirectory`, so the write-ahead
 //! discipline is a property of the type, not a convention per call site:
-//! [`prepare`](JournaledDirectory::prepare) flushes the begin records
-//! *before* any mutation, [`apply_staged`](JournaledDirectory::apply_staged)
-//! runs exactly the staged operation and yields a [`Certified`] token
-//! only on a legal verdict, and [`commit`](JournaledDirectory::commit)
-//! needs that token. The steps are separate so a cross-shard 2-phase
-//! apply can prepare everywhere before committing anywhere and a caller
-//! can span each step; [`apply`](JournaledDirectory::apply) bundles
-//! them. Without a sink nothing is staged at all.
+//! [`certify`](JournaledDirectory::certify) runs the operation to a legal
+//! verdict on a structurally shared copy, [`begin`](JournaledDirectory::begin)
+//! flushes the begin records, [`commit`](JournaledDirectory::commit) the
+//! commit record, and only [`install`](JournaledDirectory::install) swaps
+//! the copy in. Each step consumes the previous step's token, so the
+//! live state never changes before its begin record is durable and a
+//! refused operation writes nothing at all. The steps are separate so a
+//! caller can span each, and so a cross-shard 2-phase apply can begin
+//! everywhere before committing anywhere and commit everywhere before
+//! installing anywhere — which is why it keeps no pre-image;
+//! [`apply`](JournaledDirectory::apply) bundles them. Without a sink
+//! nothing is journalled at all.
 //!
 //! The other halves of durability live here too, once each:
 //! [`replay`](JournaledDirectory::replay), [`open`](JournaledDirectory::open)
@@ -32,7 +36,7 @@ use crate::checkpoint::{
     CheckpointRecovery,
 };
 use crate::journal::{Journal, JournalTx, JournalWriter, RecoveryReport};
-use crate::managed::{ManagedDirectory, ManagedError};
+use crate::managed::{ManagedDirectory, ManagedError, Successor};
 use crate::schema::DirectorySchema;
 use crate::updates::{Mod, Transaction};
 
@@ -176,20 +180,27 @@ pub enum Op<'a> {
     },
 }
 
-/// An operation whose write-ahead records are durable.
+/// An operation certified legal on a structurally shared copy; neither
+/// the journal nor the live state has seen it.
 #[derive(Debug)]
-#[must_use = "apply it, or drop it as an aborted journal tail"]
-pub struct Staged<'a> {
+#[must_use = "begin it, or drop it: nothing was written and nothing changed"]
+pub struct Certified<'a> {
     op: Op<'a>,
+    next: Successor,
+}
+
+/// A certified operation whose write-ahead records are durable.
+#[derive(Debug)]
+#[must_use = "commit it, or drop it as an aborted journal tail"]
+pub struct Begun {
+    next: Successor,
     tx_id: Option<u64>,
 }
 
-/// An operation that was applied and certified legal.
+/// A begun operation whose commit record went to the journal.
 #[derive(Debug)]
-#[must_use = "a certified operation must be committed to the journal"]
-pub struct Certified {
-    tx_id: Option<u64>,
-}
+#[must_use = "a committed operation must be installed"]
+pub struct Committed(Successor);
 
 /// A managed directory, its journal writer and (optionally) the sink
 /// that makes the journal durable. See the module docs.
@@ -303,26 +314,31 @@ impl JournaledDirectory {
         (self.writer.records_emitted(), self.writer.bytes_emitted())
     }
 
-    /// A copy of the certified state — the pre-image a 2-phase apply
-    /// keeps per prepared shard, for [`restore`](Self::restore).
-    pub fn pre_image(&self) -> ManagedDirectory {
-        self.managed.clone()
-    }
-
     /// Replaces the state wholesale, keeping the current probe: a
-    /// 2-phase rollback to a [`pre_image`](Self::pre_image) (whose
-    /// journal records stay an uncommitted tail), or a follower
-    /// installing a freshly bootstrapped state. Not journalled.
+    /// follower installing a freshly bootstrapped state. Not journalled.
     pub fn restore(&mut self, mut state: ManagedDirectory) {
         state.swap_probe(self.managed.swap_probe(None));
         self.managed = state;
     }
 
-    /// Step 1: encodes the begin + payload records of `op` and flushes
-    /// them through the sink. On `Err` nothing was mutated. Without a
-    /// sink this stages nothing.
-    pub fn prepare<'a>(&mut self, op: Op<'a>) -> io::Result<Staged<'a>> {
-        let Some(sink) = &mut self.sink else { return Ok(Staged { op, tx_id: None }) };
+    /// Step 1: runs `op` through the guarded, checked apply on a
+    /// structurally shared copy of the instance. On `Err` — an illegal
+    /// verdict, a typed error, a panic — there is no record, no mutation.
+    pub fn certify<'a>(&self, op: Op<'a>) -> Result<Certified<'a>, ManagedError> {
+        let next = match op {
+            Op::Tx { tx, .. } => self.managed.certify_tx(tx)?.1,
+            Op::Modify { target, mods } => self.managed.certify_modify(target, mods)?.1,
+            Op::Schema { schema, .. } => ManagedDirectory::certify_schema(schema.clone())?,
+        };
+        Ok(Certified { op, next })
+    }
+
+    /// Step 2: encodes the begin + payload records of the certified
+    /// operation and flushes them through the sink. On `Err` nothing
+    /// was mutated. Without a sink this journals nothing.
+    pub fn begin(&mut self, certified: Certified<'_>) -> io::Result<Begun> {
+        let Certified { op, next } = certified;
+        let Some(sink) = &mut self.sink else { return Ok(Begun { next, tx_id: None }) };
         let id = match op {
             Op::Tx { tx, global: None } => self.writer.begin(tx),
             Op::Tx { tx, global: Some((gid, peers)) } => self.writer.begin_global(tx, gid, peers),
@@ -330,33 +346,29 @@ impl JournaledDirectory {
             Op::Schema { dsl, local, global, .. } => self.writer.begin_schema(dsl, local, global),
         };
         sink(&self.writer.take_pending())?;
-        Ok(Staged { op, tx_id: Some(id) })
-    }
-
-    /// Step 2: runs the staged operation through the guarded, checked
-    /// apply. On `Err` the instance is byte-identical to before and the
-    /// staged records remain an uncommitted tail recovery discards.
-    pub fn apply_staged(&mut self, staged: Staged<'_>) -> Result<Certified, ManagedError> {
-        match staged.op {
-            Op::Tx { tx, .. } => self.managed.apply(tx),
-            Op::Modify { target, mods } => self.managed.modify_entry(target, mods),
-            Op::Schema { schema, .. } => self.managed.set_schema(schema.clone()),
-        }?;
-        Ok(Certified { tx_id: staged.tx_id })
+        Ok(Begun { next, tx_id: Some(id) })
     }
 
     /// Step 3: encodes and flushes the commit record. A flush failure
-    /// cannot un-apply the operation, so the verdict stands: the error
-    /// is counted at [`SITE_COMMIT_IO_ERROR`] on the directory's probe
-    /// and returned for callers that want to report it as well.
-    pub fn commit(&mut self, certified: Certified) -> io::Result<()> {
-        let (Some(id), Some(sink)) = (certified.tx_id, &mut self.sink) else { return Ok(()) };
+    /// does not revoke the verdict, so the token comes back either way:
+    /// the error is counted at [`SITE_COMMIT_IO_ERROR`] on the
+    /// directory's probe and returned for callers that report it too.
+    pub fn commit(&mut self, begun: Begun) -> (Committed, io::Result<()>) {
+        let committed = Committed(begun.next);
+        let (Some(id), Some(sink)) = (begun.tx_id, &mut self.sink) else {
+            return (committed, Ok(()));
+        };
         self.writer.commit(id);
         let flushed = sink(&self.writer.take_pending());
         if flushed.is_err() {
             self.managed.probe().add(SITE_COMMIT_IO_ERROR, 1);
         }
-        flushed
+        (committed, flushed)
+    }
+
+    /// Step 4: swaps the certified copy in as the live state.
+    pub fn install(&mut self, committed: Committed) {
+        self.managed.install(committed.0);
     }
 
     /// A failed begin flush as the refusal it is: nothing was mutated.
@@ -365,12 +377,13 @@ impl JournaledDirectory {
         ManagedError::Internal(format!("{shard}journal begin flush: {e}"))
     }
 
-    /// The whole write-ahead sequence: prepare, apply, commit. A commit
-    /// flush failure is counted, not returned (see [`commit`](Self::commit)).
+    /// The whole write-ahead sequence. A commit flush failure is
+    /// counted, not returned (see [`commit`](Self::commit)).
     pub fn apply(&mut self, op: Op<'_>) -> Result<(), ManagedError> {
-        let staged = self.prepare(op).map_err(|e| self.begin_flush_error(e))?;
-        let certified = self.apply_staged(staged)?;
-        let _counted = self.commit(certified);
+        let certified = self.certify(op)?;
+        let begun = self.begin(certified).map_err(|e| self.begin_flush_error(e))?;
+        let (committed, _counted) = self.commit(begun);
+        self.install(committed);
         Ok(())
     }
 
@@ -458,28 +471,33 @@ mod tests {
         let mut engine = JournaledDirectory::new(managed);
         let legal = insert(ids.databases, ["researcher", "person", "top"], "uid");
 
-        // No sink: applies, stages nothing.
+        // No sink: applies, journals nothing.
         engine.apply(Op::Tx { tx: &legal, global: None }).expect("legal insert");
         assert_eq!((engine.managed().len(), engine.journal_stats()), (7, (0, 0)));
 
         let mem = MemoryJournal::default();
         engine.set_sink(mem.sink());
         let legal = insert(ids.att_labs, ["researcher", "person", "top"], "uid");
-        let staged = engine.prepare(Op::Tx { tx: &legal, global: None }).expect("flushes");
-        let begun = mem.take();
-        assert!(begun.contains("jrntype: insert") && !begun.contains("jrntype: commit"));
-        assert_eq!(engine.managed().len(), 7, "nothing applied yet");
-        let certified = engine.apply_staged(staged).expect("legal");
-        assert_eq!(mem.take(), "", "apply writes no records");
-        engine.commit(certified).expect("flushes");
+        let certified = engine.certify(Op::Tx { tx: &legal, global: None }).expect("legal");
+        assert_eq!(mem.take(), "", "the verdict writes no records");
+        let begun = engine.begin(certified).expect("flushes");
+        let text = mem.take();
+        assert!(text.contains("jrntype: insert") && !text.contains("jrntype: commit"));
+        let (committed, flushed) = engine.commit(begun);
+        flushed.expect("flushes");
         assert!(mem.take().contains("jrntype: commit"));
+        assert_eq!(engine.managed().len(), 7, "the live state changes last");
+        engine.install(committed);
+        assert_eq!(engine.managed().len(), 8);
 
-        // A rejected operation leaves an uncommitted tail and no token.
+        // A rejected operation yields no token and reaches neither the
+        // instance nor the journal.
         let illegal = insert(ids.suciu, ["orgUnit", "orgGroup", "top"], "ou");
+        let before = (engine.instance().canonical_bytes(), engine.journal_stats());
         let err = engine.apply(Op::Tx { tx: &illegal, global: None }).expect_err("illegal");
         assert!(matches!(err, ManagedError::RolledBack(_)), "{err}");
-        let tail = Journal::parse(&mem.take());
-        assert_eq!((tail.txs.len(), tail.committed().count()), (1, 0));
+        assert_eq!(mem.take(), "", "a refusal journals nothing");
+        assert_eq!((engine.instance().canonical_bytes(), engine.journal_stats()), before);
 
         // A failed begin flush aborts before any mutation.
         engine.set_sink(Box::new(|_: &str| Err(io::Error::other("disk full"))));

@@ -927,20 +927,32 @@ mod tests {
         tx1.insert_under(ids.databases, researcher("zoe"));
         live.apply(Op::Tx { tx: &tx1, global: None }).unwrap();
 
-        // An illegal transaction: journalled write-ahead, never committed.
+        let mut text = mem.take();
+
+        // An illegal transaction: refused on its copy, never journalled.
         let mut tx2 = Transaction::new();
         tx2.insert_under(
             ids.suciu,
             Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "x").build(),
         );
         live.apply(Op::Tx { tx: &tx2, global: None }).unwrap_err();
+        assert_eq!(mem.take(), "");
+
+        // A transaction abandoned between begin and commit (the process
+        // died there, or a peer shard refused its part): journalled
+        // write-ahead, never committed, never installed.
+        let mut abandoned = Transaction::new();
+        abandoned.insert_under(ids.databases, researcher("kim"));
+        let certified = live.certify(Op::Tx { tx: &abandoned, global: None }).unwrap();
+        let _never_committed = live.begin(certified).unwrap();
 
         let mut tx3 = Transaction::new();
         tx3.insert_under(ids.att_labs, researcher("pat"));
         live.apply(Op::Tx { tx: &tx3, global: None }).unwrap();
 
-        let text = mem.take();
+        text.push_str(&mem.take());
         let journal = Journal::parse(&text);
+        assert_eq!(journal.txs.len(), 3);
         assert_eq!(journal.committed().count(), 2);
 
         let (recovered, report) = recover(schema, base, &journal).expect("recovery succeeds");

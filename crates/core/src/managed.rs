@@ -4,8 +4,8 @@
 //! schema-checked directory server core. Construction verifies the schema
 //! is consistent (§5 — a schema nothing can satisfy is rejected up front);
 //! every update transaction is applied atomically and checked with the
-//! incremental §4 machinery, rolling back if it would leave the directory
-//! illegal.
+//! incremental §4 machinery on a structurally shared copy of the
+//! instance, swapped in on a legal verdict and dropped otherwise.
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,7 +34,7 @@ pub enum ManagedError {
     /// rolled back.
     RolledBack(LegalityReport),
     /// The engine panicked mid-transaction (e.g. an injected fault or a
-    /// dying worker); the pre-transaction snapshot was restored, so the
+    /// dying worker); the copy it was running on was dropped, so the
     /// directory is unchanged and still legal.
     Panicked {
         /// The panic payload, when it carried a message.
@@ -117,8 +117,7 @@ impl fmt::Debug for ProbeHandle {
     }
 }
 
-/// Records the diagnostics of a rolled-back transaction. Called with the
-/// offending report **before** the snapshot is restored, so a failed
+/// Records the diagnostics of a rolled-back transaction, so a failed
 /// transaction still surfaces the violation set that caused the rollback
 /// instead of silently dropping it with the rejected state.
 fn record_rollback(probe: &dyn Probe, report: &LegalityReport) {
@@ -143,14 +142,22 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs probe-recording code that must never compromise a rollback: a
-/// fault injected *inside the probe itself* (or any buggy probe impl) is
-/// caught and surfaced as the panic reason instead of unwinding past the
-/// snapshot restore.
+/// Runs probe-recording code that must never decide an outcome: a fault
+/// injected *inside the probe itself* (or any buggy probe impl) is caught
+/// and surfaced as the panic reason instead of unwinding out of the
+/// apply.
 fn guard_probe(f: impl FnOnce()) -> Option<String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .err()
         .map(|payload| panic_reason(payload.as_ref()))
+}
+
+/// The verdict on an operation that could not be carried out on `entry`.
+fn inapplicable(entry: EntryId, message: String) -> LegalityReport {
+    LegalityReport::from_violations(vec![crate::legality::Violation::ValueViolation {
+        entry,
+        message,
+    }])
 }
 
 /// Maps an inconsistent consistency-check result to a structured error:
@@ -166,6 +173,15 @@ pub(crate) fn inconsistency_error(result: &crate::consistency::ConsistencyResult
     }
 }
 
+/// A certified successor state, not installed yet: the instance an
+/// operation left on its structurally shared copy, or the consistent
+/// schema a cutover swaps to. Exists only after a legal verdict.
+#[derive(Debug)]
+pub(crate) enum Successor {
+    Instance(DirectoryInstance),
+    Schema(Box<DirectorySchema>),
+}
+
 /// A bounding-schema-enforcing directory.
 #[derive(Debug, Clone)]
 pub struct ManagedDirectory {
@@ -174,12 +190,6 @@ pub struct ManagedDirectory {
     /// Whether the current instance is known legal (enables the incremental
     /// §4 checks; until then transactions are fully rechecked).
     known_legal: bool,
-    /// Set while a transaction is in flight and cleared once the snapshot
-    /// discipline has resolved it (commit or rollback). If a panic ever
-    /// escapes the guarded apply path — a double fault during rollback —
-    /// this stays `true` and [`is_legal`](ManagedDirectory::is_legal)
-    /// reports `false` until a successful transaction re-certifies.
-    poisoned: bool,
     /// Execution engine for every legality / incremental check.
     options: LegalityOptions,
     /// Instrumentation probe threaded into every check (no-op by default).
@@ -235,7 +245,6 @@ impl ManagedDirectory {
             schema,
             dir,
             known_legal: report.is_legal(),
-            poisoned: false,
             options: LegalityOptions::default(),
             probe: ProbeHandle::default(),
         };
@@ -302,12 +311,29 @@ impl ManagedDirectory {
     /// is deliberately preserved on the same trust basis as journal
     /// replay trusting committed transactions.
     pub fn set_schema(&mut self, schema: DirectorySchema) -> Result<(), ManagedError> {
+        let next = Self::certify_schema(schema)?;
+        self.install(next);
+        Ok(())
+    }
+
+    /// The consistency half of [`set_schema`](Self::set_schema).
+    pub(crate) fn certify_schema(schema: DirectorySchema) -> Result<Successor, ManagedError> {
         let result = ConsistencyChecker::new(&schema).check();
         if !result.is_consistent() {
             return Err(inconsistency_error(&result));
         }
-        self.schema = schema;
-        Ok(())
+        Ok(Successor::Schema(Box::new(schema)))
+    }
+
+    /// Makes a certified successor the live state. Infallible: a swap.
+    pub(crate) fn install(&mut self, next: Successor) {
+        match next {
+            Successor::Instance(dir) => {
+                self.dir = dir;
+                self.known_legal = true;
+            }
+            Successor::Schema(schema) => self.schema = *schema,
+        }
     }
 
     /// Read access to the underlying instance.
@@ -327,129 +353,113 @@ impl ManagedDirectory {
 
     /// Whether the current contents satisfy the schema. `false` before the
     /// first successful transaction of a directory that starts with unmet
-    /// `◇c` requirements, and while the poisoned flag of an unresolved
-    /// mid-transaction fault is set.
+    /// `◇c` requirements.
     pub fn is_legal(&self) -> bool {
-        self.known_legal && !self.poisoned
+        self.known_legal
     }
 
     /// The crash-consistency core every mutating operation runs through.
     ///
-    /// The sequence is: snapshot the instance, set the poisoned flag, run
-    /// `body` (mutation + legality verdict) under `catch_unwind`, then
-    /// resolve — commit on a legal verdict, otherwise restore the
-    /// snapshot. Rollback diagnostics are recorded through the probe
-    /// **before** the restore, and recording itself is panic-guarded so
-    /// not even a fault injected inside the probe can skip the restore.
-    /// Whatever happens inside `body` — a structurally invalid
-    /// transaction, an illegal verdict, a typed internal error, or a
-    /// panic at any instrumented site — the instance afterwards is either
-    /// the committed new state or byte-identical to the snapshot.
-    fn guarded_apply<R>(
-        &mut self,
-        body: impl FnOnce(&mut Self, &dyn Probe) -> Result<(R, LegalityReport), ManagedError>,
-    ) -> Result<R, ManagedError> {
-        let handle = self.probe.clone();
-        let probe = handle.get();
-        let snapshot = self.dir.clone();
-        self.poisoned = true;
+    /// `body` (mutation + legality verdict) runs under `catch_unwind` on
+    /// a structurally shared copy of the instance — a clone shares every
+    /// chunk the operation does not write. A legal verdict returns the
+    /// copy as the certified successor; a structurally invalid
+    /// transaction, an illegal verdict, a typed internal error or a
+    /// panic at any instrumented site drops it. The live instance is not
+    /// touched either way, so nothing can be half-applied and there is
+    /// nothing to restore. Rollback diagnostics are recorded through the
+    /// probe before the `managed.apply` span closes, and recording itself
+    /// is panic-guarded: instrumentation never decides an outcome.
+    fn certify<R>(
+        &self,
+        body: impl FnOnce(
+            &mut DirectoryInstance,
+            &dyn Probe,
+        ) -> Result<(R, LegalityReport), ManagedError>,
+    ) -> Result<(R, Successor), ManagedError> {
+        let probe = self.probe.get();
+        let mut next = self.dir.clone();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let span = probe.span_start(NO_SPAN, "managed.apply", 0);
-            (span, body(self, probe))
+            (span, body(&mut next, probe))
         }));
-        match outcome {
+        let (span, refusal) = match outcome {
             Ok((span, Ok((value, report)))) if report.is_legal() => {
-                self.known_legal = true;
-                self.poisoned = false;
-                // A probe fault after the verdict must not undo the
-                // commit: instrumentation never decides transaction
-                // outcomes.
                 let _ = guard_probe(|| {
                     if probe.enabled() {
                         probe.add("managed.tx_applied", 1);
                     }
                     probe.span_end(span);
                 });
-                Ok(value)
+                return Ok((value, Successor::Instance(next)));
             }
-            Ok((span, Ok((_, report)))) => {
-                let probe_fault = guard_probe(|| record_rollback(probe, &report));
-                self.dir = snapshot;
-                self.poisoned = false;
-                let _ = guard_probe(|| probe.span_end(span));
-                match probe_fault {
-                    Some(reason) => Err(ManagedError::Panicked { reason }),
-                    None => Err(ManagedError::RolledBack(report)),
-                }
-            }
-            Ok((span, Err(e))) => {
-                let probe_fault = guard_probe(|| match &e {
-                    ManagedError::RolledBack(report) => record_rollback(probe, report),
-                    ManagedError::Transaction(_) if probe.enabled() => {
-                        probe.add("managed.tx_invalid", 1);
-                    }
-                    _ => {}
-                });
-                self.dir = snapshot;
-                self.poisoned = false;
-                let _ = guard_probe(|| probe.span_end(span));
-                match probe_fault {
-                    Some(reason) => Err(ManagedError::Panicked { reason }),
-                    None => Err(e),
-                }
-            }
+            Ok((span, Ok((_, report)))) => (Some(span), ManagedError::RolledBack(report)),
+            Ok((span, Err(e))) => (Some(span), e),
+            // The span stays open — the tracer renders unclosed spans
+            // explicitly, mirroring how the trace of a real crash ends.
             Err(payload) => {
-                // Record the reason before the restore (the span stays
-                // open — the tracer renders unclosed spans explicitly,
-                // mirroring how the trace of a real crash ends).
-                let reason = panic_reason(payload.as_ref());
-                let _ = guard_probe(|| {
-                    if probe.enabled() {
-                        probe.add("managed.tx_panicked", 1);
-                        probe.add_labeled("managed.rollback_reason", "panic", 1);
-                    }
-                });
-                self.dir = snapshot;
-                self.poisoned = false;
-                Err(ManagedError::Panicked { reason })
+                (None, ManagedError::Panicked { reason: panic_reason(payload.as_ref()) })
             }
+        };
+        let probe_fault = guard_probe(|| match &refusal {
+            ManagedError::RolledBack(report) => record_rollback(probe, report),
+            ManagedError::Transaction(_) if probe.enabled() => probe.add("managed.tx_invalid", 1),
+            ManagedError::Panicked { .. } if probe.enabled() => {
+                probe.add("managed.tx_panicked", 1);
+                probe.add_labeled("managed.rollback_reason", "panic", 1);
+            }
+            _ => {}
+        });
+        if let Some(span) = span {
+            let _ = guard_probe(|| probe.span_end(span));
         }
+        Err(match probe_fault {
+            Some(reason) => ManagedError::Panicked { reason },
+            None => refusal,
+        })
+    }
+
+    /// Runs `tx` to a verdict without touching the live state: the
+    /// inserted subtrees' roots and the successor to
+    /// [`install`](Self::install).
+    pub(crate) fn certify_tx(
+        &self,
+        tx: &Transaction,
+    ) -> Result<(Vec<EntryId>, Successor), ManagedError> {
+        self.certify(|dir, probe| {
+            if self.known_legal {
+                // D is legal: the Theorem 4.1 + Figure 5 incremental path.
+                let applied = apply_and_check_probed(&self.schema, dir, tx, self.options, probe)?;
+                return Ok((applied.inserted_roots, applied.report));
+            }
+            // No legality baseline: apply, then full check.
+            let normalized = tx.normalize(dir)?;
+            let mut roots = Vec::with_capacity(normalized.insertions.len());
+            for subtree in &normalized.insertions {
+                roots.push(subtree.apply(dir)?[0]);
+            }
+            for &root in &normalized.deletion_roots {
+                dir.remove_subtree(root).map_err(|e| {
+                    ManagedError::Internal(format!("removing validated deletion root {root}: {e}"))
+                })?;
+            }
+            dir.prepare();
+            Ok((roots, self.checker().check(dir)))
+        })
     }
 
     /// Applies `tx` atomically: if the resulting directory would be
     /// illegal, no change is made and the violations are returned.
     pub fn apply(&mut self, tx: &Transaction) -> Result<(), ManagedError> {
-        self.guarded_apply(|me, probe| {
-            if me.known_legal {
-                // D is legal: the Theorem 4.1 + Figure 5 incremental path.
-                let applied =
-                    apply_and_check_probed(&me.schema, &mut me.dir, tx, me.options, probe)?;
-                Ok(((), applied.report))
-            } else {
-                // No legality baseline: apply, then full check.
-                let normalized = tx.normalize(&me.dir)?;
-                for subtree in &normalized.insertions {
-                    subtree.apply(&mut me.dir)?;
-                }
-                for &root in &normalized.deletion_roots {
-                    me.dir.remove_subtree(root).map_err(|e| {
-                        ManagedError::Internal(format!(
-                            "removing validated deletion root {root}: {e}"
-                        ))
-                    })?;
-                }
-                me.dir.prepare();
-                Ok(((), me.checker().check(&me.dir)))
-            }
-        })
+        let (_, next) = self.certify_tx(tx)?;
+        self.install(next);
+        Ok(())
     }
 
     /// Single-insert convenience (one-op transaction).
     pub fn insert_under(&mut self, parent: EntryId, entry: Entry) -> Result<EntryId, ManagedError> {
         let mut tx = Transaction::new();
         tx.insert_under(parent, entry);
-        // Capture the id deterministically: it is the root of the single
-        // inserted subtree, i.e. the next slot the instance assigns.
         self.apply_returning_root(&tx)
     }
 
@@ -461,24 +471,12 @@ impl ManagedDirectory {
     }
 
     fn apply_returning_root(&mut self, tx: &Transaction) -> Result<EntryId, ManagedError> {
-        self.guarded_apply(|me, probe| {
-            let applied = if me.known_legal {
-                apply_and_check_probed(&me.schema, &mut me.dir, tx, me.options, probe)?
-            } else {
-                let normalized = tx.normalize(&me.dir)?;
-                let mut roots = Vec::new();
-                for subtree in &normalized.insertions {
-                    roots.push(subtree.apply(&mut me.dir)?[0]);
-                }
-                me.dir.prepare();
-                let report = me.checker().check(&me.dir);
-                crate::updates::AppliedTx { inserted_roots: roots, removed: Vec::new(), report }
-            };
-            let root = applied.inserted_roots.first().copied().ok_or_else(|| {
-                ManagedError::Internal("single-insert transaction produced no root".to_owned())
-            })?;
-            Ok((root, applied.report))
-        })
+        let (roots, next) = self.certify_tx(tx)?;
+        let root = roots.first().copied().ok_or_else(|| {
+            ManagedError::Internal("single-insert transaction produced no root".to_owned())
+        })?;
+        self.install(next);
+        Ok(root)
     }
 
     /// Single subtree-delete convenience: deletes `target` and its whole
@@ -494,61 +492,64 @@ impl ManagedDirectory {
         self.apply(&tx)
     }
 
-    /// Modifies one entry's attributes (LDAP Modify), atomically: rolled
-    /// back if the result would be illegal.
-    pub fn modify_entry(
-        &mut self,
+    /// Runs an LDAP Modify of `target` to a verdict without touching the
+    /// live state.
+    pub(crate) fn certify_modify(
+        &self,
         target: EntryId,
         mods: &[crate::updates::Mod],
-    ) -> Result<(), ManagedError> {
-        self.guarded_apply(|me, _probe| {
-            let Some(changed) = crate::updates::apply_mods(&mut me.dir, target, mods) else {
-                let report = crate::legality::LegalityReport::from_violations(vec![
-                    crate::legality::Violation::ValueViolation {
-                        entry: target,
-                        message: "no such entry".to_owned(),
-                    },
-                ]);
-                return Ok(((), report));
+    ) -> Result<((), Successor), ManagedError> {
+        self.certify(|dir, _probe| {
+            let Some(changed) = crate::updates::apply_mods(dir, target, mods) else {
+                return Ok(((), inapplicable(target, "no such entry".to_owned())));
             };
-            me.dir.prepare();
-            let report = if me.known_legal {
-                crate::updates::check_modification(&me.schema, &me.dir, target, &changed)
+            dir.prepare();
+            let report = if self.known_legal {
+                crate::updates::check_modification(&self.schema, dir, target, &changed)
             } else {
-                me.checker().check(&me.dir)
+                self.checker().check(dir)
             };
             Ok(((), report))
         })
     }
 
+    /// Modifies one entry's attributes (LDAP Modify), atomically: no
+    /// change is made if the result would be illegal.
+    pub fn modify_entry(
+        &mut self,
+        target: EntryId,
+        mods: &[crate::updates::Mod],
+    ) -> Result<(), ManagedError> {
+        let ((), next) = self.certify_modify(target, mods)?;
+        self.install(next);
+        Ok(())
+    }
+
     /// Moves the subtree rooted at `target` under `new_parent` (LDAP
-    /// ModifyDN), atomically: rolled back if the result would be illegal.
+    /// ModifyDN), atomically: no change is made if the result would be
+    /// illegal.
     pub fn move_subtree(
         &mut self,
         target: EntryId,
         new_parent: EntryId,
     ) -> Result<(), ManagedError> {
-        self.guarded_apply(|me, probe| {
-            if let Err(e) = me.dir.move_subtree(target, new_parent) {
-                let report = crate::legality::LegalityReport::from_violations(vec![
-                    crate::legality::Violation::ValueViolation {
-                        entry: target,
-                        message: e.to_string(),
-                    },
-                ]);
-                return Ok(((), report));
+        let ((), next) = self.certify(|dir, probe| {
+            if let Err(e) = dir.move_subtree(target, new_parent) {
+                return Ok(((), inapplicable(target, e.to_string())));
             }
-            me.dir.prepare();
-            let report = if me.known_legal {
-                crate::updates::IncrementalChecker::new(&me.schema)
-                    .with_options(me.options)
+            dir.prepare();
+            let report = if self.known_legal {
+                crate::updates::IncrementalChecker::new(&self.schema)
+                    .with_options(self.options)
                     .with_probe(probe)
-                    .check_move(&me.dir, target)
+                    .check_move(dir, target)
             } else {
-                me.checker().check(&me.dir)
+                self.checker().check(dir)
             };
             Ok(((), report))
-        })
+        })?;
+        self.install(next);
+        Ok(())
     }
 
     /// Evaluates a hierarchical selection query against the directory.

@@ -25,16 +25,17 @@
 //!   query is non-empty" agree on every legal instance.
 //!
 //! Single-shard transactions lock one shard and never contend.
-//! Cross-shard transactions run a 2-phase apply: *prepare* snapshots
-//! and applies every involved shard (journal `begin` staged before the
-//! mutation, carrying a global id + peer count), *commit* stages the
-//! per-shard commit records. Any failure or panic rolls every prepared
-//! shard back to its snapshot. A crash between the phases leaves commit
-//! records on a strict subset of the peers;
+//! Cross-shard transactions run a 2-phase apply: *prepare* certifies
+//! every involved shard's part on a structurally shared copy and flushes
+//! its journal `begin` (carrying a global id + peer count), *commit*
+//! flushes the per-shard commit records, and only then is every copy
+//! installed. A failure or panic before that drops the copies: no
+//! shard's live state has moved. A crash or panic between two commit
+//! flushes leaves commit records on a strict subset of the peers;
 //! [`ShardedDirectory::recover_with_checkpoints`] reconciles by keeping
 //! a global transaction only when its commit is intact in **all** peer
-//! journals, so recovery converges to the same state the live rollback
-//! produced.
+//! journals, so recovery converges to the same state the live engine
+//! kept.
 //!
 //! Every shard is a [`JournaledDirectory`]: the router decides *which*
 //! shards and in *what order*, the engine owns the write-ahead sequence
@@ -799,11 +800,11 @@ impl ShardedDirectory {
     /// under `target` (the evolution plane rechecks before calling);
     /// this method owns the mechanics: under the epoch write lock and
     /// every shard lock (ascending — no transaction can interleave), a
-    /// schema record carrying one global id is staged and flushed on
-    /// every shard (write-ahead, `jrnlocal` so replay strips `Cr`),
-    /// each shard engine swaps to the `Cr`-stripped target, the `◇c`
-    /// ledger is re-derived from scratch under the new `Cr` key set,
-    /// the epoch is published, and every shard's commit record lands.
+    /// schema record carrying one global id is flushed on every shard
+    /// (write-ahead, `jrnlocal` so replay strips `Cr`), every shard's
+    /// commit record lands, each shard engine swaps to the
+    /// `Cr`-stripped target, the `◇c` ledger is re-derived from scratch
+    /// under the new `Cr` key set, and the epoch is published.
     /// A crash between the phases tears the cutover; recovery's
     /// all-peers reconciliation then discards it on every shard, so
     /// the directory converges to the pre-cutover epoch.
@@ -829,37 +830,34 @@ impl ShardedDirectory {
         let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
         let peers = guards.len() as u64;
         // Phase 1: write-ahead the schema record on every shard. A
-        // flush error aborts with only uncommitted records staged —
+        // flush error aborts with only uncommitted records journalled —
         // recovery discards them and the old epoch stands.
         let local = target.without_required_classes();
         let cutover = Op::Schema { schema: &local, dsl, local: true, global: Some((gid, peers)) };
-        let mut staged = Vec::with_capacity(guards.len());
+        let mut begun = Vec::with_capacity(guards.len());
         for (k, engine) in guards.iter_mut().enumerate() {
             probe.add_labeled("sharded.schema.prepare", &format!("shard{k}"), 1);
-            staged.push(engine.prepare(cutover).map_err(|e| engine.begin_flush_error(e))?);
+            let certified = engine.certify(cutover)?;
+            begun.push(engine.begin(certified).map_err(|e| engine.begin_flush_error(e))?);
         }
         // Fault/probe site between epoch prepare (schema records
         // write-ahead on every shard) and the swap: a panic here leaves
         // uncommitted schema records — recovery discards them and the
         // old epoch stands, so a retried cutover succeeds cleanly.
         probe.add("schema.cutover", 1);
-        // Swap every shard engine onto the Cr-stripped target. The
-        // target was consistency-checked above, so per-shard refusal is
-        // unreachable; if it ever fires, fail before any engine moved.
-        let mut certified = Vec::with_capacity(guards.len());
-        for (engine, staged) in guards.iter_mut().zip(staged) {
-            certified.push(engine.apply_staged(staged)?);
+        // Phase 2: commit records on every shard, then swap every shard
+        // engine onto the Cr-stripped target. A torn flush is counted by
+        // the engine and repaired at recovery by the all-peers
+        // reconciliation rule.
+        let committed: Vec<_> =
+            guards.iter_mut().zip(begun).map(|(engine, begun)| engine.commit(begun).0).collect();
+        for (engine, committed) in guards.iter_mut().zip(committed) {
+            engine.install(committed);
         }
         // Re-derive the `◇c` ledger under the new `Cr` key set.
         let required = required_class_names(&target);
         self.recount(&guards, &required);
         *epoch = SchemaEpoch { schema: target, local, required };
-        // Phase 2: commit records. A torn flush here is counted by the
-        // engine and repaired at recovery by the all-peers
-        // reconciliation rule.
-        for (engine, certified) in guards.iter_mut().zip(certified) {
-            let _counted = engine.commit(certified);
-        }
         Ok(())
     }
 
@@ -906,13 +904,14 @@ impl ShardedDirectory {
         }
     }
 
-    /// Cross-shard 2-phase apply. Prepare: per shard, snapshot the
-    /// engine, stage+flush `begin` records carrying (gid, peers), and
-    /// run the shard's guarded apply. Commit: stage+flush every shard's
-    /// commit record. Any error or panic — including ones injected at
-    /// the `sharded.*` probe sites — restores every prepared shard's
-    /// snapshot, so the live state is all-or-nothing; a torn commit
-    /// flush is repaired at recovery by the all-peers reconciliation.
+    /// Cross-shard 2-phase apply. Prepare: per shard, certify the
+    /// sub-transaction on a structurally shared copy, then flush `begin`
+    /// records carrying (gid, peers). Commit: flush every shard's commit
+    /// record, and only then install every copy. An error or panic
+    /// before that — including ones injected at the `sharded.*` probe
+    /// sites — drops the copies, so the live state is all-or-nothing
+    /// with nothing to restore; a torn commit flush is repaired at
+    /// recovery by the all-peers reconciliation.
     fn apply_cross(
         &self,
         guards: &mut [(usize, MutexGuard<'_, JournaledDirectory>)],
@@ -924,54 +923,41 @@ impl ShardedDirectory {
         let peers = guards.len() as u64;
         let shards: Vec<usize> = guards.iter().map(|(k, _)| *k).collect();
 
-        let mut snapshots: Vec<ManagedDirectory> = Vec::with_capacity(guards.len());
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), ShardedError> {
+        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, ShardedError> {
             // Phase 1: prepare every shard.
-            let mut certified = Vec::with_capacity(guards.len());
+            let mut begun = Vec::with_capacity(guards.len());
             for ((k, engine), tx) in guards.iter_mut().zip(subtxs) {
                 probe.add_labeled("sharded.prepare", &format!("shard{k}"), 1);
-                snapshots.push(engine.pre_image());
-                let staged = engine
-                    .prepare(Op::Tx { tx, global: Some((gid, peers)) })
-                    .map_err(|e| engine.begin_flush_error(e))?;
-                certified.push(engine.apply_staged(staged)?);
+                let certified = engine.certify(Op::Tx { tx, global: Some((gid, peers)) })?;
+                begun.push(engine.begin(certified).map_err(|e| engine.begin_flush_error(e))?);
             }
             probe.add("sharded.prepared", 1);
             // Phase 2: commit every shard. A failed flush is counted by
             // the engine; the verdict stands.
-            for ((k, engine), certified) in guards.iter_mut().zip(certified) {
+            let mut committed = Vec::with_capacity(guards.len());
+            for ((k, engine), begun) in guards.iter_mut().zip(begun) {
                 probe.add_labeled("sharded.commit", &format!("shard{k}"), 1);
-                let _counted = engine.commit(certified);
+                committed.push(engine.commit(begun).0);
             }
-            Ok(())
+            Ok(committed)
         }));
-        match attempt {
-            Ok(Ok(())) => Ok(ShardedTxOutcome { shards, gid: Some(gid), ops }),
-            Ok(Err(e)) => {
-                self.rollback_prepared(guards, snapshots);
-                Err(e)
+        let refusal = match attempt {
+            Ok(Ok(committed)) => {
+                for ((_, engine), committed) in guards.iter_mut().zip(committed) {
+                    engine.install(committed);
+                }
+                return Ok(ShardedTxOutcome { shards, gid: Some(gid), ops });
             }
+            Ok(Err(e)) => e,
             Err(payload) => {
-                self.rollback_prepared(guards, snapshots);
-                let reason = crate::managed::panic_reason(payload.as_ref());
-                Err(ManagedError::Panicked { reason }.into())
+                ManagedError::Panicked { reason: crate::managed::panic_reason(payload.as_ref()) }
+                    .into()
             }
-        }
-    }
-
-    /// Restores every prepared shard's snapshot. The `sharded.rollback`
-    /// probe site is itself a chaos target, so it is panic-guarded: an
-    /// injected panic here must not abort the restore.
-    fn rollback_prepared(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, JournaledDirectory>)],
-        snapshots: Vec<ManagedDirectory>,
-    ) {
-        let probe = self.probe();
+        };
+        // The `sharded.rollback` probe site is itself a chaos target: an
+        // injected panic here must not escape the apply.
         let _ = catch_unwind(AssertUnwindSafe(|| probe.add("sharded.rollback", 1)));
-        for ((_, engine), snapshot) in guards.iter_mut().zip(snapshots) {
-            engine.restore(snapshot);
-        }
+        Err(refusal)
     }
 }
 
@@ -1113,6 +1099,9 @@ mod tests {
     #[test]
     fn cross_shard_apply_is_atomic_under_a_failing_shard() {
         let sharded = sharded(8);
+        let mems = journal_in_memory(&sharded);
+        let shard_bytes = |k: usize| sharded.shard_instance(k).canonical_bytes();
+        let parts_before: Vec<Vec<u8>> = (0..8).map(shard_bytes).collect();
         let before = sharded.merged_instance().expect("merge").canonical_bytes();
         // Two new top-level orgs on provably different shards in one
         // transaction; the second is illegal (an organization with an
@@ -1127,6 +1116,22 @@ mod tests {
         let after = sharded.merged_instance().expect("merge").canonical_bytes();
         assert_eq!(before, after, "failed cross-shard tx left residue");
         assert!(sharded.is_legal());
+        // No shard's instance moved, slot for slot — the refusal came
+        // before anything was installed anywhere.
+        assert_eq!((0..8).map(shard_bytes).collect::<Vec<_>>(), parts_before);
+        // The shard certified first (shard 0) had flushed its begin
+        // records when shard 1 refused; the refusing shard journalled
+        // nothing. Recovery discards that one uncommitted tail.
+        let journals: Vec<Journal> = mems.iter().map(|m| Journal::parse(&m.take())).collect();
+        let tails: Vec<usize> = journals.iter().map(|j| j.txs.len()).collect();
+        assert_eq!(tails, [1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(journals[0].committed().count(), 0);
+        let (dir, _) = white_pages_instance();
+        let bases = partition(&dir, 8).expect("partition");
+        let (recovered, reports) =
+            recover(white_pages_schema(), bases, &journals).expect("recover");
+        assert_eq!(reports.iter().map(|r| (r.replayed, r.discarded)).max(), Some((0, 1)));
+        assert_eq!(recovered.merged_instance().expect("merge").canonical_bytes(), before);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! each attribute name to exactly one definition (the paper's typing function
 //! `τ : A → T`).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -16,6 +17,17 @@ use crate::syntax::Syntax;
 /// The well-known name of the class-membership attribute (Definition 2.1
 /// requires `objectClass ∈ A` with `τ(objectClass) = string`).
 pub const OBJECT_CLASS: &str = "objectclass";
+
+/// The namespace key of a (case-insensitive) attribute or class name:
+/// its ASCII-lowercase form, borrowed when the name already is one — as
+/// the names that reach a lookup nearly always are.
+pub(crate) fn fold_name(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// Definition of one attribute type in the global namespace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,11 +189,7 @@ impl AttributeRegistry {
 
     /// Looks up an attribute by (case-insensitive) name.
     pub fn get(&self, name: &str) -> Option<&AttributeDef> {
-        if let Some(&idx) = self.by_key.get(name) {
-            return Some(&self.defs[idx]);
-        }
-        let key = name.to_ascii_lowercase();
-        self.by_key.get(&key).map(|&idx| &self.defs[idx])
+        self.by_key.get(fold_name(name).as_ref()).map(|&idx| &self.defs[idx])
     }
 
     /// The syntax for `name`, defaulting to case-ignore directory string for

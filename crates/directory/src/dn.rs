@@ -83,7 +83,7 @@ impl Rdn {
                 .avas
                 .iter()
                 .zip(&other.avas)
-                .all(|(a, b)| a.attr == b.attr && a.normalized_value() == b.normalized_value())
+                .all(|(a, b)| a.attr == b.attr && crate::syntax::case_ignore_eq(&a.value, &b.value))
     }
 
     fn normalized_string(&self) -> String {

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::attribute::OBJECT_CLASS;
+use crate::attribute::{fold_name, OBJECT_CLASS};
 
 /// A directory entry: a multimap from attribute name to value set.
 ///
@@ -100,8 +100,7 @@ impl Entry {
 
     /// The values of `attr` (empty slice if absent).
     pub fn values(&self, attr: &str) -> &[String] {
-        let key = attr.to_ascii_lowercase();
-        self.attrs.get(&key).map_or(&[], |v| v.as_slice())
+        self.attrs.get(fold_name(attr).as_ref()).map_or(&[], |v| v.as_slice())
     }
 
     /// The first value of `attr`, if any (convenience for single-valued use).

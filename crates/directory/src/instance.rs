@@ -9,8 +9,10 @@
 //! through the shared accessors.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::attribute::AttributeRegistry;
+use crate::cow::CowVec;
 use crate::dn::{Dn, Rdn};
 use crate::entry::Entry;
 use crate::forest::{EntryId, Forest, ForestError};
@@ -93,15 +95,23 @@ pub struct SlotRow {
 }
 
 /// An LDAP directory instance.
+///
+/// Cloning is cheap and structurally shared: the entry and RDN tables
+/// are chunked copy-on-write vectors, the registry and the index sit
+/// behind `Arc`s, and only the forest's link arena is copied outright.
+/// Two clones share every chunk neither has written to, so a clone is
+/// the unit of atomicity of a transaction (mutate the copy, swap it in
+/// or drop it) and of publication (readers keep the version they
+/// started on).
 #[derive(Debug, Clone)]
 pub struct DirectoryInstance {
     forest: Forest,
     /// Slot-parallel entry storage.
-    entries: Vec<Option<Entry>>,
+    entries: CowVec<Option<Entry>>,
     /// Slot-parallel RDN storage (optional naming).
-    rdns: Vec<Option<Rdn>>,
-    registry: AttributeRegistry,
-    index: Option<InstanceIndex>,
+    rdns: CowVec<Option<Rdn>>,
+    registry: Arc<AttributeRegistry>,
+    index: Option<Arc<InstanceIndex>>,
 }
 
 impl Default for DirectoryInstance {
@@ -115,9 +125,9 @@ impl DirectoryInstance {
     pub fn new(registry: AttributeRegistry) -> Self {
         DirectoryInstance {
             forest: Forest::new(),
-            entries: Vec::new(),
-            rdns: Vec::new(),
-            registry,
+            entries: CowVec::new(),
+            rdns: CowVec::new(),
+            registry: Arc::new(registry),
             index: None,
         }
     }
@@ -138,7 +148,7 @@ impl DirectoryInstance {
                 slot: id.index() as u32,
                 parent: self.forest.parent(id).map(|p| p.index() as u32),
                 rdn: self.rdn(id).cloned(),
-                entry: self.entries[id.index()].clone().expect("live node has an entry"),
+                entry: self.live_entry(id).clone(),
             })
             .collect()
     }
@@ -157,15 +167,15 @@ impl DirectoryInstance {
     ) -> Result<DirectoryInstance, InstanceError> {
         let live: Vec<(u32, Option<u32>)> = rows.iter().map(|r| (r.slot, r.parent)).collect();
         let forest = Forest::from_slots(slot_bound, &live, free)?;
-        let mut entries: Vec<Option<Entry>> = Vec::new();
-        let mut rdns: Vec<Option<Rdn>> = Vec::new();
-        entries.resize_with(slot_bound, || None);
-        rdns.resize_with(slot_bound, || None);
+        let mut instance = DirectoryInstance { forest, ..DirectoryInstance::new(registry) };
+        instance.entries.grow_to(slot_bound, || None);
+        instance.rdns.grow_to(slot_bound, || None);
         for row in rows {
-            entries[row.slot as usize] = Some(row.entry);
-            rdns[row.slot as usize] = row.rdn;
+            let id = EntryId::from_index(row.slot as usize);
+            *instance.entry_slot(id) = Some(row.entry);
+            *instance.rdn_slot(id) = row.rdn;
         }
-        Ok(DirectoryInstance { forest, entries, rdns, registry, index: None })
+        Ok(instance)
     }
 
     /// The attribute namespace.
@@ -174,8 +184,11 @@ impl DirectoryInstance {
     }
 
     /// Mutable access to the attribute namespace (for late registration).
+    /// Invalidates the index: which attributes carry equality postings
+    /// is derived from the registry.
     pub fn registry_mut(&mut self) -> &mut AttributeRegistry {
-        &mut self.registry
+        self.invalidate();
+        Arc::make_mut(&mut self.registry)
     }
 
     /// The underlying forest (read-only).
@@ -194,15 +207,26 @@ impl DirectoryInstance {
     }
 
     fn grow_slots(&mut self, id: EntryId) {
-        let needed = id.index() + 1;
-        if self.entries.len() < needed {
-            self.entries.resize_with(needed, || None);
-            self.rdns.resize_with(needed, || None);
-        }
+        self.entries.grow_to(id.index() + 1, || None);
+        self.rdns.grow_to(id.index() + 1, || None);
     }
 
     fn invalidate(&mut self) {
         self.index = None;
+    }
+
+    /// The entry cell of an allocated slot, un-sharing its chunk.
+    fn entry_slot(&mut self, id: EntryId) -> &mut Option<Entry> {
+        self.entries.get_mut(id.index()).expect("slot is allocated")
+    }
+
+    /// The RDN cell of an allocated slot, un-sharing its chunk.
+    fn rdn_slot(&mut self, id: EntryId) -> &mut Option<Rdn> {
+        self.rdns.get_mut(id.index()).expect("slot is allocated")
+    }
+
+    fn live_entry(&self, id: EntryId) -> &Entry {
+        self.entries.get(id.index()).and_then(Option::as_ref).expect("live node has an entry")
     }
 
     // ----- construction -----
@@ -212,8 +236,8 @@ impl DirectoryInstance {
         self.invalidate();
         let id = self.forest.add_root();
         self.grow_slots(id);
-        self.entries[id.index()] = Some(entry);
-        self.rdns[id.index()] = None;
+        *self.entry_slot(id) = Some(entry);
+        *self.rdn_slot(id) = None;
         id
     }
 
@@ -227,8 +251,8 @@ impl DirectoryInstance {
         self.invalidate();
         let id = self.forest.add_child(parent)?;
         self.grow_slots(id);
-        self.entries[id.index()] = Some(entry);
-        self.rdns[id.index()] = None;
+        *self.entry_slot(id) = Some(entry);
+        *self.rdn_slot(id) = None;
         Ok(id)
     }
 
@@ -238,7 +262,7 @@ impl DirectoryInstance {
             return Err(InstanceError::DuplicateRdn(rdn.to_string()));
         }
         let id = self.add_root_entry(entry);
-        self.rdns[id.index()] = Some(rdn);
+        *self.rdn_slot(id) = Some(rdn);
         Ok(id)
     }
 
@@ -253,7 +277,7 @@ impl DirectoryInstance {
             return Err(InstanceError::DuplicateRdn(rdn.to_string()));
         }
         let id = self.add_child_entry(parent, entry)?;
-        self.rdns[id.index()] = Some(rdn);
+        *self.rdn_slot(id) = Some(rdn);
         Ok(id)
     }
 
@@ -263,8 +287,8 @@ impl DirectoryInstance {
     pub fn remove_leaf(&mut self, id: EntryId) -> Result<Entry, InstanceError> {
         self.forest.remove_leaf(id)?;
         self.invalidate();
-        self.rdns[id.index()] = None;
-        Ok(self.entries[id.index()].take().expect("live node has an entry"))
+        *self.rdn_slot(id) = None;
+        Ok(self.entry_slot(id).take().expect("live node has an entry"))
     }
 
     /// Removes the subtree rooted at `id`; returns removed `(id, entry)`
@@ -274,8 +298,8 @@ impl DirectoryInstance {
         self.invalidate();
         let mut out = Vec::with_capacity(order.len());
         for e in order {
-            self.rdns[e.index()] = None;
-            out.push((e, self.entries[e.index()].take().expect("live node has an entry")));
+            *self.rdn_slot(e) = None;
+            out.push((e, self.entry_slot(e).take().expect("live node has an entry")));
         }
         Ok(out)
     }
@@ -344,7 +368,7 @@ impl DirectoryInstance {
         if !self.forest.contains(id) {
             return Err(InstanceError::Forest(ForestError::NoSuchEntry(id)));
         }
-        self.rdns[id.index()] = Some(rdn);
+        *self.rdn_slot(id) = Some(rdn);
         Ok(())
     }
 
@@ -384,9 +408,7 @@ impl DirectoryInstance {
 
     /// Iterates `(id, entry)` in preorder.
     pub fn iter(&self) -> impl Iterator<Item = (EntryId, &Entry)> {
-        self.forest
-            .iter()
-            .map(move |id| (id, self.entries[id.index()].as_ref().expect("live node has an entry")))
+        self.forest.iter().map(move |id| (id, self.live_entry(id)))
     }
 
     /// Copies the subtree of `src` rooted at `root` into this instance
@@ -446,11 +468,11 @@ impl DirectoryInstance {
                 Some(p) => write!(out, "{}<{}", id.index(), p.index()),
                 None => write!(out, "{}<-", id.index()),
             };
-            let _ = match &self.rdns[id.index()] {
+            let _ = match self.rdn(id) {
                 Some(rdn) => write!(out, " rdn={:?}", rdn.to_string()),
                 None => write!(out, " rdn=-"),
             };
-            if let Some(entry) = &self.entries[id.index()] {
+            if let Some(entry) = self.entry(id) {
                 let _ = write!(out, " classes={:?}", entry.classes());
                 for (attr, values) in entry.attributes() {
                     let _ = write!(out, " {attr:?}={values:?}");
@@ -497,7 +519,8 @@ impl DirectoryInstance {
     pub fn prepare(&mut self) {
         self.forest.ensure_numbered();
         if self.index.is_none() {
-            self.index = Some(InstanceIndex::build(&self.forest, &self.entries));
+            self.index =
+                Some(Arc::new(InstanceIndex::build(&self.forest, &self.entries, &self.registry)));
         }
     }
 
@@ -511,7 +534,7 @@ impl DirectoryInstance {
     /// # Panics
     /// If the instance is not [`prepare`](Self::prepare)d.
     pub fn index(&self) -> &InstanceIndex {
-        self.index.as_ref().expect("instance not prepared; call prepare() after mutations")
+        self.index.as_deref().expect("instance not prepared; call prepare() after mutations")
     }
 }
 

@@ -22,6 +22,15 @@ fn is_safe(value: &str) -> bool {
 
 /// Appends one attribute line, folding long lines at 76 columns.
 fn push_line(out: &mut String, attr: &str, value: &str) {
+    // The common line — ASCII name, plain value, nothing to fold — is
+    // its own rendering: bytes are columns.
+    if attr.is_ascii() && attr.len() + 2 + value.len() <= 76 && is_safe(value) {
+        out.push_str(attr);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push('\n');
+        return;
+    }
     let line = if is_safe(value) {
         format!("{attr}: {value}")
     } else {
@@ -147,6 +156,67 @@ mod tests {
         let d2 = load(&text).unwrap();
         let id = d2.lookup_dn(&"o=att".parse().unwrap()).unwrap();
         assert_eq!(d2.entry(id).unwrap().first_value("description"), Some(long.as_str()));
+    }
+
+    /// `push_line` as it was before it had a fast path: render the whole
+    /// line, then cut it into 76/75-column pieces.
+    fn reference_line(out: &mut String, attr: &str, value: &str) {
+        let line = if is_safe(value) {
+            format!("{attr}: {value}")
+        } else {
+            format!("{attr}:: {}", base64::encode(value.as_bytes()))
+        };
+        let chars: Vec<char> = line.chars().collect();
+        let (head, rest) = chars.split_at(chars.len().min(76));
+        out.extend(head);
+        out.push('\n');
+        for piece in rest.chunks(75) {
+            out.push(' ');
+            out.extend(piece);
+            out.push('\n');
+        }
+    }
+
+    #[test]
+    fn the_fast_path_writes_what_the_folding_path_writes() {
+        let check = |attr: &str, value: &str| {
+            let (mut new, mut old) = (String::new(), String::new());
+            push_line(&mut new, attr, value);
+            reference_line(&mut old, attr, value);
+            assert_eq!(new, old, "{attr:?}: {value:?}");
+        };
+        // The cases the tests above cover, and the columns around the fold.
+        for value in ["", "x", " leading space", ":colon", "<url", "ünïcode", "a\nb", "nul\0"] {
+            check("description", value);
+            check("déscription", value);
+        }
+        for len in 60..90 {
+            check("description", &"x".repeat(len));
+            check("d", &"é".repeat(len));
+            check(&"n".repeat(len), "v");
+        }
+        check("description", &"x".repeat(300));
+
+        // A generated corpus: ten thousand lines of mixed alphabets and
+        // lengths on both sides of every limit.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        const ALPHABET: [char; 12] =
+            ['a', 'Z', '0', ' ', ':', '<', '@', '.', 'é', '\n', '\r', '\0'];
+        for _ in 0..10_000 {
+            let ascii_only = next(4) != 0;
+            let len = [next(12), next(40), 60 + next(30), next(200)][next(4)];
+            let value: String = (0..len)
+                .map(|_| ALPHABET[next(if ascii_only { 8 } else { ALPHABET.len() })])
+                .collect();
+            let attr = ["cn", "telephoneNumber", "objectClass", "ü"][next(4)];
+            check(attr, &value);
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   preorder/postorder interval numbering (the "sorted entries" the §3.2
 //!   query evaluation relies on).
 //! * [`instance`] — the assembled [`DirectoryInstance`] with secondary
-//!   indexes ([`index`]).
+//!   indexes ([`index`]); its side tables are chunked copy-on-write
+//!   vectors (`cow`), so clones share what they do not write.
 //! * [`dn`] / [`ldif`] — naming and interchange.
 //!
 //! ## Quick start
@@ -47,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod attribute;
+mod cow;
 pub mod dn;
 pub mod entry;
 pub mod forest;

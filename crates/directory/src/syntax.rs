@@ -216,7 +216,22 @@ impl Syntax {
 
     /// True iff two raw values match under this syntax's equality rule.
     pub fn values_match(self, a: &str, b: &str) -> bool {
-        self.normalize(a) == self.normalize(b)
+        self.matches_normalized(a, &self.normalize(b))
+    }
+
+    /// True iff `raw` normalizes to `needle`, itself already in
+    /// [`normalize`](Syntax::normalize)d form. A search normalizes its
+    /// needle once and tests every candidate value with this; the string
+    /// syntaxes compare without building the candidate's normal form.
+    pub fn matches_normalized(self, raw: &str, needle: &str) -> bool {
+        match self {
+            Syntax::DirectoryString | Syntax::Ia5String => case_ignore_matches(raw, needle),
+            Syntax::CaseExactString
+            | Syntax::Boolean
+            | Syntax::GeneralizedTime
+            | Syntax::OctetString => raw == needle,
+            _ => self.normalize(raw) == needle,
+        }
     }
 
     /// Compares two values under the syntax's ordering rule, if it has one.
@@ -257,6 +272,47 @@ pub(crate) fn normalize_case_ignore(raw: &str) -> String {
         }
     }
     out
+}
+
+/// The bytes of [`normalize_case_ignore`]`(raw)` for an all-ASCII `raw`,
+/// produced one by one: ASCII values — nearly all of them — are compared
+/// as folded streams, with no string built for either side.
+fn case_ignore_ascii(raw: &str) -> impl Iterator<Item = u8> + '_ {
+    debug_assert!(raw.is_ascii());
+    // The ASCII members of `char::is_whitespace` (unlike
+    // `u8::is_ascii_whitespace`, that includes vertical tab).
+    let is_space = |b: u8| matches!(b, b' ' | 0x09..=0x0D);
+    let mut rest = raw.trim().as_bytes();
+    std::iter::from_fn(move || {
+        let (&first, tail) = rest.split_first()?;
+        if !is_space(first) {
+            rest = tail;
+            return Some(first.to_ascii_lowercase());
+        }
+        // An inner run (the ends are trimmed) collapses to one space.
+        let run = rest.iter().take_while(|&&b| is_space(b)).count();
+        rest = &rest[run..];
+        Some(b' ')
+    })
+}
+
+/// `normalize_case_ignore(raw) == needle`, for a `needle` already in
+/// normal form.
+pub(crate) fn case_ignore_matches(raw: &str, needle: &str) -> bool {
+    if raw.is_ascii() {
+        case_ignore_ascii(raw).eq(needle.bytes())
+    } else {
+        normalize_case_ignore(raw) == needle
+    }
+}
+
+/// `normalize_case_ignore(a) == normalize_case_ignore(b)`.
+pub(crate) fn case_ignore_eq(a: &str, b: &str) -> bool {
+    if a.is_ascii() && b.is_ascii() {
+        case_ignore_ascii(a).eq(case_ignore_ascii(b))
+    } else {
+        normalize_case_ignore(a) == normalize_case_ignore(b)
+    }
 }
 
 fn validate_generalized_time(raw: &str) -> Result<(), SyntaxViolation> {

@@ -244,3 +244,216 @@ proptest! {
         }
     }
 }
+
+// ------------------------------------------------- structural sharing --
+
+/// A random mutation of an instance. Targets are picked modulo the live
+/// entry count, so every op applies whatever the instance looks like.
+#[derive(Debug, Clone)]
+enum Edit {
+    AddRoot,
+    AddChild(usize),
+    RemoveLeaf(usize),
+    RemoveSubtree(usize),
+    AddValue(usize),
+    Rename(usize),
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        1 => Just(Edit::AddRoot),
+        6 => any::<u16>().prop_map(|k| Edit::AddChild(k as usize)),
+        3 => any::<u16>().prop_map(|k| Edit::RemoveLeaf(k as usize)),
+        1 => any::<u16>().prop_map(|k| Edit::RemoveSubtree(k as usize)),
+        3 => any::<u16>().prop_map(|k| Edit::AddValue(k as usize)),
+        2 => any::<u16>().prop_map(|k| Edit::Rename(k as usize)),
+    ]
+}
+
+/// Applies `edits` in order; `tag` keeps what one side writes distinct
+/// from what the other side writes.
+fn apply_edits(dir: &mut DirectoryInstance, edits: &[Edit], tag: &str) {
+    for (n, edit) in edits.iter().enumerate() {
+        let live: Vec<EntryId> = dir.forest().iter().collect();
+        let pick = |k: usize| live.get(k % live.len().max(1)).copied();
+        let entry = Entry::builder().class("top").attr("uid", format!("{tag}{n}")).build();
+        match *edit {
+            Edit::AddRoot => {
+                dir.add_root_entry(entry);
+            }
+            Edit::AddChild(k) => match pick(k) {
+                Some(parent) => {
+                    dir.add_child_entry(parent, entry).expect("parent is live");
+                }
+                None => {
+                    dir.add_root_entry(entry);
+                }
+            },
+            Edit::RemoveLeaf(k) => {
+                if let Some(target) = pick(k).filter(|&t| dir.forest().is_leaf(t)) {
+                    dir.remove_leaf(target).expect("leaf is removable");
+                }
+            }
+            Edit::RemoveSubtree(k) => {
+                // Small subtrees only, so a run does not end up empty.
+                if let Some(target) = pick(k).filter(|&t| dir.forest().subtree_size(t) <= 4) {
+                    dir.remove_subtree(target).expect("target is live");
+                }
+            }
+            Edit::AddValue(k) => {
+                if let Some(target) = pick(k) {
+                    dir.entry_mut(target).expect("live").add_value("mail", format!("{tag}{n}@x"));
+                }
+            }
+            Edit::Rename(k) => {
+                if let Some(target) = pick(k) {
+                    dir.set_rdn(target, Rdn::single("uid", format!("{tag}{n}"))).expect("live");
+                }
+            }
+        }
+    }
+}
+
+/// An instance whose slot arena ends `slack` slots short of, on, or past
+/// a chunk boundary of the copy-on-write side tables (64 slots a chunk),
+/// with a few dead slots on the free stack.
+fn seeded(chunks: usize, slack: isize) -> DirectoryInstance {
+    let mut dir = DirectoryInstance::white_pages();
+    let slots = (chunks * 64).saturating_add_signed(slack);
+    let root = dir.add_root_entry(Entry::builder().class("top").attr("uid", "root").build());
+    let mut ids = vec![root];
+    for i in 1..slots {
+        let parent = ids[(i * 7) % ids.len()];
+        let entry = Entry::builder().class("top").attr("uid", format!("s{i}")).build();
+        ids.push(dir.add_child_entry(parent, entry).expect("parent is live"));
+    }
+    let leaves: Vec<EntryId> =
+        ids.into_iter().rev().filter(|&id| dir.forest().is_leaf(id)).collect();
+    for id in leaves.into_iter().take(3) {
+        dir.remove_leaf(id).expect("leaf");
+    }
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A clone shares storage with its source, and neither side ever
+    /// sees the other's writes: mutate one, the other's canonical bytes
+    /// stand — across chunk boundaries, through free-slot reuse, and
+    /// through a slot-exact snapshot round trip.
+    #[test]
+    fn clones_are_isolated_and_slot_exact(
+        chunks in 1usize..3,
+        slack in -2isize..3,
+        left in proptest::collection::vec(edit_strategy(), 1..24),
+        right in proptest::collection::vec(edit_strategy(), 1..24),
+    ) {
+        let mut a = seeded(chunks, slack);
+        if chunks == 2 {
+            a.prepare();
+        }
+        let original = a.canonical_bytes();
+
+        let mut b = a.clone();
+        apply_edits(&mut b, &left, "l");
+        prop_assert_eq!(a.canonical_bytes(), original.clone(), "the clone's writes reached the source");
+        let b_bytes = b.canonical_bytes();
+
+        apply_edits(&mut a, &right, "r");
+        prop_assert_eq!(b.canonical_bytes(), b_bytes.clone(), "the source's writes reached the clone");
+
+        // A third version forked from the clone is as independent.
+        let mut c = b.clone();
+        apply_edits(&mut c, &right, "c");
+        prop_assert_eq!(b.canonical_bytes(), b_bytes.clone());
+
+        // The observable state of a much-shared instance survives a
+        // slot-exact snapshot, and both copies hand out the same slots
+        // afterwards (dead slots are reused in the same order).
+        let mut restored = DirectoryInstance::from_slots(
+            b.registry().clone(),
+            b.forest().slot_bound(),
+            b.slot_rows(),
+            b.forest().free_slots(),
+        )
+        .expect("a live instance snapshots consistently");
+        prop_assert_eq!(restored.canonical_bytes(), b_bytes);
+        apply_edits(&mut b, &right, "x");
+        apply_edits(&mut restored, &right, "x");
+        prop_assert_eq!(restored.canonical_bytes(), b.canonical_bytes());
+        prop_assert_eq!(restored.forest().free_slots(), b.forest().free_slots());
+
+        // The index is shared until a version is written to, and
+        // preparing one version never shows up in another.
+        a.prepare();
+        let mut d = a.clone();
+        prop_assert!(d.is_prepared());
+        d.add_root_entry(Entry::builder().class("top").build());
+        prop_assert!(a.is_prepared() && !d.is_prepared());
+        d.prepare();
+        prop_assert_eq!(d.index().all_entries().len(), a.index().all_entries().len() + 1);
+    }
+}
+
+// ------------------------------------------------- matching primitives --
+
+/// Values over an alphabet that exercises case folding (ASCII and not),
+/// every ASCII whitespace character `char::is_whitespace` knows, and a
+/// non-ASCII space.
+const FOLDING: &str = "[abAB01 \t\u{0b}\u{0c}\r\nÉéßİ\u{a0}]{0,8}";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `Rdn::matches` compares folded streams; it must agree with
+    /// comparing the normalized strings AVA by AVA, as it used to.
+    #[test]
+    fn rdn_matching_agrees_with_normalized_strings(
+        left in proptest::collection::vec((proptest::sample::select(&["cn", "uid"][..]), FOLDING), 1..3),
+        right in proptest::collection::vec((proptest::sample::select(&["cn", "uid"][..]), FOLDING), 1..3),
+        echo in any::<bool>(),
+    ) {
+        use bschema_directory::dn::Ava;
+        use bschema_directory::Syntax;
+        let rdn = |avas: &[(&str, String)]| {
+            Rdn::new(avas.iter().map(|(attr, value)| Ava::new(*attr, value.clone())).collect())
+                .expect("at least one AVA")
+        };
+        // Half the pairs differ only in case and spacing, so that
+        // matches are as common as mismatches.
+        let respelled: Vec<(&str, String)> = left
+            .iter()
+            .map(|(attr, value)| (*attr, format!(" {} ", value.to_uppercase().replace(' ', " \t"))))
+            .collect();
+        let (a, b) = (rdn(&left), rdn(if echo { &respelled } else { &right }));
+        let by_strings = a.avas().len() == b.avas().len()
+            && a.avas().iter().zip(b.avas()).all(|(x, y)| {
+                let fold = |ava: &Ava| Syntax::DirectoryString.normalize(ava.value());
+                x.attr() == y.attr() && fold(x) == fold(y)
+            });
+        prop_assert_eq!(a.matches(&b), by_strings, "{:?} vs {:?}", a, b);
+        prop_assert_eq!(b.matches(&a), by_strings);
+    }
+
+    /// `matches_normalized` against a pre-normalized needle is
+    /// `values_match` as it was defined: equal normal forms.
+    #[test]
+    fn matching_a_normalized_needle_agrees_with_equal_normal_forms(
+        raw in FOLDING,
+        other in FOLDING,
+        echo in any::<bool>(),
+    ) {
+        use bschema_directory::syntax::ALL_SYNTAXES;
+        let other = if echo { format!("\t{} ", raw.to_lowercase()) } else { other };
+        for syntax in ALL_SYNTAXES {
+            let expected = syntax.normalize(&raw) == syntax.normalize(&other);
+            prop_assert_eq!(
+                syntax.matches_normalized(&raw, &syntax.normalize(&other)),
+                expected,
+                "{} {:?} {:?}", syntax, raw, other
+            );
+            prop_assert_eq!(syntax.values_match(&raw, &other), expected);
+        }
+    }
+}

@@ -6,8 +6,9 @@
 //! [`prepare`](bschema_directory::DirectoryInstance::prepare), the
 //! hierarchical operators are linear merges over the candidate lists,
 //! and the whole query costs O(|Q|·|D|). [`explain`] makes that
-//! concrete for one query on one instance: it mirrors the interval
-//! evaluator step for step and returns both the (identical) result and
+//! concrete for one query on one instance: it runs the interval
+//! evaluator's own access-path choice and merge operators step for step
+//! and returns both the (identical) result and
 //! an [`ExplainNode`] tree recording, per step, the access path taken
 //! (index reused, index-seeded scan, or full scan), the candidate-set
 //! sizes flowing in, and entries scanned vs. matched.
@@ -17,7 +18,9 @@ use std::borrow::Cow;
 use bschema_directory::{EntryId, Forest};
 use bschema_obs::json;
 
-use super::interval::{ancestor_select, child_select, descendant_select, parent_select};
+use super::interval::{
+    ancestor_select, child_select, descendant_select, parent_select, select_whole,
+};
 use super::EvalContext;
 use crate::algebra::{Binding, Query};
 use crate::filter::Filter;
@@ -206,8 +209,8 @@ fn binary<'a>(
     (Cow::Owned(out), node)
 }
 
-/// Mirrors `eval_select`: resolve the filter through the whole-instance
-/// access paths, then apply the Figure 5 binding.
+/// Mirrors `eval_select`: resolve the filter through the evaluator's own
+/// access-path choice, then apply the Figure 5 binding.
 fn explain_select<'a>(
     ctx: &EvalContext<'a>,
     filter: &Filter,
@@ -225,7 +228,7 @@ fn explain_select<'a>(
     if binding == Binding::Empty {
         return (Cow::Owned(Vec::new()), leaf(access::EMPTY, 0, 0));
     }
-    let (base, access, scanned) = explain_filter_whole(ctx, filter);
+    let (base, access, scanned) = select_whole(ctx, filter);
     let result = match binding {
         Binding::Whole => base,
         Binding::Delta => {
@@ -237,75 +240,6 @@ fn explain_select<'a>(
     };
     let node = leaf(access, scanned, result.len());
     (result, node)
-}
-
-/// Mirrors `eval_filter_whole`, additionally reporting the access path
-/// and how many entries it examined.
-fn explain_filter_whole<'a>(
-    ctx: &EvalContext<'a>,
-    filter: &Filter,
-) -> (Cow<'a, [EntryId]>, &'static str, usize) {
-    let dir = ctx.instance();
-    let index = dir.index();
-    match filter {
-        Filter::True => {
-            let list = index.all_entries();
-            (Cow::Borrowed(list), access::INDEX_REUSED, list.len())
-        }
-        Filter::False => (Cow::Owned(Vec::new()), access::EMPTY, 0),
-        Filter::Present(attr) => {
-            let list = index.entries_with_attribute(attr);
-            (Cow::Borrowed(list), access::INDEX_REUSED, list.len())
-        }
-        Filter::Equality(..) if filter.as_object_class().is_some() => {
-            let class = filter.as_object_class().expect("just checked");
-            let list = index.entries_with_class(class);
-            (Cow::Borrowed(list), access::INDEX_REUSED, list.len())
-        }
-        Filter::And(subs) => {
-            let seed = subs
-                .iter()
-                .filter_map(|f| {
-                    f.as_object_class().map(|c| index.entries_with_class(c)).or_else(|| match f {
-                        Filter::Present(a) => Some(index.entries_with_attribute(a)),
-                        _ => None,
-                    })
-                })
-                .min_by_key(|list| list.len());
-            match seed {
-                Some(list) => {
-                    let out: Vec<EntryId> = list
-                        .iter()
-                        .copied()
-                        .filter(|&id| {
-                            let entry = dir.entry(id).expect("indexed entries are live");
-                            subs.iter().all(|f| f.matches(entry, dir.registry()))
-                        })
-                        .collect();
-                    (Cow::Owned(out), access::INDEX_SEEDED, list.len())
-                }
-                None => full_scan(ctx, filter),
-            }
-        }
-        _ => full_scan(ctx, filter),
-    }
-}
-
-fn full_scan<'a>(
-    ctx: &EvalContext<'a>,
-    filter: &Filter,
-) -> (Cow<'a, [EntryId]>, &'static str, usize) {
-    let dir = ctx.instance();
-    let all = dir.index().all_entries();
-    let out: Vec<EntryId> = all
-        .iter()
-        .copied()
-        .filter(|&id| {
-            let entry = dir.entry(id).expect("indexed entries are live");
-            filter.matches(entry, dir.registry())
-        })
-        .collect();
-    (Cow::Owned(out), access::SCAN, all.len())
 }
 
 #[cfg(test)]
@@ -380,10 +314,19 @@ mod tests {
         );
         assert_eq!(seeded.plan.access, access::INDEX_SEEDED);
         assert_eq!((seeded.plan.scanned, seeded.plan.matched), (1, 1));
-        // A bare equality on a non-objectClass attribute has no index.
-        let scanned = explain(&ctx, &Query::select(Filter::Equality("uid".into(), "laks".into())));
+        // Equality on a single-valued attribute is answered from its
+        // postings: what is scanned is what is hit.
+        let keyed = explain(&ctx, &Query::select(Filter::eq("uid", "LAKS")));
+        assert_eq!(keyed.plan.access, access::INDEX_REUSED);
+        assert_eq!((keyed.plan.scanned, keyed.plan.matched), (1, 1));
+        // On any other attribute it tests the entries that hold one.
+        let held = explain(&ctx, &Query::select(Filter::eq("location", "fp")));
+        assert_eq!(held.plan.access, access::INDEX_SEEDED);
+        assert_eq!((held.plan.scanned, held.plan.matched), (1, 1));
+        // A filter with no indexable shape reads every entry.
+        let scanned = explain(&ctx, &Query::select(Filter::eq("uid", "laks").not()));
         assert_eq!(scanned.plan.access, access::SCAN);
-        assert_eq!((scanned.plan.scanned, scanned.plan.matched), (6, 1));
+        assert_eq!((scanned.plan.scanned, scanned.plan.matched), (6, 5));
     }
 
     #[test]

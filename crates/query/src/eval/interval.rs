@@ -7,8 +7,9 @@
 
 use std::borrow::Cow;
 
-use bschema_directory::{EntryId, Forest};
+use bschema_directory::{Entry, EntryId, Forest};
 
+use super::explain::access;
 use super::EvalContext;
 use crate::algebra::{Binding, Query};
 use crate::filter::Filter;
@@ -84,23 +85,62 @@ fn eval_select<'a>(ctx: &EvalContext<'a>, filter: &Filter, binding: Binding) -> 
     }
 }
 
+/// [`select_whole`] for the evaluator: the result, with the access path
+/// counted on the context's probe.
 fn eval_filter_whole<'a>(ctx: &EvalContext<'a>, filter: &Filter) -> Cow<'a, [EntryId]> {
+    let (result, path, _) = select_whole(ctx, filter);
+    let probe = ctx.probe();
+    if probe.enabled() {
+        match path {
+            // Answered or seeded from the prepared preorder index (built
+            // once, shared `Cow::Borrowed`-style across queries).
+            access::INDEX_REUSED | access::INDEX_SEEDED => probe.add("query.index_reused", 1),
+            access::SCAN => probe.add("query.index_scan", 1),
+            _ => {}
+        }
+    }
+    result
+}
+
+/// Resolves an atomic selection over the whole instance along the
+/// cheapest access path the index offers, and says which it took: the
+/// result, the [`access`] constant, and how many entries it examined.
+/// The one place access paths are chosen — `evaluate` and `explain` both
+/// run it, so a plan never describes a path the evaluator does not take.
+pub(crate) fn select_whole<'a>(
+    ctx: &EvalContext<'a>,
+    filter: &Filter,
+) -> (Cow<'a, [EntryId]>, &'static str, usize) {
     let dir = ctx.instance();
     let index = dir.index();
+    let reused = |list: &'a [EntryId]| (Cow::Borrowed(list), access::INDEX_REUSED, list.len());
+    // Post-filters a candidate list that is known to contain every match.
+    let narrowed = |list: &'a [EntryId], path, keep: &dyn Fn(&Entry) -> bool| {
+        let kept = list
+            .iter()
+            .copied()
+            .filter(|&id| keep(dir.entry(id).expect("indexed entries are live")));
+        (Cow::Owned(kept.collect()), path, list.len())
+    };
+    let matches = |entry: &Entry| filter.matches(entry, dir.registry());
     match filter {
-        Filter::True => {
-            index_reused(ctx);
-            Cow::Borrowed(index.all_entries())
-        }
-        Filter::False => Cow::Owned(Vec::new()),
-        Filter::Present(attr) => {
-            index_reused(ctx);
-            Cow::Borrowed(index.entries_with_attribute(attr))
-        }
-        Filter::Equality(..) if filter.as_object_class().is_some() => {
-            let class = filter.as_object_class().expect("just checked");
-            index_reused(ctx);
-            Cow::Borrowed(index.entries_with_class(class))
+        Filter::True => reused(index.all_entries()),
+        Filter::False => (Cow::Owned(Vec::new()), access::EMPTY, 0),
+        Filter::Present(attr) => reused(index.entries_with_attribute(attr)),
+        Filter::Equality(attr, value) => {
+            if let Some(class) = filter.as_object_class() {
+                return reused(index.entries_with_class(class));
+            }
+            if let Some(hits) = index.entries_with_value(attr, value) {
+                return reused(hits);
+            }
+            // No equality postings: only entries holding the attribute
+            // can match, and the needle is normalized once for all of them.
+            let syntax = dir.registry().syntax_of(attr);
+            let needle = syntax.normalize(value);
+            narrowed(index.entries_with_attribute(attr), access::INDEX_SEEDED, &|entry| {
+                entry.values(attr).iter().any(|v| syntax.matches_normalized(v, &needle))
+            })
         }
         Filter::And(subs) => {
             // Seed from the most selective indexable conjunct, then
@@ -115,49 +155,12 @@ fn eval_filter_whole<'a>(ctx: &EvalContext<'a>, filter: &Filter) -> Cow<'a, [Ent
                 })
                 .min_by_key(|list| list.len());
             match seed {
-                Some(list) => {
-                    index_reused(ctx);
-                    Cow::Owned(
-                        list.iter()
-                            .copied()
-                            .filter(|&id| {
-                                let entry = dir.entry(id).expect("indexed entries are live");
-                                subs.iter().all(|f| f.matches(entry, dir.registry()))
-                            })
-                            .collect(),
-                    )
-                }
-                None => Cow::Owned(scan(ctx, filter)),
+                Some(list) => narrowed(list, access::INDEX_SEEDED, &matches),
+                None => narrowed(index.all_entries(), access::SCAN, &matches),
             }
         }
-        _ => Cow::Owned(scan(ctx, filter)),
+        _ => narrowed(index.all_entries(), access::SCAN, &matches),
     }
-}
-
-/// Counts a selection answered from the prepared preorder index (built
-/// once, shared `Cow::Borrowed`-style across queries).
-fn index_reused(ctx: &EvalContext<'_>) {
-    let probe = ctx.probe();
-    if probe.enabled() {
-        probe.add("query.index_reused", 1);
-    }
-}
-
-fn scan(ctx: &EvalContext<'_>, filter: &Filter) -> Vec<EntryId> {
-    let dir = ctx.instance();
-    let probe = ctx.probe();
-    if probe.enabled() {
-        probe.add("query.index_scan", 1);
-    }
-    dir.index()
-        .all_entries()
-        .iter()
-        .copied()
-        .filter(|&id| {
-            let entry = dir.entry(id).expect("indexed entries are live");
-            filter.matches(entry, dir.registry())
-        })
-        .collect()
 }
 
 /// `(σc r1 r2)`: members of `r1` with at least one child in `r2`.

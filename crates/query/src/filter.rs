@@ -144,8 +144,13 @@ impl Filter {
             Filter::False => false,
             Filter::Present(attr) => entry.has_attribute(attr),
             Filter::Equality(attr, value) => {
+                let values = entry.values(attr);
+                if values.is_empty() {
+                    return false;
+                }
                 let syntax = registry.syntax_of(attr);
-                entry.values(attr).iter().any(|v| syntax.values_match(v, value))
+                let needle = syntax.normalize(value);
+                values.iter().any(|v| syntax.matches_normalized(v, &needle))
             }
             Filter::Substring { attr, initial, any, finally } => {
                 let syntax = registry.syntax_of(attr);

@@ -139,6 +139,8 @@ pub struct TxOutcome {
 /// each write to the shards owning its top-level subtrees (Theorem 4.1
 /// boundaries) and locks only those. Everything a reader touches lives
 /// in [`DirectoryService::snapshots`], not here.
+// One per service, never moved around: boxing a variant buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
     Single(Mutex<JournaledDirectory>),
@@ -842,10 +844,11 @@ impl DirectoryService {
 
     /// The single-engine write path, under the held write mutex: build
     /// the operation against the current instance, then the engine's
-    /// write-ahead sequence — `begin` durable before the mutation, the
-    /// guarded apply, `commit` only after the legal verdict — each step
-    /// in its own `service.*` span, then publish. On any rejection the
-    /// instance — and the snapshot — are exactly what they were.
+    /// write-ahead sequence — the guarded apply on a structurally shared
+    /// copy, `begin` durable only after the legal verdict, `commit`,
+    /// and the copy installed last — each journal step in its own
+    /// `service.*` span, then publish. On any rejection the instance,
+    /// the snapshot and the journal are exactly what they were.
     fn write_single(
         &self,
         engine: &mut JournaledDirectory,
@@ -872,38 +875,38 @@ impl DirectoryService {
             }
         };
 
-        // Write-ahead: the begin + op records must be durable before the
-        // mutation, so a crash mid-apply leaves an uncommitted tail that
-        // recovery discards.
-        let staged = scoped(probe, "service.journal_begin", || engine.prepare(op))
-            .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
-
-        let applied = match trace {
+        let certified = match trace {
             Some(t) => {
                 // Route the legality engine's spans into this request's
                 // tree. The swap is panic-safe: an injected fault inside
                 // the guarded apply must not leave a dead trace wired
                 // into the shared managed directory.
                 let prev = engine.swap_probe(Some(t.clone() as Arc<dyn Probe + Send + Sync>));
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.apply_staged(staged)
-                }));
+                let caught =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.certify(op)));
                 engine.swap_probe(prev);
                 match caught {
                     Ok(result) => result,
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             }
-            None => engine.apply_staged(staged),
+            None => engine.certify(op),
         };
 
-        match applied {
+        match certified {
             Ok(certified) => {
-                // A failed commit flush leaves the in-memory instance
-                // committed and legal; only durability degraded. The
-                // engine counts it (`server.journal_commit_io_error`)
-                // instead of failing the already-applied request.
-                let _counted = scoped(probe, "service.journal_commit", || engine.commit(certified));
+                // Write-ahead: the begin + op records must be durable
+                // before the live state changes, so a crash from here on
+                // leaves an uncommitted tail that recovery discards.
+                let begun = scoped(probe, "service.journal_begin", || engine.begin(certified))
+                    .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
+                // A failed commit flush does not revoke the verdict;
+                // only durability degraded. The engine counts it
+                // (`server.journal_commit_io_error`) instead of failing
+                // the certified request.
+                let (committed, _counted) =
+                    scoped(probe, "service.journal_commit", || engine.commit(begun));
+                engine.install(committed);
                 let outcome = TxOutcome { ops, len: engine.managed().len(), shards: 1 };
                 scoped(probe, "service.publish", || self.publish(0, engine.instance(), probe));
                 // Fault site: a worker dying here has already committed;
@@ -915,8 +918,8 @@ impl DirectoryService {
                 Ok(outcome)
             }
             Err(e) => {
-                // Guarded apply restored the instance; the uncommitted
-                // journal tail is discarded on next recovery.
+                // The copy the guarded apply ran on is gone; neither
+                // the instance nor the journal ever saw the operation.
                 probe.add_labeled("server.tx_rejected", e.code(), 1);
                 Err(ServiceError::from_managed(&e))
             }
@@ -1281,8 +1284,8 @@ impl DirectoryService {
     /// skipped entirely for relaxing-only plans (Definition 2.7), and
     /// on the single backend also when nothing committed since a passed
     /// `SCHEMA CHECK` — then the full-schema record is write-ahead
-    /// journalled, the engine swaps schemas, and the commit record
-    /// lands. The `schema.cutover` fault site sits between the prepare
+    /// journalled, the commit record lands, and the engine swaps
+    /// schemas. The `schema.cutover` fault site sits between the prepare
     /// (journalled schema record) and the swap: a panic there leaves an
     /// uncommitted record that recovery discards, the old epoch intact,
     /// and the proposal still staged — a retry simply succeeds.
@@ -1312,14 +1315,15 @@ impl DirectoryService {
                 // Write-ahead: the schema record must be durable before
                 // the swap, mirroring the TXN begin/commit discipline.
                 let cutover = Op::Schema { schema: &target, dsl: &dsl, local: false, global: None };
-                let staged = engine
-                    .prepare(cutover)
+                let certified =
+                    engine.certify(cutover).map_err(|e| ServiceError::from_managed(&e))?;
+                let begun = engine
+                    .begin(certified)
                     .map_err(|e| ServiceError::new("io", format!("journal begin: {e}")))?;
                 // Fault site between prepare and swap (see method docs).
                 self.probe.add("schema.cutover", 1);
-                let certified =
-                    engine.apply_staged(staged).map_err(|e| ServiceError::from_managed(&e))?;
-                let _counted = engine.commit(certified);
+                let (committed, _counted) = engine.commit(begun);
+                engine.install(committed);
                 self.publish(0, engine.instance(), &*self.probe);
             }
             Backend::Sharded(sharded) => {

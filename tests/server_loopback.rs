@@ -397,6 +397,68 @@ fn journal_restart_recovers_wire_commits() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A refused write is certified on a copy before anything is journalled,
+/// so it appends nothing — on either backend, for TXN and MODIFY alike.
+/// (It used to leave its begin records behind as an uncommitted tail;
+/// checkpoints are triggered by commits only, so a client looping on an
+/// illegal request grew the journal without bound.)
+#[test]
+fn refused_writes_append_nothing_on_either_backend() {
+    use bschema_core::journal::shard_journal_path;
+    use bschema_core::updates::Mod;
+
+    let dir = std::env::temp_dir().join(format!("bschema-refusals-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let drop_name = [Mod::DeleteAttribute { attribute: "name".into() }];
+
+    let single_path = dir.join("single.wal");
+    let (single, _) = white_pages_service().with_journal(&single_path).expect("fresh journal");
+    let family_path = dir.join("family.wal");
+    let (sharded, _) =
+        DirectoryService::new_sharded(white_pages_schema(), multi_org_base(4, 12, 0xC0FFEE), 2)
+            .expect("multi-org base is legal")
+            .with_journal(&family_path)
+            .expect("fresh journal family");
+    let family_files = (0..2).map(|k| shard_journal_path(&family_path, k)).collect();
+
+    // (service, its journal files, a legal TXN and a person it creates,
+    //  a TXN the schema refuses: a person under that person)
+    let cases: [(&DirectoryService, Vec<std::path::PathBuf>, String, String, String); 2] = [
+        (
+            &single,
+            vec![single_path],
+            person_ldif("keeper"),
+            "uid=keeper,ou=databases,ou=attLabs,o=att".to_owned(),
+            illegal_ldif().to_owned(),
+        ),
+        (
+            &sharded,
+            family_files,
+            org_person_ldif("keeper", "org0"),
+            "uid=keeper,o=org0".to_owned(),
+            org_person_ldif("intruder", "org0").replace(",o=org0", ",uid=keeper,o=org0"),
+        ),
+    ];
+    for (service, files, legal, person_dn, illegal) in cases {
+        service.apply_ldif_tx(&legal).expect("a commit, so there is a journal to grow");
+        let lengths = || -> Vec<u64> {
+            files.iter().map(|f| std::fs::metadata(f).map_or(0, |m| m.len())).collect()
+        };
+        let (before, entries) = (lengths(), service.len());
+        assert!(before.iter().sum::<u64>() > 0, "{files:?} hold the commit");
+        for _ in 0..1_000 {
+            let err = service.apply_ldif_tx(&illegal).expect_err("refused TXN");
+            assert_eq!(err.code, "rolled-back", "{err:?}");
+            let err = service.modify(&person_dn, &drop_name).expect_err("refused MODIFY");
+            assert_eq!(err.code, "rolled-back", "{err:?}");
+        }
+        assert_eq!(lengths(), before, "refusals grew a journal file of {files:?}");
+        assert_eq!(service.len(), entries);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Number of generated organizations in the sharded loopback base.
 const SHARDED_ORGS: usize = 4;
 

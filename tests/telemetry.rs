@@ -22,10 +22,11 @@ use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimi
 /// guard (`managed.apply`) and the incremental check land as siblings of
 /// the `service.*` stages, in recording order.
 const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,service.tx_build,\
-                         service.journal_begin,managed.apply,incremental.check_insertions(\
+                         managed.apply,incremental.check_insertions(\
                          content_delta(chunk),keys,structure_delta(chunk(require_descendant,\
                          require_parent,require_ancestor,require_parent,forbid_child,\
-                         forbid_child))),service.journal_commit,service.publish)";
+                         forbid_child))),service.journal_begin,service.journal_commit,\
+                         service.publish)";
 
 /// A traced white-pages service: sequential legality engine (so chunk
 /// spans cannot depend on the host's core count), one shared recorder

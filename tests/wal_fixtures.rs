@@ -16,9 +16,18 @@
 //! regenerate after a *deliberate* format change:
 //! `WAL_FIXTURES_WRITE=1 cargo test -p bschema-server --test wal_fixtures`
 //! and say so in the PR.
+//!
+//! One deliberate change so far: since a write is certified before it
+//! is journalled, the refused TXN that ends the `single` script appends
+//! nothing. `single.wal` was re-recorded for that alone, and the file
+//! the older builds wrote is kept as `single.refused-tail.wal`: the new
+//! file must be a strict prefix of it — every committed record
+//! byte-identical, the difference exactly the refused TXN's records —
+//! and recovery from it must still discard that tail.
 
 use std::path::{Path, PathBuf};
 
+use bschema_core::journal::Journal;
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::sharded::shard_of_root_rdn;
 use bschema_core::updates::Mod;
@@ -49,7 +58,7 @@ fn single(journal: &Path) -> (DirectoryService, usize) {
 }
 
 /// TXN + MODIFY + SCHEMA record + TXN under the evolved schema + a
-/// rejected (uncommitted) tail, on the single backend.
+/// rejected TXN (which journals nothing), on the single backend.
 fn script_single(dir: &Path) -> DirectoryService {
     let (svc, _) = single(&dir.join("single.wal"));
     let labs = "ou=attLabs,o=att";
@@ -207,4 +216,22 @@ fn scripts_write_the_pinned_bytes_and_old_files_recover_to_the_pinned_state() {
         let _ = std::fs::remove_dir_all(&fresh);
         let _ = std::fs::remove_dir_all(&restart);
     }
+
+    // What older builds wrote for the `single` script is what this
+    // build writes plus one uncommitted transaction: the refused TXN.
+    let new = std::fs::read(fixtures().join("single.wal")).expect("fixture file");
+    let old = std::fs::read(fixtures().join("single.refused-tail.wal")).expect("fixture file");
+    assert!(old.len() > new.len() && old.starts_with(&new), "single.wal is not a strict prefix");
+    let tail = Journal::parse(std::str::from_utf8(&old[new.len()..]).expect("journals are text"));
+    assert_eq!((tail.txs.len(), tail.committed().count(), tail.truncated), (1, 0, false));
+    assert_eq!(tail.txs[0].to_transaction().len(), 1, "the refused single-insert TXN");
+    // And recovery from the older file discards it.
+    let restart = scratch("single-refused-tail");
+    std::fs::copy(fixtures().join("single.refused-tail.wal"), restart.join("single.wal"))
+        .expect("copy fixture");
+    let (recovered, replayed) = single(&restart.join("single.wal"));
+    let want = pinned.iter().find(|(n, _)| n == "single").expect("single pin").1;
+    assert_eq!(replayed, 4, "the refused tail is not replayed");
+    assert_eq!(fnv1a(&recovered.snapshot().canonical_bytes()), want);
+    let _ = std::fs::remove_dir_all(&restart);
 }
