@@ -14,6 +14,11 @@
 # dropped, so a second rollback path — keeping the previous state to
 # restore it — has nothing left to do (DESIGN.md §10, §16).
 #
+# `"jrnop"` may only appear in the decoder (`decode_record`): a record's
+# op index is its position in its transaction, which the sequence
+# numbers already pin, so the writer does not store it; only journals of
+# older builds carry the field (DESIGN.md §16).
+#
 # Listed exception: `crates/bench` builds journal *text* for the `rec`
 # experiment without applying anything.
 #
@@ -57,6 +62,21 @@ for f in $(find crates/*/src examples -name '*.rs' | sort); do
     if [ -n "$hits" ]; then
         echo "$hits"
         echo "error: a pre-image rollback path is back; drop the uninstalled copy instead" >&2
+        status=1
+    fi
+done
+
+for f in $(find crates/*/src examples -name '*.rs' | sort); do
+    hits=$(awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /^fn decode_record\(/ { decoder = 1 }
+        decoder && /^}/ { decoder = 0 }
+        !decoder && /"jrnop"/ { print FILENAME ":" FNR ": " $0 }
+    ' "$f")
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        echo "error: \"jrnop\" outside the journal decoder; the op index is derived, not written" >&2
         status=1
     fi
 done

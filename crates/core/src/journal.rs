@@ -30,7 +30,6 @@
 //! dn: op=1,cn=journal
 //! objectClass: person
 //! objectClass: top
-//! jrnop: 0
 //! jrnparent: existing:4
 //! jrntx: 0
 //! jrntype: insert
@@ -45,7 +44,11 @@
 //!
 //! `jrnparent` is `root`, `existing:<slot>` (an [`EntryId`] index), or
 //! `new:<op>` (the entry created by an earlier op of the same
-//! transaction); `jrntarget` names the deleted slot. `jrndone: <seq>`
+//! transaction); `jrntarget` names the deleted slot. A record's op index
+//! is its position among its transaction's payload records — the
+//! sequence numbers already pin that order — so it is not written;
+//! journals of older builds spell it out as `jrnop: <i>`, which still
+//! parses and must agree with the position. `jrndone: <seq>`
 //! is always the record's **last** line, so a record cut anywhere by a
 //! crash is detectably incomplete. The `jrn` attribute prefix is
 //! reserved: payload attributes starting with `jrn` are not journalled
@@ -240,6 +243,8 @@ struct ParsedRecord {
     gid: Option<u64>,
     peers: Option<u64>,
     shard: Option<u64>,
+    /// The op index an older build wrote out (`jrnop`); derived from the
+    /// record's position when absent.
     op: Option<usize>,
     parent: Option<String>,
     rdn: Option<String>,
@@ -508,13 +513,13 @@ impl Journal {
                 "modify" => {
                     // Modify records never mix with insert/delete ops,
                     // share one target per transaction, and are
-                    // op-indexed like any other record.
-                    let next_op =
-                        open.as_ref().map(|tx| tx.modify.as_ref().map_or(0, |m| m.mods.len()));
+                    // op-indexed by position like any other record.
                     let valid = matches!(&open, Some(tx) if tx.id == record.tx
-                        && tx.ops.is_empty()
-                        && tx.schema.is_none())
-                        && record.op == next_op;
+                    && tx.ops.is_empty()
+                    && tx.schema.is_none()
+                    && record.op.is_none_or(|op| {
+                        op == tx.modify.as_ref().map_or(0, |m| m.mods.len())
+                    }));
                     let decoded_mod = record.mod_kind.as_deref().and_then(|k| {
                         decode_mod(k, record.mod_attr.as_deref(), &record.mod_values)
                     });
@@ -536,8 +541,8 @@ impl Journal {
                 "insert" | "delete" => {
                     let valid = matches!(&open, Some(tx) if tx.id == record.tx
                         && tx.modify.is_none()
-                        && tx.schema.is_none())
-                        && record.op == open.as_ref().map(|tx| tx.ops.len());
+                        && tx.schema.is_none()
+                        && record.op.is_none_or(|op| op == tx.ops.len()));
                     if !valid {
                         journal.truncated = true;
                         break 'records;
@@ -708,7 +713,7 @@ impl JournalWriter {
         let id = self.next_tx;
         self.next_tx += 1;
         self.emit("begin", id, begin_extra, None);
-        for (i, op) in tx.ops().iter().enumerate() {
+        for op in tx.ops() {
             match op {
                 TxOp::Insert { parent, rdn, entry } => {
                     let spec = match parent {
@@ -716,19 +721,14 @@ impl JournalWriter {
                         Some(NodeRef::Existing(p)) => format!("existing:{}", p.index()),
                         Some(NodeRef::New(j)) => format!("new:{j}"),
                     };
-                    let mut extra = vec![("jrnop", i.to_string()), ("jrnparent", spec)];
+                    let mut extra = vec![("jrnparent", spec)];
                     if let Some(rdn) = rdn {
                         extra.push(("jrnrdn", rdn.to_string()));
                     }
                     self.emit("insert", id, &extra, Some(entry));
                 }
                 TxOp::Delete { target } => {
-                    self.emit(
-                        "delete",
-                        id,
-                        &[("jrnop", i.to_string()), ("jrntarget", target.index().to_string())],
-                        None,
-                    );
+                    self.emit("delete", id, &[("jrntarget", target.index().to_string())], None);
                 }
             }
         }
@@ -742,7 +742,7 @@ impl JournalWriter {
         let id = self.next_tx;
         self.next_tx += 1;
         self.emit("begin", id, &[], None);
-        for (i, m) in mods.iter().enumerate() {
+        for m in mods {
             let (kind, attribute, values): (&str, &str, Vec<String>) = match m {
                 Mod::Add { attribute, value } => ("add", attribute, vec![value.clone()]),
                 Mod::DeleteValue { attribute, value } => {
@@ -759,7 +759,6 @@ impl JournalWriter {
                 "modify",
                 id,
                 &[
-                    ("jrnop", i.to_string()),
                     ("jrntarget", target.index().to_string()),
                     ("jrnmod", kind.to_owned()),
                     ("jrnattr", attribute.to_owned()),
@@ -787,7 +786,7 @@ impl JournalWriter {
             begin_extra.push(("jrnpeers", peers.to_string()));
         }
         self.emit("begin", id, &begin_extra, None);
-        let mut extra = vec![("jrnop", "0".to_owned()), ("jrnschema", escape_text(dsl))];
+        let mut extra = vec![("jrnschema", escape_text(dsl))];
         if local {
             extra.push(("jrnlocal", "1".to_owned()));
         }
@@ -912,6 +911,55 @@ mod tests {
         assert_eq!(replayed.len(), tx.len());
         // The journal text is plain LDIF — the stock parser reads it.
         assert_eq!(parse_ldif(&text).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn a_written_out_op_index_is_optional_but_must_agree_with_the_position() {
+        let (_, ids) = white_pages_instance();
+        let mut tx = Transaction::new();
+        tx.insert_under(ids.databases, researcher("zoe"));
+        tx.delete(ids.suciu);
+        let mut writer = JournalWriter::new();
+        let id = writer.begin(&tx);
+        writer.commit(id);
+        let id = writer.begin_modify(
+            ids.laks,
+            &[
+                Mod::Add { attribute: "title".into(), value: "dr".into() },
+                Mod::DeleteAttribute { attribute: "mail".into() },
+            ],
+        );
+        writer.commit(id);
+        let text = writer.take_pending();
+        assert!(!text.contains("jrnop"), "the writer derives the op index, it does not store it");
+
+        // What an older build wrote: `jrnop: <i>` ahead of the field that
+        // follows it in every payload record.
+        let spelled_out = |indices: [usize; 4]| {
+            let mut indices = indices.iter();
+            let mut out = String::new();
+            for line in text.lines() {
+                if line.starts_with("jrnparent:") || line.starts_with("jrntarget:") {
+                    out.push_str(&format!("jrnop: {}\n", indices.next().expect("four payloads")));
+                }
+                out.push_str(line);
+                out.push('\n');
+            }
+            out
+        };
+        for (indices, intact) in [
+            ([0, 1, 0, 1], true),
+            ([0, 0, 0, 1], false),
+            ([1, 0, 0, 1], false),
+            ([0, 1, 1, 0], false),
+        ] {
+            let old = Journal::parse(&spelled_out(indices));
+            assert_eq!(!old.truncated, intact, "{indices:?}");
+            assert_eq!(old.committed().count() == 2, intact, "{indices:?}");
+        }
+        let (new, old) = (Journal::parse(&text), Journal::parse(&spelled_out([0, 1, 0, 1])));
+        assert_eq!(new.committed().count(), 2);
+        assert_eq!(format!("{:?}", new.txs), format!("{:?}", old.txs), "same history either way");
     }
 
     #[test]

@@ -46,19 +46,24 @@ pub fn check_instance(schema: &DirectorySchema, dir: &DirectoryInstance, out: &m
 
 /// Incremental variant for a subtree insertion: only the new entries'
 /// values need checking — against each other and against the rest of the
-/// instance. `dir` is post-insert and prepared.
+/// instance. `dir` is post-insert and prepared. Where the index carries
+/// equality postings for the attribute, the rest of the instance is the
+/// entries posted under a new value — O(|ΔD|) lookups; otherwise every
+/// holder of the attribute is read.
 pub fn check_insertion(
     schema: &DirectorySchema,
     dir: &DirectoryInstance,
     delta_root: EntryId,
     out: &mut Vec<Violation>,
 ) {
-    let forest = dir.forest();
+    let (forest, index) = (dir.forest(), dir.index());
     let in_delta = |id: EntryId| id == delta_root || forest.interval_is_ancestor(delta_root, id);
     for attr in schema.attributes().unique_attributes() {
         let syntax = dir.registry().syntax_of(attr);
-        // Values held by new entries.
+        // Values held by new entries, and the entries posted under them
+        // (`None` once the attribute turns out to carry no postings).
         let mut new_values: HashMap<String, EntryId> = HashMap::new();
+        let mut posted: Option<Vec<EntryId>> = Some(Vec::new());
         for id in std::iter::once(delta_root).chain(forest.descendants(delta_root)) {
             let Some(entry) = dir.entry(id) else { continue };
             for value in entry.values(attr) {
@@ -74,6 +79,10 @@ pub fn check_insertion(
                     }
                 } else {
                     new_values.insert(normalized, id);
+                    match (posted.as_mut(), index.entries_with_value(attr, value)) {
+                        (Some(posted), Some(holders)) => posted.extend_from_slice(holders),
+                        _ => posted = None,
+                    }
                 }
             }
         }
@@ -81,8 +90,17 @@ pub fn check_insertion(
             continue;
         }
         // Clashes with pre-existing entries (D was legal, so only
-        // new-vs-old pairs are possible beyond the new-vs-new above).
-        for &id in dir.index().entries_with_attribute(attr) {
+        // new-vs-old pairs are possible beyond the new-vs-new above), in
+        // document order whichever list they are read from.
+        let holders = match &mut posted {
+            Some(posted) => {
+                posted.sort_unstable_by_key(|&id| forest.pre(id));
+                posted.dedup();
+                posted.as_slice()
+            }
+            None => index.entries_with_attribute(attr),
+        };
+        for &id in holders {
             if in_delta(id) {
                 continue;
             }
@@ -150,25 +168,90 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn incremental_matches_full() {
-        let schema = schema();
-        let mut dir = DirectoryInstance::white_pages();
-        let root = dir.add_root_entry(person("a"));
-        dir.add_child_entry(root, person("b")).unwrap();
-        // Insert a subtree with one internal duplicate and one clash with
-        // the existing data.
-        let new = dir.add_child_entry(root, person("a")).unwrap(); // clashes with root
-        dir.add_child_entry(new, person("c")).unwrap();
-        dir.add_child_entry(new, person("c")).unwrap(); // internal duplicate
-        dir.prepare();
+    /// The uids a generated delta draws from: clashes with the base
+    /// (`b<i>`), a respelling of a base value, fresh values and a
+    /// respelling of a fresh one.
+    const UIDS: [&str; 8] = ["b0", "b1", "b2", " B3 ", "n0", "n1", "n2", "N0  "];
 
-        let mut full = Vec::new();
-        check_instance(&schema, &dir, &mut full);
-        let mut incremental = Vec::new();
-        check_insertion(&schema, &dir, new, &mut incremental);
-        assert_eq!(full.len(), 2);
-        assert_eq!(incremental.len(), full.len());
+    /// A legal base of `shape.len()` entries (`b<i>`, entry 3 under two
+    /// spellings) plus one inserted subtree whose entries carry one or
+    /// two uids out of [`UIDS`]. `posted` decides whether the registry
+    /// declares `uid` single-valued, i.e. whether the index posts it.
+    fn base_and_delta(
+        posted: bool,
+        shape: &[u8],
+        delta: &[(u8, u8, Option<u8>)],
+    ) -> (DirectoryInstance, EntryId) {
+        use bschema_directory::{AttributeDef, AttributeRegistry, Syntax};
+        let mut registry = AttributeRegistry::new();
+        let uid = AttributeDef::new("uid", Syntax::DirectoryString);
+        registry.register(if posted { uid.single_valued() } else { uid }).unwrap();
+        let mut dir = DirectoryInstance::new(registry);
+        let mut ids = vec![dir.add_root_entry(person("b0"))];
+        for (i, &pick) in shape.iter().enumerate().skip(1) {
+            let parent = ids[pick as usize % ids.len()];
+            ids.push(dir.add_child_entry(parent, person(&format!("b{i}"))).unwrap());
+        }
+        if let Some(&third) = ids.get(3) {
+            dir.entry_mut(third).unwrap().add_value("uid", "B3");
+        }
+        dir.prepare();
+        let mut new: Vec<EntryId> = Vec::new();
+        for &(pick, uid, second) in delta {
+            let parent = match new.is_empty() {
+                true => ids[pick as usize % ids.len()],
+                false => new[pick as usize % new.len()],
+            };
+            let mut entry = person(UIDS[uid as usize % UIDS.len()]);
+            if let Some(second) = second {
+                entry.add_value("uid", UIDS[second as usize % UIDS.len()]);
+            }
+            new.push(dir.add_child_entry(parent, entry).unwrap());
+        }
+        dir.prepare();
+        (dir, new[0])
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The Δ-check finds what the full check finds — the same values
+        /// clash — and reads the same violations off the equality
+        /// postings as off a scan of every holder.
+        #[test]
+        fn incremental_matches_full(
+            shape in proptest::collection::vec(any::<u8>(), 1..24),
+            delta in proptest::collection::vec(
+                (any::<u8>(), any::<u8>(), any::<Option<u8>>()),
+                1..6,
+            ),
+        ) {
+            let schema = schema();
+            let (with_postings, root) = base_and_delta(true, &shape, &delta);
+            let (without, same_root) = base_and_delta(false, &shape, &delta);
+            prop_assert_eq!(root, same_root);
+            prop_assert!(with_postings.index().entries_with_value("uid", "x").is_some());
+            prop_assert!(without.index().entries_with_value("uid", "x").is_none());
+
+            let mut looked_up = Vec::new();
+            check_insertion(&schema, &with_postings, root, &mut looked_up);
+            let mut scanned = Vec::new();
+            check_insertion(&schema, &without, root, &mut scanned);
+            prop_assert_eq!(&looked_up, &scanned);
+
+            let mut full = Vec::new();
+            check_instance(&schema, &with_postings, &mut full);
+            let clashing = |violations: &[Violation]| -> std::collections::BTreeSet<String> {
+                violations
+                    .iter()
+                    .map(|v| match v {
+                        Violation::DuplicateKey { value, .. } => value.trim().to_lowercase(),
+                        other => panic!("not a key violation: {other:?}"),
+                    })
+                    .collect()
+            };
+            prop_assert_eq!(clashing(&looked_up), clashing(&full));
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use bschema_query::{evaluate, EvalContext, Query};
 use crate::consistency::ConsistencyChecker;
 use crate::legality::{LegalityChecker, LegalityOptions, LegalityReport};
 use crate::schema::DirectorySchema;
-use crate::updates::{apply_and_check_probed, Transaction, TxError};
+use crate::updates::{apply_and_check_probed, prepare_probed, Transaction, TxError};
 
 /// Errors from managed-directory operations.
 #[derive(Debug)]
@@ -443,7 +443,7 @@ impl ManagedDirectory {
                     ManagedError::Internal(format!("removing validated deletion root {root}: {e}"))
                 })?;
             }
-            dir.prepare();
+            prepare_probed(dir, probe);
             Ok((roots, self.checker().check(dir)))
         })
     }
@@ -499,11 +499,11 @@ impl ManagedDirectory {
         target: EntryId,
         mods: &[crate::updates::Mod],
     ) -> Result<((), Successor), ManagedError> {
-        self.certify(|dir, _probe| {
+        self.certify(|dir, probe| {
             let Some(changed) = crate::updates::apply_mods(dir, target, mods) else {
                 return Ok(((), inapplicable(target, "no such entry".to_owned())));
             };
-            dir.prepare();
+            prepare_probed(dir, probe);
             let report = if self.known_legal {
                 crate::updates::check_modification(&self.schema, dir, target, &changed)
             } else {
@@ -537,7 +537,7 @@ impl ManagedDirectory {
             if let Err(e) = dir.move_subtree(target, new_parent) {
                 return Ok(((), inapplicable(target, e.to_string())));
             }
-            dir.prepare();
+            prepare_probed(dir, probe);
             let report = if self.known_legal {
                 crate::updates::IncrementalChecker::new(&self.schema)
                     .with_options(self.options)

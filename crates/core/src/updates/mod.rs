@@ -99,9 +99,26 @@ pub fn apply_and_check_with(
     apply_and_check_probed(schema, dir, tx, options, bschema_obs::noop())
 }
 
+/// `dir.prepare()` on a path that holds a probe: what the call did to
+/// the index is attributed there — `managed.index_posted` entries (the
+/// |ΔD| of Theorem 4.2, when nothing else is wrong) and
+/// `managed.index_rebuilt` from-scratch passes (none, on a served write).
+pub(crate) fn prepare_probed(dir: &mut DirectoryInstance, probe: &dyn bschema_obs::Probe) {
+    let did = dir.prepare();
+    if probe.enabled() {
+        if did.posted > 0 {
+            probe.add("managed.index_posted", did.posted as u64);
+        }
+        if did.rebuilt {
+            probe.add("managed.index_rebuilt", 1);
+        }
+    }
+}
+
 /// Like [`apply_and_check_with`] with an instrumentation probe attached
 /// to the incremental checker. Behaviour and reports are unchanged; the
-/// probe records the Figure 5 Δ-query counters and check spans.
+/// probe records the Figure 5 Δ-query counters and check spans, and what
+/// each `prepare()` cost the index.
 pub fn apply_and_check_probed(
     schema: &DirectorySchema,
     dir: &mut DirectoryInstance,
@@ -121,7 +138,7 @@ pub fn apply_and_check_probed(
         })?);
     }
     if !inserted_roots.is_empty() {
-        dir.prepare();
+        prepare_probed(dir, probe);
         report.extend(checker.check_insertions(dir, &inserted_roots));
     }
 
@@ -137,11 +154,11 @@ pub fn apply_and_check_probed(
         );
     }
     if !removed.is_empty() {
-        dir.prepare();
+        prepare_probed(dir, probe);
         report.extend(checker.check_deletion(dir, &removed));
     }
 
-    dir.prepare();
+    prepare_probed(dir, probe);
 
     Ok(AppliedTx { inserted_roots, removed, report })
 }

@@ -4,12 +4,17 @@
 //! Entries live in an arena ([`Forest`]) indexed by [`EntryId`]. Structure is
 //! kept as first-child/next-sibling links, so child order is stable and
 //! insertion is O(1). For the query engine, every node carries a
-//! *(preorder, postorder)* interval: `a` is a proper ancestor of `d` iff
-//! `pre(a) < pre(d)` and `post(d) < post(a)`. Numbering is maintained lazily:
-//! structural updates mark it dirty and [`Forest::ensure_numbered`] rebuilds
-//! it in one O(n) traversal — the classic amortisation for the
-//! bulk-load-then-query pattern the paper's algorithms assume ("when the
-//! directory entries are sorted", §3.2).
+//! *preorder interval* `[pre, end]` of labels: labels grow strictly along
+//! the preorder, `end(a)` is the label of `a`'s last descendant, and `a`
+//! is a proper ancestor of `d` iff `pre(a) < pre(d) <= end(a)`. Labels
+//! have gaps: [`Forest::ensure_numbered`] spaces them [`STRIDE`] apart in
+//! one O(n) traversal (the bulk-load-then-query pattern the paper's
+//! algorithms assume — "when the directory entries are sorted", §3.2), and
+//! from then on an insertion labels the one node it adds from the gap it
+//! lands in and a leaf removal tightens `end` along its ancestor chain, so
+//! an update of |ΔD| entries touches O(|ΔD| · depth) labels (§4). Only an
+//! exhausted gap renumbers the forest, preserving order; only a move,
+//! which reorders a whole subtree, leaves the numbering stale.
 //!
 //! LDAP update discipline (paper §4.1) is enforced here: new entries are
 //! roots or children of existing entries; only leaves can be removed one at a
@@ -51,16 +56,14 @@ struct Node {
     last_child: Option<EntryId>,
     prev_sibling: Option<EntryId>,
     next_sibling: Option<EntryId>,
-    /// Preorder rank; valid only while `Forest::numbering_valid`.
-    pre: u32,
-    /// Postorder rank; valid only while `Forest::numbering_valid`.
-    post: u32,
-    /// Maximum preorder rank within this node's subtree; valid only while
-    /// `Forest::numbering_valid`. A node `a` properly contains `d` iff
-    /// `pre(a) < pre(d) && pre(d) <= end(a)` — a containment test in a
-    /// single (preorder) coordinate space, which is what the merge joins in
-    /// `bschema-query` rely on.
-    end: u32,
+    /// Preorder label; valid only while `Forest::numbering_valid`.
+    pre: u64,
+    /// The label of this node's last descendant (its own when a leaf);
+    /// valid only while `Forest::numbering_valid`. A node `a` properly
+    /// contains `d` iff `pre(a) < pre(d) && pre(d) <= end(a)` — a
+    /// containment test in a single (preorder) coordinate space, which is
+    /// what the merge joins in `bschema-query` rely on.
+    end: u64,
     alive: bool,
 }
 
@@ -73,7 +76,6 @@ impl Node {
             prev_sibling: None,
             next_sibling: None,
             pre: 0,
-            post: 0,
             end: 0,
             alive: true,
         }
@@ -125,7 +127,15 @@ impl fmt::Display for ForestError {
 
 impl std::error::Error for ForestError {}
 
-/// An arena forest with lazy preorder/postorder interval numbering.
+/// Label spacing a full renumber leaves between consecutive entries.
+const STRIDE: u64 = 1 << 24;
+
+/// How far past its predecessor an appended entry is labelled while the
+/// gap allows: `STRIDE / STEP` appends fit into one gap before halving
+/// starts.
+const STEP: u64 = 1 << 12;
+
+/// An arena forest with gap-labelled preorder interval numbering.
 #[derive(Debug, Clone, Default)]
 pub struct Forest {
     nodes: Vec<Node>,
@@ -269,7 +279,6 @@ impl Forest {
     }
 
     fn alloc(&mut self) -> EntryId {
-        self.numbering_valid = false;
         self.len += 1;
         if let Some(slot) = self.free.pop() {
             self.nodes[slot as usize] = Node::detached();
@@ -292,6 +301,7 @@ impl Forest {
             None => self.first_root = Some(id),
         }
         self.last_root = Some(id);
+        self.label_appended(id);
         id
     }
 
@@ -309,7 +319,43 @@ impl Forest {
             None => self.nodes[parent.index()].first_child = Some(id),
         }
         self.nodes[parent.index()].last_child = Some(id);
+        self.label_appended(id);
         Ok(id)
+    }
+
+    /// Labels the node just appended as the last root or the last child
+    /// of its parent, from the gap between its preorder neighbours. No-op
+    /// while the numbering is stale (bulk load); a gap too narrow to
+    /// split renumbers the whole forest on the spot.
+    fn label_appended(&mut self, id: EntryId) {
+        if !self.numbering_valid {
+            return;
+        }
+        let Node { parent, prev_sibling, .. } = self.nodes[id.index()];
+        let lo = match (prev_sibling, parent) {
+            (Some(prev), _) => self.nodes[prev.index()].end,
+            (None, Some(parent)) => self.nodes[parent.index()].pre,
+            (None, None) => 0,
+        };
+        // The preorder successor: the next sibling of the nearest
+        // ancestor that has one.
+        let successor = self.ancestors(id).find_map(|a| self.nodes[a.index()].next_sibling);
+        let hi = successor.map_or(lo.saturating_add(STRIDE), |next| self.nodes[next.index()].pre);
+        let gap = hi - lo;
+        if gap < 2 {
+            self.numbering_valid = false;
+            return self.ensure_numbered();
+        }
+        let label = lo + (gap / 2).min(STEP);
+        let node = &mut self.nodes[id.index()];
+        (node.pre, node.end) = (label, label);
+        // The new node is the last descendant of exactly the ancestors
+        // whose interval ended before it.
+        let mut up = parent;
+        while let Some(a) = up.filter(|a| self.nodes[a.index()].end < label) {
+            self.nodes[a.index()].end = label;
+            up = self.nodes[a.index()].parent;
+        }
     }
 
     fn unlink(&mut self, id: EntryId) {
@@ -341,11 +387,25 @@ impl Forest {
         if node.first_child.is_some() {
             return Err(ForestError::NotALeaf(id));
         }
+        let Node { parent, pre: label, .. } = *node;
         self.unlink(id);
         self.nodes[id.index()].alive = false;
         self.free.push(id.0);
         self.len -= 1;
-        self.numbering_valid = false;
+        if self.numbering_valid {
+            // The ancestors whose last descendant this was now end on
+            // the parent's new last descendant, so `end` stays exact and
+            // the label space is free for the next insertion here.
+            let end = parent.map_or(0, |p| {
+                let p = &self.nodes[p.index()];
+                p.last_child.map_or(p.pre, |last| self.nodes[last.index()].end)
+            });
+            let mut up = parent;
+            while let Some(a) = up.filter(|a| self.nodes[a.index()].end == label) {
+                self.nodes[a.index()].end = end;
+                up = self.nodes[a.index()].parent;
+            }
+        }
         Ok(())
     }
 
@@ -509,32 +569,32 @@ impl Forest {
 
     // ----- interval numbering -----
 
-    /// Whether the `(pre, post)` numbering currently reflects the structure.
+    /// Whether the interval numbering currently reflects the structure.
+    /// Once numbered, insertions and removals keep it so; only a move
+    /// makes it stale.
     pub fn is_numbered(&self) -> bool {
         self.numbering_valid
     }
 
-    /// Recomputes the numbering if any structural change happened since the
-    /// last call. O(n); no-op when clean.
+    /// Renumbers the whole forest, [`STRIDE`] apart, if the numbering is
+    /// stale. O(n); no-op when clean. Order-preserving: anything sorted
+    /// by label before stays sorted.
     pub fn ensure_numbered(&mut self) {
         if self.numbering_valid {
             return;
         }
-        let mut pre = 0u32;
-        let mut post = 0u32;
+        let mut label = 0u64;
         // Iterative DFS over the forest.
         let mut next = self.first_root;
         let mut stack: Vec<EntryId> = Vec::new();
         while let Some(id) = next {
-            self.nodes[id.index()].pre = pre;
-            pre += 1;
+            label += STRIDE;
+            self.nodes[id.index()].pre = label;
             if let Some(child) = self.nodes[id.index()].first_child {
                 stack.push(id);
                 next = Some(child);
             } else {
-                self.nodes[id.index()].post = post;
-                self.nodes[id.index()].end = pre - 1;
-                post += 1;
+                self.nodes[id.index()].end = label;
                 // Walk up until a next sibling exists.
                 let mut cur = id;
                 next = None;
@@ -545,9 +605,7 @@ impl Forest {
                     }
                     match stack.pop() {
                         Some(parent) => {
-                            self.nodes[parent.index()].post = post;
-                            self.nodes[parent.index()].end = pre - 1;
-                            post += 1;
+                            self.nodes[parent.index()].end = label;
                             cur = parent;
                         }
                         None => break,
@@ -558,29 +616,25 @@ impl Forest {
         self.numbering_valid = true;
     }
 
-    /// Preorder rank of `id`.
+    /// Preorder label of `id`: strictly increasing along
+    /// [`iter`](Self::iter), with gaps — compare labels, do not count
+    /// with them.
     ///
     /// # Panics
     /// If the numbering is stale (call [`ensure_numbered`](Self::ensure_numbered)
     /// first) or `id` is dead.
-    pub fn pre(&self, id: EntryId) -> u32 {
+    pub fn pre(&self, id: EntryId) -> u64 {
         assert!(self.numbering_valid, "forest numbering is stale; call ensure_numbered()");
         debug_assert!(self.contains(id));
         self.nodes[id.index()].pre
     }
 
-    /// Postorder rank of `id`. Same preconditions as [`pre`](Self::pre).
-    pub fn post(&self, id: EntryId) -> u32 {
-        assert!(self.numbering_valid, "forest numbering is stale; call ensure_numbered()");
-        debug_assert!(self.contains(id));
-        self.nodes[id.index()].post
-    }
-
-    /// Maximum preorder rank within `id`'s subtree. Same preconditions as
-    /// [`pre`](Self::pre). `a` properly contains `d` iff
-    /// `pre(a) < pre(d) && pre(d) <= end(a)` — the single-coordinate
-    /// containment test the `bschema-query` merge joins use.
-    pub fn end(&self, id: EntryId) -> u32 {
+    /// The label of `id`'s last descendant in preorder (its own when a
+    /// leaf). Same preconditions as [`pre`](Self::pre). `a` properly
+    /// contains `d` iff `pre(a) < pre(d) && pre(d) <= end(a)` — the
+    /// single-coordinate containment test the `bschema-query` merge
+    /// joins use.
+    pub fn end(&self, id: EntryId) -> u64 {
         assert!(self.numbering_valid, "forest numbering is stale; call ensure_numbered()");
         debug_assert!(self.contains(id));
         self.nodes[id.index()].end
@@ -592,6 +646,31 @@ impl Forest {
         let pa = self.pre(a);
         let pd = self.pre(d);
         pa < pd && pd <= self.end(a)
+    }
+
+    /// The numbering's invariants, checked against the links in one
+    /// pass: labels strictly follow [`iter`](Self::iter) and every `end`
+    /// is exactly the label of the node's last descendant. The oracle
+    /// the maintained numbering is tested against.
+    #[doc(hidden)]
+    pub fn check_numbering(&self) -> Result<(), String> {
+        if !self.numbering_valid {
+            return Err("forest numbering is stale".to_owned());
+        }
+        let order: Vec<EntryId> = self.iter().collect();
+        if let Some(w) = order.windows(2).find(|w| self.pre(w[0]) >= self.pre(w[1])) {
+            return Err(format!("labels of {} and {} do not follow the preorder", w[0], w[1]));
+        }
+        // Children come after their parent, so in reverse preorder a
+        // node's last child already has its exact `end` verified.
+        for &id in order.iter().rev() {
+            let node = &self.nodes[id.index()];
+            let last = node.last_child.map_or(node.pre, |c| self.nodes[c.index()].end);
+            if node.end != last {
+                return Err(format!("end({id}) = {} but its last descendant is {last}", node.end));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -732,11 +811,13 @@ mod tests {
 
     #[test]
     fn numbering_is_pre_post() {
-        let (mut f, [att, labs, _, db, laks, _]) = figure1_shape();
+        let (mut f, ids @ [att, _, _, _, laks, _]) = figure1_shape();
         f.ensure_numbered();
-        assert_eq!(f.pre(att), 0);
-        assert!(f.pre(labs) < f.pre(db));
-        assert!(f.post(laks) < f.post(db));
+        assert_eq!(f.iter().collect::<Vec<_>>(), ids, "figure 1 was built in preorder");
+        for w in ids.windows(2) {
+            assert!(f.pre(w[0]) < f.pre(w[1]));
+        }
+        f.check_numbering().unwrap();
         assert!(f.interval_is_ancestor(att, laks));
         assert!(!f.interval_is_ancestor(laks, att));
         assert!(!f.interval_is_ancestor(att, att));
@@ -746,11 +827,11 @@ mod tests {
     fn end_is_max_preorder_in_subtree() {
         let (mut f, [att, labs, armstrong, db, laks, suciu]) = figure1_shape();
         f.ensure_numbered();
-        // Subtree of att covers all 6 nodes: pre 0..=5.
-        assert_eq!(f.end(att), 5);
-        assert_eq!(f.end(labs), 5);
+        // suciu is the last of all 6 nodes in preorder.
+        assert_eq!(f.end(att), f.pre(suciu));
+        assert_eq!(f.end(labs), f.pre(suciu));
         assert_eq!(f.end(armstrong), f.pre(armstrong)); // leaf
-        assert_eq!(f.end(db), 5);
+        assert_eq!(f.end(db), f.pre(suciu));
         assert_eq!(f.end(laks), f.pre(laks));
         assert_eq!(f.end(suciu), f.pre(suciu));
         // Containment in the preorder coordinate space matches ancestry.
@@ -853,13 +934,92 @@ mod tests {
 
     #[test]
     fn numbering_refreshes_after_update() {
-        let (mut f, [att, .., suciu]) = figure1_shape();
+        let (mut f, ids @ [att, labs, armstrong, db, _, suciu]) = figure1_shape();
         f.ensure_numbered();
+        let before = ids.map(|id| f.pre(id));
+        // An insertion labels the new node alone, between its preorder
+        // neighbours, and extends exactly the intervals it ends.
+        let extra = f.add_child(armstrong).unwrap();
         assert!(f.is_numbered());
-        let extra = f.add_child(suciu).unwrap();
+        assert_eq!(ids.map(|id| f.pre(id)), before, "no other label moved");
+        assert!(f.pre(armstrong) < f.pre(extra) && f.pre(extra) < f.pre(db));
+        assert_eq!(f.end(armstrong), f.pre(extra));
+        assert_eq!(f.end(labs), f.pre(suciu));
+        let tail = f.add_child(suciu).unwrap();
+        assert_eq!([f.end(suciu), f.end(db), f.end(att)], [f.pre(tail); 3]);
+        f.check_numbering().unwrap();
+        // A removal gives the label space back: `end` tightens.
+        f.remove_leaf(tail).unwrap();
+        f.remove_leaf(extra).unwrap();
+        assert!(f.is_numbered());
+        assert_eq!(f.end(armstrong), f.pre(armstrong));
+        assert_eq!(f.end(att), f.pre(suciu));
+        f.check_numbering().unwrap();
+        // A move reorders a subtree: the numbering is stale until rebuilt.
+        f.move_subtree(armstrong, db).unwrap();
         assert!(!f.is_numbered());
         f.ensure_numbered();
-        assert!(f.interval_is_ancestor(att, extra));
+        assert!(f.interval_is_ancestor(db, armstrong));
+        f.check_numbering().unwrap();
+    }
+
+    /// A splitmix64 step: the tests below need many cheap random picks.
+    fn next_random(state: &mut u64) -> usize {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as usize
+    }
+
+    #[test]
+    fn random_churn_with_hot_parents_keeps_labels_ordered_and_ends_exact() {
+        let mut f = Forest::new();
+        let mut live: Vec<EntryId> = (0..4).map(|_| f.add_root()).collect();
+        f.ensure_numbered();
+        let hot = live.clone();
+        let mut rng = 20u64;
+        for step in 0..20_000 {
+            let pick = next_random(&mut rng);
+            match pick % 8 {
+                // Half the insertions pile up under the four hot parents.
+                0..=2 => live.push(f.add_child(hot[pick / 8 % hot.len()]).unwrap()),
+                3..=4 => live.push(f.add_child(live[pick / 8 % live.len()]).unwrap()),
+                5 => live.push(f.add_root()),
+                _ => {
+                    let at = pick / 8 % live.len();
+                    if f.is_leaf(live[at]) && !hot.contains(&live[at]) {
+                        f.remove_leaf(live.swap_remove(at)).unwrap();
+                    }
+                }
+            }
+            assert!(f.is_numbered());
+            if step % 500 == 0 {
+                f.check_numbering().unwrap();
+            }
+        }
+        f.check_numbering().unwrap();
+        assert_eq!(f.len(), live.len());
+    }
+
+    #[test]
+    fn appends_under_one_parent_rarely_renumber() {
+        let mut f = Forest::new();
+        let parent = f.add_root();
+        let sentinel = f.add_root();
+        f.ensure_numbered();
+        // The sentinel follows every appended child in preorder, so each
+        // full renumber — and nothing else — moves its label.
+        let (mut renumbers, mut label) = (0, f.pre(sentinel));
+        for _ in 0..100_000 {
+            f.add_child(parent).unwrap();
+            if f.pre(sentinel) != label {
+                renumbers += 1;
+                label = f.pre(sentinel);
+            }
+        }
+        assert!((1..=100).contains(&renumbers), "{renumbers} renumbers for 100k appends");
+        f.check_numbering().unwrap();
     }
 
     #[test]
@@ -898,8 +1058,8 @@ mod tests {
         }
         f.ensure_numbered();
         assert!(f.interval_is_ancestor(root, cur));
-        assert_eq!(f.pre(root), 0);
-        assert_eq!(f.post(root), 10_000);
+        assert_eq!(f.end(root), f.pre(cur));
+        f.check_numbering().unwrap();
         assert_eq!(f.depth(cur), 10_000);
     }
 

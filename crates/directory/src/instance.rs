@@ -3,10 +3,13 @@
 //! [`DirectoryInstance`] combines the arena [`Forest`] (the relation `N`),
 //! per-entry data ([`Entry`] gives `class` and `val`), the attribute
 //! namespace, and optional RDN naming so entries can be addressed by
-//! distinguished name. It also owns the lazily-maintained [`InstanceIndex`]
-//! that query evaluation and legality checking run against: call
+//! distinguished name. It also owns the [`InstanceIndex`] that query
+//! evaluation and legality checking run against: call
 //! [`DirectoryInstance::prepare`] after a batch of mutations, then read
-//! through the shared accessors.
+//! through the shared accessors. The first `prepare()` numbers the forest
+//! and builds the index; later ones post the entries the batch added or
+//! changed (removals un-post on the spot), so a write of |ΔD| entries
+//! costs |ΔD| postings, not a pass over the directory.
 
 use std::fmt;
 use std::sync::Arc;
@@ -94,11 +97,35 @@ pub struct SlotRow {
     pub entry: Entry,
 }
 
+/// What a [`DirectoryInstance::prepare`] call did to the index — the
+/// write-amplification a caller can attribute to its batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Prepared {
+    /// Entries posted to the maintained index.
+    pub posted: usize,
+    /// Whether the forest was renumbered and the index built from
+    /// scratch instead: the first call, or after a move, a registry
+    /// change or a batch past the rebuild bound.
+    pub rebuilt: bool,
+}
+
+/// A batch — every entry queued for the index or taken out of it since
+/// the last `prepare()`, a changed entry counting as both — of more than
+/// one entry in this many sets the index aside for a rebuild. Patching
+/// measured ≈19 µs an entry against a 30–44 ms build at 50k entries and
+/// ≈2 µs against 1.2 ms at 2k (each post shifts the tail of every list
+/// it lands in): the two met near `len / 30` at 50k and `len / 3` at 2k
+/// (EXPERIMENTS.md SRV). The benchmark cannot re-check the value: every
+/// `dirbench` write has |ΔD| ≤ 3, so the rebuilt side of the bound sees
+/// no measured traffic until it has a bulk-TXN workload (ROADMAP item 7).
+const REBUILD_FRACTION: usize = 32;
+
 /// An LDAP directory instance.
 ///
 /// Cloning is cheap and structurally shared: the entry and RDN tables
-/// are chunked copy-on-write vectors, the registry and the index sit
-/// behind `Arc`s, and only the forest's link arena is copied outright.
+/// are chunked copy-on-write vectors, the registry and every list of
+/// the index sit behind `Arc`s, and only the forest's link arena is
+/// copied outright.
 /// Two clones share every chunk neither has written to, so a clone is
 /// the unit of atomicity of a transaction (mutate the copy, swap it in
 /// or drop it) and of publication (readers keep the version they
@@ -111,7 +138,16 @@ pub struct DirectoryInstance {
     /// Slot-parallel RDN storage (optional naming).
     rdns: CowVec<Option<Rdn>>,
     registry: Arc<AttributeRegistry>,
+    /// `Some` from the first [`prepare`](Self::prepare) on: covers every
+    /// live entry but those in `unposted`, and implies a numbered forest.
     index: Option<Arc<InstanceIndex>>,
+    /// Entries added or handed out mutably since the last `prepare()`,
+    /// which posts them under the content they have by then. Empty
+    /// while there is no index to maintain.
+    unposted: Vec<EntryId>,
+    /// Entries taken out of the index since the last `prepare()`: with
+    /// `unposted.len()`, the batch the rebuild bound measures.
+    withdrawn: usize,
 }
 
 impl Default for DirectoryInstance {
@@ -129,6 +165,8 @@ impl DirectoryInstance {
             rdns: CowVec::new(),
             registry: Arc::new(registry),
             index: None,
+            unposted: Vec::new(),
+            withdrawn: 0,
         }
     }
 
@@ -148,7 +186,7 @@ impl DirectoryInstance {
                 slot: id.index() as u32,
                 parent: self.forest.parent(id).map(|p| p.index() as u32),
                 rdn: self.rdn(id).cloned(),
-                entry: self.live_entry(id).clone(),
+                entry: live_entry(&self.entries, id).clone(),
             })
             .collect()
     }
@@ -211,8 +249,52 @@ impl DirectoryInstance {
         self.rdns.grow_to(id.index() + 1, || None);
     }
 
+    /// Sets the index aside: the next `prepare()` renumbers and rebuilds.
     fn invalidate(&mut self) {
         self.index = None;
+        self.unposted.clear();
+        self.withdrawn = 0;
+    }
+
+    /// Whether `more` entries would take the batch since the last
+    /// `prepare()` past the rebuild bound.
+    fn past_rebuild_bound(&self, more: usize) -> bool {
+        self.unposted.len() + self.withdrawn + more > self.forest.len() / REBUILD_FRACTION
+    }
+
+    /// Queues `id`, which the index does not hold, for the next
+    /// `prepare()` to post.
+    fn queue(&mut self, id: EntryId) {
+        if self.index.is_some() {
+            self.unposted.push(id);
+            if self.past_rebuild_bound(0) {
+                self.invalidate();
+            }
+        }
+    }
+
+    /// Takes the live entries `ids` out of the index, or out of the
+    /// queue, ahead of their removal or a change of content — while the
+    /// forest still knows their labels and the index their old content.
+    fn unpost(&mut self, ids: &[EntryId]) {
+        if self.index.is_none() {
+            return;
+        }
+        if self.past_rebuild_bound(ids.len()) {
+            return self.invalidate();
+        }
+        let index = Arc::make_mut(self.index.as_mut().expect("checked above"));
+        for &id in ids {
+            match self.unposted.iter().position(|&queued| queued == id) {
+                Some(at) => {
+                    self.unposted.swap_remove(at);
+                }
+                None => {
+                    index.unpost(&self.forest, id, live_entry(&self.entries, id));
+                    self.withdrawn += 1;
+                }
+            }
+        }
     }
 
     /// The entry cell of an allocated slot, un-sharing its chunk.
@@ -225,19 +307,15 @@ impl DirectoryInstance {
         self.rdns.get_mut(id.index()).expect("slot is allocated")
     }
 
-    fn live_entry(&self, id: EntryId) -> &Entry {
-        self.entries.get(id.index()).and_then(Option::as_ref).expect("live node has an entry")
-    }
-
     // ----- construction -----
 
     /// Adds `entry` as a new root.
     pub fn add_root_entry(&mut self, entry: Entry) -> EntryId {
-        self.invalidate();
         let id = self.forest.add_root();
         self.grow_slots(id);
         *self.entry_slot(id) = Some(entry);
         *self.rdn_slot(id) = None;
+        self.queue(id);
         id
     }
 
@@ -248,11 +326,11 @@ impl DirectoryInstance {
         parent: EntryId,
         entry: Entry,
     ) -> Result<EntryId, InstanceError> {
-        self.invalidate();
         let id = self.forest.add_child(parent)?;
         self.grow_slots(id);
         *self.entry_slot(id) = Some(entry);
         *self.rdn_slot(id) = None;
+        self.queue(id);
         Ok(id)
     }
 
@@ -285,8 +363,10 @@ impl DirectoryInstance {
 
     /// Removes a leaf entry (LDAP deletion discipline).
     pub fn remove_leaf(&mut self, id: EntryId) -> Result<Entry, InstanceError> {
+        if self.forest.is_leaf(id) {
+            self.unpost(&[id]);
+        }
         self.forest.remove_leaf(id)?;
-        self.invalidate();
         *self.rdn_slot(id) = None;
         Ok(self.entry_slot(id).take().expect("live node has an entry"))
     }
@@ -294,8 +374,11 @@ impl DirectoryInstance {
     /// Removes the subtree rooted at `id`; returns removed `(id, entry)`
     /// pairs in post-order.
     pub fn remove_subtree(&mut self, id: EntryId) -> Result<Vec<(EntryId, Entry)>, InstanceError> {
+        if self.index.is_some() && self.forest.contains(id) {
+            let doomed = self.forest.postorder_of(id);
+            self.unpost(&doomed);
+        }
         let order = self.forest.remove_subtree(id)?;
-        self.invalidate();
         let mut out = Vec::with_capacity(order.len());
         for e in order {
             *self.rdn_slot(e) = None;
@@ -345,13 +428,15 @@ impl DirectoryInstance {
         self.entries.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Mutable access to the entry at `id`. Invalidates the index (class
-    /// membership may change).
+    /// Mutable access to the entry at `id`. The index lets go of the
+    /// entry (class membership and values may change); the next
+    /// [`prepare`](Self::prepare) posts it as it is by then.
     pub fn entry_mut(&mut self, id: EntryId) -> Option<&mut Entry> {
         if !self.forest.contains(id) {
             return None;
         }
-        self.invalidate();
+        self.unpost(&[id]);
+        self.queue(id);
         self.entries.get_mut(id.index()).and_then(Option::as_mut)
     }
 
@@ -408,7 +493,7 @@ impl DirectoryInstance {
 
     /// Iterates `(id, entry)` in preorder.
     pub fn iter(&self) -> impl Iterator<Item = (EntryId, &Entry)> {
-        self.forest.iter().map(move |id| (id, self.live_entry(id)))
+        self.forest.iter().map(move |id| (id, live_entry(&self.entries, id)))
     }
 
     /// Copies the subtree of `src` rooted at `root` into this instance
@@ -515,18 +600,32 @@ impl DirectoryInstance {
 
     /// Ensures numbering and secondary indexes are fresh. Call once after a
     /// batch of mutations; read-only evaluation then uses the shared
-    /// accessors below.
-    pub fn prepare(&mut self) {
-        self.forest.ensure_numbered();
-        if self.index.is_none() {
+    /// accessors below. Posts the batch to the index there is, or — the
+    /// first time, and after what [`Prepared::rebuilt`] lists — numbers
+    /// the forest and builds the index in one pass.
+    pub fn prepare(&mut self) -> Prepared {
+        let Some(index) = &mut self.index else {
+            self.forest.ensure_numbered();
             self.index =
                 Some(Arc::new(InstanceIndex::build(&self.forest, &self.entries, &self.registry)));
+            return Prepared { posted: 0, rebuilt: true };
+        };
+        debug_assert!(self.forest.is_numbered(), "an index implies a numbered forest");
+        self.withdrawn = 0;
+        let posted = self.unposted.len();
+        if posted > 0 {
+            let index = Arc::make_mut(index);
+            for id in self.unposted.drain(..) {
+                index.post(&self.forest, &self.registry, id, live_entry(&self.entries, id));
+            }
         }
+        Prepared { posted, rebuilt: false }
     }
 
-    /// Whether [`prepare`](Self::prepare) has run since the last mutation.
+    /// Whether [`prepare`](Self::prepare) has run since the last addition
+    /// or content change (a removal leaves a prepared instance prepared).
     pub fn is_prepared(&self) -> bool {
-        self.index.is_some() && self.forest.is_numbered()
+        self.index.is_some() && self.unposted.is_empty()
     }
 
     /// The secondary index.
@@ -534,8 +633,34 @@ impl DirectoryInstance {
     /// # Panics
     /// If the instance is not [`prepare`](Self::prepare)d.
     pub fn index(&self) -> &InstanceIndex {
+        assert!(self.unposted.is_empty(), "instance not prepared; call prepare() after mutations");
         self.index.as_deref().expect("instance not prepared; call prepare() after mutations")
     }
+
+    /// The structure layer's invariants: labels follow the preorder,
+    /// every `end` is exact, and the maintained index equals the one a
+    /// from-scratch build makes of the same entries. The oracle tests
+    /// run after every mutation they apply.
+    #[doc(hidden)]
+    pub fn check_prepared(&self) -> Result<(), String> {
+        if !self.is_prepared() {
+            return Err("instance is not prepared".to_owned());
+        }
+        self.forest.check_numbering()?;
+        let mut fresh = self.clone();
+        fresh.invalidate();
+        fresh.prepare();
+        if fresh.index != self.index {
+            return Err("the maintained index differs from a fresh build".to_owned());
+        }
+        Ok(())
+    }
+}
+
+/// The entry of a live node — a free function over the one field, so
+/// callers can hold the index or the queue mutably beside it.
+fn live_entry(entries: &CowVec<Option<Entry>>, id: EntryId) -> &Entry {
+    entries.get(id.index()).and_then(Option::as_ref).expect("live node has an entry")
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //!   typing function `τ : A → T` (an [`AttributeRegistry`]).
 //! * [`entry`] — `val(r)` and `class(r)` per entry, with Definition 2.1(3b)'s
 //!   objectClass invariant enforced structurally.
-//! * [`forest`] — the relation `N` as an arena forest with lazy
-//!   preorder/postorder interval numbering (the "sorted entries" the §3.2
-//!   query evaluation relies on).
+//! * [`forest`] — the relation `N` as an arena forest with gap-labelled
+//!   preorder interval numbering, maintained across insertions and
+//!   removals (the "sorted entries" the §3.2 query evaluation relies on).
 //! * [`instance`] — the assembled [`DirectoryInstance`] with secondary
-//!   indexes ([`index`]); its side tables are chunked copy-on-write
-//!   vectors (`cow`), so clones share what they do not write.
+//!   indexes ([`index`]) that a write posts its |ΔD| entries to; its side
+//!   tables are chunked copy-on-write vectors (`cow`) and its index lists
+//!   sit behind `Arc`s, so clones share what they do not write.
 //! * [`dn`] / [`ldif`] — naming and interchange.
 //!
 //! ## Quick start
@@ -63,6 +64,6 @@ pub use dn::{Dn, Rdn};
 pub use entry::{Entry, EntryBuilder};
 pub use forest::{EntryId, Forest, ForestError};
 pub use index::InstanceIndex;
-pub use instance::{DirectoryInstance, InstanceError, SlotRow};
+pub use instance::{DirectoryInstance, InstanceError, Prepared, SlotRow};
 pub use oid::Oid;
 pub use syntax::Syntax;

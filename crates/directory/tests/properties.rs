@@ -25,11 +25,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Applies ops, ignoring those whose target cannot be satisfied; returns
-/// the forest and the live id list.
-fn build(ops: &[Op]) -> (Forest, Vec<EntryId>) {
+/// the forest and the live id list. The forest is numbered before op
+/// `number_at` (never, if past the end), so the ops after it run on a
+/// maintained numbering.
+fn build(ops: &[Op], number_at: usize) -> (Forest, Vec<EntryId>) {
     let mut forest = Forest::new();
     let mut live: Vec<EntryId> = Vec::new();
-    for op in ops {
+    for (n, op) in ops.iter().enumerate() {
+        if n == number_at {
+            forest.ensure_numbered();
+        }
         match op {
             Op::AddRoot => live.push(forest.add_root()),
             Op::AddChild(k) => {
@@ -64,8 +69,13 @@ proptest! {
 
     /// Structural invariants hold after any operation sequence.
     #[test]
-    fn forest_invariants(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        let (mut forest, live) = build(&ops);
+    fn forest_invariants(
+        ops in proptest::collection::vec(op_strategy(), 0..60),
+        number_at in 0usize..70,
+    ) {
+        let (mut forest, live) = build(&ops, number_at);
+        // Insertions and removals keep a numbering, once there is one.
+        prop_assert_eq!(forest.is_numbered(), number_at < ops.len());
 
         // Count agreement.
         prop_assert_eq!(forest.len(), live.len());
@@ -83,14 +93,17 @@ proptest! {
             }
         }
 
-        // Interval numbering agrees with link-chasing ancestry, and `end`
-        // equals pre + subtree_size - 1.
+        // Interval numbering agrees with link-chasing ancestry: labels
+        // follow the preorder, and `end` is exactly the label of the last
+        // descendant — maintained or freshly assigned.
         forest.ensure_numbered();
+        prop_assert_eq!(forest.check_numbering(), Ok(()));
+        for w in order.windows(2) {
+            prop_assert!(forest.pre(w[0]) < forest.pre(w[1]));
+        }
         for &a in live.iter().take(20) {
-            prop_assert_eq!(
-                forest.end(a) as usize,
-                forest.pre(a) as usize + forest.subtree_size(a) - 1
-            );
+            let last = forest.descendants(a).last().unwrap_or(a);
+            prop_assert_eq!(forest.end(a), forest.pre(last));
             for &d in live.iter().take(20) {
                 prop_assert_eq!(forest.interval_is_ancestor(a, d), forest.is_ancestor(a, d));
             }
@@ -116,7 +129,7 @@ proptest! {
     /// remove_subtree removes exactly the subtree, post-order.
     #[test]
     fn remove_subtree_is_exact(ops in proptest::collection::vec(op_strategy(), 1..40), pick in any::<prop::sample::Index>()) {
-        let (mut forest, live) = build(&ops);
+        let (mut forest, live) = build(&ops, usize::MAX);
         prop_assume!(!live.is_empty());
         let target = live[pick.index(live.len())];
         let expected: Vec<EntryId> =
@@ -256,6 +269,9 @@ enum Edit {
     RemoveLeaf(usize),
     RemoveSubtree(usize),
     AddValue(usize),
+    AddClass(usize),
+    SetUid(usize),
+    RespellUid(usize),
     Rename(usize),
 }
 
@@ -266,6 +282,9 @@ fn edit_strategy() -> impl Strategy<Value = Edit> {
         3 => any::<u16>().prop_map(|k| Edit::RemoveLeaf(k as usize)),
         1 => any::<u16>().prop_map(|k| Edit::RemoveSubtree(k as usize)),
         3 => any::<u16>().prop_map(|k| Edit::AddValue(k as usize)),
+        1 => any::<u16>().prop_map(|k| Edit::AddClass(k as usize)),
+        1 => any::<u16>().prop_map(|k| Edit::SetUid(k as usize)),
+        1 => any::<u16>().prop_map(|k| Edit::RespellUid(k as usize)),
         2 => any::<u16>().prop_map(|k| Edit::Rename(k as usize)),
     ]
 }
@@ -303,6 +322,26 @@ fn apply_edits(dir: &mut DirectoryInstance, edits: &[Edit], tag: &str) {
             Edit::AddValue(k) => {
                 if let Some(target) = pick(k) {
                     dir.entry_mut(target).expect("live").add_value("mail", format!("{tag}{n}@x"));
+                }
+            }
+            Edit::AddClass(k) => {
+                if let Some(target) = pick(k) {
+                    dir.entry_mut(target).expect("live").add_class(format!("class{}", k % 3));
+                }
+            }
+            Edit::SetUid(k) => {
+                if let Some(target) = pick(k) {
+                    dir.entry_mut(target).expect("live").set_values("uid", [format!("{tag}{n}")]);
+                }
+            }
+            // A second spelling of the uid: one value under the matching
+            // rule, two values against the single-value rule.
+            Edit::RespellUid(k) => {
+                if let Some(target) = pick(k) {
+                    let entry = dir.entry_mut(target).expect("live");
+                    if let Some(uid) = entry.first_value("uid").map(str::to_uppercase) {
+                        entry.add_value("uid", format!(" {uid} "));
+                    }
                 }
             }
             Edit::Rename(k) => {
@@ -394,6 +433,113 @@ proptest! {
         d.prepare();
         prop_assert_eq!(d.index().all_entries().len(), a.index().all_entries().len() + 1);
     }
+}
+
+// --------------------------------------------------- maintained index --
+
+/// `dir`'s numbering and index are what a from-scratch pass makes of the
+/// same entries — by its own oracle, and against an independent copy
+/// rebuilt slot by slot, numbered and indexed in one go.
+fn assert_as_fresh(dir: &DirectoryInstance) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dir.check_prepared(), Ok(()));
+    let mut rebuilt = DirectoryInstance::from_slots(
+        dir.registry().clone(),
+        dir.forest().slot_bound(),
+        dir.slot_rows(),
+        dir.forest().free_slots(),
+    )
+    .expect("a live instance snapshots consistently");
+    prop_assert!(rebuilt.prepare().rebuilt);
+    prop_assert!(rebuilt.index() == dir.index(), "maintained index differs from a rebuilt copy's");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Batches of edits between two `prepare()` calls, each on a clone
+    /// of the current version that is then kept or dropped: after every
+    /// `prepare()` the new version *and* the version it forked from hold
+    /// exactly the index a fresh build would — whether the batch was
+    /// posted entry by entry or, past the bound, rebuilt.
+    #[test]
+    fn a_maintained_index_equals_a_fresh_build(
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(edit_strategy(), 1..40), any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let mut current = seeded(10, 0);
+        current.prepare();
+        for (n, (edits, keep)) in batches.iter().enumerate() {
+            let mut next = current.clone();
+            apply_edits(&mut next, edits, &format!("b{n}e"));
+            let did = next.prepare();
+            // One rebuild bound for the whole batch: `len / 32`.
+            prop_assert!(did.rebuilt || did.posted <= edits.len().min(next.len() / 32 + 1));
+            prop_assert!(next.is_prepared());
+            assert_as_fresh(&next)?;
+            assert_as_fresh(&current)?;
+            if *keep {
+                current = next;
+            }
+        }
+    }
+}
+
+/// Up to `len / 32` changed entries are posted one by one; one more and
+/// `prepare()` falls back to the from-scratch pass. Either way the index
+/// is the fresh one.
+#[test]
+fn a_batch_past_the_bound_is_rebuilt() {
+    let person = |n: usize| Entry::builder().class("top").attr("uid", format!("new{n}")).build();
+    let mut dir = seeded(10, 0);
+    let root = dir.forest().roots().next().expect("seeded");
+    assert!(dir.prepare().rebuilt, "the first prepare() builds");
+    assert_eq!((dir.prepare().posted, dir.prepare().rebuilt), (0, false));
+
+    let bound = dir.len() / 32;
+    for n in 0..bound {
+        dir.add_child_entry(root, person(n)).expect("live parent");
+    }
+    assert!(!dir.is_prepared());
+    let did = dir.prepare();
+    assert_eq!((did.posted, did.rebuilt), (bound, false));
+    dir.check_prepared().expect("posted");
+
+    let bound = dir.len() / 32;
+    for n in 0..=bound {
+        dir.entry_mut(root).expect("live").add_value("mail", format!("m{n}@x"));
+        dir.add_child_entry(root, person(1000 + n)).expect("live parent");
+    }
+    let did = dir.prepare();
+    assert_eq!((did.posted, did.rebuilt), (0, true));
+    dir.check_prepared().expect("rebuilt");
+
+    // Removals count towards the same bound, however many calls they
+    // come in: single leaves are un-posted on the spot until the batch
+    // is past `len / 32`, and the next one sets the index aside.
+    let mut removed = 0;
+    loop {
+        let fits = removed < dir.len() / 32;
+        let leaf = dir.forest().iter().find(|&id| dir.forest().is_leaf(id)).expect("a leaf");
+        dir.remove_leaf(leaf).expect("leaf");
+        removed += 1;
+        assert_eq!(dir.is_prepared(), fits, "removal {removed} of one batch");
+        if !fits {
+            break;
+        }
+        dir.check_prepared().expect("un-posted");
+    }
+    assert!(removed > 2, "the bound was reached by accumulation");
+    assert!(dir.prepare().rebuilt);
+    dir.check_prepared().expect("rebuilt");
+
+    // A doomed subtree past the bound sets the index aside as well.
+    dir.remove_subtree(root).expect("live");
+    assert!(!dir.is_prepared());
+    assert!(dir.prepare().rebuilt);
+    dir.check_prepared().expect("rebuilt");
 }
 
 // ------------------------------------------------- matching primitives --

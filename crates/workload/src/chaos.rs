@@ -176,6 +176,11 @@ pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPla
                 stats.rejected += 1;
             }
         }
+        // Committed, refused or cut short by a fault: the numbering and
+        // the index the next transaction runs on are the from-scratch ones.
+        if let Err(drift) = live.instance().check_prepared() {
+            panic!("tx {i}: {drift}");
+        }
     }
 
     // Recovery differential: replaying the journal (probe-free, so no

@@ -125,6 +125,7 @@ proptest! {
             created.push(dir.add_child_entry(under, entry).unwrap());
         }
         dir.prepare();
+        prop_assert_eq!(dir.check_prepared(), Ok(()));
 
         let delta_root = created[0];
         let incremental = IncrementalChecker::new(&schema).check_insertion(&dir, delta_root);
@@ -159,6 +160,7 @@ proptest! {
             .map(|(_, e)| e)
             .collect();
         dir.prepare();
+        prop_assert_eq!(dir.check_prepared(), Ok(()));
 
         let incremental = IncrementalChecker::new(&schema).check_deletion(&dir, &removed);
         let full = LegalityChecker::new(&schema).check(&dir);
@@ -191,6 +193,7 @@ fn apply_batched_both_engines(
         "sequential and parallel batched engines must produce identical reports"
     );
     assert_eq!(a_seq.inserted_roots, a_par.inserted_roots);
+    assert_eq!((d_seq.check_prepared(), d_par.check_prepared()), (Ok(()), Ok(())));
     let full = LegalityChecker::new(schema).check(&d_seq);
     assert_eq!(
         a_seq.report.is_legal(),
@@ -420,6 +423,7 @@ proptest! {
 
         prop_assert_eq!(&seq.report, &par.report, "engine reports diverged");
         prop_assert_eq!(&seq.inserted_roots, &par.inserted_roots);
+        prop_assert_eq!((d_seq.check_prepared(), d_par.check_prepared()), (Ok(()), Ok(())));
         let full = LegalityChecker::new(&schema).check(&d_seq);
         prop_assert_eq!(
             seq.report.is_legal(),
@@ -444,6 +448,7 @@ fn deletion_safe_rows_never_break() {
         let mut copy = dir.clone();
         copy.remove_subtree(target).unwrap();
         copy.prepare();
+        copy.check_prepared().expect("maintained across the deletion");
         let report = checker.check(&copy);
         for v in report.violations() {
             use bschema_core::legality::Violation;

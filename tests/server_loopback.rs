@@ -459,6 +459,73 @@ fn refused_writes_append_nothing_on_either_backend() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The running server's tripwire for the O(|ΔD|) write: 200 served
+/// TXN / MODIFY requests on either backend post exactly the entries they
+/// insert or modify to the maintained index (`managed.index_posted`) and
+/// never renumber or rebuild it (`managed.index_rebuilt`).
+#[test]
+fn served_writes_post_their_delta_and_never_rebuild_the_index() {
+    const ORGS: usize = 8;
+    // Every shard holds at least one org of ≈120 entries, so a write of
+    // |ΔD| ≤ 2 stays under the `len / 32` rebuild bound wherever it lands.
+    let base = || multi_org_base(ORGS, 120, 0xD1FF);
+    for shards in [1, 2] {
+        let recorder = Arc::new(bschema_obs::Recorder::new());
+        let service = match shards {
+            1 => DirectoryService::new(
+                ManagedDirectory::with_instance(white_pages_schema(), base()).expect("legal base"),
+            ),
+            n => {
+                DirectoryService::new_sharded(white_pages_schema(), base(), n).expect("legal base")
+            }
+        };
+        let service = Arc::new(service.with_probe(recorder.clone()));
+        let handle = Server::spawn(service.clone(), ServerConfig::default()).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+
+        let (mut requests, mut posted, entries) = (0, 0, service.len());
+        for i in 0..50 {
+            let org = format!("org{}", i % ORGS);
+            // An insertion — every tenth one of two entries under two
+            // organizations, which two shards may own.
+            let mut ldif = org_person_ldif(&format!("w{i}"), &org);
+            posted += 1;
+            if i % 10 == 0 {
+                ldif.push('\n');
+                ldif.push_str(&org_person_ldif(
+                    &format!("x{i}"),
+                    &format!("org{}", (i + 1) % ORGS),
+                ));
+                posted += 1;
+            }
+            client.apply_ldif(&ldif).expect("legal TXN");
+            // Two modifications of the entry just inserted.
+            for mods in
+                [format!("add: telephoneNumber: +1 555 {i}"), format!("replace: name: w{i}")]
+            {
+                client.modify_lines(&format!("dn: uid=w{i},o={org}\n{mods}\n")).expect("MODIFY");
+                posted += 1;
+            }
+            // A deletion posts nothing; un-posting is not counted.
+            client
+                .apply_ldif(&format!("dn: uid=w{i},o={org}\nchangetype: delete\n"))
+                .expect("delete");
+            requests += 4;
+        }
+        assert_eq!((requests, service.len()), (200, entries + 5), "{shards} shard(s)");
+        let metrics = recorder.metrics();
+        // One guarded apply per request and shard it touches.
+        assert!(metrics.counter("managed.tx_applied") >= 200, "{shards} shard(s)");
+        assert_eq!(metrics.counter("managed.index_rebuilt"), 0, "{shards} shard(s)");
+        assert_eq!(metrics.counter("managed.index_posted"), posted, "{shards} shard(s)");
+        for k in 0..shards {
+            service.shard_snapshot(k).check_prepared().expect("published snapshots are maintained");
+        }
+        client.shutdown_server().expect("shutdown");
+        handle.wait();
+    }
+}
+
 /// Number of generated organizations in the sharded loopback base.
 const SHARDED_ORGS: usize = 4;
 

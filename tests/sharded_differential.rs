@@ -59,6 +59,7 @@ fn replay_unsharded(
                 Err(e) => e.code(),
             },
         };
+        managed.instance().check_prepared().expect("numbering and index are maintained");
         verdicts.push(verdict);
     }
     let merged = canonical_merge(partition(managed.instance(), 1).expect("partition").iter())
@@ -88,6 +89,11 @@ fn replay_sharded(
             }
             Err(e) => e.code(),
         };
+        for k in 0..shards {
+            sharded
+                .with_shard(k, |engine| engine.instance().check_prepared())
+                .expect("numbering and index are maintained on every shard");
+        }
         verdicts.push(verdict);
     }
     let merged = sharded.merged_instance().expect("merge");

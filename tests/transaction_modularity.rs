@@ -133,6 +133,9 @@ proptest! {
             dir_b.remove_subtree(root).expect("validated");
         }
         dir_b.prepare();
+        // Whichever way the transaction was applied, numbering and index
+        // are what a from-scratch pass would make of the result.
+        prop_assert_eq!((dir_a.check_prepared(), dir_b.check_prepared()), (Ok(()), Ok(())));
         let full = LegalityChecker::new(&schema).check(&dir_b);
 
         // Theorem 4.1: final legal ⇔ all intermediate checks clean.
@@ -166,6 +169,7 @@ fn op_granularity_is_not_robust_but_subtree_granularity_is() {
         )
         .unwrap();
     dir.prepare();
+    dir.check_prepared().expect("maintained across the first insertion");
     assert!(!checker.check(&dir).is_legal(), "mid-transaction state is illegal");
 
     // Complete the subtree: legality restored.
@@ -175,5 +179,6 @@ fn op_granularity_is_not_robust_but_subtree_granularity_is() {
     )
     .unwrap();
     dir.prepare();
+    dir.check_prepared().expect("maintained across the second insertion");
     assert!(checker.check(&dir).is_legal(), "completed subtree is legal");
 }

@@ -17,13 +17,24 @@
 //! `WAL_FIXTURES_WRITE=1 cargo test -p bschema-server --test wal_fixtures`
 //! and say so in the PR.
 //!
-//! One deliberate change so far: since a write is certified before it
-//! is journalled, the refused TXN that ends the `single` script appends
-//! nothing. `single.wal` was re-recorded for that alone, and the file
-//! the older builds wrote is kept as `single.refused-tail.wal`: the new
-//! file must be a strict prefix of it — every committed record
-//! byte-identical, the difference exactly the refused TXN's records —
-//! and recovery from it must still discard that tail.
+//! Two deliberate changes so far, each with the files the older builds
+//! wrote kept under `with-jrnop/` and held against what replaced them:
+//!
+//! 1. Since a write is certified before it is journalled, the refused
+//!    TXN that ends the `single` script appends nothing. `single.wal`
+//!    was re-recorded for that alone; the file the builds before that
+//!    wrote is `with-jrnop/single.refused-tail.wal`, the re-recorded one
+//!    must be a strict prefix of it — every committed record
+//!    byte-identical, the difference exactly the refused TXN's records —
+//!    and recovery from it must still discard that tail.
+//! 2. A payload record no longer spells out its op index (`jrnop: <i>`):
+//!    the parser takes it from the record's position. The four journal
+//!    files were re-recorded; each must equal the file of the same name
+//!    under `with-jrnop/` with exactly its `jrnop` lines removed, and
+//!    recovery from the older files must land on the same pinned
+//!    directory. `ckpt.wal.ckpt` and `canonical.txt` did not change.
+//!    (Old → new is what is pinned: a journal written by this build does
+//!    not parse on a build that demands the field.)
 
 use std::path::{Path, PathBuf};
 
@@ -37,6 +48,15 @@ use bschema_server::DirectoryService;
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/wal")
+}
+
+/// `file` as an older build wrote it: every journal file has changed
+/// since, the checkpoint format has not.
+fn older(file: &str) -> PathBuf {
+    match file.ends_with(".ckpt") {
+        true => fixtures().join(file),
+        false => fixtures().join("with-jrnop").join(file),
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -201,33 +221,54 @@ fn scripts_write_the_pinned_bytes_and_old_files_recover_to_the_pinned_state() {
             );
         }
 
-        // Reading: the old files recover to the pinned directory.
-        let restart = scratch(&format!("{name}-read"));
-        for file in files {
-            std::fs::copy(fixtures().join(file), restart.join(file)).expect("copy fixture");
+        // The format relation: a journal file is the older build's file
+        // minus its `jrnop` lines, and nothing else.
+        for file in files.iter().filter(|file| !file.ends_with(".ckpt")) {
+            let old = std::fs::read_to_string(older(file)).expect("older fixture file");
+            let new = std::fs::read_to_string(fixtures().join(file)).expect("fixture file");
+            let (op_indices, rest): (Vec<&str>, Vec<&str>) =
+                old.split_inclusive('\n').partition(|line| {
+                    line.trim_end()
+                        .strip_prefix("jrnop: ")
+                        .is_some_and(|i| i.parse::<u64>().is_ok())
+                });
+            assert!(
+                !op_indices.is_empty() && rest.concat() == new,
+                "{name}: {file} is not the older file minus its jrnop lines"
+            );
         }
-        let (recovered, replayed) = reopen(&restart);
-        assert_eq!(replayed, replays, "{name}: replayed transactions");
-        assert_eq!(
-            fnv1a(&recovered.snapshot().canonical_bytes()),
-            want,
-            "{name}: recovery from the pinned files lands elsewhere"
-        );
+
+        // Reading: the pinned files, and the files older builds wrote,
+        // recover to the pinned directory.
+        for source in [|file: &str| fixtures().join(file), older] {
+            let restart = scratch(&format!("{name}-read"));
+            for file in files {
+                std::fs::copy(source(file), restart.join(file)).expect("copy fixture");
+            }
+            let (recovered, replayed) = reopen(&restart);
+            assert_eq!(replayed, replays, "{name}: replayed transactions");
+            assert_eq!(
+                fnv1a(&recovered.snapshot().canonical_bytes()),
+                want,
+                "{name}: recovery from the pinned files lands elsewhere"
+            );
+            let _ = std::fs::remove_dir_all(&restart);
+        }
         let _ = std::fs::remove_dir_all(&fresh);
-        let _ = std::fs::remove_dir_all(&restart);
     }
 
-    // What older builds wrote for the `single` script is what this
-    // build writes plus one uncommitted transaction: the refused TXN.
-    let new = std::fs::read(fixtures().join("single.wal")).expect("fixture file");
-    let old = std::fs::read(fixtures().join("single.refused-tail.wal")).expect("fixture file");
+    // What the builds before PR 19 wrote for the `single` script is what
+    // the builds after it wrote plus one uncommitted transaction: the
+    // refused TXN.
+    let new = std::fs::read(older("single.wal")).expect("fixture file");
+    let old = std::fs::read(older("single.refused-tail.wal")).expect("fixture file");
     assert!(old.len() > new.len() && old.starts_with(&new), "single.wal is not a strict prefix");
     let tail = Journal::parse(std::str::from_utf8(&old[new.len()..]).expect("journals are text"));
     assert_eq!((tail.txs.len(), tail.committed().count(), tail.truncated), (1, 0, false));
     assert_eq!(tail.txs[0].to_transaction().len(), 1, "the refused single-insert TXN");
     // And recovery from the older file discards it.
     let restart = scratch("single-refused-tail");
-    std::fs::copy(fixtures().join("single.refused-tail.wal"), restart.join("single.wal"))
+    std::fs::copy(older("single.refused-tail.wal"), restart.join("single.wal"))
         .expect("copy fixture");
     let (recovered, replayed) = single(&restart.join("single.wal"));
     let want = pinned.iter().find(|(n, _)| n == "single").expect("single pin").1;
