@@ -294,6 +294,11 @@ impl JournaledDirectory {
         self.managed.instance()
     }
 
+    /// The live version itself — what a publish hands to readers.
+    pub fn shared_instance(&self) -> Arc<DirectoryInstance> {
+        self.managed.shared_instance()
+    }
+
     /// Unwraps the directory, dropping the journal attachment.
     pub fn into_managed(self) -> ManagedDirectory {
         self.managed

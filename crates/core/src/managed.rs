@@ -186,7 +186,9 @@ pub(crate) enum Successor {
 #[derive(Debug, Clone)]
 pub struct ManagedDirectory {
     schema: DirectorySchema,
-    dir: DirectoryInstance,
+    /// The live version. Shared, not owned: whoever publishes it to
+    /// readers clones the `Arc`, and an operation forks its copy from it.
+    dir: Arc<DirectoryInstance>,
     /// Whether the current instance is known legal (enables the incremental
     /// §4 checks; until then transactions are fully rechecked).
     known_legal: bool,
@@ -243,7 +245,7 @@ impl ManagedDirectory {
         let report = LegalityChecker::new(&schema).check(&dir);
         let managed = ManagedDirectory {
             schema,
-            dir,
+            dir: Arc::new(dir),
             known_legal: report.is_legal(),
             options: LegalityOptions::default(),
             probe: ProbeHandle::default(),
@@ -290,7 +292,7 @@ impl ManagedDirectory {
 
     /// Unwraps into the enforced schema and the instance.
     pub fn into_parts(self) -> (DirectorySchema, DirectoryInstance) {
-        (self.schema, self.dir)
+        (self.schema, Arc::unwrap_or_clone(self.dir))
     }
 
     /// The full legality checker configured with this directory's options.
@@ -329,7 +331,7 @@ impl ManagedDirectory {
     pub(crate) fn install(&mut self, next: Successor) {
         match next {
             Successor::Instance(dir) => {
-                self.dir = dir;
+                self.dir = Arc::new(dir);
                 self.known_legal = true;
             }
             Successor::Schema(schema) => self.schema = *schema,
@@ -339,6 +341,12 @@ impl ManagedDirectory {
     /// Read access to the underlying instance.
     pub fn instance(&self) -> &DirectoryInstance {
         &self.dir
+    }
+
+    /// The live version itself, for a holder that outlives the next
+    /// install — a reader's snapshot is this `Arc`, not a copy of it.
+    pub fn shared_instance(&self) -> Arc<DirectoryInstance> {
+        Arc::clone(&self.dir)
     }
 
     /// Number of entries.
@@ -378,7 +386,7 @@ impl ManagedDirectory {
         ) -> Result<(R, LegalityReport), ManagedError>,
     ) -> Result<(R, Successor), ManagedError> {
         let probe = self.probe.get();
-        let mut next = self.dir.clone();
+        let mut next = DirectoryInstance::clone(&self.dir);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let span = probe.span_start(NO_SPAN, "managed.apply", 0);
             (span, body(&mut next, probe))
@@ -505,7 +513,7 @@ impl ManagedDirectory {
             };
             prepare_probed(dir, probe);
             let report = if self.known_legal {
-                crate::updates::check_modification(&self.schema, dir, target, &changed)
+                crate::updates::check_modification(&self.schema, dir, target, &changed, probe)
             } else {
                 self.checker().check(dir)
             };
@@ -534,6 +542,7 @@ impl ManagedDirectory {
         new_parent: EntryId,
     ) -> Result<(), ManagedError> {
         let ((), next) = self.certify(|dir, probe| {
+            let former_parent = dir.forest().parent(target);
             if let Err(e) = dir.move_subtree(target, new_parent) {
                 return Ok(((), inapplicable(target, e.to_string())));
             }
@@ -542,7 +551,7 @@ impl ManagedDirectory {
                 crate::updates::IncrementalChecker::new(&self.schema)
                     .with_options(self.options)
                     .with_probe(probe)
-                    .check_move(dir, target)
+                    .check_move(dir, target, former_parent)
             } else {
                 self.checker().check(dir)
             };

@@ -18,18 +18,27 @@
 //!
 //! The content schema is fully incremental both ways: insertion checks only
 //! the new entries; deletion checks nothing (§4.2).
+//!
+//! [`check_deletion`](IncrementalChecker::check_deletion) is that table,
+//! literally. The served write path runs Figure 5′ instead
+//! ([`check_deletion_scoped`](IncrementalChecker::check_deletion_scoped)):
+//! the two "no" rows re-tested on the deleted subtrees' former parents
+//! and their ancestors only — see [`scoped`](super::scoped) — with the
+//! literal recheck kept as the oracle it is tested against.
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{Probe, SpanId, NO_SPAN};
 use bschema_query::{evaluate, evaluate_batch, Binding, EvalContext, Filter, Query};
 
+use super::scoped::Neighbourhood;
 use crate::legality::report::{LegalityReport, Violation};
 use crate::legality::{content, translate, LegalityOptions};
-use crate::schema::{DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
+use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
 
 /// Figure 5 row label for a required relationship, as used in the
-/// `incremental.delta_query.*` / `incremental.recheck.*` counters.
-fn required_row(kind: RelKind) -> &'static str {
+/// `incremental.delta_query.*` / `incremental.scoped.*` /
+/// `incremental.recheck.*` counters.
+pub(super) fn required_row(kind: RelKind) -> &'static str {
     match kind {
         RelKind::Child => "require_child",
         RelKind::Parent => "require_parent",
@@ -39,7 +48,7 @@ fn required_row(kind: RelKind) -> &'static str {
 }
 
 /// Figure 5 row label for a forbidden relationship.
-fn forbidden_row(kind: ForbidKind) -> &'static str {
+pub(super) fn forbidden_row(kind: ForbidKind) -> &'static str {
     match kind {
         ForbidKind::Child => "forbid_child",
         ForbidKind::Descendant => "forbid_descendant",
@@ -330,64 +339,75 @@ impl<'s> IncrementalChecker<'s> {
 
     /// Checks that **moving** a subtree (LDAP ModifyDN) preserved legality.
     /// `dir` is the instance **after** the move, prepared, with the subtree
-    /// now rooted at `moved_root`; the instance before is assumed legal.
+    /// now rooted at `moved_root`; `former_parent` is the entry it hung
+    /// under before (`None`: it was a forest root); the instance before is
+    /// assumed legal.
     ///
     /// A move is a deletion at the old location plus an insertion of the
     /// same subtree at the new one, so the check is the union of both
-    /// Figure 5 columns — minus what a move can never change: entry content
-    /// is untouched, and per-class counts are preserved so `◇c` cannot
+    /// columns — minus what a move can never change: entry content is
+    /// untouched, and per-class counts are preserved so `◇c` cannot
     /// break.
-    pub fn check_move(&self, dir: &DirectoryInstance, moved_root: EntryId) -> LegalityReport {
+    pub fn check_move(
+        &self,
+        dir: &DirectoryInstance,
+        moved_root: EntryId,
+        former_parent: Option<EntryId>,
+    ) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_move", 0);
         let mut out = Vec::new();
-        let classes = self.schema.classes();
 
         // Insertion half: the Figure 5 Δ-queries at the new location.
         let span = probe.span_start(root_span, "structure_delta", 0);
         self.structure_delta_violations(dir, &[moved_root], span, &mut out);
         probe.span_end(span);
 
-        // Deletion half: the "no" rows re-checked on the whole instance —
-        // entries outside the subtree may have lost a required child /
-        // descendant that moved away. Restrict witnesses to entries outside
-        // ∆D (inside ones were covered above) to avoid duplicates.
-        let span = probe.span_start(root_span, "recheck", 1);
-        let whole = EvalContext::new(dir).with_probe(probe);
-        let forest = dir.forest();
-        let recheck: Vec<&RequiredRel> = self
-            .schema
-            .structure()
-            .required_rels()
-            .iter()
-            .filter(|rel| deletion_needs_recheck(rel.kind))
-            .collect();
-        if probe.enabled() {
-            for rel in &recheck {
-                probe.add_labeled("incremental.recheck", required_row(rel.kind), 1);
-            }
-        }
-        let queries: Vec<Query> =
-            recheck.iter().map(|rel| translate::required_rel_query(self.schema, rel)).collect();
-        for (rel, witnesses) in recheck.iter().zip(evaluate_batch(&whole, &queries, self.threads()))
-        {
-            for witness in witnesses {
-                let inside =
-                    witness == moved_root || forest.interval_is_ancestor(moved_root, witness);
-                if !inside {
-                    out.push(Violation::RequiredRelViolation {
-                        entry: witness,
-                        source: classes.name(rel.source).to_owned(),
-                        kind: rel.kind,
-                        target: classes.name(rel.target).to_owned(),
-                    });
-                }
-            }
-        }
+        // Deletion half, Figure 5′: only the old parent and its ancestors
+        // had the subtree below them, so only they can miss a child /
+        // descendant that moved away. They all lie outside ∆D.
+        let span = probe.span_start(root_span, "scoped", 1);
+        let near = Neighbourhood::new(self.schema, dir, probe);
+        let moved_away = |class: ClassId| {
+            near.carries(moved_root, class)
+                || near.has_relative(moved_root, RelKind::Descendant, class)
+        };
+        near.starved(&[former_parent], moved_away, &mut out);
+        near.finish();
         probe.span_end(span);
 
         probe.span_end(root_span);
         LegalityReport::from_violations(out).normalized()
+    }
+
+    /// Figure 5′: checks that deleting subtrees preserved legality, in
+    /// O(depth · log|D|) instead of [`check_deletion`](Self::check_deletion)'s
+    /// O(|D|), with the same report. `dir` is the instance **after** the
+    /// deletions, prepared; `removed` holds the deleted entries;
+    /// `former_parents` the entry each deleted subtree hung under (`None`
+    /// for a forest root); the instance before is assumed legal.
+    ///
+    /// `◇c` is the count test of §4.2. A required child / descendant row
+    /// is re-tested only if a removed entry carried its target class, and
+    /// only at the former parents (child) and their ancestors
+    /// (descendant) — nobody else had a removed entry below them.
+    pub fn check_deletion_scoped(
+        &self,
+        dir: &DirectoryInstance,
+        removed: &[Entry],
+        former_parents: &[Option<EntryId>],
+    ) -> LegalityReport {
+        let probe = self.probe;
+        let root_span = probe.span_start(NO_SPAN, "incremental.check_deletion_scoped", 0);
+        let mut out = Vec::new();
+        let classes = self.schema.classes();
+        let lost = |class: ClassId| removed.iter().any(|e| e.has_class(classes.name(class)));
+        let near = Neighbourhood::new(self.schema, dir, probe);
+        near.emptied(lost, &mut out);
+        near.starved(former_parents, lost, &mut out);
+        near.finish();
+        probe.span_end(root_span);
+        LegalityReport::from_violations(out)
     }
 
     /// Checks that deleting a subtree preserved legality. `dir` is the
@@ -397,7 +417,9 @@ impl<'s> IncrementalChecker<'s> {
     ///
     /// Per Figure 5, only the child/descendant required rows and `◇c` can
     /// break, so content, parent/ancestor required, and all forbidden
-    /// elements are skipped outright.
+    /// elements are skipped outright. This is the paper's table as
+    /// printed — the two "no" rows cost O(|D|) — and the oracle
+    /// [`check_deletion_scoped`](Self::check_deletion_scoped) answers to.
     pub fn check_deletion(&self, dir: &DirectoryInstance, removed: &[Entry]) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_deletion", 0);
@@ -585,9 +607,10 @@ mod tests {
         let full = LegalityChecker::new(&schema);
         // Legal move: databases under att.
         let (mut dir, ids) = white_pages_instance();
+        let from = dir.forest().parent(ids.databases);
         dir.move_subtree(ids.databases, ids.att).unwrap();
         dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases);
+        let inc = checker.check_move(&dir, ids.databases, from);
         assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
         assert!(inc.is_legal(), "{inc}");
 
@@ -596,7 +619,7 @@ mod tests {
         let (mut dir, ids) = white_pages_instance();
         dir.move_subtree(ids.databases, ids.armstrong).unwrap();
         dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases);
+        let inc = checker.check_move(&dir, ids.databases, from);
         assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
         assert!(!inc.is_legal());
         assert!(inc.violations().iter().any(|v| matches!(
@@ -612,7 +635,7 @@ mod tests {
         let (mut dir, ids) = white_pages_instance();
         dir.move_subtree_to_root(ids.databases).unwrap();
         dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases);
+        let inc = checker.check_move(&dir, ids.databases, from);
         assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
         assert!(!inc.is_legal());
     }

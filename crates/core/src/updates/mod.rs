@@ -1,9 +1,11 @@
 //! Testing legality against updates (§4): transactions, Theorem 4.1
-//! normalisation, and the Figure 5 incremental checker.
+//! normalisation, the Figure 5 incremental checker and its scoped
+//! deletion column (Figure 5′).
 
 pub mod incremental;
 pub mod ldif_tx;
 pub mod modify;
+mod scoped;
 pub mod transaction;
 
 pub use incremental::{
@@ -79,7 +81,9 @@ pub fn apply_and_check(
 /// Like [`apply_and_check`] but **batched**: all insertions are applied
 /// first and their Figure 5 Δ-queries checked in one wave
 /// ([`IncrementalChecker::check_insertions`]), then all deletions are
-/// applied and the union of removed entries checked once. With
+/// applied and the union of removed entries checked once, at the deleted
+/// subtrees' former parents and their ancestors
+/// ([`IncrementalChecker::check_deletion_scoped`], Figure 5′). With
 /// [`LegalityOptions::parallel`] the Δ-query wave and the per-entry content
 /// checks fan out over worker threads.
 ///
@@ -143,7 +147,9 @@ pub fn apply_and_check_probed(
     }
 
     let mut removed = Vec::new();
+    let mut former_parents = Vec::with_capacity(normalized.deletion_roots.len());
     for &root in &normalized.deletion_roots {
+        former_parents.push(dir.forest().parent(root));
         removed.extend(
             dir.remove_subtree(root)
                 .map_err(|e| {
@@ -155,7 +161,7 @@ pub fn apply_and_check_probed(
     }
     if !removed.is_empty() {
         prepare_probed(dir, probe);
-        report.extend(checker.check_deletion(dir, &removed));
+        report.extend(checker.check_deletion_scoped(dir, &removed, &former_parents));
     }
 
     prepare_probed(dir, probe);
@@ -266,5 +272,28 @@ mod tests {
         let tx = Transaction::new();
         let applied = apply_and_check(&schema, &mut dir, &tx).unwrap();
         assert!(applied.report.is_legal());
+    }
+
+    #[test]
+    fn a_refused_insert_and_delete_names_each_violation_once() {
+        // An empty unit breaks orgGroup ⇒⇒ person where it is inserted; the
+        // deletion elsewhere (attLabs keeps laks and suciu) breaks nothing.
+        // The whole-instance delete recheck used to find the new unit a
+        // second time.
+        let schema = white_pages_schema();
+        let (mut dir, ids) = white_pages_instance();
+        let mut tx = Transaction::new();
+        tx.insert_under(ids.att_labs, org_unit("empty"));
+        tx.delete(ids.armstrong);
+        let applied =
+            apply_and_check_with(&schema, &mut dir, &tx, LegalityOptions::default()).unwrap();
+        let unmet: Vec<_> = applied
+            .report
+            .violations()
+            .iter()
+            .filter(|v| matches!(v, crate::legality::Violation::RequiredRelViolation { .. }))
+            .collect();
+        assert_eq!(unmet.len(), 1, "{}", applied.report);
+        assert_eq!(unmet[0].entry(), Some(applied.inserted_roots[0]));
     }
 }

@@ -12,19 +12,21 @@
 //! * if it **does** change the entry's class set, structure-schema elements
 //!   mentioning the affected classes must be re-verified: the entry may have
 //!   gained obligations (it joined a source class), lost its qualifying
-//!   status for relatives (it left a target class), or created/ceased
-//!   forbidden pairs. We re-run exactly the Figure 4 queries whose classes
-//!   intersect the changed set — still a targeted recheck, not a full one.
+//!   status for relatives (it left a target class), or created forbidden
+//!   pairs. All of that happens between the entry and its own parent,
+//!   ancestors, children and descendants, so those are what is re-tested
+//!   (Figure 5′, [`scoped`](super::scoped)) — not the instance.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use bschema_directory::{DirectoryInstance, EntryId, OBJECT_CLASS};
-use bschema_query::{evaluate, EvalContext};
+use bschema_obs::{Probe, NO_SPAN};
 
-use crate::legality::report::{LegalityReport, Violation};
-use crate::legality::{content, translate};
-use crate::schema::DirectorySchema;
+use super::scoped::Neighbourhood;
+use crate::legality::content;
+use crate::legality::report::LegalityReport;
+use crate::schema::{ClassId, DirectorySchema, ForbidKind, RelKind};
 
 /// One attribute-level modification (RFC 2251 Modify operation kinds).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,7 +131,9 @@ pub fn check_modification(
     dir: &DirectoryInstance,
     target: EntryId,
     changed_classes: &BTreeSet<String>,
+    probe: &dyn Probe,
 ) -> LegalityReport {
+    let root_span = probe.span_start(NO_SPAN, "incremental.check_modification", 0);
     let mut out = Vec::new();
 
     // Content: the one modified entry.
@@ -140,57 +144,74 @@ pub fn check_modification(
     // Keys: the modified entry's values against the rest.
     crate::legality::keys::check_insertion(schema, dir, target, &mut out);
 
-    // Structure: only elements whose classes intersect the change set.
+    // Structure: only elements whose classes intersect the change set,
+    // and of those only what `target` itself can have changed.
     if !changed_classes.is_empty() {
-        let classes = schema.classes();
-        let touched = |c: crate::schema::ClassId| {
-            changed_classes.contains(&classes.name(c).to_ascii_lowercase())
+        let forest = dir.forest();
+        let near = Neighbourhood::new(schema, dir, probe);
+        let touched = |c: ClassId| {
+            let name = schema.classes().name(c);
+            changed_classes.iter().any(|changed| changed.eq_ignore_ascii_case(name))
         };
-        let ctx = EvalContext::new(dir);
-        for class in schema.structure().required_classes() {
-            if touched(class)
-                && evaluate(&ctx, &translate::required_class_query(schema, class)).is_empty()
-            {
-                out.push(Violation::MissingRequiredClass { class: classes.name(class).to_owned() });
-            }
-        }
+        let joined = |c: ClassId| touched(c) && near.carries(target, c);
+        let left = |c: ClassId| touched(c) && !near.carries(target, c);
+
+        near.emptied(left, &mut out);
+        // Leaving a class takes a child-witness from the parent and a
+        // descendant-witness from the ancestors, as a deletion would.
+        near.starved(&[forest.parent(target)], left, &mut out);
         for rel in schema.structure().required_rels() {
-            if !(touched(rel.source) || touched(rel.target)) {
-                continue;
+            // Joining a source class puts `target` under the obligation.
+            if joined(rel.source) {
+                near.require(target, rel, &mut out);
             }
-            let q = translate::required_rel_query(schema, rel);
-            for witness in evaluate(&ctx, &q) {
-                out.push(Violation::RequiredRelViolation {
-                    entry: witness,
-                    source: classes.name(rel.source).to_owned(),
-                    kind: rel.kind,
-                    target: classes.name(rel.target).to_owned(),
-                });
+            // Leaving a target class takes a parent-witness from the
+            // children and an ancestor-witness from the entries below.
+            if left(rel.target) {
+                match rel.kind {
+                    RelKind::Child | RelKind::Descendant => {} // `starved`, above
+                    RelKind::Parent => {
+                        for c in forest.children(target).filter(|&c| near.carries(c, rel.source)) {
+                            near.require(c, rel, &mut out);
+                        }
+                    }
+                    RelKind::Ancestor => {
+                        for &d in near.below(target, rel.source) {
+                            near.require(d, rel, &mut out);
+                        }
+                    }
+                }
             }
         }
         for rel in schema.structure().forbidden_rels() {
-            if !(touched(rel.upper) || touched(rel.lower)) {
-                continue;
+            // A new forbidden pair has `target` as its upper end …
+            if joined(rel.upper) {
+                near.forbid(target, rel, &mut out);
             }
-            let q = translate::forbidden_rel_query(schema, rel);
-            for witness in evaluate(&ctx, &q) {
-                out.push(Violation::ForbiddenRelViolation {
-                    entry: witness,
-                    upper: classes.name(rel.upper).to_owned(),
-                    kind: rel.kind,
-                    lower: classes.name(rel.lower).to_owned(),
-                });
+            // … or as its lower end, under its parent or an ancestor.
+            if joined(rel.lower) {
+                let reach = match rel.kind {
+                    ForbidKind::Child => 1,
+                    ForbidKind::Descendant => usize::MAX,
+                };
+                for upper in forest.ancestors(target).take(reach) {
+                    if near.carries(upper, rel.upper) {
+                        near.forbid(upper, rel, &mut out);
+                    }
+                }
             }
         }
+        near.finish();
     }
 
+    probe.span_end(root_span);
     LegalityReport::from_violations(out).normalized()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legality::LegalityChecker;
+    use crate::legality::{LegalityChecker, Violation};
     use crate::paper::{white_pages_instance, white_pages_schema};
 
     #[test]
@@ -206,7 +227,7 @@ mod tests {
         .unwrap();
         assert!(changed.is_empty(), "no class change");
         dir.prepare();
-        let report = check_modification(&schema, &dir, ids.laks, &changed);
+        let report = check_modification(&schema, &dir, ids.laks, &changed, bschema_obs::noop());
         assert!(report.is_legal(), "{report}");
         assert!(LegalityChecker::new(&schema).check(&dir).is_legal());
 
@@ -215,7 +236,7 @@ mod tests {
             apply_mods(&mut dir, ids.suciu, &[Mod::DeleteAttribute { attribute: "name".into() }])
                 .unwrap();
         dir.prepare();
-        let report = check_modification(&schema, &dir, ids.suciu, &changed);
+        let report = check_modification(&schema, &dir, ids.suciu, &changed, bschema_obs::noop());
         assert!(!report.is_legal());
         assert_eq!(report.is_legal(), LegalityChecker::new(&schema).check(&dir).is_legal());
     }
@@ -238,7 +259,8 @@ mod tests {
         .unwrap();
         assert_eq!(changed.len(), 2);
         dir.prepare();
-        let report = check_modification(&schema, &dir, ids.armstrong, &changed);
+        let report =
+            check_modification(&schema, &dir, ids.armstrong, &changed, bschema_obs::noop());
         assert!(report.is_legal(), "{report}");
 
         // Dropping person from laks breaks content (researcher without its
@@ -252,7 +274,7 @@ mod tests {
         )
         .unwrap();
         dir.prepare();
-        let report = check_modification(&schema, &dir, ids.laks, &changed);
+        let report = check_modification(&schema, &dir, ids.laks, &changed, bschema_obs::noop());
         assert!(!report.is_legal());
         assert_eq!(report.is_legal(), LegalityChecker::new(&schema).check(&dir).is_legal());
     }
@@ -280,7 +302,7 @@ mod tests {
         }
         dir.prepare();
         let changed: BTreeSet<String> = ["person".to_owned(), "researcher".to_owned()].into();
-        let report = check_modification(&schema, &dir, ids.laks, &changed);
+        let report = check_modification(&schema, &dir, ids.laks, &changed, bschema_obs::noop());
         let full = LegalityChecker::new(&schema).check(&dir);
         assert!(!report.is_legal());
         assert_eq!(report.is_legal(), full.is_legal());

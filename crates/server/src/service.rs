@@ -5,7 +5,8 @@
 //!
 //! * **reads** (`SEARCH`) are served from an immutable snapshot — an
 //!   `Arc<DirectoryInstance>` cloned out of an `RwLock` in O(1), after
-//!   which the search runs with **no lock held**, and
+//!   which the search runs with **no lock held**; the snapshot is the
+//!   very version the engine holds live, published without a copy, and
 //! * **writes** (`TXN`, `MODIFY`) are serialized through a single mutex
 //!   around the engine's write-ahead sequence (prepare → guarded apply →
 //!   commit), with the snapshot swapped only after the transaction has
@@ -379,11 +380,19 @@ impl DirectoryService {
         }
     }
 
+    /// The version shard `k`'s engine holds live (`k = 0` on the single
+    /// backend), taken under its write lock. What the last publish gave
+    /// the readers is this very allocation, not a copy of it.
+    #[doc(hidden)]
+    pub fn live_instance(&self, k: usize) -> Arc<DirectoryInstance> {
+        self.with_engine(k, JournaledDirectory::shared_instance)
+    }
+
     /// Re-derives every read snapshot from the engines — at boot and
     /// after recovery replaced them. Not a commit: nothing is counted.
     fn refresh_snapshots(&mut self) {
         for k in 0..self.shards() {
-            let next = Arc::new(self.with_engine(k, |engine| engine.instance().clone()));
+            let next = self.live_instance(k);
             *self.snapshots[k].get_mut().unwrap_or_else(|e| e.into_inner()) = next;
         }
     }
@@ -908,7 +917,9 @@ impl DirectoryService {
                     scoped(probe, "service.journal_commit", || engine.commit(begun));
                 engine.install(committed);
                 let outcome = TxOutcome { ops, len: engine.managed().len(), shards: 1 };
-                scoped(probe, "service.publish", || self.publish(0, engine.instance(), probe));
+                scoped(probe, "service.publish", || {
+                    self.publish(0, engine.shared_instance(), probe)
+                });
                 // Fault site: a worker dying here has already committed;
                 // the client sees "panicked" (outcome unknown), readers
                 // see the new legal instance.
@@ -948,7 +959,9 @@ impl DirectoryService {
             Ok(outcome) => {
                 scoped(probe, "service.publish", || {
                     for &k in &outcome.shards {
-                        sharded.with_shard(k, |engine| self.publish(k, engine.instance(), probe));
+                        sharded.with_shard(k, |engine| {
+                            self.publish(k, engine.shared_instance(), probe)
+                        });
                     }
                 });
                 probe.add_labeled(
@@ -975,13 +988,17 @@ impl DirectoryService {
         ServiceError::new("read-only", "this server is a read replica; send writes to the primary")
     }
 
-    /// Publishes `instance` as shard `k`'s read snapshot — the one
-    /// place a committed state becomes visible to readers, called with
-    /// the lock that serialises shard `k`'s writes still held, so
-    /// snapshots appear in commit order.
-    fn publish(&self, k: usize, instance: &DirectoryInstance, probe: &dyn Probe) {
-        let next = Arc::new(instance.clone());
-        *self.snapshots[k].write().unwrap_or_else(|e| e.into_inner()) = next;
+    /// Publishes `live` — the version shard `k`'s engine just installed
+    /// — as its read snapshot: the one place a committed state becomes
+    /// visible to readers, called with the lock that serialises shard
+    /// `k`'s writes still held, so snapshots appear in commit order.
+    /// Nothing is copied. The superseded version is released last and
+    /// outside the slot's lock, so no reader waits on its drop.
+    fn publish(&self, k: usize, live: Arc<DirectoryInstance>, probe: &dyn Probe) {
+        let _superseded = std::mem::replace(
+            &mut *self.snapshots[k].write().unwrap_or_else(|e| e.into_inner()),
+            live,
+        );
         self.stamp_swap(k);
         match self.sharded() {
             None => probe.add("server.snapshot_swap", 1),
@@ -1149,7 +1166,7 @@ impl DirectoryService {
             self.schema_epoch.fetch_add(1, Ordering::SeqCst);
             self.probe.add("server.schema_replicated", 1);
         }
-        self.publish(0, engine.instance(), &*self.probe);
+        self.publish(0, engine.shared_instance(), &*self.probe);
         Ok(())
     }
 
@@ -1160,7 +1177,7 @@ impl DirectoryService {
         let mut engine =
             self.single_engine("replication applies to the single-engine backend only")?;
         engine.restore(managed);
-        self.publish(0, engine.instance(), &*self.probe);
+        self.publish(0, engine.shared_instance(), &*self.probe);
         Ok(())
     }
 
@@ -1324,7 +1341,7 @@ impl DirectoryService {
                 self.probe.add("schema.cutover", 1);
                 let (committed, _counted) = engine.commit(begun);
                 engine.install(committed);
-                self.publish(0, engine.instance(), &*self.probe);
+                self.publish(0, engine.shared_instance(), &*self.probe);
             }
             Backend::Sharded(sharded) => {
                 let plan = staged.plan.clone();

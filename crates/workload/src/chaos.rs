@@ -37,6 +37,7 @@ use bschema_core::updates::Transaction;
 use bschema_directory::DirectoryInstance;
 use bschema_faults::FaultPlan;
 
+use crate::oracle::scoped_deletion_matches_figure5;
 use crate::org::{OrgGenerator, OrgParams};
 use crate::tx_gen::{TxGenerator, TxParams};
 
@@ -150,11 +151,19 @@ pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPla
 
     for (i, tx) in w.txs.iter().enumerate() {
         let before = live.instance().canonical_bytes();
+        let forked_from = live.shared_instance();
         let result = live.apply(Op::Tx { tx, global: None });
         journal_text.push_str(&disk.take());
         match result {
             Ok(()) => {
                 assert!(legal(&live), "tx {i}: committed transaction left illegal state");
+                // What the scoped deletion check let through, the
+                // whole-instance recheck of Figure 5 lets through too.
+                if let Err(diff) =
+                    scoped_deletion_matches_figure5(&w.schema, &forked_from, live.instance())
+                {
+                    panic!("tx {i}: {diff}");
+                }
                 stats.applied += 1;
             }
             Err(ManagedError::Panicked { reason }) => {

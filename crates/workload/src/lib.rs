@@ -15,13 +15,16 @@
 //! * [`chaos`] — the fault-injection differential driver: replays a
 //!   scripted workload under every injectable fault and asserts the
 //!   crash-consistency invariants of
-//!   [`ManagedDirectory`](bschema_core::managed::ManagedDirectory).
+//!   [`ManagedDirectory`](bschema_core::managed::ManagedDirectory);
+//! * [`oracle`] — the scoped deletion check (Figure 5′) held against the
+//!   paper's whole-instance recheck, for those drivers to run per commit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod ldif_workload;
+pub mod oracle;
 pub mod org;
 pub mod schema_gen;
 pub mod tx_gen;

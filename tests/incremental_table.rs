@@ -1,11 +1,19 @@
 //! Figure 5 / Theorem 4.2 property test: after any single-subtree update to
 //! a legal instance, the incremental Δ-check's verdict equals a full
 //! from-scratch legality check of the updated instance.
+//!
+//! Figure 5′: the scoped deletion check reports exactly what the paper's
+//! whole-instance recheck reports, and the scoped move and class-change
+//! checks exactly what the §3 checker finds.
 
-use bschema_core::legality::{LegalityChecker, LegalityOptions, Violation};
+use std::collections::BTreeSet;
+
+use bschema_core::legality::{LegalityChecker, LegalityOptions, LegalityReport, Violation};
 use bschema_core::paper::white_pages_schema_builder;
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
-use bschema_core::updates::{apply_and_check_with, IncrementalChecker, Transaction};
+use bschema_core::updates::{
+    apply_and_check_with, apply_mods, check_modification, IncrementalChecker, Mod, Transaction,
+};
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use proptest::prelude::*;
 
@@ -464,5 +472,250 @@ fn deletion_safe_rows_never_break() {
                 other => panic!("deletion produced unexpected violation kind: {other}"),
             }
         }
+    }
+}
+
+// ----- Figure 5′: scoped checks against their oracles -----
+
+fn group(classes: [&str; 3], attr: &str, name: String) -> Entry {
+    Entry::builder().classes(classes).attr(attr, name).build()
+}
+
+/// The schema a generated instance is legal under: `full_schema()` when
+/// it is `dense` — every unit has a person child, so a deletion starves
+/// the parent it happens under — and the paper's own when persons are
+/// sparse, where one deletion can starve every ancestor up the chain.
+fn schema_for(dense: bool) -> DirectorySchema {
+    if dense {
+        full_schema()
+    } else {
+        white_pages_schema_builder().build()
+    }
+}
+
+/// A legal instance under `schema_for(dense)` of any depth: `orgs`
+/// organization roots, then one unit per element of `attach`, hung under
+/// the organization or earlier unit it picks. Dense: every group has a
+/// person child, a flagged unit two. Sparse: only flagged units and
+/// groups with no unit below them have one. Returns the groups
+/// (organizations first) and the persons.
+fn deep_instance(
+    orgs: usize,
+    attach: &[(u8, bool)],
+    dense: bool,
+) -> (DirectoryInstance, Vec<EntryId>, Vec<EntryId>) {
+    let mut dir = DirectoryInstance::white_pages();
+    let (mut groups, mut persons) = (Vec::new(), Vec::new());
+    for o in 0..orgs {
+        let org = group(["organization", "orgGroup", "top"], "o", format!("o{o}"));
+        groups.push(dir.add_root_entry(org));
+    }
+    for (u, &(under, _)) in attach.iter().enumerate() {
+        let parent = groups[under as usize % groups.len()];
+        let unit = group(["orgUnit", "orgGroup", "top"], "ou", format!("u{u}"));
+        groups.push(dir.add_child_entry(parent, unit).unwrap());
+    }
+    for (g, &group) in groups.iter().enumerate() {
+        let flagged = g >= orgs && attach[g - orgs].1;
+        let count = match dense {
+            true => 1 + usize::from(flagged),
+            false => usize::from(flagged || dir.forest().is_leaf(group)),
+        };
+        for _ in 0..count {
+            let person = entry_template(0, persons.len());
+            persons.push(dir.add_child_entry(group, person).unwrap());
+        }
+    }
+    dir.prepare();
+    (dir, groups, persons)
+}
+
+/// Deletes the subtrees of `victims` from a copy of `base` and holds the
+/// scoped check against the Figure 5 recheck, report for report, under
+/// both engines. Returns the report.
+fn delete_both_ways(
+    schema: &DirectorySchema,
+    base: &DirectoryInstance,
+    victims: &[EntryId],
+) -> LegalityReport {
+    let forest = base.forest();
+    let doomed: BTreeSet<EntryId> =
+        victims.iter().flat_map(|&v| std::iter::once(v).chain(forest.descendants(v))).collect();
+    let mut dir = base.clone();
+    let (mut removed, mut former_parents) = (Vec::new(), Vec::new());
+    for &root in doomed.iter().filter(|&&d| forest.parent(d).is_none_or(|p| !doomed.contains(&p))) {
+        former_parents.push(forest.parent(root));
+        removed.extend(dir.remove_subtree(root).unwrap().into_iter().map(|(_, e)| e));
+    }
+    assert_eq!(removed.len(), doomed.len());
+    dir.prepare();
+    let figure5 = IncrementalChecker::new(schema).check_deletion(&dir, &removed);
+    for options in [LegalityOptions::sequential(), LegalityOptions::parallel(0)] {
+        let scoped = IncrementalChecker::new(schema).with_options(options).check_deletion_scoped(
+            &dir,
+            &removed,
+            &former_parents,
+        );
+        assert_eq!(scoped, figure5, "deleting {victims:?} ({options:?})");
+    }
+    assert_eq!(figure5.is_legal(), LegalityChecker::new(schema).check(&dir).is_legal());
+    figure5
+}
+
+/// The class sets a class-flip swaps in: every source, target, upper and
+/// lower class of `full_schema()` is joined by one and left by another.
+const FLIPS: [&[&str]; 5] = [
+    &["orgGroup", "top"],
+    &["organization", "orgGroup", "top"],
+    &["orgUnit", "orgGroup", "top"],
+    &["researcher", "person", "top"],
+    &["top"],
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Any deletion — one root or several, sharing ancestors or not, a
+    /// leaf, a whole branch or a forest root — draws the same report
+    /// from the scoped check as from the whole-instance recheck.
+    #[test]
+    fn scoped_deletion_report_equals_figure5_report(
+        dense in any::<bool>(),
+        orgs in 1usize..3,
+        attach in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..9),
+        victims in proptest::collection::vec(any::<prop::sample::Index>(), 1..5),
+    ) {
+        let schema = schema_for(dense);
+        let (dir, groups, persons) = deep_instance(orgs, &attach, dense);
+        prop_assert!(LegalityChecker::new(&schema).check(&dir).is_legal());
+        let all: Vec<EntryId> = groups.iter().chain(&persons).copied().collect();
+        let victims: Vec<EntryId> = victims.iter().map(|v| all[v.index(all.len())]).collect();
+        delete_both_ways(&schema, &dir, &victims);
+    }
+
+    /// A move of any subtree anywhere draws from the scoped check what
+    /// the §3 checker finds in the whole instance.
+    #[test]
+    fn scoped_move_report_equals_full_report(
+        dense in any::<bool>(),
+        orgs in 1usize..3,
+        attach in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..9),
+        moved in any::<prop::sample::Index>(),
+        to in any::<Option<prop::sample::Index>>(),
+    ) {
+        let schema = schema_for(dense);
+        let (mut dir, groups, persons) = deep_instance(orgs, &attach, dense);
+        let all: Vec<EntryId> = groups.iter().chain(&persons).copied().collect();
+        let moved = all[moved.index(all.len())];
+        let former_parent = dir.forest().parent(moved);
+        let done = match to {
+            Some(to) => dir.move_subtree(moved, all[to.index(all.len())]),
+            None => dir.move_subtree_to_root(moved),
+        };
+        // A destination inside the moved subtree is no move at all.
+        prop_assume!(done.is_ok());
+        dir.prepare();
+        let full = LegalityChecker::new(&schema).check(&dir).normalized();
+        for options in [LegalityOptions::sequential(), LegalityOptions::parallel(0)] {
+            let scoped = IncrementalChecker::new(&schema)
+                .with_options(options)
+                .check_move(&dir, moved, former_parent);
+            prop_assert_eq!(&scoped, &full, "moving {} from under {:?}", moved, former_parent);
+        }
+    }
+
+    /// Swapping any entry's class set for another draws from the scoped
+    /// check what the §3 checker finds in the whole instance.
+    #[test]
+    fn scoped_class_flip_report_equals_full_report(
+        dense in any::<bool>(),
+        orgs in 1usize..3,
+        attach in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..9),
+        flipped in any::<prop::sample::Index>(),
+        into in 0usize..FLIPS.len(),
+    ) {
+        let schema = schema_for(dense);
+        let (mut dir, groups, persons) = deep_instance(orgs, &attach, dense);
+        let all: Vec<EntryId> = groups.iter().chain(&persons).copied().collect();
+        let flipped = all[flipped.index(all.len())];
+        let values = FLIPS[into].iter().map(|c| (*c).to_owned()).collect();
+        let changed =
+            apply_mods(&mut dir, flipped, &[Mod::Replace { attribute: "objectClass".into(), values }])
+                .expect("live entry");
+        dir.prepare();
+        prop_assert_eq!(dir.check_prepared(), Ok(()));
+        let scoped = check_modification(&schema, &dir, flipped, &changed, bschema_obs::noop());
+        let full = LegalityChecker::new(&schema).check(&dir).normalized();
+        prop_assert_eq!(scoped, full, "{} into {:?}", flipped, FLIPS[into]);
+    }
+}
+
+/// The last witness, at every depth. A chain o → u1 → … → u5, dense — one
+/// person under each: deleting the person at depth d starves u_d of its
+/// child; deleting every person from depth d down starves u_d … u5 of
+/// child and descendant alike; deleting everybody's person starves the
+/// whole chain and empties `person`; deleting the branch below depth d or
+/// the forest root itself starves nobody. The same chain, sparse — one
+/// person, at depth d: deleting it starves every group above it. Each
+/// report is the Figure 5 report.
+#[test]
+fn deleting_the_last_witness_at_every_depth_matches_figure5() {
+    const DEPTH: usize = 5;
+    let chain = |flagged: usize| -> Vec<(u8, bool)> {
+        (0..DEPTH).map(|d| (d as u8, d + 1 == flagged)).collect()
+    };
+    let starved = |report: &LegalityReport, kind: RelKind| -> Vec<EntryId> {
+        report
+            .violations()
+            .iter()
+            .filter_map(|v| match v {
+                Violation::RequiredRelViolation { entry, kind: k, .. } if *k == kind => {
+                    Some(*entry)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+
+    let schema = schema_for(true);
+    let (dir, groups, persons) = deep_instance(1, &chain(0), true);
+    assert_eq!(dir.forest().depth(groups[DEPTH]), DEPTH);
+    for d in 1..=DEPTH {
+        // The person of u_d alone: its last child, not its last descendant
+        // — except at the bottom of the chain.
+        let report = delete_both_ways(&schema, &dir, &[persons[d]]);
+        assert_eq!(starved(&report, RelKind::Child), [groups[d]]);
+        assert_eq!(starved(&report, RelKind::Descendant), &groups[d..][..usize::from(d == DEPTH)]);
+
+        // Every person from depth d down, as so many roots sharing the
+        // chain above them.
+        let report = delete_both_ways(&schema, &dir, &persons[d..]);
+        assert_eq!(starved(&report, RelKind::Child), &groups[d..]);
+        assert_eq!(starved(&report, RelKind::Descendant), &groups[d..]);
+
+        // The whole branch from depth d down takes its obligations along
+        // (and from depth 1, the last orgUnit).
+        assert_eq!(delete_both_ways(&schema, &dir, &[groups[d]]).is_legal(), d > 1);
+    }
+    let report = delete_both_ways(&schema, &dir, &persons);
+    assert_eq!(starved(&report, RelKind::Descendant), groups);
+    let nobody = Violation::MissingRequiredClass { class: "person".into() };
+    assert!(report.violations().contains(&nobody), "{report}");
+    // The forest root: nobody above it, `◇c` by the counts.
+    let report = delete_both_ways(&schema, &dir, &[groups[0]]);
+    assert_eq!(report.len(), 3, "{report}");
+
+    let schema = schema_for(false);
+    for d in 1..=DEPTH {
+        // One person under u_d and one that keeps the bottom of the chain
+        // legal (one and the same at the bottom): without the lower one,
+        // the chain starves up to where the upper one still serves.
+        let (dir, groups, persons) = deep_instance(1, &chain(d), false);
+        let lower = *persons.last().expect("the leaf unit has a person");
+        let report = delete_both_ways(&schema, &dir, &[lower]);
+        let expected = if d == DEPTH { &groups[..] } else { &groups[d + 1..] };
+        assert_eq!(starved(&report, RelKind::Descendant), expected, "depth {d}");
+        let report = delete_both_ways(&schema, &dir, &persons);
+        assert_eq!(starved(&report, RelKind::Descendant), groups, "depth {d}");
     }
 }

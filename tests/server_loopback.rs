@@ -526,6 +526,124 @@ fn served_writes_post_their_delta_and_never_rebuild_the_index() {
     }
 }
 
+/// The running server's tripwire for Figure 5′: 200 served requests on
+/// either backend — subtree deletions deep in an organization, every
+/// tenth one across two organizations (which two shards may own), and
+/// class-changing MODIFYs, one of them refused — never evaluate a
+/// whole-instance query (`incremental.recheck.*`, which only the Figure 5
+/// oracle emits) and look at no more entries than the deleted subtrees'
+/// ancestor chains hold (`incremental.scoped_entries`). And what the
+/// readers are given is the version the engine installed, not a copy.
+#[test]
+fn served_deletes_recheck_their_ancestor_chain_and_publish_without_copying() {
+    const ORGS: usize = 8;
+    let base = || multi_org_base(ORGS, 120, 0xD1FF);
+    for shards in [1, 2] {
+        let recorder = Arc::new(bschema_obs::Recorder::new());
+        let service = match shards {
+            1 => DirectoryService::new(
+                ManagedDirectory::with_instance(white_pages_schema(), base()).expect("legal base"),
+            ),
+            n => {
+                DirectoryService::new_sharded(white_pages_schema(), base(), n).expect("legal base")
+            }
+        };
+        let service = Arc::new(service.with_probe(recorder.clone()));
+        let handle = Server::spawn(service.clone(), ServerConfig::default()).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+
+        // The deepest unit of each organization: (DN, DN depth, children).
+        let snapshot = service.snapshot();
+        let forest = snapshot.forest();
+        let anchors: Vec<(String, usize, usize)> = forest
+            .roots()
+            .map(|org| {
+                let deepest = forest
+                    .descendants(org)
+                    .filter(|&e| snapshot.entry(e).is_some_and(|e| e.has_class("orgUnit")))
+                    .max_by_key(|&e| forest.depth(e))
+                    .expect("generated organizations have units");
+                let dn = snapshot.dn(deepest).expect("named").to_string();
+                (dn, forest.depth(deepest) + 1, forest.child_count(deepest))
+            })
+            .collect();
+        assert_eq!(anchors.len(), ORGS);
+        let depth = anchors.iter().map(|a| a.1).max().expect("orgs") + 2;
+        let fan_out = anchors.iter().map(|a| a.2).max().expect("orgs") + 1;
+        assert!(depth >= 4, "the chain above a deletion is worth walking: {anchors:?}");
+
+        let (mut requests, mut roots, entries) = (0, 0, service.len());
+        for i in 0..50 {
+            let anchor = &anchors[i % ORGS].0;
+            let other = format!("org{}", (i + 1) % ORGS);
+            let unit = format!("ou=t{i},{anchor}");
+            let mut insert = format!(
+                "dn: {unit}\nobjectClass: orgUnit\nobjectClass: orgGroup\nobjectClass: top\n\
+                 ou: t{i}\n\n{}",
+                org_person_ldif(&format!("t{i}"), "_").replace("o=_", &unit)
+            );
+            let mut delete = format!(
+                "dn: uid=t{i},{unit}\nchangetype: delete\n\ndn: {unit}\nchangetype: delete\n"
+            );
+            roots += 1;
+            if i % 10 == 0 {
+                insert.push('\n');
+                insert.push_str(&org_person_ldif(&format!("x{i}"), &other));
+                delete.push_str(&format!("\ndn: uid=x{i},o={other}\nchangetype: delete\n"));
+                roots += 1;
+            }
+            client.apply_ldif(&insert).expect("legal TXN");
+            client
+                .modify_lines(&format!("dn: uid=t{i},{unit}\nadd: telephoneNumber: +1 555 {i}\n"))
+                .expect("MODIFY");
+            // A class-changing MODIFY — once, one the schema refuses: an
+            // entry that stops being a person starves nobody here, but
+            // keeps a person's attributes.
+            let change = if i == 7 {
+                "deletevalue: objectClass: person"
+            } else {
+                "add: objectClass: researcher"
+            };
+            let changed = client.modify_lines(&format!("dn: uid=t{i},{unit}\n{change}\n"));
+            assert_eq!(changed.is_ok(), i != 7, "{changed:?}");
+            client.apply_ldif(&delete).expect("delete");
+            requests += 4;
+        }
+        assert_eq!((requests, service.len()), (200, entries), "{shards} shard(s)");
+
+        let counters = recorder.metrics().counters();
+        let family = |prefix: &str| -> u64 {
+            counters.iter().filter(|(key, _)| key.starts_with(prefix)).map(|(_, n)| n).sum()
+        };
+        assert_eq!(family("incremental.recheck."), 0, "{shards} shard(s): {counters:?}");
+        assert_eq!(family("managed.index_rebuilt"), 0, "{shards} shard(s)");
+        // Every deleted subtree had the orgGroups above it re-tested, up to
+        // the first that kept a person …
+        assert!(family("incremental.scoped.require_descendant") >= roots as u64, "{counters:?}");
+        // … each by one look at the entry and one at the posting list;
+        // the refused class change looked at its chain and its children.
+        let examined = family("incremental.scoped_entries");
+        let bound = (roots * 2 * depth + 2 * depth + fan_out) as u64;
+        assert!(
+            (1..=bound).contains(&examined),
+            "{shards} shard(s): {examined} entries examined for {roots} deleted subtrees at \
+             depth ≤ {depth}, fan-out ≤ {fan_out}"
+        );
+
+        // The last request committed: the readers' snapshot of every
+        // shard is the allocation its engine holds live.
+        for k in 0..shards {
+            let (served, live) = (service.shard_snapshot(k), service.live_instance(k));
+            assert!(Arc::ptr_eq(&served, &live), "{shards} shard(s): shard {k} was copied");
+        }
+        if shards == 1 {
+            assert!(Arc::ptr_eq(&service.snapshot(), &service.live_instance(0)));
+        }
+        client.shutdown_server().expect("shutdown");
+        handle.wait();
+    }
+}
+
 /// Number of generated organizations in the sharded loopback base.
 const SHARDED_ORGS: usize = 4;
 

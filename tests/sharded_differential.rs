@@ -12,6 +12,10 @@
 //!   partition — including the 1-part "partition" of the unsharded
 //!   engine — into the same canonical entry order.
 //!
+//! Every commit on either engine is also held against the paper's own
+//! deletion recheck: what the scoped check of the write path let through,
+//! Figure 5's whole-instance evaluation lets through too.
+//!
 //! A seed override (`CHAOS_SEED`) lets CI run fresh workloads nightly
 //! while the default stays reproducible.
 
@@ -20,6 +24,7 @@ use bschema_core::paper::white_pages_schema;
 use bschema_core::sharded::{canonical_merge, partition, ShardedDirectory};
 use bschema_core::updates::transaction_from_ldif;
 use bschema_directory::ldif::parse_ldif;
+use bschema_workload::oracle::scoped_deletion_matches_figure5;
 use bschema_workload::{GeneratedTx, LdifWorkload, LdifWorkloadParams};
 
 /// Workload seed: `CHAOS_SEED` env override for CI freshness, fixed
@@ -52,6 +57,7 @@ fn replay_unsharded(
     let mut verdicts = Vec::with_capacity(txs.len());
     for tx in txs {
         let records = parse_ldif(&tx.ldif).expect("generated ldif parses");
+        let before = managed.shared_instance();
         let verdict = match transaction_from_ldif(managed.instance(), records) {
             Err(_) => "invalid-tx",
             Ok(tx) => match managed.apply(&tx) {
@@ -60,6 +66,8 @@ fn replay_unsharded(
             },
         };
         managed.instance().check_prepared().expect("numbering and index are maintained");
+        scoped_deletion_matches_figure5(managed.schema(), &before, managed.instance())
+            .expect("the scoped deletion check agrees with Figure 5");
         verdicts.push(verdict);
     }
     let merged = canonical_merge(partition(managed.instance(), 1).expect("partition").iter())
@@ -80,6 +88,8 @@ fn replay_sharded(
     let mut cross_shard_commits = 0usize;
     for tx in txs {
         let records = parse_ldif(&tx.ldif).expect("generated ldif parses");
+        let before: Vec<_> =
+            (0..shards).map(|k| sharded.with_shard(k, |engine| engine.shared_instance())).collect();
         let verdict = match sharded.apply_ldif(records) {
             Ok(outcome) => {
                 if outcome.shards.len() > 1 {
@@ -89,10 +99,14 @@ fn replay_sharded(
             }
             Err(e) => e.code(),
         };
-        for k in 0..shards {
+        for (k, before) in before.iter().enumerate() {
             sharded
-                .with_shard(k, |engine| engine.instance().check_prepared())
-                .expect("numbering and index are maintained on every shard");
+                .with_shard(k, |engine| {
+                    engine.instance().check_prepared()?;
+                    let local = engine.managed().schema();
+                    scoped_deletion_matches_figure5(local, before, engine.instance())
+                })
+                .expect("numbering, index and the scoped deletion check hold on every shard");
         }
         verdicts.push(verdict);
     }
