@@ -9,6 +9,18 @@ use bschema_core::paper::white_pages_schema;
 
 fn bench_content(c: &mut Criterion) {
     let schema = white_pages_schema();
+    // One worker: per-entry throughput, not the host's core count.
+    let check = |dir: &bschema_directory::DirectoryInstance, values: bool, out: &mut Vec<_>| {
+        content::check_instance(
+            &schema,
+            dir,
+            values,
+            1,
+            bschema_obs::noop(),
+            bschema_obs::NO_SPAN,
+            out,
+        )
+    };
     let mut group = c.benchmark_group("content/per_entry");
     for n in [1_000usize, 10_000] {
         let org = org_of_size(n);
@@ -16,14 +28,14 @@ fn bench_content(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("check_instance", n), &org, |b, org| {
             b.iter(|| {
                 let mut out = Vec::new();
-                content::check_instance(&schema, &org.dir, false, &mut out);
+                check(&org.dir, false, &mut out);
                 out
             })
         });
         group.bench_with_input(BenchmarkId::new("with_value_validation", n), &org, |b, org| {
             b.iter(|| {
                 let mut out = Vec::new();
-                content::check_instance(&schema, &org.dir, true, &mut out);
+                check(&org.dir, true, &mut out);
                 out
             })
         });

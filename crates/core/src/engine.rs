@@ -240,19 +240,18 @@ impl JournaledDirectory {
     /// journal's history starts from): read the file and its checkpoint
     /// sibling, repair a torn tail in place, recover through the ladder
     /// ([`recover_with_checkpoint`]), and resume appending to the file.
-    /// `base`'s probe and options carry over to the recovered engine
-    /// (recovery itself runs unprobed).
+    /// `base`'s probe carries over to the recovered engine (recovery
+    /// itself runs unprobed).
     pub fn open(
         mut base: ManagedDirectory,
         path: impl Into<PathBuf>,
     ) -> Result<(Self, RecoveryReport), OpenError> {
         let path = path.into();
         let files = JournalFiles::read_repaired(&path)?;
-        let (probe, options) = (base.swap_probe(None), base.options());
+        let probe = base.swap_probe(None);
         let (schema, seed) = base.into_parts();
         let mut recovery =
             recover_with_checkpoint(schema, seed, files.ckpt_text.as_deref(), &files.journal)?;
-        recovery.managed = recovery.managed.with_options(options);
         recovery.managed.swap_probe(probe);
         let report = recovery.report.clone();
         let mut engine = JournaledDirectory::from_recovery(recovery);

@@ -108,30 +108,6 @@ pub fn check_entry(
     }
 }
 
-/// Checks every entry of `dir` against the content schema. Optionally also
-/// validates value syntaxes / single-value restrictions (Definition 2.1(3a)).
-pub fn check_instance(
-    schema: &DirectorySchema,
-    dir: &DirectoryInstance,
-    validate_values: bool,
-    probe: &dyn bschema_obs::Probe,
-    out: &mut Vec<Violation>,
-) {
-    let mut checked: u64 = 0;
-    for (id, entry) in dir.iter() {
-        check_entry(schema, id, entry, out);
-        checked += 1;
-        if validate_values {
-            if let Err(e) = dir.validate_entry_values(id) {
-                out.push(Violation::ValueViolation { entry: id, message: e.to_string() });
-            }
-        }
-    }
-    if probe.enabled() {
-        probe.add("legality.entries_content_checked", checked);
-    }
-}
-
 /// Which attributes a class-set signature admits.
 #[derive(Debug)]
 enum AllowedAttrs {
@@ -240,46 +216,41 @@ fn reanchor(v: &Violation, entry: EntryId) -> Violation {
     }
 }
 
-/// Like [`check_instance`] but fanned out over `threads` workers, with a
-/// per-class-set signature cache so shared class lists are analysed once.
-/// Produces a violation list **identical** to [`check_instance`]'s: the
-/// entries are chunked contiguously in document order and per-chunk
-/// results are concatenated in chunk order.
-pub fn check_instance_parallel(
+/// Checks every entry of `dir` against the content schema, on `workers`
+/// workers, with a per-class-set signature cache so shared class lists
+/// are analysed once. Optionally also validates value syntaxes /
+/// single-value restrictions (Definition 2.1(3a)).
+///
+/// Produces the violation list of [`check_entry`] applied entry by entry
+/// in document order, whatever `workers` is: the entries are chunked
+/// contiguously and per-chunk results are concatenated in chunk order.
+pub fn check_instance(
     schema: &DirectorySchema,
     dir: &DirectoryInstance,
     validate_values: bool,
-    threads: usize,
+    workers: usize,
     probe: &dyn bschema_obs::Probe,
     parent: bschema_obs::SpanId,
     out: &mut Vec<Violation>,
 ) {
     let entries: Vec<(EntryId, &Entry)> = dir.iter().collect();
-    let found = bschema_parallel::par_flat_map_chunks_indexed(&entries, threads, |i, chunk| {
-        let span = probe.span_start(parent, "chunk", i as u64);
-        let started = probe.enabled().then(std::time::Instant::now);
+    out.extend(super::fan_out(&entries, workers, probe, parent, |_, chunk, found| {
         let mut cache: HashMap<&[String], SignatureChecks> = HashMap::new();
-        let mut local = Vec::new();
         for &(id, entry) in chunk {
             let sig = cache
                 .entry(entry.classes())
                 .or_insert_with(|| SignatureChecks::build(schema, entry));
-            sig.check(id, entry, &mut local);
+            sig.check(id, entry, found);
             if validate_values {
                 if let Err(e) = dir.validate_entry_values(id) {
-                    local.push(Violation::ValueViolation { entry: id, message: e.to_string() });
+                    found.push(Violation::ValueViolation { entry: id, message: e.to_string() });
                 }
             }
         }
-        if let Some(start) = started {
+        if probe.enabled() {
             probe.add("legality.entries_content_checked", chunk.len() as u64);
-            probe.add("parallel.chunks", 1);
-            probe.observe("parallel.chunk_us", start.elapsed().as_micros() as u64);
         }
-        probe.span_end(span);
-        local
-    });
-    out.extend(found);
+    }));
 }
 
 #[cfg(test)]
@@ -443,7 +414,7 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, _) = crate::paper::white_pages_instance();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, true, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, true, 1, bschema_obs::noop(), bschema_obs::NO_SPAN, &mut out);
         assert_eq!(out, [], "Figure 1 must satisfy the Figures 2-3 content schema");
     }
 }

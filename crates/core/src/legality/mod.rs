@@ -20,34 +20,64 @@ use bschema_directory::DirectoryInstance;
 
 use crate::schema::DirectorySchema;
 
-/// Execution options for legality checking.
-///
-/// The parallel engine produces reports **identical** to the sequential
-/// one (same violations, same order): per-entry content checks and the
-/// independent Figure 4 structure queries are data-parallel, and every
-/// worker reads the one sorted-entry index the instance built in
-/// [`prepare`](DirectoryInstance::prepare). The parallel content path
-/// additionally caches per-class-set signature analyses, so it wins even
-/// on a single worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LegalityOptions {
-    /// Use the data-parallel engine.
-    pub parallel: bool,
-    /// Worker threads for the parallel engine: `0` = all available,
-    /// `1` = run inline on the caller's thread.
-    pub threads: usize,
+/// One fan-out site of the engine: `check` over contiguous chunks of
+/// `items` on `workers` workers, findings concatenated in chunk order —
+/// what one pass over all of `items` would have found, in that order.
+/// Each chunk runs under its own `chunk` span (ordinal = chunk index, so
+/// span trees do not depend on scheduling) and is counted and timed
+/// (`parallel.chunks`, `parallel.chunk_us`); an inline run is one chunk.
+pub(crate) fn fan_out<T: Sync>(
+    items: &[T],
+    workers: usize,
+    probe: &dyn bschema_obs::Probe,
+    parent: bschema_obs::SpanId,
+    check: impl Fn(bschema_obs::SpanId, &[T], &mut Vec<Violation>) + Sync,
+) -> Vec<Violation> {
+    bschema_parallel::par_flat_map_chunks_indexed(items, workers, |i, chunk| {
+        let span = probe.span_start(parent, "chunk", i as u64);
+        let started = probe.enabled().then(std::time::Instant::now);
+        let mut found = Vec::new();
+        check(span, chunk, &mut found);
+        if let Some(start) = started {
+            probe.add("parallel.chunks", 1);
+            probe.observe("parallel.chunk_us", start.elapsed().as_micros() as u64);
+        }
+        probe.span_end(span);
+        found
+    })
 }
 
-impl LegalityOptions {
-    /// The sequential engine (the default).
-    pub fn sequential() -> Self {
-        Self::default()
-    }
-
-    /// The parallel engine with `threads` workers (`0` = all available).
-    pub fn parallel(threads: usize) -> Self {
-        LegalityOptions { parallel: true, threads }
-    }
+/// The Theorem 3.1 check on `workers` workers: signature-cached content
+/// checks (§3.1), keys (§6.1), then the batched Figure 4 structure
+/// queries (§3.2). The report is **identical** for every `workers`
+/// (same violations, same order) — per-entry content checks and the
+/// independent structure queries are data-parallel, and every worker
+/// reads the one sorted-entry index the instance built in
+/// [`prepare`](DirectoryInstance::prepare).
+///
+/// [`LegalityChecker::check`] is this with `workers` derived from |D|;
+/// the argument exists so the differential suite and the experiments can
+/// hold it fixed.
+pub fn check_instance(
+    schema: &DirectorySchema,
+    dir: &DirectoryInstance,
+    validate_values: bool,
+    workers: usize,
+    probe: &dyn bschema_obs::Probe,
+) -> LegalityReport {
+    let root = probe.span_start(bschema_obs::NO_SPAN, "legality.check", 0);
+    let mut out = Vec::new();
+    let span = probe.span_start(root, "content", 0);
+    content::check_instance(schema, dir, validate_values, workers, probe, span, &mut out);
+    probe.span_end(span);
+    let span = probe.span_start(root, "keys", 1);
+    keys::check_instance(schema, dir, &mut out);
+    probe.span_end(span);
+    let span = probe.span_start(root, "structure", 2);
+    structure::check_instance(schema, dir, workers, probe, &mut out);
+    probe.span_end(span);
+    probe.span_end(root);
+    LegalityReport::from_violations(out)
 }
 
 /// The legality checker: schema + configuration.
@@ -55,7 +85,6 @@ impl LegalityOptions {
 pub struct LegalityChecker<'s> {
     schema: &'s DirectorySchema,
     validate_values: bool,
-    options: LegalityOptions,
     probe: &'s dyn bschema_obs::Probe,
 }
 
@@ -63,24 +92,13 @@ impl<'s> LegalityChecker<'s> {
     /// A checker for `schema` with value validation off (the paper's
     /// Definition 2.7 checks only).
     pub fn new(schema: &'s DirectorySchema) -> Self {
-        LegalityChecker {
-            schema,
-            validate_values: false,
-            options: LegalityOptions::default(),
-            probe: bschema_obs::noop(),
-        }
+        LegalityChecker { schema, validate_values: false, probe: bschema_obs::noop() }
     }
 
     /// Also validate value syntaxes and single-value restrictions
     /// (Definition 2.1(3a) + §6.1 numeric restrictions).
     pub fn with_value_validation(mut self, on: bool) -> Self {
         self.validate_values = on;
-        self
-    }
-
-    /// Selects the execution engine (sequential or data-parallel).
-    pub fn with_options(mut self, options: LegalityOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -97,63 +115,41 @@ impl<'s> LegalityChecker<'s> {
         self.schema
     }
 
-    /// The configured execution options.
-    pub fn options(&self) -> LegalityOptions {
-        self.options
-    }
-
     /// Full legality check (Definition 2.7). The instance must be
     /// [`prepare`](DirectoryInstance::prepare)d.
     ///
     /// Runs in the Theorem 3.1 bound: O(|D| · (per-entry content cost +
-    /// |S|)) — linear in the instance size. With
-    /// [`LegalityOptions::parallel`] the same work is fanned out over
-    /// worker threads; the report is identical either way.
+    /// |S|)) — linear in the instance size — on
+    /// [`workers_for(|D|)`](bschema_parallel::workers_for) workers: inline
+    /// for a small instance, fanned out for a large one on a host that
+    /// has the cores. The report is the same either way.
     pub fn check(&self, dir: &DirectoryInstance) -> LegalityReport {
-        let probe = self.probe;
-        let root = probe.span_start(bschema_obs::NO_SPAN, "legality.check", 0);
+        let workers = bschema_parallel::workers_for(dir.len());
+        check_instance(self.schema, dir, self.validate_values, workers, self.probe)
+    }
+
+    /// Definition 2.7's content and key conditions as printed —
+    /// [`content::check_entry`] entry by entry, no cache, no workers: the
+    /// reference half of the two baselines below.
+    fn content_as_printed(&self, dir: &DirectoryInstance) -> Vec<Violation> {
         let mut out = Vec::new();
-        if self.options.parallel {
-            let threads = self.options.threads;
-            let span = probe.span_start(root, "content", 0);
-            content::check_instance_parallel(
-                self.schema,
-                dir,
-                self.validate_values,
-                threads,
-                probe,
-                span,
-                &mut out,
-            );
-            probe.span_end(span);
-            let span = probe.span_start(root, "keys", 1);
-            keys::check_instance(self.schema, dir, &mut out);
-            probe.span_end(span);
-            let span = probe.span_start(root, "structure", 2);
-            structure::check_instance_parallel(self.schema, dir, threads, probe, &mut out);
-            probe.span_end(span);
-        } else {
-            let span = probe.span_start(root, "content", 0);
-            content::check_instance(self.schema, dir, self.validate_values, probe, &mut out);
-            probe.span_end(span);
-            let span = probe.span_start(root, "keys", 1);
-            keys::check_instance(self.schema, dir, &mut out);
-            probe.span_end(span);
-            let span = probe.span_start(root, "structure", 2);
-            structure::check_instance(self.schema, dir, probe, &mut out);
-            probe.span_end(span);
+        for (id, entry) in dir.iter() {
+            content::check_entry(self.schema, id, entry, &mut out);
+            if self.validate_values {
+                if let Err(e) = dir.validate_entry_values(id) {
+                    out.push(Violation::ValueViolation { entry: id, message: e.to_string() });
+                }
+            }
         }
-        probe.span_end(root);
-        LegalityReport::from_violations(out)
+        keys::check_instance(self.schema, dir, &mut out);
+        out
     }
 
     /// Like [`check`](Self::check) but using the traversal-based structure
     /// checker (no indexes or queries) — a middle baseline for benchmarks
     /// and a differential oracle.
     pub fn check_naive(&self, dir: &DirectoryInstance) -> LegalityReport {
-        let mut out = Vec::new();
-        content::check_instance(self.schema, dir, self.validate_values, self.probe, &mut out);
-        keys::check_instance(self.schema, dir, &mut out);
+        let mut out = self.content_as_printed(dir);
         naive::check_instance(self.schema, dir, &mut out);
         LegalityReport::from_violations(out)
     }
@@ -162,9 +158,7 @@ impl<'s> LegalityChecker<'s> {
     /// every ordered entry pair is compared against the structure schema,
     /// O((|Er|+|Ef|)·|D|²).
     pub fn check_pairwise(&self, dir: &DirectoryInstance) -> LegalityReport {
-        let mut out = Vec::new();
-        content::check_instance(self.schema, dir, self.validate_values, self.probe, &mut out);
-        keys::check_instance(self.schema, dir, &mut out);
+        let mut out = self.content_as_printed(dir);
         naive::check_instance_pairwise(self.schema, dir, &mut out);
         LegalityReport::from_violations(out)
     }

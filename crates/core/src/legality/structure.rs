@@ -8,58 +8,11 @@
 //! of Theorem 3.1.
 
 use bschema_directory::DirectoryInstance;
-use bschema_query::{evaluate, evaluate_batch, EvalContext, Query};
+use bschema_query::{evaluate_batch, EvalContext, Query};
 
 use super::report::Violation;
 use super::translate;
 use crate::schema::DirectorySchema;
-
-/// Checks the instance against the structure schema, appending violations
-/// (with one witness violation per offending entry).
-pub fn check_instance(
-    schema: &DirectorySchema,
-    dir: &DirectoryInstance,
-    probe: &dyn bschema_obs::Probe,
-    out: &mut Vec<Violation>,
-) {
-    let ctx = EvalContext::new(dir).with_probe(probe);
-    let classes = schema.classes();
-    let structure = schema.structure();
-    if probe.enabled() {
-        probe.add("legality.structure_queries", structure.len() as u64);
-    }
-
-    for class in structure.required_classes() {
-        let q = translate::required_class_query(schema, class);
-        if evaluate(&ctx, &q).is_empty() {
-            out.push(Violation::MissingRequiredClass { class: classes.name(class).to_owned() });
-        }
-    }
-
-    for rel in structure.required_rels() {
-        let q = translate::required_rel_query(schema, rel);
-        for witness in evaluate(&ctx, &q) {
-            out.push(Violation::RequiredRelViolation {
-                entry: witness,
-                source: classes.name(rel.source).to_owned(),
-                kind: rel.kind,
-                target: classes.name(rel.target).to_owned(),
-            });
-        }
-    }
-
-    for rel in structure.forbidden_rels() {
-        let q = translate::forbidden_rel_query(schema, rel);
-        for witness in evaluate(&ctx, &q) {
-            out.push(Violation::ForbiddenRelViolation {
-                entry: witness,
-                upper: classes.name(rel.upper).to_owned(),
-                kind: rel.kind,
-                lower: classes.name(rel.lower).to_owned(),
-            });
-        }
-    }
-}
 
 /// How a structure-schema element turns its query's witnesses into
 /// violations.
@@ -69,15 +22,18 @@ enum StructureJob<'s> {
     ForbiddenRel(&'s crate::schema::ForbiddenRel),
 }
 
-/// Like [`check_instance`] but evaluating the independent Figure 4
-/// queries on `threads` workers over one shared evaluation context (and
-/// the one shared sorted-entry index behind it). Violations come out in
-/// the same order as [`check_instance`]: witnesses are collected per
-/// query and concatenated in schema-element order.
-pub fn check_instance_parallel(
+/// Checks the instance against the structure schema, appending violations
+/// (with one witness violation per offending entry).
+///
+/// The Figure 4 queries are independent, so they are evaluated as one
+/// batch on `workers` workers over one shared evaluation context (and the
+/// one shared sorted-entry index behind it). Violations come out in
+/// schema-element order whatever `workers` is: witnesses are collected
+/// per query and concatenated in query order.
+pub fn check_instance(
     schema: &DirectorySchema,
     dir: &DirectoryInstance,
-    threads: usize,
+    workers: usize,
     probe: &dyn bschema_obs::Probe,
     out: &mut Vec<Violation>,
 ) {
@@ -103,7 +59,7 @@ pub fn check_instance_parallel(
         queries.push(translate::forbidden_rel_query(schema, rel));
     }
 
-    for (job, witnesses) in jobs.iter().zip(evaluate_batch(&ctx, &queries, threads)) {
+    for (job, witnesses) in jobs.iter().zip(evaluate_batch(&ctx, &queries, workers)) {
         match *job {
             StructureJob::RequiredClass(class) => {
                 if witnesses.is_empty() {
@@ -147,7 +103,7 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, _) = white_pages_instance();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
         assert_eq!(out, [], "Figure 1 must satisfy the Figure 3 structure schema");
     }
 
@@ -164,7 +120,7 @@ mod tests {
             .unwrap();
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
         // person ↛ch top violated at suciu; orgUnit →pa orgGroup violated at
         // the new entry; orgGroup ⇒⇒de person violated at the new entry (it
         // has no person descendant); orgUnit →an organization is satisfied
@@ -196,7 +152,7 @@ mod tests {
         );
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
         let missing: Vec<&str> = out
             .iter()
             .filter_map(|v| match v {
@@ -215,7 +171,7 @@ mod tests {
         let mut dir = DirectoryInstance::white_pages();
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
         assert_eq!(out.len(), 3); // ◇organization, ◇orgUnit, ◇person
         assert!(out.iter().all(|v| matches!(v, Violation::MissingRequiredClass { .. })));
     }

@@ -66,7 +66,7 @@ pub use discover::{suggest_schema, DiscoveryOptions};
 pub use engine::{JournalSink, JournaledDirectory, Op};
 pub use evolution::{evolve, Evolution, EvolutionError};
 pub use journal::{Journal, JournalModify, JournalTx, JournalWriter, RecoveryReport};
-pub use legality::{LegalityChecker, LegalityOptions, LegalityReport, Violation};
+pub use legality::{LegalityChecker, LegalityReport, Violation};
 pub use managed::ManagedDirectory;
 pub use qopt::SchemaAwareOptimizer;
 pub use schema::{DirectorySchema, ForbidKind, RelKind, SchemaBuilder, SchemaError};

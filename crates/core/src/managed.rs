@@ -15,7 +15,7 @@ use bschema_obs::{Probe, NO_SPAN};
 use bschema_query::{evaluate, EvalContext, Query};
 
 use crate::consistency::ConsistencyChecker;
-use crate::legality::{LegalityChecker, LegalityOptions, LegalityReport};
+use crate::legality::{LegalityChecker, LegalityReport};
 use crate::schema::DirectorySchema;
 use crate::updates::{apply_and_check_probed, prepare_probed, Transaction, TxError};
 
@@ -192,8 +192,6 @@ pub struct ManagedDirectory {
     /// Whether the current instance is known legal (enables the incremental
     /// §4 checks; until then transactions are fully rechecked).
     known_legal: bool,
-    /// Execution engine for every legality / incremental check.
-    options: LegalityOptions,
     /// Instrumentation probe threaded into every check (no-op by default).
     probe: ProbeHandle,
 }
@@ -247,23 +245,9 @@ impl ManagedDirectory {
             schema,
             dir: Arc::new(dir),
             known_legal: report.is_legal(),
-            options: LegalityOptions::default(),
             probe: ProbeHandle::default(),
         };
         Ok((managed, report))
-    }
-
-    /// Selects the execution engine (sequential or data-parallel) used by
-    /// every subsequent legality and incremental check. Verdicts and
-    /// reports are identical across engines; only the wall-clock differs.
-    pub fn with_options(mut self, options: LegalityOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The configured execution options.
-    pub fn options(&self) -> LegalityOptions {
-        self.options
     }
 
     /// Attaches an instrumentation probe recording spans, transaction
@@ -295,9 +279,9 @@ impl ManagedDirectory {
         (self.schema, Arc::unwrap_or_clone(self.dir))
     }
 
-    /// The full legality checker configured with this directory's options.
+    /// The full legality checker, reporting to this directory's probe.
     fn checker(&self) -> LegalityChecker<'_> {
-        LegalityChecker::new(&self.schema).with_options(self.options).with_probe(self.probe.get())
+        LegalityChecker::new(&self.schema).with_probe(self.probe.get())
     }
 
     /// The schema being enforced.
@@ -437,7 +421,7 @@ impl ManagedDirectory {
         self.certify(|dir, probe| {
             if self.known_legal {
                 // D is legal: the Theorem 4.1 + Figure 5 incremental path.
-                let applied = apply_and_check_probed(&self.schema, dir, tx, self.options, probe)?;
+                let applied = apply_and_check_probed(&self.schema, dir, tx, probe)?;
                 return Ok((applied.inserted_roots, applied.report));
             }
             // No legality baseline: apply, then full check.
@@ -547,14 +531,14 @@ impl ManagedDirectory {
                 return Ok(((), inapplicable(target, e.to_string())));
             }
             prepare_probed(dir, probe);
-            let report = if self.known_legal {
-                crate::updates::IncrementalChecker::new(&self.schema)
-                    .with_options(self.options)
-                    .with_probe(probe)
-                    .check_move(dir, target, former_parent)
-            } else {
-                self.checker().check(dir)
-            };
+            let report =
+                if self.known_legal {
+                    crate::updates::IncrementalChecker::new(&self.schema)
+                        .with_probe(probe)
+                        .check_move(dir, target, former_parent)
+                } else {
+                    self.checker().check(dir)
+                };
             Ok(((), report))
         })?;
         self.install(next);

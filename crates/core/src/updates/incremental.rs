@@ -28,11 +28,11 @@
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{Probe, SpanId, NO_SPAN};
-use bschema_query::{evaluate, evaluate_batch, Binding, EvalContext, Filter, Query};
+use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
 
 use super::scoped::Neighbourhood;
 use crate::legality::report::{LegalityReport, Violation};
-use crate::legality::{content, translate, LegalityOptions};
+use crate::legality::{content, fan_out, translate};
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
 
 /// Figure 5 row label for a required relationship, as used in the
@@ -105,7 +105,6 @@ pub fn deletion_needs_recheck(kind: RelKind) -> bool {
 pub struct IncrementalChecker<'s> {
     schema: &'s DirectorySchema,
     validate_values: bool,
-    options: LegalityOptions,
     probe: &'s dyn Probe,
 }
 
@@ -120,12 +119,7 @@ enum DeltaJob<'s> {
 impl<'s> IncrementalChecker<'s> {
     /// A checker for `schema`.
     pub fn new(schema: &'s DirectorySchema) -> Self {
-        IncrementalChecker {
-            schema,
-            validate_values: false,
-            options: LegalityOptions::default(),
-            probe: bschema_obs::noop(),
-        }
+        IncrementalChecker { schema, validate_values: false, probe: bschema_obs::noop() }
     }
 
     /// Attaches an instrumentation probe (spans + Figure 5 row counters).
@@ -141,31 +135,15 @@ impl<'s> IncrementalChecker<'s> {
         self
     }
 
-    /// Selects the execution engine (sequential or data-parallel). The
-    /// reports are identical either way; only the wall-clock differs.
-    pub fn with_options(mut self, options: LegalityOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Worker-thread count for the parallel helpers: `1` (inline) unless
-    /// the parallel engine was selected.
-    fn threads(&self) -> usize {
-        if self.options.parallel {
-            self.options.threads
-        } else {
-            1
-        }
-    }
-
     /// Evaluates the Figure 5 insertion Δ-queries for every (delta root,
-    /// structure element) pair, appending witnesses as violations in
-    /// root-major, required-before-forbidden order — the order the
-    /// sequential per-root loops produce.
+    /// structure element) pair on `workers` workers, appending witnesses
+    /// as violations in root-major, required-before-forbidden order — the
+    /// order per-root loops produce.
     fn structure_delta_violations(
         &self,
         dir: &DirectoryInstance,
         roots: &[EntryId],
+        workers: usize,
         parent: SpanId,
         out: &mut Vec<Violation>,
     ) {
@@ -192,95 +170,69 @@ impl<'s> IncrementalChecker<'s> {
             }
         }
         let classes = self.schema.classes();
-        let found =
-            bschema_parallel::par_flat_map_chunks_indexed(&jobs, self.threads(), |i, chunk| {
-                let span = probe.span_start(parent, "chunk", i as u64);
-                let started = probe.enabled().then(std::time::Instant::now);
-                let mut local = Vec::new();
-                // One child span per Δ-query, named by its Figure 5 row
-                // and ordered by in-chunk position, so a request trace
-                // attributes time to individual rows deterministically.
-                for (j, job) in chunk.iter().enumerate() {
-                    match *job {
-                        DeltaJob::Required(root, rel) => {
-                            let row = probe.span_start(span, required_row(rel.kind), j as u64);
-                            let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
-                            let q = insertion_delta_query(self.schema, rel);
-                            for witness in evaluate(&ctx, &q) {
-                                local.push(Violation::RequiredRelViolation {
-                                    entry: witness,
-                                    source: classes.name(rel.source).to_owned(),
-                                    kind: rel.kind,
-                                    target: classes.name(rel.target).to_owned(),
-                                });
-                            }
-                            probe.span_end(row);
+        out.extend(fan_out(&jobs, workers, probe, parent, |span, chunk, local| {
+            // One child span per Δ-query, named by its Figure 5 row
+            // and ordered by in-chunk position, so a request trace
+            // attributes time to individual rows deterministically.
+            for (j, job) in chunk.iter().enumerate() {
+                match *job {
+                    DeltaJob::Required(root, rel) => {
+                        let row = probe.span_start(span, required_row(rel.kind), j as u64);
+                        let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
+                        let q = insertion_delta_query(self.schema, rel);
+                        for witness in evaluate(&ctx, &q) {
+                            local.push(Violation::RequiredRelViolation {
+                                entry: witness,
+                                source: classes.name(rel.source).to_owned(),
+                                kind: rel.kind,
+                                target: classes.name(rel.target).to_owned(),
+                            });
                         }
-                        DeltaJob::Forbidden(root, rel) => {
-                            let row = probe.span_start(span, forbidden_row(rel.kind), j as u64);
-                            let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
-                            let q = insertion_delta_query_forbidden(self.schema, rel);
-                            for witness in evaluate(&ctx, &q) {
-                                local.push(Violation::ForbiddenRelViolation {
-                                    entry: witness,
-                                    upper: classes.name(rel.upper).to_owned(),
-                                    kind: rel.kind,
-                                    lower: classes.name(rel.lower).to_owned(),
-                                });
-                            }
-                            probe.span_end(row);
+                        probe.span_end(row);
+                    }
+                    DeltaJob::Forbidden(root, rel) => {
+                        let row = probe.span_start(span, forbidden_row(rel.kind), j as u64);
+                        let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
+                        let q = insertion_delta_query_forbidden(self.schema, rel);
+                        for witness in evaluate(&ctx, &q) {
+                            local.push(Violation::ForbiddenRelViolation {
+                                entry: witness,
+                                upper: classes.name(rel.upper).to_owned(),
+                                kind: rel.kind,
+                                lower: classes.name(rel.lower).to_owned(),
+                            });
                         }
+                        probe.span_end(row);
                     }
                 }
-                if let Some(start) = started {
-                    probe.add("parallel.chunks", 1);
-                    probe.observe("parallel.chunk_us", start.elapsed().as_micros() as u64);
-                }
-                probe.span_end(span);
-                local
-            });
-        out.extend(found);
+            }
+        }));
     }
 
-    /// Content-schema check of every entry in the given delta subtrees,
-    /// fanned out over the configured workers.
+    /// Content-schema check of the `∆D` entries on `workers` workers.
     fn content_delta_violations(
         &self,
         dir: &DirectoryInstance,
-        roots: &[EntryId],
+        entries: &[EntryId],
+        workers: usize,
         parent: SpanId,
         out: &mut Vec<Violation>,
     ) {
         let probe = self.probe;
-        let forest = dir.forest();
-        let entries: Vec<EntryId> =
-            roots.iter().flat_map(|&r| std::iter::once(r).chain(forest.descendants(r))).collect();
-        let found =
-            bschema_parallel::par_flat_map_chunks_indexed(&entries, self.threads(), |i, chunk| {
-                let span = probe.span_start(parent, "chunk", i as u64);
-                let started = probe.enabled().then(std::time::Instant::now);
-                let mut local = Vec::new();
-                for &id in chunk {
-                    let entry = dir.entry(id).expect("delta entries are live");
-                    content::check_entry(self.schema, id, entry, &mut local);
-                    if self.validate_values {
-                        if let Err(e) = dir.validate_entry_values(id) {
-                            local.push(Violation::ValueViolation {
-                                entry: id,
-                                message: e.to_string(),
-                            });
-                        }
+        out.extend(fan_out(entries, workers, probe, parent, |_, chunk, local| {
+            for &id in chunk {
+                let entry = dir.entry(id).expect("delta entries are live");
+                content::check_entry(self.schema, id, entry, local);
+                if self.validate_values {
+                    if let Err(e) = dir.validate_entry_values(id) {
+                        local.push(Violation::ValueViolation { entry: id, message: e.to_string() });
                     }
                 }
-                if let Some(start) = started {
-                    probe.add("legality.entries_content_checked", chunk.len() as u64);
-                    probe.add("parallel.chunks", 1);
-                    probe.observe("parallel.chunk_us", start.elapsed().as_micros() as u64);
-                }
-                probe.span_end(span);
-                local
-            });
-        out.extend(found);
+            }
+            if probe.enabled() {
+                probe.add("legality.entries_content_checked", chunk.len() as u64);
+            }
+        }));
     }
 
     /// Checks that inserting the subtree rooted at `delta_root` preserved
@@ -303,9 +255,11 @@ impl<'s> IncrementalChecker<'s> {
     /// off pre-existing entries), so no subtree can satisfy another's
     /// required relationships or create a forbidden pair spanning two
     /// deltas — each root's Figure 5 Δ-queries are independent, and the
-    /// whole batch fans out over the configured workers in one wave. The
-    /// report equals the union of per-root [`check_insertion`] reports
-    /// against the final instance.
+    /// whole batch runs as one wave on
+    /// [`workers_for(|∆D|)`](bschema_parallel::workers_for) workers: inline
+    /// for a served write, fanned out for a bulk load. The report equals
+    /// the union of per-root [`check_insertion`] reports against the final
+    /// instance.
     pub fn check_insertions(
         &self,
         dir: &DirectoryInstance,
@@ -314,10 +268,18 @@ impl<'s> IncrementalChecker<'s> {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_insertions", 0);
         let mut out = Vec::new();
+        // ∆D, in root-major document order; its size decides the fan-out
+        // of both waves below.
+        let forest = dir.forest();
+        let delta: Vec<EntryId> = delta_roots
+            .iter()
+            .flat_map(|&r| std::iter::once(r).chain(forest.descendants(r)))
+            .collect();
+        let workers = bschema_parallel::workers_for(delta.len());
 
         // Content schema: only the new entries need checking (§4.2).
         let span = probe.span_start(root_span, "content_delta", 0);
-        self.content_delta_violations(dir, delta_roots, span, &mut out);
+        self.content_delta_violations(dir, &delta, workers, span, &mut out);
         probe.span_end(span);
 
         // Keys (§6.1): only the new entries' values can clash.
@@ -330,7 +292,7 @@ impl<'s> IncrementalChecker<'s> {
         // Structure schema: Figure 5 insertion Δ-queries per delta root.
         // Required classes `◇c` cannot be violated by an insertion.
         let span = probe.span_start(root_span, "structure_delta", 2);
-        self.structure_delta_violations(dir, delta_roots, span, &mut out);
+        self.structure_delta_violations(dir, delta_roots, workers, span, &mut out);
         probe.span_end(span);
 
         probe.span_end(root_span);
@@ -359,8 +321,9 @@ impl<'s> IncrementalChecker<'s> {
         let mut out = Vec::new();
 
         // Insertion half: the Figure 5 Δ-queries at the new location.
+        let workers = bschema_parallel::workers_for(dir.forest().subtree_size(moved_root));
         let span = probe.span_start(root_span, "structure_delta", 0);
-        self.structure_delta_violations(dir, &[moved_root], span, &mut out);
+        self.structure_delta_violations(dir, &[moved_root], workers, span, &mut out);
         probe.span_end(span);
 
         // Deletion half, Figure 5′: only the old parent and its ancestors
@@ -437,25 +400,16 @@ impl<'s> IncrementalChecker<'s> {
             }
         }
 
-        // The non-incrementally-testable rows: full recheck on D − ∆D. The
-        // rows are independent queries, so they batch over the configured
-        // workers (sharing the instance's one sorted-entry index).
-        let recheck: Vec<&RequiredRel> = self
-            .schema
-            .structure()
-            .required_rels()
-            .iter()
-            .filter(|rel| deletion_needs_recheck(rel.kind))
-            .collect();
-        if probe.enabled() {
-            for rel in &recheck {
+        // The non-incrementally-testable rows: full recheck on D − ∆D.
+        for rel in self.schema.structure().required_rels() {
+            if !deletion_needs_recheck(rel.kind) {
+                continue;
+            }
+            if probe.enabled() {
                 probe.add_labeled("incremental.recheck", required_row(rel.kind), 1);
             }
-        }
-        let queries: Vec<Query> =
-            recheck.iter().map(|rel| translate::required_rel_query(self.schema, rel)).collect();
-        for (rel, witnesses) in recheck.iter().zip(evaluate_batch(&ctx, &queries, self.threads())) {
-            for witness in witnesses {
+            let query = translate::required_rel_query(self.schema, rel);
+            for witness in evaluate(&ctx, &query) {
                 out.push(Violation::RequiredRelViolation {
                     entry: witness,
                     source: classes.name(rel.source).to_owned(),

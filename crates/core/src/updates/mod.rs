@@ -18,7 +18,7 @@ pub use transaction::{NodeRef, NormalizedTx, SubtreeInsertion, Transaction, TxEr
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 
-use crate::legality::{LegalityOptions, LegalityReport};
+use crate::legality::LegalityReport;
 use crate::schema::DirectorySchema;
 
 /// Outcome of applying a transaction with incremental checking.
@@ -78,31 +78,6 @@ pub fn apply_and_check(
     Ok(AppliedTx { inserted_roots, removed, report })
 }
 
-/// Like [`apply_and_check`] but **batched**: all insertions are applied
-/// first and their Figure 5 Δ-queries checked in one wave
-/// ([`IncrementalChecker::check_insertions`]), then all deletions are
-/// applied and the union of removed entries checked once, at the deleted
-/// subtrees' former parents and their ancestors
-/// ([`IncrementalChecker::check_deletion_scoped`], Figure 5′). With
-/// [`LegalityOptions::parallel`] the Δ-query wave and the per-entry content
-/// checks fan out over worker threads.
-///
-/// Because inserted subtrees are pairwise disjoint, the batched insertion
-/// verdict equals the sequential per-subtree one. Batching the deletions
-/// additionally checks them against the **final** instance, so a
-/// transaction whose later deletion removes the witness of an earlier
-/// one is judged by the end state — exactly the atomicity contract
-/// [`ManagedDirectory`](crate::managed::ManagedDirectory) exposes, and
-/// always in agreement with a full recheck of the final instance.
-pub fn apply_and_check_with(
-    schema: &DirectorySchema,
-    dir: &mut DirectoryInstance,
-    tx: &Transaction,
-    options: LegalityOptions,
-) -> Result<AppliedTx, TxError> {
-    apply_and_check_probed(schema, dir, tx, options, bschema_obs::noop())
-}
-
 /// `dir.prepare()` on a path that holds a probe: what the call did to
 /// the index is attributed there — `managed.index_posted` entries (the
 /// |ΔD| of Theorem 4.2, when nothing else is wrong) and
@@ -119,19 +94,32 @@ pub(crate) fn prepare_probed(dir: &mut DirectoryInstance, probe: &dyn bschema_ob
     }
 }
 
-/// Like [`apply_and_check_with`] with an instrumentation probe attached
-/// to the incremental checker. Behaviour and reports are unchanged; the
-/// probe records the Figure 5 Δ-query counters and check spans, and what
-/// each `prepare()` cost the index.
+/// Like [`apply_and_check`] but **batched**: all insertions are applied
+/// first and their Figure 5 Δ-queries checked in one wave
+/// ([`IncrementalChecker::check_insertions`]), then all deletions are
+/// applied and the union of removed entries checked once, at the deleted
+/// subtrees' former parents and their ancestors
+/// ([`IncrementalChecker::check_deletion_scoped`], Figure 5′).
+///
+/// Because inserted subtrees are pairwise disjoint, the batched insertion
+/// verdict equals the per-subtree one. Batching the deletions
+/// additionally checks them against the **final** instance, so a
+/// transaction whose later deletion removes the witness of an earlier
+/// one is judged by the end state — exactly the atomicity contract
+/// [`ManagedDirectory`](crate::managed::ManagedDirectory) exposes, and
+/// always in agreement with a full recheck of the final instance.
+///
+/// `probe` (pass [`bschema_obs::noop`] for none) records the Figure 5
+/// Δ-query counters and check spans, and what each `prepare()` cost the
+/// index; behaviour and reports do not depend on it.
 pub fn apply_and_check_probed(
     schema: &DirectorySchema,
     dir: &mut DirectoryInstance,
     tx: &Transaction,
-    options: LegalityOptions,
     probe: &dyn bschema_obs::Probe,
 ) -> Result<AppliedTx, TxError> {
     let normalized = tx.normalize(dir)?;
-    let checker = IncrementalChecker::new(schema).with_options(options).with_probe(probe);
+    let checker = IncrementalChecker::new(schema).with_probe(probe);
     let mut report = LegalityReport::legal();
 
     let mut inserted_roots = Vec::with_capacity(normalized.insertions.len());
@@ -285,8 +273,7 @@ mod tests {
         let mut tx = Transaction::new();
         tx.insert_under(ids.att_labs, org_unit("empty"));
         tx.delete(ids.armstrong);
-        let applied =
-            apply_and_check_with(&schema, &mut dir, &tx, LegalityOptions::default()).unwrap();
+        let applied = apply_and_check_probed(&schema, &mut dir, &tx, bschema_obs::noop()).unwrap();
         let unmet: Vec<_> = applied
             .report
             .violations()

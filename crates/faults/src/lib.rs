@@ -14,13 +14,17 @@
 //! instance byte-identical to its pre-transaction snapshot.
 //!
 //! Plans are deterministic: [`FaultPlan::fail_nth`] fires at the Nth
-//! probe event (events are counted in program order on the sequential
-//! engines), [`FaultPlan::fail_at_site`] fires at the k-th visit of a
-//! named site, and [`nth_from_seed`] maps an arbitrary seed to an event
-//! ordinal so CI can replay a failure from its logged seed. Every plan
+//! probe event (events are counted in program order wherever the
+//! legality engine runs inline — every check of fewer than two
+//! `bschema_parallel::GRAIN`s of entries), [`FaultPlan::fail_at_site`]
+//! fires at the k-th visit of a named site, and [`nth_from_seed`] maps
+//! an arbitrary seed to an event ordinal so CI can replay a failure from
+//! its logged seed (within one build: ordinals move when the events an
+//! engine emits change). Every plan
 //! fires **at most once** — after the injected panic is caught and the
-//! operation retried (the parallel engine degrades to a sequential
-//! retry), the same site passes, modelling a transient fault.
+//! operation retried (a fanned-out check degrades a dead worker's chunk
+//! to a retry on the caller's thread), the same site passes, modelling a
+//! transient fault.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,18 +18,19 @@ use bschema_directory::{DirectoryInstance, EntryId};
 ///
 /// The queries share the instance's sorted-entry index — built once by
 /// [`prepare`](DirectoryInstance::prepare) — rather than re-deriving
-/// per-query entry lists, and are fanned out over `threads` worker
-/// threads (`0` = all available, `1` = inline on the caller's thread).
+/// per-query entry lists, and are fanned out over `workers` workers
+/// (`<= 1`: inline on the caller's thread). The caller derives `workers`
+/// from the size of the instance (`bschema_parallel::workers_for`).
 pub fn evaluate_batch(
     ctx: &EvalContext<'_>,
     queries: &[Query],
-    threads: usize,
+    workers: usize,
 ) -> Vec<Vec<EntryId>> {
     let probe = ctx.probe();
     if !probe.enabled() {
-        return bschema_parallel::par_map(queries, threads, |q| evaluate(ctx, q));
+        return bschema_parallel::par_map(queries, workers, |q| evaluate(ctx, q));
     }
-    bschema_parallel::par_flat_map_chunks_indexed(queries, threads, |_, chunk| {
+    bschema_parallel::par_flat_map_chunks_indexed(queries, workers, |_, chunk| {
         let chunk_start = std::time::Instant::now();
         let out: Vec<Vec<EntryId>> = chunk.iter().map(|q| evaluate(ctx, q)).collect();
         probe.add("parallel.chunks", 1);

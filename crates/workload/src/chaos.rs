@@ -29,7 +29,6 @@ use std::sync::Arc;
 use bschema_core::checkpoint::recover_with_checkpoint;
 use bschema_core::engine::{JournaledDirectory, MemoryJournal, Op};
 use bschema_core::journal::Journal;
-use bschema_core::legality::LegalityOptions;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::white_pages_schema;
 use bschema_core::schema::DirectorySchema;
@@ -50,23 +49,13 @@ pub struct ChaosConfig {
     pub org_size: usize,
     /// Number of transactions in the scripted workload.
     pub rounds: usize,
-    /// Legality engine to run under fault injection (sequential or
-    /// parallel — parallel additionally exercises worker-thread panic
-    /// recovery and sequential retry).
-    pub options: LegalityOptions,
     /// Number of simulated journal crash cuts.
     pub crash_cuts: usize,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
-        ChaosConfig {
-            seed: 0xC4A05,
-            org_size: 48,
-            rounds: 6,
-            options: LegalityOptions::sequential(),
-            crash_cuts: 16,
-        }
+        ChaosConfig { seed: 0xC4A05, org_size: 48, rounds: 6, crash_cuts: 16 }
     }
 }
 
@@ -130,11 +119,10 @@ pub struct RunStats {
 /// Runs the workload once with `plan` attached as the probe, asserting
 /// the atomicity and recovery invariants at every step. Panics with a
 /// diagnostic on the first violation.
-pub fn run_once(w: &ChaosWorkload, options: LegalityOptions, plan: &Arc<FaultPlan>) -> RunStats {
+pub fn run_once(w: &ChaosWorkload, plan: &Arc<FaultPlan>) -> RunStats {
     let mut live = JournaledDirectory::new(
         ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
             .expect("chaos base instance is legal")
-            .with_options(options)
             .with_probe(plan.clone()),
     );
     let disk = MemoryJournal::default();
@@ -244,7 +232,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let w = scripted_workload(cfg);
 
     let observer = Arc::new(FaultPlan::observer());
-    let baseline = run_once(&w, cfg.options, &observer);
+    let baseline = run_once(&w, &observer);
     let events = observer.events();
     assert!(events > 0, "observer run must hit probe sites");
 
@@ -260,7 +248,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
 
     for event in 0..events {
         let plan = Arc::new(FaultPlan::fail_nth(event));
-        let stats = run_once(&w, cfg.options, &plan);
+        let stats = run_once(&w, &plan);
         report.runs += 1;
         report.injected += plan.injected();
         report.aborted_txs += stats.panicked;
@@ -312,7 +300,7 @@ mod tests {
         let cfg = ChaosConfig { org_size: 30, rounds: 4, ..ChaosConfig::default() };
         let w = scripted_workload(&cfg);
         let plan = Arc::new(FaultPlan::observer());
-        let stats = run_once(&w, cfg.options, &plan);
+        let stats = run_once(&w, &plan);
         assert!(stats.applied >= 2, "workload must commit transactions: {stats:?}");
         assert!(stats.rejected >= 1, "workload must include a rejected transaction: {stats:?}");
         assert_eq!(stats.panicked, 0);

@@ -13,14 +13,15 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use bschema_core::consistency::ConsistencyChecker;
-use bschema_core::legality::LegalityOptions;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::updates::Transaction;
 use bschema_directory::Entry;
 use bschema_faults::FaultPlan;
 use bschema_obs::{Probe, SpanId, NO_SPAN};
-use bschema_workload::chaos::{run_chaos, run_once, scripted_workload, ChaosConfig};
+use bschema_parallel::{available_threads, workers_for, GRAIN};
+use bschema_workload::chaos::{run_chaos, run_once, ChaosConfig, ChaosWorkload};
+use bschema_workload::{OrgGenerator, OrgParams, TxGenerator, TxParams};
 
 fn chaos_seed() -> u64 {
     match std::env::var("CHAOS_SEED") {
@@ -29,14 +30,15 @@ fn chaos_seed() -> u64 {
     }
 }
 
-/// The full sequential campaign: one fail-nth run per injectable event.
+/// The full campaign on served-size transactions (every ∆D runs inline on
+/// the caller's thread): one fail-nth run per injectable event.
 /// Every fault either aborts a transaction (verified atomic by the
 /// driver) or is absorbed; injection count proves full event coverage.
 #[test]
 fn chaos_campaign_sequential_covers_every_event() {
     let cfg = ChaosConfig { seed: chaos_seed(), ..ChaosConfig::default() };
     let report = run_chaos(&cfg);
-    eprintln!("chaos(seed={:#x}, sequential): {report:?}", cfg.seed);
+    eprintln!("chaos(seed={:#x}, inline): {report:?}", cfg.seed);
 
     // fail_nth(n) leaves events 0..n untouched, so event n always fires:
     // exactly one injection per run.
@@ -59,45 +61,98 @@ fn chaos_campaign_sequential_covers_every_event() {
     }
 }
 
-/// The same campaign under the parallel legality engine: worker-thread
-/// faults are additionally exercised (and absorbed by sequential retry).
-#[test]
-fn chaos_campaign_parallel_engine() {
-    let cfg = ChaosConfig {
-        seed: chaos_seed() ^ 0xA11E1,
-        org_size: 40,
-        rounds: 5,
-        options: LegalityOptions::parallel(3),
-        crash_cuts: 8,
-    };
-    let report = run_chaos(&cfg);
-    eprintln!("chaos(seed={:#x}, parallel): {report:?}", cfg.seed);
-    assert!(report.injected > 0, "parallel campaign must inject faults");
-    assert!(
-        report.sites.contains_key("parallel.chunks"),
-        "parallel engine must reach worker-chunk sites: {:?}",
-        report.sites
-    );
+/// The bulk workload: one TXN inserting a unit of 2 × `GRAIN` entries —
+/// the smallest ∆D whose two check waves fan out over a second worker,
+/// on a host that has one — and one TXN deleting those entries again.
+fn bulk_workload(seed: u64) -> ChaosWorkload {
+    let schema = white_pages_schema();
+    let org = OrgGenerator::new(OrgParams { seed, ..OrgParams::sized(40) }).generate();
+    let insert = TxGenerator::new(TxParams { subtree_size: 2 * GRAIN, seed }).legal_insertion(&org);
+    let mut reference = ManagedDirectory::with_instance(schema.clone(), org.dir.clone())
+        .expect("generated org is legal");
+    reference.apply(&insert).expect("bulk insertion is legal");
+    let mut delete = Transaction::new();
+    for (id, _) in reference.instance().iter().filter(|&(id, _)| !org.dir.contains(id)) {
+        delete.delete(id);
+    }
+    assert_eq!(delete.len(), 2 * GRAIN);
+    ChaosWorkload { schema, base: org.dir, txs: vec![insert, delete] }
 }
 
-/// A fault pinned inside a parallel worker chunk is absorbed: the chunk
-/// is retried sequentially and the transaction still commits.
+/// The campaign on the bulk insertion, where the engine fans out: one
+/// fail-nth run per injectable event, worker-thread events included.
+/// A fault either aborts the TXN — instance byte-identical to the base —
+/// or is absorbed and the TXN commits the fault-free state; one that
+/// lands inside a worker is always absorbed (the sequential retry).
+/// Journal recovery under faults is the inline campaign's and
+/// `worker_fault_degrades_to_sequential_retry`'s business: a full driver
+/// run costs a second on 8k entries, this loop makes one per event.
+#[test]
+fn chaos_campaign_parallel_engine() {
+    bschema_faults::silence_injected_panics();
+    let w = bulk_workload(chaos_seed() ^ 0xA11E1);
+    let base_bytes = w.base.canonical_bytes();
+    let run = |plan: &Arc<FaultPlan>| {
+        let mut managed = ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
+            .expect("bulk base is legal")
+            .with_probe(plan.clone());
+        let outcome = managed.apply(&w.txs[0]);
+        assert!(managed.is_legal());
+        (outcome, managed.instance().canonical_bytes())
+    };
+
+    let observer = Arc::new(FaultPlan::observer());
+    let (outcome, committed_bytes) = run(&observer);
+    outcome.expect("the bulk insertion is legal");
+    // Two fan-out sites (content wave, Δ-query wave), `workers` chunks at
+    // each; everything recorded at these three sites happens in a chunk.
+    let workers = workers_for(2 * GRAIN) as u64;
+    let sites = observer.sites();
+    assert_eq!(sites.get("parallel.chunks"), Some(&(2 * workers)), "{sites:?}");
+    let in_chunks = sites["span:chunk"] + sites["parallel.chunks"] + sites["parallel.chunk_us"];
+
+    let (mut injected, mut survived, mut aborted) = (0, 0, 0);
+    for event in 0..observer.events() {
+        let plan = Arc::new(FaultPlan::fail_nth(event));
+        match run(&plan) {
+            (Ok(()), bytes) => {
+                assert_eq!(bytes, committed_bytes, "event {event}: absorbed fault changed state");
+                survived += 1;
+            }
+            (Err(ManagedError::Panicked { .. }), bytes) => {
+                assert_eq!(bytes, base_bytes, "event {event}: aborted TXN was not atomic");
+                aborted += 1;
+            }
+            (Err(e), _) => panic!("event {event}: unexpected refusal {e}"),
+        }
+        injected += plan.injected();
+    }
+    eprintln!("chaos(bulk, {workers} worker(s)): {injected} injected, {survived} survived");
+    assert_eq!(injected, observer.events(), "every event index must inject exactly once");
+    assert!(aborted > 0, "faults on the caller's thread must abort the TXN");
+    assert!(survived > 0, "post-verdict probe faults must be absorbed");
+    if workers > 1 {
+        assert!(survived >= in_chunks, "worker faults must be absorbed: {survived} < {in_chunks}");
+    }
+}
+
+/// A fault pinned at `parallel.chunks` while the bulk insertion is being
+/// checked: inside a worker it is absorbed — the chunk is retried on the
+/// caller's thread and the TXN commits; where the host has one core the
+/// chunk *is* the caller's thread, and the TXN aborts atomically instead.
 #[test]
 fn worker_fault_degrades_to_sequential_retry() {
     bschema_faults::silence_injected_panics();
-    let cfg = ChaosConfig {
-        seed: chaos_seed(),
-        org_size: 40,
-        rounds: 4,
-        options: LegalityOptions::parallel(3),
-        ..ChaosConfig::default()
-    };
-    let w = scripted_workload(&cfg);
+    let w = bulk_workload(chaos_seed());
     let plan = Arc::new(FaultPlan::fail_at_site("parallel.chunks", 0));
-    let stats = run_once(&w, cfg.options, &plan);
-    assert_eq!(plan.injected(), 1, "the worker-chunk fault must fire");
-    assert_eq!(stats.panicked, 0, "a worker fault must be absorbed, not abort the transaction");
-    assert!(stats.applied > 0);
+    let stats = run_once(&w, &plan);
+    assert_eq!(plan.injected(), 1, "the chunk fault must fire");
+    if available_threads() > 1 {
+        assert_eq!(stats.panicked, 0, "a worker fault must be absorbed, not abort the TXN");
+        assert_eq!(stats.applied, 2);
+    } else {
+        assert_eq!((stats.panicked, stats.applied), (1, 1), "inline fault aborts one TXN");
+    }
 }
 
 /// Fault-injection sweep over the ◇∅ consistency engine: every injected

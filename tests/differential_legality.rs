@@ -1,75 +1,68 @@
-//! Differential test oracle for the parallel legality engine (PR 1).
+//! Differential test oracle for the legality engine.
 //!
-//! Three independent checkers must agree on every randomized input:
+//! Independent routes to a report must agree on every randomized input:
 //!
-//! * the **sequential** Theorem 3.1 checker (query reduction),
-//! * the **parallel** engine ([`LegalityOptions::parallel`]) at several
-//!   thread counts — required to be *byte-identical* to the sequential
-//!   report (same violations, same order), and
-//! * the **naive** traversal baseline (`legality/naive.rs`) — required to
-//!   agree up to ordering ([`LegalityReport::normalized`]).
+//! * [`LegalityChecker::check`] — the one engine, its fan-out derived
+//!   from |D|,
+//! * the same engine held at 1, 2 and 5 workers through the module-level
+//!   [`legality::check_instance`] — required to be *byte-identical* (same
+//!   violations, same order), with and without a recording probe, and
+//! * the **naive** traversal baseline (`legality/naive.rs`, Definition
+//!   2.7's content check entry by entry, no cache) — required to agree up
+//!   to ordering ([`LegalityReport::normalized`]).
 //!
 //! Inputs come from the `bschema-workload` generators with fixed RNG
 //! seeds, so every case is reproducible: organisation-shaped directories
 //! (legal and with injected violations), randomly generated schemas
 //! (checked both against their consistency witnesses and against
 //! mismatched org directories), and random update transactions whose
-//! batched Δ-checks are compared across engines and against full
-//! rechecks. Together the suite runs well over 256 cases.
+//! batched Δ-checks are compared with the paper-literal per-step check
+//! and against full rechecks. Together the suite runs well over 256
+//! cases.
 
 use bschema_core::consistency::build_witness;
-use bschema_core::legality::{LegalityChecker, LegalityOptions};
+use bschema_core::legality::{self, LegalityChecker};
 use bschema_core::paper::white_pages_schema;
 use bschema_core::schema::DirectorySchema;
-use bschema_core::updates::{apply_and_check, apply_and_check_with, Transaction};
+use bschema_core::updates::{apply_and_check, apply_and_check_probed, Transaction};
 use bschema_directory::DirectoryInstance;
 use bschema_workload::{
     OrgGenerator, OrgParams, SchemaGenerator, SchemaParams, TxGenerator, TxParams,
 };
 
-/// Thread counts exercised for the parallel engine: all cores, a couple,
-/// an odd count larger than most inputs' chunk counts.
-const THREAD_COUNTS: [usize; 3] = [0, 2, 5];
+/// Worker counts the engine is held at: inline, a couple, an odd count
+/// larger than most inputs' chunk counts.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 5];
 
-/// Asserts all three checkers produce the same report for (schema, dir) —
-/// with and without an instrumentation probe attached. Returns the agreed
+/// Asserts every route produces the same report for (schema, dir) — with
+/// and without an instrumentation probe attached. Returns the agreed
 /// verdict.
 fn engines_agree(schema: &DirectorySchema, dir: &DirectoryInstance, label: &str) -> bool {
-    let sequential = LegalityChecker::new(schema).check(dir);
-    // Attaching a recording probe must not perturb the report: the
-    // instrumented sequential and parallel runs are byte-identical to the
-    // uninstrumented sequential baseline.
+    let derived = LegalityChecker::new(schema).check(dir);
+    // Attaching a recording probe must not perturb the report.
     let recorder = bschema_obs::Recorder::new();
     let probed = LegalityChecker::new(schema).with_probe(&recorder).check(dir);
-    assert_eq!(
-        sequential, probed,
-        "{label}: instrumented sequential report differs from no-op-probe report"
-    );
-    let probed_parallel = LegalityChecker::new(schema)
-        .with_options(LegalityOptions::parallel(2))
-        .with_probe(&recorder)
-        .check(dir);
-    assert_eq!(
-        sequential, probed_parallel,
-        "{label}: instrumented parallel report differs from no-op-probe report"
-    );
-    for threads in THREAD_COUNTS {
-        let parallel = LegalityChecker::new(schema)
-            .with_options(LegalityOptions::parallel(threads))
-            .check(dir);
+    assert_eq!(derived, probed, "{label}: instrumented report differs from no-op-probe report");
+    for workers in WORKER_COUNTS {
+        let held = legality::check_instance(schema, dir, false, workers, bschema_obs::noop());
         assert_eq!(
-            sequential, parallel,
-            "{label}: parallel (threads={threads}) report differs from sequential.\n\
-             sequential: {sequential}\nparallel: {parallel}"
+            derived, held,
+            "{label}: report at {workers} worker(s) differs from the derived fan-out's.\n\
+             derived: {derived}\nheld: {held}"
+        );
+        let held_probed = legality::check_instance(schema, dir, false, workers, &recorder);
+        assert_eq!(
+            derived, held_probed,
+            "{label}: instrumented report at {workers} worker(s) differs"
         );
     }
     let naive = LegalityChecker::new(schema).check_naive(dir).normalized();
-    let normalized = sequential.clone().normalized();
+    let normalized = derived.clone().normalized();
     assert_eq!(
         normalized, naive,
         "{label}: naive baseline disagrees.\nfast: {normalized}\nnaive: {naive}"
     );
-    sequential.is_legal()
+    derived.is_legal()
 }
 
 /// 168 cases: org directories across sizes, seeds, and injected-violation
@@ -190,11 +183,12 @@ fn merge_insertion(dst: &mut Transaction, src: &Transaction) {
 }
 
 /// 64 cases: random transactions (single- and multi-subtree insertions,
-/// deletions, violating insertions) applied with the sequential per-step
-/// checker, the batched sequential checker, and the batched parallel
-/// checker. The two batched engines must produce identical reports, all
-/// verdicts must agree with a full recheck of the resulting instance, and
-/// legal workloads must keep the running directory legal.
+/// deletions, violating insertions) applied with the paper-literal
+/// per-step checker and with the batched checker the write path runs —
+/// bare and under a recording probe. The probe must not perturb the
+/// batched report, all verdicts must agree with a full recheck of the
+/// resulting instance, and legal workloads must keep the running
+/// directory legal.
 #[test]
 fn transactions_all_engines_agree() {
     let schema = white_pages_schema();
@@ -219,27 +213,32 @@ fn transactions_all_engines_agree() {
             },
         };
 
-        // Apply to three clones, one per engine.
-        let mut d_seq_steps = org.dir.clone();
-        let mut d_seq_batch = org.dir.clone();
-        let mut d_par_batch = org.dir.clone();
-        let a_steps = apply_and_check(&schema, &mut d_seq_steps, &tx).expect("valid tx");
-        let a_seq =
-            apply_and_check_with(&schema, &mut d_seq_batch, &tx, LegalityOptions::sequential())
-                .expect("valid tx");
-        let a_par =
-            apply_and_check_with(&schema, &mut d_par_batch, &tx, LegalityOptions::parallel(0))
-                .expect("valid tx");
+        // Apply to three clones, one per route.
+        let mut d_steps = org.dir.clone();
+        let mut d_batch = org.dir.clone();
+        let mut d_probed = org.dir.clone();
+        let a_steps = apply_and_check(&schema, &mut d_steps, &tx).expect("valid tx");
+        let a_batch = apply_and_check_probed(&schema, &mut d_batch, &tx, bschema_obs::noop())
+            .expect("valid tx");
+        let recorder = bschema_obs::Recorder::new();
+        let a_probed =
+            apply_and_check_probed(&schema, &mut d_probed, &tx, &recorder).expect("valid tx");
 
-        // The batched engines are deterministic twins.
-        assert_eq!(a_seq.report, a_par.report, "round {round}: batched reports diverged");
-        assert_eq!(a_seq.inserted_roots, a_par.inserted_roots, "round {round}");
-        assert_eq!(a_seq.removed.len(), a_par.removed.len(), "round {round}");
-        assert_eq!(a_steps.inserted_roots, a_seq.inserted_roots, "round {round}");
+        // The probe changes nothing, and a served-size Δ runs inline.
+        assert_eq!(a_batch.report, a_probed.report, "round {round}: probe perturbed the report");
+        assert_eq!(a_batch.inserted_roots, a_probed.inserted_roots, "round {round}");
+        assert_eq!(a_batch.removed.len(), a_probed.removed.len(), "round {round}");
+        assert_eq!(a_steps.inserted_roots, a_batch.inserted_roots, "round {round}");
+        let sites = u64::from(!a_batch.inserted_roots.is_empty()) * 2;
+        assert_eq!(
+            recorder.metrics().counter("parallel.chunks"),
+            sites,
+            "round {round}: inline chunks"
+        );
 
-        // Every engine's verdict equals a from-scratch recheck.
-        let ground_truth = full.check(&d_seq_batch).is_legal();
-        assert_eq!(a_seq.report.is_legal(), ground_truth, "round {round}: batched verdict");
+        // Every route's verdict equals a from-scratch recheck.
+        let ground_truth = full.check(&d_batch).is_legal();
+        assert_eq!(a_batch.report.is_legal(), ground_truth, "round {round}: batched verdict");
         assert_eq!(
             a_steps.report.is_legal(),
             ground_truth,
@@ -248,12 +247,12 @@ fn transactions_all_engines_agree() {
         assert_eq!(violating, !ground_truth, "round {round}: generator contract");
 
         // All three clones hold the same final instance.
-        assert_eq!(d_seq_steps.len(), d_par_batch.len(), "round {round}");
-        engines_agree(&schema, &d_par_batch, &format!("tx round {round} post-state"));
+        assert_eq!(d_steps.len(), d_probed.len(), "round {round}");
+        engines_agree(&schema, &d_probed, &format!("tx round {round} post-state"));
 
         // Keep the running directory legal by committing only legal txs.
         if !violating {
-            org.dir = d_seq_batch;
+            org.dir = d_batch;
         }
         cases += 1;
     }

@@ -8,11 +8,12 @@
 
 use std::collections::BTreeSet;
 
-use bschema_core::legality::{LegalityChecker, LegalityOptions, LegalityReport, Violation};
+use bschema_core::legality::{content, LegalityChecker, LegalityReport, Violation};
 use bschema_core::paper::white_pages_schema_builder;
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
 use bschema_core::updates::{
-    apply_and_check_with, apply_mods, check_modification, IncrementalChecker, Mod, Transaction,
+    apply_and_check, apply_and_check_probed, apply_mods, check_modification, IncrementalChecker,
+    Mod, Transaction,
 };
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use proptest::prelude::*;
@@ -182,35 +183,27 @@ proptest! {
     }
 }
 
-/// Applies `tx` with the batched checker under both engines, asserting the
-/// two reports are identical and the verdict matches a full recheck of the
-/// final instance. Returns (final instance, batched report).
-fn apply_batched_both_engines(
+/// Applies `tx` with the batched checker, asserting the verdict matches a
+/// full recheck of the final instance. Returns (final instance, batched
+/// report).
+fn apply_batched(
     schema: &DirectorySchema,
     base: &DirectoryInstance,
     tx: &Transaction,
-) -> (DirectoryInstance, bschema_core::legality::LegalityReport) {
-    let mut d_seq = base.clone();
-    let mut d_par = base.clone();
-    let a_seq = apply_and_check_with(schema, &mut d_seq, tx, LegalityOptions::sequential())
+) -> (DirectoryInstance, LegalityReport) {
+    let mut dir = base.clone();
+    let applied = apply_and_check_probed(schema, &mut dir, tx, bschema_obs::noop())
         .expect("valid transaction");
-    let a_par = apply_and_check_with(schema, &mut d_par, tx, LegalityOptions::parallel(0))
-        .expect("valid transaction");
+    assert_eq!(dir.check_prepared(), Ok(()));
+    let full = LegalityChecker::new(schema).check(&dir);
     assert_eq!(
-        a_seq.report, a_par.report,
-        "sequential and parallel batched engines must produce identical reports"
-    );
-    assert_eq!(a_seq.inserted_roots, a_par.inserted_roots);
-    assert_eq!((d_seq.check_prepared(), d_par.check_prepared()), (Ok(()), Ok(())));
-    let full = LegalityChecker::new(schema).check(&d_seq);
-    assert_eq!(
-        a_seq.report.is_legal(),
+        applied.report.is_legal(),
         full.is_legal(),
         "batched Δ verdict diverged from full recheck.\nbatched: {}\nfull: {}",
-        a_seq.report,
+        applied.report,
         full
     );
-    (d_seq, a_seq.report)
+    (dir, applied.report)
 }
 
 /// Figure 5, insertion column, row by row: one batched multi-subtree
@@ -234,7 +227,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
     let inner = tx.insert_under_new(outer, unit(1));
     tx.insert_under_new(inner, legal_person(2));
     tx.insert_under(unit_ids[1], legal_person(3)); // independent legal subtree
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(
         report.violations().iter().any(|v| matches!(
             v,
@@ -248,7 +241,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
     let mut tx = Transaction::new();
     tx.insert_under(unit_ids[0], unit(0));
     tx.insert_under(unit_ids[2], legal_person(1));
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(
         report.violations().iter().any(|v| matches!(
             v,
@@ -263,7 +256,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
     let root_unit = tx.insert_root(unit(0));
     tx.insert_under_new(root_unit, legal_person(1));
     tx.insert_under(unit_ids[0], legal_person(2));
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     for kind in [RelKind::Parent, RelKind::Ancestor] {
         assert!(
             report.violations().iter().any(|v| matches!(
@@ -278,7 +271,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
     let mut tx = Transaction::new();
     tx.insert_under(person_ids[0], legal_person(0));
     tx.insert_under(unit_ids[0], legal_person(1));
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(
         report.violations().iter().any(|v| matches!(
             v,
@@ -296,7 +289,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
         Entry::builder().classes(["organization", "orgGroup", "top"]).attr("o", "nested").build(),
     );
     tx.insert_under_new(nested_org, legal_person(1));
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(
         report.violations().iter().any(|v| matches!(
             v,
@@ -312,7 +305,7 @@ fn figure5_insertion_rows_batched_match_full_recheck() {
         let nu = tx.insert_under(u, unit(10 + i));
         tx.insert_under_new(nu, legal_person(20 + i));
     }
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(report.is_legal(), "all-legal batch must pass: {report}");
 }
 
@@ -329,14 +322,14 @@ fn figure5_deletion_rows_batched_match_full_recheck() {
     let mut tx = Transaction::new();
     tx.delete(person_ids[0]); // unit 0 keeps person_ids[1]
     tx.delete(person_ids[2]); // unit 1 keeps person_ids[3]
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(report.is_legal(), "sibling-preserving deletions are legal: {report}");
 
     // Deleting *both* persons of one unit breaks →ch and →de for it.
     let mut tx = Transaction::new();
     tx.delete(person_ids[0]);
     tx.delete(person_ids[1]);
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     for kind in [RelKind::Child, RelKind::Descendant] {
         assert!(
             report.violations().iter().any(|v| matches!(
@@ -352,7 +345,7 @@ fn figure5_deletion_rows_batched_match_full_recheck() {
     for &p in &person_ids {
         tx.delete(p);
     }
-    let (_, report) = apply_batched_both_engines(&schema, &dir, &tx);
+    let (_, report) = apply_batched(&schema, &dir, &tx);
     assert!(
         report
             .violations()
@@ -366,7 +359,7 @@ fn figure5_deletion_rows_batched_match_full_recheck() {
     let (dir2, _, persons2) = base_instance(2, 1);
     let mut tx = Transaction::new();
     tx.delete(persons2[0]); // unit 0 loses its only person...
-    let (_, report) = apply_batched_both_engines(&schema, &dir2, &tx);
+    let (_, report) = apply_batched(&schema, &dir2, &tx);
     assert!(!report.is_legal());
 }
 
@@ -420,27 +413,88 @@ proptest! {
             tx.delete(p);
         }
 
-        let mut d_seq = dir.clone();
-        let mut d_par = dir.clone();
-        let seq = apply_and_check_with(&schema, &mut d_seq, &tx, LegalityOptions::sequential());
-        let par = apply_and_check_with(&schema, &mut d_par, &tx, LegalityOptions::parallel(0));
-        // Anchoring an insertion under a deleted person is a TxError for
-        // both engines equally; discard those draws.
-        prop_assume!(seq.is_ok());
-        let (seq, par) = (seq.unwrap(), par.expect("engines must agree on validity"));
+        let mut after = dir.clone();
+        let applied = apply_and_check_probed(&schema, &mut after, &tx, bschema_obs::noop());
+        // Anchoring an insertion under a deleted person is a TxError;
+        // discard those draws.
+        prop_assume!(applied.is_ok());
+        let applied = applied.unwrap();
 
-        prop_assert_eq!(&seq.report, &par.report, "engine reports diverged");
-        prop_assert_eq!(&seq.inserted_roots, &par.inserted_roots);
-        prop_assert_eq!((d_seq.check_prepared(), d_par.check_prepared()), (Ok(()), Ok(())));
-        let full = LegalityChecker::new(&schema).check(&d_seq);
+        prop_assert_eq!(after.check_prepared(), Ok(()));
+        let full = LegalityChecker::new(&schema).check(&after);
         prop_assert_eq!(
-            seq.report.is_legal(),
+            applied.report.is_legal(),
             full.is_legal(),
             "batched Δ verdict diverged from full recheck.\nbatched: {}\nfull: {}",
-            seq.report,
+            applied.report,
             full
         );
     }
+}
+
+/// A bulk load: one TXN inserting 2 × `GRAIN` entries under an existing
+/// unit — the smallest ∆D for which the derived fan-out starts a second
+/// worker, on a host that has one — and one TXN deleting them again. Each
+/// is judged report-`==` by the batched path and by the paper-literal
+/// per-step `apply_and_check`, and the content findings are those of
+/// Definition 2.7 applied entry by entry.
+#[test]
+fn bulk_transaction_fans_out_and_matches_the_per_step_oracle() {
+    let schema = full_schema();
+    let (base, unit_ids, _) = base_instance(3, 2);
+    let bulk = 2 * bschema_parallel::GRAIN;
+    let workers = bschema_parallel::workers_for(bulk) as u64;
+
+    // A new unit holding `bulk - 1` persons; one in each half of ∆D lacks
+    // its required name, so every worker has something to report.
+    let mut tx = Transaction::new();
+    let unit = tx.insert_under(unit_ids[0], entry_template(1, 0));
+    for n in 1..bulk {
+        let flawed = n == bulk / 4 || n == 3 * bulk / 4;
+        tx.insert_under_new(unit, entry_template(if flawed { 2 } else { 0 }, n));
+    }
+
+    let (mut batched, mut stepped) = (base.clone(), base.clone());
+    let recorder = bschema_obs::Recorder::new();
+    let inserted = apply_and_check_probed(&schema, &mut batched, &tx, &recorder).expect("valid");
+    let oracle = apply_and_check(&schema, &mut stepped, &tx).expect("valid");
+    assert_eq!(inserted.report, oracle.report);
+    assert_eq!(batched.check_prepared(), Ok(()));
+    let root = inserted.inserted_roots[0];
+    let mut as_printed = Vec::new();
+    for id in std::iter::once(root).chain(batched.forest().descendants(root)) {
+        content::check_entry(&schema, id, batched.entry(id).expect("live"), &mut as_printed);
+    }
+    assert_eq!(as_printed.len(), 2);
+    assert_eq!(&inserted.report.violations()[..2], &as_printed[..]);
+    assert_eq!(
+        inserted.report.is_legal(),
+        LegalityChecker::new(&schema).check(&batched).is_legal()
+    );
+
+    // Two fan-out sites (content wave, Δ-query wave), `workers` chunks at
+    // each, every chunk timed.
+    let m = recorder.metrics();
+    assert_eq!(m.counter("parallel.chunks"), 2 * workers);
+    assert_eq!(m.histogram("parallel.chunk_us").expect("chunk timings").count(), 2 * workers);
+    assert_eq!(m.counter("legality.entries_content_checked"), bulk as u64);
+    if bschema_parallel::available_threads() > 1 {
+        assert!(workers > 1, "a 2 × GRAIN ∆D must fan out on a multi-core host");
+    }
+
+    // Deleting the subtree again, entry by entry as LDAP has it (the
+    // normaliser finds the one root): scoped (batched) against Figure 5.
+    let mut tx = Transaction::new();
+    for id in std::iter::once(root).chain(stepped.forest().descendants(root)) {
+        tx.delete(id);
+    }
+    let deleted =
+        apply_and_check_probed(&schema, &mut batched, &tx, bschema_obs::noop()).expect("valid");
+    let oracle = apply_and_check(&schema, &mut stepped, &tx).expect("valid");
+    assert_eq!(deleted.report, oracle.report);
+    assert_eq!(deleted.removed.len(), bulk);
+    assert!(deleted.report.is_legal(), "{}", deleted.report);
+    assert_eq!(batched.canonical_bytes(), base.canonical_bytes());
 }
 
 /// The Figure 5 deletion column: every row marked "nothing to check" truly
@@ -531,8 +585,8 @@ fn deep_instance(
 }
 
 /// Deletes the subtrees of `victims` from a copy of `base` and holds the
-/// scoped check against the Figure 5 recheck, report for report, under
-/// both engines. Returns the report.
+/// scoped check against the Figure 5 recheck, report for report. Returns
+/// the report.
 fn delete_both_ways(
     schema: &DirectorySchema,
     base: &DirectoryInstance,
@@ -550,14 +604,9 @@ fn delete_both_ways(
     assert_eq!(removed.len(), doomed.len());
     dir.prepare();
     let figure5 = IncrementalChecker::new(schema).check_deletion(&dir, &removed);
-    for options in [LegalityOptions::sequential(), LegalityOptions::parallel(0)] {
-        let scoped = IncrementalChecker::new(schema).with_options(options).check_deletion_scoped(
-            &dir,
-            &removed,
-            &former_parents,
-        );
-        assert_eq!(scoped, figure5, "deleting {victims:?} ({options:?})");
-    }
+    let scoped =
+        IncrementalChecker::new(schema).check_deletion_scoped(&dir, &removed, &former_parents);
+    assert_eq!(scoped, figure5, "deleting {victims:?}");
     assert_eq!(figure5.is_legal(), LegalityChecker::new(schema).check(&dir).is_legal());
     figure5
 }
@@ -616,12 +665,8 @@ proptest! {
         prop_assume!(done.is_ok());
         dir.prepare();
         let full = LegalityChecker::new(&schema).check(&dir).normalized();
-        for options in [LegalityOptions::sequential(), LegalityOptions::parallel(0)] {
-            let scoped = IncrementalChecker::new(&schema)
-                .with_options(options)
-                .check_move(&dir, moved, former_parent);
-            prop_assert_eq!(&scoped, &full, "moving {} from under {:?}", moved, former_parent);
-        }
+        let scoped = IncrementalChecker::new(&schema).check_move(&dir, moved, former_parent);
+        prop_assert_eq!(&scoped, &full, "moving {} from under {:?}", moved, former_parent);
     }
 
     /// Swapping any entry's class set for another draws from the scoped

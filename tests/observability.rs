@@ -1,6 +1,6 @@
 //! Instrumentation-layer tests: the probe counters must match
 //! hand-computed operation counts on the paper's Figure 1–3 fixtures, and
-//! span trees must be deterministic across runs and thread counts.
+//! span trees must be deterministic across runs and worker counts.
 //!
 //! Counter ↔ paper mapping (see DESIGN.md):
 //! * `legality.structure_queries` / `query.evaluated` — the Figure 4
@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use bschema_core::consistency::ConsistencyChecker;
-use bschema_core::legality::{translate, LegalityChecker, LegalityOptions};
+use bschema_core::legality::{self, translate, LegalityChecker};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::updates::Transaction;
@@ -48,12 +48,16 @@ fn full_check_counters_match_hand_computed_values() {
     // 2 orgUnits, 3 persons = 6 hits); every violation query is empty.
     assert_eq!(sizes.sum(), 6);
 
-    // Sequential engine: no parallel chunks at all.
-    assert_eq!(m.counter("parallel.chunks"), 0);
+    // Six entries are far below one grain, so both fan-out sites (the
+    // content pass, the structure batch) ran as one inline chunk each.
+    assert_eq!(m.counter("parallel.chunks"), 2);
+    assert_eq!(m.histogram("parallel.chunk_us").expect("chunk timings").count(), 2);
 
+    // The content pass shows its one chunk; `keys` has no fan-out site and
+    // none is invented for it.
     let tree = recorder.tracer().tree();
     assert_eq!(tree.len(), 1);
-    assert_eq!(tree[0].shape(), "legality.check(content,keys,structure)");
+    assert_eq!(tree[0].shape(), "legality.check(content(chunk),keys,structure)");
 }
 
 #[test]
@@ -63,10 +67,9 @@ fn parallel_chunk_metrics_and_deterministic_span_tree() {
     let mut shapes = Vec::new();
     for _ in 0..3 {
         let recorder = Recorder::new();
-        let report = LegalityChecker::new(&schema)
-            .with_options(LegalityOptions::parallel(4))
-            .with_probe(&recorder)
-            .check(&dir);
+        // The engine held at four workers (`LegalityChecker::check`
+        // would derive one for six entries).
+        let report = legality::check_instance(&schema, &dir, false, 4, &recorder);
         assert!(report.is_legal());
 
         let m = recorder.metrics();
@@ -74,7 +77,7 @@ fn parallel_chunk_metrics_and_deterministic_span_tree() {
         // chunks; the 9 structure queries batch the same way → 3 chunks.
         assert_eq!(m.counter("parallel.chunks"), 6);
         assert_eq!(m.histogram("parallel.chunk_us").expect("chunk timings").count(), 6);
-        // Same verdict-relevant counters as the sequential engine.
+        // Same verdict-relevant counters as the inline run.
         assert_eq!(m.counter("legality.entries_content_checked"), 6);
         assert_eq!(m.counter("legality.structure_queries"), 9);
 
@@ -136,14 +139,8 @@ fn insertion_counts_figure5_delta_queries_per_row() {
     let mut tx = Transaction::new();
     tx.insert_under(ids.databases, researcher("zoe"));
     let recorder = Recorder::new();
-    let applied = bschema_core::updates::apply_and_check_probed(
-        &schema,
-        &mut dir,
-        &tx,
-        LegalityOptions::sequential(),
-        &recorder,
-    )
-    .expect("valid transaction");
+    let applied = bschema_core::updates::apply_and_check_probed(&schema, &mut dir, &tx, &recorder)
+        .expect("valid transaction");
     assert!(applied.report.is_legal(), "{}", applied.report);
 
     let m = recorder.metrics();

@@ -532,7 +532,10 @@ fn served_writes_post_their_delta_and_never_rebuild_the_index() {
 /// class-changing MODIFYs, one of them refused — never evaluate a
 /// whole-instance query (`incremental.recheck.*`, which only the Figure 5
 /// oracle emits) and look at no more entries than the deleted subtrees'
-/// ancestor chains hold (`incremental.scoped_entries`). And what the
+/// ancestor chains hold (`incremental.scoped_entries`). No served write
+/// starts a worker: each insertion wave (`incremental.check_insertions`,
+/// one per TXN and shard it touches) passes two fan-out sites, and each
+/// ran as exactly one inline chunk (`parallel.chunks`). And what the
 /// readers are given is the version the engine installed, not a copy.
 #[test]
 fn served_deletes_recheck_their_ancestor_chain_and_publish_without_copying() {
@@ -617,6 +620,21 @@ fn served_deletes_recheck_their_ancestor_chain_and_publish_without_copying() {
         };
         assert_eq!(family("incremental.recheck."), 0, "{shards} shard(s): {counters:?}");
         assert_eq!(family("managed.index_rebuilt"), 0, "{shards} shard(s)");
+        // |∆D| ≤ 3 is far below one grain: the content wave and the
+        // Δ-query wave of every insertion are one chunk each, on the
+        // request's thread, and each chunk was timed once.
+        let tree = recorder.tracer().tree();
+        let waves: Vec<_> =
+            tree.iter().filter(|root| root.name == "incremental.check_insertions").collect();
+        assert!(waves.len() >= 50 && (shards > 1 || waves.len() == 50), "{}", waves.len());
+        for wave in &waves {
+            let fan_out: Vec<_> = wave.children.iter().filter(|c| c.name != "keys").collect();
+            assert_eq!(fan_out.len(), 2, "{}", wave.shape());
+            assert!(fan_out.iter().all(|site| site.children.len() == 1), "{}", wave.shape());
+        }
+        assert_eq!(family("parallel.chunks"), 2 * waves.len() as u64, "{shards} shard(s)");
+        let timed = recorder.metrics().histogram("parallel.chunk_us").expect("chunks are timed");
+        assert_eq!(timed.count(), 2 * waves.len() as u64, "{shards} shard(s)");
         // Every deleted subtree had the orgGroups above it re-tested, up to
         // the first that kept a person …
         assert!(family("incremental.scoped.require_descendant") >= roots as u64, "{counters:?}");

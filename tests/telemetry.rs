@@ -10,14 +10,13 @@
 
 use std::sync::Arc;
 
-use bschema_core::legality::LegalityOptions;
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::ManagedDirectory;
 use bschema_obs::{json, FlightRecorder, Recorder};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimits, WireLimits};
 
-/// The complete span tree of a committed single-insertion `TXN` on a
-/// sequential-engine server, as pinned below. Engine roots open at
+/// The complete span tree of a committed single-insertion `TXN`, as
+/// pinned below. Engine roots open at
 /// `NO_SPAN` and are re-parented under `server.request`, so the managed
 /// guard (`managed.apply`) and the incremental check land as siblings of
 /// the `service.*` stages, in recording order.
@@ -28,14 +27,14 @@ const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,ser
                          forbid_child))),service.journal_begin,service.journal_commit,\
                          service.publish)";
 
-/// A traced white-pages service: sequential legality engine (so chunk
-/// spans cannot depend on the host's core count), one shared recorder
-/// for metrics, one flight recorder for span trees.
+/// A traced white-pages service: one shared recorder for metrics, one
+/// flight recorder for span trees. (Chunk spans cannot depend on the
+/// host's core count: a one-entry ∆D is one inline chunk by
+/// construction.)
 fn traced_service() -> (Arc<DirectoryService>, Arc<FlightRecorder>, Arc<Recorder>) {
     let (dir, _) = white_pages_instance();
-    let managed = ManagedDirectory::with_instance(white_pages_schema(), dir)
-        .expect("figure 1 is legal")
-        .with_options(LegalityOptions::sequential());
+    let managed =
+        ManagedDirectory::with_instance(white_pages_schema(), dir).expect("figure 1 is legal");
     let recorder = Arc::new(Recorder::new());
     let flight = Arc::new(FlightRecorder::new(8));
     let service = DirectoryService::new(managed)
@@ -115,9 +114,8 @@ fn rejections_land_in_the_flight_recorder_with_their_code() {
     // never becomes a request, but still leaves a terminated span with
     // the rejection code attached.
     let (dir, _) = white_pages_instance();
-    let managed = ManagedDirectory::with_instance(white_pages_schema(), dir)
-        .expect("figure 1 is legal")
-        .with_options(LegalityOptions::sequential());
+    let managed =
+        ManagedDirectory::with_instance(white_pages_schema(), dir).expect("figure 1 is legal");
     let recorder = Arc::new(Recorder::new());
     let flight = Arc::new(FlightRecorder::new(8));
     let service = DirectoryService::new(managed)
