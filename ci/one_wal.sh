@@ -19,9 +19,6 @@
 # numbers already pin, so the writer does not store it; only journals of
 # older builds carry the field (DESIGN.md §16).
 #
-# Listed exception: `crates/bench` builds journal *text* for the `rec`
-# experiment without applying anything.
-#
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
 # module. The `begin_*` names are unique to the writer; `.begin(` and
@@ -33,7 +30,7 @@ cd "$(dirname "$0")/.."
 status=0
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
     case "$f" in
-        crates/core/src/journal.rs | crates/core/src/engine.rs | crates/bench/*) continue ;;
+        crates/core/src/journal.rs | crates/core/src/engine.rs) continue ;;
     esac
     hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }

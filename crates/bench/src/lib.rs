@@ -1,6 +1,6 @@
-//! Shared harness utilities: deterministic micro-timing and paper-style
-//! table rendering for the `run_experiments` binary, plus ready-made
-//! fixtures for the Criterion benches.
+//! Shared harness utilities for the `run_experiments` binary:
+//! deterministic micro-timing, percentiles of raw samples, paper-style
+//! table rendering and the seeded fixture directory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +23,14 @@ pub fn time_median_us<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
     }
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
+}
+
+/// Nearest-rank percentile of ascending `sorted` samples: the smallest
+/// sample with at least `p` percent of the samples at or below it — an
+/// observed value, not a bucket edge.
+pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// A fixed-width text table accumulated row by row.
@@ -109,6 +117,16 @@ mod tests {
         assert_eq!(fmt_us(12.34), "12.3µs");
         assert_eq!(fmt_us(12_340.0), "12.34ms");
         assert_eq!(fmt_us(2_500_000.0), "2.50s");
+    }
+
+    #[test]
+    fn nearest_rank_returns_observed_samples() {
+        let samples: Vec<f64> = (1..=200).map(f64::from).collect();
+        assert_eq!(nearest_rank(&samples, 50.0), 100.0);
+        assert_eq!(nearest_rank(&samples, 99.0), 198.0);
+        assert_eq!(nearest_rank(&samples, 100.0), 200.0);
+        assert_eq!(nearest_rank(&samples, 0.0), 1.0);
+        assert_eq!(nearest_rank(&[7.0], 99.0), 7.0);
     }
 
     #[test]

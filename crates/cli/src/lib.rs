@@ -1090,6 +1090,19 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<i32, CliError> {
         [schema, data] => (schema, Some(data)),
         _ => return Err(usage_error("serve takes <schema.bs> [data.ldif]")),
     };
+    // Flag combinations that cannot work are refused before any file is
+    // read, any instance checked or any peer contacted.
+    if follow.is_some() && (journal_path.is_some() || shards > 1 || data_path.is_some()) {
+        return Err(usage_error(
+            "--follow replicas bootstrap from the primary; drop data.ldif, --journal, and --shards",
+        ));
+    }
+    if audit_path.is_some() && monitor_interval_ms.is_none() && slo_spec.is_none() {
+        return Err(usage_error("--audit needs --monitor-interval or --slo"));
+    }
+    if checkpoint_every.is_some() && journal_path.is_none() {
+        return Err(usage_error("--checkpoint-every needs --journal"));
+    }
     let parsed = load_schema(schema_path)?;
     // Socket bytes are untrusted: unset limit flags tighten to strict.
     let ldif_limits = limits.ldif_limits(LdifLimits::strict());
@@ -1107,11 +1120,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<i32, CliError> {
         bschema_core::schema::DirectorySchema,
     )> = None;
     let base_service = if let Some(primary) = &follow {
-        if journal_path.is_some() || shards > 1 || data_path.is_some() {
-            return Err(usage_error(
-                "--follow replicas bootstrap from the primary; drop data.ldif, --journal, and --shards",
-            ));
-        }
         let (managed, cursor) =
             Follower::bootstrap_state(primary, &parsed.schema).map_err(|e| CliError {
                 message: format!("cannot bootstrap from primary {primary:?}: {e}"),
@@ -1175,8 +1183,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<i32, CliError> {
             ..MonitorConfig::default()
         }));
         service = service.with_monitor(monitor);
-    } else if audit_path.is_some() {
-        return Err(usage_error("--audit needs --monitor-interval or --slo"));
     }
     if let Some(path) = journal_path {
         let (recovered, replayed) = service
@@ -1188,9 +1194,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<i32, CliError> {
         }
     }
     if let Some(every) = checkpoint_every {
-        if journal_path.is_none() {
-            return Err(usage_error("--checkpoint-every needs --journal"));
-        }
         service = service.with_checkpoint_every(every);
     }
 
@@ -2350,6 +2353,24 @@ name: a
         let args = vec!["help".to_owned()];
         assert_eq!(run(&args, &mut out).unwrap(), 0);
         assert!(out.contains("usage"));
+
+        // `serve` refuses flag combinations that cannot work before it
+        // reads anything: the schema path does not exist, and the error
+        // still names the flag.
+        let missing = "/nonexistent/bschema-usage.bs";
+        for (flag, args) in [
+            ("--follow", vec!["serve", missing, "data.ldif", "--follow", "127.0.0.1:1"]),
+            ("--follow", vec!["serve", missing, "--follow", "127.0.0.1:1", "--journal", "j.jrn"]),
+            ("--follow", vec!["serve", missing, "--follow", "127.0.0.1:1", "--shards", "2"]),
+            ("--audit", vec!["serve", missing, "--audit", "a.log"]),
+            ("--checkpoint-every", vec!["serve", missing, "--checkpoint-every", "8"]),
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = run(&args, &mut out).expect_err("combination must be refused");
+            assert_eq!(err.code, 2, "{args:?}: {err}");
+            assert!(err.message.contains(flag), "{args:?}: {err}");
+            assert!(!err.message.contains(missing), "{args:?}: {err}");
+        }
     }
 
     #[test]
