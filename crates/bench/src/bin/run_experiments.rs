@@ -26,7 +26,7 @@ use bschema_core::updates::{
     IncrementalChecker,
 };
 use bschema_core::ManagedDirectory;
-use bschema_obs::{Probe, Recorder};
+use bschema_obs::{MetricsRegistry, Probe, Recorder};
 use bschema_query::{evaluate, evaluate_naive, EvalContext, Query};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig};
 use bschema_workload::{SchemaGenerator, SchemaParams, TxGenerator, TxParams};
@@ -46,13 +46,12 @@ fn emit_bench_line(payload: String) {
     bench_lines().lock().expect("bench line collector").push(payload);
 }
 
-/// The recorder's counters as one JSON object. Counters are the whole
+/// A registry's counters as one JSON object. Counters are the whole
 /// payload: what an experiment timed it prints as scalars of its own,
 /// and span trees and bucketed histograms are for a live server's
 /// `TRACE` / `METRICS`, not for a results file.
-fn counters_json(recorder: &Recorder) -> String {
-    let fields: Vec<String> = recorder
-        .metrics()
+fn counters_json(metrics: &MetricsRegistry) -> String {
+    let fields: Vec<String> = metrics
         .counters()
         .iter()
         .map(|(key, value)| format!("{}:{value}", bschema_obs::json::escape(key)))
@@ -69,7 +68,7 @@ fn emit_bench_json(experiment: &str, n: usize, recorder: &Recorder) {
     emit_bench_line(format!(
         "{{\"experiment\":{},\"n\":{n},\"counters\":{}}}",
         bschema_obs::json::escape(experiment),
-        counters_json(recorder)
+        counters_json(recorder.metrics())
     ));
 }
 
@@ -652,9 +651,10 @@ impl Load {
 }
 
 /// The one loopback driver of `srv` and `mon`: serves `service` (with a
-/// recorder attached) on `workers` threads, runs `clients` concurrent
-/// sessions of `per_client` requests — `request(client, c, i)` sends
-/// session `c`'s `i`-th — times each request on the client's side, and
+/// registry attached, as `bschema serve` wires it) on `workers` threads,
+/// runs `clients` concurrent sessions of `per_client` requests —
+/// `request(client, c, i)` sends session `c`'s `i`-th — times each
+/// request on the client's side, and
 /// drains the server.
 fn drive(
     service: DirectoryService,
@@ -663,10 +663,10 @@ fn drive(
     per_client: usize,
     request: impl Fn(&mut Client, usize, usize) + Sync,
 ) -> Load {
-    let recorder = Arc::new(Recorder::new());
+    let metrics = Arc::new(MetricsRegistry::new());
     let service = service
-        .with_probe(recorder.clone() as Arc<dyn Probe + Send + Sync>)
-        .with_recorder(recorder.clone());
+        .with_probe(metrics.clone() as Arc<dyn Probe + Send + Sync>)
+        .with_metrics(metrics.clone());
     let config = ServerConfig { threads: workers, ..ServerConfig::default() };
     let handle = Server::spawn(Arc::new(service), config).expect("bind loopback");
     let addr = handle.addr();
@@ -696,7 +696,7 @@ fn drive(
     handle.wait();
 
     samples_us.sort_by(f64::total_cmp);
-    Load { clients, elapsed, samples_us, counters: counters_json(&recorder) }
+    Load { clients, elapsed, samples_us, counters: counters_json(&metrics) }
 }
 
 /// The read workload of `srv` and `mon`: one unsharded white-pages org

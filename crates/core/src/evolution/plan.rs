@@ -89,9 +89,10 @@ impl EvolutionPlan {
 
     /// The cutover gate: tests the instance against the *new* elements
     /// only (one [`recheck_new_element`] per restricting step), or a
-    /// full §3 pass for a DSL-form proposal. Run it against an `Arc`
-    /// snapshot off the write path first, and again under the write
-    /// mutex only if commits landed since the snapshot.
+    /// full §3 pass for a DSL-form proposal; nothing for a relaxing-only
+    /// plan. The server runs it against an `Arc` snapshot off the write
+    /// path (`SCHEMA CHECK`), and again under the write lock(s) at
+    /// `SCHEMA COMMIT`.
     ///
     /// [`recheck_new_element`]: crate::evolution::recheck_new_element
     pub fn recheck(&self, dir: &DirectoryInstance) -> LegalityReport {

@@ -233,6 +233,9 @@ pub struct Journal {
     next_seq: u64,
     /// One past the highest transaction id seen.
     next_tx: u64,
+    /// Where each intact record starts in the parsed text, in sequence
+    /// order from `start_seq`.
+    starts: Vec<usize>,
 }
 
 /// A fully decoded journal record, before transaction grouping.
@@ -425,33 +428,37 @@ impl Journal {
     pub fn parse(text: &str) -> Self {
         // Split into paragraphs ourselves so one torn record does not
         // poison the parse of everything before it. Each paragraph keeps
-        // the byte offset just past it (separator included) so intact_len
+        // the byte offsets of its first line and just past it (separator
+        // included), so `text_from` can slice at a record and intact_len
         // can report how much of the file survived.
-        let mut paragraphs: Vec<(String, usize)> = Vec::new();
+        let mut paragraphs: Vec<(String, usize, usize)> = Vec::new();
         let mut current = String::new();
-        let mut offset = 0usize;
+        let (mut start, mut offset) = (0usize, 0usize);
         for line in text.split_inclusive('\n') {
-            offset += line.len();
             let body = line.strip_suffix('\n').unwrap_or(line);
             let body = body.strip_suffix('\r').unwrap_or(body);
             if body.trim().is_empty() {
                 if !current.is_empty() {
-                    paragraphs.push((std::mem::take(&mut current), offset));
+                    paragraphs.push((std::mem::take(&mut current), start, offset + line.len()));
                 }
             } else {
+                if current.is_empty() {
+                    start = offset;
+                }
                 current.push_str(body);
                 current.push('\n');
             }
+            offset += line.len();
         }
         if !current.is_empty() {
-            paragraphs.push((current, offset));
+            paragraphs.push((current, start, offset));
         }
 
         let mut journal = Journal::empty();
         let mut open: Option<JournalTx> = None;
         let mut intact = 0usize;
         let mut first = true;
-        'records: for (paragraph, end) in &paragraphs {
+        'records: for (paragraph, start, end) in &paragraphs {
             let expected = if first { None } else { Some(journal.next_seq) };
             let decoded = match parse_ldif(paragraph) {
                 Ok(records) if records.len() == 1 => decode_record(&records[0], expected),
@@ -592,6 +599,7 @@ impl Journal {
             }
             journal.next_tx = journal.next_tx.max(record.tx + 1);
             journal.next_seq += 1;
+            journal.starts.push(*start);
             journal.intact_len = *end;
             intact += 1;
         }
@@ -619,6 +627,19 @@ impl Journal {
     /// writer continues numbering transactions.
     pub fn next_tx(&self) -> u64 {
         self.next_tx
+    }
+
+    /// The intact records of `text` — the text this journal was parsed
+    /// from — starting at the one with sequence `seq`: what a follower
+    /// that applied everything below `seq` still needs. Empty at the
+    /// cursor ([`next_seq`](Journal::next_seq)); `None` for a `seq`
+    /// outside `start_seq..=next_seq`.
+    pub fn text_from<'t>(&self, text: &'t str, seq: u64) -> Option<&'t str> {
+        let at = match seq == self.next_seq {
+            true => self.intact_len,
+            false => *self.starts.get(usize::try_from(seq.checked_sub(self.start_seq)?).ok()?)?,
+        };
+        text.get(at..self.intact_len)
     }
 }
 
@@ -1235,6 +1256,39 @@ mod tests {
         more.commit(id);
         gapped.push_str(&more.take_pending());
         assert!(Journal::parse(&gapped).truncated);
+    }
+
+    /// `SHIP`'s slice: the text from a record on, cut where the parse
+    /// found that record — at the first record, a middle one and the
+    /// cursor — never past the intact prefix, `None` outside the file.
+    #[test]
+    fn text_from_slices_at_a_record_start() {
+        let (_, ids) = white_pages_instance();
+        let mut writer = JournalWriter::resume_at(40, 7);
+        for name in ["zoe", "yan"] {
+            let mut tx = Transaction::new();
+            tx.insert_under(ids.databases, researcher(name));
+            let id = writer.begin(&tx);
+            writer.commit(id);
+        }
+        let intact = writer.take_pending();
+        let text = format!("{intact}dn: op=46,cn=journal\njrntype: beg");
+        let journal = Journal::parse(&text);
+        assert_eq!(
+            (journal.start_seq, journal.next_seq(), journal.intact_len),
+            (40, 46, intact.len())
+        );
+
+        assert_eq!(journal.text_from(&text, 40), Some(intact.as_str()));
+        let middle = journal.text_from(&text, 43).expect("seq 43 is intact");
+        assert!(middle.starts_with("dn: op=43,cn=journal\n"), "{middle}");
+        assert!(intact.ends_with(middle) && middle.len() < intact.len());
+        assert_eq!(Journal::parse(middle).start_seq, 43);
+        assert_eq!(journal.text_from(&text, 46), Some(""), "the cursor: nothing left to ship");
+        for outside in [39, 47] {
+            assert_eq!(journal.text_from(&text, outside), None, "seq {outside}");
+        }
+        assert_eq!(Journal::parse("").text_from("", 0), Some(""));
     }
 
     #[test]

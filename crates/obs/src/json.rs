@@ -1,9 +1,9 @@
-//! Minimal JSON helpers: string escaping for the exporters, a
-//! dependency-free validity checker used by tests and the CLI test
-//! suite to guarantee the machine-readable output actually parses, and
-//! a small [`Value`] reader so consumers (the `bschema top` renderer,
-//! CI lint scripts, the loopback suite) can pick fields out of
-//! `HEALTH`/`WATCH`/`METRICS` payloads without a dependency.
+//! Minimal JSON helpers: string escaping for the exporters, and one
+//! dependency-free reader, [`Value::parse`]. Consumers (the `bschema
+//! top` renderer, CI lint scripts, the loopback suite) pick fields out
+//! of `HEALTH`/`WATCH`/`METRICS` payloads with it, and [`is_valid`] —
+//! the check tests use to guarantee machine-readable output parses —
+//! is that same grammar answering yes/no.
 
 /// Renders `s` as a JSON string literal (with surrounding quotes).
 pub fn escape(s: &str) -> String {
@@ -24,177 +24,10 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Whether `text` is one complete, well-formed JSON value.
+/// Whether `text` is one complete, well-formed JSON value — exactly
+/// what [`Value::parse`] accepts, nesting bound included.
 pub fn is_valid(text: &str) -> bool {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    if !p.value() {
-        return false;
-    }
-    p.skip_ws();
-    p.pos == p.bytes.len()
-}
-
-/// Recursive-descent JSON reader over raw bytes (strings are validated
-/// escape-wise; non-ASCII passes through untouched).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> bool {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => false,
-        }
-    }
-
-    fn object(&mut self) -> bool {
-        self.pos += 1; // '{'
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return true;
-        }
-        loop {
-            self.skip_ws();
-            if !self.string() {
-                return false;
-            }
-            self.skip_ws();
-            if self.bump() != Some(b':') {
-                return false;
-            }
-            self.skip_ws();
-            if !self.value() {
-                return false;
-            }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return true,
-                _ => return false,
-            }
-        }
-    }
-
-    fn array(&mut self) -> bool {
-        self.pos += 1; // '['
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return true;
-        }
-        loop {
-            self.skip_ws();
-            if !self.value() {
-                return false;
-            }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return true,
-                _ => return false,
-            }
-        }
-    }
-
-    fn string(&mut self) -> bool {
-        if self.bump() != Some(b'"') {
-            return false;
-        }
-        while let Some(b) = self.bump() {
-            match b {
-                b'"' => return true,
-                b'\\' => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            if !self.bump().is_some_and(|h| h.is_ascii_hexdigit()) {
-                                return false;
-                            }
-                        }
-                    }
-                    _ => return false,
-                },
-                0x00..=0x1f => return false, // raw control character
-                _ => {}
-            }
-        }
-        false // unterminated
-    }
-
-    fn digits(&mut self) -> bool {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        self.pos > start
-    }
-
-    fn number(&mut self) -> bool {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part: 0, or a nonzero-led digit run.
-        match self.peek() {
-            Some(b'0') => {
-                self.pos += 1;
-            }
-            Some(b'1'..=b'9') => {
-                self.digits();
-            }
-            _ => return false,
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !self.digits() {
-                return false;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !self.digits() {
-                return false;
-            }
-        }
-        true
-    }
+    Value::parse(text).is_some()
 }
 
 /// A parsed JSON value — the read side of the exporters. Object keys
@@ -222,18 +55,13 @@ pub enum Value {
 const MAX_VALUE_DEPTH: usize = 128;
 
 impl Value {
-    /// Parses one complete JSON document. `None` on any malformation —
-    /// same grammar as [`is_valid`].
+    /// Parses one complete JSON document. `None` on any malformation,
+    /// and on nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Option<Value> {
-        let mut p = ValueParser { bytes: text.as_bytes(), pos: 0 };
-        p.skip_ws();
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos == p.bytes.len() {
-            Some(v)
-        } else {
-            None
-        }
+        (p.pos == p.bytes.len()).then_some(v)
     }
 
     /// Member `key` of an object (first occurrence), else `None`.
@@ -298,17 +126,23 @@ impl Value {
     }
 }
 
-/// The building twin of [`Parser`]: same grammar, but materialises a
-/// [`Value`] tree (with string escapes decoded) instead of answering
-/// yes/no.
-struct ValueParser<'a> {
+/// The one recursive-descent JSON reader, over raw bytes: it decodes
+/// string escapes as it validates them, and non-ASCII passes through
+/// untouched.
+struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl ValueParser<'_> {
+impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
     }
 
     fn skip_ws(&mut self) {
@@ -317,137 +151,138 @@ impl ValueParser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, value: Value) -> Option<Value> {
+        self.bytes[self.pos..].starts_with(word.as_bytes()).then(|| {
             self.pos += word.len();
-            true
-        } else {
-            false
-        }
+            value
+        })
     }
 
     fn value(&mut self, depth: usize) -> Option<Value> {
         if depth > MAX_VALUE_DEPTH {
             return None;
         }
+        self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(depth),
-            b'[' => self.array(depth),
+            b'{' => self
+                .list(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    (p.bump()? == b':').then_some(())?;
+                    Some((key, p.value(depth + 1)?))
+                })
+                .map(Value::Obj),
+            b'[' => self.list(b']', |p| p.value(depth + 1)).map(Value::Arr),
             b'"' => self.string().map(Value::Str),
-            b't' => self.literal("true").then_some(Value::Bool(true)),
-            b'f' => self.literal("false").then_some(Value::Bool(false)),
-            b'n' => self.literal("null").then_some(Value::Null),
+            b't' => self.literal("true", Value::Bool(true)),
+            b'f' => self.literal("false", Value::Bool(false)),
+            b'n' => self.literal("null", Value::Null),
             b'-' | b'0'..=b'9' => self.number(),
             _ => None,
         }
     }
 
-    fn object(&mut self, depth: usize) -> Option<Value> {
-        self.pos += 1; // '{'
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Some(Value::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return None;
-            }
-            self.pos += 1;
-            self.skip_ws();
-            members.push((key, self.value(depth + 1)?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Some(Value::Obj(members));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Option<Value> {
-        self.pos += 1; // '['
+    /// The items of an array or the members of an object: `item` reads
+    /// each, commas between, from just past the opening bracket through
+    /// `close`.
+    fn list<T>(&mut self, close: u8, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        self.pos += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Some(Value::Arr(items));
+            return Some(items);
         }
         loop {
+            items.push(item(self)?);
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Some(Value::Arr(items));
-                }
+            match self.bump()? {
+                b',' => {}
+                b if b == close => return Some(items),
                 _ => return None,
             }
         }
     }
 
     fn string(&mut self) -> Option<String> {
-        if self.peek() != Some(b'"') {
+        if self.bump()? != b'"' {
             return None;
         }
-        let start = self.pos;
-        // Reuse the validator to find the closing quote and vet escapes,
-        // then decode over the validated slice.
-        let mut v = Parser { bytes: self.bytes, pos: start };
-        if !v.string() {
-            return None;
-        }
-        let body = std::str::from_utf8(&self.bytes[start + 1..v.pos - 1]).ok()?;
-        self.pos = v.pos;
-        let mut out = String::with_capacity(body.len());
-        let mut chars = body.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
             }
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
+            out.push_str(std::str::from_utf8(&self.bytes[run..self.pos]).ok()?);
+            let escaped = match self.bump()? {
+                b'"' => return Some(out),
+                b'\\' => self.bump()?,
+                _ => return None, // raw control character
+            };
+            out.push(match escaped {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.bytes.get(self.pos..self.pos + 4)?;
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return None;
+                    }
+                    self.pos += 4;
+                    let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
                     // Lone surrogates decode to the replacement char; the
                     // exporters never emit them.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
                 _ => return None,
-            }
+            });
         }
-        Some(out)
+    }
+
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
 
     fn number(&mut self) -> Option<Value> {
         let start = self.pos;
-        let mut v = Parser { bytes: self.bytes, pos: start };
-        if !v.number() {
-            return None;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
-        self.pos = v.pos;
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
+        // Integer part: 0, or a nonzero-led digit run.
+        match self.peek()? {
+            b'0' => self.pos += 1,
+            b'1'..=b'9' => {
+                self.digits();
+            }
+            _ => return None,
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return None;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return None;
+            }
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok().map(Value::Num)
     }
 }
 
@@ -500,9 +335,31 @@ mod tests {
             "\"bad \\x escape\"",
             "{} extra",
             "\"raw\ncontrol\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
+            "[1 2]",
+            "{\"a\":1,}",
+            "-",
         ] {
             assert!(!is_valid(text), "{text:?} should be invalid");
+            assert_eq!(Value::parse(text), None, "{text:?}");
         }
+    }
+
+    /// One grammar, one depth bound: nesting past 128 levels is invalid,
+    /// not a stack overflow. Run on its own thread so that a reader
+    /// without the bound fails this test instead of the whole run.
+    #[test]
+    fn nesting_past_the_depth_bound_is_invalid() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        std::thread::spawn(move || {
+            assert!(is_valid(&nested(MAX_VALUE_DEPTH + 1)));
+            assert!(!is_valid(&nested(MAX_VALUE_DEPTH + 2)));
+            assert!(!is_valid(&nested(200)));
+            assert_eq!(Value::parse(&nested(200)), None);
+        })
+        .join()
+        .expect("a 200-deep array is refused");
     }
 
     #[test]
@@ -521,19 +378,10 @@ mod tests {
         // Escapes decode.
         let s = Value::parse(r#""a\"b\nµ""#).unwrap();
         assert_eq!(s.as_str(), Some("a\"b\nµ"));
+        assert_eq!(Value::parse(r#""\u00b5\/""#).unwrap().as_str(), Some("µ/"));
         // Negative and fractional numbers.
         assert_eq!(Value::parse("-1.5e1").unwrap().as_f64(), Some(-15.0));
         assert_eq!(Value::parse("-1").unwrap().as_u64(), None);
-    }
-
-    #[test]
-    fn value_rejects_what_is_valid_rejects() {
-        for text in ["", "{", "[1,]", "{\"a\":}", "{} extra", "\"unterminated", "01"] {
-            assert_eq!(Value::parse(text), None, "{text:?}");
-        }
-        // Depth bound: a 200-deep array is refused, not a stack overflow.
-        let deep = "[".repeat(200) + &"]".repeat(200);
-        assert_eq!(Value::parse(&deep), None);
     }
 
     #[test]

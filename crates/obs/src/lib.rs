@@ -32,7 +32,9 @@
 //!   ordered.
 //!
 //! [`Recorder`] bundles a tracer and a registry into a ready-made
-//! `Probe` implementation with text and JSON exporters.
+//! `Probe` implementation with text and JSON exporters. A registry on
+//! its own is a `Probe` too — counters and histograms, no spans — the
+//! one a server shares across requests.
 //!
 //! On top of these sit the request-telemetry pieces the wire server
 //! uses: [`TraceContext`] (a deterministic, wire-propagated trace
@@ -179,6 +181,28 @@ impl Recorder {
     }
 }
 
+/// A registry on its own is the probe a long-running process shares:
+/// counters and histograms are kept, spans fall to the trait's no-op
+/// defaults — a served request's spans live in its own
+/// [`RequestTrace`], and nothing accumulates per request.
+impl Probe for MetricsRegistry {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn add(&self, key: &str, by: u64) {
+        MetricsRegistry::add(self, key, by);
+    }
+
+    fn add_labeled(&self, key: &str, label: &str, by: u64) {
+        MetricsRegistry::add_labeled(self, key, label, by);
+    }
+
+    fn observe(&self, key: &str, value: u64) {
+        MetricsRegistry::observe(self, key, value);
+    }
+}
+
 impl Probe for Recorder {
     fn enabled(&self) -> bool {
         true
@@ -240,6 +264,21 @@ mod tests {
         let tree = r.tracer().tree();
         assert_eq!(tree.len(), 1);
         assert_eq!(tree[0].shape(), "check(content)");
+    }
+
+    #[test]
+    fn a_registry_probe_keeps_counts_and_no_spans() {
+        let m = MetricsRegistry::new();
+        let p: &dyn Probe = &m;
+        assert!(p.enabled());
+        p.add("queries", 2);
+        p.add_labeled("rule", "path", 1);
+        p.observe("size", 7);
+        let root = p.span_start(NO_SPAN, "check", 0);
+        assert_eq!(root, NO_SPAN);
+        p.span_end(root);
+        assert_eq!((m.counter("queries"), m.counter("rule.path")), (2, 1));
+        assert_eq!(m.histogram("size").unwrap().count(), 1);
     }
 
     #[test]

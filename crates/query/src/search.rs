@@ -25,6 +25,33 @@ pub enum SearchScope {
     Subtree,
 }
 
+impl SearchScope {
+    /// The scope's word — `base`, `one`, `sub` — as the wire, the CLI
+    /// and EXPLAIN spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SearchScope::Base => "base",
+            SearchScope::OneLevel => "one",
+            SearchScope::Subtree => "sub",
+        }
+    }
+}
+
+/// The one reader of scope words, offline and on the wire: `base`,
+/// `one` / `onelevel`, `sub` / `subtree`.
+impl std::str::FromStr for SearchScope {
+    type Err = String;
+
+    fn from_str(word: &str) -> Result<Self, String> {
+        match word {
+            "base" => Ok(SearchScope::Base),
+            "one" | "onelevel" => Ok(SearchScope::OneLevel),
+            "sub" | "subtree" => Ok(SearchScope::Subtree),
+            other => Err(format!("unknown scope {other:?}")),
+        }
+    }
+}
+
 /// A search request. `base = None` searches the whole directory (all roots,
 /// as if under a virtual super-root; scope then behaves as: `Base` → roots,
 /// `OneLevel` → roots, `Subtree` → everything).
@@ -228,6 +255,22 @@ mod tests {
         assert!(
             search_dn(&d, &"o=nope".parse().unwrap(), SearchScope::Base, Filter::True).is_none()
         );
+    }
+
+    #[test]
+    fn scope_words_parse_both_spellings_and_render_the_short_one() {
+        for (words, scope) in [
+            (&["base"][..], SearchScope::Base),
+            (&["one", "onelevel"], SearchScope::OneLevel),
+            (&["sub", "subtree"], SearchScope::Subtree),
+        ] {
+            for word in words {
+                assert_eq!(word.parse::<SearchScope>(), Ok(scope));
+            }
+            assert_eq!(scope.as_str().parse::<SearchScope>(), Ok(scope));
+            assert_eq!(scope.as_str(), words[0]);
+        }
+        assert_eq!("tree".parse::<SearchScope>(), Err("unknown scope \"tree\"".to_owned()));
     }
 
     #[test]

@@ -216,7 +216,8 @@ impl Client {
         Ok((parse_count(&frame, 2, "explain")?, frame.payload_str()?.to_owned()))
     }
 
-    /// `METRICS` — the server's recorder state as one JSON line.
+    /// `METRICS` — the server's registry (counters and histograms) as
+    /// one JSON line.
     pub fn metrics_json(&mut self) -> Result<String, ClientError> {
         let frame = self.exchange(&["METRICS"], b"")?;
         Ok(frame.payload_str()?.to_owned())

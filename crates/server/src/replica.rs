@@ -108,7 +108,7 @@ impl Follower {
     /// [`attach`](Follower::attach) it.
     ///
     /// Split from `attach` so the caller can finish the service builder
-    /// chain (probe, recorder, monitor, limits) before the service is
+    /// chain (probe, registry, monitor, limits) before the service is
     /// shared.
     pub fn bootstrap_state(
         addr: &str,

@@ -591,11 +591,9 @@ fn handle_search(
     frame: &Frame,
     trace: Option<&Arc<bschema_obs::RequestTrace>>,
 ) -> Response {
-    let scope = match frame.arg(1).unwrap_or("sub") {
-        "base" => SearchScope::Base,
-        "one" => SearchScope::OneLevel,
-        "sub" => SearchScope::Subtree,
-        other => return Response::err("usage", &format!("unknown scope {other:?}")),
+    let scope = match frame.arg(1).map_or(Ok(SearchScope::Subtree), str::parse::<SearchScope>) {
+        Ok(scope) => scope,
+        Err(e) => return Response::err("usage", &e),
     };
     let explain = match frame.arg(2) {
         None => false,

@@ -56,8 +56,8 @@ use bschema_core::ManagedDirectory;
 use bschema_directory::ldif::{parse_ldif_limited, write_record, LdifLimits, LdifRecord};
 use bschema_directory::{DirectoryInstance, Dn};
 use bschema_obs::{
-    AlertEdge, FlightRecorder, HealthReport, MetricsSnapshot, Probe, RequestTrace, ShardHealth,
-    Signal, SpanNode, NO_SPAN,
+    AlertEdge, FlightRecorder, HealthReport, MetricsRegistry, MetricsSnapshot, Probe, RequestTrace,
+    ShardHealth, Signal, SpanNode, NO_SPAN,
 };
 use bschema_query::{
     explain, parse_filter_limited, search, EvalContext, Query, SearchRequest, SearchScope,
@@ -236,17 +236,13 @@ impl ReplicationState {
     }
 }
 
-/// A staged schema evolution: the parsed [`EvolutionPlan`] plus the
-/// freshness token of its last successful off-write-path recheck.
+/// A staged schema evolution: the parsed [`EvolutionPlan`] and whether
+/// the last `SCHEMA CHECK` of it passed (what `STATUS` reports; the
+/// commit revalidates regardless).
 #[derive(Debug)]
 struct StagedEvolution {
     plan: EvolutionPlan,
-    /// `commit_counter` observed when `SCHEMA CHECK` passed; `None`
-    /// until a check passes (and again after a failed one). When it
-    /// still equals the live counter at `SCHEMA COMMIT` time on the
-    /// single backend, nothing committed since the checked snapshot, so
-    /// the commit can skip the under-lock recheck entirely.
-    checked_at: Option<u64>,
+    checked: bool,
 }
 
 /// The shared, thread-safe directory service. See the module docs for
@@ -266,7 +262,8 @@ pub struct DirectoryService {
     /// idempotent.
     since_checkpoint: AtomicU64,
     probe: Arc<dyn Probe + Send + Sync>,
-    recorder: Option<Arc<bschema_obs::Recorder>>,
+    /// The registry `METRICS`, `STATS` and the monitor read.
+    metrics: Option<Arc<MetricsRegistry>>,
     flight: Option<Arc<FlightRecorder>>,
     monitor: Option<Arc<Monitor>>,
     /// The service's monotonic epoch: tick timestamps and snapshot-swap
@@ -294,12 +291,6 @@ pub struct DirectoryService {
     /// `HEALTH` plane's `schema_epoch` signal. A restart resets it; the
     /// schema *hash* identifies a schema across restarts.
     schema_epoch: AtomicU64,
-    /// Committed writes (TXN + MODIFY). On the single backend this is
-    /// bumped under the write mutex, making it a sound freshness token
-    /// for `SCHEMA CHECK`/`COMMIT`; on the sharded backend bumps race
-    /// past the shard locks, so the cutover path always rechecks under
-    /// its own locks instead of trusting the counter.
-    commit_counter: AtomicU64,
 }
 
 /// Locks here never stay poisoned: a panicking writer's state was
@@ -339,7 +330,7 @@ impl DirectoryService {
             journaled: false,
             since_checkpoint: AtomicU64::new(0),
             probe: Arc::new(bschema_obs::NoopProbe),
-            recorder: None,
+            metrics: None,
             flight: None,
             monitor: None,
             origin: Instant::now(),
@@ -351,7 +342,6 @@ impl DirectoryService {
             replication: None,
             evolution: Mutex::new(None),
             schema_epoch: AtomicU64::new(0),
-            commit_counter: AtomicU64::new(0),
         };
         service.refresh_snapshots();
         service
@@ -454,19 +444,20 @@ impl DirectoryService {
         self.replication.as_ref()
     }
 
-    /// Attaches the recorder the `METRICS` verb reads from. This only
-    /// wires up the export side — to actually collect, pass the same
-    /// recorder (or a fault plan forwarding to it) to
-    /// [`with_probe`](DirectoryService::with_probe).
-    pub fn with_recorder(mut self, recorder: Arc<bschema_obs::Recorder>) -> Self {
-        self.recorder = Some(recorder);
+    /// Attaches the registry the `METRICS` and `STATS` verbs and the
+    /// monitor read. This only wires up the export side — to actually
+    /// collect, pass the same registry (or a fault plan forwarding to
+    /// it) to [`with_probe`](DirectoryService::with_probe). A registry
+    /// keeps no spans, so nothing the service holds grows per request.
+    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
+        self.metrics = Some(metrics);
         self
     }
 
-    /// The recorder's combined trace + metrics state as one JSON line,
-    /// or `None` when no recorder is attached.
+    /// The registry's counters and histograms as one JSON line, or
+    /// `None` when no registry is attached.
     pub fn metrics_json(&self) -> Option<String> {
-        self.recorder.as_ref().map(|r| r.to_json())
+        self.metrics.as_ref().map(|m| m.to_json())
     }
 
     /// Attaches the flight recorder the `TRACE` verb reads from. This
@@ -511,10 +502,9 @@ impl DirectoryService {
     /// One scrape of the `STATS` verb: the counter/histogram **deltas**
     /// since the previous call (the first call deltas against zero), as
     /// stable-ordered JSON. Series idle over the interval are omitted.
-    /// `None` when no recorder is attached.
+    /// `None` when no registry is attached.
     pub fn stats_json(&self) -> Option<String> {
-        let recorder = self.recorder.as_ref()?;
-        let current = recorder.metrics().snapshot();
+        let current = self.metrics.as_ref()?.snapshot();
         let mut baseline = lock_unpoisoned(&self.stats_baseline);
         let delta = current.delta_since(&baseline);
         *baseline = current;
@@ -713,14 +703,9 @@ impl DirectoryService {
             }
             reports.push((k, report.to_json()));
         }
-        let scope_name = match scope {
-            SearchScope::Base => "base",
-            SearchScope::OneLevel => "one",
-            SearchScope::Subtree => "sub",
-        };
         let head = format!(
             "{{\"scope\":{},\"base\":{},\"returned\":{total}",
-            bschema_obs::json::escape(scope_name),
+            bschema_obs::json::escape(scope.as_str()),
             base.map_or_else(|| "null".to_owned(), bschema_obs::json::escape),
         );
         let json = match self.sharded() {
@@ -924,7 +909,6 @@ impl DirectoryService {
                 // the client sees "panicked" (outcome unknown), readers
                 // see the new legal instance.
                 probe.add("server.tx_committed", 1);
-                self.commit_counter.fetch_add(1, Ordering::SeqCst);
                 self.after_commit(Some(engine));
                 Ok(outcome)
             }
@@ -970,7 +954,6 @@ impl DirectoryService {
                     1,
                 );
                 probe.add("server.tx_committed", 1);
-                self.commit_counter.fetch_add(1, Ordering::SeqCst);
                 let shards = outcome.shards.len().max(1);
                 self.after_commit(None);
                 Ok(TxOutcome { ops: outcome.ops, len: self.len(), shards })
@@ -1140,7 +1123,7 @@ impl DirectoryService {
                 ),
             ));
         }
-        let tail = journal_text_from(&text[..parsed.intact_len], from_seq).ok_or_else(|| {
+        let tail = parsed.text_from(&text, from_seq).ok_or_else(|| {
             ServiceError::new("ship-gap", format!("seq {from_seq} not found in the journal"))
         })?;
         Ok((cursor, tail.to_owned()))
@@ -1224,40 +1207,31 @@ impl DirectoryService {
             plan.restricting,
             !plan.is_relaxing_only(),
         );
-        *slot = Some(StagedEvolution { plan, checked_at: None });
+        *slot = Some(StagedEvolution { plan, checked: false });
         Ok(body)
     }
 
     /// `SCHEMA CHECK`: runs the staged plan's targeted recheck (§6.2 —
     /// only the restricting steps' new elements; Definition 2.7 exempts
     /// relaxing ones) against a read snapshot, entirely off the write
-    /// path. A pass records the commit counter so `SCHEMA COMMIT` can
-    /// skip its under-lock recheck when nothing committed in between; a
-    /// failure reports the offending entries and leaves the proposal
-    /// staged for inspection or abort.
+    /// path. A failure reports the offending entries and leaves the
+    /// proposal staged for inspection or abort; a pass is advisory —
+    /// `SCHEMA COMMIT` rechecks under its locks whatever committed in
+    /// between.
     pub fn schema_check(&self) -> Result<String, ServiceError> {
         let mut slot = lock_unpoisoned(&self.evolution);
         let Some(staged) = slot.as_mut() else {
             return Err(ServiceError::new("schema-none", "no schema proposal is staged"));
         };
-        // Load the freshness token *before* the snapshot: any commit
-        // after this load bumps the counter, so an unchanged counter at
-        // COMMIT time proves the checked snapshot is still the live
-        // instance.
-        let counter = self.commit_counter.load(Ordering::SeqCst);
         self.probe.add("server.schema_check", 1);
         let snapshot = self.snapshot();
-        let report = staged.plan.recheck(&snapshot);
-        if report.is_legal() {
-            staged.checked_at = Some(counter);
-            Ok(format!(
-                "{{\"ok\":true,\"mode\":{},\"checked_at\":{counter}}}",
-                bschema_obs::json::escape(&staged.plan.describe()),
-            ))
-        } else {
-            staged.checked_at = None;
-            Err(ServiceError::new("schema-violates", render_violations(&report, &snapshot)))
-        }
+        let checked = revalidate(&staged.plan, &snapshot);
+        staged.checked = checked.is_ok();
+        checked.map_err(|(_, detail)| ServiceError::new("schema-violates", detail))?;
+        Ok(format!(
+            "{{\"ok\":true,\"mode\":{}}}",
+            bschema_obs::json::escape(&staged.plan.describe()),
+        ))
     }
 
     /// `SCHEMA STATUS`: the current epoch, schema hash, and the staged
@@ -1270,7 +1244,7 @@ impl DirectoryService {
                 bschema_obs::json::escape(&staged.plan.describe()),
                 staged.plan.relaxing,
                 staged.plan.restricting,
-                staged.checked_at.is_some(),
+                staged.checked,
             ),
             None => "null".to_owned(),
         };
@@ -1297,10 +1271,9 @@ impl DirectoryService {
     }
 
     /// `SCHEMA COMMIT`: the live cutover. Under the write lock (single)
-    /// or every shard lock (sharded), the staged plan is revalidated —
-    /// skipped entirely for relaxing-only plans (Definition 2.7), and
-    /// on the single backend also when nothing committed since a passed
-    /// `SCHEMA CHECK` — then the full-schema record is write-ahead
+    /// or every shard lock (sharded), the staged plan is revalidated by
+    /// [`revalidate`] — a no-op for relaxing-only plans
+    /// (Definition 2.7) — then the full-schema record is write-ahead
     /// journalled, the commit record lands, and the engine swaps
     /// schemas. The `schema.cutover` fault site sits between the prepare
     /// (journalled schema record) and the swap: a panic there leaves an
@@ -1319,15 +1292,9 @@ impl DirectoryService {
         match &self.backend {
             Backend::Single(engine) => {
                 let mut engine = lock_unpoisoned(engine);
-                let unchanged =
-                    staged.checked_at == Some(self.commit_counter.load(Ordering::SeqCst));
-                if !staged.plan.is_relaxing_only() && !unchanged {
-                    let report = staged.plan.recheck(engine.instance());
-                    if !report.is_legal() {
-                        let detail = render_violations(&report, engine.instance());
-                        self.probe.add_labeled("server.tx_rejected", "schema-violates", 1);
-                        return Err(ServiceError::new("schema-violates", detail));
-                    }
+                if let Err((_, detail)) = revalidate(&staged.plan, engine.instance()) {
+                    self.probe.add_labeled("server.tx_rejected", "schema-violates", 1);
+                    return Err(ServiceError::new("schema-violates", detail));
                 }
                 // Write-ahead: the schema record must be durable before
                 // the swap, mirroring the TXN begin/commit discipline.
@@ -1347,17 +1314,10 @@ impl DirectoryService {
                 let plan = staged.plan.clone();
                 let violation = std::cell::RefCell::new(None);
                 let result = sharded.swap_schema_validated(target, &dsl, |merged| {
-                    // The counter is not trusted here (sharded commits
-                    // bump it outside the shard locks); restricting
-                    // plans always revalidate under the locks.
-                    if !plan.is_relaxing_only() {
-                        let report = plan.recheck(merged);
-                        if !report.is_legal() {
-                            *violation.borrow_mut() = Some(render_violations(&report, merged));
-                            return Err(ManagedError::IllegalInstance(report).into());
-                        }
-                    }
-                    Ok(())
+                    revalidate(&plan, merged).map_err(|(report, detail)| {
+                        *violation.borrow_mut() = Some(detail);
+                        ManagedError::IllegalInstance(report).into()
+                    })
                 });
                 if let Some(detail) = violation.into_inner() {
                     self.probe.add_labeled("server.tx_rejected", "schema-violates", 1);
@@ -1377,9 +1337,9 @@ impl DirectoryService {
 
     /// The cumulative registry in Prometheus-style text exposition
     /// (`# TYPE` lines, `bschema_`-prefixed sanitised names, summary
-    /// quantiles). `None` when no recorder is attached.
+    /// quantiles). `None` when no registry is attached.
     pub fn metrics_prom(&self) -> Option<String> {
-        self.recorder.as_ref().map(|r| r.metrics().render_prom())
+        self.metrics.as_ref().map(|m| m.render_prom())
     }
 
     /// Stamps shard `k`'s snapshot-swap clock (µs since `origin`).
@@ -1412,7 +1372,7 @@ impl DirectoryService {
     /// sessions. Returns the published frame; `None` without a monitor.
     pub fn monitor_tick(&self) -> Option<String> {
         let monitor = self.monitor.as_ref()?;
-        let cumulative = self.recorder.as_ref().map(|r| r.metrics().snapshot()).unwrap_or_default();
+        let cumulative = self.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
         let at_us = self.uptime_us();
         let point = monitor.ring().record(cumulative, at_us);
         let mut burn = 0.0;
@@ -1630,6 +1590,22 @@ impl DirectoryService {
     }
 }
 
+/// The one SCHEMA revalidation rule — `CHECK` against a snapshot,
+/// `COMMIT` under the write lock(s) on either backend: the plan's
+/// recheck (nothing to do for a relaxing-only plan, Definition 2.7); a
+/// refusal carries the report and its `schema-violates` detail.
+fn revalidate(
+    plan: &EvolutionPlan,
+    dir: &DirectoryInstance,
+) -> Result<(), (LegalityReport, String)> {
+    let report = plan.recheck(dir);
+    if report.is_legal() {
+        return Ok(());
+    }
+    let detail = render_violations(&report, dir);
+    Err((report, detail))
+}
+
 /// Renders a recheck failure as an EXPLAIN-style report naming the
 /// offending entries by DN (first few, with a count of the rest).
 fn render_violations(report: &LegalityReport, dir: &DirectoryInstance) -> String {
@@ -1689,34 +1665,14 @@ fn fmt_rate(v: f64) -> String {
 }
 
 /// Runs `f` inside a span named `name`, opened at the probe's root
-/// level (a [`RequestTrace`] re-parents it under the request root; the
-/// shared recorder keeps it as a top-level span). Service stages report
+/// level (a [`RequestTrace`] re-parents it under the request root; a
+/// registry probe drops it). Service stages report
 /// failure through return values, not panics, so the span always closes.
 fn scoped<T>(probe: &dyn Probe, name: &'static str, f: impl FnOnce() -> T) -> T {
     let span = probe.span_start(NO_SPAN, name, 0);
     let out = f();
     probe.span_end(span);
     out
-}
-
-/// The suffix of `intact` (repaired journal record text) starting at
-/// the record with sequence `from_seq`, or `None` when that record is
-/// not present. Record DNs are the first line of each LDIF paragraph,
-/// so the needle is anchored to a line start.
-fn journal_text_from(intact: &str, from_seq: u64) -> Option<&str> {
-    let needle = format!("dn: op={from_seq},");
-    if intact.starts_with(&needle) {
-        return Some(intact);
-    }
-    let mut search = 0;
-    while let Some(pos) = intact[search..].find(&needle) {
-        let at = search + pos;
-        if intact.as_bytes()[at - 1] == b'\n' {
-            return Some(&intact[at..]);
-        }
-        search = at + needle.len();
-    }
-    None
 }
 
 #[cfg(test)]

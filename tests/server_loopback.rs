@@ -937,14 +937,14 @@ fn health_shape_is_pinned_at_one_and_four_shards() {
     handle.wait();
 
     // --- 4 shards, no SLO: per-shard shape ×4 plus the ledger extras.
-    // The monitor samples the request recorder, so wire one in as the
+    // The monitor samples the request registry, so wire one in as the
     // `serve` builder chain does.
     let base = multi_org_base(4, 20, 0xA11CE);
-    let recorder = Arc::new(bschema_obs::Recorder::new());
+    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
     let service = DirectoryService::new_sharded(white_pages_schema(), base, 4)
         .expect("multi-org base is legal")
         .with_probe(recorder.clone())
-        .with_recorder(recorder);
+        .with_metrics(recorder);
     let service = monitored(service, 20, None, None);
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
@@ -990,8 +990,8 @@ fn health_shape_is_pinned_at_one_and_four_shards() {
 /// the windowed delta, with a clean `watch-end` close.
 #[test]
 fn watch_streams_at_least_three_ordered_ticks() {
-    let recorder = Arc::new(bschema_obs::Recorder::new());
-    let service = white_pages_service().with_probe(recorder.clone()).with_recorder(recorder);
+    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
+    let service = white_pages_service().with_probe(recorder.clone()).with_metrics(recorder);
     let service = monitored(service, 15, Some("p99=500ms"), None);
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
@@ -1041,11 +1041,11 @@ fn slo_burn_alert_fires_exactly_once_per_excursion() {
     let audit =
         std::env::temp_dir().join(format!("bschema-audit-{}-{}.log", std::process::id(), line!()));
     let _ = std::fs::remove_file(&audit);
-    let recorder = Arc::new(bschema_obs::Recorder::new());
+    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
     let flight = Arc::new(bschema_obs::FlightRecorder::new(16));
     let service = white_pages_service()
         .with_probe(recorder.clone())
-        .with_recorder(recorder.clone())
+        .with_metrics(recorder.clone())
         .with_flight_recorder(flight.clone());
     // A 1% error budget: the all-rejections workload below burns it
     // instantly, and keeps burning for every subsequent tick.
@@ -1069,7 +1069,7 @@ fn slo_burn_alert_fires_exactly_once_per_excursion() {
     assert_eq!(v.path("slo.burning").map(|b| b == &Value::Bool(true)), Some(true), "{json}");
     assert_eq!(v.path("slo.alerts").and_then(Value::as_u64), Some(1), "alert re-fired: {json}");
 
-    let metrics = recorder.metrics();
+    let metrics = &recorder;
     assert_eq!(metrics.counter("server.slo_burn_alert"), 1, "counter edge re-fired");
     let alert = flight
         .recent()

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::ManagedDirectory;
-use bschema_obs::{json, FlightRecorder, Recorder};
+use bschema_obs::{json, FlightRecorder, MetricsRegistry};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimits, WireLimits};
 
 /// The complete span tree of a committed single-insertion `TXN`, as
@@ -27,19 +27,19 @@ const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,ser
                          forbid_child))),service.journal_begin,service.journal_commit,\
                          service.publish)";
 
-/// A traced white-pages service: one shared recorder for metrics, one
+/// A traced white-pages service: one shared registry for metrics, one
 /// flight recorder for span trees. (Chunk spans cannot depend on the
 /// host's core count: a one-entry ∆D is one inline chunk by
 /// construction.)
-fn traced_service() -> (Arc<DirectoryService>, Arc<FlightRecorder>, Arc<Recorder>) {
+fn traced_service() -> (Arc<DirectoryService>, Arc<FlightRecorder>, Arc<MetricsRegistry>) {
     let (dir, _) = white_pages_instance();
     let managed =
         ManagedDirectory::with_instance(white_pages_schema(), dir).expect("figure 1 is legal");
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(MetricsRegistry::new());
     let flight = Arc::new(FlightRecorder::new(8));
     let service = DirectoryService::new(managed)
         .with_probe(recorder.clone())
-        .with_recorder(recorder.clone())
+        .with_metrics(recorder.clone())
         .with_flight_recorder(flight.clone());
     (Arc::new(service), flight, recorder)
 }
@@ -116,7 +116,7 @@ fn rejections_land_in_the_flight_recorder_with_their_code() {
     let (dir, _) = white_pages_instance();
     let managed =
         ManagedDirectory::with_instance(white_pages_schema(), dir).expect("figure 1 is legal");
-    let recorder = Arc::new(Recorder::new());
+    let recorder = Arc::new(MetricsRegistry::new());
     let flight = Arc::new(FlightRecorder::new(8));
     let service = DirectoryService::new(managed)
         .with_limits(ServiceLimits {
@@ -124,7 +124,7 @@ fn rejections_land_in_the_flight_recorder_with_their_code() {
             ..Default::default()
         })
         .with_probe(recorder.clone())
-        .with_recorder(recorder.clone())
+        .with_metrics(recorder.clone())
         .with_flight_recorder(flight.clone());
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..Default::default() })
@@ -163,7 +163,6 @@ fn rejections_land_in_the_flight_recorder_with_their_code() {
     assert!(shape.contains("managed.apply"), "{shape}");
     assert!(!shape.contains("service.publish"), "rolled back yet published: {shape}");
     let rejected = recorder
-        .metrics()
         .histogram("server.rejected_us.rolled-back")
         .expect("rejection-code latency series");
     assert_eq!(rejected.count(), 1);
