@@ -19,7 +19,7 @@
 #   `required_rel_query(` / `forbidden_rel_query(` are called only from
 #   `check_deletion` itself — a move and a class change go through the
 #   scoped tests too;
-# * `crates/server/src/service.rs` wraps no clone of an instance in an
+# * `crates/server/src/service/` wraps no clone of an instance in an
 #   `Arc`: `publish` is handed the engine's own.
 #
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
@@ -67,10 +67,10 @@ if [ -n "$queries" ]; then
 fi
 
 copies=$(calls 'Arc::new[(].*[.]clone[(][)][)]|instance[(][)][.]clone[(][)]' '' \
-    crates/server/src/service.rs)
+    crates/server/src/service/*.rs)
 if [ -n "$copies" ]; then
     echo "$copies"
-    echo "error: crates/server/src/service.rs copies an instance to publish it;" >&2
+    echo "error: crates/server/src/service/ copies an instance to publish it;" >&2
     echo "       hand publish() the engine's shared_instance() (DESIGN.md §11)" >&2
     status=1
 fi

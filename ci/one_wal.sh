@@ -1,6 +1,16 @@
 #!/usr/bin/env bash
 # Grep-gate: the write-ahead sequence exists once, and so does rollback.
 #
+# `JournaledDirectory::apply` is the one driver of a write to one engine.
+# The token chain it runs (`certify` → `Certified` → `begin` → `Begun` →
+# `commit` → `Committed` → `install`) is crate-private to bschema-core,
+# and inside the crate only the router's two 2-phase loops (cross-shard
+# apply, schema cutover) drive it by hand (DESIGN.md §16 "Callers"): so
+# outside `crates/core/src/{engine,sharded}.rs` non-test code may not
+# name a token type or call `certify(` / `install(`. `managed.rs` is
+# exempt from the call check only — its own `certify`/`install` are the
+# `ManagedDirectory` halves the engine's steps wrap.
+#
 # `JournalWriter::{begin, begin_modify, begin_schema, begin_global,
 # commit}` may only be called from `crates/core/src/journal.rs` (the
 # writer itself) and `crates/core/src/engine.rs` (`JournaledDirectory`,
@@ -49,6 +59,26 @@ if [ "$status" -ne 0 ]; then
     echo "error: JournalWriter driven by hand outside crates/core/src/{journal,engine}.rs;" >&2
     echo "       go through JournaledDirectory (DESIGN.md \"Durability\")" >&2
 fi
+
+for f in $(find crates/*/src examples -name '*.rs' | sort); do
+    case "$f" in
+        crates/core/src/engine.rs | crates/core/src/sharded.rs) continue ;;
+        crates/core/src/managed.rs) calls=0 ;;
+        *) calls=1 ;;
+    esac
+    hits=$(awk -v calls="$calls" '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        /(^|[^A-Za-z0-9_])(Certified|Begun|Committed)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; next }
+        calls && /\.(certify|install)\(/ { print FILENAME ":" FNR ": " $0 }
+    ' "$f")
+    if [ -n "$hits" ]; then
+        echo "$hits"
+        echo "error: the engine's token chain driven outside crates/core/src/{engine,sharded}.rs;" >&2
+        echo "       call JournaledDirectory::apply (DESIGN.md §16 \"Callers\")" >&2
+        status=1
+    fi
+done
 
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
     hits=$(awk '

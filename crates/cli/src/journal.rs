@@ -79,16 +79,14 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
     // the commit record. A rolled-back transaction writes nothing; a
     // crash in between leaves an uncommitted record that `recover`
     // discards.
-    let journal_error =
-        |e: std::io::Error| usage_error(format!("cannot write journal {journal_path:?}: {e}"));
-    let code = match engine.certify(Op::Tx { tx: &tx, global: None }) {
-        Ok(certified) => {
-            let begun = engine.begin(certified).map_err(journal_error)?;
+    let journal_error = |e: &dyn std::fmt::Display| {
+        usage_error(format!("cannot write journal {journal_path:?}: {e}"))
+    };
+    let code = match engine.apply(Op::Tx { tx: &tx, global: None }, None) {
+        Ok(flushed) => {
             // Unlike a server, the process ends here: a commit record
             // that did not reach the file means the change is lost.
-            let (committed, flushed) = engine.commit(begun);
-            flushed.map_err(journal_error)?;
-            engine.install(committed);
+            flushed.map_err(|e| journal_error(&e))?;
             let _ = writeln!(
                 out,
                 "APPLIED: {} op(s); directory now has {} entries (legal)",
@@ -97,6 +95,7 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
             );
             0
         }
+        Err(ManagedError::Io(detail)) => return Err(journal_error(&detail)),
         Err(ManagedError::RolledBack(report)) => {
             let _ = writeln!(out, "ROLLED BACK: {} violation(s)", report.len());
             for v in report.violations() {

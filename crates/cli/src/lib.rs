@@ -933,7 +933,7 @@ name: a
         assert!(bschema_obs::json::is_valid(out.trim()), "{out}");
         assert!(out.contains("\"trace_id\":\"cli-0\""), "{out}");
         assert!(out.contains("\"verb\":\"TXN\""), "{out}");
-        assert!(out.contains("service.journal_commit"), "{out}");
+        assert!(out.contains("journal.commit"), "{out}");
 
         // STATS returns deltas: a second scrape with no traffic in
         // between (beyond the scrape itself) must not repeat the TXN.

@@ -662,11 +662,15 @@ mod tests {
 
         let mut tx = Transaction::new();
         tx.delete(ids.suciu);
-        live.apply(Op::Tx { tx: &tx, global: None }).expect("delete applies");
+        live.apply(Op::Tx { tx: &tx, global: None }, None)
+            .expect("delete applies")
+            .expect("flushes");
 
         let mut tx = Transaction::new();
         tx.insert_under(ids.att_labs, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx, global: None }).expect("insert applies");
+        live.apply(Op::Tx { tx: &tx, global: None }, None)
+            .expect("insert applies")
+            .expect("flushes");
 
         // An aborted transaction: the entry carries an attribute its
         // classes do not allow, so legality rolls it back and the
@@ -680,7 +684,7 @@ mod tests {
                 .attr("mail", "bad@example.net")
                 .build(),
         );
-        let _ = live.apply(Op::Tx { tx: &tx, global: None });
+        let _ = live.apply(Op::Tx { tx: &tx, global: None }, None);
 
         let text = mem.take();
         (live, mem, text, ids)
@@ -735,7 +739,9 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("post-ckpt"));
-        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        live.apply(Op::Tx { tx: &tx, global: None }, None)
+            .expect("tail tx applies")
+            .expect("flushes");
         let tail = mem.take();
 
         // Rung 3 (steady state): checkpoint + tail only.
@@ -786,7 +792,9 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("tail-only"));
-        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        live.apply(Op::Tx { tx: &tx, global: None }, None)
+            .expect("tail tx applies")
+            .expect("flushes");
         let tail = mem.take();
         let journal = Journal::parse(&tail);
 
@@ -838,7 +846,9 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("after"));
-        live.apply(Op::Tx { tx: &tx, global: None }).expect("tail tx applies");
+        live.apply(Op::Tx { tx: &tx, global: None }, None)
+            .expect("tail tx applies")
+            .expect("flushes");
         let tail = mem.take();
         let journal = Journal::parse(&tail);
         let (base, _ids) = white_pages_instance();

@@ -3,19 +3,18 @@
 //! A [`ManagedDirectory`] certifies updates, a [`JournalWriter`] encodes
 //! records, a [`JournalSink`] makes them durable. This type owns all
 //! three and never hands out `&mut ManagedDirectory`, so the write-ahead
-//! discipline is a property of the type, not a convention per call site:
-//! [`certify`](JournaledDirectory::certify) runs the operation to a legal
-//! verdict on a structurally shared copy, [`begin`](JournaledDirectory::begin)
-//! flushes the begin records, [`commit`](JournaledDirectory::commit) the
-//! commit record, and only [`install`](JournaledDirectory::install) swaps
-//! the copy in. Each step consumes the previous step's token, so the
-//! live state never changes before its begin record is durable and a
-//! refused operation writes nothing at all. The steps are separate so a
-//! caller can span each, and so a cross-shard 2-phase apply can begin
-//! everywhere before committing anywhere and commit everywhere before
-//! installing anywhere — which is why it keeps no pre-image;
-//! [`apply`](JournaledDirectory::apply) bundles them. Without a sink
-//! nothing is journalled at all.
+//! discipline is a property of the type, not a convention per call site.
+//! [`apply`](JournaledDirectory::apply) is the one driver of a write to
+//! one engine: it runs the operation to a legal verdict on a structurally
+//! shared copy (`certify`), flushes the begin records (`begin`), then the
+//! commit record (`commit`), and only then swaps the copy in (`install`).
+//! Each step consumes the previous step's token, so the live state never
+//! changes before its begin record is durable and a refused operation
+//! writes nothing at all. The steps stay separate, crate-private, for the
+//! one caller that needs the seams: a cross-shard 2-phase apply (and its
+//! schema cutover) begins everywhere before committing anywhere and
+//! commits everywhere before installing anywhere — which is why it keeps
+//! no pre-image. Without a sink nothing is journalled at all.
 //!
 //! The other halves of durability live here too, once each:
 //! [`replay`](JournaledDirectory::replay), [`open`](JournaledDirectory::open)
@@ -25,18 +24,19 @@
 use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use bschema_directory::{DirectoryInstance, EntryId};
-use bschema_obs::Probe;
+use bschema_obs::{scoped, Probe};
 
 use crate::checkpoint::{
     checkpoint_path, recover_with_checkpoint, truncate_journal, write_checkpoint, Checkpoint,
     CheckpointRecovery,
 };
 use crate::journal::{Journal, JournalTx, JournalWriter, RecoveryReport};
-use crate::managed::{ManagedDirectory, ManagedError, Successor};
+use crate::managed::{panic_reason, ManagedDirectory, ManagedError, Successor};
 use crate::schema::DirectorySchema;
 use crate::updates::{Mod, Transaction};
 
@@ -47,6 +47,10 @@ pub type JournalSink = Box<dyn FnMut(&str) -> io::Result<()> + Send>;
 /// Counter bumped when a *commit* flush fails: the transaction is
 /// applied and legal, so the verdict stands and the failure shows here.
 pub const SITE_COMMIT_IO_ERROR: &str = "server.journal_commit_io_error";
+
+/// Fault/probe site between a schema cutover's begin and commit flushes;
+/// a panic there leaves an uncommitted record and the old epoch live.
+pub const SITE_SCHEMA_CUTOVER: &str = "schema.cutover";
 
 /// Appends `text` to the file at `path` (created if absent) and syncs
 /// its data — one `open` + `write` + `sync_data`.
@@ -184,7 +188,7 @@ pub enum Op<'a> {
 /// the journal nor the live state has seen it.
 #[derive(Debug)]
 #[must_use = "begin it, or drop it: nothing was written and nothing changed"]
-pub struct Certified<'a> {
+pub(crate) struct Certified<'a> {
     op: Op<'a>,
     next: Successor,
 }
@@ -192,7 +196,7 @@ pub struct Certified<'a> {
 /// A certified operation whose write-ahead records are durable.
 #[derive(Debug)]
 #[must_use = "commit it, or drop it as an aborted journal tail"]
-pub struct Begun {
+pub(crate) struct Begun {
     next: Successor,
     tx_id: Option<u64>,
 }
@@ -200,7 +204,7 @@ pub struct Begun {
 /// A begun operation whose commit record went to the journal.
 #[derive(Debug)]
 #[must_use = "a committed operation must be installed"]
-pub struct Committed(Successor);
+pub(crate) struct Committed(Successor);
 
 /// A managed directory, its journal writer and (optionally) the sink
 /// that makes the journal durable. See the module docs.
@@ -328,7 +332,7 @@ impl JournaledDirectory {
     /// Step 1: runs `op` through the guarded, checked apply on a
     /// structurally shared copy of the instance. On `Err` — an illegal
     /// verdict, a typed error, a panic — there is no record, no mutation.
-    pub fn certify<'a>(&self, op: Op<'a>) -> Result<Certified<'a>, ManagedError> {
+    pub(crate) fn certify<'a>(&self, op: Op<'a>) -> Result<Certified<'a>, ManagedError> {
         let next = match op {
             Op::Tx { tx, .. } => self.managed.certify_tx(tx)?.1,
             Op::Modify { target, mods } => self.managed.certify_modify(target, mods)?.1,
@@ -337,58 +341,82 @@ impl JournaledDirectory {
         Ok(Certified { op, next })
     }
 
-    /// Step 2: encodes the begin + payload records of the certified
-    /// operation and flushes them through the sink. On `Err` nothing
-    /// was mutated. Without a sink this journals nothing.
-    pub fn begin(&mut self, certified: Certified<'_>) -> io::Result<Begun> {
+    /// Step 2, in a `journal.begin` span: encodes the begin + payload
+    /// records of the certified operation and flushes them through the
+    /// sink. On `Err` nothing was mutated. Without a sink this journals
+    /// nothing.
+    pub(crate) fn begin(&mut self, certified: Certified<'_>) -> Result<Begun, ManagedError> {
         let Certified { op, next } = certified;
-        let Some(sink) = &mut self.sink else { return Ok(Begun { next, tx_id: None }) };
-        let id = match op {
-            Op::Tx { tx, global: None } => self.writer.begin(tx),
-            Op::Tx { tx, global: Some((gid, peers)) } => self.writer.begin_global(tx, gid, peers),
-            Op::Modify { target, mods } => self.writer.begin_modify(target, mods),
-            Op::Schema { dsl, local, global, .. } => self.writer.begin_schema(dsl, local, global),
-        };
-        sink(&self.writer.take_pending())?;
-        Ok(Begun { next, tx_id: Some(id) })
+        let (writer, sink) = (&mut self.writer, &mut self.sink);
+        let tx_id = scoped(self.managed.probe(), "journal.begin", || {
+            let Some(sink) = sink else { return Ok(None) };
+            let id = match op {
+                Op::Tx { tx, global: None } => writer.begin(tx),
+                Op::Tx { tx, global: Some((gid, peers)) } => writer.begin_global(tx, gid, peers),
+                Op::Modify { target, mods } => writer.begin_modify(target, mods),
+                Op::Schema { dsl, local, global, .. } => writer.begin_schema(dsl, local, global),
+            };
+            sink(&writer.take_pending()).map(|()| Some(id))
+        })
+        .map_err(|e| {
+            let shard = self.writer.shard().map_or_else(String::new, |k| format!("shard {k} "));
+            ManagedError::Io(format!("{shard}journal begin flush: {e}"))
+        })?;
+        Ok(Begun { next, tx_id })
     }
 
-    /// Step 3: encodes and flushes the commit record. A flush failure
-    /// does not revoke the verdict, so the token comes back either way:
-    /// the error is counted at [`SITE_COMMIT_IO_ERROR`] on the
-    /// directory's probe and returned for callers that report it too.
-    pub fn commit(&mut self, begun: Begun) -> (Committed, io::Result<()>) {
-        let committed = Committed(begun.next);
-        let (Some(id), Some(sink)) = (begun.tx_id, &mut self.sink) else {
-            return (committed, Ok(()));
-        };
-        self.writer.commit(id);
-        let flushed = sink(&self.writer.take_pending());
+    /// Step 3, in a `journal.commit` span: encodes and flushes the commit
+    /// record. A flush failure does not revoke the verdict, so the token
+    /// comes back either way: the error is counted at
+    /// [`SITE_COMMIT_IO_ERROR`] on the directory's probe and returned for
+    /// callers that report it too.
+    pub(crate) fn commit(&mut self, begun: Begun) -> (Committed, io::Result<()>) {
+        let (writer, sink, probe) = (&mut self.writer, &mut self.sink, self.managed.probe());
+        let flushed = scoped(probe, "journal.commit", || match (begun.tx_id, sink) {
+            (Some(id), Some(sink)) => {
+                writer.commit(id);
+                sink(&writer.take_pending())
+            }
+            _ => Ok(()),
+        });
         if flushed.is_err() {
-            self.managed.probe().add(SITE_COMMIT_IO_ERROR, 1);
+            probe.add(SITE_COMMIT_IO_ERROR, 1);
         }
-        (committed, flushed)
+        (Committed(begun.next), flushed)
     }
 
     /// Step 4: swaps the certified copy in as the live state.
-    pub fn install(&mut self, committed: Committed) {
+    pub(crate) fn install(&mut self, committed: Committed) {
         self.managed.install(committed.0);
     }
 
-    /// A failed begin flush as the refusal it is: nothing was mutated.
-    pub fn begin_flush_error(&self, e: io::Error) -> ManagedError {
-        let shard = self.writer.shard().map_or_else(String::new, |k| format!("shard {k} "));
-        ManagedError::Internal(format!("{shard}journal begin flush: {e}"))
-    }
-
-    /// The whole write-ahead sequence. A commit flush failure is
-    /// counted, not returned (see [`commit`](Self::commit)).
-    pub fn apply(&mut self, op: Op<'_>) -> Result<(), ManagedError> {
-        let certified = self.certify(op)?;
-        let begun = self.begin(certified).map_err(|e| self.begin_flush_error(e))?;
-        let (committed, _counted) = self.commit(begun);
-        self.install(committed);
-        Ok(())
+    /// The whole write-ahead sequence — the one driver of a write to one
+    /// engine — with `trace`, when given, as the directory's probe for the
+    /// whole call. A panic anywhere in it comes back as
+    /// [`ManagedError::Panicked`] with nothing installed. `Ok` carries the
+    /// commit flush's own result: the verdict stands either way.
+    pub fn apply(
+        &mut self,
+        op: Op<'_>,
+        trace: Option<Arc<dyn Probe + Send + Sync>>,
+    ) -> Result<io::Result<()>, ManagedError> {
+        let previous = trace.map(|trace| self.managed.swap_probe(Some(trace)));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let certified = self.certify(op)?;
+            let begun = self.begin(certified)?;
+            if let Op::Schema { .. } = op {
+                self.managed.probe().add(SITE_SCHEMA_CUTOVER, 1);
+            }
+            let (committed, flushed) = self.commit(begun);
+            self.install(committed);
+            Ok(flushed)
+        }));
+        if let Some(previous) = previous {
+            self.managed.swap_probe(previous);
+        }
+        caught.unwrap_or_else(|payload| {
+            Err(ManagedError::Panicked { reason: panic_reason(payload.as_ref()) })
+        })
     }
 
     /// Re-applies one journal transaction through the checked path
@@ -446,7 +474,7 @@ impl JournaledDirectory {
     /// that keeps every crash point recoverable. The caller holds
     /// whatever lock serialises writes to this engine, so no commit
     /// slips between capture and truncation.
-    pub fn checkpoint(&mut self, probe: &dyn Probe) -> io::Result<u64> {
+    pub fn checkpoint(&self, probe: &dyn Probe) -> io::Result<u64> {
         let seq = self.write_checkpoint(None, probe)?;
         self.truncate_journal(probe)?;
         Ok(seq)
@@ -476,7 +504,8 @@ mod tests {
         let legal = insert(ids.databases, ["researcher", "person", "top"], "uid");
 
         // No sink: applies, journals nothing.
-        engine.apply(Op::Tx { tx: &legal, global: None }).expect("legal insert");
+        let flushed = engine.apply(Op::Tx { tx: &legal, global: None }, None).expect("legal");
+        flushed.expect("nothing to flush");
         assert_eq!((engine.managed().len(), engine.journal_stats()), (7, (0, 0)));
 
         let mem = MemoryJournal::default();
@@ -498,7 +527,7 @@ mod tests {
         // instance nor the journal.
         let illegal = insert(ids.suciu, ["orgUnit", "orgGroup", "top"], "ou");
         let before = (engine.instance().canonical_bytes(), engine.journal_stats());
-        let err = engine.apply(Op::Tx { tx: &illegal, global: None }).expect_err("illegal");
+        let err = engine.apply(Op::Tx { tx: &illegal, global: None }, None).expect_err("illegal");
         assert!(matches!(err, ManagedError::RolledBack(_)), "{err}");
         assert_eq!(mem.take(), "", "a refusal journals nothing");
         assert_eq!((engine.instance().canonical_bytes(), engine.journal_stats()), before);
@@ -506,8 +535,50 @@ mod tests {
         // A failed begin flush aborts before any mutation.
         engine.set_sink(Box::new(|_: &str| Err(io::Error::other("disk full"))));
         let before = engine.instance().canonical_bytes();
-        let err = engine.apply(Op::Tx { tx: &legal, global: None }).expect_err("flush fails");
+        let err = engine.apply(Op::Tx { tx: &legal, global: None }, None).expect_err("flush fails");
+        assert_eq!(err.code(), "io", "{err}");
         assert!(err.to_string().contains("journal begin flush: disk full"), "{err}");
         assert_eq!(engine.instance().canonical_bytes(), before);
+    }
+
+    #[test]
+    fn a_panic_at_either_flush_span_installs_nothing_and_restores_the_probe() {
+        use bschema_faults::{silence_injected_panics, FaultPlan};
+
+        silence_injected_panics();
+        let (dir, ids) = white_pages_instance();
+        let own = Arc::new(bschema_obs::Recorder::new());
+        let managed = ManagedDirectory::with_instance(white_pages_schema(), dir)
+            .expect("legal")
+            .with_probe(own.clone());
+        let mut engine = JournaledDirectory::new(managed);
+        let mem = MemoryJournal::default();
+        engine.set_sink(mem.sink());
+        let legal = insert(ids.databases, ["researcher", "person", "top"], "uid");
+        let mut journal = String::new();
+        for site in ["span:journal.begin", "span:journal.commit"] {
+            let before = engine.instance().canonical_bytes();
+            let trace = Arc::new(FaultPlan::fail_at_site(site, 0));
+            let err = engine
+                .apply(Op::Tx { tx: &legal, global: None }, Some(trace.clone()))
+                .expect_err("injected panic");
+            assert!(matches!(err, ManagedError::Panicked { .. }), "{site}: {err}");
+            assert_eq!(trace.injected(), 1, "{site}");
+            assert_eq!(engine.instance().canonical_bytes(), before, "{site}: installed");
+            journal.push_str(&mem.take());
+        }
+        // The begin panic struck before any record was encoded; the
+        // commit panic left one uncommitted transaction behind.
+        assert_eq!(Journal::parse(&journal).txs.len(), 1);
+        assert_eq!(Journal::parse(&journal).committed().count(), 0);
+
+        // The engine's own probe is back: an untraced apply reports to it.
+        let applied = || own.metrics().counter("managed.tx_applied");
+        assert_eq!(applied(), 0);
+        let flushed = engine.apply(Op::Tx { tx: &legal, global: None }, None).expect("legal");
+        flushed.expect("flushes");
+        assert_eq!(applied(), 1);
+        journal.push_str(&mem.take());
+        assert_eq!(Journal::parse(&journal).committed().count(), 1);
     }
 }

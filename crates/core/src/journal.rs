@@ -994,7 +994,7 @@ mod tests {
 
         let mut tx1 = Transaction::new();
         tx1.insert_under(ids.databases, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx1, global: None }).unwrap();
+        live.apply(Op::Tx { tx: &tx1, global: None }, None).unwrap().expect("flushes");
 
         let mut text = mem.take();
 
@@ -1004,7 +1004,7 @@ mod tests {
             ids.suciu,
             Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "x").build(),
         );
-        live.apply(Op::Tx { tx: &tx2, global: None }).unwrap_err();
+        live.apply(Op::Tx { tx: &tx2, global: None }, None).unwrap_err();
         assert_eq!(mem.take(), "");
 
         // A transaction abandoned between begin and commit (the process
@@ -1017,7 +1017,7 @@ mod tests {
 
         let mut tx3 = Transaction::new();
         tx3.insert_under(ids.att_labs, researcher("pat"));
-        live.apply(Op::Tx { tx: &tx3, global: None }).unwrap();
+        live.apply(Op::Tx { tx: &tx3, global: None }, None).unwrap().expect("flushes");
 
         text.push_str(&mem.take());
         let journal = Journal::parse(&text);
@@ -1047,7 +1047,7 @@ mod tests {
         for uid in ["zoe", "pat", "kim"] {
             let mut tx = Transaction::new();
             tx.insert_under(ids.databases, researcher(uid));
-            live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
+            live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
             committed_states.push(live.instance().canonical_bytes());
         }
         let text = mem.take();
@@ -1193,7 +1193,7 @@ mod tests {
             },
             Mod::DeleteValue { attribute: "title".into(), value: "member of staff".into() },
         ];
-        live.apply(Op::Modify { target: ids.suciu, mods: &mods }).unwrap();
+        live.apply(Op::Modify { target: ids.suciu, mods: &mods }, None).unwrap().expect("flushes");
 
         let text = mem.take();
         let journal = Journal::parse(&text);
@@ -1330,13 +1330,15 @@ mod tests {
         // only legal under the evolved schema.
         let mut tx = Transaction::new();
         tx.insert_under(ids.databases, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
+        live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
 
         let step =
             Evolution::AllowAttribute { class: "researcher".into(), attribute: "homePage".into() };
         let evolved = evolution::evolve(&schema, &step, live.instance()).unwrap();
         let dsl = print_schema(&evolved, None);
-        live.apply(Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None }).unwrap();
+        live.apply(Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None }, None)
+            .unwrap()
+            .expect("flushes");
 
         let mut tx = Transaction::new();
         tx.insert_under(
@@ -1348,7 +1350,7 @@ mod tests {
                 .attr("homePage", "https://example.net/~pat")
                 .build(),
         );
-        live.apply(Op::Tx { tx: &tx, global: None }).unwrap();
+        live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
 
         let text = mem.take();
         let journal = Journal::parse(&text);

@@ -46,6 +46,9 @@ pub enum ManagedError {
     /// Journal recovery could not replay a committed transaction — the
     /// journal disagrees with the base instance it is replayed onto.
     Recovery(String),
+    /// The write-ahead records could not be made durable, so the
+    /// operation was refused before anything changed.
+    Io(String),
 }
 
 impl fmt::Display for ManagedError {
@@ -68,6 +71,7 @@ impl fmt::Display for ManagedError {
                 write!(f, "transaction rolled back after an internal error: {detail}")
             }
             ManagedError::Recovery(detail) => write!(f, "journal recovery failed: {detail}"),
+            ManagedError::Io(detail) => write!(f, "transaction refused, nothing changed: {detail}"),
         }
     }
 }
@@ -85,6 +89,7 @@ impl ManagedError {
             ManagedError::Panicked { .. } => "panicked",
             ManagedError::Internal(_) => "internal",
             ManagedError::Recovery(_) => "recovery",
+            ManagedError::Io(_) => "io",
         }
     }
 }

@@ -55,13 +55,13 @@ use bschema_obs::Probe;
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
-use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
+use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError, SITE_SCHEMA_CUTOVER};
 use crate::journal::{shard_journal_path, Journal, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::managed::{inconsistency_error, ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
-use crate::updates::{transaction_from_ldif, LdifTxError, Mod, Transaction};
+use crate::updates::{is_delete_record, transaction_from_ldif, LdifTxError, Mod, Transaction};
 
 /// Errors from [`ShardedDirectory::apply_ldif`].
 #[derive(Debug)]
@@ -124,29 +124,6 @@ pub struct ShardedTxOutcome {
     pub gid: Option<u64>,
     /// Total LDIF records applied across all shards.
     pub ops: usize,
-}
-
-/// The entry as it would look after `mods` — the dry-run the `◇c`
-/// ledger admission needs before anything is journalled or applied.
-fn simulate_mods(entry: &Entry, mods: &[Mod]) -> Entry {
-    let mut simulated = entry.clone();
-    for m in mods {
-        match m {
-            Mod::Add { attribute, value } => {
-                simulated.add_value(attribute, value.clone());
-            }
-            Mod::DeleteValue { attribute, value } => {
-                simulated.remove_value(attribute, value);
-            }
-            Mod::DeleteAttribute { attribute } => {
-                simulated.remove_attribute(attribute);
-            }
-            Mod::Replace { attribute, values } => {
-                simulated.set_values(attribute, values.iter().cloned());
-            }
-        }
-    }
-    simulated
 }
 
 /// The shard owning the top-level subtree rooted at `rdn`: FNV-1a over
@@ -247,17 +224,19 @@ fn required_class_names(schema: &DirectorySchema) -> Vec<String> {
     schema.structure().required_classes().map(|c| schema.classes().name(c).to_owned()).collect()
 }
 
+/// Adds `by` to `counts` for every required class `entry` lists — the
+/// one place an entry is counted against the `◇c` ledger.
+fn tally(required: &[String], entry: &Entry, by: i64, counts: &mut BTreeMap<String, i64>) {
+    for name in required.iter().filter(|name| entry.has_class(name)) {
+        *counts.entry(name.clone()).or_insert(0) += by;
+    }
+}
+
 /// Counts live entries per required class across `parts`.
 fn count_required(required: &[String], parts: &[&DirectoryInstance]) -> BTreeMap<String, i64> {
     let mut counts: BTreeMap<String, i64> = required.iter().map(|name| (name.clone(), 0)).collect();
-    for part in parts {
-        for (_, entry) in part.iter() {
-            for name in required {
-                if entry.has_class(name) {
-                    *counts.get_mut(name).expect("ledger key") += 1;
-                }
-            }
-        }
+    for (_, entry) in parts.iter().flat_map(|part| part.iter()) {
+        tally(required, entry, 1, &mut counts);
     }
     counts
 }
@@ -278,24 +257,10 @@ fn ledger_delta(
         return;
     }
     for rec in records {
-        let is_delete =
-            rec.entry.first_value("changetype").is_some_and(|c| c.eq_ignore_ascii_case("delete"));
-        if is_delete {
-            if let Some(id) = dir.lookup_dn(&rec.dn) {
-                if let Some(entry) = dir.entry(id) {
-                    for name in required {
-                        if entry.has_class(name) {
-                            *delta.entry(name.clone()).or_insert(0) -= 1;
-                        }
-                    }
-                }
-            }
-        } else {
-            for name in required {
-                if rec.entry.has_class(name) {
-                    *delta.entry(name.clone()).or_insert(0) += 1;
-                }
-            }
+        if !is_delete_record(rec) {
+            tally(required, &rec.entry, 1, delta);
+        } else if let Some(entry) = dir.lookup_dn(&rec.dn).and_then(|id| dir.entry(id)) {
+            tally(required, entry, -1, delta);
         }
     }
 }
@@ -732,8 +697,8 @@ impl ShardedDirectory {
         self.admitted(&delta, || match &mut guards[..] {
             // Fast path: one shard, the ordinary journaled apply.
             [(k, engine)] => engine
-                .apply(Op::Tx { tx: &subtxs[0], global: None })
-                .map(|()| ShardedTxOutcome { shards: vec![*k], gid: None, ops })
+                .apply(Op::Tx { tx: &subtxs[0], global: None }, None)
+                .map(|_counted| ShardedTxOutcome { shards: vec![*k], gid: None, ops })
                 .map_err(ShardedError::Managed),
             _ => self.apply_cross(&mut guards, &subtxs, ops),
         })
@@ -777,18 +742,20 @@ impl ShardedDirectory {
             .ok_or_else(|| ShardedError::NoSuchEntry { dn: dn.to_string() })?;
         let mut delta: BTreeMap<String, i64> = BTreeMap::new();
         if !required.is_empty() {
+            // The entry as it would look after `mods`: the dry run the
+            // ledger admission needs before anything is journalled.
             let entry = engine.instance().entry(target).expect("looked-up entry exists");
-            let simulated = simulate_mods(entry, mods);
-            for name in &required {
-                match (entry.has_class(name), simulated.has_class(name)) {
-                    (true, false) => *delta.entry(name.clone()).or_insert(0) -= 1,
-                    (false, true) => *delta.entry(name.clone()).or_insert(0) += 1,
-                    _ => {}
-                }
+            let mut simulated = entry.clone();
+            for m in mods {
+                m.apply_to(&mut simulated);
             }
+            tally(&required, entry, -1, &mut delta);
+            tally(&required, &simulated, 1, &mut delta);
+            // A class the entry keeps must not reserve anything.
+            delta.retain(|_, net| *net != 0);
         }
         self.admitted(&delta, || {
-            engine.apply(Op::Modify { target, mods })?;
+            let _counted = engine.apply(Op::Modify { target, mods }, None)?;
             Ok(ShardedTxOutcome { shards: vec![k], gid: None, ops: mods.len() })
         })
     }
@@ -838,13 +805,13 @@ impl ShardedDirectory {
         for (k, engine) in guards.iter_mut().enumerate() {
             probe.add_labeled("sharded.schema.prepare", &format!("shard{k}"), 1);
             let certified = engine.certify(cutover)?;
-            begun.push(engine.begin(certified).map_err(|e| engine.begin_flush_error(e))?);
+            begun.push(engine.begin(certified)?);
         }
         // Fault/probe site between epoch prepare (schema records
         // write-ahead on every shard) and the swap: a panic here leaves
         // uncommitted schema records — recovery discards them and the
         // old epoch stands, so a retried cutover succeeds cleanly.
-        probe.add("schema.cutover", 1);
+        probe.add(SITE_SCHEMA_CUTOVER, 1);
         // Phase 2: commit records on every shard, then swap every shard
         // engine onto the Cr-stripped target. A torn flush is counted by
         // the engine and repaired at recovery by the all-peers
@@ -929,7 +896,7 @@ impl ShardedDirectory {
             for ((k, engine), tx) in guards.iter_mut().zip(subtxs) {
                 probe.add_labeled("sharded.prepare", &format!("shard{k}"), 1);
                 let certified = engine.certify(Op::Tx { tx, global: Some((gid, peers)) })?;
-                begun.push(engine.begin(certified).map_err(|e| engine.begin_flush_error(e))?);
+                begun.push(engine.begin(certified)?);
             }
             probe.add("sharded.prepared", 1);
             // Phase 2: commit every shard. A failed flush is counted by

@@ -33,6 +33,12 @@ impl fmt::Display for LdifTxError {
 
 impl std::error::Error for LdifTxError {}
 
+/// Whether `rec` is a `changetype: delete` record (any other record is
+/// an insertion).
+pub fn is_delete_record(rec: &LdifRecord) -> bool {
+    rec.entry.first_value("changetype").is_some_and(|c| c.eq_ignore_ascii_case("delete"))
+}
+
 /// Decodes parsed LDIF records into an insertion/deletion [`Transaction`]
 /// against `dir`. DNs are resolved at build time, so the caller must hold
 /// the directory stable between building and applying (the server builds
@@ -44,7 +50,7 @@ pub fn transaction_from_ldif(
     let mut tx = Transaction::new();
     let mut pending: HashMap<String, usize> = HashMap::new();
     for mut rec in records {
-        if rec.entry.first_value("changetype").is_some_and(|c| c.eq_ignore_ascii_case("delete")) {
+        if is_delete_record(&rec) {
             let id = dir.lookup_dn(&rec.dn).ok_or_else(|| LdifTxError {
                 line: rec.line,
                 reason: format!("cannot delete {:?}: no such entry", rec.dn.to_normalized_string()),

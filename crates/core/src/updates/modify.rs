@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use bschema_directory::{DirectoryInstance, EntryId, OBJECT_CLASS};
+use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{Probe, NO_SPAN};
 
 use super::scoped::Neighbourhood;
@@ -60,19 +60,24 @@ pub enum Mod {
 }
 
 impl Mod {
-    /// The attribute this modification touches (lowercased).
-    pub fn attribute(&self) -> String {
+    /// Applies this modification to `entry`, unchecked — the one
+    /// interpreter of a `Mod`, behind both the checked apply and the
+    /// sharded `◇c` ledger's dry run.
+    pub fn apply_to(&self, entry: &mut Entry) {
         match self {
-            Mod::Add { attribute, .. }
-            | Mod::DeleteValue { attribute, .. }
-            | Mod::DeleteAttribute { attribute }
-            | Mod::Replace { attribute, .. } => attribute.to_ascii_lowercase(),
+            Mod::Add { attribute, value } => {
+                entry.add_value(attribute, value.clone());
+            }
+            Mod::DeleteValue { attribute, value } => {
+                entry.remove_value(attribute, value);
+            }
+            Mod::DeleteAttribute { attribute } => {
+                entry.remove_attribute(attribute);
+            }
+            Mod::Replace { attribute, values } => {
+                entry.set_values(attribute, values.iter().cloned());
+            }
         }
-    }
-
-    /// Whether this modification touches the class set.
-    pub fn touches_classes(&self) -> bool {
-        self.attribute() == OBJECT_CLASS
     }
 }
 
@@ -102,20 +107,7 @@ pub fn apply_mods(
     {
         let entry = dir.entry_mut(target)?;
         for m in mods {
-            match m {
-                Mod::Add { attribute, value } => {
-                    entry.add_value(attribute, value.clone());
-                }
-                Mod::DeleteValue { attribute, value } => {
-                    entry.remove_value(attribute, value);
-                }
-                Mod::DeleteAttribute { attribute } => {
-                    entry.remove_attribute(attribute);
-                }
-                Mod::Replace { attribute, values } => {
-                    entry.set_values(attribute, values.iter().cloned());
-                }
-            }
+            m.apply_to(entry);
         }
     }
     let after: BTreeSet<String> =

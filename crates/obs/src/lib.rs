@@ -136,6 +136,17 @@ pub fn noop() -> &'static dyn Probe {
     &NOOP
 }
 
+/// Runs `f` inside a span named `name`, opened at `probe`'s root level
+/// (a [`RequestTrace`] re-parents it under the request root; a registry
+/// drops it). A panic in `f` leaves the span open, as the trace of a
+/// real crash ends.
+pub fn scoped<T>(probe: &dyn Probe, name: &'static str, f: impl FnOnce() -> T) -> T {
+    let span = probe.span_start(NO_SPAN, name, 0);
+    let out = f();
+    probe.span_end(span);
+    out
+}
+
 /// A [`Probe`] that records everything: spans into a [`Tracer`],
 /// counters and histograms into a [`MetricsRegistry`].
 #[derive(Debug, Default)]

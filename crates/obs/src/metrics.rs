@@ -259,6 +259,19 @@ impl MetricsSnapshot {
         delta
     }
 
+    /// Adds `other` into `self` under the keys `key` maps its keys to:
+    /// counters sum (saturating), histograms [`Histogram::merge`], so
+    /// keys `key` sends to one name merge into one series.
+    pub fn merge(&mut self, other: &MetricsSnapshot, key: impl Fn(&str) -> String) {
+        for (name, &value) in &other.counters {
+            let slot = self.counters.entry(key(name)).or_insert(0);
+            *slot = slot.saturating_add(value);
+        }
+        for (name, h) in &other.histograms {
+            self.histograms.entry(key(name)).or_default().merge(h);
+        }
+    }
+
     /// Renders the snapshot in Prometheus text exposition style for
     /// external scrapers: every counter becomes a `bschema_*` counter
     /// family, every histogram a summary family (`{quantile="..."}`
@@ -267,20 +280,13 @@ impl MetricsSnapshot {
     /// (counters sum, histograms [`Histogram::merge`]) so the exposition
     /// never repeats a metric name — the invariant CI lints.
     pub fn render_prom(&self) -> String {
-        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-        for (key, &value) in &self.counters {
-            let slot = counters.entry(prom_name(key)).or_insert(0);
-            *slot = slot.saturating_add(value);
-        }
-        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-        for (key, h) in &self.histograms {
-            histograms.entry(prom_name(key)).or_default().merge(h);
-        }
+        let mut named = MetricsSnapshot::default();
+        named.merge(self, prom_name);
         let mut out = String::new();
-        for (name, value) in &counters {
+        for (name, value) in &named.counters {
             out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
         }
-        for (name, h) in &histograms {
+        for (name, h) in &named.histograms {
             out.push_str(&format!("# TYPE {name} summary\n"));
             for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
                 out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));

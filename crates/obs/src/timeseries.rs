@@ -139,13 +139,7 @@ impl TimeSeries {
         let mut span_us = 0u64;
         for point in inner.points.iter().rev().take(take) {
             span_us = span_us.saturating_add(point.dur_us);
-            for (key, &value) in &point.delta.counters {
-                let slot = merged.counters.entry(key.clone()).or_insert(0);
-                *slot = slot.saturating_add(value);
-            }
-            for (key, h) in &point.delta.histograms {
-                merged.histograms.entry(key.clone()).or_default().merge(h);
-            }
+            merged.merge(&point.delta, str::to_owned);
         }
         (merged, span_us)
     }

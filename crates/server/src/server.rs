@@ -570,7 +570,7 @@ fn handle_frame(
             };
             (response, Control::Continue)
         }
-        "MODIFY" => (handle_modify(service, frame), Control::Continue),
+        "MODIFY" => (handle_modify(service, frame, trace), Control::Continue),
         "SCHEMA" => (handle_schema(service, frame), Control::Continue),
         "CHECKPOINT" => (handle_checkpoint(service), Control::Continue),
         "SHIP" => (handle_ship(service, frame), Control::Continue),
@@ -641,7 +641,11 @@ fn handle_search(
     }
 }
 
-fn handle_modify(service: &DirectoryService, frame: &Frame) -> Response {
+fn handle_modify(
+    service: &DirectoryService,
+    frame: &Frame,
+    trace: Option<&Arc<bschema_obs::RequestTrace>>,
+) -> Response {
     let body = match frame.payload_str() {
         Ok(body) => body,
         Err(e) => return Response::err("proto", &e.to_string()),
@@ -718,7 +722,7 @@ fn handle_modify(service: &DirectoryService, frame: &Frame) -> Response {
     if mods.is_empty() {
         return Response::err("usage", "modify body has no modification lines");
     }
-    match service.modify(&dn, &mods) {
+    match service.modify_traced(&dn, &mods, trace) {
         Ok(outcome) => Response::ok(&["modified", &outcome.len.to_string()]),
         Err(e) => e.into(),
     }

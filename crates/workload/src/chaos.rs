@@ -140,10 +140,11 @@ pub fn run_once(w: &ChaosWorkload, plan: &Arc<FaultPlan>) -> RunStats {
     for (i, tx) in w.txs.iter().enumerate() {
         let before = live.instance().canonical_bytes();
         let forked_from = live.shared_instance();
-        let result = live.apply(Op::Tx { tx, global: None });
+        let result = live.apply(Op::Tx { tx, global: None }, None);
         journal_text.push_str(&disk.take());
         match result {
-            Ok(()) => {
+            Ok(flushed) => {
+                flushed.expect("an in-memory journal always flushes");
                 assert!(legal(&live), "tx {i}: committed transaction left illegal state");
                 // What the scoped deletion check let through, the
                 // whole-instance recheck of Figure 5 lets through too.

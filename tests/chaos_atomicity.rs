@@ -48,10 +48,12 @@ fn chaos_campaign_sequential_covers_every_event() {
     assert_eq!(report.crash_cuts, cfg.crash_cuts);
 
     // The campaign must reach every layer named by the instrumentation:
-    // the managed transaction boundary, the Figure 4/5 checkers, and the
-    // Δ-query evaluator.
+    // the managed transaction boundary, both journal flushes, the Figure
+    // 4/5 checkers, and the Δ-query evaluator.
     for site in [
         "span:managed.apply",
+        "span:journal.begin",
+        "span:journal.commit",
         "managed.tx_applied",
         "managed.tx_rolled_back",
         "legality.entries_content_checked",

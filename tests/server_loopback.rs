@@ -459,6 +459,55 @@ fn refused_writes_append_nothing_on_either_backend() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A begin flush that fails refuses the write with `ERR io` on either
+/// backend, for a `TXN` and a `SCHEMA COMMIT` alike, and changes nothing.
+/// Every journal file is swapped for a directory after the journal was
+/// opened, so the engine's append cannot open it.
+#[test]
+fn a_failed_begin_flush_answers_io_on_either_backend() {
+    use bschema_core::journal::shard_journal_path;
+
+    let dir = std::env::temp_dir().join(format!("bschema-begin-flush-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let single_path = dir.join("single.wal");
+    let (single, _) = white_pages_service().with_journal(&single_path).expect("fresh journal");
+    let family_path = dir.join("family.wal");
+    let (sharded, _) =
+        DirectoryService::new_sharded(white_pages_schema(), multi_org_base(4, 12, 0xC0FFEE), 2)
+            .expect("multi-org base is legal")
+            .with_journal(&family_path)
+            .expect("fresh journal family");
+    let family_files = (0..2).map(|k| shard_journal_path(&family_path, k)).collect();
+
+    let cases: [(DirectoryService, Vec<std::path::PathBuf>, String); 2] = [
+        (single, vec![single_path], person_ldif("blocked")),
+        (sharded, family_files, org_person_ldif("blocked", "org0")),
+    ];
+    for (service, files, legal) in cases {
+        for file in &files {
+            let _ = std::fs::remove_file(file);
+            std::fs::create_dir(file).expect("the journal path becomes a directory");
+        }
+        let handle =
+            Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..Default::default() })
+                .expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let entries = client.ping().expect("size");
+        let err = client.apply_ldif(&legal).expect_err("the begin flush fails");
+        assert_eq!(err.server_code(), Some("io"), "{files:?}: {err}");
+        client.schema_propose("allow-attr person mail").expect("stages");
+        let err = client.schema_commit().expect_err("the begin flush fails");
+        assert_eq!(err.server_code(), Some("io"), "{files:?}: {err}");
+        assert_eq!(client.ping().expect("size"), entries, "{files:?}: a refusal changed |D|");
+        let status = client.schema_status().expect("STATUS answers");
+        assert!(status.contains("\"epoch\":0"), "{files:?}: a refused cutover counted: {status}");
+        client.shutdown_server().expect("shutdown");
+        handle.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The running server's tripwire for the O(|ΔD|) write: 200 served
 /// TXN / MODIFY requests on either backend post exactly the entries they
 /// insert or modify to the maintained index (`managed.index_posted`) and

@@ -6,11 +6,13 @@
 //! 1. an observer pass records the census of probe events — including
 //!    the 2-phase sites `sharded.prepare.shard<k>`, `sharded.prepared`
 //!    (the gap between prepare and commit), `sharded.commit.shard<k>`,
-//!    and `sharded.rollback`;
+//!    and `sharded.rollback`, and the engine's flush spans
+//!    `span:journal.begin` / `span:journal.commit`;
 //! 2. one run per event injects a one-shot panic at exactly that event
 //!    and asserts the failed transaction left every shard byte-identical
-//!    to its pre-transaction state (all-shards rollback), while a
-//!    fault-free mirror engine tracks what committed;
+//!    to its pre-transaction state (all-shards rollback) and the `◇c`
+//!    ledger as it was, while a fault-free mirror engine tracks what
+//!    committed;
 //! 3. after each run, recovery
 //!    ([`ShardedDirectory::recover_with_checkpoints`], no checkpoints)
 //!    is driven from the per-shard journals — in-memory sinks stand in
@@ -132,6 +134,7 @@ fn replay_and_check(
         let live = chaotic.merged_instance().expect("merge").canonical_bytes();
         let expected = mirror.merged_instance().expect("merge").canonical_bytes();
         assert_eq!(live, expected, "{context}: tx {i} ({}) diverged from mirror", tx.kind);
+        assert_eq!(chaotic.ledger(), mirror.ledger(), "{context}: tx {i} ({}) ledger", tx.kind);
     }
 
     // Post-crash convergence: recover from the per-shard journals onto
@@ -162,7 +165,9 @@ fn every_site_injection_rolls_back_all_shards_and_recovers() {
     assert!(baseline > 0, "workload committed nothing");
     let census = observer.sites();
     assert!(observer.events() > 0, "no probe events to inject at");
-    for site in ["sharded.prepared", "sharded.rollback"] {
+    for site in
+        ["sharded.prepared", "sharded.rollback", "span:journal.begin", "span:journal.commit"]
+    {
         assert!(census.contains_key(site), "census is missing {site}: {census:?}");
     }
     for family in ["sharded.prepare.shard", "sharded.commit.shard"] {
@@ -170,16 +175,18 @@ fn every_site_injection_rolls_back_all_shards_and_recovers() {
         assert!(hit >= 2, "census has {hit} {family}* sites (want ≥2 of {SHARDS}): {census:?}");
     }
 
-    // Injection campaign. The 2-phase `sharded.*` sites are this
-    // suite's new surface: every occurrence takes a panic — including
-    // each "between prepare and commit on shard k of m" gap
-    // (`sharded.prepared`, and the k-th `sharded.commit.shard*` visit).
-    // The engine-internal sites below them are already event-exhausted
-    // by the `chaos_atomicity` campaign, so one injection per site
-    // keeps this suite's runtime proportional to the new code.
+    // Injection campaign. The 2-phase `sharded.*` sites and the
+    // engine's flush spans are this suite's surface: every occurrence
+    // takes a panic — including each "between prepare and commit on
+    // shard k of m" gap (`sharded.prepared`, and the k-th
+    // `sharded.commit.shard*` visit) and each flush of the fast path,
+    // where the `◇c` reservation must come back. The engine-internal
+    // sites below them are already event-exhausted by the
+    // `chaos_atomicity` campaign, so one injection per site keeps this
+    // suite's runtime proportional to the new code.
     let mut runs: Vec<(String, u64)> = Vec::new();
     for (site, &occurrences) in &census {
-        if site.starts_with("sharded.") {
+        if site.starts_with("sharded.") || site.starts_with("span:journal.") {
             runs.extend((0..occurrences).map(|o| (site.clone(), o)));
         } else {
             runs.push((site.clone(), 0));

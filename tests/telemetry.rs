@@ -24,8 +24,14 @@ const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,ser
                          managed.apply,incremental.check_insertions(\
                          content_delta(chunk),keys,structure_delta(chunk(require_descendant,\
                          require_parent,require_ancestor,require_parent,forbid_child,\
-                         forbid_child))),service.journal_begin,service.journal_commit,\
-                         service.publish)";
+                         forbid_child))),journal.begin,journal.commit,service.publish)";
+
+/// The span tree of a committed `MODIFY` adding one attribute value: the
+/// same engine sequence as a `TXN`, with the per-entry modification
+/// check in place of the insertion Δ-queries.
+const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,\
+                            incremental.check_modification,journal.begin,journal.commit,\
+                            service.publish)";
 
 /// A traced white-pages service: one shared registry for metrics, one
 /// flight recorder for span trees. (Chunk spans cannot depend on the
@@ -83,6 +89,26 @@ fn one_txn_yields_one_span_tree_under_the_client_trace_id() {
     assert_eq!(txn.status, "ok");
     assert_eq!(txn.root.shape(), TXN_SHAPE);
     assert!(txn.root.dur_us.is_some(), "root span closed");
+
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
+}
+
+#[test]
+fn a_traced_modify_records_its_span_tree() {
+    let (service, flight, _recorder) = traced_service();
+    let handle =
+        Server::spawn(service, ServerConfig { threads: 2, ..Default::default() }).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect").with_trace_label("mod");
+    client
+        .modify_lines("dn: uid=suciu,ou=databases,ou=attLabs,o=att\nadd: telephoneNumber: +1 973\n")
+        .expect("modified");
+
+    let records = flight.recent();
+    let modify = records.iter().find(|r| r.verb == "MODIFY").expect("MODIFY record");
+    assert_eq!(modify.trace_id, "mod-0");
+    assert_eq!(modify.status, "ok");
+    assert_eq!(modify.root.shape(), MODIFY_SHAPE);
 
     client.shutdown_server().expect("shutdown");
     handle.wait();
