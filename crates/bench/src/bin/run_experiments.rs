@@ -26,7 +26,7 @@ use bschema_core::updates::{
     IncrementalChecker,
 };
 use bschema_core::ManagedDirectory;
-use bschema_obs::{MetricsRegistry, Probe, Recorder};
+use bschema_obs::{MetricsRegistry, Recorder, SloPolicy};
 use bschema_query::{evaluate, evaluate_naive, EvalContext, Query};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig};
 use bschema_workload::{SchemaGenerator, SchemaParams, TxGenerator, TxParams};
@@ -106,9 +106,10 @@ const EXPERIMENTS: [Experiment; 11] = [
     // The paper's §7 future work and §6.2 schema evolution, measured.
     ("qopt", |run| exp_qopt(&run.sizes, run.runs)),
     ("evo", |run| exp_evo(run.quick)),
-    // Not paper artefacts. `dirbench` is one closed-loop client: it
-    // cannot see 8 concurrent writers or what the monitor costs, and
-    // the `bench-build` and `monitoring` CI jobs read these rows.
+    // Not paper artefacts. `dirbench` is one closed-loop client on an
+    // unmetered service: it cannot see 8 concurrent writers or what
+    // metering costs, and the `bench-build` and `monitoring` CI jobs
+    // read these rows.
     ("srv", |run| exp_srv(run.quick)),
     ("mon", |run| exp_mon(run.quick)),
 ];
@@ -650,12 +651,11 @@ impl Load {
     }
 }
 
-/// The one loopback driver of `srv` and `mon`: serves `service` (with a
-/// registry attached, as `bschema serve` wires it) on `workers` threads,
-/// runs `clients` concurrent sessions of `per_client` requests —
-/// `request(client, c, i)` sends session `c`'s `i`-th — times each
-/// request on the client's side, and
-/// drains the server.
+/// The one loopback driver of `srv` and `mon`: serves `service` on
+/// `workers` threads, runs `clients` concurrent sessions of
+/// `per_client` requests — `request(client, c, i)` sends session `c`'s
+/// `i`-th — times each request on the client's side, and drains the
+/// server. The row carries the server's counters when it is metered.
 fn drive(
     service: DirectoryService,
     workers: usize,
@@ -663,10 +663,6 @@ fn drive(
     per_client: usize,
     request: impl Fn(&mut Client, usize, usize) + Sync,
 ) -> Load {
-    let metrics = Arc::new(MetricsRegistry::new());
-    let service = service
-        .with_probe(metrics.clone() as Arc<dyn Probe + Send + Sync>)
-        .with_metrics(metrics.clone());
     let config = ServerConfig { threads: workers, ..ServerConfig::default() };
     let handle = Server::spawn(Arc::new(service), config).expect("bind loopback");
     let addr = handle.addr();
@@ -692,11 +688,13 @@ fn drive(
         sessions.into_iter().flat_map(|s| s.join().expect("bench client thread")).collect()
     });
     let elapsed = started.elapsed();
+    let service = handle.service().clone();
     handle.shutdown();
     handle.wait();
 
     samples_us.sort_by(f64::total_cmp);
-    Load { clients, elapsed, samples_us, counters: counters_json(&metrics) }
+    let counters = service.metrics().map_or_else(|| "{}".to_owned(), counters_json);
+    Load { clients, elapsed, samples_us, counters }
 }
 
 /// The read workload of `srv` and `mon`: one unsharded white-pages org
@@ -731,8 +729,14 @@ fn exp_srv(quick: bool) {
     let mut table =
         Table::new(["workers", "clients", "requests", "elapsed", "req/s", "p50", "p99"]);
     for workers in [1usize, 4, 8] {
-        drive(read_service(size), workers, clients, per_client, read_request)
-            .report("srv", workers, &mut table);
+        drive(
+            read_service(size).with_metrics(Arc::default()),
+            workers,
+            clients,
+            per_client,
+            read_request,
+        )
+        .report("srv", workers, &mut table);
     }
     println!("{}", table.render());
 
@@ -749,7 +753,7 @@ fn exp_srv(quick: bool) {
         let base = bschema_workload::multi_org_base(clients, entries_per_org, 0xBE2C4);
         let service = DirectoryService::new_sharded(white_pages_schema(), base, shards)
             .expect("multi-org base is legal");
-        drive(service, 8, clients, per_client_tx, |client, c, i| {
+        drive(service.with_metrics(Arc::default()), 8, clients, per_client_tx, |client, c, i| {
             let body = format!(
                 "dn: uid=s{shards}c{c}n{i},o=org{c}\n\
                  objectClass: person\nobjectClass: top\n\
@@ -763,32 +767,25 @@ fn exp_srv(quick: bool) {
     println!("{}", table.render());
 }
 
-/// MON: what the health plane costs. The same loopback read workload
-/// runs with the monitor off and on — and "on" is handicapped: 100ms
-/// ticks (10× the default rate) plus an SLO so every tick also folds
-/// the window into a burn rate. Each tick samples the registry, records
-/// the delta into the ring and publishes one JSON frame off the request
-/// path; what that costs in req/s is the row this prints (CI bounds it
-/// at 15%).
+/// MON: what telemetry costs. The same loopback read workload runs on
+/// the two configurations that exist: unmetered — the library default,
+/// what `dirbench` boots — and metered as `bschema serve --slo` runs it:
+/// every request counted into the registry, and the 1 s sampler folding
+/// each tick's window into a burn rate. What that costs in req/s is the
+/// row this prints (CI bounds it at 15%).
 fn exp_mon(quick: bool) {
-    use bschema_obs::SloPolicy;
-    use bschema_server::{Monitor, MonitorConfig};
-
-    println!("== MON: health-plane overhead (loopback TCP, 100ms ticks + SLO vs none) ==");
+    println!("== MON: telemetry overhead (loopback TCP, metered + SLO vs unmetered) ==");
     let size = if quick { 300 } else { 1_000 };
     let clients = 4usize;
     // Long enough runs that one descheduled worker cannot move the
     // rate by whole percents: ~1s per run in the full configuration.
     let per_client = if quick { 500 } else { 4_800 };
 
-    let run_once = |monitored: bool| -> f64 {
+    let run_once = |on: bool| -> f64 {
         let mut service = read_service(size);
-        if monitored {
-            service = service.with_monitor(Arc::new(Monitor::new(MonitorConfig {
-                interval: Duration::from_millis(100),
-                slo: Some(SloPolicy { p99_us: Some(50_000), err_rate: Some(0.01) }),
-                ..MonitorConfig::default()
-            })));
+        if on {
+            let slo = SloPolicy { p99_us: Some(50_000), err_rate: Some(0.01) };
+            service = service.with_metrics(Arc::default()).with_slo(slo, None);
         }
         drive(service, 4, clients, per_client, read_request).req_per_s()
     };
@@ -825,8 +822,8 @@ fn exp_mon(quick: bool) {
     let overhead_pct = overhead(&(med_off, med_on));
 
     let mut table = Table::new(["mode", "req/s (median pair)"]);
-    table.row(["monitor off".to_owned(), format!("{med_off:.0}")]);
-    table.row(["monitor on (100ms ticks + SLO)".to_owned(), format!("{med_on:.0}")]);
+    table.row(["unmetered (dirbench)".to_owned(), format!("{med_off:.0}")]);
+    table.row(["metered (serve --slo)".to_owned(), format!("{med_on:.0}")]);
     table.row(["overhead".to_owned(), format!("{overhead_pct:.2}%")]);
     println!("{}", table.render());
     emit_bench_line(format!(

@@ -5,6 +5,7 @@
 use std::fmt::Write as _;
 
 use bschema_obs::json::Value;
+use bschema_obs::names;
 use bschema_server::{Client, ClientError};
 
 use crate::args::Args;
@@ -54,14 +55,14 @@ fn connect(addr: &str, label: &str) -> Result<Client, CliError> {
 pub(crate) fn client(args: &[String], out: &mut String) -> Result<i32, CliError> {
     let (head, rest) = args.split_at(args.len().min(2));
     let [addr, action] = Args::read(head, &[], &[])?.exactly(
-        "client takes <addr> ping|search|apply|modify|schema|metrics|prom|stats|trace|health|checkpoint|watch|shutdown [args]",
+        "client takes <addr> ping|search|apply|modify|schema|metrics|prom|trace|health|checkpoint|watch|shutdown [args]",
     )?;
     let (switches, values): (&[&str], &[&str]) = match action {
         "search" => (&["--explain"], &["--filter", "--base", "--scope", "--limit"]),
         "watch" => (&[], &["--ticks"]),
         "schema" => (&["--step"], &[]),
-        "ping" | "apply" | "modify" | "metrics" | "prom" | "stats" | "trace" | "health"
-        | "checkpoint" | "shutdown" => (&[], &[]),
+        "ping" | "apply" | "modify" | "metrics" | "prom" | "trace" | "health" | "checkpoint"
+        | "shutdown" => (&[], &[]),
         other => return Err(usage_error(format!("unknown client action {other:?}"))),
     };
     let args = Args::read(rest, switches, values)?;
@@ -116,7 +117,6 @@ pub(crate) fn client(args: &[String], out: &mut String) -> Result<i32, CliError>
         "metrics" => reply(out, addr, false, client.metrics_json(), json),
         "prom" => reply(out, addr, false, client.metrics_prom(), |out, text| out.write_str(&text)),
         "health" => reply(out, addr, false, client.health_json(), json),
-        "stats" => reply(out, addr, false, client.stats_json(), json),
         "trace" => reply(out, addr, false, client.trace_json(), json),
         "watch" => {
             let ticks = client.watch(ticks.unwrap_or(5), |seq, json| {
@@ -190,14 +190,21 @@ pub(crate) fn top(args: &[String], out: &mut String) -> Result<i32, CliError> {
     })
 }
 
-/// A number already validated as JSON: integral values print without
-/// the trailing `.000000` the wire format carries for rates.
-fn fmt_top_num(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+/// Field `path` of a reply as `top` prints a number: integral values
+/// without the trailing `.000000` the wire format carries for rates, 0
+/// when absent.
+fn num(v: &Value, path: &str) -> String {
+    let n = v.path(path).and_then(Value::as_f64).unwrap_or(0.0);
+    if n == n.trunc() && n.abs() < 1e15 {
+        format!("{}", n as i64)
     } else {
-        format!("{v:.4}")
+        format!("{n:.4}")
     }
+}
+
+/// Field `key` of a reply as a word, `?` when absent.
+fn word<'v>(v: &'v Value, key: &str) -> &'v str {
+    v.get(key).and_then(Value::as_str).unwrap_or("?")
 }
 
 /// Renders a `HEALTH` snapshot as the `top` header. Falls back to the
@@ -207,32 +214,28 @@ fn render_health(json: &str) -> String {
         return format!("{json}\n");
     };
     let mut s = String::new();
-    let verdict = v.get("verdict").and_then(Value::as_str).unwrap_or("?");
-    let shards = v.get("shards_total").and_then(Value::as_u64).unwrap_or(0);
-    let ticks = v.get("ticks").and_then(Value::as_u64).unwrap_or(0);
     let _ = writeln!(
         s,
-        "health: {} ({shards} shard(s), {ticks} tick(s) retained)",
-        verdict.to_uppercase()
+        "health: {} ({} shard(s), {} tick(s) retained)",
+        word(&v, "verdict").to_uppercase(),
+        num(&v, "shards_total"),
+        num(&v, "ticks"),
     );
-    let requests = v.path("window.requests").and_then(Value::as_u64).unwrap_or(0);
-    let req_per_s = v.path("window.req_per_s").and_then(Value::as_f64).unwrap_or(0.0);
-    let p99 = v.path("window.p99_us").and_then(Value::as_u64).unwrap_or(0);
-    let err = v.path("window.err_rate").and_then(Value::as_f64).unwrap_or(0.0);
     let _ = writeln!(
         s,
-        "window: {requests} request(s) ({}/s), p99 {p99}us, err-rate {}",
-        fmt_top_num(req_per_s),
-        fmt_top_num(err),
+        "window: {} request(s) ({}/s), p99 {}us, err-rate {}",
+        num(&v, "window.requests"),
+        num(&v, "window.req_per_s"),
+        num(&v, "window.p99_us"),
+        num(&v, "window.err_rate"),
     );
-    if let Some(burn) = v.path("slo.burn").and_then(Value::as_f64) {
-        let alerts = v.path("slo.alerts").and_then(Value::as_u64).unwrap_or(0);
-        let _ = writeln!(s, "slo: burn {} ({alerts} alert(s) fired)", fmt_top_num(burn));
+    if v.path("slo.burn").is_some() {
+        let (burn, alerts) = (num(&v, "slo.burn"), num(&v, "slo.alerts"));
+        let _ = writeln!(s, "slo: burn {burn} ({alerts} alert(s) fired)");
     }
-    if let Some(fit) = v.get("fitness") {
-        let legal = fit.get("legal_rate").and_then(Value::as_f64).unwrap_or(1.0);
-        let committed = fit.get("committed").and_then(Value::as_u64).unwrap_or(0);
-        let _ = writeln!(s, "fitness: legal-rate {} ({committed} committed)", fmt_top_num(legal));
+    if v.get("fitness").is_some() {
+        let (legal, committed) = (num(&v, "fitness.legal_rate"), num(&v, "fitness.committed"));
+        let _ = writeln!(s, "fitness: legal-rate {legal} ({committed} committed)");
     }
     if let Some(signals) = v.get("signals").and_then(Value::items) {
         let _ = writeln!(
@@ -241,34 +244,25 @@ fn render_health(json: &str) -> String {
             "signal", "value", "warn", "crit", "status"
         );
         for sig in signals {
-            let name = sig.get("name").and_then(Value::as_str).unwrap_or("?");
-            let value = sig.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-            let warn = sig.get("warn").and_then(Value::as_f64).unwrap_or(0.0);
-            let crit = sig.get("crit").and_then(Value::as_f64).unwrap_or(0.0);
-            let status = sig.get("status").and_then(Value::as_str).unwrap_or("?");
             let _ = writeln!(
                 s,
-                "{name:<18} {:>12} {:>12} {:>12} {status:>6}",
-                fmt_top_num(value),
-                fmt_top_num(warn),
-                fmt_top_num(crit),
+                "{:<18} {:>12} {:>12} {:>12} {:>6}",
+                word(sig, "name"),
+                num(sig, "value"),
+                num(sig, "warn"),
+                num(sig, "crit"),
+                word(sig, "status"),
             );
         }
     }
-    if let Some(shards) = v.get("shards").and_then(Value::items) {
-        for shard in shards {
-            let k = shard.get("shard").and_then(Value::as_u64).unwrap_or(0);
-            let status = shard.get("status").and_then(Value::as_str).unwrap_or("?");
-            let mut parts = Vec::new();
-            if let Some(signals) = shard.get("signals").and_then(Value::items) {
-                for sig in signals {
-                    let name = sig.get("name").and_then(Value::as_str).unwrap_or("?");
-                    let value = sig.get("value").and_then(Value::as_f64).unwrap_or(0.0);
-                    parts.push(format!("{name}={}", fmt_top_num(value)));
-                }
-            }
-            let _ = writeln!(s, "shard {k} [{status}] {}", parts.join(" "));
-        }
+    for shard in v.get("shards").and_then(Value::items).unwrap_or(&[]) {
+        let signals = shard.get("signals").and_then(Value::items).unwrap_or(&[]);
+        let parts: Vec<String> = signals
+            .iter()
+            .map(|sig| format!("{}={}", word(sig, "name"), num(sig, "value")))
+            .collect();
+        let (k, status) = (num(shard, "shard"), word(shard, "status"));
+        let _ = writeln!(s, "shard {k} [{status}] {}", parts.join(" "));
     }
     s
 }
@@ -280,47 +274,35 @@ fn render_tick(seq: u64, json: &str) -> String {
         return format!("TICK {seq} {json}\n");
     };
     let mut s = String::new();
-    let burn = v.get("burn").and_then(Value::as_f64).unwrap_or(0.0);
-    let alerts = v.get("alerts").and_then(Value::as_u64).unwrap_or(0);
-    let dur = v.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-    let _ =
-        writeln!(s, "tick {seq}: interval {dur}us, burn {}, {alerts} alert(s)", fmt_top_num(burn));
-    let mut verb_rows = Vec::new();
-    if let Some(hists) = v.path("delta.histograms").and_then(Value::entries) {
-        for (name, h) in hists {
-            if let Some(verb) = name.strip_prefix("server.request_us.") {
-                let count = h.get("count").and_then(Value::as_u64).unwrap_or(0);
-                let p50 = h.get("p50").and_then(Value::as_u64).unwrap_or(0);
-                let p99 = h.get("p99").and_then(Value::as_u64).unwrap_or(0);
-                let max = h.get("max").and_then(Value::as_u64).unwrap_or(0);
-                verb_rows.push(format!("  {verb:<10} {count:>8} {p50:>10} {p99:>10} {max:>10}"));
-            }
-        }
-    }
-    if !verb_rows.is_empty() {
+    let (dur, burn, alerts) = (num(&v, "dur_us"), num(&v, "burn"), num(&v, "alerts"));
+    let _ = writeln!(s, "tick {seq}: interval {dur}us, burn {burn}, {alerts} alert(s)");
+    let histograms = v.path("delta.histograms").and_then(Value::entries).unwrap_or(&[]);
+    let verbs: Vec<_> = histograms
+        .iter()
+        .filter_map(|(name, h)| Some((names::label(name, names::REQUEST_US)?, h)))
+        .collect();
+    if !verbs.is_empty() {
         let _ = writeln!(
             s,
             "  {:<10} {:>8} {:>10} {:>10} {:>10}",
             "verb", "count", "p50_us", "p99_us", "max_us"
         );
-        for row in verb_rows {
-            let _ = writeln!(s, "{row}");
-        }
     }
-    let mut shard_2pc: std::collections::BTreeMap<String, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    if let Some(counters) = v.path("delta.counters").and_then(Value::entries) {
-        for (name, value) in counters {
-            let n = value.as_u64().unwrap_or(0);
-            if let Some(k) = name.strip_prefix("sharded.prepare.shard") {
-                shard_2pc.entry(k.to_owned()).or_default().0 += n;
-            } else if let Some(k) = name.strip_prefix("sharded.commit.shard") {
-                shard_2pc.entry(k.to_owned()).or_default().1 += n;
+    for (verb, h) in verbs {
+        let (count, p50, p99, max) = (num(h, "count"), num(h, "p50"), num(h, "p99"), num(h, "max"));
+        let _ = writeln!(s, "  {verb:<10} {count:>8} {p50:>10} {p99:>10} {max:>10}");
+    }
+    let counters = v.path("delta.counters").and_then(Value::entries).unwrap_or(&[]);
+    let mut shards: std::collections::BTreeMap<&str, [u64; 2]> = Default::default();
+    for (name, value) in counters {
+        for (i, family) in [names::SHARD_PREPARE, names::SHARD_COMMIT].into_iter().enumerate() {
+            if let Some(shard) = names::label(name, family) {
+                shards.entry(shard).or_default()[i] += value.as_u64().unwrap_or(0);
             }
         }
     }
-    for (k, (prepares, commits)) in &shard_2pc {
-        let _ = writeln!(s, "  shard {k}: prepares={prepares} commits={commits}");
+    for (shard, [prepares, commits]) in &shards {
+        let _ = writeln!(s, "  {shard}: prepares={prepares} commits={commits}");
     }
     s
 }

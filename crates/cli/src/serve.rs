@@ -1,7 +1,7 @@
 //! `bschema serve`: the wire server, as a primary or a read replica.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,10 +9,9 @@ use bschema_core::managed::ManagedDirectory;
 use bschema_directory::ldif::LdifLimits;
 use bschema_directory::DirectoryInstance;
 use bschema_faults::{silence_injected_panics, FaultPlan};
-use bschema_obs::{FlightRecorder, MetricsRegistry, Probe, SloPolicy};
+use bschema_obs::{FlightRecorder, MetricsRegistry, SloPolicy};
 use bschema_server::{
-    DirectoryService, Follower, Monitor, MonitorConfig, ReplicationState, Server, ServerConfig,
-    ServiceLimits, WireLimits,
+    DirectoryService, Follower, ReplicationState, Server, ServerConfig, ServiceLimits, WireLimits,
 };
 
 use crate::args::{number, Args};
@@ -30,7 +29,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--checkpoint-every",
     "--follow",
     "--ship-interval",
-    "--monitor-interval",
     "--slo",
     "--audit",
     "--inject-fault-site",
@@ -39,9 +37,10 @@ const SERVE_FLAGS: &[&str] = &[
 /// `bschema serve <schema.bs> [data.ldif] [flags]` — runs the wire
 /// server until a client sends `SHUTDOWN`. The listening address is
 /// announced on **stderr** immediately (stdout is buffered until exit)
-/// and optionally written to `--port-file` for scripts; request metrics
-/// land in the buffered output after the drain when `--metrics[=json]`
-/// is given.
+/// and optionally written to `--port-file` for scripts. A served
+/// directory is always metered: `METRICS`, `HEALTH`, `WATCH` and `top`
+/// answer, and the request metrics land in the buffered output after the
+/// drain when `--metrics[=json]` is given.
 pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> {
     let args = Args::read(args, OBS, &[LIMITS, SERVE_FLAGS].concat())?;
     let (schema_path, data_path) = match *args.positional() {
@@ -58,8 +57,11 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
     let checkpoint_every = args.number::<u64>("--checkpoint-every")?.map(|n| n.max(1));
     let follow = args.value("--follow");
     let ship_interval_ms = args.number::<u64>("--ship-interval")?.map_or(250, |ms| ms.max(10));
-    let monitor_interval_ms = args.number::<u64>("--monitor-interval")?.map(|ms| ms.max(10));
-    let slo_spec = args.value("--slo");
+    let slo = args
+        .value("--slo")
+        .map(SloPolicy::parse)
+        .transpose()
+        .map_err(|e| usage_error(format!("--slo: {e}")))?;
     let audit_path = args.value("--audit");
     let inject_site = match args.value("--inject-fault-site") {
         Some(word) => Some(match word.rsplit_once(':') {
@@ -77,8 +79,10 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
             "--follow replicas bootstrap from the primary; drop data.ldif, --journal, and --shards",
         ));
     }
-    if audit_path.is_some() && monitor_interval_ms.is_none() && slo_spec.is_none() {
-        return Err(usage_error("--audit needs --monitor-interval or --slo"));
+    // Only SLO alert edges are audited: without an SLO the file would
+    // never get a line.
+    if audit_path.is_some() && slo.is_none() {
+        return Err(usage_error("--audit needs --slo"));
     }
     if checkpoint_every.is_some() && journal_path.is_none() {
         return Err(usage_error("--checkpoint-every needs --journal"));
@@ -123,42 +127,30 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
         DirectoryService::new(managed)
     };
 
-    // The process-wide probe keeps counters and histograms only: a
-    // request's spans live in its own trace (`--trace`) or nowhere, so
-    // nothing the server holds grows with the requests it has served.
+    // Every served directory is metered: the registry keeps counters
+    // and histograms only — a request's spans live in its own trace
+    // (`--trace`) or nowhere, so nothing the server holds grows with the
+    // requests it has served — and the sampler behind `HEALTH`, `WATCH`
+    // and `top` ticks it once a second.
     let metrics = Arc::new(MetricsRegistry::new());
+    let mut service = base_service.with_limits(limits).with_metrics(metrics.clone());
     let plan = inject_site.map(|(site, occurrence)| {
         silence_injected_panics();
-        Arc::new(FaultPlan::fail_at_site(site, occurrence).with_inner(metrics.clone()))
+        Arc::new(FaultPlan::fail_at_site(site, occurrence))
     });
-    let probe: Arc<dyn Probe + Send + Sync> = match &plan {
-        Some(plan) => plan.clone(),
-        None => metrics.clone(),
-    };
-    let mut service =
-        base_service.with_limits(limits).with_probe(probe).with_metrics(metrics.clone());
+    if let Some(plan) = &plan {
+        service = service.with_probe(plan.clone());
+    }
     // `--trace` turns on the flight recorder: the server retains the 16
     // most recent and 16 slowest completed request span trees, queryable
     // over the wire with `bschema client <addr> trace`.
     if obs.trace {
         service = service.with_flight_recorder(Arc::new(FlightRecorder::new(16)));
     }
-    // `--monitor-interval` / `--slo` switch on the health plane: a
-    // sampler thread ticks the registry into a ring (`HEALTH`, `WATCH`,
-    // `bschema top`), and with an SLO attached each tick folds the
-    // window into an error-budget burn rate with edge-triggered alerts.
-    if monitor_interval_ms.is_some() || slo_spec.is_some() {
-        let slo = slo_spec
-            .map(SloPolicy::parse)
-            .transpose()
-            .map_err(|e| usage_error(format!("--slo: {e}")))?;
-        let monitor = Arc::new(Monitor::new(MonitorConfig {
-            interval: Duration::from_millis(monitor_interval_ms.unwrap_or(1000)),
-            slo,
-            audit_path: audit_path.map(std::path::PathBuf::from),
-            ..MonitorConfig::default()
-        }));
-        service = service.with_monitor(monitor);
+    // `--slo` folds each tick's window into an error-budget burn rate
+    // with edge-triggered alerts, which `--audit` appends to a file.
+    if let Some(slo) = slo {
+        service = service.with_slo(slo, audit_path.map(PathBuf::from));
     }
     if let Some(path) = journal_path {
         let (recovered, replayed) = service
@@ -191,18 +183,16 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
         std::fs::write(path, format!("{bound}\n"))
             .map_err(|e| usage_error(format!("cannot write port file {path:?}: {e}")))?;
     }
-    // The ship loop runs beside the acceptor until the server drains.
+    // The ship loop runs beside the acceptor and stops with it.
     let follower_thread = follow_ctx.map(|(primary, replication, cursor, follower_schema)| {
         let mut follower =
             Follower::attach(primary, follower_schema, service.clone(), replication, cursor);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_in = stop.clone();
+        let stop = handle.signal();
         let interval = Duration::from_millis(ship_interval_ms);
-        (stop, std::thread::spawn(move || follower.run(interval, &stop_in)))
+        std::thread::spawn(move || follower.run(interval, &stop))
     });
     handle.wait();
-    if let Some((stop, thread)) = follower_thread {
-        stop.store(true, Ordering::Relaxed);
+    if let Some(thread) = follower_thread {
         let _ = thread.join();
     }
     let _ = writeln!(out, "STOPPED {bound}");

@@ -104,11 +104,6 @@ impl AttributeSchema {
         self.allowed.values().flatten().map(String::as_str).collect()
     }
 
-    /// Classes that have at least one required or allowed attribute.
-    pub fn classes_with_attributes(&self) -> impl Iterator<Item = ClassId> + '_ {
-        self.allowed.keys().copied()
-    }
-
     /// Declares `attr` a directory-wide key (§6.1): no two entries may
     /// share a value for it.
     pub fn declare_unique(&mut self, attr: &str) {

@@ -140,11 +140,6 @@ impl ClassSchema {
         self.insert(name, ClassKind::Core, Some(parent), depth)
     }
 
-    /// Declares a core class whose parent is `top`.
-    pub fn add_core_under_top(&mut self, name: &str) -> Result<ClassId, ClassSchemaError> {
-        self.add_core(name, self.top)
-    }
-
     /// Declares an auxiliary class.
     pub fn add_auxiliary(&mut self, name: &str) -> Result<ClassId, ClassSchemaError> {
         self.insert(name, ClassKind::Auxiliary, None, 0)

@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bschema_directory::ldif::LdifRecord;
 use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
-use bschema_obs::Probe;
+use bschema_obs::{names, Probe};
 
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
@@ -894,16 +894,16 @@ impl ShardedDirectory {
             // Phase 1: prepare every shard.
             let mut begun = Vec::with_capacity(guards.len());
             for ((k, engine), tx) in guards.iter_mut().zip(subtxs) {
-                probe.add_labeled("sharded.prepare", &format!("shard{k}"), 1);
+                probe.add_labeled(names::SHARD_PREPARE, &names::shard(*k), 1);
                 let certified = engine.certify(Op::Tx { tx, global: Some((gid, peers)) })?;
                 begun.push(engine.begin(certified)?);
             }
-            probe.add("sharded.prepared", 1);
+            probe.add(names::PREPARED, 1);
             // Phase 2: commit every shard. A failed flush is counted by
             // the engine; the verdict stands.
             let mut committed = Vec::with_capacity(guards.len());
             for ((k, engine), begun) in guards.iter_mut().zip(begun) {
-                probe.add_labeled("sharded.commit", &format!("shard{k}"), 1);
+                probe.add_labeled(names::SHARD_COMMIT, &names::shard(*k), 1);
                 committed.push(engine.commit(begun).0);
             }
             Ok(committed)
@@ -923,7 +923,7 @@ impl ShardedDirectory {
         };
         // The `sharded.rollback` probe site is itself a chaos target: an
         // injected panic here must not escape the apply.
-        let _ = catch_unwind(AssertUnwindSafe(|| probe.add("sharded.rollback", 1)));
+        let _ = catch_unwind(AssertUnwindSafe(|| probe.add(names::ROLLBACK, 1)));
         Err(refusal)
     }
 }

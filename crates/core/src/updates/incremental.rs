@@ -27,7 +27,7 @@
 //! literal recheck kept as the oracle it is tested against.
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
-use bschema_obs::{Probe, SpanId, NO_SPAN};
+use bschema_obs::{names, Probe, SpanId, NO_SPAN};
 use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
 
 use super::scoped::Neighbourhood;
@@ -158,13 +158,13 @@ impl<'s> IncrementalChecker<'s> {
         for &root in roots {
             for rel in structure.required_rels() {
                 if probe.enabled() {
-                    probe.add_labeled("incremental.delta_query", required_row(rel.kind), 1);
+                    probe.add_labeled(names::DELTA_QUERY, required_row(rel.kind), 1);
                 }
                 jobs.push(DeltaJob::Required(root, rel));
             }
             for rel in structure.forbidden_rels() {
                 if probe.enabled() {
-                    probe.add_labeled("incremental.delta_query", forbidden_row(rel.kind), 1);
+                    probe.add_labeled(names::DELTA_QUERY, forbidden_row(rel.kind), 1);
                 }
                 jobs.push(DeltaJob::Forbidden(root, rel));
             }

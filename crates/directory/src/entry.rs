@@ -146,11 +146,6 @@ impl Entry {
         self.add_value(OBJECT_CLASS, class)
     }
 
-    /// Removes a class. Returns `true` if it was present.
-    pub fn remove_class(&mut self, class: &str) -> bool {
-        self.remove_value(OBJECT_CLASS, class)
-    }
-
     /// Number of classes — the paper's `|class(e)|`.
     pub fn class_count(&self) -> usize {
         self.classes().len()

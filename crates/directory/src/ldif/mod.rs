@@ -13,7 +13,6 @@ mod writer;
 pub use parser::{parse_ldif, parse_ldif_limited, LdifError, LdifLimits, LdifRecord};
 pub use writer::{write_ldif, write_record};
 
-use crate::dn::Dn;
 use crate::instance::{DirectoryInstance, InstanceError};
 
 /// Loads LDIF text into an existing instance. Records must appear
@@ -63,12 +62,4 @@ pub fn load(text: &str) -> Result<DirectoryInstance, LdifError> {
 /// must all be named; unnamed entries yield an error.
 pub fn dump(instance: &DirectoryInstance) -> Result<String, InstanceError> {
     write_ldif(instance)
-}
-
-/// Re-exported for convenience in round-trip tests.
-pub fn entry_dn(
-    instance: &DirectoryInstance,
-    id: crate::forest::EntryId,
-) -> Result<Dn, InstanceError> {
-    instance.dn(id)
 }

@@ -71,11 +71,6 @@ impl FlightRecorder {
         FlightRecorder { capacity: capacity.max(1), inner: Mutex::new(FlightInner::default()) }
     }
 
-    /// The per-list capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Admits a completed request; returns its sequence number.
     pub fn record(
         &self,

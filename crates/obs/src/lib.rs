@@ -42,11 +42,13 @@
 //! engine span trees under one request root while forwarding metrics
 //! to the shared registry), and [`FlightRecorder`] (a bounded buffer
 //! of the most recent + slowest completed request span trees).
+//! [`names`] spells once every metric name that code reads back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod names;
 
 mod flight;
 mod fmt;
@@ -174,11 +176,6 @@ impl Recorder {
     /// Renders the span forest as an indented text tree.
     pub fn trace_text(&self) -> String {
         self.tracer.render_text()
-    }
-
-    /// Renders the counter table + histogram summary as text.
-    pub fn metrics_text(&self) -> String {
-        self.metrics.render_text()
     }
 
     /// Everything as one line of JSON:

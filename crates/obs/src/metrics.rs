@@ -9,9 +9,9 @@
 //! whole `u64` range, and a quantile is answered by a rank walk over the
 //! bucket counts. The representation is a plain array of counts, so two
 //! histograms recorded by different workers [`merge`](Histogram::merge)
-//! by element-wise addition, and a scrape loop can subtract a baseline
-//! ([`Histogram::delta_since`]) to get only the traffic since the last
-//! scrape — the mechanism behind the server's `STATS` verb.
+//! by element-wise addition, and a sampler can subtract a baseline
+//! ([`Histogram::delta_since`]) to get only the traffic since its last
+//! tick — the delta each server `WATCH` tick carries.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -225,8 +225,8 @@ impl Histogram {
 }
 
 /// A point-in-time copy of a registry's counters and histograms — the
-/// unit a scrape loop diffs ([`delta_since`](MetricsSnapshot::delta_since))
-/// and the server's `STATS` verb serializes.
+/// unit a sampler diffs ([`delta_since`](MetricsSnapshot::delta_since))
+/// and the server's `METRICS` verb serializes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values by key.
@@ -389,8 +389,8 @@ impl MetricsRegistry {
         self.histograms.lock().expect("metrics mutex poisoned").clone()
     }
 
-    /// A consistent point-in-time snapshot of everything — the scrape
-    /// unit `STATS` diffs against its per-service baseline.
+    /// A consistent point-in-time snapshot of everything — the unit a
+    /// sampler tick diffs against the previous one.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot { counters: self.counters(), histograms: self.histograms() }
     }

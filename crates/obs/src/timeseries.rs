@@ -76,24 +76,9 @@ impl TimeSeries {
         TimeSeries { inner: Mutex::new(Inner::default()), capacity: capacity.max(1) }
     }
 
-    /// The fixed retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total ticks recorded over the ring's lifetime.
     pub fn ticks(&self) -> u64 {
         self.lock().ticks
-    }
-
-    /// Ticks currently retained (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.lock().points.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.lock().points.is_empty()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -124,11 +109,6 @@ impl TimeSeries {
         point
     }
 
-    /// The most recent tick, if any.
-    pub fn last(&self) -> Option<TickPoint> {
-        self.lock().points.back().cloned()
-    }
-
     /// The merged activity of the last `n` retained ticks (counters
     /// summed, histograms bucket-merged) plus the wall-clock span those
     /// ticks cover. `n = 0` or an empty ring yields an empty window.
@@ -143,25 +123,6 @@ impl TimeSeries {
         }
         (merged, span_us)
     }
-
-    /// Counter `key`'s rate per second over the last `n` ticks (0.0 when
-    /// the window is empty or covers no time).
-    pub fn rate(&self, key: &str, n: usize) -> f64 {
-        let (window, span_us) = self.window(n);
-        let total = window.counters.get(key).copied().unwrap_or(0);
-        if span_us == 0 {
-            return 0.0;
-        }
-        total as f64 / (span_us as f64 / 1_000_000.0)
-    }
-
-    /// Histogram `key`'s `q`-quantile over the last `n` ticks (0 when
-    /// the series was idle across the window — the empty-histogram
-    /// contract).
-    pub fn quantile(&self, key: &str, q: f64, n: usize) -> u64 {
-        let (window, _) = self.window(n);
-        window.histograms.get(key).copied().unwrap_or_default().quantile(q)
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +134,7 @@ mod tests {
     fn ring_deltas_and_evicts() {
         let m = MetricsRegistry::new();
         let ts = TimeSeries::new(3);
-        assert!(ts.is_empty());
+        assert_eq!(ts.window(3), (MetricsSnapshot::default(), 0));
         for i in 1..=5u64 {
             m.add("reqs", 2);
             m.observe("lat", 10 * i);
@@ -185,16 +146,12 @@ mod tests {
         }
         // Capacity 3: ticks 3..=5 retained, 5 recorded.
         assert_eq!(ts.ticks(), 5);
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts.last().unwrap().seq, 5);
-        let (window, span_us) = ts.window(3);
+        let (window, span_us) = ts.window(100);
         assert_eq!(window.counters.get("reqs"), Some(&6));
         assert_eq!(span_us, 3_000_000);
         assert_eq!(window.histograms.get("lat").unwrap().count(), 3);
-        // 6 counts over 3 seconds.
-        assert!((ts.rate("reqs", 3) - 2.0).abs() < 1e-9, "{}", ts.rate("reqs", 3));
         // Quantile over the merged window: values 30, 40, 50 recorded.
-        let p = ts.quantile("lat", 1.0, 3);
+        let p = window.histograms["lat"].quantile(1.0);
         assert!(p >= 50, "window max quantile ≥ the largest retained value, got {p}");
     }
 
@@ -207,8 +164,7 @@ mod tests {
         let idle = ts.record(m.snapshot(), 200);
         assert!(idle.delta.counters.is_empty());
         assert!(idle.delta.histograms.is_empty());
-        assert_eq!(ts.rate("reqs", 1), 0.0, "idle window has rate 0");
-        assert_eq!(ts.quantile("absent", 0.99, 8), 0);
+        assert_eq!(ts.window(1).0, MetricsSnapshot::default(), "an idle window is empty");
         // Window larger than retention is clamped, not an error.
         let (window, _) = ts.window(100);
         assert_eq!(window.counters.get("reqs"), Some(&1));
@@ -231,11 +187,13 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let ts = TimeSeries::new(0);
-        assert_eq!(ts.capacity(), 1);
         let m = MetricsRegistry::new();
-        ts.record(m.snapshot(), 1);
-        ts.record(m.snapshot(), 2);
-        assert_eq!(ts.len(), 1);
+        for at_us in 1..=2 {
+            m.add("a", 1);
+            ts.record(m.snapshot(), at_us);
+        }
+        // One tick retained: the window holds the last delta only.
+        assert_eq!(ts.window(100).0.counters.get("a"), Some(&1));
         assert_eq!(ts.ticks(), 2);
     }
 }

@@ -101,12 +101,6 @@ impl RequestTrace {
         RequestTrace { tracer, root, shared }
     }
 
-    /// The request root span — the parent every engine-level root is
-    /// rewritten to.
-    pub fn root(&self) -> SpanId {
-        self.root
-    }
-
     /// Records an already-elapsed wait (e.g. accept-queue time) as a
     /// closed child of the request root.
     pub fn note_wait(&self, name: &'static str, dur_us: u64) {

@@ -223,13 +223,6 @@ impl Client {
         Ok(frame.payload_str()?.to_owned())
     }
 
-    /// `STATS` — counter/histogram deltas since the previous `STATS`
-    /// scrape, as one JSON line.
-    pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        let frame = self.exchange(&["STATS"], b"")?;
-        Ok(frame.payload_str()?.to_owned())
-    }
-
     /// `TRACE` — the server's flight-recorder buffer (most recent +
     /// slowest completed request span trees) as one JSON line.
     pub fn trace_json(&mut self) -> Result<String, ClientError> {
@@ -287,7 +280,7 @@ impl Client {
         Ok((next, frame.payload_str()?.to_owned()))
     }
 
-    /// `WATCH <count>` — subscribes to the server's monitor stream and
+    /// `WATCH <count>` — subscribes to the server's sampler stream and
     /// feeds each `TICK` frame `(seq, json)` to `on_tick` as it
     /// arrives. Returns the number of ticks received. `on_tick`
     /// returning `false` cancels the stream early (the connection is
@@ -319,9 +312,8 @@ impl Client {
         }
         let mut received = 0usize;
         loop {
-            // Ticks arrive at the monitor interval; wait past the read
-            // timeout would cut a slow stream, so watchers poll with
-            // the connection's own 5s budget per frame.
+            // Ticks arrive once a second, well inside the connection's
+            // 5s read budget per frame.
             let frame = read_frame(&mut self.reader, &self.limits)?
                 .ok_or_else(|| ClientError::Protocol("server closed mid-watch".to_owned()))?;
             match frame.verb() {

@@ -18,8 +18,9 @@
 //!   serialized journaled writes, stable rejection codes.
 //! * [`server`] — acceptor, bounded queue, worker pool, session loop,
 //!   graceful drain.
-//! * [`monitor`] — the health plane: tick retention, SLO burn alerts,
-//!   and the shared state behind the `HEALTH`/`WATCH` verbs.
+//! * `monitor` — the sampler state of a metered service: tick
+//!   retention, SLO burn alerts, and what the `HEALTH`/`WATCH` verbs
+//!   read.
 //! * [`replica`] — crash-consistent read replicas: checkpoint
 //!   bootstrap + journal shipping over the `SHIP` verb.
 //! * [`client`] — the matching synchronous client.
@@ -47,16 +48,15 @@
 
 pub mod client;
 pub mod codec;
-pub mod monitor;
+mod monitor;
 pub mod replica;
 pub mod server;
 pub mod service;
 
 pub use client::{Client, ClientError, TxReceipt};
 pub use codec::{Frame, WireError, WireLimits};
-pub use monitor::{Monitor, MonitorConfig};
 pub use replica::{Follower, FollowerError, SyncReport};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle, Shutdown};
 pub use service::{
     DirectoryService, ReplicationState, ServiceError, ServiceLimits, TxOutcome, SITE_SHIP_APPLY,
     SITE_SHIP_SERVE,

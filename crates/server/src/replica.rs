@@ -34,7 +34,6 @@
 //! shared [`ReplicationState`] gauges, so the replica's own `HEALTH`
 //! verb reports `replication_lag_records` and `ship_age_s`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,6 +45,7 @@ use bschema_directory::attribute::AttributeRegistry;
 use bschema_directory::DirectoryInstance;
 
 use crate::client::{Client, ClientError};
+use crate::server::Shutdown;
 use crate::service::{DirectoryService, ReplicationState};
 
 /// A replication failure on the follower side.
@@ -108,7 +108,7 @@ impl Follower {
     /// [`attach`](Follower::attach) it.
     ///
     /// Split from `attach` so the caller can finish the service builder
-    /// chain (probe, registry, monitor, limits) before the service is
+    /// chain (probe, registry, SLO, limits) before the service is
     /// shared.
     pub fn bootstrap_state(
         addr: &str,
@@ -224,20 +224,16 @@ impl Follower {
         Ok(SyncReport { applied: 0, bootstrapped: true, cursor: seq })
     }
 
-    /// The follower loop: sync every `interval` until `stop` flips.
-    /// Failures are recorded on the gauges (and the connection is
-    /// re-established next pass) — a follower outlives primary
-    /// restarts.
-    pub fn run(&mut self, interval: Duration, stop: &AtomicBool) {
-        while !stop.load(Ordering::Relaxed) {
+    /// The follower loop: sync every `interval` until `stop` fires —
+    /// typically the replica server's own signal
+    /// ([`ServerHandle::signal`](crate::ServerHandle::signal)), which
+    /// ends the wait between passes at once. Failures are recorded on
+    /// the gauges (and the connection is re-established next pass) — a
+    /// follower outlives primary restarts.
+    pub fn run(&mut self, interval: Duration, stop: &Shutdown) {
+        while !stop.is_fired() {
             let _ = self.sync_once();
-            // Chunked sleep so shutdown is prompt even with slow polls.
-            let mut remaining = interval;
-            while !stop.load(Ordering::Relaxed) && remaining > Duration::ZERO {
-                let step = remaining.min(Duration::from_millis(25));
-                std::thread::sleep(step);
-                remaining = remaining.saturating_sub(step);
-            }
+            stop.wait(interval);
         }
     }
 }

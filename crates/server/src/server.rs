@@ -13,7 +13,6 @@
 //! | `MODIFY #n` + mod lines                   | `OK modified <len>`               |
 //! | `METRICS`                                 | `OK metrics #n` + JSON            |
 //! | `METRICS prom`                            | `OK metrics #n` + text exposition |
-//! | `STATS`                                   | `OK stats #n` + delta JSON        |
 //! | `TRACE`                                   | `OK trace #n` + flight JSON       |
 //! | `HEALTH`                                  | `OK health #n` + verdict JSON     |
 //! | `WATCH [count]`                           | `OK watch <count> <interval_ms>`, then `TICK <seq> #n` frames, then `OK watch-end <streamed>` |
@@ -48,8 +47,8 @@
 //! with a flight recorder, the whole request — queue wait, journal
 //! write, legality check, per-Δ-query spans — is collected as one span
 //! tree under that id, retrievable via `TRACE`. `METRICS` dumps the
-//! cumulative registry (counters **and** quantile histograms); `STATS`
-//! returns only the deltas since the previous `STATS` scrape.
+//! cumulative registry (counters **and** quantile histograms); the
+//! activity of one interval is a `WATCH` tick.
 //!
 //! `SCHEMA` is the online evolution plane (see
 //! [`crate::service::DirectoryService::schema_propose`]): `PROPOSE`
@@ -60,11 +59,12 @@
 //! record on every shard), and `ABORT` discards the staged proposal.
 //! Relaxing-only proposals (Definition 2.7) skip the recheck entirely.
 //!
-//! `HEALTH` and `WATCH` need a server started with a monitor interval:
-//! `HEALTH` returns the aggregated per-shard verdict JSON (see
-//! [`crate::service::DirectoryService::health_json`]), and `WATCH`
+//! `METRICS`, `HEALTH` and `WATCH` need a metered service (see
+//! [`DirectoryService::with_metrics`]); an unmetered one answers all
+//! three `ERR unsupported`. `HEALTH` returns the aggregated per-shard
+//! verdict JSON (see [`DirectoryService::health_json`]), and `WATCH`
 //! turns the session into a bounded server-push stream — one `TICK`
-//! frame per monitor tick until `count` frames have been streamed, the
+//! frame per sampler tick until `count` frames have been streamed, the
 //! client hangs up (cancellation), or the server shuts down. `METRICS
 //! prom` renders the same registry in Prometheus-style text exposition
 //! for scrape pipelines.
@@ -74,10 +74,13 @@
 //! The acceptor never blocks on workers: accepted sockets go into a
 //! bounded queue, and when it is full the connection is answered
 //! `ERR busy` and closed immediately — overload is visible to clients,
-//! not an unbounded backlog. On shutdown the flag flips, in-flight
-//! requests run to completion (a committing transaction is never
-//! interrupted), queued-but-unserved connections are answered
-//! `ERR shutting-down`, and the workers drain and exit.
+//! not an unbounded backlog. Shutdown is one [`Shutdown`] signal, fired
+//! by [`ServerHandle::shutdown`] or the `SHUTDOWN` verb: the acceptor
+//! (blocked in `accept`), the sampler, every `WATCH` stream and a
+//! replica's ship loop wake on it. In-flight requests run to completion
+//! (a committing transaction is never interrupted), queued-but-unserved
+//! connections are answered `ERR shutting-down`, and the workers drain
+//! and exit.
 //!
 //! A worker panic inside a request (including an injected fault) is
 //! caught per-request: the session answers `ERR panicked` and carries
@@ -85,8 +88,8 @@
 //! [`crate::service`].
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -94,9 +97,11 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bschema_core::updates::Mod;
+use bschema_obs::{names, MetricsRegistry};
 use bschema_query::SearchScope;
 
 use crate::codec::{read_frame, write_frame, Frame, WireError};
+use crate::monitor::TICK;
 use crate::service::{DirectoryService, ServiceError};
 
 /// Tuning knobs for [`Server::spawn`].
@@ -186,16 +191,72 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// A server's one shutdown signal. [`ServerHandle::shutdown`] and the
+/// `SHUTDOWN` verb fire it; the acceptor, the sampler, every `WATCH`
+/// stream and a replica's ship loop ([`crate::Follower::run`]) wait on
+/// it instead of polling a flag.
+#[derive(Debug)]
+pub struct Shutdown {
+    fired: AtomicBool,
+    lock: Mutex<()>,
+    changed: Condvar,
+    /// The listener a fire connects to once, to wake an acceptor
+    /// blocked in `accept`.
+    wake: Option<SocketAddr>,
+}
+
+impl Shutdown {
+    pub(crate) fn new(wake: Option<SocketAddr>) -> Self {
+        Shutdown {
+            fired: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            changed: Condvar::new(),
+            wake,
+        }
+    }
+
+    /// Whether the signal has fired.
+    pub fn is_fired(&self) -> bool {
+        self.fired.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the signal fires or `timeout` elapses; returns
+    /// whether it has fired.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _held = self
+            .changed
+            .wait_timeout_while(held, timeout, |_| !self.is_fired())
+            .unwrap_or_else(|e| e.into_inner());
+        self.is_fired()
+    }
+
+    /// Fires the signal (once; later calls do nothing) and wakes every
+    /// waiter, the acceptor included.
+    pub(crate) fn fire(&self) {
+        {
+            let _held = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+            if self.fired.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            self.changed.notify_all();
+        }
+        if let Some(wake) = self.wake {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        }
+    }
+}
+
 /// A running server. Obtained from [`Server::spawn`]; shut down via
 /// [`ServerHandle::shutdown`] + [`ServerHandle::wait`] or remotely with
 /// the `SHUTDOWN` verb.
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Shutdown>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    monitor: Option<JoinHandle<()>>,
+    sampler: Option<JoinHandle<()>>,
     service: Arc<DirectoryService>,
 }
 
@@ -210,30 +271,24 @@ impl ServerHandle {
         &self.service
     }
 
+    /// The shutdown signal, for threads that should stop with the server.
+    pub fn signal(&self) -> Arc<Shutdown> {
+        self.shutdown.clone()
+    }
+
     /// Signals shutdown: the acceptor stops, workers drain. Does not
     /// block; follow with [`wait`](ServerHandle::wait).
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.fire();
     }
 
-    /// Whether shutdown has been signalled (locally or via the
-    /// `SHUTDOWN` verb).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Joins the acceptor and every worker, consuming the handle. The
-    /// acceptor notices the shutdown flag within its poll interval and
-    /// closes the queue, which releases the workers.
+    /// Joins the acceptor, every worker and the sampler, consuming the
+    /// handle. The acceptor wakes on the shutdown signal and closes the
+    /// queue, which releases the workers.
     pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        if let Some(monitor) = self.monitor.take() {
-            let _ = monitor.join();
+        let threads = self.acceptor.take().into_iter().chain(self.workers.drain(..));
+        for thread in threads.chain(self.sampler.take()) {
+            let _ = thread.join();
         }
     }
 }
@@ -247,9 +302,8 @@ impl Server {
     /// `config.threads` workers over `service`. Returns immediately.
     pub fn spawn(service: Arc<DirectoryService>, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Shutdown::new(Some(wake_addr(addr))));
         let queue = Arc::new(BoundedQueue::<(TcpStream, Instant)>::new(config.queue_depth));
 
         let mut workers = Vec::with_capacity(config.threads.max(1));
@@ -275,27 +329,24 @@ impl Server {
             })?
         };
 
-        // The sampler thread behind `HEALTH`/`WATCH`: one tick per
-        // configured interval, sleeping in short chunks so shutdown is
-        // noticed promptly. A probe/fault panic inside a tick must not
-        // kill the plane — the next tick simply runs.
-        let monitor = match service.monitor() {
-            Some(m) => {
-                let interval = m.config().interval;
+        // The sampler behind `HEALTH`/`WATCH`, on a metered service
+        // only: one tick per `TICK` until the shutdown signal fires, then
+        // every watcher is woken to see it. A probe/fault panic inside a
+        // tick must not kill the plane — the next tick simply runs.
+        let sampler = match service.monitor() {
+            Some(_) => {
                 let service = service.clone();
                 let shutdown = shutdown.clone();
                 Some(thread::Builder::new().name("bschema-monitor".to_owned()).spawn(
                     move || {
-                        while !shutdown.load(Ordering::SeqCst) {
-                            let _ = catch_unwind(AssertUnwindSafe(|| {
-                                service.monitor_tick();
-                            }));
-                            let mut slept = Duration::ZERO;
-                            while slept < interval && !shutdown.load(Ordering::SeqCst) {
-                                let chunk = (interval - slept).min(Duration::from_millis(50));
-                                thread::sleep(chunk);
-                                slept += chunk;
+                        loop {
+                            let _ = catch_unwind(AssertUnwindSafe(|| service.monitor_tick()));
+                            if shutdown.wait(TICK) {
+                                break;
                             }
+                        }
+                        if let Some(monitor) = service.monitor() {
+                            monitor.wake_watchers();
                         }
                     },
                 )?)
@@ -303,21 +354,37 @@ impl Server {
             None => None,
         };
 
-        Ok(ServerHandle { addr, shutdown, acceptor: Some(acceptor), workers, monitor, service })
+        Ok(ServerHandle { addr, shutdown, acceptor: Some(acceptor), workers, sampler, service })
     }
+}
+
+/// Where a shutdown connects to wake the acceptor: the bound address,
+/// with a wildcard IP replaced by the loopback of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 fn accept_loop(
     listener: &TcpListener,
     queue: &BoundedQueue<(TcpStream, Instant)>,
     service: &DirectoryService,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     config: &ServerConfig,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        // Blocks until a client connects; a shutdown wakes it with a
+        // connection of its own.
+        let accepted = listener.accept();
+        if shutdown.is_fired() {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(config.read_timeout));
                 let _ = stream.set_write_timeout(Some(config.write_timeout));
                 let _ = stream.set_nodelay(true);
@@ -327,7 +394,7 @@ fn accept_loop(
                 match queue.push((stream, Instant::now())) {
                     Ok(depth) => {
                         let _ = catch_unwind(AssertUnwindSafe(|| {
-                            service.probe().observe("server.queue_depth", depth as u64);
+                            service.probe().observe(names::QUEUE_DEPTH, depth as u64);
                         }));
                     }
                     Err((mut stream, _)) => {
@@ -339,10 +406,11 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
+            // A failed accept (descriptors exhausted, say) is retried
+            // after a pause that the shutdown signal cuts short.
+            Err(_) => {
+                shutdown.wait(Duration::from_millis(2));
             }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
 }
@@ -350,10 +418,10 @@ fn accept_loop(
 fn worker_loop(
     queue: &BoundedQueue<(TcpStream, Instant)>,
     service: &DirectoryService,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) {
     while let Some((stream, queued_at)) = queue.pop() {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_fired() {
             // Queued but never served: tell the client why.
             let mut stream = stream;
             let _ = write_frame(&mut stream, &["ERR", "shutting-down"], b"");
@@ -376,7 +444,7 @@ enum Control {
 fn serve_session(
     stream: TcpStream,
     service: &DirectoryService,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     queue_wait_us: u64,
 ) {
     let Ok(read_half) = stream.try_clone() else {
@@ -389,7 +457,7 @@ fn serve_session(
 
     loop {
         // Drain in-flight work, then refuse new frames during shutdown.
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.is_fired() {
             let _ = write_frame(&mut writer, &["ERR", "shutting-down"], b"");
             return;
         }
@@ -465,10 +533,10 @@ fn serve_session(
             _ => "ok".to_owned(),
         };
         let elapsed_us = started.elapsed().as_micros() as u64;
-        service.probe().observe("server.request_micros", elapsed_us);
-        service.probe().observe(&format!("server.request_us.{verb}"), elapsed_us);
+        service.probe().observe(names::REQUEST_MICROS, elapsed_us);
+        service.probe().observe(&names::labeled(names::REQUEST_US, &verb), elapsed_us);
         if status != "ok" {
-            service.probe().observe(&format!("server.rejected_us.{status}"), elapsed_us);
+            service.probe().observe(&names::labeled(names::REJECTED_US, &status), elapsed_us);
         }
         if let (Some(trace), Some(flight)) = (&trace, service.flight()) {
             let (root, dur_us) = trace.finish();
@@ -476,8 +544,7 @@ fn serve_session(
             flight.record(trace_id, &verb, &status, dur_us, root);
         }
 
-        let tokens: Vec<&str> = response.tokens.iter().map(String::as_str).collect();
-        if write_frame(&mut writer, &tokens, &response.payload).is_err() {
+        if !response.write_to(&mut writer) {
             return;
         }
 
@@ -485,7 +552,7 @@ fn serve_session(
             Control::Continue => {}
             Control::CloseSession => return,
             Control::ShutdownServer => {
-                shutdown.store(true, Ordering::SeqCst);
+                shutdown.fire();
                 return;
             }
         }
@@ -528,6 +595,19 @@ impl Response {
             tokens: vec!["ERR".to_owned(), code.to_owned()],
             payload: detail.as_bytes().to_vec(),
         }
+    }
+
+    /// The one refusal of a telemetry verb (`METRICS`, `HEALTH`,
+    /// `WATCH`) on a service built without
+    /// [`with_metrics`](DirectoryService::with_metrics).
+    fn unmetered() -> Self {
+        Response::err("unsupported", "this service keeps no metrics registry")
+    }
+
+    /// Writes the response as one frame; `false` when the peer is gone.
+    fn write_to(&self, writer: &mut impl Write) -> bool {
+        let tokens: Vec<&str> = self.tokens.iter().map(String::as_str).collect();
+        write_frame(writer, &tokens, &self.payload).is_ok()
     }
 }
 
@@ -575,9 +655,11 @@ fn handle_frame(
         "CHECKPOINT" => (handle_checkpoint(service), Control::Continue),
         "SHIP" => (handle_ship(service, frame), Control::Continue),
         "METRICS" => (handle_metrics(service, frame), Control::Continue),
-        "STATS" => (handle_stats(service), Control::Continue),
         "TRACE" => (handle_trace(service), Control::Continue),
-        "HEALTH" => (handle_health(service), Control::Continue),
+        "HEALTH" => {
+            let health = service.health_json().map(|json| Response::ok_payload(&["health"], json));
+            (health.unwrap_or_else(Response::unmetered), Control::Continue)
+        }
         "SHUTDOWN" => (Response::ok(&["bye"]), Control::ShutdownServer),
         "UNBIND" => (Response::ok(&["bye"]), Control::CloseSession),
         other => {
@@ -794,47 +876,35 @@ fn handle_ship(service: &DirectoryService, frame: &Frame) -> Response {
 }
 
 fn handle_metrics(service: &DirectoryService, frame: &Frame) -> Response {
-    match frame.arg(1) {
-        None => match service.metrics_json() {
-            Some(json) => Response::ok_payload(&["metrics"], json.into_bytes()),
-            None => Response::err("unsupported", "server started without --metrics"),
-        },
-        Some("prom") => match service.metrics_prom() {
-            Some(text) => Response::ok_payload(&["metrics"], text.into_bytes()),
-            None => Response::err("unsupported", "server started without --metrics"),
-        },
-        Some(other) => Response::err("usage", &format!("unknown metrics mode {other:?}")),
-    }
-}
-
-fn handle_health(service: &DirectoryService) -> Response {
-    match service.health_json() {
-        Some(json) => Response::ok_payload(&["health"], json.into_bytes()),
-        None => Response::err("unsupported", "server started without --monitor-interval"),
+    let render = match frame.arg(1) {
+        None => MetricsRegistry::to_json,
+        Some("prom") => MetricsRegistry::render_prom,
+        Some(other) => return Response::err("usage", &format!("unknown metrics mode {other:?}")),
+    };
+    match service.metrics() {
+        Some(registry) => Response::ok_payload(&["metrics"], render(registry)),
+        None => Response::unmetered(),
     }
 }
 
 /// Serves a `WATCH` stream: `OK watch <count> <interval_ms>`, then one
-/// `TICK <seq>` frame per monitor tick, then `OK watch-end <streamed>`.
-/// Returns whether the session survives. A failed `TICK` write means
-/// the watcher hung up — that is how a stream is cancelled — and a
-/// watcher too slow to drain its socket is cut by the write timeout,
-/// so a stalled client never wedges a worker or buffers unboundedly.
+/// `TICK <seq>` frame per sampler tick, then `OK watch-end <streamed>`.
+/// Every watcher reads the same published ticks, so one tick's delta
+/// reaches each of them once. Returns whether the session survives. A
+/// failed `TICK` write means the watcher hung up — that is how a stream
+/// is cancelled — and a watcher too slow to drain its socket is cut by
+/// the write timeout, so a stalled client never wedges a worker or
+/// buffers unboundedly.
 fn handle_watch(
     service: &DirectoryService,
     frame: &mut Frame,
     writer: &mut TcpStream,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
 ) -> bool {
     // A stamped trace token would otherwise be mistaken for the count.
     let _ = frame.take_trace_context();
     let Some(monitor) = service.monitor() else {
-        return write_frame(
-            writer,
-            &["ERR", "unsupported"],
-            b"server started without --monitor-interval",
-        )
-        .is_ok();
+        return Response::unmetered().write_to(writer);
     };
     let count = match frame.arg(1) {
         None => 60u64,
@@ -842,24 +912,21 @@ fn handle_watch(
             Ok(n) if (1..=100_000).contains(&n) => n,
             _ => {
                 let detail = format!("bad watch count {raw:?} (1..=100000)");
-                return write_frame(writer, &["ERR", "usage"], detail.as_bytes()).is_ok();
+                return Response::err("usage", &detail).write_to(writer);
             }
         },
     };
-    let interval_ms = monitor.config().interval.as_millis().to_string();
-    if write_frame(writer, &["OK", "watch", &count.to_string(), &interval_ms], b"").is_err() {
+    let interval_ms = TICK.as_millis().to_string();
+    if !Response::ok(&["watch", &count.to_string(), &interval_ms]).write_to(writer) {
         return false;
     }
     // Stream only ticks published after the subscription started.
     let mut last_seq = monitor.latest_seq();
     let mut streamed = 0u64;
     while streamed < count {
-        if shutdown.load(Ordering::SeqCst) {
+        let Some((seq, json)) = monitor.wait_for_tick(last_seq, shutdown) else {
             let _ = write_frame(writer, &["ERR", "shutting-down"], b"");
             return false;
-        }
-        let Some((seq, json)) = monitor.wait_for_tick(last_seq, Duration::from_millis(250)) else {
-            continue;
         };
         last_seq = seq;
         if write_frame(writer, &["TICK", &seq.to_string()], json.as_bytes()).is_err() {
@@ -868,14 +935,7 @@ fn handle_watch(
         }
         streamed += 1;
     }
-    write_frame(writer, &["OK", "watch-end", &streamed.to_string()], b"").is_ok()
-}
-
-fn handle_stats(service: &DirectoryService) -> Response {
-    match service.stats_json() {
-        Some(json) => Response::ok_payload(&["stats"], json.into_bytes()),
-        None => Response::err("unsupported", "server started without --metrics"),
-    }
+    Response::ok(&["watch-end", &streamed.to_string()]).write_to(writer)
 }
 
 fn handle_trace(service: &DirectoryService) -> Response {

@@ -1,80 +1,39 @@
-//! The telemetry and health plane (DESIGN.md §9, §13): `METRICS`,
-//! `STATS`, `TRACE`, the monitor tick and the `HEALTH` verdict.
+//! The telemetry and health plane (DESIGN.md §9, §13): `TRACE`, the
+//! sampler tick and the `HEALTH` verdict. `METRICS` reads the registry
+//! itself ([`DirectoryService::metrics`]).
 
 use std::sync::atomic::Ordering;
 
 use bschema_core::checkpoint::schema_hash;
 use bschema_core::engine::{append_sync, JournaledDirectory};
 use bschema_core::sharded::ShardedDirectory;
-use bschema_obs::{AlertEdge, HealthReport, MetricsSnapshot, ShardHealth, Signal, SpanNode};
+use bschema_obs::{names, AlertEdge, HealthReport, MetricsSnapshot, ShardHealth, Signal, SpanNode};
 
 use super::{lock_unpoisoned, DirectoryService};
-use crate::monitor::Monitor;
 
 impl DirectoryService {
-    /// The registry's counters and histograms as one JSON line, or
-    /// `None` when no registry is attached.
-    pub fn metrics_json(&self) -> Option<String> {
-        self.metrics.as_ref().map(|m| m.to_json())
-    }
-
     /// The flight recorder's buffer as one JSON line, or `None` when the
     /// server runs without `--trace`.
     pub fn trace_json(&self) -> Option<String> {
         self.flight.as_ref().map(|f| f.to_json())
     }
 
-    /// One scrape of the `STATS` verb: the counter/histogram **deltas**
-    /// since the previous call (the first call deltas against zero), as
-    /// stable-ordered JSON. Series idle over the interval are omitted.
-    /// `None` when no registry is attached.
-    pub fn stats_json(&self) -> Option<String> {
-        let current = self.metrics.as_ref()?.snapshot();
-        let mut baseline = lock_unpoisoned(&self.stats_baseline);
-        let delta = current.delta_since(&baseline);
-        *baseline = current;
-        Some(delta.to_json())
-    }
-
-    /// The cumulative registry in Prometheus-style text exposition
-    /// (`# TYPE` lines, `bschema_`-prefixed sanitised names, summary
-    /// quantiles). `None` when no registry is attached.
-    pub fn metrics_prom(&self) -> Option<String> {
-        self.metrics.as_ref().map(|m| m.render_prom())
-    }
-
-    /// The merged activity of the monitor window:
-    /// `(window, span_us, requests, p99_us, err_rate)`.
-    fn window_stats(&self, monitor: &Monitor) -> (MetricsSnapshot, u64, u64, u64, f64) {
-        let (window, span_us) = monitor.ring().window(monitor.config().window);
-        let all = window.histograms.get("server.request_micros").copied().unwrap_or_default();
-        let requests = all.count();
-        let p99_us = all.quantile(0.99);
-        let errors: u64 = window
-            .histograms
-            .iter()
-            .filter(|(key, _)| key.starts_with("server.rejected_us."))
-            .map(|(_, h)| h.count())
-            .sum();
-        let err_rate = if requests == 0 { 0.0 } else { (errors as f64 / requests as f64).min(1.0) };
-        (window, span_us, requests, p99_us, err_rate)
-    }
-
     /// One sampler tick: snapshot the registry into the retention ring,
     /// evaluate the SLO burn rate over the window (raising/clearing the
     /// edge-triggered alert), and publish the tick frame to `WATCH`
-    /// sessions. Returns the published frame; `None` without a monitor.
+    /// sessions. Returns the frame; `None` on an unmetered service. Tests
+    /// call it to advance the sampler by hand.
     pub fn monitor_tick(&self) -> Option<String> {
-        let monitor = self.monitor.as_ref()?;
-        let cumulative = self.metrics.as_ref().map(|m| m.snapshot()).unwrap_or_default();
+        let monitor = self.monitor()?;
         let at_us = self.uptime_us();
-        let point = monitor.ring().record(cumulative, at_us);
+        let point = monitor.ring.record(monitor.registry.snapshot(), at_us);
         let mut burn = 0.0;
-        if let Some(slo) = monitor.config().slo {
-            let (_, _, requests, p99_us, err_rate) = self.window_stats(monitor);
+        if let Some(slo) = self.slo {
+            let (_, _, requests, p99_us, err_rate) = monitor.window();
             burn = slo.burn(p99_us, err_rate, requests);
-            if let Some(edge) = monitor.observe_burn(burn) {
-                self.record_slo_edge(monitor, edge, burn, p99_us, err_rate, at_us);
+            let edge = monitor.alert().observe(burn);
+            if let Some(edge) = edge {
+                self.record_slo_edge(edge, burn, p99_us, err_rate, at_us);
             }
         }
         // Splice the SLO state into the tick frame ahead of the point's
@@ -83,7 +42,7 @@ impl DirectoryService {
         let json = format!(
             "{{\"burn\":{},\"alerts\":{},{}",
             fmt_rate(burn),
-            monitor.alerts_fired(),
+            monitor.alert().fired(),
             &body[1..]
         );
         monitor.publish_tick(point.seq, json.clone());
@@ -94,15 +53,7 @@ impl DirectoryService {
     /// a synthetic `monitor.slo_burn` record in the flight recorder (so
     /// `TRACE` shows the alert next to the requests that caused it), and
     /// a structured `AUDIT` line appended to the audit trail.
-    fn record_slo_edge(
-        &self,
-        monitor: &Monitor,
-        edge: AlertEdge,
-        burn: f64,
-        p99_us: u64,
-        err_rate: f64,
-        at_us: u64,
-    ) {
+    fn record_slo_edge(&self, edge: AlertEdge, burn: f64, p99_us: u64, err_rate: f64, at_us: u64) {
         let event = match edge {
             AlertEdge::Fired => "slo-burn",
             AlertEdge::Cleared => "slo-clear",
@@ -123,8 +74,8 @@ impl DirectoryService {
                 flight.record("monitor", "ALERT", event, 0, root);
             }
         }
-        if let Some(path) = &monitor.config().audit_path {
-            let slo = monitor.config().slo.map_or("null".to_owned(), |s| s.to_json());
+        if let Some(path) = &self.audit {
+            let slo = self.slo.map_or("null".to_owned(), |s| s.to_json());
             let detail = format!(
                 "{{\"event\":{},\"burn\":{},\"p99_us\":{p99_us},\"err_rate\":{},\"slo\":{slo}}}",
                 bschema_obs::json::escape(event),
@@ -137,11 +88,10 @@ impl DirectoryService {
 
     /// The `HEALTH` verdict: global and per-shard signals judged against
     /// thresholds, plus the fitness gauge, window stats, SLO state and
-    /// `◇c` ledger — one JSON object. `None` without a monitor.
+    /// `◇c` ledger — one JSON object. `None` on an unmetered service.
     pub fn health_json(&self) -> Option<String> {
-        let monitor = self.monitor.as_ref()?;
-        let cfg = monitor.config();
-        let (window, span_us, requests, p99_us, err_rate) = self.window_stats(monitor);
+        let monitor = self.monitor()?;
+        let (window, span_us, requests, p99_us, err_rate) = monitor.window();
         let now_us = self.uptime_us();
         let req_per_s = if span_us == 0 { 0.0 } else { requests as f64 / (span_us as f64 / 1e6) };
 
@@ -149,20 +99,20 @@ impl DirectoryService {
 
         // Global signals. Latency/error thresholds derive from the SLO
         // when one is set (warn at the target, crit well past it).
-        let (p99_warn, p99_crit) = match cfg.slo.and_then(|s| s.p99_us) {
+        let (p99_warn, p99_crit) = match self.slo.and_then(|s| s.p99_us) {
             Some(target) => (target as f64, 2.0 * target as f64),
             None => (100_000.0, 1_000_000.0),
         };
         report.global.push(Signal::high_bad("request_p99_us", p99_us as f64, p99_warn, p99_crit));
-        let (err_warn, err_crit) = match cfg.slo.and_then(|s| s.err_rate) {
+        let (err_warn, err_crit) = match self.slo.and_then(|s| s.err_rate) {
             Some(budget) => (budget, (budget * 10.0).min(1.0)),
             None => (0.01, 0.1),
         };
         report.global.push(Signal::high_bad("err_rate", err_rate, err_warn, err_crit));
-        let qmax = window.histograms.get("server.queue_depth").map_or(0, |h| h.max());
+        let qmax = window.histograms.get(names::QUEUE_DEPTH).map_or(0, |h| h.max());
         report.global.push(Signal::high_bad("queue_depth_max", qmax as f64, 32.0, 64.0));
-        let rollbacks = window.counters.get("sharded.rollback").copied().unwrap_or(0);
-        let prepared = window.counters.get("sharded.prepared").copied().unwrap_or(0);
+        let rollbacks = window.counters.get(names::ROLLBACK).copied().unwrap_or(0);
+        let prepared = window.counters.get(names::PREPARED).copied().unwrap_or(0);
         let rollback_rate = if prepared + rollbacks == 0 {
             0.0
         } else {
@@ -170,7 +120,7 @@ impl DirectoryService {
         };
         report.global.push(Signal::high_bad("rollback_rate", rollback_rate, 0.05, 0.25));
         let mut burn = 0.0;
-        if let Some(slo) = cfg.slo {
+        if let Some(slo) = self.slo {
             burn = slo.burn(p99_us, err_rate, requests);
             report.global.push(Signal::high_bad("slo_burn", burn, 0.5, 1.0));
         }
@@ -208,10 +158,12 @@ impl DirectoryService {
             let entries = self.shard_snapshot(k).len();
             let swap = self.last_swap_us[k].load(Ordering::Relaxed);
             let age_s = now_us.saturating_sub(swap) as f64 / 1e6;
-            let prepares =
-                window.counters.get(&format!("sharded.prepare.shard{k}")).copied().unwrap_or(0);
-            let commits =
-                window.counters.get(&format!("sharded.commit.shard{k}")).copied().unwrap_or(0);
+            let shard_count = |family| {
+                let key = names::labeled(family, &names::shard(k));
+                window.counters.get(&key).copied().unwrap_or(0)
+            };
+            let (prepares, commits) =
+                (shard_count(names::SHARD_PREPARE), shard_count(names::SHARD_COMMIT));
             report.shards.push(ShardHealth {
                 shard: k,
                 signals: vec![
@@ -226,7 +178,7 @@ impl DirectoryService {
         }
 
         report.sections.push(("shards_total".to_owned(), self.shards().to_string()));
-        report.sections.push(("ticks".to_owned(), monitor.ring().ticks().to_string()));
+        report.sections.push(("ticks".to_owned(), monitor.ring.ticks().to_string()));
         report.sections.push((
             "window".to_owned(),
             format!(
@@ -235,14 +187,17 @@ impl DirectoryService {
                 fmt_rate(err_rate),
             ),
         ));
-        let slo_json = match cfg.slo {
-            Some(slo) => format!(
-                "{{\"policy\":{},\"burn\":{},\"burning\":{},\"alerts\":{}}}",
-                slo.to_json(),
-                fmt_rate(burn),
-                monitor.is_burning(),
-                monitor.alerts_fired(),
-            ),
+        let slo_json = match self.slo {
+            Some(slo) => {
+                let alert = monitor.alert();
+                format!(
+                    "{{\"policy\":{},\"burn\":{},\"burning\":{},\"alerts\":{}}}",
+                    slo.to_json(),
+                    fmt_rate(burn),
+                    alert.is_burning(),
+                    alert.fired(),
+                )
+            }
             None => "null".to_owned(),
         };
         report.sections.push(("slo".to_owned(), slo_json));
@@ -289,15 +244,15 @@ impl DirectoryService {
 /// Figure 4 structure rules produce) and the Figure 5 Δ-query volume
 /// per rule.
 fn fitness_json(window: &MetricsSnapshot) -> String {
-    let committed = window.counters.get("server.tx_committed").copied().unwrap_or(0);
+    let committed = window.counters.get(names::TX_COMMITTED).copied().unwrap_or(0);
     let mut rejected = Vec::new();
     let mut rejected_total = 0u64;
     let mut delta = Vec::new();
     for (key, &n) in &window.counters {
-        if let Some(code) = key.strip_prefix("server.tx_rejected.") {
+        if let Some(code) = names::label(key, names::TX_REJECTED) {
             rejected.push(format!("{}:{n}", bschema_obs::json::escape(code)));
             rejected_total += n;
-        } else if let Some(rule) = key.strip_prefix("incremental.delta_query.") {
+        } else if let Some(rule) = names::label(key, names::DELTA_QUERY) {
             delta.push(format!("{}:{n}", bschema_obs::json::escape(rule)));
         }
     }

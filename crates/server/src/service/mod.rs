@@ -55,7 +55,7 @@ use bschema_core::sharded::ShardedDirectory;
 use bschema_core::ManagedDirectory;
 use bschema_directory::ldif::LdifLimits;
 use bschema_directory::DirectoryInstance;
-use bschema_obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot, Probe, RequestTrace};
+use bschema_obs::{FlightRecorder, MetricsRegistry, Probe, RequestTrace, SloPolicy, SpanId};
 use bschema_query::DEFAULT_FILTER_DEPTH;
 
 use crate::codec::WireLimits;
@@ -139,6 +139,44 @@ enum Backend {
     Sharded(ShardedDirectory),
 }
 
+/// A caller's probe in front of a metered service's registry: each event
+/// reaches the probe first — a fault plan fires before the event is
+/// counted, as a crash would — then the registry, which keeps no spans.
+#[derive(Debug)]
+struct InFront {
+    front: Arc<dyn Probe + Send + Sync>,
+    registry: Arc<MetricsRegistry>,
+}
+
+impl Probe for InFront {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn add(&self, key: &str, by: u64) {
+        self.front.add(key, by);
+        self.registry.add(key, by);
+    }
+
+    fn add_labeled(&self, key: &str, label: &str, by: u64) {
+        self.front.add_labeled(key, label, by);
+        self.registry.add_labeled(key, label, by);
+    }
+
+    fn observe(&self, key: &str, value: u64) {
+        self.front.observe(key, value);
+        self.registry.observe(key, value);
+    }
+
+    fn span_start(&self, parent: SpanId, name: &'static str, ord: u64) -> SpanId {
+        self.front.span_start(parent, name, ord)
+    }
+
+    fn span_end(&self, span: SpanId) {
+        self.front.span_end(span);
+    }
+}
+
 /// The shared, thread-safe directory service. See the module docs for
 /// the snapshot/write-lock protocol.
 #[derive(Debug)]
@@ -155,11 +193,19 @@ pub struct DirectoryService {
     /// released, so concurrent commits race on it; the worst race is one
     /// extra checkpoint, which is idempotent.
     since_checkpoint: AtomicU64,
+    /// What the request path and the engines report to: the attached
+    /// probe and/or the registry (see [`DirectoryService::with_metrics`]).
     probe: Arc<dyn Probe + Send + Sync>,
-    /// The registry `METRICS`, `STATS` and the monitor read.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// The probe a caller attached with [`DirectoryService::with_probe`].
+    attached: Option<Arc<dyn Probe + Send + Sync>>,
+    /// The telemetry switch: the registry and the sampler state, on a
+    /// metered service only.
+    metered: Option<Monitor>,
+    /// The objective the sampler burns against, and the file its alert
+    /// edges are appended to.
+    slo: Option<SloPolicy>,
+    audit: Option<PathBuf>,
     flight: Option<Arc<FlightRecorder>>,
-    monitor: Option<Arc<Monitor>>,
     /// The service's monotonic epoch: tick timestamps and snapshot-swap
     /// stamps are microseconds since this instant.
     origin: Instant,
@@ -167,7 +213,6 @@ pub struct DirectoryService {
     /// on the single backend). 0 = never swapped, so age reads as
     /// time-since-start.
     last_swap_us: Vec<AtomicU64>,
-    stats_baseline: Mutex<MetricsSnapshot>,
     limits: ServiceLimits,
     /// Checkpoint + truncate the journal every N commits (`None` =
     /// never; explicit `CHECKPOINT`/`checkpoint_now` still works).
@@ -224,12 +269,13 @@ impl DirectoryService {
             journaled: false,
             since_checkpoint: AtomicU64::new(0),
             probe: Arc::new(bschema_obs::NoopProbe),
-            metrics: None,
+            attached: None,
+            metered: None,
+            slo: None,
+            audit: None,
             flight: None,
-            monitor: None,
             origin: Instant::now(),
             last_swap_us: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            stats_baseline: Mutex::new(MetricsSnapshot::default()),
             limits: ServiceLimits::default(),
             checkpoint_every: None,
             read_only: false,
@@ -287,11 +333,57 @@ impl DirectoryService {
         self
     }
 
-    /// Attaches `probe` to the request path **and** to the inner
-    /// engine(s), so one probe sees both the `server.*` sites and the
-    /// legality engine's counters/spans (plus, on a sharded backend,
-    /// the router's `sharded.*` 2-phase sites).
+    /// Attaches `probe` — a fault plan, a test recorder — to the request
+    /// path **and** to the inner engine(s), so one probe sees both the
+    /// `server.*` sites and the legality engine's counters/spans (plus,
+    /// on a sharded backend, the router's `sharded.*` 2-phase sites). On
+    /// a metered service it sits in front of the registry, which goes on
+    /// counting every event.
     pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
+        self.attached = Some(probe);
+        self.rewire()
+    }
+
+    /// The telemetry switch. A service built with it counts every
+    /// request into `registry`, answers `METRICS` from it, and — once
+    /// served — runs the sampler over it that `HEALTH`, `WATCH` and
+    /// `bschema top` read. A service built without it keeps no registry
+    /// and starts no sampler. The registry keeps no spans, so nothing the
+    /// service holds grows per request.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.metered = Some(Monitor::new(registry));
+        self.rewire()
+    }
+
+    /// The service-level objective a metered service's sampler burns
+    /// its error budget against, and the file each alert edge is
+    /// appended to as a structured `AUDIT` line.
+    pub fn with_slo(mut self, slo: SloPolicy, audit: Option<PathBuf>) -> Self {
+        self.slo = Some(slo);
+        self.audit = audit;
+        self
+    }
+
+    /// The registry of a metered service.
+    pub fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.metered.as_ref().map(|m| &*m.registry)
+    }
+
+    /// The sampler state of a metered service.
+    pub(crate) fn monitor(&self) -> Option<&Monitor> {
+        self.metered.as_ref()
+    }
+
+    /// Derives the one probe from the attached one and the registry and
+    /// hands it to the engine(s).
+    fn rewire(mut self) -> Self {
+        let registry = self.metered.as_ref().map(|m| m.registry.clone());
+        let probe: Arc<dyn Probe + Send + Sync> = match (self.attached.clone(), registry) {
+            (Some(front), Some(registry)) => Arc::new(InFront { front, registry }),
+            (Some(front), None) => front,
+            (None, Some(registry)) => registry,
+            (None, None) => Arc::new(bschema_obs::NoopProbe),
+        };
         self.backend = match self.backend {
             Backend::Single(engine) => {
                 let mut engine = engine.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -333,16 +425,6 @@ impl DirectoryService {
         self.replication.as_ref()
     }
 
-    /// Attaches the registry the `METRICS` and `STATS` verbs and the
-    /// monitor read. This only wires up the export side — to actually
-    /// collect, pass the same registry (or a fault plan forwarding to
-    /// it) to [`with_probe`](DirectoryService::with_probe). A registry
-    /// keeps no spans, so nothing the service holds grows per request.
-    pub fn with_metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
     /// Attaches the flight recorder the `TRACE` verb reads from. This
     /// also switches request handling into traced mode: every frame gets
     /// a [`RequestTrace`] whose completed span tree is admitted here.
@@ -354,20 +436,6 @@ impl DirectoryService {
     /// The attached flight recorder, if any.
     pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
         self.flight.as_ref()
-    }
-
-    /// Attaches the monitor plane the `HEALTH`/`WATCH` verbs and the
-    /// sampler thread share. The sampler itself is spawned by
-    /// [`Server::spawn`](crate::server::Server::spawn) when a monitor
-    /// is present.
-    pub fn with_monitor(mut self, monitor: Arc<Monitor>) -> Self {
-        self.monitor = Some(monitor);
-        self
-    }
-
-    /// The attached monitor plane, if any.
-    pub fn monitor(&self) -> Option<&Arc<Monitor>> {
-        self.monitor.as_ref()
     }
 
     /// Microseconds since this service was constructed — the clock tick

@@ -10,6 +10,7 @@ use bschema_core::legality::LegalityReport;
 use bschema_core::managed::ManagedError;
 use bschema_core::schema::DirectorySchema;
 use bschema_directory::DirectoryInstance;
+use bschema_obs::names;
 
 use super::{lock_unpoisoned, Backend, DirectoryService, ServiceError};
 
@@ -143,7 +144,7 @@ impl DirectoryService {
         };
         let plan = &staged.plan;
         let refused = |detail: String| {
-            self.probe.add_labeled("server.tx_rejected", "schema-violates", 1);
+            self.probe.add_labeled(names::TX_REJECTED, "schema-violates", 1);
             ServiceError::new("schema-violates", detail)
         };
         match &self.backend {

@@ -9,7 +9,7 @@ use bschema_core::sharded::ShardedDirectory;
 use bschema_core::updates::{transaction_from_ldif, Mod};
 use bschema_directory::ldif::{parse_ldif_limited, LdifRecord};
 use bschema_directory::{DirectoryInstance, Dn};
-use bschema_obs::{scoped, Probe, RequestTrace};
+use bschema_obs::{names, scoped, Probe, RequestTrace};
 
 use super::{lock_unpoisoned, Backend, DirectoryService, ServiceError};
 
@@ -110,12 +110,12 @@ impl DirectoryService {
                 // Fault site: a worker dying here has already committed;
                 // the client sees "panicked" (outcome unknown), readers
                 // see the new legal instance.
-                probe.add("server.tx_committed", 1);
+                probe.add(names::TX_COMMITTED, 1);
                 self.after_commit();
                 Ok(outcome)
             }
             Err(e) => {
-                probe.add_labeled("server.tx_rejected", e.code, 1);
+                probe.add_labeled(names::TX_REJECTED, e.code, 1);
                 Err(e)
             }
         }
@@ -194,7 +194,7 @@ impl DirectoryService {
         if !self.read_only {
             return Ok(());
         }
-        probe.add_labeled("server.tx_rejected", "read-only", 1);
+        probe.add_labeled(names::TX_REJECTED, "read-only", 1);
         Err(ServiceError::new(
             "read-only",
             "this server is a read replica; send writes to the primary",
@@ -215,7 +215,7 @@ impl DirectoryService {
         self.last_swap_us[k].store(self.uptime_us(), Ordering::Relaxed);
         match self.sharded() {
             None => probe.add("server.snapshot_swap", 1),
-            Some(_) => probe.add_labeled("server.shard_snapshot_swap", &format!("shard{k}"), 1),
+            Some(_) => probe.add_labeled("server.shard_snapshot_swap", &names::shard(k), 1),
         }
     }
 

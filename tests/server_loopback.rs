@@ -29,10 +29,8 @@ use bschema_core::ManagedDirectory;
 use bschema_directory::{ldif, Rdn};
 use bschema_faults::{silence_injected_panics, site_from_seed, FaultPlan};
 use bschema_obs::json::Value;
-use bschema_obs::SloPolicy;
-use bschema_server::{
-    Client, DirectoryService, Monitor, MonitorConfig, Server, ServerConfig, ServiceLimits,
-};
+use bschema_obs::{names, MetricsRegistry, SloPolicy};
+use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimits};
 use bschema_workload::multi_org_base;
 
 fn white_pages_service() -> DirectoryService {
@@ -922,20 +920,20 @@ fn sharded_server_survives_racing_single_and_cross_shard_writers() {
 const SHARD_SIGNALS: [&str; 6] =
     ["entries", "journal_records", "journal_bytes", "snapshot_age_s", "prepares", "commits"];
 
-/// Attaches a monitor (the `serve --monitor-interval/--slo/--audit`
-/// wiring, minus the CLI).
-fn monitored(
+/// Meters `service` — what `bschema serve` does to every directory it
+/// serves — with an optional SLO and audit trail (`--slo`, `--audit`).
+/// Returns the registry beside it.
+fn metered(
     service: DirectoryService,
-    interval_ms: u64,
     slo: Option<&str>,
     audit: Option<std::path::PathBuf>,
-) -> DirectoryService {
-    service.with_monitor(Arc::new(Monitor::new(MonitorConfig {
-        interval: Duration::from_millis(interval_ms),
-        slo: slo.map(|s| SloPolicy::parse(s).expect("test SLO spec parses")),
-        audit_path: audit,
-        ..MonitorConfig::default()
-    })))
+) -> (DirectoryService, Arc<MetricsRegistry>) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut service = service.with_metrics(registry.clone());
+    if let Some(slo) = slo {
+        service = service.with_slo(SloPolicy::parse(slo).expect("test SLO spec parses"), audit);
+    }
+    (service, registry)
 }
 
 fn signal_names(container: &Value) -> Vec<String> {
@@ -951,16 +949,20 @@ fn signal_names(container: &Value) -> Vec<String> {
 /// The HEALTH surface is pinned: same sections and signal names at one
 /// shard (no SLO differences aside) and at four, with the sharded-only
 /// extras (◇c ledger, 2PC rollback gauge) appearing exactly when the
-/// backend is sharded.
+/// backend is sharded. The window and fitness sections report the
+/// traffic sent, once a sampler tick has taken it in.
 #[test]
 fn health_shape_is_pinned_at_one_and_four_shards() {
     // --- 1 shard, with an SLO so the slo section and slo_burn signal exist.
-    let service = monitored(white_pages_service(), 20, Some("p99=500ms,err=50%"), None);
+    let (service, _) = metered(white_pages_service(), Some("p99=500ms,err=50%"), None);
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
             .expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
     client.ping().expect("ping");
+    client.apply_ldif(&person_ldif("healthy")).expect("legal insert commits");
+    client.apply_ldif(illegal_ldif()).expect_err("illegal insert refused");
+    handle.service().monitor_tick().expect("a metered service samples");
     let json = client.health_json().expect("HEALTH answers");
     let v = Value::parse(&json).expect("HEALTH is valid JSON");
     assert_eq!(v.get("shards_total").and_then(Value::as_u64), Some(1), "{json}");
@@ -973,7 +975,11 @@ fn health_shape_is_pinned_at_one_and_four_shards() {
     }
     assert_eq!(v.path("slo.policy.p99_us").and_then(Value::as_u64), Some(500_000), "{json}");
     assert_eq!(v.get("ledger"), Some(&Value::Null), "single backend has no ◇c ledger: {json}");
-    assert_eq!(v.path("fitness.legal_rate").and_then(Value::as_f64), Some(1.0), "{json}");
+    // PING + two TXNs, one of them refused.
+    assert_eq!(v.path("window.requests").and_then(Value::as_u64), Some(3), "{json}");
+    assert_eq!(v.path("fitness.committed").and_then(Value::as_u64), Some(1), "{json}");
+    assert_eq!(v.path("fitness.rejected.rolled-back").and_then(Value::as_u64), Some(1), "{json}");
+    assert_eq!(v.path("fitness.legal_rate").and_then(Value::as_f64), Some(0.5), "{json}");
     let global = signal_names(&v);
     for name in ["request_p99_us", "err_rate", "queue_depth_max", "rollback_rate", "slo_burn"] {
         assert!(global.iter().any(|g| g == name), "missing global signal {name}: {global:?}");
@@ -986,36 +992,21 @@ fn health_shape_is_pinned_at_one_and_four_shards() {
     handle.wait();
 
     // --- 4 shards, no SLO: per-shard shape ×4 plus the ledger extras.
-    // The monitor samples the request registry, so wire one in as the
-    // `serve` builder chain does.
     let base = multi_org_base(4, 20, 0xA11CE);
-    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
-    let service = DirectoryService::new_sharded(white_pages_schema(), base, 4)
-        .expect("multi-org base is legal")
-        .with_probe(recorder.clone())
-        .with_metrics(recorder);
-    let service = monitored(service, 20, None, None);
+    let sharded = DirectoryService::new_sharded(white_pages_schema(), base, 4)
+        .expect("multi-org base is legal");
+    let (service, _) = metered(sharded, None, None);
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
             .expect("bind sharded");
     let mut client = Client::connect(handle.addr()).expect("connect");
     // One committed write so fitness/journal signals have something
-    // real — then wait for the commit to enter the tick window (fitness
-    // is computed over sampled ticks, not live counters).
+    // real, taken into the window by one tick.
     client.apply_ldif(&org_person_ldif("healthprobe", "org0")).expect("probe insert commits");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let (json, v) = loop {
-        let json = client.health_json().expect("HEALTH answers");
-        let v = Value::parse(&json).expect("HEALTH is valid JSON");
-        if v.path("fitness.committed").and_then(Value::as_u64) == Some(1) {
-            break (json, v);
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "tick window never sampled the commit: {json}"
-        );
-        thread::sleep(Duration::from_millis(10));
-    };
+    handle.service().monitor_tick().expect("a metered service samples");
+    let json = client.health_json().expect("HEALTH answers");
+    let v = Value::parse(&json).expect("HEALTH is valid JSON");
+    assert_eq!(v.path("fitness.committed").and_then(Value::as_u64), Some(1), "{json}");
     assert_eq!(v.get("shards_total").and_then(Value::as_u64), Some(4), "{json}");
     assert_eq!(v.get("slo"), Some(&Value::Null), "no SLO configured: {json}");
     assert!(
@@ -1034,71 +1025,65 @@ fn health_shape_is_pinned_at_one_and_four_shards() {
     handle.wait();
 }
 
-/// WATCH streams monitor ticks as they are published: at least three,
+/// WATCH streams sampler ticks as they are published: at least three,
 /// strictly ordered, each a valid JSON frame carrying the burn rate and
-/// the windowed delta, with a clean `watch-end` close.
+/// the windowed delta, with a clean `watch-end` close. The test
+/// publishes the ticks itself.
 #[test]
 fn watch_streams_at_least_three_ordered_ticks() {
-    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
-    let service = white_pages_service().with_probe(recorder.clone()).with_metrics(recorder);
-    let service = monitored(service, 15, Some("p99=500ms"), None);
+    let (service, _) = metered(white_pages_service(), Some("p99=500ms"), None);
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
             .expect("bind");
     let addr = handle.addr();
-
-    // Background traffic so the frames have deltas to carry.
-    let stop = Arc::new(AtomicBool::new(false));
-    let traffic_stop = stop.clone();
-    let traffic = thread::spawn(move || {
-        let mut client = Client::connect(addr).expect("traffic connects");
-        while !traffic_stop.load(Ordering::SeqCst) {
-            client.ping().expect("ping");
-            thread::sleep(Duration::from_millis(2));
-        }
-        client.unbind().expect("unbind");
-    });
-
-    let client = Client::connect(addr).expect("watcher connects");
-    let mut seqs = Vec::new();
-    let streamed = client
-        .watch(3, |seq, json| {
-            let v = Value::parse(json).expect("tick frame is valid JSON");
-            assert!(v.get("burn").and_then(Value::as_f64).is_some(), "{json}");
-            assert!(v.path("delta.counters").is_some(), "{json}");
-            seqs.push(seq);
-            true
-        })
-        .expect("watch stream completes");
-    assert_eq!(streamed, 3);
-    assert_eq!(seqs.len(), 3);
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "ticks out of order: {seqs:?}");
-
-    stop.store(true, Ordering::SeqCst);
-    traffic.join().expect("traffic thread");
     let mut client = Client::connect(addr).expect("connect");
+
+    let watcher = thread::spawn(move || {
+        let client = Client::connect(addr).expect("watcher connects");
+        let mut frames = Vec::new();
+        let streamed = client
+            .watch(3, |seq, json| {
+                frames.push((seq, json.to_owned()));
+                true
+            })
+            .expect("watch stream completes");
+        (streamed, frames)
+    });
+    // Traffic between ticks so the frames have deltas to carry; the
+    // watcher sees only ticks published after it subscribed.
+    while !watcher.is_finished() {
+        client.ping().expect("ping");
+        handle.service().monitor_tick().expect("a metered service samples");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let (streamed, frames) = watcher.join().expect("watcher thread");
+    assert_eq!(streamed, 3);
+    assert_eq!(frames.len(), 3);
+    assert!(frames.windows(2).all(|w| w[0].0 < w[1].0), "ticks out of order: {frames:?}");
+    for (_, json) in &frames {
+        let v = Value::parse(json).expect("tick frame is valid JSON");
+        assert!(v.get("burn").and_then(Value::as_f64).is_some(), "{json}");
+        assert!(v.path("delta.counters").is_some(), "{json}");
+    }
+
     client.shutdown_server().expect("shutdown");
     handle.wait();
 }
 
-/// The burn alert is edge-triggered: a fault-injected run — every
-/// transaction violates the error budget — raises exactly one alert
-/// however many ticks burn, and the alert lands in all three sinks
-/// (metrics counter, flight recorder via TRACE, audit trail).
+/// The burn alert is edge-triggered: a run in which every transaction
+/// violates the error budget raises exactly one alert however many
+/// ticks burn, and the alert lands in all three sinks (metrics counter,
+/// flight recorder via TRACE, audit trail).
 #[test]
 fn slo_burn_alert_fires_exactly_once_per_excursion() {
     let audit =
         std::env::temp_dir().join(format!("bschema-audit-{}-{}.log", std::process::id(), line!()));
     let _ = std::fs::remove_file(&audit);
-    let recorder = Arc::new(bschema_obs::MetricsRegistry::new());
     let flight = Arc::new(bschema_obs::FlightRecorder::new(16));
-    let service = white_pages_service()
-        .with_probe(recorder.clone())
-        .with_metrics(recorder.clone())
-        .with_flight_recorder(flight.clone());
     // A 1% error budget: the all-rejections workload below burns it
     // instantly, and keeps burning for every subsequent tick.
-    let service = monitored(service, 10, Some("err=1%"), Some(audit.clone()));
+    let (service, registry) = metered(white_pages_service(), Some("err=1%"), Some(audit.clone()));
+    let service = service.with_flight_recorder(flight.clone());
     let handle =
         Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..ServerConfig::default() })
             .expect("bind");
@@ -1108,18 +1093,20 @@ fn slo_burn_alert_fires_exactly_once_per_excursion() {
         let err = client.apply_ldif(illegal_ldif()).expect_err("illegal tx refused");
         assert_eq!(err.server_code(), Some("rolled-back"), "{err}");
     }
-    // Sit through several burning ticks; the latch must hold the edge.
-    let watcher = Client::connect(handle.addr()).expect("watcher connects");
-    let ticks = watcher.watch(4, |_, _| true).expect("watch during burn");
-    assert_eq!(ticks, 4);
+    // Several burning ticks; the latch must hold the edge.
+    for _ in 0..4 {
+        let tick = handle.service().monitor_tick().expect("a metered service samples");
+        let v = Value::parse(&tick).expect("tick frame is valid JSON");
+        assert!(v.get("burn").and_then(Value::as_f64).is_some_and(|b| b >= 1.0), "{tick}");
+        assert_eq!(v.get("alerts").and_then(Value::as_u64), Some(1), "{tick}");
+    }
 
     let json = client.health_json().expect("HEALTH answers");
     let v = Value::parse(&json).expect("valid JSON");
     assert_eq!(v.path("slo.burning").map(|b| b == &Value::Bool(true)), Some(true), "{json}");
     assert_eq!(v.path("slo.alerts").and_then(Value::as_u64), Some(1), "alert re-fired: {json}");
 
-    let metrics = &recorder;
-    assert_eq!(metrics.counter("server.slo_burn_alert"), 1, "counter edge re-fired");
+    assert_eq!(registry.counter("server.slo_burn_alert"), 1, "counter edge re-fired");
     let alert = flight
         .recent()
         .into_iter()
@@ -1138,4 +1125,54 @@ fn slo_burn_alert_fires_exactly_once_per_excursion() {
     client.shutdown_server().expect("shutdown");
     handle.wait();
     let _ = std::fs::remove_file(&audit);
+}
+
+/// A probe a caller attaches to a metered service — a fault plan, here
+/// one that never fires — sits in front of the registry: the registry
+/// goes on counting every request, on either backend.
+#[test]
+fn an_attached_probe_does_not_stop_the_registry_counting() {
+    let sharded = DirectoryService::new_sharded(white_pages_schema(), multi_org_base(4, 10, 5), 2)
+        .expect("multi-org base is legal");
+    for (service, ldif) in [
+        (white_pages_service(), person_ldif("counted")),
+        (sharded, org_person_ldif("counted", "org0")),
+    ] {
+        let plan = Arc::new(FaultPlan::observer());
+        let (service, registry) = metered(service, None, None);
+        let service = service.with_probe(plan.clone());
+        let handle = Server::spawn(Arc::new(service), ServerConfig::default()).expect("bind");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client.apply_ldif(&ldif).expect("legal insert commits");
+        let json = client.metrics_json().expect("METRICS answers");
+        assert!(json.contains(&format!("\"{}\":1", names::TX_COMMITTED)), "{json}");
+        assert_eq!(registry.counter(names::TX_COMMITTED), 1);
+        assert_eq!(plan.sites().get(names::TX_COMMITTED), Some(&1), "the plan sees it too");
+        client.shutdown_server().expect("shutdown");
+        handle.wait();
+    }
+}
+
+/// A service built without a registry keeps none and starts no sampler:
+/// every telemetry verb gets the one refusal, and a tick is a no-op.
+#[test]
+fn an_unmetered_service_refuses_every_telemetry_verb_alike() {
+    let handle = spawn_white_pages(2);
+    assert_eq!(handle.service().monitor_tick(), None);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let refusals = [
+        client.metrics_json().expect_err("METRICS refused"),
+        client.metrics_prom().expect_err("METRICS prom refused"),
+        client.health_json().expect_err("HEALTH refused"),
+        Client::connect(handle.addr()).expect("connect").watch(1, |_, _| true).expect_err("WATCH"),
+    ];
+    for err in refusals {
+        assert_eq!(err.server_code(), Some("unsupported"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "server refused: unsupported: this service keeps no metrics registry"
+        );
+    }
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
 }
