@@ -1,39 +1,44 @@
 #!/usr/bin/env bash
 # Grep-gate: the write-ahead sequence exists once, and so does rollback.
 #
-# `JournaledDirectory::apply` is the one driver of a write to one engine.
-# The token chain it runs (`certify` → `Certified` → `begin` → `Begun` →
-# `commit` → `Committed` → `install`) is crate-private to bschema-core,
-# and inside the crate only the router's two 2-phase loops (cross-shard
-# apply, schema cutover) drive it by hand (DESIGN.md §16 "Callers"): so
-# outside `crates/core/src/{engine,sharded}.rs` non-test code may not
+# `JournaledDirectory::apply_all` in `crates/core/src/engine.rs` is the
+# one driver of a write, to one engine or many: `apply` is its one-engine
+# case, and the router's cross-shard apply and schema cutover each call
+# it once (DESIGN.md §16 "Callers"). The token chain it runs (`certify` →
+# `Certified` → `begin` → `Begun` → `commit` → `Committed` → `install`)
+# is private to `engine.rs`, so outside that file non-test code may not
 # name a token type or call `certify(` / `install(`. `managed.rs` is
 # exempt from the call check only — its own `certify`/`install` are the
 # `ManagedDirectory` halves the engine's steps wrap.
 #
-# `JournalWriter::{begin, begin_modify, begin_schema, begin_global,
-# commit}` may only be called from `crates/core/src/journal.rs` (the
-# writer itself) and `crates/core/src/engine.rs` (`JournaledDirectory`,
-# which owns "certified before it is journalled, begin flushed before
-# the live state changes" — DESIGN.md "Durability"). Everything else
-# goes through the engine's certify/begin/commit/install, so a new write
-# path cannot forget the flush, the sync or the ordering.
+# `JournalWriter::{begin_op, begin, begin_modify, commit}` may only be
+# called from `crates/core/src/journal.rs` (the writer itself) and
+# `crates/core/src/engine.rs` (`JournaledDirectory`, which owns
+# "certified before it is journalled, begin flushed before the live
+# state changes" — DESIGN.md "Durability"). Everything else goes through
+# the engine, so a new write path cannot forget the flush, the sync or
+# the ordering.
+#
+# The writer has one begin encoder and a journal transaction one payload:
+# `begin_global(`, `begin_schema(` and `to_transaction(` may not come
+# back anywhere under `crates/`, `tests/` or `examples/`, tests included.
 #
 # `pre_image(` and `rollback_prepared(` may not come back anywhere: a
 # transaction runs on a structurally shared copy that is installed or
 # dropped, so a second rollback path — keeping the previous state to
 # restore it — has nothing left to do (DESIGN.md §10, §16).
 #
-# `"jrnop"` may only appear in the decoder (`decode_record`): a record's
-# op index is its position in its transaction, which the sequence
-# numbers already pin, so the writer does not store it; only journals of
-# older builds carry the field (DESIGN.md §16).
+# `"jrnop"` may only appear in the decoder (`decode_record`,
+# `decode_part`): a record's op index is its position in its
+# transaction, which the sequence numbers already pin, so the writer does
+# not store it; only journals of older builds carry the field
+# (DESIGN.md §16).
 #
-# Exempt: comment/doc lines and test modules — this repo keeps exactly
-# one `#[cfg(test)]` marker per file, at the start of the trailing tests
-# module. The `begin_*` names are unique to the writer; `.begin(` and
-# `.commit(` are not (the engine has both too), so they only count in
-# files that name `JournalWriter`.
+# Exempt, except where said otherwise: comment/doc lines and test
+# modules — this repo keeps exactly one `#[cfg(test)]` marker per file,
+# at the start of the trailing tests module. The `begin_*` names are
+# unique to the writer; `.begin(` and `.commit(` are not, so they only
+# count in files that name `JournalWriter`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,7 +51,7 @@ for f in $(find crates/*/src examples -name '*.rs' | sort); do
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
         /JournalWriter/ { writer = 1 }
-        /\.begin_(modify|schema|global)\(/ { print FILENAME ":" FNR ": " $0 }
+        /\.begin_(op|modify)\(/ { print FILENAME ":" FNR ": " $0 }
         writer && /\.(begin|commit)\(/ { print FILENAME ":" FNR ": " $0 }
     ' "$f")
     if [ -n "$hits" ]; then
@@ -62,7 +67,7 @@ fi
 
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
     case "$f" in
-        crates/core/src/engine.rs | crates/core/src/sharded.rs) continue ;;
+        crates/core/src/engine.rs) continue ;;
         crates/core/src/managed.rs) calls=0 ;;
         *) calls=1 ;;
     esac
@@ -74,11 +79,20 @@ for f in $(find crates/*/src examples -name '*.rs' | sort); do
     ' "$f")
     if [ -n "$hits" ]; then
         echo "$hits"
-        echo "error: the engine's token chain driven outside crates/core/src/{engine,sharded}.rs;" >&2
-        echo "       call JournaledDirectory::apply (DESIGN.md §16 \"Callers\")" >&2
+        echo "error: the engine's token chain driven outside crates/core/src/engine.rs;" >&2
+        echo "       call JournaledDirectory::apply or apply_all (DESIGN.md §16 \"Callers\")" >&2
         status=1
     fi
 done
+
+hits=$(grep -rnE '(begin_global|begin_schema|to_transaction)\(' crates tests examples \
+    --include='*.rs' || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "error: a second begin encoder or payload reader is back; use JournalWriter::begin_op" >&2
+    echo "       and JournalTx::payload (DESIGN.md §16)" >&2
+    status=1
+fi
 
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
     hits=$(awk '
@@ -97,7 +111,7 @@ for f in $(find crates/*/src examples -name '*.rs' | sort); do
     hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
-        /^fn decode_record\(/ { decoder = 1 }
+        /^fn decode_(record|part)\(/ { decoder = 1 }
         decoder && /^}/ { decoder = 0 }
         !decoder && /"jrnop"/ { print FILENAME ":" FNR ": " $0 }
     ' "$f")

@@ -84,7 +84,7 @@ use bschema_directory::{AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow
 use bschema_obs::Probe;
 
 use crate::engine::JournaledDirectory;
-use crate::journal::{Journal, JournalTx, JournalWriter, RecoveryReport};
+use crate::journal::{Journal, JournalTx, JournalWriter, Payload, RecoveryReport};
 use crate::managed::{ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 
@@ -604,7 +604,7 @@ impl RecoveryPlan {
                 ManagedError::Recovery(format!("replaying committed tx {}: {e}", jtx.id))
             })?;
             report.replayed += 1;
-            report.schema_cutovers += usize::from(jtx.schema.is_some());
+            report.schema_cutovers += usize::from(matches!(jtx.payload, Payload::Schema(_)));
         }
         let mut writer = JournalWriter::resume_at(
             journal.next_seq().max(covered),

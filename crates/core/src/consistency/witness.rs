@@ -91,12 +91,6 @@ impl<'s> WitnessBuilder<'s> {
         WitnessBuilder { schema, nodes: Vec::new(), roots: Vec::new(), budget: base * base + 64 }
     }
 
-    /// Overrides the node budget.
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Runs the chase and returns a verified-legal instance.
     pub fn build(mut self) -> Result<DirectoryInstance, WitnessError> {
         // Seed: one node per required class.
@@ -438,9 +432,6 @@ mod tests {
             .map(|b| b.build())
             .unwrap();
         assert!(!ConsistencyChecker::new(&schema).check().is_consistent());
-        assert!(matches!(
-            WitnessBuilder::new(&schema).with_budget(200).build(),
-            Err(WitnessError::Diverged { .. })
-        ));
+        assert!(matches!(WitnessBuilder::new(&schema).build(), Err(WitnessError::Diverged { .. })));
     }
 }

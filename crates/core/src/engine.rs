@@ -4,17 +4,20 @@
 //! records, a [`JournalSink`] makes them durable. This type owns all
 //! three and never hands out `&mut ManagedDirectory`, so the write-ahead
 //! discipline is a property of the type, not a convention per call site.
-//! [`apply`](JournaledDirectory::apply) is the one driver of a write to
-//! one engine: it runs the operation to a legal verdict on a structurally
-//! shared copy (`certify`), flushes the begin records (`begin`), then the
-//! commit record (`commit`), and only then swaps the copy in (`install`).
-//! Each step consumes the previous step's token, so the live state never
-//! changes before its begin record is durable and a refused operation
-//! writes nothing at all. The steps stay separate, crate-private, for the
-//! one caller that needs the seams: a cross-shard 2-phase apply (and its
-//! schema cutover) begins everywhere before committing anywhere and
-//! commits everywhere before installing anywhere — which is why it keeps
-//! no pre-image. Without a sink nothing is journalled at all.
+//! `JournaledDirectory::apply_all` is the one driver of a write, to one
+//! engine or many: on every engine it runs the operation to a legal
+//! verdict on a structurally shared copy (`certify`) and flushes
+//! the begin records (`begin`); then it flushes every commit record
+//! (`commit`), and only then swaps every copy in (`install`). Each step
+//! consumes the previous step's token and all four are private to this
+//! module, so the live state never changes before its begin record is
+//! durable and a refused operation writes nothing at all.
+//! [`apply`](JournaledDirectory::apply) is the one-engine case. A
+//! cross-shard 2-phase apply and an all-shard schema cutover are the
+//! many-engine case — Theorem 4.1 makes either the one-engine update run
+//! on each shard — and since nothing is installed anywhere before every
+//! commit flushed, neither keeps a pre-image. Without a sink nothing is
+//! journalled at all.
 //!
 //! The other halves of durability live here too, once each:
 //! [`replay`](JournaledDirectory::replay), [`open`](JournaledDirectory::open)
@@ -29,13 +32,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use bschema_directory::{DirectoryInstance, EntryId};
-use bschema_obs::{scoped, Probe};
+use bschema_obs::{names, scoped, Probe};
 
 use crate::checkpoint::{
     checkpoint_path, recover_with_checkpoint, truncate_journal, write_checkpoint, Checkpoint,
     CheckpointRecovery,
 };
-use crate::journal::{Journal, JournalTx, JournalWriter, RecoveryReport};
+use crate::journal::{Journal, JournalTx, JournalWriter, Payload, RecoveryReport};
 use crate::managed::{panic_reason, ManagedDirectory, ManagedError, Successor};
 use crate::schema::DirectorySchema;
 use crate::updates::{Mod, Transaction};
@@ -184,11 +187,21 @@ pub enum Op<'a> {
     },
 }
 
+impl Op<'_> {
+    /// The `(gid, peers)` stamp of a cross-shard apply or cutover.
+    pub(crate) fn global(&self) -> Option<(u64, u64)> {
+        match *self {
+            Op::Tx { global, .. } | Op::Schema { global, .. } => global,
+            Op::Modify { .. } => None,
+        }
+    }
+}
+
 /// An operation certified legal on a structurally shared copy; neither
 /// the journal nor the live state has seen it.
 #[derive(Debug)]
 #[must_use = "begin it, or drop it: nothing was written and nothing changed"]
-pub(crate) struct Certified<'a> {
+struct Certified<'a> {
     op: Op<'a>,
     next: Successor,
 }
@@ -196,7 +209,7 @@ pub(crate) struct Certified<'a> {
 /// A certified operation whose write-ahead records are durable.
 #[derive(Debug)]
 #[must_use = "commit it, or drop it as an aborted journal tail"]
-pub(crate) struct Begun {
+struct Begun {
     next: Successor,
     tx_id: Option<u64>,
 }
@@ -204,7 +217,7 @@ pub(crate) struct Begun {
 /// A begun operation whose commit record went to the journal.
 #[derive(Debug)]
 #[must_use = "a committed operation must be installed"]
-pub(crate) struct Committed(Successor);
+struct Committed(Successor);
 
 /// A managed directory, its journal writer and (optionally) the sink
 /// that makes the journal durable. See the module docs.
@@ -332,7 +345,7 @@ impl JournaledDirectory {
     /// Step 1: runs `op` through the guarded, checked apply on a
     /// structurally shared copy of the instance. On `Err` — an illegal
     /// verdict, a typed error, a panic — there is no record, no mutation.
-    pub(crate) fn certify<'a>(&self, op: Op<'a>) -> Result<Certified<'a>, ManagedError> {
+    fn certify<'a>(&self, op: Op<'a>) -> Result<Certified<'a>, ManagedError> {
         let next = match op {
             Op::Tx { tx, .. } => self.managed.certify_tx(tx)?.1,
             Op::Modify { target, mods } => self.managed.certify_modify(target, mods)?.1,
@@ -345,17 +358,12 @@ impl JournaledDirectory {
     /// records of the certified operation and flushes them through the
     /// sink. On `Err` nothing was mutated. Without a sink this journals
     /// nothing.
-    pub(crate) fn begin(&mut self, certified: Certified<'_>) -> Result<Begun, ManagedError> {
+    fn begin(&mut self, certified: Certified<'_>) -> Result<Begun, ManagedError> {
         let Certified { op, next } = certified;
         let (writer, sink) = (&mut self.writer, &mut self.sink);
         let tx_id = scoped(self.managed.probe(), "journal.begin", || {
             let Some(sink) = sink else { return Ok(None) };
-            let id = match op {
-                Op::Tx { tx, global: None } => writer.begin(tx),
-                Op::Tx { tx, global: Some((gid, peers)) } => writer.begin_global(tx, gid, peers),
-                Op::Modify { target, mods } => writer.begin_modify(target, mods),
-                Op::Schema { dsl, local, global, .. } => writer.begin_schema(dsl, local, global),
-            };
+            let id = writer.begin_op(&op);
             sink(&writer.take_pending()).map(|()| Some(id))
         })
         .map_err(|e| {
@@ -370,7 +378,7 @@ impl JournaledDirectory {
     /// comes back either way: the error is counted at
     /// [`SITE_COMMIT_IO_ERROR`] on the directory's probe and returned for
     /// callers that report it too.
-    pub(crate) fn commit(&mut self, begun: Begun) -> (Committed, io::Result<()>) {
+    fn commit(&mut self, begun: Begun) -> (Committed, io::Result<()>) {
         let (writer, sink, probe) = (&mut self.writer, &mut self.sink, self.managed.probe());
         let flushed = scoped(probe, "journal.commit", || match (begun.tx_id, sink) {
             (Some(id), Some(sink)) => {
@@ -386,51 +394,118 @@ impl JournaledDirectory {
     }
 
     /// Step 4: swaps the certified copy in as the live state.
-    pub(crate) fn install(&mut self, committed: Committed) {
+    fn install(&mut self, committed: Committed) {
         self.managed.install(committed.0);
     }
 
-    /// The whole write-ahead sequence — the one driver of a write to one
-    /// engine — with `trace`, when given, as the directory's probe for the
-    /// whole call. A panic anywhere in it comes back as
-    /// [`ManagedError::Panicked`] with nothing installed. `Ok` carries the
-    /// commit flush's own result: the verdict stands either way.
+    /// The write-ahead sequence on this one engine, with `trace`, when
+    /// given, as the directory's probe for the whole call — the
+    /// one-engine case of the crate's one write driver, `apply_all`,
+    /// whose own sites go to that same probe. A panic anywhere in it
+    /// comes back as [`ManagedError::Panicked`] with nothing installed.
+    /// `Ok` carries the commit flush's own result: the verdict stands
+    /// either way.
     pub fn apply(
         &mut self,
         op: Op<'_>,
         trace: Option<Arc<dyn Probe + Send + Sync>>,
     ) -> Result<io::Result<()>, ManagedError> {
         let previous = trace.map(|trace| self.managed.swap_probe(Some(trace)));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            let certified = self.certify(op)?;
-            let begun = self.begin(certified)?;
-            if let Op::Schema { .. } = op {
-                self.managed.probe().add(SITE_SCHEMA_CUTOVER, 1);
-            }
-            let (committed, flushed) = self.commit(begun);
-            self.install(committed);
-            Ok(flushed)
-        }));
+        let shared = self.managed.shared_probe();
+        let probe: &dyn Probe = match &shared {
+            Some(probe) => probe.as_ref(),
+            None => bschema_obs::noop(),
+        };
+        let applied = Self::apply_all(&mut [(&mut *self, op)], probe);
         if let Some(previous) = previous {
             self.managed.swap_probe(previous);
         }
-        caught.unwrap_or_else(|payload| {
-            Err(ManagedError::Panicked { reason: panic_reason(payload.as_ref()) })
-        })
+        applied
     }
 
-    /// Re-applies one journal transaction through the checked path
-    /// without journalling it again — recovery's replay step and a
+    /// The one driver of a write: the write-ahead sequence over `parts`,
+    /// each an engine and its share of the write, with `probe` taking
+    /// the sequence's own sites (a router's, for a 2-phase apply).
+    ///
+    /// Every part is certified and begun; once all are, every part
+    /// commits; then every part is installed. An op stamped `(gid, peers)`
+    /// visits `sharded.prepare.shard<k>` before each certify,
+    /// `sharded.prepared` after the last begin and
+    /// `sharded.commit.shard<k>` before each commit, `k` being the part's
+    /// journal shard; an `Op::Schema` visits [`SITE_SCHEMA_CUTOVER`]
+    /// between the begins and the commits. An `Err` or a panic before the
+    /// installs drops every token, so no engine's live state moved, and
+    /// comes back as an `Err` (a panic as [`ManagedError::Panicked`]); a
+    /// stamped op then visits `sharded.rollback`, itself panic-guarded.
+    /// `Ok` carries the first failed commit flush, counted by its engine:
+    /// the verdict stands either way.
+    pub(crate) fn apply_all(
+        parts: &mut [(&mut JournaledDirectory, Op<'_>)],
+        probe: &dyn Probe,
+    ) -> Result<io::Result<()>, ManagedError> {
+        let global = parts.first().is_some_and(|(_, op)| op.global().is_some());
+        let shard = |engine: &JournaledDirectory| names::shard(engine.writer.shard().unwrap_or(0));
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut begun = Vec::with_capacity(parts.len());
+            for (engine, op) in parts.iter_mut() {
+                if global {
+                    probe.add_labeled(names::SHARD_PREPARE, &shard(engine), 1);
+                }
+                let certified = engine.certify(*op)?;
+                begun.push(engine.begin(certified)?);
+            }
+            if global {
+                probe.add(names::PREPARED, 1);
+            }
+            if let Some((_, Op::Schema { .. })) = parts.first() {
+                probe.add(SITE_SCHEMA_CUTOVER, 1);
+            }
+            let mut committed = Vec::with_capacity(parts.len());
+            let mut flushed = Ok(());
+            for ((engine, _), begun) in parts.iter_mut().zip(begun) {
+                if global {
+                    probe.add_labeled(names::SHARD_COMMIT, &shard(engine), 1);
+                }
+                let (token, result) = engine.commit(begun);
+                committed.push(token);
+                flushed = flushed.and(result);
+            }
+            Ok((committed, flushed))
+        }));
+        let refusal = match attempt {
+            Ok(Ok((committed, flushed))) => {
+                for ((engine, _), committed) in parts.iter_mut().zip(committed) {
+                    engine.install(committed);
+                }
+                return Ok(flushed);
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => ManagedError::Panicked { reason: panic_reason(payload.as_ref()) },
+        };
+        if global {
+            // The rollback site is itself a chaos target: an injected
+            // panic there must not escape the apply.
+            let _ = catch_unwind(AssertUnwindSafe(|| probe.add(names::ROLLBACK, 1)));
+        }
+        Err(refusal)
+    }
+
+    /// Re-applies one journal transaction without journalling it again —
+    /// steps 1 and 4 on the decoded op: recovery's replay step and a
     /// follower's apply of a shipped record.
     pub fn replay(&mut self, jtx: &JournalTx) -> Result<(), ManagedError> {
-        match (&jtx.schema, &jtx.modify) {
-            (Some(s), _) => s
-                .engine_schema()
-                .map_err(ManagedError::Recovery)
-                .and_then(|schema| self.managed.set_schema(schema)),
-            (None, Some(m)) => self.managed.modify_entry(m.target, &m.mods),
-            (None, None) => self.managed.apply(&jtx.to_transaction()),
-        }
+        let evolved;
+        let op = match &jtx.payload {
+            Payload::Tx(tx) => Op::Tx { tx, global: None },
+            Payload::Modify(m) => Op::Modify { target: m.target, mods: &m.mods },
+            Payload::Schema(s) => {
+                evolved = s.engine_schema().map_err(ManagedError::Recovery)?;
+                Op::Schema { schema: &evolved, dsl: &s.dsl, local: s.local, global: None }
+            }
+        };
+        let certified = self.certify(op)?;
+        self.managed.install(certified.next);
+        Ok(())
     }
 
     /// Snapshots the current state as a checkpoint covering the whole

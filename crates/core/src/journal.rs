@@ -64,10 +64,12 @@
 //! discarded — exactly the "committed prefix" the chaos suite asserts.
 
 use std::fmt::Write as _;
+use std::slice;
 
 use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
 use bschema_directory::{Dn, Entry, EntryId};
 
+use crate::engine::Op;
 use crate::schema::DirectorySchema;
 use crate::updates::{Mod, NodeRef, Transaction, TxOp};
 
@@ -89,11 +91,9 @@ pub fn shard_journal_path(base: &std::path::Path, shard: usize) -> std::path::Pa
 
 /// An LDAP Modify journalled as its own transaction: `begin`, one
 /// `modify` record per [`Mod`] (all addressing the same slot), then
-/// `commit`. Recovery applies the whole mod list in one
-/// [`ManagedDirectory::modify_entry`](crate::ManagedDirectory::modify_entry)
-/// call so intermediate states are never checked — only the certified
-/// end state.
-#[derive(Debug, Clone)]
+/// `commit`. Recovery applies the whole mod list as one operation, so
+/// intermediate states are never checked — only the certified end state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalModify {
     /// The modified entry's slot.
     pub target: EntryId,
@@ -139,6 +139,21 @@ impl JournalSchema {
     }
 }
 
+/// What one journalled transaction carries: the decoded mirror of the
+/// [`Op`] that wrote it, and what replay applies.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Payload {
+    /// Inserts and deletes, as the transaction that replays them. Op
+    /// indices are record positions, so `new:<op>` parents resolve as in
+    /// the original. A `begin` + `commit` with no payload record is an
+    /// empty one.
+    Tx(Transaction),
+    /// An LDAP Modify of one entry.
+    Modify(JournalModify),
+    /// A schema evolution cutover.
+    Schema(JournalSchema),
+}
+
 /// One transaction as read back from a journal.
 #[derive(Debug, Clone)]
 pub struct JournalTx {
@@ -148,12 +163,6 @@ pub struct JournalTx {
     /// Checkpoint recovery replays exactly the committed transactions
     /// with `first_seq >= checkpoint.seq`.
     pub first_seq: u64,
-    /// The modify payload when this transaction journalled an LDAP
-    /// Modify instead of insert/delete ops (the two never mix).
-    pub modify: Option<JournalModify>,
-    /// The schema payload when this transaction journalled a schema
-    /// evolution cutover (never mixes with ops or modify).
-    pub schema: Option<JournalSchema>,
     /// Global transaction id stamped by a sharded 2-phase apply
     /// (`jrngid`), shared by every participating shard's journal.
     /// `None` for ordinary single-engine transactions.
@@ -164,42 +173,48 @@ pub struct JournalTx {
     /// journals — the reconciliation
     /// `ShardedDirectory::recover_with_checkpoints` runs.
     pub peers: Option<u64>,
-    /// The recorded operations, in op order.
-    pub ops: Vec<TxOp>,
+    /// The recorded operation.
+    pub payload: Payload,
     /// Whether an intact `commit` record was found.
     pub committed: bool,
 }
 
-impl JournalTx {
-    /// Rebuilds the replayable [`Transaction`]. Op indices are positions
-    /// in `ops`, so `new:<op>` parent references resolve as in the
-    /// original.
-    pub fn to_transaction(&self) -> Transaction {
-        let mut tx = Transaction::new();
-        for op in &self.ops {
-            match op {
-                TxOp::Insert { parent: None, rdn: None, entry } => {
-                    tx.insert_root(entry.clone());
-                }
-                TxOp::Insert { parent: None, rdn: Some(rdn), entry } => {
-                    tx.insert_root_named(rdn.clone(), entry.clone());
-                }
-                TxOp::Insert { parent: Some(NodeRef::Existing(id)), rdn: None, entry } => {
-                    tx.insert_under(*id, entry.clone());
-                }
-                TxOp::Insert { parent: Some(NodeRef::Existing(id)), rdn: Some(rdn), entry } => {
-                    tx.insert_under_named(*id, rdn.clone(), entry.clone());
-                }
-                TxOp::Insert { parent: Some(NodeRef::New(j)), rdn: None, entry } => {
-                    tx.insert_under_new(*j, entry.clone());
-                }
-                TxOp::Insert { parent: Some(NodeRef::New(j)), rdn: Some(rdn), entry } => {
-                    tx.insert_under_new_named(*j, rdn.clone(), entry.clone());
-                }
-                TxOp::Delete { target } => tx.delete(*target),
+/// One decoded payload record: what it adds to its transaction.
+enum Part {
+    /// An `insert` or `delete` record.
+    Op(TxOp),
+    /// A `modify` record: the slot and one modification.
+    Mod(EntryId, Mod),
+    /// A `schema` record.
+    Schema(JournalSchema),
+}
+
+impl Payload {
+    /// Adds the next payload record to the payload so far — the one rule
+    /// that keeps the kinds apart. Insert/delete records extend a
+    /// transaction; a modify record starts on an empty transaction or
+    /// extends a modify of the same slot; a schema record only fills an
+    /// empty transaction. `op`, the index an older build wrote out, must
+    /// be the record's position. `false` means the record does not belong
+    /// here: crash damage.
+    fn absorb(&mut self, part: Part, op: Option<usize>) -> bool {
+        let at = |position: usize| op.is_none_or(|op| op == position);
+        match (&mut *self, part) {
+            (Payload::Tx(tx), Part::Op(txop)) if at(tx.len()) => tx.push(txop),
+            (Payload::Modify(m), Part::Mod(target, one))
+                if m.target == target && at(m.mods.len()) =>
+            {
+                m.mods.push(one);
             }
+            (Payload::Tx(tx), Part::Mod(target, one)) if tx.is_empty() && at(0) => {
+                *self = Payload::Modify(JournalModify { target, mods: vec![one] });
+            }
+            (Payload::Tx(tx), Part::Schema(schema)) if tx.is_empty() => {
+                *self = Payload::Schema(schema);
+            }
+            _ => return false,
         }
-        tx
+        true
     }
 }
 
@@ -241,7 +256,6 @@ pub struct Journal {
 /// A fully decoded journal record, before transaction grouping.
 struct ParsedRecord {
     seq: u64,
-    kind: String,
     tx: u64,
     gid: Option<u64>,
     peers: Option<u64>,
@@ -249,15 +263,17 @@ struct ParsedRecord {
     /// The op index an older build wrote out (`jrnop`); derived from the
     /// record's position when absent.
     op: Option<usize>,
-    parent: Option<String>,
-    rdn: Option<String>,
-    target: Option<usize>,
-    mod_kind: Option<String>,
-    mod_attr: Option<String>,
-    mod_values: Vec<String>,
-    schema_dsl: Option<String>,
-    schema_local: bool,
-    payload: Entry,
+    body: Body,
+}
+
+/// What a record says.
+enum Body {
+    Begin,
+    Commit,
+    /// A payload record; `None` when its kind is unknown or a field it
+    /// needs does not decode — damage, once the record's place in the
+    /// file is known.
+    Payload(Option<Part>),
 }
 
 /// Flattens multi-line schema-DSL text into a single LDIF value
@@ -320,72 +336,80 @@ fn decode_record_dn(dn: &str) -> Option<(u64, Option<u64>)> {
 /// With `expected_seq` the record must carry exactly that sequence
 /// number; without (the journal's first record) any sequence is
 /// accepted — that is what lets a truncated journal start mid-history.
-fn decode_record(rec: &LdifRecord, expected_seq: Option<u64>) -> Option<ParsedRecord> {
+fn decode_record(rec: LdifRecord, expected_seq: Option<u64>) -> Option<ParsedRecord> {
     let (seq, shard) = decode_record_dn(&rec.dn.to_string())?;
     if expected_seq.is_some_and(|expected| expected != seq) {
         return None;
     }
+    let entry = rec.entry;
     // jrndone is written last; its absence (or a mismatched sequence)
     // marks a record cut short by a crash.
-    if parse_u64(rec.entry.first_value("jrndone")?)? != seq {
+    if parse_u64(entry.first_value("jrndone")?)? != seq {
         return None;
     }
-    let kind = rec.entry.first_value("jrntype")?.to_owned();
-    let tx = parse_u64(rec.entry.first_value("jrntx")?)?;
-    let gid = rec.entry.first_value("jrngid").and_then(parse_u64);
-    let peers = rec.entry.first_value("jrnpeers").and_then(parse_u64);
-    let op = match rec.entry.first_value("jrnop") {
+    let kind = entry.first_value("jrntype")?.to_owned();
+    let tx = parse_u64(entry.first_value("jrntx")?)?;
+    let gid = entry.first_value("jrngid").and_then(parse_u64);
+    let peers = entry.first_value("jrnpeers").and_then(parse_u64);
+    let op = match entry.first_value("jrnop") {
         Some(v) => Some(parse_u64(v)? as usize),
         None => None,
     };
-    let parent = rec.entry.first_value("jrnparent").map(str::to_owned);
-    let rdn = rec.entry.first_value("jrnrdn").map(str::to_owned);
-    let target = match rec.entry.first_value("jrntarget") {
-        Some(v) => Some(parse_u64(v)? as usize),
+    let target = match entry.first_value("jrntarget") {
+        Some(v) => Some(EntryId::from_index(parse_u64(v)? as usize)),
         None => None,
     };
-    let mod_kind = rec.entry.first_value("jrnmod").map(str::to_owned);
-    let mod_attr = rec.entry.first_value("jrnattr").map(str::to_owned);
-    let mod_values = rec.entry.values("jrnval").to_vec();
-    let schema_dsl = rec.entry.first_value("jrnschema").map(unescape_text);
-    let schema_local = rec.entry.first_value("jrnlocal").is_some();
-    let mut payload = rec.entry.clone();
-    for attr in [
-        "jrntype",
-        "jrntx",
-        "jrngid",
-        "jrnpeers",
-        "jrnop",
-        "jrnparent",
-        "jrnrdn",
-        "jrntarget",
-        "jrnmod",
-        "jrnattr",
-        "jrnval",
-        "jrnschema",
-        "jrnlocal",
-        "jrndone",
-    ] {
-        payload.remove_attribute(attr);
+    let body = match kind.as_str() {
+        "begin" => Body::Begin,
+        "commit" => Body::Commit,
+        kind => Body::Payload(decode_part(kind, target, entry)),
+    };
+    Some(ParsedRecord { seq, tx, gid, peers, shard, op, body })
+}
+
+/// Decodes a payload record of `kind` (its `jrntarget` already read);
+/// `None` for an unknown kind or a missing or malformed field.
+fn decode_part(kind: &str, target: Option<EntryId>, mut entry: Entry) -> Option<Part> {
+    match kind {
+        "insert" => {
+            let parent = decode_parent(entry.first_value("jrnparent")?)?;
+            // An RDN is serialised as a one-component DN.
+            let rdn = match entry.first_value("jrnrdn") {
+                Some(s) => Some(Dn::parse(s).ok()?.rdn()?.clone()),
+                None => None,
+            };
+            for attr in [
+                "jrntype",
+                "jrntx",
+                "jrngid",
+                "jrnpeers",
+                "jrnop",
+                "jrnparent",
+                "jrnrdn",
+                "jrntarget",
+                "jrnmod",
+                "jrnattr",
+                "jrnval",
+                "jrnschema",
+                "jrnlocal",
+                "jrndone",
+            ] {
+                entry.remove_attribute(attr);
+            }
+            Some(Part::Op(TxOp::Insert { parent, rdn, entry }))
+        }
+        "delete" => Some(Part::Op(TxOp::Delete { target: target? })),
+        "modify" => {
+            let mod_kind = entry.first_value("jrnmod")?;
+            let one = decode_mod(mod_kind, entry.first_value("jrnattr"), entry.values("jrnval"))?;
+            Some(Part::Mod(target?, one))
+        }
+        "schema" => Some(Part::Schema(JournalSchema {
+            dsl: unescape_text(entry.first_value("jrnschema")?),
+            local: entry.first_value("jrnlocal").is_some(),
+        })),
+        _ => None,
     }
-    Some(ParsedRecord {
-        seq,
-        kind,
-        tx,
-        gid,
-        peers,
-        shard,
-        op,
-        parent,
-        rdn,
-        target,
-        mod_kind,
-        mod_attr,
-        mod_values,
-        schema_dsl,
-        schema_local,
-        payload,
-    })
 }
 
 /// Reconstructs a [`Mod`] from a `modify` record's fields.
@@ -461,7 +485,9 @@ impl Journal {
         'records: for (paragraph, start, end) in &paragraphs {
             let expected = if first { None } else { Some(journal.next_seq) };
             let decoded = match parse_ldif(paragraph) {
-                Ok(records) if records.len() == 1 => decode_record(&records[0], expected),
+                Ok(mut records) if records.len() == 1 => {
+                    records.pop().and_then(|record| decode_record(record, expected))
+                }
                 _ => None,
             };
             let Some(record) = decoded else {
@@ -482,8 +508,8 @@ impl Journal {
                 journal.truncated = true;
                 break 'records;
             }
-            match record.kind.as_str() {
-                "begin" => {
+            match record.body {
+                Body::Begin => {
                     if let Some(tx) = open.take() {
                         // begin without commit: the previous transaction
                         // aborted (rolled back, or crashed before its
@@ -494,95 +520,25 @@ impl Journal {
                     open = Some(JournalTx {
                         id: record.tx,
                         first_seq: record.seq,
-                        modify: None,
-                        schema: None,
                         gid: record.gid,
                         peers: record.peers,
-                        ops: Vec::new(),
+                        payload: Payload::Tx(Transaction::new()),
                         committed: false,
                     });
                 }
-                "schema" => {
-                    // A schema cutover is a one-record transaction; it
-                    // never mixes with ops, modify, or another schema
-                    // record.
-                    let valid = matches!(&open, Some(tx) if tx.id == record.tx
-                        && tx.ops.is_empty()
-                        && tx.modify.is_none()
-                        && tx.schema.is_none());
-                    let (Some(dsl), true) = (record.schema_dsl, valid) else {
-                        journal.truncated = true;
-                        break 'records;
-                    };
-                    let tx = open.as_mut().expect("valid implies an open tx");
-                    tx.schema = Some(JournalSchema { dsl, local: record.schema_local });
-                }
-                "modify" => {
-                    // Modify records never mix with insert/delete ops,
-                    // share one target per transaction, and are
-                    // op-indexed by position like any other record.
-                    let valid = matches!(&open, Some(tx) if tx.id == record.tx
-                    && tx.ops.is_empty()
-                    && tx.schema.is_none()
-                    && record.op.is_none_or(|op| {
-                        op == tx.modify.as_ref().map_or(0, |m| m.mods.len())
-                    }));
-                    let decoded_mod = record.mod_kind.as_deref().and_then(|k| {
-                        decode_mod(k, record.mod_attr.as_deref(), &record.mod_values)
-                    });
-                    let (Some(target), Some(m), true) = (record.target, decoded_mod, valid) else {
-                        journal.truncated = true;
-                        break 'records;
-                    };
-                    let target = EntryId::from_index(target);
-                    let tx = open.as_mut().expect("valid implies an open tx");
-                    match tx.modify.as_mut() {
-                        None => tx.modify = Some(JournalModify { target, mods: vec![m] }),
-                        Some(existing) if existing.target == target => existing.mods.push(m),
-                        Some(_) => {
-                            journal.truncated = true;
-                            break 'records;
+                Body::Payload(part) => {
+                    let absorbed = match (open.as_mut(), part) {
+                        (Some(tx), Some(part)) if tx.id == record.tx => {
+                            tx.payload.absorb(part, record.op)
                         }
-                    }
-                }
-                "insert" | "delete" => {
-                    let valid = matches!(&open, Some(tx) if tx.id == record.tx
-                        && tx.modify.is_none()
-                        && tx.schema.is_none()
-                        && record.op.is_none_or(|op| op == tx.ops.len()));
-                    if !valid {
+                        _ => false,
+                    };
+                    if !absorbed {
                         journal.truncated = true;
                         break 'records;
                     }
-                    let op = if record.kind == "insert" {
-                        let Some(parent) = record.parent.as_deref().and_then(decode_parent) else {
-                            journal.truncated = true;
-                            break 'records;
-                        };
-                        let rdn = match record.rdn.as_deref() {
-                            None => None,
-                            // An RDN is serialised as a one-component DN.
-                            Some(s) => match Dn::parse(s).ok().and_then(|dn| dn.rdn().cloned()) {
-                                Some(rdn) => Some(rdn),
-                                None => {
-                                    journal.truncated = true;
-                                    break 'records;
-                                }
-                            },
-                        };
-                        TxOp::Insert { parent, rdn, entry: record.payload }
-                    } else {
-                        let Some(target) = record.target else {
-                            journal.truncated = true;
-                            break 'records;
-                        };
-                        TxOp::Delete { target: EntryId::from_index(target) }
-                    };
-                    if let Some(tx) = open.as_mut() {
-                        tx.ops.push(op);
-                    }
                 }
-                "commit" => match open.take() {
+                Body::Commit => match open.take() {
                     Some(mut tx) if tx.id == record.tx => {
                         tx.committed = true;
                         journal.txs.push(tx);
@@ -592,10 +548,6 @@ impl Journal {
                         break 'records;
                     }
                 },
-                _ => {
-                    journal.truncated = true;
-                    break 'records;
-                }
             }
             journal.next_tx = journal.next_tx.max(record.tx + 1);
             journal.next_seq += 1;
@@ -715,103 +667,92 @@ impl JournalWriter {
         self.pending.push_str(&record);
     }
 
-    /// Records `begin` plus one record per op (the write-ahead half) and
-    /// returns the transaction id for [`commit`](JournalWriter::commit).
+    /// Records `begin` plus one record per op of `tx` (the write-ahead
+    /// half) and returns the transaction id for
+    /// [`commit`](JournalWriter::commit).
     pub fn begin(&mut self, tx: &Transaction) -> u64 {
-        self.begin_with(tx, &[])
-    }
-
-    /// Like [`begin`](JournalWriter::begin), but stamps the begin record
-    /// with a global transaction id and participant count. A sharded
-    /// 2-phase apply writes the same `gid` into every participating
-    /// shard's journal; recovery then treats the transaction as
-    /// committed only when all `peers` journals committed it.
-    pub fn begin_global(&mut self, tx: &Transaction, gid: u64, peers: u64) -> u64 {
-        self.begin_with(tx, &[("jrngid", gid.to_string()), ("jrnpeers", peers.to_string())])
-    }
-
-    fn begin_with(&mut self, tx: &Transaction, begin_extra: &[(&str, String)]) -> u64 {
-        let id = self.next_tx;
-        self.next_tx += 1;
-        self.emit("begin", id, begin_extra, None);
-        for op in tx.ops() {
-            match op {
-                TxOp::Insert { parent, rdn, entry } => {
-                    let spec = match parent {
-                        None => "root".to_owned(),
-                        Some(NodeRef::Existing(p)) => format!("existing:{}", p.index()),
-                        Some(NodeRef::New(j)) => format!("new:{j}"),
-                    };
-                    let mut extra = vec![("jrnparent", spec)];
-                    if let Some(rdn) = rdn {
-                        extra.push(("jrnrdn", rdn.to_string()));
-                    }
-                    self.emit("insert", id, &extra, Some(entry));
-                }
-                TxOp::Delete { target } => {
-                    self.emit("delete", id, &[("jrntarget", target.index().to_string())], None);
-                }
-            }
-        }
-        id
+        self.begin_op(&Op::Tx { tx, global: None })
     }
 
     /// Records `begin` plus one `modify` record per [`Mod`] on `target`
-    /// (the write-ahead half of an LDAP Modify) and returns the
-    /// transaction id for [`commit`](JournalWriter::commit).
+    /// and returns the transaction id for [`commit`](JournalWriter::commit).
     pub fn begin_modify(&mut self, target: EntryId, mods: &[Mod]) -> u64 {
-        let id = self.next_tx;
-        self.next_tx += 1;
-        self.emit("begin", id, &[], None);
-        for m in mods {
-            let (kind, attribute, values): (&str, &str, Vec<String>) = match m {
-                Mod::Add { attribute, value } => ("add", attribute, vec![value.clone()]),
-                Mod::DeleteValue { attribute, value } => {
-                    ("delete-value", attribute, vec![value.clone()])
-                }
-                Mod::DeleteAttribute { attribute } => ("delete-attribute", attribute, Vec::new()),
-                Mod::Replace { attribute, values } => ("replace", attribute, values.clone()),
-            };
-            let mut payload = Entry::new();
-            for value in values {
-                payload.add_value("jrnval", value);
-            }
-            self.emit(
-                "modify",
-                id,
-                &[
-                    ("jrntarget", target.index().to_string()),
-                    ("jrnmod", kind.to_owned()),
-                    ("jrnattr", attribute.to_owned()),
-                ],
-                Some(&payload),
-            );
-        }
-        id
+        self.begin_op(&Op::Modify { target, mods })
     }
 
-    /// Records `begin` plus one `schema` record carrying the complete
-    /// evolved schema as DSL text (the write-ahead half of a schema
-    /// evolution cutover) and returns the transaction id for
-    /// [`commit`](JournalWriter::commit). `local` marks the record as
-    /// written by a shard engine running under the localised schema
-    /// (required classes stripped on replay); `global` stamps
-    /// `(gid, peers)` so a sharded cutover commits all-or-nothing under
-    /// the same reconciliation as cross-shard transactions.
-    pub fn begin_schema(&mut self, dsl: &str, local: bool, global: Option<(u64, u64)>) -> u64 {
+    /// The one begin encoder: records `begin` plus `op`'s payload records
+    /// (the write-ahead half) and returns the transaction id for
+    /// [`commit`](JournalWriter::commit). A `(gid, peers)` stamp goes on
+    /// the begin record: every participant of a cross-shard apply or
+    /// cutover writes the same `gid`, and recovery counts the operation
+    /// committed only when all `peers` journals committed it. An insert or
+    /// delete is one record each, a modify one `modify` record per
+    /// [`Mod`], a cutover one `schema` record carrying the complete evolved
+    /// schema as DSL text (`jrnlocal` when a shard engine's replay must
+    /// strip the required classes).
+    pub(crate) fn begin_op(&mut self, op: &Op<'_>) -> u64 {
         let id = self.next_tx;
         self.next_tx += 1;
-        let mut begin_extra: Vec<(&str, String)> = Vec::new();
-        if let Some((gid, peers)) = global {
-            begin_extra.push(("jrngid", gid.to_string()));
-            begin_extra.push(("jrnpeers", peers.to_string()));
+        let stamp = match op.global() {
+            Some((gid, peers)) => {
+                vec![("jrngid", gid.to_string()), ("jrnpeers", peers.to_string())]
+            }
+            None => Vec::new(),
+        };
+        self.emit("begin", id, &stamp, None);
+        match *op {
+            Op::Tx { tx, .. } => {
+                for txop in tx.ops() {
+                    match txop {
+                        TxOp::Insert { parent, rdn, entry } => {
+                            let spec = match parent {
+                                None => "root".to_owned(),
+                                Some(NodeRef::Existing(p)) => format!("existing:{}", p.index()),
+                                Some(NodeRef::New(j)) => format!("new:{j}"),
+                            };
+                            let mut extra = vec![("jrnparent", spec)];
+                            if let Some(rdn) = rdn {
+                                extra.push(("jrnrdn", rdn.to_string()));
+                            }
+                            self.emit("insert", id, &extra, Some(entry));
+                        }
+                        TxOp::Delete { target } => {
+                            let extra = [("jrntarget", target.index().to_string())];
+                            self.emit("delete", id, &extra, None);
+                        }
+                    }
+                }
+            }
+            Op::Modify { target, mods } => {
+                for m in mods {
+                    let (kind, attribute, values): (&str, &str, &[String]) = match m {
+                        Mod::Add { attribute, value } => ("add", attribute, slice::from_ref(value)),
+                        Mod::DeleteValue { attribute, value } => {
+                            ("delete-value", attribute, slice::from_ref(value))
+                        }
+                        Mod::DeleteAttribute { attribute } => ("delete-attribute", attribute, &[]),
+                        Mod::Replace { attribute, values } => ("replace", attribute, values),
+                    };
+                    let mut payload = Entry::new();
+                    for value in values {
+                        payload.add_value("jrnval", value.clone());
+                    }
+                    let extra = [
+                        ("jrntarget", target.index().to_string()),
+                        ("jrnmod", kind.to_owned()),
+                        ("jrnattr", attribute.to_owned()),
+                    ];
+                    self.emit("modify", id, &extra, Some(&payload));
+                }
+            }
+            Op::Schema { dsl, local, .. } => {
+                let mut extra = vec![("jrnschema", escape_text(dsl))];
+                if local {
+                    extra.push(("jrnlocal", "1".to_owned()));
+                }
+                self.emit("schema", id, &extra, None);
+            }
         }
-        self.emit("begin", id, &begin_extra, None);
-        let mut extra = vec![("jrnschema", escape_text(dsl))];
-        if local {
-            extra.push(("jrnlocal", "1".to_owned()));
-        }
-        self.emit("schema", id, &extra, None);
         id
     }
 
@@ -928,8 +869,7 @@ mod tests {
         assert_eq!(journal.dropped_records, 0);
         assert_eq!(journal.txs.len(), 1);
         assert!(journal.txs[0].committed);
-        let replayed = journal.txs[0].to_transaction();
-        assert_eq!(replayed.len(), tx.len());
+        assert_eq!(journal.txs[0].payload, Payload::Tx(tx));
         // The journal text is plain LDIF — the stock parser reads it.
         assert_eq!(parse_ldif(&text).unwrap().len(), 5);
     }
@@ -1010,10 +950,12 @@ mod tests {
         // A transaction abandoned between begin and commit (the process
         // died there, or a peer shard refused its part): journalled
         // write-ahead, never committed, never installed.
+        bschema_faults::silence_injected_panics();
         let mut abandoned = Transaction::new();
         abandoned.insert_under(ids.databases, researcher("kim"));
-        let certified = live.certify(Op::Tx { tx: &abandoned, global: None }).unwrap();
-        let _never_committed = live.begin(certified).unwrap();
+        let dies =
+            std::sync::Arc::new(bschema_faults::FaultPlan::fail_at_site("span:journal.commit", 0));
+        live.apply(Op::Tx { tx: &abandoned, global: None }, Some(dies)).unwrap_err();
 
         let mut tx3 = Transaction::new();
         tx3.insert_under(ids.att_labs, researcher("pat"));
@@ -1107,7 +1049,7 @@ mod tests {
         tx.insert_under(ids.databases, researcher("zoe"));
 
         let mut writer = JournalWriter::new().with_shard(3);
-        let id = writer.begin_global(&tx, 41, 2);
+        let id = writer.begin_op(&Op::Tx { tx: &tx, global: Some((41, 2)) });
         writer.commit(id);
         let text = writer.take_pending();
         assert!(text.contains("op=0,shard=3,cn=journal"));
@@ -1120,8 +1062,7 @@ mod tests {
         assert_eq!(journal.txs[0].peers, Some(2));
         assert!(journal.txs[0].committed);
         // The payload entry is untouched by the gid/peers stamps.
-        let replayed = journal.txs[0].to_transaction();
-        assert_eq!(replayed.len(), 1);
+        assert_eq!(journal.txs[0].payload, Payload::Tx(tx.clone()));
 
         // A plain writer leaves both stamps off.
         let mut plain = JournalWriter::new();
@@ -1202,9 +1143,8 @@ mod tests {
         let jtx = &journal.txs[0];
         assert!(jtx.committed);
         assert_eq!(jtx.first_seq, 0);
-        let modify = jtx.modify.as_ref().expect("modify payload");
-        assert_eq!(modify.target, ids.suciu);
-        assert_eq!(modify.mods, mods);
+        let modify = JournalModify { target: ids.suciu, mods: mods.to_vec() };
+        assert_eq!(jtx.payload, Payload::Modify(modify));
 
         let (recovered, report) = recover(schema, base, &journal).expect("recovery succeeds");
         assert_eq!(report.replayed, 1);
@@ -1356,7 +1296,7 @@ mod tests {
         let journal = Journal::parse(&text);
         assert!(!journal.truncated, "{journal:?}");
         assert_eq!(journal.committed().count(), 3);
-        let jschema = journal.txs[1].schema.as_ref().expect("schema payload");
+        let Payload::Schema(jschema) = &journal.txs[1].payload else { panic!("schema payload") };
         assert_eq!(jschema.dsl, dsl, "multi-line DSL must round-trip through the escape");
         assert!(!jschema.local);
         assert_eq!(schema_hash(&jschema.engine_schema().unwrap()), schema_hash(&evolved));
@@ -1372,13 +1312,11 @@ mod tests {
 
         // A `local` record strips required classes on replay.
         let mut w = JournalWriter::new();
-        let id = w.begin_schema(&dsl, true, Some((9, 4)));
+        let local = evolved.without_required_classes();
+        let id = w.begin_op(&Op::Schema { schema: &local, dsl: &dsl, local: true, global: None });
         w.commit(id);
         let j = Journal::parse(&w.take_pending());
-        let jtx = &j.txs[0];
-        assert_eq!(jtx.gid, Some(9));
-        assert_eq!(jtx.peers, Some(4));
-        let s = jtx.schema.as_ref().unwrap();
+        let Payload::Schema(s) = &j.txs[0].payload else { panic!("schema payload") };
         assert!(s.local);
         assert_eq!(
             schema_hash(&s.engine_schema().unwrap()),
@@ -1389,8 +1327,10 @@ mod tests {
 
     #[test]
     fn torn_schema_records_are_discarded() {
+        let schema = white_pages_schema();
+        let dsl = "class person extends top\n  require uid\n";
         let mut writer = JournalWriter::new();
-        let id = writer.begin_schema("class person extends top\n  require uid\n", false, None);
+        let id = writer.begin_op(&Op::Schema { schema: &schema, dsl, local: false, global: None });
         writer.commit(id);
         let text = writer.take_pending();
         // Any cut that damages the final `jrndone` loses the commit
@@ -1404,20 +1344,105 @@ mod tests {
         }
         let journal = Journal::parse(&text);
         assert_eq!(journal.committed().count(), 1);
-        // A schema record never mixes into an op transaction.
+    }
+
+    /// The payload rule as a table. Every `Op` shape decodes to the
+    /// payload it was encoded from; a payload record that does not
+    /// belong to its transaction is damage at that record, and the
+    /// intact prefix before it survives.
+    #[test]
+    fn every_op_shape_roundtrips_and_mixed_payloads_are_damage() {
+        use bschema_directory::Rdn;
+
         let (_, ids) = white_pages_instance();
-        let mut tx = Transaction::new();
-        tx.insert_under(ids.databases, researcher("zoe"));
-        let mut mixed = JournalWriter::new();
-        let tx_id = mixed.begin(&tx);
-        let mut schema_rec = String::new();
-        // Hand-build a schema record inside the open op transaction.
-        schema_rec.push_str("dn: op=2,cn=journal\n");
-        schema_rec.push_str(&format!("jrntype: schema\njrntx: {tx_id}\njrnop: 0\n"));
-        schema_rec.push_str("jrnschema: class x extends top\njrndone: 2\n\n");
-        let mut text = mixed.take_pending();
-        text.push_str(&schema_rec);
-        assert!(Journal::parse(&text).truncated, "schema record after ops is damage");
+        let schema = white_pages_schema();
+        let dsl = crate::schema::dsl::print_schema(&schema, None);
+        let mut inserts = Transaction::new();
+        inserts.insert_root(researcher("root"));
+        inserts.insert_root_named(Rdn::single("o", "named"), researcher("named-root"));
+        let under = inserts.insert_under(ids.databases, researcher("under"));
+        inserts.insert_under_named(ids.databases, Rdn::single("uid", "un"), researcher("un"));
+        inserts.insert_under_new(under, researcher("new"));
+        inserts.insert_under_new_named(under, Rdn::single("uid", "nn"), researcher("nn"));
+        let mut deletes = Transaction::new();
+        deletes.delete(ids.suciu);
+        deletes.delete(ids.laks);
+        let mods = [
+            Mod::Add { attribute: "title".into(), value: "dr".into() },
+            Mod::DeleteValue { attribute: "mail".into(), value: "a@b.c".into() },
+            Mod::DeleteAttribute { attribute: "description".into() },
+            Mod::Replace { attribute: "name".into(), values: vec!["a".into(), "b".into()] },
+        ];
+        let empty = Transaction::new();
+        let shapes = [
+            Op::Tx { tx: &inserts, global: None },
+            Op::Tx { tx: &deletes, global: None },
+            Op::Tx { tx: &inserts, global: Some((7, 3)) },
+            Op::Tx { tx: &empty, global: None },
+            Op::Modify { target: ids.suciu, mods: &mods },
+            Op::Schema { schema: &schema, dsl: &dsl, local: false, global: None },
+            Op::Schema { schema: &schema, dsl: &dsl, local: true, global: Some((8, 2)) },
+        ];
+        for op in &shapes {
+            let mut writer = JournalWriter::new();
+            let id = writer.begin_op(op);
+            writer.commit(id);
+            let journal = Journal::parse(&writer.take_pending());
+            assert!(!journal.truncated, "{op:?}");
+            let jtx = &journal.txs[0];
+            let encoded = match *op {
+                Op::Tx { tx, .. } => Payload::Tx(tx.clone()),
+                Op::Modify { target, mods } => {
+                    Payload::Modify(JournalModify { target, mods: mods.to_vec() })
+                }
+                Op::Schema { dsl, local, .. } => {
+                    Payload::Schema(JournalSchema { dsl: dsl.to_owned(), local })
+                }
+            };
+            assert_eq!(jtx.payload, encoded, "{op:?}");
+            let stamp = jtx.gid.zip(jtx.peers);
+            assert_eq!((stamp, jtx.committed), (op.global(), true), "{op:?}");
+        }
+
+        // A committed transaction, then `first`'s begin and payload
+        // records, then `then`'s payload records in the same transaction
+        // (the record the parse must stop at), then its commit.
+        let mut one = Transaction::new();
+        one.insert_under(ids.databases, researcher("one"));
+        let insert = Op::Tx { tx: &one, global: None };
+        let modify = Op::Modify { target: ids.suciu, mods: &mods[..1] };
+        let elsewhere = Op::Modify { target: ids.laks, mods: &mods[..1] };
+        let cutover = Op::Schema { schema: &schema, dsl: &dsl, local: false, global: None };
+        for (first, then, shape) in [
+            (insert, cutover, "a schema record after an insert"),
+            (insert, modify, "a modify after an insert"),
+            (modify, insert, "an insert after a modify"),
+            (cutover, cutover, "a second schema record"),
+            (modify, elsewhere, "a modify on a second slot"),
+        ] {
+            let mut writer = JournalWriter::new();
+            let id = writer.begin(&one);
+            writer.commit(id);
+            let id = writer.begin_op(&first);
+            let offending = writer.records_emitted();
+            let mut text = writer.take_pending();
+            // `then`'s records numbered on from here, its begin dropped.
+            let mut more = JournalWriter::resume_at(offending - 1, id);
+            more.begin_op(&then);
+            let records = more.take_pending();
+            text.push_str(records.split_once("\n\n").expect("a begin record").1);
+            let mut last = JournalWriter::resume_at(more.records_emitted(), id + 1);
+            last.commit(id);
+            text.push_str(&last.take_pending());
+
+            let journal = Journal::parse(&text);
+            assert!(journal.truncated, "{shape}");
+            assert_eq!(journal.next_seq(), offending, "{shape}: stops at the offending record");
+            let at = text.find(&format!("dn: op={offending},")).expect("offending record");
+            assert_eq!(journal.intact_len, at, "{shape}");
+            assert_eq!(journal.committed().count(), 1, "{shape}: the intact prefix survives");
+            assert_eq!(journal.txs.len(), 2, "{shape}: `first` stays, uncommitted");
+        }
     }
 
     #[test]

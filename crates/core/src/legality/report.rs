@@ -145,17 +145,6 @@ impl Violation {
         }
     }
 
-    /// True for violations of the content schema (attribute + class),
-    /// false for structure-schema violations.
-    pub fn is_content(&self) -> bool {
-        !matches!(
-            self,
-            Violation::MissingRequiredClass { .. }
-                | Violation::RequiredRelViolation { .. }
-                | Violation::ForbiddenRelViolation { .. }
-        )
-    }
-
     /// A stable kebab-case label for the violation kind, used as the
     /// metrics label in `managed.rollback_violation.<kind>` counters.
     pub fn kind_name(&self) -> &'static str {
@@ -334,8 +323,7 @@ mod tests {
         let content =
             Violation::AttributeNotAllowed { entry: EntryId::from_index(0), attribute: "x".into() };
         let structure = Violation::MissingRequiredClass { class: "person".into() };
-        assert!(content.is_content());
-        assert!(!structure.is_content());
+        assert_eq!(content.entry(), Some(EntryId::from_index(0)));
         assert_eq!(structure.entry(), None);
     }
 

@@ -65,7 +65,7 @@ pub use consistency::ConsistencyChecker;
 pub use discover::{suggest_schema, DiscoveryOptions};
 pub use engine::{JournalSink, JournaledDirectory, Op};
 pub use evolution::{evolve, Evolution, EvolutionError};
-pub use journal::{Journal, JournalModify, JournalTx, JournalWriter, RecoveryReport};
+pub use journal::{Journal, JournalModify, JournalTx, JournalWriter, Payload, RecoveryReport};
 pub use legality::{LegalityChecker, LegalityReport, Violation};
 pub use managed::ManagedDirectory;
 pub use qopt::SchemaAwareOptimizer;

@@ -279,6 +279,11 @@ impl ManagedDirectory {
         self.probe.get()
     }
 
+    /// The attached probe itself (`None` stands for the no-op probe).
+    pub(crate) fn shared_probe(&self) -> Option<Arc<dyn Probe + Send + Sync>> {
+        self.probe.0.clone()
+    }
+
     /// Unwraps into the enforced schema and the instance.
     pub fn into_parts(self) -> (DirectorySchema, DirectoryInstance) {
         (self.schema, Arc::unwrap_or_clone(self.dir))

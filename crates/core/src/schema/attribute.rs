@@ -98,12 +98,6 @@ impl AttributeSchema {
         self.allowed.get(&class).map_or(0, BTreeSet::len)
     }
 
-    /// Every attribute key mentioned anywhere in the schema (the schema's
-    /// finite `A ⊆ 𝒜`).
-    pub fn mentioned_attributes(&self) -> BTreeSet<&str> {
-        self.allowed.values().flatten().map(String::as_str).collect()
-    }
-
     /// Declares `attr` a directory-wide key (§6.1): no two entries may
     /// share a value for it.
     pub fn declare_unique(&mut self, attr: &str) {
@@ -191,7 +185,5 @@ mod tests {
         assert!(!a.is_allowed(PERSON, "o"));
         assert_eq!(a.allowed_count(PERSON), 1);
         assert_eq!(a.allowed_count(ClassId(99)), 0);
-        let mentioned = a.mentioned_attributes();
-        assert!(mentioned.contains("uid") && mentioned.contains("o"));
     }
 }

@@ -201,20 +201,9 @@ impl ClassSchema {
         self.depths[id.index()]
     }
 
-    /// Maximum depth of the core tree — the paper's `depth(H)`.
-    pub fn tree_depth(&self) -> u32 {
-        self.depths.iter().copied().max().unwrap_or(0)
-    }
-
     /// `Aux(core)`: the auxiliaries allowed for a core class.
     pub fn allowed_auxiliaries(&self, core: ClassId) -> &[ClassId] {
         &self.aux[core.index()]
-    }
-
-    /// Largest `|Aux(c)|` over all core classes — appears in the paper's
-    /// content-check complexity bound.
-    pub fn max_aux(&self) -> usize {
-        self.aux.iter().map(Vec::len).max().unwrap_or(0)
     }
 
     /// All class ids, in declaration order.
@@ -355,7 +344,7 @@ mod tests {
         assert!(s.aux_allowed(n["researcher"], n["facultyMember"]));
         assert!(!s.aux_allowed(n["person"], n["facultyMember"]));
         assert!(!s.aux_allowed(n["orgUnit"], n["online"])); // Aux is per-class, not inherited
-        assert_eq!(s.max_aux(), 3);
+        assert_eq!(s.allowed_auxiliaries(n["researcher"]).len(), 3);
     }
 
     #[test]
@@ -367,7 +356,6 @@ mod tests {
         );
         assert_eq!(s.depth(n["top"]), 0);
         assert_eq!(s.depth(n["researcher"]), 2);
-        assert_eq!(s.tree_depth(), 2);
         assert_eq!(s.superclass_chain(n["top"]), vec![n["top"]]);
     }
 

@@ -400,7 +400,7 @@ mod tests {
         assert_eq!(s.name(), Some("test"));
         let person = s.classes().resolve("person").unwrap();
         assert!(s.attributes().is_required(person, "uid"));
-        assert!(s.structure().is_class_required(person));
+        assert_eq!(s.structure().required_classes().collect::<Vec<_>>(), [person]);
         assert!(s.size() > 0);
     }
 

@@ -153,11 +153,6 @@ impl StructureSchema {
         self.required_classes.iter().copied()
     }
 
-    /// Whether `◇class ∈ Cr`.
-    pub fn is_class_required(&self, class: ClassId) -> bool {
-        self.required_classes.contains(&class)
-    }
-
     /// `Er`, in insertion order.
     pub fn required_rels(&self) -> &[RequiredRel] {
         &self.required
@@ -193,8 +188,7 @@ mod tests {
         s.require_class(A);
         s.require_rel(A, RelKind::Descendant, B);
         s.forbid_rel(B, ForbidKind::Child, A);
-        assert!(s.is_class_required(A));
-        assert!(!s.is_class_required(B));
+        assert_eq!(s.required_classes().collect::<Vec<_>>(), [A]);
         assert_eq!(s.required_rels().len(), 1);
         assert_eq!(s.forbidden_rels().len(), 1);
         assert_eq!(s.len(), 3);

@@ -25,38 +25,37 @@
 //!   query is non-empty" agree on every legal instance.
 //!
 //! Single-shard transactions lock one shard and never contend.
-//! Cross-shard transactions run a 2-phase apply: *prepare* certifies
-//! every involved shard's part on a structurally shared copy and flushes
-//! its journal `begin` (carrying a global id + peer count), *commit*
-//! flushes the per-shard commit records, and only then is every copy
-//! installed. A failure or panic before that drops the copies: no
-//! shard's live state has moved. A crash or panic between two commit
-//! flushes leaves commit records on a strict subset of the peers;
-//! [`ShardedDirectory::recover_with_checkpoints`] reconciles by keeping
-//! a global transaction only when its commit is intact in **all** peer
-//! journals, so recovery converges to the same state the live engine
-//! kept.
+//! Cross-shard transactions and schema cutovers run a 2-phase apply:
+//! *prepare* certifies every involved shard's part on a structurally
+//! shared copy and flushes its journal `begin` (carrying a global id +
+//! peer count), *commit* flushes the per-shard commit records, and only
+//! then is every copy installed. A failure or panic before that drops
+//! the copies: no shard's live state has moved. A crash or panic between
+//! two commit flushes leaves commit records on a strict subset of the
+//! peers; [`ShardedDirectory::recover_with_checkpoints`] reconciles by
+//! keeping a global transaction only when its commit is intact in
+//! **all** peer journals, so recovery converges to the same state the
+//! live engine kept.
 //!
 //! Every shard is a [`JournaledDirectory`]: the router decides *which*
-//! shards and in *what order*, the engine owns the write-ahead sequence
-//! on each.
+//! shards and in *what order*, the engine's one write-ahead driver runs
+//! the sequence across them — the same driver a one-engine write runs.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bschema_directory::ldif::LdifRecord;
 use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
-use bschema_obs::{names, Probe};
+use bschema_obs::Probe;
 
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
-use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError, SITE_SCHEMA_CUTOVER};
-use crate::journal::{shard_journal_path, Journal, RecoveryReport};
+use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
+use crate::journal::{shard_journal_path, Journal, Payload, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::managed::{inconsistency_error, ManagedDirectory, ManagedError};
@@ -282,7 +281,7 @@ fn final_full_schema(
     let mut best: Option<(u64, &crate::journal::JournalSchema)> = None;
     for journal in journals {
         for jtx in &journal.txs {
-            let (Some(schema), true) = (&jtx.schema, jtx.committed) else { continue };
+            let (Payload::Schema(schema), true) = (&jtx.payload, jtx.committed) else { continue };
             let intact = match (jtx.gid, jtx.peers) {
                 (Some(gid), Some(peers)) => commits.get(&gid).copied().unwrap_or(0) >= peers,
                 _ => true,
@@ -766,15 +765,19 @@ impl ShardedDirectory {
     /// The caller is responsible for §3 legality of the live instance
     /// under `target` (the evolution plane rechecks before calling);
     /// this method owns the mechanics: under the epoch write lock and
-    /// every shard lock (ascending — no transaction can interleave), a
-    /// schema record carrying one global id is flushed on every shard
-    /// (write-ahead, `jrnlocal` so replay strips `Cr`), every shard's
-    /// commit record lands, each shard engine swaps to the
-    /// `Cr`-stripped target, the `◇c` ledger is re-derived from scratch
-    /// under the new `Cr` key set, and the epoch is published.
-    /// A crash between the phases tears the cutover; recovery's
-    /// all-peers reconciliation then discards it on every shard, so
-    /// the directory converges to the pre-cutover epoch.
+    /// every shard lock (ascending — no transaction can interleave), the
+    /// cutover runs as a 2-phase apply like any cross-shard transaction
+    /// (the engine's one write driver): a schema record carrying one
+    /// global id is flushed on every shard (write-ahead, `jrnlocal` so
+    /// replay strips `Cr`), the `schema.cutover` site, every shard's
+    /// commit record, and each shard engine swaps to the `Cr`-stripped
+    /// target. Then the `◇c` ledger is re-derived from scratch under the
+    /// new `Cr` key set and the epoch is published. An error or panic
+    /// before the swaps — a begin flush, a fault site — comes back as an
+    /// `Err` with the old epoch live on every shard. A crash between the
+    /// phases tears the cutover; recovery's all-peers reconciliation then
+    /// discards it on every shard, so the directory converges to the
+    /// pre-cutover epoch.
     ///
     /// `validate` runs first, against the canonical merge of all shards
     /// while every shard lock is held — no transaction can commit
@@ -788,39 +791,17 @@ impl ShardedDirectory {
         validate: impl FnOnce(&DirectoryInstance) -> Result<(), ShardedError>,
     ) -> Result<(), ShardedError> {
         shardable(&target)?;
-        let probe = self.probe();
         let mut epoch = self.epoch.write().unwrap_or_else(|e| e.into_inner());
         let mut guards = self.lock_all();
         // Validation runs under every shard lock, against the same
         // frozen state the swap will publish.
         validate(&canonical_merge(guards.iter().map(|engine| engine.instance()))?)?;
         let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
-        let peers = guards.len() as u64;
-        // Phase 1: write-ahead the schema record on every shard. A
-        // flush error aborts with only uncommitted records journalled —
-        // recovery discards them and the old epoch stands.
         let local = target.without_required_classes();
-        let cutover = Op::Schema { schema: &local, dsl, local: true, global: Some((gid, peers)) };
-        let mut begun = Vec::with_capacity(guards.len());
-        for (k, engine) in guards.iter_mut().enumerate() {
-            probe.add_labeled("sharded.schema.prepare", &format!("shard{k}"), 1);
-            let certified = engine.certify(cutover)?;
-            begun.push(engine.begin(certified)?);
-        }
-        // Fault/probe site between epoch prepare (schema records
-        // write-ahead on every shard) and the swap: a panic here leaves
-        // uncommitted schema records — recovery discards them and the
-        // old epoch stands, so a retried cutover succeeds cleanly.
-        probe.add(SITE_SCHEMA_CUTOVER, 1);
-        // Phase 2: commit records on every shard, then swap every shard
-        // engine onto the Cr-stripped target. A torn flush is counted by
-        // the engine and repaired at recovery by the all-peers
-        // reconciliation rule.
-        let committed: Vec<_> =
-            guards.iter_mut().zip(begun).map(|(engine, begun)| engine.commit(begun).0).collect();
-        for (engine, committed) in guards.iter_mut().zip(committed) {
-            engine.install(committed);
-        }
+        let global = Some((gid, guards.len() as u64));
+        let cutover = Op::Schema { schema: &local, dsl, local: true, global };
+        let mut parts: Vec<_> = guards.iter_mut().map(|engine| (&mut **engine, cutover)).collect();
+        let _counted = JournaledDirectory::apply_all(&mut parts, self.probe())?;
         // Re-derive the `◇c` ledger under the new `Cr` key set.
         let required = required_class_names(&target);
         self.recount(&guards, &required);
@@ -871,13 +852,11 @@ impl ShardedDirectory {
         }
     }
 
-    /// Cross-shard 2-phase apply. Prepare: per shard, certify the
-    /// sub-transaction on a structurally shared copy, then flush `begin`
-    /// records carrying (gid, peers). Commit: flush every shard's commit
-    /// record, and only then install every copy. An error or panic
-    /// before that — including ones injected at the `sharded.*` probe
-    /// sites — drops the copies, so the live state is all-or-nothing
-    /// with nothing to restore; a torn commit flush is repaired at
+    /// Cross-shard 2-phase apply: every involved shard's part, stamped
+    /// with one fresh global id and the peer count, through the engine's
+    /// one driver ([`JournaledDirectory::apply_all`]) with its `sharded.*`
+    /// sites on the router's probe. An error or panic before the installs
+    /// leaves every shard as it was; a torn commit flush is repaired at
     /// recovery by the all-peers reconciliation.
     fn apply_cross(
         &self,
@@ -885,46 +864,16 @@ impl ShardedDirectory {
         subtxs: &[Transaction],
         ops: usize,
     ) -> Result<ShardedTxOutcome, ShardedError> {
-        let probe = self.probe();
         let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
-        let peers = guards.len() as u64;
-        let shards: Vec<usize> = guards.iter().map(|(k, _)| *k).collect();
-
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<_, ShardedError> {
-            // Phase 1: prepare every shard.
-            let mut begun = Vec::with_capacity(guards.len());
-            for ((k, engine), tx) in guards.iter_mut().zip(subtxs) {
-                probe.add_labeled(names::SHARD_PREPARE, &names::shard(*k), 1);
-                let certified = engine.certify(Op::Tx { tx, global: Some((gid, peers)) })?;
-                begun.push(engine.begin(certified)?);
-            }
-            probe.add(names::PREPARED, 1);
-            // Phase 2: commit every shard. A failed flush is counted by
-            // the engine; the verdict stands.
-            let mut committed = Vec::with_capacity(guards.len());
-            for ((k, engine), begun) in guards.iter_mut().zip(begun) {
-                probe.add_labeled(names::SHARD_COMMIT, &names::shard(*k), 1);
-                committed.push(engine.commit(begun).0);
-            }
-            Ok(committed)
-        }));
-        let refusal = match attempt {
-            Ok(Ok(committed)) => {
-                for ((_, engine), committed) in guards.iter_mut().zip(committed) {
-                    engine.install(committed);
-                }
-                return Ok(ShardedTxOutcome { shards, gid: Some(gid), ops });
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => {
-                ManagedError::Panicked { reason: crate::managed::panic_reason(payload.as_ref()) }
-                    .into()
-            }
-        };
-        // The `sharded.rollback` probe site is itself a chaos target: an
-        // injected panic here must not escape the apply.
-        let _ = catch_unwind(AssertUnwindSafe(|| probe.add(names::ROLLBACK, 1)));
-        Err(refusal)
+        let global = Some((gid, guards.len() as u64));
+        let shards = guards.iter().map(|(k, _)| *k).collect();
+        let mut parts: Vec<_> = guards
+            .iter_mut()
+            .zip(subtxs)
+            .map(|((_, engine), tx)| (&mut **engine, Op::Tx { tx, global }))
+            .collect();
+        let _counted = JournaledDirectory::apply_all(&mut parts, self.probe())?;
+        Ok(ShardedTxOutcome { shards, gid: Some(gid), ops })
     }
 }
 
@@ -1192,7 +1141,7 @@ mod tests {
         let live = sharded.merged_instance().expect("merge").canonical_bytes();
         let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
         assert!(
-            journals[0].committed().any(|tx| tx.modify.is_some()),
+            journals[0].committed().any(|tx| matches!(tx.payload, Payload::Modify(_))),
             "modify tx missing from shard 0 journal"
         );
         let (recovered, _) = recover(schema, bases, &journals).expect("recover");
@@ -1337,7 +1286,7 @@ mod tests {
         let journals = [Journal::parse(&mems[0].take()), Journal::parse(&mems[1].take())];
         for (k, journal) in journals.iter().enumerate() {
             assert!(
-                journal.txs.iter().any(|tx| tx.committed && tx.schema.is_some()),
+                journal.committed().any(|tx| matches!(tx.payload, Payload::Schema(_))),
                 "shard {k} journal is missing the schema record"
             );
         }
@@ -1365,14 +1314,66 @@ mod tests {
         let cut = full.rfind("\ndn: op=").expect("commit record present");
         let torn = &full[..cut + 1];
         let journals = [Journal::parse(&mems[0].take()), Journal::parse(torn)];
-        assert!(journals[0].txs.iter().any(|tx| tx.committed && tx.schema.is_some()));
-        assert!(!journals[1].txs.iter().any(|tx| tx.committed && tx.schema.is_some()));
+        let cutover =
+            |j: &Journal| j.committed().any(|tx| matches!(tx.payload, Payload::Schema(_)));
+        assert!(cutover(&journals[0]) && !cutover(&journals[1]));
         let (recovered, _) = recover(schema.clone(), bases, &journals).expect("recover");
         assert_eq!(
             crate::schema::dsl::print_schema(&recovered.schema(), None),
             crate::schema::dsl::print_schema(&schema, None),
             "a torn cutover must roll back to the boot epoch"
         );
+    }
+
+    /// A cutover on two shards that panics at `site`'s `occurrence`:
+    /// the call returns `panicked` with the epoch, every shard and the
+    /// `◇c` ledger as they were, recovery from the journals lands on the
+    /// old epoch, and the same call without the fault commits.
+    fn panicking_cutover_returns_and_retries(site: &str, occurrence: u64) {
+        use bschema_faults::{silence_injected_panics, FaultPlan};
+
+        silence_injected_panics();
+        let (dir, _) = white_pages_instance();
+        let schema = white_pages_schema();
+        let plan = Arc::new(FaultPlan::fail_at_site(site, occurrence));
+        let sharded = ShardedDirectory::with_instance(schema.clone(), dir.clone(), 2)
+            .expect("legal seed")
+            .with_probe(plan.clone());
+        let mems = journal_in_memory(&sharded);
+        let state = |s: &ShardedDirectory| {
+            let shards: Vec<Vec<u8>> =
+                (0..s.shards()).map(|k| s.shard_instance(k).canonical_bytes()).collect();
+            (crate::schema::dsl::print_schema(&s.schema(), None), shards, s.ledger())
+        };
+        let before = state(&sharded);
+
+        let (target, dsl) = relaxed_schema();
+        let err = sharded
+            .swap_schema_validated(target.clone(), &dsl, |_| Ok(()))
+            .expect_err("injected panic");
+        assert_eq!(err.code(), "panicked", "{site}: {err}");
+        assert_eq!(plan.injected(), 1, "{site}");
+        assert_eq!(state(&sharded), before, "{site}: a shard moved");
+
+        let journals: Vec<Journal> = mems.iter().map(|m| Journal::parse(&m.take())).collect();
+        let bases = partition(&dir, 2).expect("partition");
+        let (recovered, _) = recover(schema, bases, &journals).expect("recover");
+        assert_eq!(state(&recovered), before, "{site}: recovery left the old epoch");
+
+        sharded.swap_schema_validated(target, &dsl, |_| Ok(())).expect("the retry commits");
+        assert_eq!(crate::schema::dsl::print_schema(&sharded.schema(), None), dsl);
+    }
+
+    #[test]
+    fn a_panic_at_the_cutover_site_returns_with_the_old_epoch() {
+        panicking_cutover_returns_and_retries(crate::engine::SITE_SCHEMA_CUTOVER, 0);
+    }
+
+    #[test]
+    fn a_panic_between_two_cutover_commit_flushes_returns_with_the_old_epoch() {
+        // The second commit span is shard 1's, after shard 0's commit
+        // record was flushed.
+        panicking_cutover_returns_and_retries("span:journal.commit", 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum NodeRef {
 }
 
 /// One operation of a transaction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxOp {
     /// Insert `entry` under `parent` (`None` = new forest root).
     Insert {
@@ -49,7 +49,7 @@ pub enum TxOp {
 }
 
 /// A sequence of entry-level insertions and deletions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Transaction {
     ops: Vec<TxOp>,
 }
@@ -267,6 +267,12 @@ impl Transaction {
     /// Appends a delete.
     pub fn delete(&mut self, target: EntryId) {
         self.ops.push(TxOp::Delete { target });
+    }
+
+    /// Appends `op` as it stands — a journal decoder rebuilding the
+    /// transaction it recorded, op for op.
+    pub(crate) fn push(&mut self, op: TxOp) {
+        self.ops.push(op);
     }
 
     /// The raw operations.

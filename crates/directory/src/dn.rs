@@ -238,17 +238,6 @@ impl Dn {
         Dn { rdns }
     }
 
-    /// True iff `self` is an ancestor of `other` (proper: not equal), under
-    /// case-insensitive RDN matching.
-    pub fn is_ancestor_of(&self, other: &Dn) -> bool {
-        let (n, m) = (self.rdns.len(), other.rdns.len());
-        if n >= m {
-            return false;
-        }
-        // self's RDNs must equal the last n RDNs of other.
-        self.rdns.iter().zip(&other.rdns[m - n..]).all(|(a, b)| a.matches(b))
-    }
-
     /// Case-insensitive DN equivalence (RFC 4517 `distinguishedNameMatch`).
     pub fn matches(&self, other: &Dn) -> bool {
         self.rdns.len() == other.rdns.len()
@@ -410,16 +399,7 @@ mod tests {
         let dn = Dn::parse("uid=laks,o=att").unwrap();
         let parent = dn.parent().unwrap();
         assert_eq!(parent.to_string(), "o=att");
-        assert!(parent.is_ancestor_of(&dn));
-        assert!(!dn.is_ancestor_of(&parent));
         assert_eq!(parent.child(Rdn::single("uid", "laks")), dn);
-    }
-
-    #[test]
-    fn ancestor_is_proper() {
-        let dn = Dn::parse("o=att").unwrap();
-        assert!(!dn.is_ancestor_of(&dn));
-        assert!(Dn::root().is_ancestor_of(&dn));
     }
 
     #[test]
@@ -461,17 +441,5 @@ mod tests {
         assert!(matches!(Dn::parse("=laks"), Err(DnParseError::EmptyAttribute)));
         assert!(matches!(Dn::parse(r"cn=x\"), Err(DnParseError::BadEscape(_))));
         assert!(matches!(Dn::parse(r"cn=x\q,o=a"), Err(DnParseError::BadEscape(_))));
-    }
-
-    #[test]
-    fn is_ancestor_requires_suffix_match() {
-        let org = Dn::parse("o=att").unwrap();
-        let other = Dn::parse("uid=laks,o=ibm").unwrap();
-        assert!(!org.is_ancestor_of(&other));
-        let deep = Dn::parse("uid=laks,ou=db,o=att").unwrap();
-        assert!(org.is_ancestor_of(&deep));
-        let mid = Dn::parse("ou=db,o=att").unwrap();
-        assert!(mid.is_ancestor_of(&deep));
-        assert!(!Dn::parse("ou=db").unwrap().is_ancestor_of(&deep));
     }
 }

@@ -118,16 +118,6 @@ impl Entry {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }
 
-    /// Number of distinct attributes present.
-    pub fn attribute_count(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Total number of (attribute, value) pairs — the paper's `|val(e)|`.
-    pub fn value_count(&self) -> usize {
-        self.attrs.values().map(Vec::len).sum()
-    }
-
     // ----- class membership (Definition 2.1 condition 3b) -----
 
     /// The entry's object classes, original spelling — the paper's
@@ -263,7 +253,7 @@ mod tests {
         assert!(e.has_attribute("mail"));
         assert!(e.remove_value("mail", "a@b.c"));
         assert!(!e.has_attribute("mail"));
-        assert_eq!(e.attribute_count(), 0);
+        assert_eq!(e.attributes().count(), 0);
         assert!(!e.remove_value("mail", "a@b.c"));
     }
 
@@ -289,9 +279,10 @@ mod tests {
             .attr("mail", "laks@research.att.com")
             .build();
         // |val(e)| includes the three objectClass pairs.
-        assert_eq!(e.value_count(), 7);
+        let pairs: usize = e.attributes().map(|(_, values)| values.len()).sum();
+        assert_eq!(pairs, 7);
         assert_eq!(e.class_count(), 3);
-        assert_eq!(e.attribute_count(), 4);
+        assert_eq!(e.attributes().count(), 4);
     }
 
     #[test]

@@ -84,12 +84,6 @@ impl Oid {
         self.arcs.is_empty()
     }
 
-    /// True iff `self` is a proper prefix of `other` (i.e. `other` lives in
-    /// the subtree this OID roots in the global OID tree).
-    pub fn is_prefix_of(&self, other: &Oid) -> bool {
-        other.arcs.len() > self.arcs.len() && other.arcs[..self.arcs.len()] == self.arcs[..]
-    }
-
     /// Returns a child OID with one extra arc appended.
     pub fn child(&self, arc: u64) -> Oid {
         let mut arcs = self.arcs.clone();
@@ -182,10 +176,8 @@ mod tests {
     fn prefix_relation() {
         let root: Oid = "2.5.4".parse().unwrap();
         let cn: Oid = "2.5.4.3".parse().unwrap();
-        assert!(root.is_prefix_of(&cn));
-        assert!(!cn.is_prefix_of(&root));
-        assert!(!root.is_prefix_of(&root));
         assert_eq!(root.child(3), cn);
+        assert_eq!(cn.len(), root.len() + 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bschema_core::checkpoint::RecoveryPlan;
-use bschema_core::journal::Journal;
+use bschema_core::journal::{Journal, Payload};
 use bschema_core::schema::DirectorySchema;
 use bschema_core::ManagedDirectory;
 use bschema_directory::attribute::AttributeRegistry;
@@ -196,7 +196,7 @@ impl Follower {
             // A shipped schema record moves the replica to the new
             // epoch; track it so a later re-bootstrap expects the
             // evolved schema's hash rather than the boot schema's.
-            if let Some(schema) = &jtx.schema {
+            if let Payload::Schema(schema) = &jtx.payload {
                 self.schema =
                     schema.engine_schema().map_err(|e| FollowerError::Apply(e.to_string()))?;
             }

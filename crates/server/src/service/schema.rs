@@ -131,11 +131,12 @@ impl DirectoryService {
     /// [`revalidate`] — a no-op for relaxing-only plans
     /// (Definition 2.7) — then the full-schema record is write-ahead
     /// journalled, the commit record lands, and the engine swaps
-    /// schemas — on the single backend through the engine's one
-    /// write-ahead driver. The `schema.cutover` fault site sits between
-    /// the prepare (journalled schema record) and the swap: a panic there
-    /// leaves an uncommitted record that recovery discards, the old epoch
-    /// intact, and the proposal still staged — a retry simply succeeds.
+    /// schemas — on either backend through the engine's one write-ahead
+    /// driver. The `schema.cutover` fault site sits between the prepare
+    /// (journalled schema record) and the swap: a panic there answers
+    /// `ERR panicked` and leaves an uncommitted record that recovery
+    /// discards, the old epoch intact, and the proposal still staged — a
+    /// retry simply succeeds.
     pub fn schema_commit(&self) -> Result<String, ServiceError> {
         self.writable(&*self.probe)?;
         let mut slot = lock_unpoisoned(&self.evolution);

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
 
 use bschema_core::engine::{read_optional, JournaledDirectory};
-use bschema_core::journal::{Journal, JournalTx};
+use bschema_core::journal::{Journal, JournalTx, Payload};
 use bschema_core::ManagedDirectory;
 
 use super::{lock_unpoisoned, Backend, DirectoryService, ServiceError};
@@ -212,7 +212,7 @@ impl DirectoryService {
         engine.replay(jtx).map_err(|e| {
             ServiceError::new("replication", format!("applying shipped tx {}: {e}", jtx.id))
         })?;
-        if jtx.schema.is_some() {
+        if let Payload::Schema(_) = jtx.payload {
             // A shipped schema cutover: the primary already certified
             // the instance legal under the new schema, so the follower
             // adopted it directly and bumps its own epoch.
