@@ -14,6 +14,13 @@
 #   `DirectoryInstance::prepare` (crates/directory/src/instance.rs);
 # * `ensure_numbered(` is called only inside `crates/directory/src`.
 #
+# A write also copies no more of the forest than the chunks it touches:
+# the link arena is a chunked copy-on-write vector like the entry and
+# RDN tables (DESIGN.md §10), so
+#
+# * `crates/directory/src/forest.rs` declares no `Vec<Node>` field, and
+# * defines no `with_capacity` (a chunked arena has nothing to reserve).
+#
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
 # module.
@@ -50,6 +57,17 @@ if [ -n "$renumbers" ]; then
     echo "$renumbers"
     echo "error: Forest::ensure_numbered( called outside crates/directory/src;" >&2
     echo "       DirectoryInstance::prepare is the one sync point (DESIGN.md §4)" >&2
+    status=1
+fi
+forest=crates/directory/src/forest.rs
+flat=$(
+    calls '^[[:space:]]*(pub[^[:space:]]*[[:space:]]+)?[a-z_]+:[[:space:]]*Vec<Node>' "$forest"
+    calls 'fn[[:space:]]+with_capacity[(<]' "$forest"
+)
+if [ -n "$flat" ]; then
+    echo "$flat"
+    echo "error: $forest must keep its nodes in a CowVec, with no capacity to reserve;" >&2
+    echo "       a flat arena is copied whole by every clone (DESIGN.md §10)" >&2
     status=1
 fi
 exit "$status"

@@ -1,14 +1,16 @@
 //! A chunked copy-on-write vector.
 //!
-//! The slot-parallel side tables of a
-//! [`DirectoryInstance`](crate::DirectoryInstance) live in fixed-width
-//! chunks behind `Arc`s, so cloning an instance copies one pointer per
-//! chunk and two versions share every chunk neither of them wrote to.
-//! A write un-shares exactly the chunk it touches ([`Arc::make_mut`]);
+//! The slot-parallel tables of a
+//! [`DirectoryInstance`](crate::DirectoryInstance) — its entries, its
+//! RDNs and its forest's link arena — live in fixed-width chunks behind
+//! `Arc`s, so cloning an instance copies one pointer per chunk and two
+//! versions share every chunk neither of them wrote to. A write
+//! un-shares exactly the chunk it touches ([`Arc::make_mut`]);
 //! dropping a version frees only the chunks it owned alone. That makes
 //! a clone and its drop O(len / CHUNK), which is what lets a whole-copy
 //! be the unit of atomicity for a transaction of |ΔD| entries.
 
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// Slots per chunk: what one write to a shared vector copies.
@@ -23,7 +25,7 @@ pub(crate) struct CowVec<T> {
 
 impl<T: Clone> CowVec<T> {
     pub(crate) fn new() -> Self {
-        CowVec { chunks: Vec::new() }
+        CowVec::default()
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -40,21 +42,55 @@ impl<T: Clone> CowVec<T> {
         Arc::make_mut(self.chunks.get_mut(index / CHUNK)?).get_mut(index % CHUNK)
     }
 
-    /// Grows to at least `len` slots, filling new ones from `fill`. Only
-    /// the last chunk is ever written to.
-    pub(crate) fn grow_to(&mut self, len: usize, mut fill: impl FnMut() -> T) {
-        for index in self.len()..len {
-            if index % CHUNK == 0 {
-                self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
-            }
-            Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push(fill());
+    /// Appends one slot. Only the last chunk is ever written to.
+    pub(crate) fn push(&mut self, value: T) {
+        if self.len() % CHUNK == 0 {
+            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
         }
+        Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push(value);
+    }
+
+    /// Grows to at least `len` slots, filling new ones from `fill`.
+    pub(crate) fn grow_to(&mut self, len: usize, mut fill: impl FnMut() -> T) {
+        for _ in self.len()..len {
+            self.push(fill());
+        }
+    }
+}
+
+impl<T> Default for CowVec<T> {
+    fn default() -> Self {
+        CowVec { chunks: Vec::new() }
+    }
+}
+
+impl<T> Index<usize> for CowVec<T> {
+    type Output = T;
+
+    fn index(&self, index: usize) -> &T {
+        &self.chunks[index / CHUNK][index % CHUNK]
+    }
+}
+
+/// Like [`CowVec::get_mut`]: the slot's chunk is un-shared first.
+impl<T: Clone> IndexMut<usize> for CowVec<T> {
+    fn index_mut(&mut self, index: usize) -> &mut T {
+        &mut Arc::make_mut(&mut self.chunks[index / CHUNK])[index % CHUNK]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> CowVec<T> {
+        /// How many of `self`'s chunks are not `other`'s own chunk at
+        /// the same position: what a write to one of two clones copied.
+        pub(crate) fn unshared_chunks(&self, other: &CowVec<T>) -> usize {
+            let shared = self.chunks.iter().zip(&other.chunks).filter(|(x, y)| Arc::ptr_eq(x, y));
+            self.chunks.len() - shared.count()
+        }
+    }
 
     fn filled(len: usize) -> CowVec<usize> {
         let mut v = CowVec::new();
@@ -96,5 +132,27 @@ mod tests {
         let shared: Vec<bool> =
             a.chunks.iter().zip(&b.chunks).map(|(x, y)| Arc::ptr_eq(x, y)).collect();
         assert_eq!(shared, [true, false, true], "only the written chunk is copied");
+        assert_eq!(b.unshared_chunks(&a), 2, "the written chunk and the one grown");
+    }
+
+    #[test]
+    fn indexing_reads_and_writes_like_get() {
+        let a = filled(2 * CHUNK + 3);
+        let mut b = a.clone();
+        for i in [0, CHUNK - 1, CHUNK, 2 * CHUNK + 2] {
+            assert_eq!(a[i], i);
+            b[i] += 1000;
+            assert_eq!(b.get(i), Some(&(i + 1000)));
+        }
+        assert_eq!(contents(&a), (0..2 * CHUNK + 3).collect::<Vec<_>>());
+        assert_eq!(b.unshared_chunks(&a), 3);
+        b.push(7);
+        assert_eq!((b.len(), b[2 * CHUNK + 3]), (2 * CHUNK + 4, 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn indexing_past_the_end_panics() {
+        let _ = filled(CHUNK)[CHUNK];
     }
 }

@@ -16,12 +16,23 @@
 //! exhausted gap renumbers the forest, preserving order; only a move,
 //! which reorders a whole subtree, leaves the numbering stale.
 //!
+//! The arena is a chunked copy-on-write vector (`crate::cow`), like the
+//! entry and RDN tables of a [`DirectoryInstance`](crate::DirectoryInstance):
+//! a clone shares every chunk of nodes, and a write copies only the
+//! chunks holding the nodes it links, unlinks or relabels — the new node,
+//! its parent and siblings, and the ancestors whose `end` moves. A
+//! transaction on a copy of |D| entries therefore copies
+//! O(|ΔD| · depth) chunks, not the arena. A renumber rewrites every
+//! label and so un-shares every chunk, as a flat arena's clone would.
+//!
 //! LDAP update discipline (paper §4.1) is enforced here: new entries are
 //! roots or children of existing entries; only leaves can be removed one at a
 //! time ([`Forest::remove_leaf`]), with [`Forest::remove_subtree`] as the
 //! paper's subtree-granularity composite.
 
 use std::fmt;
+
+use crate::cow::CowVec;
 
 /// Stable handle to an entry slot in a [`Forest`].
 ///
@@ -49,7 +60,7 @@ impl fmt::Display for EntryId {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     parent: Option<EntryId>,
     first_child: Option<EntryId>,
@@ -135,10 +146,11 @@ const STRIDE: u64 = 1 << 24;
 /// starts.
 const STEP: u64 = 1 << 12;
 
-/// An arena forest with gap-labelled preorder interval numbering.
+/// An arena forest with gap-labelled preorder interval numbering, whose
+/// clones share the arena chunk by chunk (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct Forest {
-    nodes: Vec<Node>,
+    nodes: CowVec<Node>,
     first_root: Option<EntryId>,
     last_root: Option<EntryId>,
     free: Vec<u32>,
@@ -150,11 +162,6 @@ impl Forest {
     /// An empty forest.
     pub fn new() -> Forest {
         Forest::default()
-    }
-
-    /// An empty forest with room for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Forest {
-        Forest { nodes: Vec::with_capacity(capacity), ..Forest::default() }
     }
 
     /// Number of live entries.
@@ -197,20 +204,8 @@ impl Forest {
         if live.len() + free.len() != slot_bound {
             return Err(invalid("live + free slot counts must equal the slot bound"));
         }
-        let mut forest = Forest {
-            nodes: (0..slot_bound)
-                .map(|_| {
-                    let mut n = Node::detached();
-                    n.alive = false;
-                    n
-                })
-                .collect(),
-            first_root: None,
-            last_root: None,
-            free: free.to_vec(),
-            len: live.len(),
-            numbering_valid: false,
-        };
+        let mut forest = Forest { free: free.to_vec(), len: live.len(), ..Forest::default() };
+        forest.nodes.grow_to(slot_bound, || Node { alive: false, ..Node::detached() });
         for &(slot, parent) in live {
             let id = EntryId(slot);
             if id.index() >= slot_bound {
@@ -1068,6 +1063,67 @@ mod tests {
         let mut f = Forest::new();
         let r = f.add_root();
         assert_eq!(f.postorder_of(r), [r]);
+    }
+
+    /// Everything a reader of a numbered forest observes of its nodes:
+    /// the preorder, every `[pre, end]`, the free stack and the arena size.
+    type Observed = (Vec<EntryId>, Vec<(u64, u64)>, Vec<u32>, usize);
+
+    fn observed(f: &Forest) -> Observed {
+        let order: Vec<EntryId> = f.iter().collect();
+        let labels = order.iter().map(|&id| (f.pre(id), f.end(id))).collect();
+        (order, labels, f.free_slots().to_vec(), f.slot_bound())
+    }
+
+    #[test]
+    fn a_write_to_a_clone_copies_the_chunks_it_touches_and_never_reaches_the_original() {
+        // Every node hangs under a random earlier one: ≈313 chunks, with
+        // ancestor chains spread over them.
+        let mut f = Forest::new();
+        let mut ids = vec![f.add_root()];
+        let mut rng = 31u64;
+        for _ in 1..20_000 {
+            let parent = ids[next_random(&mut rng) % ids.len()];
+            ids.push(f.add_child(parent).unwrap());
+        }
+        f.ensure_numbered();
+        let mut leaves: Vec<EntryId> = ids.iter().copied().filter(|&id| f.is_leaf(id)).collect();
+        for leaf in leaves.drain(..5) {
+            f.remove_leaf(leaf).unwrap();
+        }
+        let before = observed(&f);
+        let arena: Vec<Node> = (0..f.slot_bound()).map(|i| f.nodes[i].clone()).collect();
+        let untouched = |f: &Forest| (0..arena.len()).all(|i| f.nodes[i] == arena[i]);
+
+        for _ in 0..100 {
+            // An insertion writes the new node (a reused slot here), its
+            // previous sibling, its parent and the parent's ancestors.
+            let parent = ids[next_random(&mut rng) % ids.len()];
+            if !f.contains(parent) {
+                continue;
+            }
+            let mut copy = f.clone();
+            assert_eq!(copy.nodes.unshared_chunks(&f.nodes), 0, "a clone shares every chunk");
+            copy.add_child(parent).unwrap();
+            let depth = f.depth(parent);
+            let copied = copy.nodes.unshared_chunks(&f.nodes);
+            assert!(copied <= depth + 3, "{copied} chunks copied to insert under depth {depth}");
+            assert!(untouched(&f), "an insertion into a clone reached the original");
+            copy.check_numbering().unwrap();
+
+            // A leaf removal writes the leaf, both its siblings and the
+            // ancestors whose interval it ended.
+            let leaf = leaves[next_random(&mut rng) % leaves.len()];
+            let mut copy = f.clone();
+            copy.remove_leaf(leaf).unwrap();
+            let depth = f.depth(leaf);
+            let copied = copy.nodes.unshared_chunks(&f.nodes);
+            assert!(copied <= depth + 3, "{copied} chunks copied to remove at depth {depth}");
+            assert!(untouched(&f), "a removal from a clone reached the original");
+            copy.check_numbering().unwrap();
+        }
+        f.check_numbering().unwrap();
+        assert!(observed(&f) == before);
     }
 
     /// Snapshot `f` through the slot-exact API and rebuild it.

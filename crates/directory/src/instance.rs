@@ -122,10 +122,10 @@ const REBUILD_FRACTION: usize = 32;
 
 /// An LDAP directory instance.
 ///
-/// Cloning is cheap and structurally shared: the entry and RDN tables
-/// are chunked copy-on-write vectors, the registry and every list of
-/// the index sit behind `Arc`s, and only the forest's link arena is
-/// copied outright.
+/// Cloning is cheap and structurally shared: the entry table, the RDN
+/// table and the forest's link arena are chunked copy-on-write vectors,
+/// and the registry and every list of the index sit behind `Arc`s, so
+/// a clone copies one pointer per chunk and nothing else of size |D|.
 /// Two clones share every chunk neither has written to, so a clone is
 /// the unit of atomicity of a transaction (mutate the copy, swap it in
 /// or drop it) and of publication (readers keep the version they

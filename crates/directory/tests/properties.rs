@@ -374,12 +374,55 @@ fn seeded(chunks: usize, slack: isize) -> DirectoryInstance {
     dir
 }
 
+/// What a reader of `dir` can tell apart: its canonical bytes, its
+/// preorder, its free stack and, while numbered, every `[pre, end]`.
+type Observed = (Vec<u8>, Vec<EntryId>, Vec<u32>, Option<Vec<(u64, u64)>>);
+
+fn observed(dir: &DirectoryInstance) -> Observed {
+    let forest = dir.forest();
+    let order: Vec<EntryId> = forest.iter().collect();
+    let labels = forest
+        .is_numbered()
+        .then(|| order.iter().map(|&id| (forest.pre(id), forest.end(id))).collect());
+    (dir.canonical_bytes(), order, forest.free_slots().to_vec(), labels)
+}
+
+/// The structural writes an edit script does not make: appends into one
+/// gap of the numbering until the forest renumbers, then a subtree move,
+/// which leaves the numbering stale until the next `prepare()`. Targets
+/// are picked modulo the entry counts they pick from.
+fn renumber_and_move(dir: &mut DirectoryInstance, (at, moved, to): (usize, usize, usize)) {
+    dir.prepare();
+    let live: Vec<EntryId> = dir.forest().iter().collect();
+    // A new root is labelled one `STEP` past the last entry in preorder,
+    // so the entries whose subtree ends on that one append into a gap a
+    // dozen halvings exhaust; only the renumber that follows moves the
+    // new root's label.
+    let last = *live.last().expect("seeded instances are never empty");
+    let path: Vec<EntryId> = std::iter::once(last).chain(dir.forest().ancestors(last)).collect();
+    let sentinel = dir.add_root_entry(Entry::builder().class("top").build());
+    let label = dir.forest().pre(sentinel);
+    for appends in 1.. {
+        let parent = path[at % path.len()];
+        dir.add_child_entry(parent, Entry::builder().class("top").build()).expect("parent is live");
+        if dir.forest().pre(sentinel) != label {
+            break;
+        }
+        assert!(appends < 64, "no renumber after {appends} appends into one gap");
+    }
+    let (moved, to) = (live[moved % live.len()], live[to % live.len()]);
+    if moved != to && !dir.forest().is_ancestor(moved, to) {
+        dir.move_subtree(moved, to).expect("a legal move");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A clone shares storage with its source, and neither side ever
-    /// sees the other's writes: mutate one, the other's canonical bytes
-    /// stand — across chunk boundaries, through free-slot reuse, and
+    /// sees the other's writes: mutate one — edits, a renumber, a move —
+    /// and the other's preorder, labels, free stack and canonical bytes
+    /// stand, across chunk boundaries, through free-slot reuse, and
     /// through a slot-exact snapshot round trip.
     #[test]
     fn clones_are_isolated_and_slot_exact(
@@ -387,20 +430,26 @@ proptest! {
         slack in -2isize..3,
         left in proptest::collection::vec(edit_strategy(), 1..24),
         right in proptest::collection::vec(edit_strategy(), 1..24),
+        restructure in (any::<u16>(), any::<u16>(), any::<u16>())
+            .prop_map(|(at, moved, to)| (at as usize, moved as usize, to as usize)),
     ) {
         let mut a = seeded(chunks, slack);
         if chunks == 2 {
             a.prepare();
         }
-        let original = a.canonical_bytes();
+        let original = observed(&a);
 
         let mut b = a.clone();
         apply_edits(&mut b, &left, "l");
-        prop_assert_eq!(a.canonical_bytes(), original.clone(), "the clone's writes reached the source");
-        let b_bytes = b.canonical_bytes();
+        renumber_and_move(&mut b, restructure);
+        prop_assert!(observed(&a) == original, "the clone's writes reached the source");
+        b.prepare();
+        let b_seen = observed(&b);
+        let b_bytes = b_seen.0.clone();
 
         apply_edits(&mut a, &right, "r");
-        prop_assert_eq!(b.canonical_bytes(), b_bytes.clone(), "the source's writes reached the clone");
+        renumber_and_move(&mut a, restructure);
+        prop_assert!(observed(&b) == b_seen, "the source's writes reached the clone");
 
         // A third version forked from the clone is as independent.
         let mut c = b.clone();
