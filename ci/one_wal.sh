@@ -1,23 +1,27 @@
 #!/usr/bin/env bash
 # Grep-gate: the write-ahead sequence exists once, and so does rollback.
 #
-# `JournaledDirectory::apply_all` in `crates/core/src/engine.rs` is the
-# one driver of a write, to one engine or many: `apply` is its one-engine
-# case, and the router's cross-shard apply and schema cutover each call
-# it once (DESIGN.md §16 "Callers"). The token chain it runs (`certify` →
+# `ManagedDirectory::apply_all` in `crates/core/src/managed.rs` is the
+# one driver of a write, to one directory or many: `apply_op` is its
+# one-directory case and every `ManagedDirectory` mutator runs it, and
+# the router's cross-shard apply and schema cutover each call it once
+# (DESIGN.md §16 "Callers"). The token chain it runs (`certify` →
 # `Certified` → `begin` → `Begun` → `commit` → `Committed` → `install`)
-# is private to `engine.rs`, so outside that file non-test code may not
-# name a token type or call `certify(` / `install(`. `managed.rs` is
-# exempt from the call check only — its own `certify`/`install` are the
-# `ManagedDirectory` halves the engine's steps wrap.
+# is private to `managed.rs`, so outside that file non-test code may not
+# name a token type or call `certify(` / `install(`.
 #
 # `JournalWriter::{begin_op, begin, begin_modify, commit}` may only be
 # called from `crates/core/src/journal.rs` (the writer itself) and
-# `crates/core/src/engine.rs` (`JournaledDirectory`, which owns
+# `crates/core/src/managed.rs` (`ManagedDirectory`, which owns
 # "certified before it is journalled, begin flushed before the live
 # state changes" — DESIGN.md "Durability"). Everything else goes through
-# the engine, so a new write path cannot forget the flush, the sync or
+# the driver, so a new write path cannot forget the flush, the sync or
 # the ordering.
+#
+# There is one engine type and the probe is an argument of every write:
+# `JournaledDirectory`, `ProbeHandle`, `swap_probe(` and `shared_probe(`
+# may not come back anywhere under `crates/`, `tests/` or `examples/`,
+# comments and tests included.
 #
 # The writer has one begin encoder and a journal transaction one payload:
 # `begin_global(`, `begin_schema(` and `to_transaction(` may not come
@@ -45,7 +49,7 @@ cd "$(dirname "$0")/.."
 status=0
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
     case "$f" in
-        crates/core/src/journal.rs | crates/core/src/engine.rs) continue ;;
+        crates/core/src/journal.rs | crates/core/src/managed.rs) continue ;;
     esac
     hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
@@ -61,29 +65,34 @@ for f in $(find crates/*/src examples -name '*.rs' | sort); do
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "error: JournalWriter driven by hand outside crates/core/src/{journal,engine}.rs;" >&2
-    echo "       go through JournaledDirectory (DESIGN.md \"Durability\")" >&2
+    echo "error: JournalWriter driven by hand outside crates/core/src/{journal,managed}.rs;" >&2
+    echo "       go through ManagedDirectory::apply_op (DESIGN.md \"Durability\")" >&2
 fi
 
 for f in $(find crates/*/src examples -name '*.rs' | sort); do
-    case "$f" in
-        crates/core/src/engine.rs) continue ;;
-        crates/core/src/managed.rs) calls=0 ;;
-        *) calls=1 ;;
-    esac
-    hits=$(awk -v calls="$calls" '
+    [ "$f" = crates/core/src/managed.rs ] && continue
+    hits=$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }
         /(^|[^A-Za-z0-9_])(Certified|Begun|Committed)([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0; next }
-        calls && /\.(certify|install)\(/ { print FILENAME ":" FNR ": " $0 }
+        /\.(certify|install)\(/ { print FILENAME ":" FNR ": " $0 }
     ' "$f")
     if [ -n "$hits" ]; then
         echo "$hits"
-        echo "error: the engine's token chain driven outside crates/core/src/engine.rs;" >&2
-        echo "       call JournaledDirectory::apply or apply_all (DESIGN.md §16 \"Callers\")" >&2
+        echo "error: the write driver's token chain driven outside crates/core/src/managed.rs;" >&2
+        echo "       call ManagedDirectory::apply_op or apply_all (DESIGN.md §16 \"Callers\")" >&2
         status=1
     fi
 done
+
+hits=$(grep -rnE 'JournaledDirectory|ProbeHandle|(swap|shared)_probe\(' crates tests examples \
+    --include='*.rs' || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "error: a second engine type or a stored, swapped probe is back; pass the probe to" >&2
+    echo "       ManagedDirectory::apply_op (DESIGN.md §9, §16)" >&2
+    status=1
+fi
 
 hits=$(grep -rnE '(begin_global|begin_schema|to_transaction)\(' crates tests examples \
     --include='*.rs' || true)

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bschema_core::checkpoint::{checkpoint_path, RecoveryPlan};
-use bschema_core::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
+use bschema_core::engine::{JournalFiles, Op, OpenError};
 use bschema_core::journal::Journal;
 use bschema_core::legality::LegalityChecker;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
@@ -34,26 +34,25 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
         silence_injected_panics();
         Arc::new(FaultPlan::fail_nth(n).with_inner(recorder.clone()))
     });
-    let mut managed = ManagedDirectory::with_instance(parsed.schema.clone(), dir)
+    let probe: &dyn Probe = match &plan {
+        Some(plan) => &**plan,
+        None if obs.wanted() => &*recorder,
+        None => bschema_obs::noop(),
+    };
+    let managed = ManagedDirectory::with_instance(parsed.schema.clone(), dir)
         .map_err(|e| CliError { message: e.to_string(), code: 1 })?;
-    if let Some(plan) = &plan {
-        managed = managed.with_probe(plan.clone());
-    } else if obs.wanted() {
-        managed = managed.with_probe(recorder.clone());
-    }
 
     // With `--journal` the file is opened through the one recovery path:
     // torn tail repaired in place, checkpoint + history replayed onto the
     // data file, writer resumed past both cursors. The transaction is
     // then built and checked against the *recovered* state.
     let mut engine = match journal_path {
-        None => JournaledDirectory::new(managed),
+        None => managed,
         Some(path) => {
-            let (engine, report) =
-                JournaledDirectory::open(managed, path).map_err(|e| match e {
-                    OpenError::Io(e) => usage_error(format!("journal {path:?}: {e}")),
-                    OpenError::Recovery(e) => CliError { message: e.to_string(), code: 1 },
-                })?;
+            let (engine, report) = ManagedDirectory::open(managed, path).map_err(|e| match e {
+                OpenError::Io(e) => usage_error(format!("journal {path:?}: {e}")),
+                OpenError::Recovery(e) => CliError { message: e.to_string(), code: 1 },
+            })?;
             if report.truncated {
                 let _ = writeln!(
                     out,
@@ -82,7 +81,7 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
     let journal_error = |e: &dyn std::fmt::Display| {
         usage_error(format!("cannot write journal {journal_path:?}: {e}"))
     };
-    let code = match engine.apply(Op::Tx { tx: &tx, global: None }, None) {
+    let code = match engine.apply_op(Op::Tx { tx: &tx, global: None }, probe) {
         Ok(flushed) => {
             // Unlike a server, the process ends here: a commit record
             // that did not reach the file means the change is lost.
@@ -91,7 +90,7 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
                 out,
                 "APPLIED: {} op(s); directory now has {} entries (legal)",
                 tx.len(),
-                engine.managed().len()
+                engine.len()
             );
             0
         }
@@ -266,7 +265,7 @@ pub(crate) fn checkpoint(args: &[String], out: &mut String) -> Result<i32, CliEr
         }
     };
     let folded = recovery.report.replayed;
-    let mut engine = JournaledDirectory::from_recovery(recovery);
+    let mut engine = recovery.managed;
     engine.attach_file(journal_path.into());
     let seq = engine
         .checkpoint(&Recorder::new())
@@ -274,7 +273,7 @@ pub(crate) fn checkpoint(args: &[String], out: &mut String) -> Result<i32, CliEr
     let _ = writeln!(
         out,
         "CHECKPOINTED: {} entries at seq {seq} -> {}; journal truncated ({folded} committed tx(s) folded in)",
-        engine.managed().len(),
+        engine.len(),
         checkpoint_path(std::path::Path::new(journal_path)).display(),
     );
     Ok(0)

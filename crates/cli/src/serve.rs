@@ -165,8 +165,7 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
         service = service.with_checkpoint_every(every);
     }
 
-    let config =
-        ServerConfig { addr: addr.to_owned(), threads, queue_depth, ..ServerConfig::default() };
+    let config = ServerConfig { addr: addr.to_owned(), threads, queue_depth };
     let service = Arc::new(service);
     let handle = Server::spawn(service.clone(), config)
         .map_err(|e| usage_error(format!("cannot serve on {addr:?}: {e}")))?;

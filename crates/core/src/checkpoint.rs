@@ -83,7 +83,6 @@ use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
 use bschema_directory::{AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
 use bschema_obs::Probe;
 
-use crate::engine::JournaledDirectory;
 use crate::journal::{Journal, JournalTx, JournalWriter, Payload, RecoveryReport};
 use crate::managed::{ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
@@ -462,11 +461,10 @@ fn replace_durably(path: &Path, bytes: &[u8], site: &str, probe: &dyn Probe) -> 
 /// Outcome of [`recover_with_checkpoint`].
 #[derive(Debug)]
 pub struct CheckpointRecovery {
-    /// The recovered directory.
+    /// The recovered directory. Its journal writer is positioned to
+    /// append the next record: sequence and transaction ids continue
+    /// across the checkpoint.
     pub managed: ManagedDirectory,
-    /// A writer positioned to append the next record (sequence and
-    /// transaction ids continue across the checkpoint).
-    pub writer: JournalWriter,
     /// Replay statistics over the journal tail.
     pub report: RecoveryReport,
     /// The sequence the used checkpoint covered, or `None` when
@@ -565,16 +563,16 @@ impl RecoveryPlan {
     /// Carries the plan out over the `journal` it was made for: restore
     /// the checkpoint (or start from `base`), then the one replay loop —
     /// committed transactions past the covered sequence go back through
-    /// the checked apply path, uncommitted ones are discarded. The
-    /// returned writer resumes at the higher of the journal's and the
-    /// checkpoint's cursors, so numbering never rewinds across a
-    /// truncation.
+    /// the checked apply path, unprobed, uncommitted ones are discarded.
+    /// The recovered directory's writer resumes at the higher of the
+    /// journal's and the checkpoint's cursors, so numbering never rewinds
+    /// across a truncation.
     pub fn execute(
         self,
         base: DirectoryInstance,
         journal: &Journal,
     ) -> Result<CheckpointRecovery, ManagedError> {
-        let (managed, ckpt) = match self {
+        let (mut managed, ckpt) = match self {
             RecoveryPlan::Fatal(reason) => return Err(ManagedError::Recovery(reason)),
             RecoveryPlan::FullReplay { schema, .. } => {
                 (ManagedDirectory::for_recovery(schema, base)?, None)
@@ -587,7 +585,6 @@ impl RecoveryPlan {
             }
         };
         let covered = ckpt.as_ref().map_or(0, |c| c.seq);
-        let mut engine = JournaledDirectory::new(managed);
         let mut report = RecoveryReport {
             replayed: 0,
             schema_cutovers: 0,
@@ -600,7 +597,7 @@ impl RecoveryPlan {
                 report.discarded += 1;
                 continue;
             }
-            engine.replay(jtx).map_err(|e| {
+            managed.replay(jtx, bschema_obs::noop()).map_err(|e| {
                 ManagedError::Recovery(format!("replaying committed tx {}: {e}", jtx.id))
             })?;
             report.replayed += 1;
@@ -614,8 +611,7 @@ impl RecoveryPlan {
             writer = writer.with_shard(shard as usize);
         }
         Ok(CheckpointRecovery {
-            managed: engine.into_managed(),
-            writer,
+            managed: managed.with_writer(writer),
             report,
             checkpoint_seq: ckpt.map(|c| c.seq),
         })
@@ -636,7 +632,7 @@ pub fn recover_with_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{MemoryJournal, Op};
+    use crate::engine::MemoryJournal;
     use crate::paper::{white_pages_instance, white_pages_schema, Figure1};
     use crate::updates::Transaction;
     use bschema_obs::NoopProbe;
@@ -652,25 +648,20 @@ mod tests {
     /// A managed white-pages directory with some journalled history:
     /// two committed transactions (one delete, one insert) and one
     /// aborted tail.
-    fn journalled_fixture() -> (JournaledDirectory, MemoryJournal, String, Figure1) {
+    fn journalled_fixture() -> (ManagedDirectory, MemoryJournal, String, Figure1) {
         let schema = white_pages_schema();
         let (dir, ids) = white_pages_instance();
-        let managed = ManagedDirectory::with_instance(schema, dir).expect("fixture is legal");
-        let mut live = JournaledDirectory::new(managed);
+        let mut live = ManagedDirectory::with_instance(schema, dir).expect("fixture is legal");
         let mem = MemoryJournal::default();
         live.set_sink(mem.sink());
 
         let mut tx = Transaction::new();
         tx.delete(ids.suciu);
-        live.apply(Op::Tx { tx: &tx, global: None }, None)
-            .expect("delete applies")
-            .expect("flushes");
+        live.apply(&tx).expect("delete applies");
 
         let mut tx = Transaction::new();
         tx.insert_under(ids.att_labs, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx, global: None }, None)
-            .expect("insert applies")
-            .expect("flushes");
+        live.apply(&tx).expect("insert applies");
 
         // An aborted transaction: the entry carries an attribute its
         // classes do not allow, so legality rolls it back and the
@@ -684,7 +675,7 @@ mod tests {
                 .attr("mail", "bad@example.net")
                 .build(),
         );
-        let _ = live.apply(Op::Tx { tx: &tx, global: None }, None);
+        live.apply(&tx).expect_err("an illegal insert rolls back");
 
         let text = mem.take();
         (live, mem, text, ids)
@@ -739,9 +730,7 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("post-ckpt"));
-        live.apply(Op::Tx { tx: &tx, global: None }, None)
-            .expect("tail tx applies")
-            .expect("flushes");
+        live.apply(&tx).expect("tail tx applies");
         let tail = mem.take();
 
         // Rung 3 (steady state): checkpoint + tail only.
@@ -757,9 +746,8 @@ mod tests {
         assert_eq!(rec.checkpoint_seq, Some(ckpt.seq));
         assert_eq!(rec.report.replayed, 1);
         assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
-        let cursor = live.capture(None);
-        assert_eq!(rec.writer.records_emitted(), cursor.seq);
-        assert_eq!(rec.writer.next_tx(), cursor.next_tx);
+        let (cursor, resumed) = (live.capture(None), rec.managed.capture(None));
+        assert_eq!((resumed.seq, resumed.next_tx), (cursor.seq, cursor.next_tx));
 
         // Rung 2 (crash before truncation): checkpoint + full journal.
         // The replay rule skips what the snapshot already contains.
@@ -792,9 +780,7 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("tail-only"));
-        live.apply(Op::Tx { tx: &tx, global: None }, None)
-            .expect("tail tx applies")
-            .expect("flushes");
+        live.apply(&tx).expect("tail tx applies");
         let tail = mem.take();
         let journal = Journal::parse(&tail);
 
@@ -846,9 +832,7 @@ mod tests {
         let parent = ids.att_labs;
         let mut tx = Transaction::new();
         tx.insert_under(parent, researcher("after"));
-        live.apply(Op::Tx { tx: &tx, global: None }, None)
-            .expect("tail tx applies")
-            .expect("flushes");
+        live.apply(&tx).expect("tail tx applies");
         let tail = mem.take();
         let journal = Journal::parse(&tail);
         let (base, _ids) = white_pages_instance();

@@ -10,8 +10,8 @@
 //! ([`recover_with_checkpoint`](crate::checkpoint::recover_with_checkpoint))
 //! replays exactly the committed transactions, re-validating each
 //! through the normal apply path and discarding uncommitted tails.
-//! [`JournaledDirectory`](crate::engine::JournaledDirectory) is the one
-//! place that sequence is driven from.
+//! [`ManagedDirectory`](crate::managed::ManagedDirectory)'s one write
+//! driver is the one place that sequence is driven from.
 //!
 //! ## Format
 //!
@@ -605,9 +605,9 @@ impl Journal {
 /// point then leaves either no trace, an uncommitted (discarded) tail,
 /// or a fully committed transaction — never a half-truth. Production
 /// code does not drive this by hand:
-/// [`JournaledDirectory`](crate::engine::JournaledDirectory) owns the
+/// [`ManagedDirectory`](crate::managed::ManagedDirectory) owns the
 /// sequence (`ci/one_wal.sh` enforces it).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct JournalWriter {
     seq: u64,
     next_tx: u64,
@@ -817,17 +817,17 @@ pub struct RecoveryReport {
 mod tests {
     use super::*;
     use crate::checkpoint::recover_with_checkpoint;
-    use crate::engine::{JournaledDirectory, MemoryJournal, Op};
+    use crate::engine::{MemoryJournal, Op};
     use crate::managed::{ManagedDirectory, ManagedError};
     use crate::paper::{white_pages_instance, white_pages_schema};
     use bschema_directory::DirectoryInstance;
+    use bschema_obs::noop;
 
-    /// An engine journalling into memory.
-    fn journaled(managed: ManagedDirectory) -> (JournaledDirectory, MemoryJournal) {
+    /// A directory journalling into memory.
+    fn journaled(mut managed: ManagedDirectory) -> (ManagedDirectory, MemoryJournal) {
         let mem = MemoryJournal::default();
-        let mut engine = JournaledDirectory::new(managed);
-        engine.set_sink(mem.sink());
-        (engine, mem)
+        managed.set_sink(mem.sink());
+        (managed, mem)
     }
 
     /// Full replay from `base`: the ladder's no-checkpoint rung.
@@ -934,7 +934,7 @@ mod tests {
 
         let mut tx1 = Transaction::new();
         tx1.insert_under(ids.databases, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx1, global: None }, None).unwrap().expect("flushes");
+        live.apply_op(Op::Tx { tx: &tx1, global: None }, noop()).unwrap().expect("flushes");
 
         let mut text = mem.take();
 
@@ -944,7 +944,7 @@ mod tests {
             ids.suciu,
             Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "x").build(),
         );
-        live.apply(Op::Tx { tx: &tx2, global: None }, None).unwrap_err();
+        live.apply_op(Op::Tx { tx: &tx2, global: None }, noop()).unwrap_err();
         assert_eq!(mem.take(), "");
 
         // A transaction abandoned between begin and commit (the process
@@ -955,11 +955,11 @@ mod tests {
         abandoned.insert_under(ids.databases, researcher("kim"));
         let dies =
             std::sync::Arc::new(bschema_faults::FaultPlan::fail_at_site("span:journal.commit", 0));
-        live.apply(Op::Tx { tx: &abandoned, global: None }, Some(dies)).unwrap_err();
+        live.apply_op(Op::Tx { tx: &abandoned, global: None }, &*dies).unwrap_err();
 
         let mut tx3 = Transaction::new();
         tx3.insert_under(ids.att_labs, researcher("pat"));
-        live.apply(Op::Tx { tx: &tx3, global: None }, None).unwrap().expect("flushes");
+        live.apply_op(Op::Tx { tx: &tx3, global: None }, noop()).unwrap().expect("flushes");
 
         text.push_str(&mem.take());
         let journal = Journal::parse(&text);
@@ -989,7 +989,7 @@ mod tests {
         for uid in ["zoe", "pat", "kim"] {
             let mut tx = Transaction::new();
             tx.insert_under(ids.databases, researcher(uid));
-            live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
+            live.apply_op(Op::Tx { tx: &tx, global: None }, noop()).unwrap().expect("flushes");
             committed_states.push(live.instance().canonical_bytes());
         }
         let text = mem.take();
@@ -1134,7 +1134,9 @@ mod tests {
             },
             Mod::DeleteValue { attribute: "title".into(), value: "member of staff".into() },
         ];
-        live.apply(Op::Modify { target: ids.suciu, mods: &mods }, None).unwrap().expect("flushes");
+        live.apply_op(Op::Modify { target: ids.suciu, mods: &mods }, noop())
+            .unwrap()
+            .expect("flushes");
 
         let text = mem.take();
         let journal = Journal::parse(&text);
@@ -1270,15 +1272,18 @@ mod tests {
         // only legal under the evolved schema.
         let mut tx = Transaction::new();
         tx.insert_under(ids.databases, researcher("zoe"));
-        live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
+        live.apply_op(Op::Tx { tx: &tx, global: None }, noop()).unwrap().expect("flushes");
 
         let step =
             Evolution::AllowAttribute { class: "researcher".into(), attribute: "homePage".into() };
         let evolved = evolution::evolve(&schema, &step, live.instance()).unwrap();
         let dsl = print_schema(&evolved, None);
-        live.apply(Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None }, None)
-            .unwrap()
-            .expect("flushes");
+        live.apply_op(
+            Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None },
+            noop(),
+        )
+        .unwrap()
+        .expect("flushes");
 
         let mut tx = Transaction::new();
         tx.insert_under(
@@ -1290,7 +1295,7 @@ mod tests {
                 .attr("homePage", "https://example.net/~pat")
                 .build(),
         );
-        live.apply(Op::Tx { tx: &tx, global: None }, None).unwrap().expect("flushes");
+        live.apply_op(Op::Tx { tx: &tx, global: None }, noop()).unwrap().expect("flushes");
 
         let text = mem.take();
         let journal = Journal::parse(&text);

@@ -1,23 +1,54 @@
-//! [`ManagedDirectory`]: a directory that *enforces* its bounding-schema.
+//! [`ManagedDirectory`]: a directory that *enforces* its bounding-schema,
+//! and the one write path every update runs through.
 //!
 //! This is the downstream-user API the paper's machinery adds up to: a
 //! schema-checked directory server core. Construction verifies the schema
 //! is consistent (§5 — a schema nothing can satisfy is rejected up front);
-//! every update transaction is applied atomically and checked with the
-//! incremental §4 machinery on a structurally shared copy of the
-//! instance, swapped in on a legal verdict and dropped otherwise.
+//! every update is applied atomically and checked with the incremental §4
+//! machinery on a structurally shared copy of the instance, swapped in on
+//! a legal verdict and dropped otherwise.
+//!
+//! The directory also owns its journal: a [`JournalWriter`] encodes the
+//! records and an optional [`JournalSink`] makes them durable, so the
+//! write-ahead discipline is a property of the type, not a convention per
+//! call site. [`ManagedDirectory::apply_all`] is the one driver of a
+//! write, to one directory or many: on every directory it runs the
+//! operation to a legal verdict on a structurally shared copy
+//! (`certify`) and flushes the begin records (`begin`); then it flushes
+//! every commit record (`commit`), and only then swaps every copy in
+//! (`install`). Each step consumes the previous step's token and all four
+//! are private to this module, so the live state never changes before its
+//! begin record is durable and a refused operation writes nothing at all.
+//! [`apply_op`](ManagedDirectory::apply_op) is the one-directory case, and
+//! every mutator ([`apply`](ManagedDirectory::apply),
+//! [`insert_under`](ManagedDirectory::insert_under),
+//! [`modify_entry`](ManagedDirectory::modify_entry), …) runs it. A
+//! cross-shard 2-phase apply and an all-shard schema cutover are the
+//! many-directory case — Theorem 4.1 makes either the one-directory
+//! update run on each shard — and since nothing is installed anywhere
+//! before every commit flushed, neither keeps a pre-image. Without a sink
+//! nothing is journalled at all.
+//!
+//! The probe is an argument, never state: every write entry takes the
+//! `&dyn Probe` its checks, spans and fault sites report to, the way
+//! every checker does. DESIGN.md §16.
 
 use std::fmt;
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bschema_directory::{AttributeRegistry, DirectoryInstance, Entry, EntryId};
-use bschema_obs::{Probe, NO_SPAN};
+use bschema_obs::{names, scoped, Probe, NO_SPAN};
 use bschema_query::{evaluate, EvalContext, Query};
 
 use crate::consistency::ConsistencyChecker;
+use crate::engine::{append_sync, JournalSink, Op, SITE_COMMIT_IO_ERROR, SITE_SCHEMA_CUTOVER};
+use crate::journal::{JournalTx, JournalWriter, Payload};
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::schema::DirectorySchema;
-use crate::updates::{apply_and_check_probed, prepare_probed, Transaction, TxError};
+use crate::updates::{apply_and_check_probed, prepare_probed, Mod, Transaction, TxError};
 
 /// Errors from managed-directory operations.
 #[derive(Debug)]
@@ -102,26 +133,6 @@ impl From<TxError> for ManagedError {
     }
 }
 
-/// Shared, clonable probe slot: `None` stands for the no-op probe, so
-/// uninstrumented directories carry no allocation at all.
-#[derive(Clone, Default)]
-struct ProbeHandle(Option<Arc<dyn Probe + Send + Sync>>);
-
-impl ProbeHandle {
-    fn get(&self) -> &dyn Probe {
-        match &self.0 {
-            Some(p) => p.as_ref(),
-            None => bschema_obs::noop(),
-        }
-    }
-}
-
-impl fmt::Debug for ProbeHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() { "ProbeHandle(set)" } else { "ProbeHandle(noop)" })
-    }
-}
-
 /// Records the diagnostics of a rolled-back transaction, so a failed
 /// transaction still surfaces the violation set that caused the rollback
 /// instead of silently dropping it with the rejected state.
@@ -137,7 +148,7 @@ fn record_rollback(probe: &dyn Probe, report: &LegalityReport) {
 }
 
 /// Extracts a human-readable reason from a caught panic payload.
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -152,9 +163,7 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// and surfaced as the panic reason instead of unwinding out of the
 /// apply.
 fn guard_probe(f: impl FnOnce()) -> Option<String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .err()
-        .map(|payload| panic_reason(payload.as_ref()))
+    catch_unwind(AssertUnwindSafe(f)).err().map(|payload| panic_reason(payload.as_ref()))
 }
 
 /// The verdict on an operation that could not be carried out on `entry`.
@@ -182,13 +191,36 @@ pub(crate) fn inconsistency_error(result: &crate::consistency::ConsistencyResult
 /// operation left on its structurally shared copy, or the consistent
 /// schema a cutover swaps to. Exists only after a legal verdict.
 #[derive(Debug)]
-pub(crate) enum Successor {
+enum Successor {
     Instance(DirectoryInstance),
     Schema(Box<DirectorySchema>),
 }
 
-/// A bounding-schema-enforcing directory.
-#[derive(Debug, Clone)]
+/// An operation certified legal on a structurally shared copy; neither
+/// the journal nor the live state has seen it.
+#[derive(Debug)]
+#[must_use = "begin it, or drop it: nothing was written and nothing changed"]
+struct Certified<'a> {
+    op: Op<'a>,
+    next: Successor,
+}
+
+/// A certified operation whose write-ahead records are durable.
+#[derive(Debug)]
+#[must_use = "commit it, or drop it as an aborted journal tail"]
+struct Begun {
+    next: Successor,
+    tx_id: Option<u64>,
+}
+
+/// A begun operation whose commit record went to the journal.
+#[derive(Debug)]
+#[must_use = "a committed operation must be installed"]
+struct Committed(Successor);
+
+/// A bounding-schema-enforcing directory, its journal writer and
+/// (optionally) the sink that makes the journal durable. See the module
+/// docs.
 pub struct ManagedDirectory {
     schema: DirectorySchema,
     /// The live version. Shared, not owned: whoever publishes it to
@@ -197,8 +229,41 @@ pub struct ManagedDirectory {
     /// Whether the current instance is known legal (enables the incremental
     /// §4 checks; until then transactions are fully rechecked).
     known_legal: bool,
-    /// Instrumentation probe threaded into every check (no-op by default).
-    probe: ProbeHandle,
+    /// Encodes every operation's journal records; a recovered directory's
+    /// writer continues the recovered journal's numbering.
+    writer: JournalWriter,
+    /// Makes the records durable. Without one nothing is journalled.
+    sink: Option<JournalSink>,
+    /// The journal file behind `sink`, when there is one — where
+    /// [`checkpoint`](ManagedDirectory::checkpoint) finds its files.
+    path: Option<PathBuf>,
+}
+
+impl Clone for ManagedDirectory {
+    /// The state and the journal cursor, without the journal attachment:
+    /// a clone journals nothing until it is given a sink of its own.
+    fn clone(&self) -> Self {
+        ManagedDirectory {
+            schema: self.schema.clone(),
+            dir: Arc::clone(&self.dir),
+            known_legal: self.known_legal,
+            writer: self.writer.clone(),
+            sink: None,
+            path: None,
+        }
+    }
+}
+
+impl fmt::Debug for ManagedDirectory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ManagedDirectory")
+            .field("entries", &self.dir.len())
+            .field("known_legal", &self.known_legal)
+            .field("writer", &self.writer)
+            .field("journaled", &self.sink.is_some())
+            .field("path", &self.path)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ManagedDirectory {
@@ -250,86 +315,70 @@ impl ManagedDirectory {
             schema,
             dir: Arc::new(dir),
             known_legal: report.is_legal(),
-            probe: ProbeHandle::default(),
+            writer: JournalWriter::new(),
+            sink: None,
+            path: None,
         };
         Ok((managed, report))
     }
 
-    /// Attaches an instrumentation probe recording spans, transaction
-    /// outcome counters, and — crucially — the violation set of every
-    /// rolled-back transaction. Enforcement behaviour is unchanged.
-    pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        self.probe = ProbeHandle(Some(probe));
+    /// Continues the journal `writer` is positioned in — what a recovery
+    /// hands its directory.
+    pub(crate) fn with_writer(mut self, writer: JournalWriter) -> Self {
+        self.writer = writer;
         self
     }
 
-    /// Swaps the instrumentation probe in place, returning the previous
-    /// one (`None` stood for the no-op probe). The wire server uses this
-    /// to thread a per-request trace through exactly one `apply` under
-    /// the write lock, then restore the per-process probe.
-    pub fn swap_probe(
-        &mut self,
-        probe: Option<Arc<dyn Probe + Send + Sync>>,
-    ) -> Option<Arc<dyn Probe + Send + Sync>> {
-        std::mem::replace(&mut self.probe, ProbeHandle(probe)).0
+    /// Qualifies every record DN with `shard=<k>`.
+    pub(crate) fn with_shard(mut self, shard: usize) -> Self {
+        self.writer = self.writer.with_shard(shard);
+        self
     }
 
-    /// The attached probe (the no-op probe when none is).
-    pub(crate) fn probe(&self) -> &dyn Probe {
-        self.probe.get()
+    /// Installs the durability sink; from here on every operation is
+    /// journalled write-ahead.
+    pub fn set_sink(&mut self, sink: JournalSink) {
+        self.sink = Some(sink);
     }
 
-    /// The attached probe itself (`None` stands for the no-op probe).
-    pub(crate) fn shared_probe(&self) -> Option<Arc<dyn Probe + Send + Sync>> {
-        self.probe.0.clone()
+    /// Journals to the file at `path`, one [`append_sync`] per flush.
+    pub fn attach_file(&mut self, path: PathBuf) {
+        let target = path.clone();
+        self.set_sink(Box::new(move |text: &str| append_sync(&target, text)));
+        self.path = Some(path);
     }
 
-    /// Unwraps into the enforced schema and the instance.
+    /// The journal file, when this directory appends to one.
+    pub fn path(&self) -> Option<&Path> {
+        self.path.as_deref()
+    }
+
+    /// The journal writer: its cursor is what a checkpoint covers.
+    pub(crate) fn writer(&self) -> &JournalWriter {
+        &self.writer
+    }
+
+    /// Journal growth `(records, bytes)`: the journal's length in
+    /// records (replayed history included) and the bytes this process
+    /// appended. `(0, 0)` for a directory that never journalled.
+    pub fn journal_stats(&self) -> (u64, u64) {
+        (self.writer.records_emitted(), self.writer.bytes_emitted())
+    }
+
+    /// Unwraps into the enforced schema and the instance, dropping the
+    /// journal attachment.
     pub fn into_parts(self) -> (DirectorySchema, DirectoryInstance) {
         (self.schema, Arc::unwrap_or_clone(self.dir))
     }
 
-    /// The full legality checker, reporting to this directory's probe.
-    fn checker(&self) -> LegalityChecker<'_> {
-        LegalityChecker::new(&self.schema).with_probe(self.probe.get())
+    /// The full legality checker, reporting to `probe`.
+    fn checker<'s>(&'s self, probe: &'s dyn Probe) -> LegalityChecker<'s> {
+        LegalityChecker::new(&self.schema).with_probe(probe)
     }
 
     /// The schema being enforced.
     pub fn schema(&self) -> &DirectorySchema {
         &self.schema
-    }
-
-    /// Swaps the enforced schema — the epoch cutover of a schema
-    /// evolution. Only the Figures 6–7 consistency closure runs here;
-    /// the caller attests the instance was already verified legal under
-    /// `schema` (the evolution plane's targeted recheck, or a journalled
-    /// cutover record that was only committed after one). `known_legal`
-    /// is deliberately preserved on the same trust basis as journal
-    /// replay trusting committed transactions.
-    pub fn set_schema(&mut self, schema: DirectorySchema) -> Result<(), ManagedError> {
-        let next = Self::certify_schema(schema)?;
-        self.install(next);
-        Ok(())
-    }
-
-    /// The consistency half of [`set_schema`](Self::set_schema).
-    pub(crate) fn certify_schema(schema: DirectorySchema) -> Result<Successor, ManagedError> {
-        let result = ConsistencyChecker::new(&schema).check();
-        if !result.is_consistent() {
-            return Err(inconsistency_error(&result));
-        }
-        Ok(Successor::Schema(Box::new(schema)))
-    }
-
-    /// Makes a certified successor the live state. Infallible: a swap.
-    pub(crate) fn install(&mut self, next: Successor) {
-        match next {
-            Successor::Instance(dir) => {
-                self.dir = Arc::new(dir);
-                self.known_legal = true;
-            }
-            Successor::Schema(schema) => self.schema = *schema,
-        }
     }
 
     /// Read access to the underlying instance.
@@ -360,7 +409,240 @@ impl ManagedDirectory {
         self.known_legal
     }
 
-    /// The crash-consistency core every mutating operation runs through.
+    /// Evaluates a hierarchical selection query against the directory.
+    pub fn query(&self, query: &Query) -> Vec<EntryId> {
+        evaluate(&EvalContext::new(&self.dir), query)
+    }
+
+    /// Applies `tx` atomically: if the resulting directory would be
+    /// illegal, no change is made and the violations are returned. Runs
+    /// [`apply_op`](Self::apply_op) unprobed; a commit flush that fails
+    /// after the verdict is only reported there.
+    pub fn apply(&mut self, tx: &Transaction) -> Result<(), ManagedError> {
+        self.apply_op(Op::Tx { tx, global: None }, bschema_obs::noop()).map(|_counted| ())
+    }
+
+    /// Single-insert convenience (one-op transaction).
+    pub fn insert_under(&mut self, parent: EntryId, entry: Entry) -> Result<EntryId, ManagedError> {
+        self.insert_one(Some(parent), entry)
+    }
+
+    /// Single root-insert convenience.
+    pub fn insert_root(&mut self, entry: Entry) -> Result<EntryId, ManagedError> {
+        self.insert_one(None, entry)
+    }
+
+    /// Inserts `entry` under `parent` (a root when `None`) and returns
+    /// its slot: the one sibling live now that was not live before.
+    fn insert_one(
+        &mut self,
+        parent: Option<EntryId>,
+        entry: Entry,
+    ) -> Result<EntryId, ManagedError> {
+        let mut tx = Transaction::new();
+        match parent {
+            Some(parent) => tx.insert_under(parent, entry),
+            None => tx.insert_root(entry),
+        };
+        let before = self.shared_instance();
+        self.apply(&tx)?;
+        let forest = self.dir.forest();
+        let mut siblings = match parent {
+            Some(parent) => forest.children(parent),
+            None => forest.roots(),
+        };
+        siblings.find(|&id| !before.contains(id)).ok_or_else(|| {
+            ManagedError::Internal("single-insert transaction produced no root".to_owned())
+        })
+    }
+
+    /// Single subtree-delete convenience: deletes `target` and its whole
+    /// subtree in one transaction.
+    pub fn delete_subtree(&mut self, target: EntryId) -> Result<(), ManagedError> {
+        let mut tx = Transaction::new();
+        // Delete bottom-up so the transaction is a valid leaf-delete
+        // sequence.
+        for id in self.dir.forest().postorder_of(target) {
+            tx.delete(id);
+        }
+        self.apply(&tx)
+    }
+
+    /// Modifies one entry's attributes (LDAP Modify), atomically: no
+    /// change is made if the result would be illegal. Unprobed, like
+    /// [`apply`](Self::apply).
+    pub fn modify_entry(&mut self, target: EntryId, mods: &[Mod]) -> Result<(), ManagedError> {
+        self.apply_op(Op::Modify { target, mods }, bschema_obs::noop()).map(|_counted| ())
+    }
+
+    /// The write-ahead sequence on this one directory, every site going
+    /// to `probe` — the one-directory case of the crate's one write
+    /// driver, [`apply_all`](Self::apply_all). A panic anywhere in it
+    /// comes back as [`ManagedError::Panicked`] with nothing installed.
+    /// `Ok` carries the commit flush's own result: the verdict stands
+    /// either way.
+    pub fn apply_op(
+        &mut self,
+        op: Op<'_>,
+        probe: &dyn Probe,
+    ) -> Result<io::Result<()>, ManagedError> {
+        Self::apply_all(&mut [(self, op)], probe)
+    }
+
+    /// The one driver of a write: the write-ahead sequence over `parts`,
+    /// each a directory and its share of the write, with every site —
+    /// the sequence's own and each part's checks and flushes — going to
+    /// `probe` (a router's, for a 2-phase apply).
+    ///
+    /// Every part is certified and begun; once all are, every part
+    /// commits; then every part is installed. An op stamped `(gid, peers)`
+    /// visits `sharded.prepare.shard<k>` before each certify,
+    /// `sharded.prepared` after the last begin and
+    /// `sharded.commit.shard<k>` before each commit, `k` being the part's
+    /// journal shard; an `Op::Schema` visits [`SITE_SCHEMA_CUTOVER`]
+    /// between the begins and the commits. An `Err` or a panic before the
+    /// installs drops every token, so no directory's live state moved,
+    /// and comes back as an `Err` (a panic as [`ManagedError::Panicked`]);
+    /// a stamped op then visits `sharded.rollback`, itself panic-guarded.
+    /// `Ok` carries the first failed commit flush, counted at
+    /// [`SITE_COMMIT_IO_ERROR`]: the verdict stands either way.
+    pub(crate) fn apply_all(
+        parts: &mut [(&mut ManagedDirectory, Op<'_>)],
+        probe: &dyn Probe,
+    ) -> Result<io::Result<()>, ManagedError> {
+        let global = parts.first().is_some_and(|(_, op)| op.global().is_some());
+        let shard = |engine: &ManagedDirectory| names::shard(engine.writer.shard().unwrap_or(0));
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut begun = Vec::with_capacity(parts.len());
+            for (engine, op) in parts.iter_mut() {
+                if global {
+                    probe.add_labeled(names::SHARD_PREPARE, &shard(engine), 1);
+                }
+                let certified = engine.certify(*op, probe)?;
+                begun.push(engine.begin(certified, probe)?);
+            }
+            if global {
+                probe.add(names::PREPARED, 1);
+            }
+            if let Some((_, Op::Schema { .. })) = parts.first() {
+                probe.add(SITE_SCHEMA_CUTOVER, 1);
+            }
+            let mut committed = Vec::with_capacity(parts.len());
+            let mut flushed = Ok(());
+            for ((engine, _), begun) in parts.iter_mut().zip(begun) {
+                if global {
+                    probe.add_labeled(names::SHARD_COMMIT, &shard(engine), 1);
+                }
+                let (token, result) = engine.commit(begun, probe);
+                committed.push(token);
+                flushed = flushed.and(result);
+            }
+            Ok((committed, flushed))
+        }));
+        let refusal = match attempt {
+            Ok(Ok((committed, flushed))) => {
+                for ((engine, _), Committed(next)) in parts.iter_mut().zip(committed) {
+                    engine.install(next);
+                }
+                return Ok(flushed);
+            }
+            Ok(Err(e)) => e,
+            Err(payload) => ManagedError::Panicked { reason: panic_reason(payload.as_ref()) },
+        };
+        if global {
+            // The rollback site is itself a chaos target: an injected
+            // panic there must not escape the apply.
+            let _ = catch_unwind(AssertUnwindSafe(|| probe.add(names::ROLLBACK, 1)));
+        }
+        Err(refusal)
+    }
+
+    /// Re-applies one journal transaction without journalling it again —
+    /// steps 1 and 4 on the decoded op: recovery's replay step and a
+    /// follower's apply of a shipped record.
+    pub fn replay(&mut self, jtx: &JournalTx, probe: &dyn Probe) -> Result<(), ManagedError> {
+        let evolved;
+        let op = match &jtx.payload {
+            Payload::Tx(tx) => Op::Tx { tx, global: None },
+            Payload::Modify(m) => Op::Modify { target: m.target, mods: &m.mods },
+            Payload::Schema(s) => {
+                evolved = s.engine_schema().map_err(ManagedError::Recovery)?;
+                Op::Schema { schema: &evolved, dsl: &s.dsl, local: s.local, global: None }
+            }
+        };
+        let certified = self.certify(op, probe)?;
+        self.install(certified.next);
+        Ok(())
+    }
+
+    /// Step 1: runs `op` to a legal verdict on a structurally shared copy
+    /// of the instance. On `Err` — an illegal verdict, a typed error, a
+    /// panic — there is no record, no mutation.
+    fn certify<'a>(&self, op: Op<'a>, probe: &dyn Probe) -> Result<Certified<'a>, ManagedError> {
+        let next = match op {
+            Op::Tx { tx, .. } => self.certify_tx(tx, probe)?,
+            Op::Modify { target, mods } => self.certify_modify(target, mods, probe)?,
+            Op::Schema { schema, .. } => certify_schema(schema.clone())?,
+        };
+        Ok(Certified { op, next })
+    }
+
+    /// Step 2, in a `journal.begin` span: encodes the begin + payload
+    /// records of the certified operation and flushes them through the
+    /// sink. On `Err` nothing was mutated. Without a sink this journals
+    /// nothing.
+    fn begin(
+        &mut self,
+        certified: Certified<'_>,
+        probe: &dyn Probe,
+    ) -> Result<Begun, ManagedError> {
+        let Certified { op, next } = certified;
+        let (writer, sink) = (&mut self.writer, &mut self.sink);
+        let tx_id = scoped(probe, "journal.begin", || {
+            let Some(sink) = sink else { return Ok(None) };
+            let id = writer.begin_op(&op);
+            sink(&writer.take_pending()).map(|()| Some(id))
+        })
+        .map_err(|e| {
+            let shard = self.writer.shard().map_or_else(String::new, |k| format!("shard {k} "));
+            ManagedError::Io(format!("{shard}journal begin flush: {e}"))
+        })?;
+        Ok(Begun { next, tx_id })
+    }
+
+    /// Step 3, in a `journal.commit` span: encodes and flushes the commit
+    /// record. A flush failure does not revoke the verdict, so the token
+    /// comes back either way: the error is counted at
+    /// [`SITE_COMMIT_IO_ERROR`] on `probe` and returned for callers that
+    /// report it too.
+    fn commit(&mut self, begun: Begun, probe: &dyn Probe) -> (Committed, io::Result<()>) {
+        let (writer, sink) = (&mut self.writer, &mut self.sink);
+        let flushed = scoped(probe, "journal.commit", || match (begun.tx_id, sink) {
+            (Some(id), Some(sink)) => {
+                writer.commit(id);
+                sink(&writer.take_pending())
+            }
+            _ => Ok(()),
+        });
+        if flushed.is_err() {
+            probe.add(SITE_COMMIT_IO_ERROR, 1);
+        }
+        (Committed(begun.next), flushed)
+    }
+
+    /// Step 4: makes a certified successor the live state. Infallible: a
+    /// swap.
+    fn install(&mut self, next: Successor) {
+        match next {
+            Successor::Instance(dir) => {
+                self.dir = Arc::new(dir);
+                self.known_legal = true;
+            }
+            Successor::Schema(schema) => self.schema = *schema,
+        }
+    }
+
+    /// The crash-consistency core of step 1.
     ///
     /// `body` (mutation + legality verdict) runs under `catch_unwind` on
     /// a structurally shared copy of the instance — a clone shares every
@@ -369,33 +651,30 @@ impl ManagedDirectory {
     /// transaction, an illegal verdict, a typed internal error or a
     /// panic at any instrumented site drops it. The live instance is not
     /// touched either way, so nothing can be half-applied and there is
-    /// nothing to restore. Rollback diagnostics are recorded through the
-    /// probe before the `managed.apply` span closes, and recording itself
-    /// is panic-guarded: instrumentation never decides an outcome.
-    fn certify<R>(
+    /// nothing to restore. Rollback diagnostics are recorded through
+    /// `probe` before the `managed.apply` span closes, and recording
+    /// itself is panic-guarded: instrumentation never decides an outcome.
+    fn guarded(
         &self,
-        body: impl FnOnce(
-            &mut DirectoryInstance,
-            &dyn Probe,
-        ) -> Result<(R, LegalityReport), ManagedError>,
-    ) -> Result<(R, Successor), ManagedError> {
-        let probe = self.probe.get();
+        probe: &dyn Probe,
+        body: impl FnOnce(&mut DirectoryInstance) -> Result<LegalityReport, ManagedError>,
+    ) -> Result<Successor, ManagedError> {
         let mut next = DirectoryInstance::clone(&self.dir);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             let span = probe.span_start(NO_SPAN, "managed.apply", 0);
-            (span, body(&mut next, probe))
+            (span, body(&mut next))
         }));
         let (span, refusal) = match outcome {
-            Ok((span, Ok((value, report)))) if report.is_legal() => {
+            Ok((span, Ok(report))) if report.is_legal() => {
                 let _ = guard_probe(|| {
                     if probe.enabled() {
                         probe.add("managed.tx_applied", 1);
                     }
                     probe.span_end(span);
                 });
-                return Ok((value, Successor::Instance(next)));
+                return Ok(Successor::Instance(next));
             }
-            Ok((span, Ok((_, report)))) => (Some(span), ManagedError::RolledBack(report)),
+            Ok((span, Ok(report))) => (Some(span), ManagedError::RolledBack(report)),
             Ok((span, Err(e))) => (Some(span), e),
             // The span stays open — the tracer renders unclosed spans
             // explicitly, mirroring how the trace of a real crash ends.
@@ -421,24 +700,17 @@ impl ManagedDirectory {
         })
     }
 
-    /// Runs `tx` to a verdict without touching the live state: the
-    /// inserted subtrees' roots and the successor to
-    /// [`install`](Self::install).
-    pub(crate) fn certify_tx(
-        &self,
-        tx: &Transaction,
-    ) -> Result<(Vec<EntryId>, Successor), ManagedError> {
-        self.certify(|dir, probe| {
+    /// Runs `tx` to a verdict without touching the live state.
+    fn certify_tx(&self, tx: &Transaction, probe: &dyn Probe) -> Result<Successor, ManagedError> {
+        self.guarded(probe, |dir| {
             if self.known_legal {
                 // D is legal: the Theorem 4.1 + Figure 5 incremental path.
-                let applied = apply_and_check_probed(&self.schema, dir, tx, probe)?;
-                return Ok((applied.inserted_roots, applied.report));
+                return Ok(apply_and_check_probed(&self.schema, dir, tx, probe)?.report);
             }
             // No legality baseline: apply, then full check.
             let normalized = tx.normalize(dir)?;
-            let mut roots = Vec::with_capacity(normalized.insertions.len());
             for subtree in &normalized.insertions {
-                roots.push(subtree.apply(dir)?[0]);
+                subtree.apply(dir)?;
             }
             for &root in &normalized.deletion_roots {
                 dir.remove_subtree(root).map_err(|e| {
@@ -446,126 +718,55 @@ impl ManagedDirectory {
                 })?;
             }
             prepare_probed(dir, probe);
-            Ok((roots, self.checker().check(dir)))
+            Ok(self.checker(probe).check(dir))
         })
-    }
-
-    /// Applies `tx` atomically: if the resulting directory would be
-    /// illegal, no change is made and the violations are returned.
-    pub fn apply(&mut self, tx: &Transaction) -> Result<(), ManagedError> {
-        let (_, next) = self.certify_tx(tx)?;
-        self.install(next);
-        Ok(())
-    }
-
-    /// Single-insert convenience (one-op transaction).
-    pub fn insert_under(&mut self, parent: EntryId, entry: Entry) -> Result<EntryId, ManagedError> {
-        let mut tx = Transaction::new();
-        tx.insert_under(parent, entry);
-        self.apply_returning_root(&tx)
-    }
-
-    /// Single root-insert convenience.
-    pub fn insert_root(&mut self, entry: Entry) -> Result<EntryId, ManagedError> {
-        let mut tx = Transaction::new();
-        tx.insert_root(entry);
-        self.apply_returning_root(&tx)
-    }
-
-    fn apply_returning_root(&mut self, tx: &Transaction) -> Result<EntryId, ManagedError> {
-        let (roots, next) = self.certify_tx(tx)?;
-        let root = roots.first().copied().ok_or_else(|| {
-            ManagedError::Internal("single-insert transaction produced no root".to_owned())
-        })?;
-        self.install(next);
-        Ok(root)
-    }
-
-    /// Single subtree-delete convenience: deletes `target` and its whole
-    /// subtree in one transaction.
-    pub fn delete_subtree(&mut self, target: EntryId) -> Result<(), ManagedError> {
-        let mut tx = Transaction::new();
-        let forest = self.dir.forest();
-        // Delete bottom-up so the transaction is a valid leaf-delete
-        // sequence.
-        for id in forest.postorder_of(target) {
-            tx.delete(id);
-        }
-        self.apply(&tx)
     }
 
     /// Runs an LDAP Modify of `target` to a verdict without touching the
     /// live state.
-    pub(crate) fn certify_modify(
+    fn certify_modify(
         &self,
         target: EntryId,
-        mods: &[crate::updates::Mod],
-    ) -> Result<((), Successor), ManagedError> {
-        self.certify(|dir, probe| {
+        mods: &[Mod],
+        probe: &dyn Probe,
+    ) -> Result<Successor, ManagedError> {
+        self.guarded(probe, |dir| {
             let Some(changed) = crate::updates::apply_mods(dir, target, mods) else {
-                return Ok(((), inapplicable(target, "no such entry".to_owned())));
+                return Ok(inapplicable(target, "no such entry".to_owned()));
             };
             prepare_probed(dir, probe);
-            let report = if self.known_legal {
+            Ok(if self.known_legal {
                 crate::updates::check_modification(&self.schema, dir, target, &changed, probe)
             } else {
-                self.checker().check(dir)
-            };
-            Ok(((), report))
+                self.checker(probe).check(dir)
+            })
         })
     }
+}
 
-    /// Modifies one entry's attributes (LDAP Modify), atomically: no
-    /// change is made if the result would be illegal.
-    pub fn modify_entry(
-        &mut self,
-        target: EntryId,
-        mods: &[crate::updates::Mod],
-    ) -> Result<(), ManagedError> {
-        let ((), next) = self.certify_modify(target, mods)?;
-        self.install(next);
-        Ok(())
+/// The certify step of a schema cutover: only the Figures 6–7
+/// consistency closure runs here; the caller attests the instance was
+/// already verified legal under `schema` (the evolution plane's targeted
+/// recheck, or a journalled cutover record that was only committed after
+/// one). `known_legal` is deliberately preserved on the same trust basis
+/// as journal replay trusting committed transactions.
+fn certify_schema(schema: DirectorySchema) -> Result<Successor, ManagedError> {
+    let result = ConsistencyChecker::new(&schema).check();
+    if !result.is_consistent() {
+        return Err(inconsistency_error(&result));
     }
-
-    /// Moves the subtree rooted at `target` under `new_parent` (LDAP
-    /// ModifyDN), atomically: no change is made if the result would be
-    /// illegal.
-    pub fn move_subtree(
-        &mut self,
-        target: EntryId,
-        new_parent: EntryId,
-    ) -> Result<(), ManagedError> {
-        let ((), next) = self.certify(|dir, probe| {
-            let former_parent = dir.forest().parent(target);
-            if let Err(e) = dir.move_subtree(target, new_parent) {
-                return Ok(((), inapplicable(target, e.to_string())));
-            }
-            prepare_probed(dir, probe);
-            let report =
-                if self.known_legal {
-                    crate::updates::IncrementalChecker::new(&self.schema)
-                        .with_probe(probe)
-                        .check_move(dir, target, former_parent)
-                } else {
-                    self.checker().check(dir)
-                };
-            Ok(((), report))
-        })?;
-        self.install(next);
-        Ok(())
-    }
-
-    /// Evaluates a hierarchical selection query against the directory.
-    pub fn query(&self, query: &Query) -> Vec<EntryId> {
-        evaluate(&EvalContext::new(&self.dir), query)
-    }
+    Ok(Successor::Schema(Box::new(schema)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::recover_with_checkpoint;
+    use crate::engine::MemoryJournal;
+    use crate::journal::Journal;
     use crate::paper::{white_pages_instance, white_pages_schema};
     use crate::schema::RelKind;
+    use bschema_obs::noop;
 
     fn researcher(uid: &str) -> Entry {
         Entry::builder()
@@ -661,29 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn legal_move_is_accepted_and_illegal_move_rolls_back() {
-        let (dir, ids) = white_pages_instance();
-        let mut managed = ManagedDirectory::with_instance(white_pages_schema(), dir).unwrap();
-        // Legal: move the databases unit directly under the organization.
-        managed.move_subtree(ids.databases, ids.att).unwrap();
-        assert_eq!(managed.instance().forest().parent(ids.databases), Some(ids.att));
-        assert!(managed.is_legal());
-        // Illegal: moving armstrong under suciu gives a person a child.
-        let err = managed.move_subtree(ids.armstrong, ids.suciu).unwrap_err();
-        assert!(matches!(err, ManagedError::RolledBack(_)));
-        assert_eq!(
-            managed.instance().forest().parent(ids.armstrong),
-            Some(ids.att_labs),
-            "rollback must restore the old location"
-        );
-        // Illegal: moving databases away would leave attLabs without a
-        // person descendant... armstrong is still under attLabs, so that
-        // stays legal — instead move attLabs under laks (person child).
-        let err = managed.move_subtree(ids.att_labs, ids.laks).unwrap_err();
-        assert!(matches!(err, ManagedError::RolledBack(_)));
-    }
-
-    #[test]
     fn modify_entry_enforces_schema() {
         use crate::updates::Mod;
         let (dir, ids) = white_pages_instance();
@@ -710,5 +888,150 @@ mod tests {
         let managed = ManagedDirectory::with_instance(white_pages_schema(), dir).unwrap();
         let persons = managed.query(&Query::object_class("person"));
         assert_eq!(persons.len(), 3);
+    }
+
+    fn insert(parent: EntryId, classes: [&str; 3], attr: &str) -> Transaction {
+        let mut tx = Transaction::new();
+        tx.insert_under(
+            parent,
+            Entry::builder().classes(classes).attr(attr, "zoe").attr("name", "zoe").build(),
+        );
+        tx
+    }
+
+    #[test]
+    fn begin_is_flushed_before_the_mutation_and_commit_only_after_the_verdict() {
+        let (dir, ids) = white_pages_instance();
+        let mut engine = ManagedDirectory::with_instance(white_pages_schema(), dir).expect("legal");
+        let legal = insert(ids.databases, ["researcher", "person", "top"], "uid");
+
+        // No sink: applies, journals nothing.
+        let flushed = engine.apply_op(Op::Tx { tx: &legal, global: None }, noop()).expect("legal");
+        flushed.expect("nothing to flush");
+        assert_eq!((engine.len(), engine.journal_stats()), (7, (0, 0)));
+
+        let mem = MemoryJournal::default();
+        engine.set_sink(mem.sink());
+        let legal = insert(ids.att_labs, ["researcher", "person", "top"], "uid");
+        let certified = engine.certify(Op::Tx { tx: &legal, global: None }, noop()).expect("legal");
+        assert_eq!(mem.take(), "", "the verdict writes no records");
+        let begun = engine.begin(certified, noop()).expect("flushes");
+        let text = mem.take();
+        assert!(text.contains("jrntype: insert") && !text.contains("jrntype: commit"));
+        let (Committed(next), flushed) = engine.commit(begun, noop());
+        flushed.expect("flushes");
+        assert!(mem.take().contains("jrntype: commit"));
+        assert_eq!(engine.len(), 7, "the live state changes last");
+        engine.install(next);
+        assert_eq!(engine.len(), 8);
+
+        // A rejected operation yields no token and reaches neither the
+        // instance nor the journal.
+        let illegal = insert(ids.suciu, ["orgUnit", "orgGroup", "top"], "ou");
+        let before = (engine.instance().canonical_bytes(), engine.journal_stats());
+        let err =
+            engine.apply_op(Op::Tx { tx: &illegal, global: None }, noop()).expect_err("illegal");
+        assert!(matches!(err, ManagedError::RolledBack(_)), "{err}");
+        assert_eq!(mem.take(), "", "a refusal journals nothing");
+        assert_eq!((engine.instance().canonical_bytes(), engine.journal_stats()), before);
+
+        // A failed begin flush aborts before any mutation.
+        engine.set_sink(Box::new(|_: &str| Err(io::Error::other("disk full"))));
+        let before = engine.instance().canonical_bytes();
+        let err =
+            engine.apply_op(Op::Tx { tx: &legal, global: None }, noop()).expect_err("flush fails");
+        assert_eq!(err.code(), "io", "{err}");
+        assert!(err.to_string().contains("journal begin flush: disk full"), "{err}");
+        assert_eq!(engine.instance().canonical_bytes(), before);
+    }
+
+    #[test]
+    fn a_panic_at_either_flush_span_installs_nothing_and_the_next_probe_sees_the_apply() {
+        use bschema_faults::{silence_injected_panics, FaultPlan};
+
+        silence_injected_panics();
+        let (dir, ids) = white_pages_instance();
+        let own = bschema_obs::Recorder::new();
+        let mut engine = ManagedDirectory::with_instance(white_pages_schema(), dir).expect("legal");
+        let mem = MemoryJournal::default();
+        engine.set_sink(mem.sink());
+        let legal = insert(ids.databases, ["researcher", "person", "top"], "uid");
+        let mut journal = String::new();
+        for site in ["span:journal.begin", "span:journal.commit"] {
+            let before = engine.instance().canonical_bytes();
+            let trace = FaultPlan::fail_at_site(site, 0);
+            let err = engine
+                .apply_op(Op::Tx { tx: &legal, global: None }, &trace)
+                .expect_err("injected panic");
+            assert!(matches!(err, ManagedError::Panicked { .. }), "{site}: {err}");
+            assert_eq!(trace.injected(), 1, "{site}");
+            assert_eq!(engine.instance().canonical_bytes(), before, "{site}: installed");
+            journal.push_str(&mem.take());
+        }
+        // The begin panic struck before any record was encoded; the
+        // commit panic left one uncommitted transaction behind.
+        assert_eq!(Journal::parse(&journal).txs.len(), 1);
+        assert_eq!(Journal::parse(&journal).committed().count(), 0);
+
+        // The faulting probes reached nothing else: the next apply reports
+        // to the probe it is given, and only to it.
+        let applied = || own.metrics().counter("managed.tx_applied");
+        assert_eq!(applied(), 0);
+        let flushed = engine.apply_op(Op::Tx { tx: &legal, global: None }, &own).expect("legal");
+        flushed.expect("flushes");
+        assert_eq!(applied(), 1);
+        journal.push_str(&mem.take());
+        assert_eq!(Journal::parse(&journal).committed().count(), 1);
+    }
+
+    /// Every mutator runs the one driver, so every one journals: the
+    /// journal recovers onto the base as the live state, a refused call
+    /// leaves the journal text as it was, and a clone journals nothing.
+    #[test]
+    fn every_mutator_journals_through_the_one_driver() {
+        use crate::updates::Mod;
+        let (dir, ids) = white_pages_instance();
+        let base = dir.clone();
+        let mut managed = ManagedDirectory::with_instance(white_pages_schema(), dir).unwrap();
+        let mem = MemoryJournal::default();
+        managed.set_sink(mem.sink());
+
+        managed.apply(&insert(ids.databases, ["researcher", "person", "top"], "uid")).unwrap();
+        let milo = managed.insert_under(ids.att_labs, researcher("milo")).unwrap();
+        let root = managed.insert_root(Entry::builder().class("top").build()).unwrap();
+        let title = [Mod::Add { attribute: "title".into(), value: "dr".into() }];
+        managed.modify_entry(milo, &title).unwrap();
+        managed.delete_subtree(root).unwrap();
+        let journal = mem.take();
+        assert_eq!(Journal::parse(&journal).committed().count(), 5, "{journal}");
+
+        let organization =
+            Entry::builder().classes(["organization", "orgGroup", "top"]).attr("o", "acme").build();
+        let refusals = [
+            managed.apply(&insert(ids.suciu, ["orgUnit", "orgGroup", "top"], "ou")),
+            managed.insert_under(ids.suciu, researcher("kid")).map(drop),
+            managed.insert_root(organization).map(drop),
+            managed.modify_entry(milo, &[Mod::DeleteAttribute { attribute: "name".into() }]),
+            managed.delete_subtree(ids.att),
+        ];
+        for refusal in refusals {
+            assert!(matches!(refusal, Err(ManagedError::RolledBack(_))), "{refusal:?}");
+        }
+        assert_eq!(mem.take(), "", "a refused call leaves the journal text as it was");
+
+        let mut clone = managed.clone();
+        clone.insert_under(ids.att_labs, researcher("solo")).unwrap();
+        assert_eq!(clone.len(), managed.len() + 1);
+        assert_eq!(mem.take(), "", "a clone journals nothing");
+        assert_eq!(clone.journal_stats(), managed.journal_stats());
+
+        let recovered =
+            recover_with_checkpoint(white_pages_schema(), base, None, &Journal::parse(&journal))
+                .expect("the journal recovers");
+        assert_eq!(recovered.report.replayed, 5);
+        assert_eq!(
+            recovered.managed.instance().canonical_bytes(),
+            managed.instance().canonical_bytes()
+        );
     }
 }

@@ -37,9 +37,10 @@
 //! **all** peer journals, so recovery converges to the same state the
 //! live engine kept.
 //!
-//! Every shard is a [`JournaledDirectory`]: the router decides *which*
-//! shards and in *what order*, the engine's one write-ahead driver runs
-//! the sequence across them — the same driver a one-engine write runs.
+//! Every shard is a journaled [`ManagedDirectory`]: the router decides
+//! *which* shards and in *what order*, and the one write-ahead driver
+//! runs the sequence across them — the same driver a one-directory write
+//! runs — with every site on the router's probe.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -54,7 +55,7 @@ use bschema_obs::Probe;
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
-use crate::engine::{JournalFiles, JournaledDirectory, Op, OpenError};
+use crate::engine::{JournalFiles, Op, OpenError};
 use crate::journal::{shard_journal_path, Journal, Payload, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
@@ -332,7 +333,7 @@ pub struct ShardedDirectory {
     /// or while acquiring shard locks in ascending order).
     epoch: RwLock<SchemaEpoch>,
     /// One journaled engine per shard, over the `Cr`-stripped schema.
-    slots: Vec<Mutex<JournaledDirectory>>,
+    slots: Vec<Mutex<ManagedDirectory>>,
     /// Live-entry count per required class — the global `◇c` ledger.
     /// Locked only while the involved shard locks are already held
     /// (shards-then-ledger order), and only for short critical sections.
@@ -438,7 +439,7 @@ impl ShardedDirectory {
             )
             .map_err(|e| ManagedError::Recovery(format!("shard {k}: {e}")))?;
             reports.push(recovery.report.clone());
-            slots.push(Mutex::new(JournaledDirectory::from_recovery(recovery).with_shard(k)));
+            slots.push(Mutex::new(recovery.managed.with_shard(k)));
         }
         let epoch = SchemaEpoch::new(final_schema);
         let sharded = ShardedDirectory {
@@ -469,14 +470,13 @@ impl ShardedDirectory {
             checkpoints.push(files.ckpt_text);
         }
         let schema = self.schema();
-        let seeds = self.slots.into_iter().map(|slot| {
-            slot.into_inner().unwrap_or_else(|e| e.into_inner()).into_managed().into_parts().1
-        });
+        let seeds = self
+            .slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()).into_parts().1);
         let (mut recovered, reports) =
             Self::recover_with_checkpoints(schema, seeds.collect(), &checkpoints, &journals)?;
-        if let Some(probe) = self.probe {
-            recovered = recovered.with_probe(probe);
-        }
+        recovered.probe = self.probe;
         for (slot, path) in recovered.slots.iter_mut().zip(paths) {
             slot.get_mut().unwrap_or_else(|e| e.into_inner()).attach_file(path);
         }
@@ -484,14 +484,14 @@ impl ShardedDirectory {
     }
 
     /// Re-derives the `◇c` ledger from the (locked) shards.
-    fn recount(&self, guards: &[MutexGuard<'_, JournaledDirectory>], required: &[String]) {
+    fn recount(&self, guards: &[MutexGuard<'_, ManagedDirectory>], required: &[String]) {
         let parts: Vec<&DirectoryInstance> =
             guards.iter().map(|engine| engine.instance()).collect();
         *self.counts.lock().unwrap_or_else(|e| e.into_inner()) = count_required(required, &parts);
     }
 
     /// Locks every shard, ascending — the global lock order.
-    fn lock_all(&self) -> Vec<MutexGuard<'_, JournaledDirectory>> {
+    fn lock_all(&self) -> Vec<MutexGuard<'_, ManagedDirectory>> {
         (0..self.slots.len()).map(|k| self.lock_slot(k)).collect()
     }
 
@@ -546,7 +546,7 @@ impl ShardedDirectory {
         let mut slots = Vec::with_capacity(bases.len());
         for (k, base) in bases.into_iter().enumerate() {
             let managed = ManagedDirectory::with_instance(epoch.local.clone(), base)?;
-            slots.push(Mutex::new(JournaledDirectory::new(managed).with_shard(k)));
+            slots.push(Mutex::new(managed.with_shard(k)));
         }
         Ok(ShardedDirectory {
             epoch: RwLock::new(epoch),
@@ -557,11 +557,9 @@ impl ShardedDirectory {
         })
     }
 
-    /// Installs `probe` on the router and every shard engine.
+    /// Attaches `probe` to the router: every write it drives reports
+    /// there, the shards' checks and flushes included.
     pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        for slot in &mut self.slots {
-            slot.get_mut().unwrap_or_else(|e| e.into_inner()).swap_probe(Some(probe.clone()));
-        }
         self.probe = Some(probe);
         self
     }
@@ -591,7 +589,7 @@ impl ShardedDirectory {
 
     /// Total entry count across shards.
     pub fn len(&self) -> usize {
-        (0..self.slots.len()).map(|k| self.with_shard(k, |engine| engine.managed().len())).sum()
+        (0..self.slots.len()).map(|k| self.with_shard(k, ManagedDirectory::len)).sum()
     }
 
     /// True when every shard is empty.
@@ -607,12 +605,12 @@ impl ShardedDirectory {
             let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
             required.iter().all(|name| counts.get(name).copied().unwrap_or(0) > 0)
         };
-        counts_ok && (0..self.slots.len()).all(|k| self.with_shard(k, |e| e.managed().is_legal()))
+        counts_ok && (0..self.slots.len()).all(|k| self.with_shard(k, ManagedDirectory::is_legal))
     }
 
     /// Runs `f` on shard `k`'s engine under that shard's lock — a
     /// consistent read of its instance, schema or journal cursor.
-    pub fn with_shard<R>(&self, k: usize, f: impl FnOnce(&JournaledDirectory) -> R) -> R {
+    pub fn with_shard<R>(&self, k: usize, f: impl FnOnce(&ManagedDirectory) -> R) -> R {
         f(&self.lock_slot(k))
     }
 
@@ -641,7 +639,7 @@ impl ShardedDirectory {
         }
     }
 
-    fn lock_slot(&self, k: usize) -> MutexGuard<'_, JournaledDirectory> {
+    fn lock_slot(&self, k: usize) -> MutexGuard<'_, ManagedDirectory> {
         self.slots[k].lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -677,7 +675,7 @@ impl ShardedDirectory {
         }
         // Lock the involved shards in ascending index order (the global
         // lock order) and hold them through the apply.
-        let mut guards: Vec<(usize, MutexGuard<'_, JournaledDirectory>)> =
+        let mut guards: Vec<(usize, MutexGuard<'_, ManagedDirectory>)> =
             involved.iter().map(|&k| (k, self.lock_slot(k))).collect();
 
         // Decode and pre-normalise every shard's sub-transaction before
@@ -696,7 +694,7 @@ impl ShardedDirectory {
         self.admitted(&delta, || match &mut guards[..] {
             // Fast path: one shard, the ordinary journaled apply.
             [(k, engine)] => engine
-                .apply(Op::Tx { tx: &subtxs[0], global: None }, None)
+                .apply_op(Op::Tx { tx: &subtxs[0], global: None }, self.probe())
                 .map(|_counted| ShardedTxOutcome { shards: vec![*k], gid: None, ops })
                 .map_err(ShardedError::Managed),
             _ => self.apply_cross(&mut guards, &subtxs, ops),
@@ -754,7 +752,7 @@ impl ShardedDirectory {
             delta.retain(|_, net| *net != 0);
         }
         self.admitted(&delta, || {
-            let _counted = engine.apply(Op::Modify { target, mods }, None)?;
+            let _counted = engine.apply_op(Op::Modify { target, mods }, self.probe())?;
             Ok(ShardedTxOutcome { shards: vec![k], gid: None, ops: mods.len() })
         })
     }
@@ -801,7 +799,7 @@ impl ShardedDirectory {
         let global = Some((gid, guards.len() as u64));
         let cutover = Op::Schema { schema: &local, dsl, local: true, global };
         let mut parts: Vec<_> = guards.iter_mut().map(|engine| (&mut **engine, cutover)).collect();
-        let _counted = JournaledDirectory::apply_all(&mut parts, self.probe())?;
+        let _counted = ManagedDirectory::apply_all(&mut parts, self.probe())?;
         // Re-derive the `◇c` ledger under the new `Cr` key set.
         let required = required_class_names(&target);
         self.recount(&guards, &required);
@@ -854,13 +852,13 @@ impl ShardedDirectory {
 
     /// Cross-shard 2-phase apply: every involved shard's part, stamped
     /// with one fresh global id and the peer count, through the engine's
-    /// one driver ([`JournaledDirectory::apply_all`]) with its `sharded.*`
-    /// sites on the router's probe. An error or panic before the installs
+    /// one driver ([`ManagedDirectory::apply_all`]) with every site on
+    /// the router's probe. An error or panic before the installs
     /// leaves every shard as it was; a torn commit flush is repaired at
     /// recovery by the all-peers reconciliation.
     fn apply_cross(
         &self,
-        guards: &mut [(usize, MutexGuard<'_, JournaledDirectory>)],
+        guards: &mut [(usize, MutexGuard<'_, ManagedDirectory>)],
         subtxs: &[Transaction],
         ops: usize,
     ) -> Result<ShardedTxOutcome, ShardedError> {
@@ -872,7 +870,7 @@ impl ShardedDirectory {
             .zip(subtxs)
             .map(|((_, engine), tx)| (&mut **engine, Op::Tx { tx, global }))
             .collect();
-        let _counted = JournaledDirectory::apply_all(&mut parts, self.probe())?;
+        let _counted = ManagedDirectory::apply_all(&mut parts, self.probe())?;
         Ok(ShardedTxOutcome { shards, gid: Some(gid), ops })
     }
 }

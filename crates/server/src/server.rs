@@ -97,12 +97,16 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bschema_core::updates::Mod;
-use bschema_obs::{names, MetricsRegistry};
+use bschema_obs::{names, MetricsRegistry, Probe};
 use bschema_query::SearchScope;
 
 use crate::codec::{read_frame, write_frame, Frame, WireError};
 use crate::monitor::TICK;
 use crate::service::{DirectoryService, ServiceError};
+
+/// How long a session may sit silent, or stall a reply, before it is
+/// disconnected — the read and the write timeout of every connection.
+const SESSION_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone)]
@@ -114,21 +118,11 @@ pub struct ServerConfig {
     /// Bounded depth of the accepted-connection queue; beyond it new
     /// connections are answered `ERR busy`.
     pub queue_depth: usize,
-    /// Per-connection read timeout (a quiet client is disconnected).
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            threads: 4,
-            queue_depth: 64,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-        }
+        ServerConfig { addr: "127.0.0.1:0".to_owned(), threads: 4, queue_depth: 64 }
     }
 }
 
@@ -322,9 +316,8 @@ impl Server {
             let queue = queue.clone();
             let service = service.clone();
             let shutdown = shutdown.clone();
-            let config = config.clone();
             thread::Builder::new().name("bschema-acceptor".to_owned()).spawn(move || {
-                accept_loop(&listener, &queue, &service, &shutdown, &config);
+                accept_loop(&listener, &queue, &service, &shutdown);
                 queue.close();
             })?
         };
@@ -374,7 +367,6 @@ fn accept_loop(
     queue: &BoundedQueue<(TcpStream, Instant)>,
     service: &DirectoryService,
     shutdown: &Shutdown,
-    config: &ServerConfig,
 ) {
     loop {
         // Blocks until a client connects; a shutdown wakes it with a
@@ -385,8 +377,8 @@ fn accept_loop(
         }
         match accepted {
             Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(config.read_timeout));
-                let _ = stream.set_write_timeout(Some(config.write_timeout));
+                let _ = stream.set_read_timeout(Some(SESSION_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(SESSION_TIMEOUT));
                 let _ = stream.set_nodelay(true);
                 // Instrumentation faults must not kill the acceptor:
                 // a dead acceptor turns a probe panic into a silent
@@ -510,12 +502,18 @@ fn serve_session(
             trace.note_wait("server.queue_wait", wait);
         }
 
+        // The request's probe: its trace when traced, else the
+        // service's own.
+        let probe: &dyn Probe = match &trace {
+            Some(trace) => trace.as_ref(),
+            None => service.probe(),
+        };
+
         // Per-request blast-radius: a panic (real bug or injected
         // fault) poisons nothing — the service's guarded paths have
         // already restored their state — so the session apologises and
         // keeps going.
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| handle_frame(service, &frame, trace.as_ref())));
+        let outcome = catch_unwind(AssertUnwindSafe(|| handle_frame(service, &frame, probe)));
         let (response, control) = match outcome {
             Ok((response, control)) => (response, control),
             Err(payload) => {
@@ -620,7 +618,7 @@ impl From<ServiceError> for Response {
 fn handle_frame(
     service: &DirectoryService,
     frame: &Frame,
-    trace: Option<&Arc<bschema_obs::RequestTrace>>,
+    probe: &dyn Probe,
 ) -> (Response, Control) {
     match frame.verb() {
         "BIND" => {
@@ -631,10 +629,10 @@ fn handle_frame(
             let len = service.len().to_string();
             (Response::ok(&["pong", &len]), Control::Continue)
         }
-        "SEARCH" => (handle_search(service, frame, trace), Control::Continue),
+        "SEARCH" => (handle_search(service, frame, probe), Control::Continue),
         "TXN" => {
             let response = match frame.payload_str() {
-                Ok(ldif) => match service.apply_ldif_tx_traced(ldif, trace) {
+                Ok(ldif) => match service.apply_ldif_tx_traced(ldif, probe) {
                     // The trailing token is the shard count the commit
                     // touched (1 on a single-engine server); older
                     // clients ignore it.
@@ -650,7 +648,7 @@ fn handle_frame(
             };
             (response, Control::Continue)
         }
-        "MODIFY" => (handle_modify(service, frame, trace), Control::Continue),
+        "MODIFY" => (handle_modify(service, frame, probe), Control::Continue),
         "SCHEMA" => (handle_schema(service, frame), Control::Continue),
         "CHECKPOINT" => (handle_checkpoint(service), Control::Continue),
         "SHIP" => (handle_ship(service, frame), Control::Continue),
@@ -668,11 +666,7 @@ fn handle_frame(
     }
 }
 
-fn handle_search(
-    service: &DirectoryService,
-    frame: &Frame,
-    trace: Option<&Arc<bschema_obs::RequestTrace>>,
-) -> Response {
+fn handle_search(service: &DirectoryService, frame: &Frame, probe: &dyn Probe) -> Response {
     let scope = match frame.arg(1).map_or(Ok(SearchScope::Subtree), str::parse::<SearchScope>) {
         Ok(scope) => scope,
         Err(e) => return Response::err("usage", &e),
@@ -717,17 +711,13 @@ fn handle_search(
             Err(e) => e.into(),
         };
     }
-    match service.search_traced(base.as_deref(), scope, &filter, limit, trace) {
+    match service.search_traced(base.as_deref(), scope, &filter, limit, probe) {
         Ok((n, ldif)) => Response::ok_payload(&["entries", &n.to_string()], ldif.into_bytes()),
         Err(e) => e.into(),
     }
 }
 
-fn handle_modify(
-    service: &DirectoryService,
-    frame: &Frame,
-    trace: Option<&Arc<bschema_obs::RequestTrace>>,
-) -> Response {
+fn handle_modify(service: &DirectoryService, frame: &Frame, probe: &dyn Probe) -> Response {
     let body = match frame.payload_str() {
         Ok(body) => body,
         Err(e) => return Response::err("proto", &e.to_string()),
@@ -804,7 +794,7 @@ fn handle_modify(
     if mods.is_empty() {
         return Response::err("usage", "modify body has no modification lines");
     }
-    match service.modify_traced(&dn, &mods, trace) {
+    match service.modify_traced(&dn, &mods, probe) {
         Ok(outcome) => Response::ok(&["modified", &outcome.len.to_string()]),
         Err(e) => e.into(),
     }

@@ -5,8 +5,9 @@
 use std::sync::atomic::Ordering;
 
 use bschema_core::checkpoint::schema_hash;
-use bschema_core::engine::{append_sync, JournaledDirectory};
+use bschema_core::engine::append_sync;
 use bschema_core::sharded::ShardedDirectory;
+use bschema_core::ManagedDirectory;
 use bschema_obs::{names, AlertEdge, HealthReport, MetricsSnapshot, ShardHealth, Signal, SpanNode};
 
 use super::{lock_unpoisoned, DirectoryService};
@@ -154,7 +155,7 @@ impl DirectoryService {
         // Per-shard signal groups — the same pinned signal set whatever
         // the backend, so `HEALTH` consumers need no shape switch.
         for k in 0..self.shards() {
-            let (records, bytes) = self.with_engine(k, JournaledDirectory::journal_stats);
+            let (records, bytes) = self.with_engine(k, ManagedDirectory::journal_stats);
             let entries = self.shard_snapshot(k).len();
             let swap = self.last_swap_us[k].load(Ordering::Relaxed);
             let age_s = now_us.saturating_sub(swap) as f64 / 1e6;

@@ -1,22 +1,22 @@
 //! The shared directory service behind every connection.
 //!
 //! [`DirectoryService`] is the concurrency layer of the server: it wraps
-//! one [`JournaledDirectory`] so that
+//! one journaled [`ManagedDirectory`] so that
 //!
 //! * **reads** (`SEARCH`) are served from an immutable snapshot — an
 //!   `Arc<DirectoryInstance>` cloned out of an `RwLock` in O(1), after
 //!   which the search runs with **no lock held**; the snapshot is the
 //!   very version the engine holds live, published without a copy, and
 //! * **writes** (`TXN`, `MODIFY`, `SCHEMA COMMIT`) are serialized
-//!   through a single mutex around the engine's one write-ahead driver
-//!   ([`JournaledDirectory::apply`]: guarded apply on a copy → begin →
-//!   commit → install), with the snapshot swapped only after the
+//!   through a single mutex around the directory's one write-ahead driver
+//!   ([`ManagedDirectory::apply_op`]: guarded apply on a copy → begin →
+//!   commit → install, reporting to the request's probe), with the snapshot swapped only after the
 //!   transaction has been certified legal and committed.
 //!
 //! Readers therefore observe a sequence of complete, legal instances —
 //! either the pre-transaction or the post-transaction state, never a
 //! partially applied one. That holds even when a write worker panics
-//! mid-transaction: the engine's `apply` drops the copy it ran on, the
+//! mid-transaction: the engine's `apply_op` drops the copy it ran on, the
 //! snapshot is only swapped after success, and both locks are
 //! recovered from poisoning (`into_inner`), so the next writer proceeds
 //! against an intact instance. This is the paper's §4 atomicity contract
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use bschema_core::engine::{JournaledDirectory, OpenError};
+use bschema_core::engine::OpenError;
 use bschema_core::managed::ManagedError;
 use bschema_core::schema::DirectorySchema;
 use bschema_core::sharded::ShardedDirectory;
@@ -135,7 +135,7 @@ impl ServiceError {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend {
-    Single(Mutex<JournaledDirectory>),
+    Single(Mutex<ManagedDirectory>),
     Sharded(ShardedDirectory),
 }
 
@@ -243,7 +243,7 @@ impl DirectoryService {
     /// Wraps a managed directory. The initial snapshot is the current
     /// instance.
     pub fn new(managed: ManagedDirectory) -> Self {
-        Self::from_backend(Backend::Single(Mutex::new(JournaledDirectory::new(managed))), 1)
+        Self::from_backend(Backend::Single(Mutex::new(managed)), 1)
     }
 
     /// Wraps a sharded directory: `dir` is validated and partitioned
@@ -303,7 +303,7 @@ impl DirectoryService {
 
     /// Runs `f` on shard `k`'s engine under its write lock (`k = 0` on
     /// the single backend).
-    fn with_engine<R>(&self, k: usize, f: impl FnOnce(&JournaledDirectory) -> R) -> R {
+    fn with_engine<R>(&self, k: usize, f: impl FnOnce(&ManagedDirectory) -> R) -> R {
         match &self.backend {
             Backend::Single(engine) => f(&lock_unpoisoned(engine)),
             Backend::Sharded(sharded) => sharded.with_shard(k, f),
@@ -315,7 +315,7 @@ impl DirectoryService {
     /// the readers is this very allocation, not a copy of it.
     #[doc(hidden)]
     pub fn live_instance(&self, k: usize) -> Arc<DirectoryInstance> {
-        self.with_engine(k, JournaledDirectory::shared_instance)
+        self.with_engine(k, ManagedDirectory::shared_instance)
     }
 
     /// Re-derives every read snapshot from the engines — at boot and
@@ -334,11 +334,11 @@ impl DirectoryService {
     }
 
     /// Attaches `probe` — a fault plan, a test recorder — to the request
-    /// path **and** to the inner engine(s), so one probe sees both the
-    /// `server.*` sites and the legality engine's counters/spans (plus,
-    /// on a sharded backend, the router's `sharded.*` 2-phase sites). On
-    /// a metered service it sits in front of the registry, which goes on
-    /// counting every event.
+    /// path, which hands it to every write it runs, so one probe sees both
+    /// the `server.*` sites and the legality engine's counters/spans
+    /// (plus, on a sharded backend, the router's `sharded.*` 2-phase
+    /// sites). On a metered service it sits in front of the registry,
+    /// which goes on counting every event.
     pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
         self.attached = Some(probe);
         self.rewire()
@@ -374,8 +374,8 @@ impl DirectoryService {
         self.metered.as_ref()
     }
 
-    /// Derives the one probe from the attached one and the registry and
-    /// hands it to the engine(s).
+    /// Derives the one probe from the attached one and the registry, and
+    /// hands it to the sharded router, which drives its own writes.
     fn rewire(mut self) -> Self {
         let registry = self.metered.as_ref().map(|m| m.registry.clone());
         let probe: Arc<dyn Probe + Send + Sync> = match (self.attached.clone(), registry) {
@@ -384,14 +384,9 @@ impl DirectoryService {
             (None, Some(registry)) => registry,
             (None, None) => Arc::new(bschema_obs::NoopProbe),
         };
-        self.backend = match self.backend {
-            Backend::Single(engine) => {
-                let mut engine = engine.into_inner().unwrap_or_else(|e| e.into_inner());
-                engine.swap_probe(Some(probe.clone()));
-                Backend::Single(Mutex::new(engine))
-            }
-            Backend::Sharded(sharded) => Backend::Sharded(sharded.with_probe(probe.clone())),
-        };
+        if let Backend::Sharded(sharded) = self.backend {
+            self.backend = Backend::Sharded(sharded.with_probe(probe.clone()));
+        }
         self.probe = probe;
         self
     }
@@ -455,7 +450,7 @@ impl DirectoryService {
 
     /// Attaches a write-ahead journal at `path`, recovering any existing
     /// state first through the checkpoint-aware ladder
-    /// ([`JournaledDirectory::open`]): when a sibling checkpoint file
+    /// ([`ManagedDirectory::open`]): when a sibling checkpoint file
     /// (`<path>.ckpt`) is present and usable, the forest is restored
     /// from it and only the journal **tail** replays through the checked
     /// apply path; otherwise the whole journal replays from the seed
@@ -474,8 +469,8 @@ impl DirectoryService {
         };
         let (backend, reports) = match self.backend {
             Backend::Single(engine) => {
-                let base = engine.into_inner().unwrap_or_else(|e| e.into_inner()).into_managed();
-                let (engine, report) = JournaledDirectory::open(base, path).map_err(refused)?;
+                let base = engine.into_inner().unwrap_or_else(|e| e.into_inner());
+                let (engine, report) = ManagedDirectory::open(base, path).map_err(refused)?;
                 (Backend::Single(Mutex::new(engine)), vec![report])
             }
             Backend::Sharded(sharded) => {
@@ -498,16 +493,6 @@ impl DirectoryService {
     /// The configured limits.
     pub fn limits(&self) -> &ServiceLimits {
         &self.limits
-    }
-
-    /// The probe a request's service-level spans and counters go
-    /// through: the per-request trace when one is open, otherwise the
-    /// shared service probe.
-    fn request_probe<'a>(&'a self, trace: Option<&'a Arc<RequestTrace>>) -> &'a dyn Probe {
-        match trace {
-            Some(t) => t.as_ref(),
-            None => &*self.probe,
-        }
     }
 
     /// The probe attached to this service.
@@ -808,7 +793,7 @@ mod tests {
         }
         for k in 0..4 {
             assert_eq!(
-                svc.with_engine(k, JournaledDirectory::journal_stats),
+                svc.with_engine(k, ManagedDirectory::journal_stats),
                 (0, 0),
                 "shard {k} encoded journal records nothing will ever drain"
             );

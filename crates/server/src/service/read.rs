@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bschema_core::sharded::canonical_merge;
 use bschema_directory::ldif::write_record;
 use bschema_directory::{DirectoryInstance, Dn};
-use bschema_obs::{RequestTrace, NO_SPAN};
+use bschema_obs::{Probe, NO_SPAN};
 use bschema_query::{
     explain, parse_filter_limited, search, EvalContext, Query, SearchRequest, SearchScope,
 };
@@ -59,21 +59,20 @@ impl DirectoryService {
         filter_src: &str,
         limit: Option<usize>,
     ) -> Result<(usize, String), ServiceError> {
-        self.search_traced(base, scope, filter_src, limit, None)
+        self.search_traced(base, scope, filter_src, limit, &*self.probe)
     }
 
-    /// [`search`](DirectoryService::search) with an optional per-request
-    /// trace: the whole evaluation runs inside one `service.search` span
-    /// hung under the request root.
+    /// [`search`](DirectoryService::search) reporting to the request's
+    /// `probe`: the whole evaluation runs inside one `service.search`
+    /// span, hung under the request root on a traced server.
     pub(crate) fn search_traced(
         &self,
         base: Option<&str>,
         scope: SearchScope,
         filter_src: &str,
         limit: Option<usize>,
-        trace: Option<&Arc<RequestTrace>>,
+        probe: &dyn Probe,
     ) -> Result<(usize, String), ServiceError> {
-        let probe = self.request_probe(trace);
         let span = probe.span_start(NO_SPAN, "service.search", 0);
         let mut out = String::new();
         let total = self.walk_targets(base, scope, filter_src, limit, |_, snapshot, request| {

@@ -28,7 +28,7 @@ impl DirectoryService {
     /// backend.
     pub fn current_schema(&self) -> DirectorySchema {
         match &self.backend {
-            Backend::Single(engine) => lock_unpoisoned(engine).managed().schema().clone(),
+            Backend::Single(engine) => lock_unpoisoned(engine).schema().clone(),
             Backend::Sharded(sharded) => sharded.schema(),
         }
     }
@@ -156,8 +156,9 @@ impl DirectoryService {
                 // the swap, mirroring the TXN begin/commit discipline.
                 let (schema, dsl) = (&plan.target, plan.dsl.as_str());
                 let cutover = Op::Schema { schema, dsl, local: false, global: None };
-                let _counted =
-                    engine.apply(cutover, None).map_err(|e| ServiceError::from_managed(&e))?;
+                let _counted = engine
+                    .apply_op(cutover, &*self.probe)
+                    .map_err(|e| ServiceError::from_managed(&e))?;
                 self.publish(0, engine.shared_instance(), &*self.probe);
             }
             Backend::Sharded(sharded) => {

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
 
-use bschema_core::engine::{read_optional, JournaledDirectory};
+use bschema_core::engine::read_optional;
 use bschema_core::journal::{Journal, JournalTx, Payload};
 use bschema_core::ManagedDirectory;
 
@@ -123,7 +123,7 @@ impl DirectoryService {
     fn single_engine(
         &self,
         refusal: &'static str,
-    ) -> Result<MutexGuard<'_, JournaledDirectory>, ServiceError> {
+    ) -> Result<MutexGuard<'_, ManagedDirectory>, ServiceError> {
         match &self.backend {
             Backend::Single(engine) => Ok(lock_unpoisoned(engine)),
             Backend::Sharded(_) => Err(ServiceError::new("unsupported", refusal)),
@@ -132,9 +132,7 @@ impl DirectoryService {
 
     /// [`single_engine`](Self::single_engine) of a journaled primary,
     /// with its journal file.
-    fn shipping_engine(
-        &self,
-    ) -> Result<(MutexGuard<'_, JournaledDirectory>, PathBuf), ServiceError> {
+    fn shipping_engine(&self) -> Result<(MutexGuard<'_, ManagedDirectory>, PathBuf), ServiceError> {
         let engine = self.single_engine("SHIP serves single-engine primaries only")?;
         let Some(path) = engine.path().map(PathBuf::from) else {
             return Err(ServiceError::new(
@@ -209,7 +207,7 @@ impl DirectoryService {
         // Fault site: dying here leaves the replica's instance intact;
         // the next sync pass re-ships the same records and converges.
         self.probe.add(SITE_SHIP_APPLY, 1);
-        engine.replay(jtx).map_err(|e| {
+        engine.replay(jtx, &*self.probe).map_err(|e| {
             ServiceError::new("replication", format!("applying shipped tx {}: {e}", jtx.id))
         })?;
         if let Payload::Schema(_) = jtx.payload {
@@ -224,12 +222,12 @@ impl DirectoryService {
     }
 
     /// Swaps in a freshly bootstrapped state — the follower's `ship-gap`
-    /// re-bootstrap path. The previous engine's probe moves over to the
-    /// new one, and the snapshot republishes immediately.
+    /// re-bootstrap path — and republishes the snapshot immediately. A
+    /// follower keeps no journal, so there is no attachment to carry over.
     pub fn install_follower_state(&self, managed: ManagedDirectory) -> Result<(), ServiceError> {
         let mut engine =
             self.single_engine("replication applies to the single-engine backend only")?;
-        engine.restore(managed);
+        *engine = managed;
         self.publish(0, engine.shared_instance(), &*self.probe);
         Ok(())
     }

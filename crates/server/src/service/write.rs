@@ -4,12 +4,13 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bschema_core::engine::{JournaledDirectory, Op};
+use bschema_core::engine::Op;
 use bschema_core::sharded::ShardedDirectory;
 use bschema_core::updates::{transaction_from_ldif, Mod};
+use bschema_core::ManagedDirectory;
 use bschema_directory::ldif::{parse_ldif_limited, LdifRecord};
 use bschema_directory::{DirectoryInstance, Dn};
-use bschema_obs::{names, scoped, Probe, RequestTrace};
+use bschema_obs::{names, scoped, Probe};
 
 use super::{lock_unpoisoned, Backend, DirectoryService, ServiceError};
 
@@ -39,27 +40,26 @@ impl DirectoryService {
     /// On any rejection the instance — and the snapshot — are exactly
     /// what they were.
     pub fn apply_ldif_tx(&self, ldif: &str) -> Result<TxOutcome, ServiceError> {
-        self.apply_ldif_tx_traced(ldif, None)
+        self.apply_ldif_tx_traced(ldif, &*self.probe)
     }
 
-    /// [`apply_ldif_tx`](DirectoryService::apply_ldif_tx) with an
-    /// optional per-request trace. Each service stage of the write path
-    /// opens a `service.*` span, and the engine runs its whole apply with
-    /// the trace as its probe, so the legality engine's span tree (down
-    /// to each Figure 5 Δ-query) and both journal flushes land under this
-    /// request's root instead of the shared tracer.
+    /// [`apply_ldif_tx`](DirectoryService::apply_ldif_tx) reporting to
+    /// `probe`, the request's own (its trace, on a traced server). Each
+    /// service stage of the write path opens a `service.*` span, and the
+    /// engine runs its whole apply with the same probe, so the legality
+    /// engine's span tree (down to each Figure 5 Δ-query) and both
+    /// journal flushes land under this request's root.
     pub(crate) fn apply_ldif_tx_traced(
         &self,
         ldif: &str,
-        trace: Option<&Arc<RequestTrace>>,
+        probe: &dyn Probe,
     ) -> Result<TxOutcome, ServiceError> {
-        let probe = self.request_probe(trace);
         self.writable(probe)?;
         let records = scoped(probe, "service.parse_ldif", || {
             parse_ldif_limited(ldif, &self.limits.ldif)
                 .map_err(|e| ServiceError::new("bad-ldif", e.to_string()))
         })?;
-        self.write(Write::Txn(records), probe, trace)
+        self.write(Write::Txn(records), probe)
     }
 
     /// Applies an attribute-level modification to the entry named `dn`,
@@ -70,38 +70,32 @@ impl DirectoryService {
     /// never crosses a Theorem 4.1 boundary, so the 2-phase path is
     /// never needed.
     pub fn modify(&self, dn_src: &str, mods: &[Mod]) -> Result<TxOutcome, ServiceError> {
-        self.modify_traced(dn_src, mods, None)
+        self.modify_traced(dn_src, mods, &*self.probe)
     }
 
-    /// [`modify`](DirectoryService::modify) with an optional per-request
-    /// trace, threaded exactly as a `TXN`'s.
+    /// [`modify`](DirectoryService::modify) reporting to the request's
+    /// `probe`, threaded exactly as a `TXN`'s.
     pub(crate) fn modify_traced(
         &self,
         dn_src: &str,
         mods: &[Mod],
-        trace: Option<&Arc<RequestTrace>>,
+        probe: &dyn Probe,
     ) -> Result<TxOutcome, ServiceError> {
-        let probe = self.request_probe(trace);
         self.writable(probe)?;
         let dn = Dn::parse(dn_src).map_err(|e| ServiceError::new("bad-dn", e.to_string()))?;
-        self.write(Write::Modify { dn: &dn, mods }, probe, trace)
+        self.write(Write::Modify { dn: &dn, mods }, probe)
     }
 
     /// Routes a write verb to its backend — the one place the write
     /// side dispatches — and settles it: a commit is counted and may
     /// trip the `--checkpoint-every` trigger, a refusal is counted
     /// under its code.
-    fn write(
-        &self,
-        write: Write<'_>,
-        probe: &dyn Probe,
-        trace: Option<&Arc<RequestTrace>>,
-    ) -> Result<TxOutcome, ServiceError> {
+    fn write(&self, write: Write<'_>, probe: &dyn Probe) -> Result<TxOutcome, ServiceError> {
         // Fault site: a worker dying here has changed nothing.
         probe.add("server.tx_admitted", 1);
         let applied = match &self.backend {
             Backend::Single(engine) => {
-                self.write_single(&mut lock_unpoisoned(engine), write, probe, trace)
+                self.write_single(&mut lock_unpoisoned(engine), write, probe)
             }
             Backend::Sharded(sharded) => self.write_sharded(sharded, write, probe),
         };
@@ -122,17 +116,16 @@ impl DirectoryService {
     }
 
     /// The single-engine write path, under the held write mutex: build
-    /// the operation against the current instance, then the engine's
-    /// write-ahead sequence ([`JournaledDirectory::apply`], with the
-    /// request trace as its probe), then publish. On any rejection the
+    /// the operation against the current instance, then the directory's
+    /// write-ahead sequence ([`ManagedDirectory::apply_op`], reporting to
+    /// the request's probe), then publish. On any rejection the
     /// instance, the snapshot and the journal's committed prefix are
     /// exactly what they were.
     fn write_single(
         &self,
-        engine: &mut JournaledDirectory,
+        engine: &mut ManagedDirectory,
         write: Write<'_>,
         probe: &dyn Probe,
-        trace: Option<&Arc<RequestTrace>>,
     ) -> Result<TxOutcome, ServiceError> {
         let tx;
         let (op, ops) = match write {
@@ -154,10 +147,9 @@ impl DirectoryService {
         // durability degraded, and the engine counts it
         // (`server.journal_commit_io_error`) instead of failing the
         // certified request.
-        let trace = trace.map(|t| t.clone() as Arc<dyn Probe + Send + Sync>);
-        let _counted = engine.apply(op, trace).map_err(|e| ServiceError::from_managed(&e))?;
+        let _counted = engine.apply_op(op, probe).map_err(|e| ServiceError::from_managed(&e))?;
         scoped(probe, "service.publish", || self.publish(0, engine.shared_instance(), probe));
-        Ok(TxOutcome { ops, len: engine.managed().len(), shards: 1 })
+        Ok(TxOutcome { ops, len: engine.len(), shards: 1 })
     }
 
     /// The sharded write path: the router decodes, vets (◇c ledger),

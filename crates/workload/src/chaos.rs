@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bschema_core::checkpoint::recover_with_checkpoint;
-use bschema_core::engine::{JournaledDirectory, MemoryJournal, Op};
+use bschema_core::engine::{MemoryJournal, Op};
 use bschema_core::journal::Journal;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::white_pages_schema;
@@ -120,14 +120,11 @@ pub struct RunStats {
 /// the atomicity and recovery invariants at every step. Panics with a
 /// diagnostic on the first violation.
 pub fn run_once(w: &ChaosWorkload, plan: &Arc<FaultPlan>) -> RunStats {
-    let mut live = JournaledDirectory::new(
-        ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
-            .expect("chaos base instance is legal")
-            .with_probe(plan.clone()),
-    );
+    let mut live = ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
+        .expect("chaos base instance is legal");
     let disk = MemoryJournal::default();
     live.set_sink(disk.sink());
-    let legal = |live: &JournaledDirectory| live.managed().is_legal();
+    let legal = |live: &ManagedDirectory| live.is_legal();
     let mut journal_text = String::new();
     let mut stats = RunStats {
         applied: 0,
@@ -140,7 +137,7 @@ pub fn run_once(w: &ChaosWorkload, plan: &Arc<FaultPlan>) -> RunStats {
     for (i, tx) in w.txs.iter().enumerate() {
         let before = live.instance().canonical_bytes();
         let forked_from = live.shared_instance();
-        let result = live.apply(Op::Tx { tx, global: None }, None);
+        let result = live.apply_op(Op::Tx { tx, global: None }, &**plan);
         journal_text.push_str(&disk.take());
         match result {
             Ok(flushed) => {

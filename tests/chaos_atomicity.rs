@@ -13,6 +13,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use bschema_core::consistency::ConsistencyChecker;
+use bschema_core::engine::Op;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::updates::Transaction;
@@ -96,9 +97,9 @@ fn chaos_campaign_parallel_engine() {
     let base_bytes = w.base.canonical_bytes();
     let run = |plan: &Arc<FaultPlan>| {
         let mut managed = ManagedDirectory::with_instance(w.schema.clone(), w.base.clone())
-            .expect("bulk base is legal")
-            .with_probe(plan.clone());
-        let outcome = managed.apply(&w.txs[0]);
+            .expect("bulk base is legal");
+        let outcome =
+            managed.apply_op(Op::Tx { tx: &w.txs[0], global: None }, &**plan).map(|_counted| ());
         assert!(managed.is_legal());
         (outcome, managed.instance().canonical_bytes())
     };
@@ -253,12 +254,12 @@ fn violating_tx(suciu: bschema_directory::EntryId) -> Transaction {
 fn rollback_reason_is_recorded_before_span_close() {
     let schema = white_pages_schema();
     let (dir, ids) = white_pages_instance();
-    let probe = Arc::new(OrderProbe::default());
-    let mut managed = ManagedDirectory::with_instance(schema, dir)
-        .expect("paper instance is legal")
-        .with_probe(probe.clone());
+    let probe = OrderProbe::default();
+    let mut managed =
+        ManagedDirectory::with_instance(schema, dir).expect("paper instance is legal");
 
-    let err = managed.apply(&violating_tx(ids.suciu)).unwrap_err();
+    let tx = violating_tx(ids.suciu);
+    let err = managed.apply_op(Op::Tx { tx: &tx, global: None }, &probe).unwrap_err();
     assert!(matches!(err, ManagedError::RolledBack(_)), "expected rollback, got {err}");
 
     let calls = probe.calls();
@@ -288,13 +289,13 @@ fn rollback_is_restored_even_when_recording_panics() {
     bschema_faults::silence_injected_panics();
     let schema = white_pages_schema();
     let (dir, ids) = white_pages_instance();
-    let plan = Arc::new(FaultPlan::fail_at_site("managed.tx_rolled_back", 0));
-    let mut managed = ManagedDirectory::with_instance(schema, dir)
-        .expect("paper instance is legal")
-        .with_probe(plan.clone());
+    let plan = FaultPlan::fail_at_site("managed.tx_rolled_back", 0);
+    let mut managed =
+        ManagedDirectory::with_instance(schema, dir).expect("paper instance is legal");
     let before = managed.instance().canonical_bytes();
 
-    let err = managed.apply(&violating_tx(ids.suciu)).unwrap_err();
+    let tx = violating_tx(ids.suciu);
+    let err = managed.apply_op(Op::Tx { tx: &tx, global: None }, &plan).unwrap_err();
     assert_eq!(plan.injected(), 1, "the rollback-site fault must fire");
     assert!(
         matches!(&err, ManagedError::Panicked { reason } if reason.contains(bschema_faults::INJECTED_FAULT_MARKER)),

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use bschema_core::consistency::ConsistencyChecker;
+use bschema_core::engine::Op;
 use bschema_core::legality::{self, translate, LegalityChecker};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
@@ -211,16 +212,16 @@ fn managed_rollback_reports_and_counts_the_violations() {
     let schema = white_pages_schema();
     let (dir, ids) = white_pages_instance();
     let recorder = Arc::new(Recorder::new());
-    let mut managed = ManagedDirectory::with_instance(schema, dir)
-        .expect("figure 1 is legal")
-        .with_probe(recorder.clone());
+    let mut managed = ManagedDirectory::with_instance(schema, dir).expect("figure 1 is legal");
     let len_before = managed.len();
 
     // Giving a person a child violates person →ch̸ top; the transaction
     // must roll back *and* still hand the violation set to the caller.
     let mut tx = Transaction::new();
     tx.insert_under(ids.suciu, researcher("intruder"));
-    let err = managed.apply(&tx).expect_err("illegal transaction");
+    let err = managed
+        .apply_op(Op::Tx { tx: &tx, global: None }, &*recorder)
+        .expect_err("illegal transaction");
     let ManagedError::RolledBack(report) = err else {
         panic!("expected RolledBack, got: {err}");
     };
@@ -237,7 +238,10 @@ fn managed_rollback_reports_and_counts_the_violations() {
     // A legal transaction on the same directory counts as applied.
     let mut tx = Transaction::new();
     tx.insert_under(ids.databases, researcher("newhire"));
-    managed.apply(&tx).expect("legal transaction");
+    managed
+        .apply_op(Op::Tx { tx: &tx, global: None }, &*recorder)
+        .expect("legal transaction")
+        .expect("no journal to flush");
     assert_eq!(recorder.metrics().counter("managed.tx_applied"), 1);
     assert_eq!(managed.len(), len_before + 1);
 }

@@ -103,7 +103,7 @@ fn replay_sharded(
             sharded
                 .with_shard(k, |engine| {
                     engine.instance().check_prepared()?;
-                    let local = engine.managed().schema();
+                    let local = engine.schema();
                     scoped_deletion_matches_figure5(local, before, engine.instance())
                 })
                 .expect("numbering, index and the scoped deletion check hold on every shard");
