@@ -22,7 +22,12 @@
 #   is the only other source) and no struct carries the count
 #   (`.workers`).
 #   Literals are for test modules, which hold the engine at 1 / 2 / 4 / 5
-#   workers through the module-level functions.
+#   workers through the module-level functions;
+# * a knob on the incremental checker: value-syntax validation is the
+#   full check's option (`LegalityChecker::with_value_validation`, which
+#   `check` and `validate` read), and no caller ever set it on the Δ-wave,
+#   so `with_value_validation` / `validate_values` may not appear under
+#   crates/core/src/updates/, comments and tests included.
 #
 # Exempt from the second rule: comment/doc lines and test modules — this
 # repo keeps exactly one `#[cfg(test)]` marker per file, at the start of
@@ -38,6 +43,14 @@ if [ -n "$fork" ]; then
     echo "$fork"
     echo "error: the sequential/parallel fork of the legality engine, or the option that picked a" >&2
     echo "       branch, is named again; there is one engine (DESIGN.md §4, ci/one_engine.sh)" >&2
+    status=1
+fi
+
+knob=$(grep -rnE 'with_value_validation|validate_values' crates/core/src/updates || true)
+if [ -n "$knob" ]; then
+    echo "$knob"
+    echo "error: the incremental checker grew a value-validation knob again; a served write's" >&2
+    echo "       Δ-check has one configuration (ci/one_engine.sh)" >&2
     status=1
 fi
 

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bschema_core::checkpoint::{checkpoint_path, RecoveryPlan};
-use bschema_core::engine::{JournalFiles, Op, OpenError};
+use bschema_core::engine::{JournalFiles, Op};
 use bschema_core::journal::Journal;
 use bschema_core::legality::LegalityChecker;
 use bschema_core::managed::{ManagedDirectory, ManagedError};
@@ -50,8 +50,8 @@ pub(crate) fn apply(args: &[String], out: &mut String) -> Result<i32, CliError> 
         None => managed,
         Some(path) => {
             let (engine, report) = ManagedDirectory::open(managed, path).map_err(|e| match e {
-                OpenError::Io(e) => usage_error(format!("journal {path:?}: {e}")),
-                OpenError::Recovery(e) => CliError { message: e.to_string(), code: 1 },
+                ManagedError::Open(detail) => usage_error(format!("journal {path:?}: {detail}")),
+                e => CliError { message: e.to_string(), code: 1 },
             })?;
             if report.truncated {
                 let _ = writeln!(

@@ -114,7 +114,7 @@ pub(crate) fn serve(args: &[String], out: &mut String) -> Result<i32, CliError> 
         // primary may have evolved past the schema file this replica
         // was launched with.
         follow_ctx = Some((primary, replication.clone(), cursor, managed.schema().clone()));
-        DirectoryService::new(managed).with_read_only().with_replication(replication)
+        DirectoryService::new(managed).with_replication(replication)
     } else if shards > 1 {
         // `--shards N` partitions the forest by top-level subtree (the
         // Theorem 4.1 transaction unit): writes to distinct shards commit

@@ -80,7 +80,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
-use bschema_directory::{AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
+use bschema_directory::{fnv1a, AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
 use bschema_obs::Probe;
 
 use crate::journal::{Journal, JournalTx, JournalWriter, Payload, RecoveryReport};
@@ -104,18 +104,6 @@ pub const SITE_CHECKPOINT_WRITE: &str = "checkpoint.write";
 /// journal truncation rename — a crash here leaves checkpoint + full
 /// journal.
 pub const SITE_CHECKPOINT_TRUNCATE: &str = "checkpoint.truncate";
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// FNV-1a hash over the schema's
 /// [`canonical_text`](DirectorySchema::canonical_text). Textually

@@ -104,36 +104,23 @@ impl JournalFiles {
     }
 
     /// [`read`](JournalFiles::read), then the one in-place repair: a
-    /// torn tail (crash mid-write) is cut off the file so a resumed
-    /// writer extends an intact prefix.
-    pub fn read_repaired(path: &Path) -> io::Result<JournalFiles> {
-        let files = JournalFiles::read(path)?;
+    /// torn tail (crash mid-write) is cut off the file at `intact_len`
+    /// and the cut synced, so a resumed writer extends an intact prefix.
+    /// The prefix itself is never rewritten: a crash during the repair
+    /// leaves it whole, with or without the tail. Either failure is
+    /// [`ManagedError::Open`], what opening a journal refuses with.
+    pub fn read_repaired(path: &Path) -> Result<JournalFiles, ManagedError> {
+        let opened = |e: io::Error| ManagedError::Open(e.to_string());
+        let files = JournalFiles::read(path).map_err(opened)?;
         if files.journal.truncated {
-            fs::write(path, &files.text[..files.journal.intact_len])
-                .map_err(io_context("repairing journal"))?;
+            let cut = || {
+                let file = OpenOptions::new().write(true).open(path)?;
+                file.set_len(files.journal.intact_len as u64)?;
+                file.sync_all()
+            };
+            cut().map_err(io_context("repairing journal")).map_err(opened)?;
         }
         Ok(files)
-    }
-}
-
-/// Why a journal could not be opened.
-#[derive(Debug)]
-pub enum OpenError {
-    /// Reading or repairing a file failed.
-    Io(io::Error),
-    /// The files were read but no consistent state can be rebuilt.
-    Recovery(ManagedError),
-}
-
-impl From<io::Error> for OpenError {
-    fn from(e: io::Error) -> Self {
-        OpenError::Io(e)
-    }
-}
-
-impl From<ManagedError> for OpenError {
-    fn from(e: ManagedError) -> Self {
-        OpenError::Recovery(e)
     }
 }
 
@@ -185,11 +172,13 @@ impl ManagedDirectory {
     /// journal's history starts from): read the file and its checkpoint
     /// sibling, repair a torn tail in place, recover through the ladder
     /// ([`recover_with_checkpoint`], unprobed), and resume appending to
-    /// the file.
+    /// the file. A file that cannot be read or repaired is
+    /// [`ManagedError::Open`]; a state that cannot be rebuilt, whatever
+    /// recovery reports.
     pub fn open(
         base: ManagedDirectory,
         path: impl Into<PathBuf>,
-    ) -> Result<(Self, RecoveryReport), OpenError> {
+    ) -> Result<(Self, RecoveryReport), ManagedError> {
         let path = path.into();
         let files = JournalFiles::read_repaired(&path)?;
         let (schema, seed) = base.into_parts();

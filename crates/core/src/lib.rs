@@ -70,5 +70,5 @@ pub use legality::{LegalityChecker, LegalityReport, Violation};
 pub use managed::ManagedDirectory;
 pub use qopt::SchemaAwareOptimizer;
 pub use schema::{DirectorySchema, ForbidKind, RelKind, SchemaBuilder, SchemaError};
-pub use sharded::{ShardedDirectory, ShardedError, ShardedTxOutcome};
+pub use sharded::{ShardedDirectory, ShardedTxOutcome};
 pub use updates::{Transaction, TxOp};

@@ -39,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bschema_directory::{AttributeRegistry, DirectoryInstance, Entry, EntryId};
+use bschema_directory::{AttributeRegistry, DirectoryInstance, Dn, Entry, EntryId};
 use bschema_obs::{names, scoped, Probe, NO_SPAN};
 use bschema_query::{evaluate, EvalContext, Query};
 
@@ -80,6 +80,14 @@ pub enum ManagedError {
     /// The write-ahead records could not be made durable, so the
     /// operation was refused before anything changed.
     Io(String),
+    /// The journal or its checkpoint sibling could not be read or its
+    /// torn tail cut off, so nothing was opened.
+    Open(String),
+    /// A MODIFY named an entry that does not exist.
+    NoSuchEntry {
+        /// The target DN as given.
+        dn: String,
+    },
 }
 
 impl fmt::Display for ManagedError {
@@ -103,14 +111,17 @@ impl fmt::Display for ManagedError {
             }
             ManagedError::Recovery(detail) => write!(f, "journal recovery failed: {detail}"),
             ManagedError::Io(detail) => write!(f, "transaction refused, nothing changed: {detail}"),
+            ManagedError::Open(detail) => f.write_str(detail),
+            ManagedError::NoSuchEntry { dn } => write!(f, "no entry named {dn}"),
         }
     }
 }
 
 impl ManagedError {
-    /// A stable machine-readable code naming the error variant. The wire
-    /// server sends this as the first token of an `ERR` response so
-    /// clients can dispatch without parsing prose.
+    /// A stable machine-readable code naming the error variant — the one
+    /// place an engine code is spelled. The wire server sends it as the
+    /// first token of an `ERR` response so clients can dispatch without
+    /// parsing prose, whichever backend refused.
     pub fn code(&self) -> &'static str {
         match self {
             ManagedError::InconsistentSchema(_) => "inconsistent-schema",
@@ -120,7 +131,8 @@ impl ManagedError {
             ManagedError::Panicked { .. } => "panicked",
             ManagedError::Internal(_) => "internal",
             ManagedError::Recovery(_) => "recovery",
-            ManagedError::Io(_) => "io",
+            ManagedError::Io(_) | ManagedError::Open(_) => "io",
+            ManagedError::NoSuchEntry { .. } => "no-such-entry",
         }
     }
 }
@@ -466,6 +478,12 @@ impl ManagedDirectory {
             tx.delete(id);
         }
         self.apply(&tx)
+    }
+
+    /// The entry named `dn`, or [`ManagedError::NoSuchEntry`]: how a
+    /// MODIFY finds its target on either backend.
+    pub fn lookup(&self, dn: &Dn) -> Result<EntryId, ManagedError> {
+        self.dir.lookup_dn(dn).ok_or_else(|| ManagedError::NoSuchEntry { dn: dn.to_string() })
     }
 
     /// Modifies one entry's attributes (LDAP Modify), atomically: no

@@ -55,65 +55,13 @@ use bschema_obs::Probe;
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
-use crate::engine::{JournalFiles, Op, OpenError};
+use crate::engine::{JournalFiles, Op};
 use crate::journal::{shard_journal_path, Journal, Payload, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::managed::{inconsistency_error, ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
-use crate::updates::{is_delete_record, transaction_from_ldif, LdifTxError, Mod, Transaction};
-
-/// Errors from [`ShardedDirectory::apply_ldif`].
-#[derive(Debug)]
-pub enum ShardedError {
-    /// The LDIF records could not be decoded into a transaction against
-    /// the current state (unknown delete target, unresolvable parent).
-    Tx(LdifTxError),
-    /// The engine rejected or rolled back the transaction.
-    Managed(ManagedError),
-    /// A MODIFY named an entry that does not exist on its shard.
-    NoSuchEntry {
-        /// The target DN as given.
-        dn: String,
-    },
-}
-
-impl ShardedError {
-    /// Stable machine-readable code, aligned with [`ManagedError::code`]
-    /// and the wire server's `ERR` token ("invalid-tx" for LDIF-decode
-    /// failures, exactly what the unsharded service reports for them).
-    pub fn code(&self) -> &'static str {
-        match self {
-            ShardedError::Tx(_) => "invalid-tx",
-            ShardedError::Managed(e) => e.code(),
-            ShardedError::NoSuchEntry { .. } => "no-such-entry",
-        }
-    }
-}
-
-impl fmt::Display for ShardedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardedError::Tx(e) => write!(f, "invalid transaction: {e}"),
-            ShardedError::Managed(e) => e.fmt(f),
-            ShardedError::NoSuchEntry { dn } => write!(f, "no entry named {dn}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardedError {}
-
-impl From<LdifTxError> for ShardedError {
-    fn from(e: LdifTxError) -> Self {
-        ShardedError::Tx(e)
-    }
-}
-
-impl From<ManagedError> for ShardedError {
-    fn from(e: ManagedError) -> Self {
-        ShardedError::Managed(e)
-    }
-}
+use crate::updates::{is_delete_record, transaction_from_ldif, Mod, Transaction};
 
 /// Receipt for an applied sharded transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +80,7 @@ pub struct ShardedTxOutcome {
 /// journals recover onto the same partition.
 pub fn shard_of_root_rdn(rdn: &Rdn, shards: usize) -> usize {
     let normalized = Dn::from_rdns(vec![rdn.clone()]).to_normalized_string();
-    (crate::checkpoint::fnv1a(normalized.as_bytes()) % shards.max(1) as u64) as usize
+    (bschema_directory::fnv1a(normalized.as_bytes()) % shards.max(1) as u64) as usize
 }
 
 /// Splits `dir` into `shards` disjoint instances, each holding the
@@ -460,7 +408,7 @@ impl ShardedDirectory {
     /// through [`recover_with_checkpoints`](Self::recover_with_checkpoints)
     /// with each shard's sibling checkpoint, and every shard resumes
     /// appending to its own file. The router probe carries over.
-    pub fn open(self, base: &Path) -> Result<(Self, Vec<RecoveryReport>), OpenError> {
+    pub fn open(self, base: &Path) -> Result<(Self, Vec<RecoveryReport>), ManagedError> {
         let paths: Vec<_> = (0..self.shards()).map(|k| shard_journal_path(base, k)).collect();
         let mut journals = Vec::with_capacity(paths.len());
         let mut checkpoints = Vec::with_capacity(paths.len());
@@ -654,7 +602,7 @@ impl ShardedDirectory {
     /// root RDN, decoded into per-shard transactions, vetted against
     /// the `◇c` ledger, and applied — one locked shard on the fast
     /// path, a 2-phase apply across all involved shards otherwise.
-    pub fn apply_ldif(&self, records: Vec<LdifRecord>) -> Result<ShardedTxOutcome, ShardedError> {
+    pub fn apply_ldif(&self, records: Vec<LdifRecord>) -> Result<ShardedTxOutcome, ManagedError> {
         // Pin this transaction's `Cr` view before taking shard locks
         // (the epoch-before-shards lock order): a concurrent cutover
         // holds every shard lock, so the epoch cannot change while this
@@ -687,7 +635,7 @@ impl ShardedDirectory {
             let group = std::mem::take(&mut groups[*k]);
             ledger_delta(&required, guard.instance(), &group, &mut delta);
             let tx = transaction_from_ldif(guard.instance(), group)?;
-            tx.normalize(guard.instance()).map_err(ManagedError::Transaction)?;
+            tx.normalize(guard.instance())?;
             subtxs.push(tx);
         }
 
@@ -695,8 +643,7 @@ impl ShardedDirectory {
             // Fast path: one shard, the ordinary journaled apply.
             [(k, engine)] => engine
                 .apply_op(Op::Tx { tx: &subtxs[0], global: None }, self.probe())
-                .map(|_counted| ShardedTxOutcome { shards: vec![*k], gid: None, ops })
-                .map_err(ShardedError::Managed),
+                .map(|_counted| ShardedTxOutcome { shards: vec![*k], gid: None, ops }),
             _ => self.apply_cross(&mut guards, &subtxs, ops),
         })
     }
@@ -708,8 +655,8 @@ impl ShardedDirectory {
     fn admitted(
         &self,
         delta: &BTreeMap<String, i64>,
-        apply: impl FnOnce() -> Result<ShardedTxOutcome, ShardedError>,
-    ) -> Result<ShardedTxOutcome, ShardedError> {
+        apply: impl FnOnce() -> Result<ShardedTxOutcome, ManagedError>,
+    ) -> Result<ShardedTxOutcome, ManagedError> {
         self.reserve(delta)?;
         let outcome = apply();
         match outcome {
@@ -729,14 +676,11 @@ impl ShardedDirectory {
     /// the entry in or out of a required class via its `objectClass`
     /// values, so the `◇c` ledger sees the simulated class delta before
     /// admission, exactly like insert/delete routing.
-    pub fn modify_dn(&self, dn: &Dn, mods: &[Mod]) -> Result<ShardedTxOutcome, ShardedError> {
+    pub fn modify_dn(&self, dn: &Dn, mods: &[Mod]) -> Result<ShardedTxOutcome, ManagedError> {
         let required = self.required();
         let k = self.shard_of_dn(dn);
         let mut engine = self.lock_slot(k);
-        let target = engine
-            .instance()
-            .lookup_dn(dn)
-            .ok_or_else(|| ShardedError::NoSuchEntry { dn: dn.to_string() })?;
+        let target = engine.lookup(dn)?;
         let mut delta: BTreeMap<String, i64> = BTreeMap::new();
         if !required.is_empty() {
             // The entry as it would look after `mods`: the dry run the
@@ -786,8 +730,8 @@ impl ShardedDirectory {
         &self,
         target: DirectorySchema,
         dsl: &str,
-        validate: impl FnOnce(&DirectoryInstance) -> Result<(), ShardedError>,
-    ) -> Result<(), ShardedError> {
+        validate: impl FnOnce(&DirectoryInstance) -> Result<(), ManagedError>,
+    ) -> Result<(), ManagedError> {
         shardable(&target)?;
         let mut epoch = self.epoch.write().unwrap_or_else(|e| e.into_inner());
         let mut guards = self.lock_all();
@@ -810,7 +754,7 @@ impl ShardedDirectory {
     /// Admission check + negative-side reservation, one short ledger
     /// critical section (taken with the involved shard locks held, per
     /// the shards-then-ledger order).
-    fn reserve(&self, delta: &BTreeMap<String, i64>) -> Result<(), ShardedError> {
+    fn reserve(&self, delta: &BTreeMap<String, i64>) -> Result<(), ManagedError> {
         let mut counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
         let mut missing: Vec<Violation> = Vec::new();
         for (name, net) in delta {
@@ -820,7 +764,7 @@ impl ShardedDirectory {
             }
         }
         if !missing.is_empty() {
-            return Err(ManagedError::RolledBack(LegalityReport::from_violations(missing)).into());
+            return Err(ManagedError::RolledBack(LegalityReport::from_violations(missing)));
         }
         for (name, net) in delta {
             if *net < 0 {
@@ -861,7 +805,7 @@ impl ShardedDirectory {
         guards: &mut [(usize, MutexGuard<'_, ManagedDirectory>)],
         subtxs: &[Transaction],
         ops: usize,
-    ) -> Result<ShardedTxOutcome, ShardedError> {
+    ) -> Result<ShardedTxOutcome, ManagedError> {
         let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
         let global = Some((gid, guards.len() as u64));
         let shards = guards.iter().map(|(k, _)| *k).collect();

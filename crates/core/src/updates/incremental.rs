@@ -104,7 +104,6 @@ pub fn deletion_needs_recheck(kind: RelKind) -> bool {
 #[derive(Debug, Clone)]
 pub struct IncrementalChecker<'s> {
     schema: &'s DirectorySchema,
-    validate_values: bool,
     probe: &'s dyn Probe,
 }
 
@@ -119,19 +118,13 @@ enum DeltaJob<'s> {
 impl<'s> IncrementalChecker<'s> {
     /// A checker for `schema`.
     pub fn new(schema: &'s DirectorySchema) -> Self {
-        IncrementalChecker { schema, validate_values: false, probe: bschema_obs::noop() }
+        IncrementalChecker { schema, probe: bschema_obs::noop() }
     }
 
     /// Attaches an instrumentation probe (spans + Figure 5 row counters).
     /// Checking behaviour and reports are unchanged.
     pub fn with_probe(mut self, probe: &'s dyn Probe) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Also validate value syntaxes of inserted entries.
-    pub fn with_value_validation(mut self, on: bool) -> Self {
-        self.validate_values = on;
         self
     }
 
@@ -223,11 +216,6 @@ impl<'s> IncrementalChecker<'s> {
             for &id in chunk {
                 let entry = dir.entry(id).expect("delta entries are live");
                 content::check_entry(self.schema, id, entry, local);
-                if self.validate_values {
-                    if let Err(e) = dir.validate_entry_values(id) {
-                        local.push(Violation::ValueViolation { entry: id, message: e.to_string() });
-                    }
-                }
             }
             if probe.enabled() {
                 probe.add("legality.entries_content_checked", chunk.len() as u64);

@@ -9,29 +9,11 @@
 //! the same transaction.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use bschema_directory::ldif::LdifRecord;
 use bschema_directory::DirectoryInstance;
 
-use super::Transaction;
-
-/// A record that cannot be turned into a transaction operation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LdifTxError {
-    /// 1-based source line of the offending record.
-    pub line: usize,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl fmt::Display for LdifTxError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for LdifTxError {}
+use super::{Transaction, TxError};
 
 /// Whether `rec` is a `changetype: delete` record (any other record is
 /// an insertion).
@@ -42,16 +24,17 @@ pub fn is_delete_record(rec: &LdifRecord) -> bool {
 /// Decodes parsed LDIF records into an insertion/deletion [`Transaction`]
 /// against `dir`. DNs are resolved at build time, so the caller must hold
 /// the directory stable between building and applying (the server builds
-/// under its write lock for exactly this reason).
+/// under its write lock for exactly this reason). A record that cannot be
+/// turned into an operation is [`TxError::Ldif`].
 pub fn transaction_from_ldif(
     dir: &DirectoryInstance,
     records: Vec<LdifRecord>,
-) -> Result<Transaction, LdifTxError> {
+) -> Result<Transaction, TxError> {
     let mut tx = Transaction::new();
     let mut pending: HashMap<String, usize> = HashMap::new();
     for mut rec in records {
         if is_delete_record(&rec) {
-            let id = dir.lookup_dn(&rec.dn).ok_or_else(|| LdifTxError {
+            let id = dir.lookup_dn(&rec.dn).ok_or_else(|| TxError::Ldif {
                 line: rec.line,
                 reason: format!("cannot delete {:?}: no such entry", rec.dn.to_normalized_string()),
             })?;
@@ -59,7 +42,7 @@ pub fn transaction_from_ldif(
             continue;
         }
         rec.entry.remove_attribute("changetype");
-        let rdn = rec.dn.rdn().cloned().ok_or_else(|| LdifTxError {
+        let rdn = rec.dn.rdn().cloned().ok_or_else(|| TxError::Ldif {
             line: rec.line,
             reason: "insertion record has an empty dn".to_owned(),
         })?;
@@ -70,7 +53,7 @@ pub fn transaction_from_ldif(
                 } else if let Some(&parent_op) = pending.get(&parent.to_normalized_string()) {
                     tx.insert_under_new_named(parent_op, rdn, rec.entry)
                 } else {
-                    return Err(LdifTxError {
+                    return Err(TxError::Ldif {
                         line: rec.line,
                         reason: format!(
                             "parent of {:?} is neither in the directory nor earlier in the transaction",
@@ -118,8 +101,9 @@ name: zoe
         let (dir, _) = white_pages_instance();
         let text = "dn: uid=nobody,o=att\nchangetype: delete\n";
         let err = transaction_from_ldif(&dir, parse_ldif(text).expect("valid ldif")).unwrap_err();
-        assert!(err.reason.contains("no such entry"), "{err}");
-        assert_eq!(err.line, 1);
+        let TxError::Ldif { line, reason } = &err else { panic!("{err:?}") };
+        assert!(reason.contains("no such entry"), "{err}");
+        assert_eq!(*line, 1);
     }
 
     #[test]
@@ -127,6 +111,6 @@ name: zoe
         let (dir, _) = white_pages_instance();
         let text = "dn: uid=zoe,ou=nowhere,o=att\nobjectClass: person\nobjectClass: top\n";
         let err = transaction_from_ldif(&dir, parse_ldif(text).expect("valid ldif")).unwrap_err();
-        assert!(err.reason.contains("neither in the directory"), "{err}");
+        assert!(err.to_string().contains("neither in the directory"), "{err}");
     }
 }

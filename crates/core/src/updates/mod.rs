@@ -12,7 +12,7 @@ pub use incremental::{
     deletion_needs_recheck, insertion_delta_query, insertion_delta_query_forbidden,
     IncrementalChecker,
 };
-pub use ldif_tx::{is_delete_record, transaction_from_ldif, LdifTxError};
+pub use ldif_tx::{is_delete_record, transaction_from_ldif};
 pub use modify::{apply_mods, check_modification, Mod};
 pub use transaction::{NodeRef, NormalizedTx, SubtreeInsertion, Transaction, TxError, TxOp};
 

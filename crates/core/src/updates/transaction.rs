@@ -99,6 +99,15 @@ pub enum TxError {
         /// The colliding RDN, rendered for display.
         rdn: String,
     },
+    /// An LDIF change record could not be decoded against the current
+    /// instance (an unknown delete target, an unresolvable parent, an
+    /// empty DN).
+    Ldif {
+        /// 1-based source line of the offending record.
+        line: usize,
+        /// What went wrong.
+        reason: String,
+    },
     /// An invariant the normalisation established failed to hold while
     /// the transaction was applied — an engine bug surfaced as a typed
     /// error instead of a panic, so callers can roll back.
@@ -126,6 +135,7 @@ impl fmt::Display for TxError {
             TxError::DuplicateRdn { node, rdn } => {
                 write!(f, "insert node {node}: an entry named {rdn} already exists under that parent")
             }
+            TxError::Ldif { line, reason } => write!(f, "line {line}: {reason}"),
             TxError::Internal(detail) => write!(f, "internal engine error: {detail}"),
         }
     }

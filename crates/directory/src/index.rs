@@ -32,10 +32,7 @@ const BUCKETS: usize = 64;
 /// table keeps the default hasher: values crafted to share a table cost
 /// a write the copy of one big table, never a lookup its O(1).)
 fn bucket_of(normalized: &str) -> usize {
-    let hash = normalized
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-    (hash % BUCKETS as u64) as usize
+    (crate::fnv1a(normalized.as_bytes()) % BUCKETS as u64) as usize
 }
 
 /// normalized value → entries holding it, sorted by label.

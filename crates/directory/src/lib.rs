@@ -67,3 +67,12 @@ pub use index::InstanceIndex;
 pub use instance::{DirectoryInstance, InstanceError, Prepared, SlotRow};
 pub use oid::Oid;
 pub use syntax::Syntax;
+
+/// 64-bit FNV-1a over `bytes` — the one hash behind checkpoint checksums,
+/// schema hashes, shard routing and the value-table buckets, so each
+/// stays byte-stable across runs and platforms.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}

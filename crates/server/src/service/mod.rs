@@ -48,7 +48,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use bschema_core::engine::OpenError;
 use bschema_core::managed::ManagedError;
 use bschema_core::schema::DirectorySchema;
 use bschema_core::sharded::ShardedDirectory;
@@ -120,8 +119,12 @@ impl ServiceError {
     fn new(code: &'static str, detail: impl Into<String>) -> Self {
         ServiceError { code, detail: detail.into() }
     }
+}
 
-    fn from_managed(e: &ManagedError) -> Self {
+/// The one conversion of an engine refusal, from either backend: its
+/// code and its words, unchanged.
+impl From<ManagedError> for ServiceError {
+    fn from(e: ManagedError) -> Self {
         ServiceError { code: e.code(), detail: e.to_string() }
     }
 }
@@ -217,11 +220,10 @@ pub struct DirectoryService {
     /// Checkpoint + truncate the journal every N commits (`None` =
     /// never; explicit `CHECKPOINT`/`checkpoint_now` still works).
     checkpoint_every: Option<u64>,
-    /// A read replica: every write verb is refused with the stable
-    /// `read-only` code; mutations arrive only through
+    /// Replication-lag gauges, present exactly when this service is a
+    /// read replica: every write verb is then refused with the stable
+    /// `read-only` code, and mutations arrive only through
     /// [`replicate_tx`](DirectoryService::replicate_tx).
-    read_only: bool,
-    /// Replication-lag gauges, present when this service is a follower.
     replication: Option<Arc<ReplicationState>>,
     /// The evolution plane: at most one staged schema proposal at a
     /// time (`SCHEMA PROPOSE` → `CHECK` → `COMMIT`/`ABORT`).
@@ -255,8 +257,7 @@ impl DirectoryService {
         dir: DirectoryInstance,
         shards: usize,
     ) -> Result<Self, ServiceError> {
-        let sharded = ShardedDirectory::with_instance(schema, dir, shards)
-            .map_err(|e| ServiceError::from_managed(&e))?;
+        let sharded = ShardedDirectory::with_instance(schema, dir, shards)?;
         let shards = sharded.shards();
         Ok(Self::from_backend(Backend::Sharded(sharded), shards))
     }
@@ -278,7 +279,6 @@ impl DirectoryService {
             last_swap_us: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             limits: ServiceLimits::default(),
             checkpoint_every: None,
-            read_only: false,
             replication: None,
             evolution: Mutex::new(None),
             schema_epoch: AtomicU64::new(0),
@@ -399,17 +399,12 @@ impl DirectoryService {
         self
     }
 
-    /// Turns this service into a read replica: `TXN` and `MODIFY` are
-    /// refused with the stable `read-only` code, and mutations arrive
-    /// only through [`replicate_tx`](DirectoryService::replicate_tx).
-    pub fn with_read_only(mut self) -> Self {
-        self.read_only = true;
-        self
-    }
-
-    /// Attaches the replication-lag gauges a follower's ship loop
-    /// updates; `HEALTH` then reports `replication_lag_records` and
-    /// `ship_age_s` signals plus a `replication` section.
+    /// Turns this service into a read replica whose ship loop updates
+    /// `replication`: every write verb is refused with the stable
+    /// `read-only` code, mutations arrive only through
+    /// [`replicate_tx`](DirectoryService::replicate_tx), and `HEALTH`
+    /// reports `replication_lag_records` and `ship_age_s` signals plus a
+    /// `replication` section.
     pub fn with_replication(mut self, replication: Arc<ReplicationState>) -> Self {
         self.replication = Some(replication);
         self
@@ -463,18 +458,14 @@ impl DirectoryService {
     /// transactions replayed (tails only, after a checkpoint restore).
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Result<(Self, usize), ServiceError> {
         let path = path.into();
-        let refused = |e: OpenError| match e {
-            OpenError::Io(e) => ServiceError::new("io", e.to_string()),
-            OpenError::Recovery(e) => ServiceError::from_managed(&e),
-        };
         let (backend, reports) = match self.backend {
             Backend::Single(engine) => {
                 let base = engine.into_inner().unwrap_or_else(|e| e.into_inner());
-                let (engine, report) = ManagedDirectory::open(base, path).map_err(refused)?;
+                let (engine, report) = ManagedDirectory::open(base, path)?;
                 (Backend::Single(Mutex::new(engine)), vec![report])
             }
             Backend::Sharded(sharded) => {
-                let (sharded, reports) = sharded.open(&path).map_err(refused)?;
+                let (sharded, reports) = sharded.open(&path)?;
                 (Backend::Sharded(sharded), reports)
             }
         };

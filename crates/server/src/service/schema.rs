@@ -156,9 +156,7 @@ impl DirectoryService {
                 // the swap, mirroring the TXN begin/commit discipline.
                 let (schema, dsl) = (&plan.target, plan.dsl.as_str());
                 let cutover = Op::Schema { schema, dsl, local: false, global: None };
-                let _counted = engine
-                    .apply_op(cutover, &*self.probe)
-                    .map_err(|e| ServiceError::from_managed(&e))?;
+                let _counted = engine.apply_op(cutover, &*self.probe)?;
                 self.publish(0, engine.shared_instance(), &*self.probe);
             }
             Backend::Sharded(sharded) => {
@@ -167,13 +165,13 @@ impl DirectoryService {
                     sharded.swap_schema_validated(plan.target.clone(), &plan.dsl, |merged| {
                         revalidate(plan, merged).map_err(|(report, detail)| {
                             violation = Some(detail);
-                            ManagedError::IllegalInstance(report).into()
+                            ManagedError::IllegalInstance(report)
                         })
                     });
                 if let Some(detail) = violation {
                     return Err(refused(detail));
                 }
-                result.map_err(|e| ServiceError { code: e.code(), detail: e.to_string() })?;
+                result?;
             }
         }
         let epoch = self.schema_epoch.fetch_add(1, Ordering::SeqCst) + 1;

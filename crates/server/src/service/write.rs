@@ -5,6 +5,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bschema_core::engine::Op;
+use bschema_core::managed::ManagedError;
 use bschema_core::sharded::ShardedDirectory;
 use bschema_core::updates::{transaction_from_ldif, Mod};
 use bschema_core::ManagedDirectory;
@@ -131,23 +132,19 @@ impl DirectoryService {
         let (op, ops) = match write {
             Write::Txn(records) => {
                 tx = scoped(probe, "service.tx_build", || {
-                    transaction_from_ldif(engine.instance(), records)
-                        .map_err(|e| ServiceError::new("invalid-tx", e.to_string()))
+                    transaction_from_ldif(engine.instance(), records).map_err(ManagedError::from)
                 })?;
                 (Op::Tx { tx: &tx, global: None }, tx.len())
             }
             Write::Modify { dn, mods } => {
-                let target = engine.instance().lookup_dn(dn).ok_or_else(|| {
-                    ServiceError::new("no-such-entry", format!("no entry named {dn}"))
-                })?;
-                (Op::Modify { target, mods }, mods.len())
+                (Op::Modify { target: engine.lookup(dn)?, mods }, mods.len())
             }
         };
         // A failed commit flush does not revoke the verdict; only
         // durability degraded, and the engine counts it
         // (`server.journal_commit_io_error`) instead of failing the
         // certified request.
-        let _counted = engine.apply_op(op, probe).map_err(|e| ServiceError::from_managed(&e))?;
+        let _counted = engine.apply_op(op, probe)?;
         scoped(probe, "service.publish", || self.publish(0, engine.shared_instance(), probe));
         Ok(TxOutcome { ops, len: engine.len(), shards: 1 })
     }
@@ -168,8 +165,7 @@ impl DirectoryService {
         let outcome = scoped(probe, "service.apply_sharded", || match write {
             Write::Txn(records) => sharded.apply_ldif(records),
             Write::Modify { dn, mods } => sharded.modify_dn(dn, mods),
-        })
-        .map_err(|e| ServiceError { code: e.code(), detail: e.to_string() })?;
+        })?;
         scoped(probe, "service.publish", || {
             for &k in &outcome.shards {
                 sharded.with_shard(k, |engine| self.publish(k, engine.shared_instance(), probe));
@@ -183,7 +179,7 @@ impl DirectoryService {
     /// The gate every write verb passes first: a read replica refuses
     /// it with the stable `read-only` code, counted under that code.
     pub(super) fn writable(&self, probe: &dyn Probe) -> Result<(), ServiceError> {
-        if !self.read_only {
+        if self.replication.is_none() {
             return Ok(());
         }
         probe.add_labeled(names::TX_REJECTED, "read-only", 1);

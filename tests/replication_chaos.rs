@@ -112,8 +112,7 @@ fn spawn_follower(
     let (managed, cursor) =
         Follower::bootstrap_state(addr, schema).expect("primary serves a bootstrap checkpoint");
     let replication = Arc::new(ReplicationState::default());
-    let mut service =
-        DirectoryService::new(managed).with_read_only().with_replication(replication.clone());
+    let mut service = DirectoryService::new(managed).with_replication(replication.clone());
     if let Some(plan) = plan {
         service = service.with_probe(plan);
     }

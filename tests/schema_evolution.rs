@@ -387,9 +387,7 @@ fn replica_converges_byte_identically_across_an_evolution() {
     // Follower bootstraps pre-evolution.
     let (managed, cursor) = Follower::bootstrap_state(&addr, &schema).expect("bootstrap");
     let replication = Arc::new(ReplicationState::default());
-    let replica = Arc::new(
-        DirectoryService::new(managed).with_read_only().with_replication(replication.clone()),
-    );
+    let replica = Arc::new(DirectoryService::new(managed).with_replication(replication.clone()));
     let mut follower =
         Follower::attach(&addr, schema.clone(), replica.clone(), replication, cursor);
 

@@ -30,7 +30,7 @@ use bschema_directory::{ldif, Rdn};
 use bschema_faults::{silence_injected_panics, site_from_seed, FaultPlan};
 use bschema_obs::json::Value;
 use bschema_obs::{names, MetricsRegistry, SloPolicy};
-use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimits};
+use bschema_server::{Client, ClientError, DirectoryService, Server, ServerConfig, ServiceLimits};
 use bschema_workload::multi_org_base;
 
 fn white_pages_service() -> DirectoryService {
@@ -190,6 +190,47 @@ fn rejected_transactions_leave_the_instance_byte_identical() {
     }
     client.shutdown_server().expect("shutdown");
     handle.wait();
+}
+
+/// One refusal, one wording: an undecodable TXN and a MODIFY of a
+/// missing DN are answered with the same `ERR` code and the same detail
+/// bytes by a single engine and by a 4-shard router over the same base —
+/// partitioning (Theorem 4.1) changes no verdict and no word of it.
+#[test]
+fn both_backends_word_a_refused_write_the_same_way() {
+    let base = || multi_org_base(4, 12, 0xC0FFEE);
+    let single = DirectoryService::new(
+        ManagedDirectory::with_instance(white_pages_schema(), base()).expect("legal base"),
+    );
+    let sharded =
+        DirectoryService::new_sharded(white_pages_schema(), base(), 4).expect("legal base");
+    let refusals: Vec<Vec<(String, String)>> = [single, sharded]
+        .into_iter()
+        .map(|service| {
+            let handle = Server::spawn(Arc::new(service), ServerConfig::default()).expect("bind");
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            let refused = |e: ClientError| match e {
+                ClientError::Server { code, detail } => (code, detail),
+                other => panic!("expected a refusal, got {other}"),
+            };
+            let txn = client
+                .apply_ldif("dn: uid=ghost,o=org0\nchangetype: delete\n")
+                .map(|_| ())
+                .map_err(refused)
+                .expect_err("undecodable TXN refused");
+            let modify = client
+                .modify_lines("dn: uid=ghost,o=org1\nreplace: name: x\n")
+                .map(|_| ())
+                .map_err(refused)
+                .expect_err("MODIFY of a missing DN refused");
+            client.shutdown_server().expect("shutdown");
+            handle.wait();
+            vec![txn, modify]
+        })
+        .collect();
+    assert_eq!(refusals[0][0].0, "invalid-tx", "{:?}", refusals[0]);
+    assert_eq!(refusals[0][1].0, "no-such-entry", "{:?}", refusals[0]);
+    assert_eq!(refusals[0], refusals[1], "single engine vs 4 shards");
 }
 
 /// Wire limits hold on the server socket: an oversized `TXN` payload is

@@ -19,7 +19,7 @@
 //! A seed override (`CHAOS_SEED`) lets CI run fresh workloads nightly
 //! while the default stays reproducible.
 
-use bschema_core::managed::ManagedDirectory;
+use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::white_pages_schema;
 use bschema_core::sharded::{canonical_merge, partition, ShardedDirectory};
 use bschema_core::updates::transaction_from_ldif;
@@ -59,7 +59,7 @@ fn replay_unsharded(
         let records = parse_ldif(&tx.ldif).expect("generated ldif parses");
         let before = managed.shared_instance();
         let verdict = match transaction_from_ldif(managed.instance(), records) {
-            Err(_) => "invalid-tx",
+            Err(e) => ManagedError::from(e).code(),
             Ok(tx) => match managed.apply(&tx) {
                 Ok(()) => "committed",
                 Err(e) => e.code(),
