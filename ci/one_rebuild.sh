@@ -21,6 +21,13 @@
 # * `crates/directory/src/forest.rs` declares no `Vec<Node>` field, and
 # * defines no `with_capacity` (a chunked arena has nothing to reserve).
 #
+# Nor more of a posting list than the chunk a label falls in: the class,
+# presence and `all` lists are `PostingList`s (crates/directory/src/
+# postings.rs, DESIGN.md §4), so
+#
+# * `crates/directory/src/index.rs` holds no `Arc<Vec<EntryId>>` — a
+#   flat list behind one `Arc`, which every post copies whole.
+#
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
 # module.
@@ -68,6 +75,14 @@ if [ -n "$flat" ]; then
     echo "$flat"
     echo "error: $forest must keep its nodes in a CowVec, with no capacity to reserve;" >&2
     echo "       a flat arena is copied whole by every clone (DESIGN.md §10)" >&2
+    status=1
+fi
+index=crates/directory/src/index.rs
+lists=$(calls 'Arc<Vec<EntryId>>' "$index")
+if [ -n "$lists" ]; then
+    echo "$lists"
+    echo "error: $index must keep its lists in PostingLists (postings.rs);" >&2
+    echo "       a flat Arc'd list is copied whole by every post to it (DESIGN.md §4)" >&2
     status=1
 fi
 exit "$status"

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Grep-gate: neither O(|D|) term of a served delete can come back
-# unnoticed.
+# Grep-gate: no O(|D|) term of a served write's certification can come
+# back unnoticed.
 #
 # A deletion is certified by Figure 5′ — the deleted subtrees' former
-# parents and their ancestors re-tested, O(depth · log|D|) — and what a
-# commit gives the readers is the version the engine installed, not a
-# copy of it (DESIGN.md §4, §11). The paper's own deletion column,
-# `IncrementalChecker::check_deletion`, evaluates the two "no" rows over
-# all of D − ∆D; it stays as the oracle the scoped paths are tested
-# against, so:
+# parents and their ancestors re-tested, O(depth · log|D|) — an insertion
+# by Figure 5′'s insertion column — ∆D and its root's ancestor chain,
+# O(|∆D| · |rows| + depth) — and what a commit gives the readers is the
+# version the engine installed, not a copy of it (DESIGN.md §4, §11). The
+# paper's own columns, `IncrementalChecker::check_insertions` (Figure 4
+# Δ-queries joining ∆D against whole-instance posting lists) and
+# `IncrementalChecker::check_deletion` (the two "no" rows over all of
+# D − ∆D), stay as the oracles the scoped paths are tested against, so:
 #
 # * `.check_deletion(` is called only from `apply_and_check` (the
 #   paper-literal per-step path, crates/core/src/updates/mod.rs), from
@@ -19,6 +21,11 @@
 #   `required_rel_query(` / `forbidden_rel_query(` are called only from
 #   `check_deletion` itself — a move and a class change go through the
 #   scoped tests too;
+# * inside `crates/core/src/updates/` nothing evaluates a query —
+#   `evaluate(`, `eval_cow(`, `insertion_delta_query(`,
+#   `insertion_delta_query_forbidden(` — outside the oracle functions:
+#   the two Δ-query builders themselves, `structure_delta_violations`
+#   (the Figure 5 insertion rows) and `check_deletion`;
 # * `crates/server/src/service/` wraps no clone of an instance in an
 #   `Arc`: `publish` is handed the engine's own.
 #
@@ -29,8 +36,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # calls <pattern> <open> <file>...: non-test, non-comment lines matching
-# <pattern> outside the item whose first line matches <open> (and which
-# ends at the first line closing a block at that indentation).
+# <pattern> outside the items whose first line matches <open> (each ends
+# at the first line closing a block at its indentation).
 calls() {
     local pattern=$1 open=$2
     shift 2
@@ -63,6 +70,16 @@ if [ -n "$queries" ]; then
     echo "$queries"
     echo "error: a whole-instance Figure 4 query evaluated under crates/core/src/updates/ outside" >&2
     echo "       check_deletion; test the update's neighbourhood instead (updates/scoped.rs)" >&2
+    status=1
+fi
+
+oracles='^(pub fn insertion_delta_query(_forbidden)?|    fn structure_delta_violations|    pub fn check_deletion)[(]'
+evaluated=$(calls '(evaluate|eval_cow|insertion_delta_query(_forbidden)?)[(]' "$oracles" \
+    crates/core/src/updates/*.rs)
+if [ -n "$evaluated" ]; then
+    echo "$evaluated"
+    echo "error: a query evaluated under crates/core/src/updates/ outside the Figure 5 oracles;" >&2
+    echo "       certify from the update's neighbourhood instead (updates/scoped.rs, Figure 5′)" >&2
     status=1
 fi
 

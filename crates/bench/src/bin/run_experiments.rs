@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use bschema_bench::{fmt_us, nearest_rank, org_of_size, time_median_us, Table, SIZES};
 use bschema_core::consistency::ConsistencyChecker;
-use bschema_core::legality::{self, translate, LegalityChecker};
+use bschema_core::legality::{self, translate, LegalityChecker, LegalityReport};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
 use bschema_core::updates::{
@@ -26,6 +26,7 @@ use bschema_core::updates::{
     IncrementalChecker,
 };
 use bschema_core::ManagedDirectory;
+use bschema_directory::Entry;
 use bschema_obs::{MetricsRegistry, Recorder, SloPolicy};
 use bschema_query::{evaluate, evaluate_naive, EvalContext, Query};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig};
@@ -371,6 +372,7 @@ fn exp_t42(sizes: &[usize], runs: usize) {
     let incremental = IncrementalChecker::new(&schema);
     let mut table = Table::new([
         "|D|",
+        "insert scoped (5′)",
         "insert Δ-check",
         "insert full",
         "ins full/Δ",
@@ -390,6 +392,9 @@ fn exp_t42(sizes: &[usize], runs: usize) {
         let root = normalized.insertions[0].apply(&mut org.dir).expect("valid tx applies")[0];
         org.dir.prepare();
         assert!(full.check(&org.dir).is_legal(), "insertion fixture must stay legal");
+        let ins_scoped = || incremental.check_insertions_scoped(&org.dir, &[root]);
+        assert_eq!(ins_scoped(), incremental.check_insertion(&org.dir, root));
+        let ins_scoped = time_median_us(runs, ins_scoped);
         let ins_delta = time_median_us(runs, || incremental.check_insertion(&org.dir, root));
         let ins_full = time_median_us(runs, || full.check(&org.dir));
         let recorder = Recorder::new();
@@ -430,6 +435,7 @@ fn exp_t42(sizes: &[usize], runs: usize) {
 
         table.row([
             n.to_string(),
+            fmt_us(ins_scoped),
             fmt_us(ins_delta),
             fmt_us(ins_full),
             format!("{:.1}x", ins_full / ins_delta),
@@ -446,6 +452,10 @@ fn exp_t42(sizes: &[usize], runs: usize) {
         ]);
     }
     println!("{}", table.render());
+    println!("note: the Figure 5 insertion check (Δ-check) joins ∆D against whole-instance");
+    println!("posting lists in four of its rows; the scoped one (Figure 5′, what the write");
+    println!("path runs) answers every row from ∆D and its root's ancestor chain — same");
+    println!("report, asserted above.");
     println!("note: the Figure 5 deletion check pays the 'no' rows (ch/de: a full recheck of");
     println!("those elements on D−ΔD); its advantage over the full check is skipping content,");
     println!("◇c, pa/an-required and all forbidden elements. The scoped check (Figure 5′)");
@@ -457,22 +467,62 @@ fn exp_t42(sizes: &[usize], runs: usize) {
     exp_t42_bounded_depth(runs, sizes.len() <= 2);
 }
 
-/// T4.2 continued: the three deletion checks on a forest of 250-entry
-/// organizations — the shape of a served directory (`dirbench`'s
-/// `large-50k` is 200 of them), where |D| grows by adding organizations
-/// and the depth stays that of one. The scoped check should read flat,
-/// the Figure 5 recheck and the §3 check linear.
+/// T4.2 continued: both columns on a forest of 250-entry organizations —
+/// the shape of a served directory (`dirbench`'s `large-50k` is 200 of
+/// them), where |D| grows by adding organizations and the depth stays
+/// that of one. A 3-entry insertion (a unit and two persons, as
+/// `dirbench` inserts) under the deepest unit, and the deletion of the
+/// deepest person that leaves a sibling: the scoped checks should read
+/// flat, the Figure 5 ones and the §3 check grow with |D|.
 fn exp_t42_bounded_depth(runs: usize, quick: bool) {
     /// Scoped checks per timing sample: one is below the clock's grain.
     const REPS: usize = 100;
     let schema = white_pages_schema();
     let full = LegalityChecker::new(&schema);
     let incremental = IncrementalChecker::new(&schema);
-    let mut table =
-        Table::new(["|D|", "orgs", "chain", "delete scoped (5′)", "delete Fig. 5", "delete full"]);
-    let sizes: &[usize] = if quick { &[2_000, 10_000] } else { &[2_000, 10_000, 50_000] };
+    let mut table = Table::new([
+        "|D|",
+        "orgs",
+        "chain",
+        "insert scoped (5′)",
+        "insert Fig. 5",
+        "delete scoped (5′)",
+        "delete Fig. 5",
+        "delete full",
+    ]);
+    let sizes: &[usize] = if quick { &[2_000, 10_000] } else { &[2_000, 10_000, 20_000, 50_000] };
+    let timed = |check: &dyn Fn() -> LegalityReport| {
+        time_median_us(runs, || {
+            for _ in 0..REPS {
+                std::hint::black_box(check());
+            }
+        }) / REPS as f64
+    };
     for &n in sizes {
         let mut dir = bschema_workload::multi_org_base(n / 250, 250, 42);
+        // The insertion, on a copy: a unit of two persons under the
+        // deepest unit.
+        let mut inserted = dir.clone();
+        let forest = inserted.forest();
+        let is_unit = |id| inserted.entry(id).is_some_and(|e| e.has_class("orgUnit"));
+        let anchor = forest
+            .iter()
+            .filter(|&id| is_unit(id))
+            .max_by_key(|&id| forest.depth(id))
+            .expect("generated organizations have units");
+        let unit = Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "t42");
+        let root = inserted.add_child_entry(anchor, unit.build()).expect("live anchor");
+        for uid in ["t42a", "t42b"] {
+            let person =
+                Entry::builder().classes(["person", "top"]).attr("uid", uid).attr("name", uid);
+            inserted.add_child_entry(root, person.build()).expect("live unit");
+        }
+        inserted.prepare();
+        assert!(full.check(&inserted).is_legal(), "insertion fixture must stay legal");
+        let ins_scoped = || incremental.check_insertions_scoped(&inserted, &[root]);
+        assert_eq!(ins_scoped(), incremental.check_insertion(&inserted, root));
+        let ins_scoped = timed(&ins_scoped);
+        let ins_delta = timed(&|| incremental.check_insertion(&inserted, root));
         // The deepest person that leaves a person sibling behind.
         let forest = dir.forest();
         let is_person = |id| dir.entry(id).is_some_and(|e| e.has_class("person"));
@@ -493,17 +543,15 @@ fn exp_t42_bounded_depth(runs: usize, quick: bool) {
         assert!(full.check(&dir).is_legal(), "deletion fixture must stay legal");
         let scoped = || incremental.check_deletion_scoped(&dir, &removed, &former_parents);
         assert_eq!(scoped(), incremental.check_deletion(&dir, &removed));
-        let del_scoped = time_median_us(runs, || {
-            for _ in 0..REPS {
-                std::hint::black_box(scoped());
-            }
-        }) / REPS as f64;
+        let del_scoped = timed(&scoped);
         let del_delta = time_median_us(runs, || incremental.check_deletion(&dir, &removed));
         let del_full = time_median_us(runs, || full.check(&dir));
         table.row([
             dir.len().to_string(),
             (n / 250).to_string(),
             chain.to_string(),
+            fmt_us(ins_scoped),
+            fmt_us(ins_delta),
             fmt_us(del_scoped),
             fmt_us(del_delta),
             fmt_us(del_full),

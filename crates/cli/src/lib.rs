@@ -655,7 +655,7 @@ name: a
     }
 
     #[test]
-    fn apply_reports_delta_queries_and_rollback() {
+    fn apply_reports_the_index_work_and_rollback() {
         let schema = write_tmp("s11.bs", SCHEMA);
         let data = write_tmp("d11.ldif", LDIF);
         // Legal insertion: a second person under the org.
@@ -668,7 +668,9 @@ name: a
         assert!(out.contains("APPLIED"), "{out}");
         let last = out.lines().last().unwrap();
         assert!(bschema_obs::json::is_valid(last), "{last}");
-        assert!(last.contains("incremental.delta_query."), "{last}");
+        // Figure 5′ certifies the write, with no Figure 4 query.
+        assert!(last.contains("\"name\":\"structure_scoped\""), "{last}");
+        assert!(!last.contains("incremental.delta_query."), "{last}");
         assert!(last.contains("\"managed.tx_applied\":1"), "{last}");
 
         // Illegal insertion (person under person) rolls back with diagnostics.

@@ -440,8 +440,13 @@ fn replace_durably(path: &Path, bytes: &[u8], site: &str, probe: &dyn Probe) -> 
     file.sync_all()?;
     probe.add(site, 1);
     fs::rename(&tmp, path)?;
-    // The rename is durable once the directory entry is: sync the
-    // parent (a bare file name lives in the current directory).
+    // The rename is durable once the directory entry is.
+    sync_parent(path)
+}
+
+/// Syncs the directory holding `path` — what makes a created or renamed
+/// file's name durable (a bare file name lives in the current directory).
+pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
     let parent = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
     fs::File::open(parent)?.sync_all()
 }
@@ -857,6 +862,31 @@ mod tests {
         )
         .expect("steady state recovers");
         assert_eq!(rec.managed.instance().canonical_bytes(), live.instance().canonical_bytes());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal path nobody has written to yet: opening it creates the
+    /// file, empty, before any append (its directory entry synced), and
+    /// what that empty journal recovers to is the base.
+    #[test]
+    fn opening_a_fresh_path_creates_an_empty_journal_that_recovers_to_the_base() {
+        let dir = std::env::temp_dir().join(format!("bschema-fresh-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fresh.wal");
+        let _ = fs::remove_file(&path);
+        let base = || {
+            let (dir, _ids) = white_pages_instance();
+            ManagedDirectory::with_instance(white_pages_schema(), dir).expect("legal")
+        };
+        let (opened, report) = ManagedDirectory::open(base(), &path).expect("opens");
+        assert_eq!(fs::read_to_string(&path).expect("created by open"), "");
+        assert_eq!((report.replayed, report.discarded, report.truncated), (0, 0, false));
+        assert_eq!(opened.instance().canonical_bytes(), base().instance().canonical_bytes());
+        drop(opened);
+
+        let (reopened, _) = ManagedDirectory::open(base(), &path).expect("reopens");
+        assert_eq!(reopened.instance().canonical_bytes(), base().instance().canonical_bytes());
+        assert_eq!(fs::read_to_string(&path).expect("still there"), "", "nothing appended");
         fs::remove_dir_all(&dir).ok();
     }
 }

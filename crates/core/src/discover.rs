@@ -234,7 +234,7 @@ fn mine_attributes(
         let members = dir.index().entries_with_class(class);
         let mut all: Option<BTreeSet<String>> = None;
         let mut any: BTreeSet<String> = BTreeSet::new();
-        for &id in members {
+        for id in members.iter() {
             let entry = dir.entry(id).expect("indexed entries are live");
             let attrs: BTreeSet<String> = entry
                 .attributes()

@@ -18,7 +18,8 @@ use bschema_directory::EntryId;
 use bschema_obs::Probe;
 
 use crate::checkpoint::{
-    checkpoint_path, recover_with_checkpoint, truncate_journal, write_checkpoint, Checkpoint,
+    checkpoint_path, recover_with_checkpoint, sync_parent, truncate_journal, write_checkpoint,
+    Checkpoint,
 };
 use crate::journal::{Journal, RecoveryReport};
 use crate::managed::{ManagedDirectory, ManagedError};
@@ -103,12 +104,16 @@ impl JournalFiles {
         Ok(JournalFiles { journal: Journal::parse(&text), text, ckpt_text })
     }
 
-    /// [`read`](JournalFiles::read), then the one in-place repair: a
-    /// torn tail (crash mid-write) is cut off the file at `intact_len`
-    /// and the cut synced, so a resumed writer extends an intact prefix.
-    /// The prefix itself is never rewritten: a crash during the repair
-    /// leaves it whole, with or without the tail. Either failure is
-    /// [`ManagedError::Open`], what opening a journal refuses with.
+    /// [`read`](JournalFiles::read), then the in-place repairs that make
+    /// the file safe to append to. A torn tail (crash mid-write) is cut
+    /// off the file at `intact_len` and the cut synced, so a resumed
+    /// writer extends an intact prefix; the prefix itself is never
+    /// rewritten, so a crash during the repair leaves it whole, with or
+    /// without the tail. A missing file is created empty and its parent
+    /// directory synced, so the name of the file every later commit is
+    /// appended to is durable before the first one is acknowledged.
+    /// Every failure is [`ManagedError::Open`], what opening a journal
+    /// refuses with.
     pub fn read_repaired(path: &Path) -> Result<JournalFiles, ManagedError> {
         let opened = |e: io::Error| ManagedError::Open(e.to_string());
         let files = JournalFiles::read(path).map_err(opened)?;
@@ -120,6 +125,12 @@ impl JournalFiles {
             };
             cut().map_err(io_context("repairing journal")).map_err(opened)?;
         }
+        let create = || match OpenOptions::new().write(true).create_new(true).open(path) {
+            Ok(file) => file.sync_all().and_then(|()| sync_parent(path)),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(()),
+            Err(e) => Err(e),
+        };
+        create().map_err(io_context("creating journal")).map_err(opened)?;
         Ok(files)
     }
 }

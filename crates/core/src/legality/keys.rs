@@ -21,7 +21,7 @@ pub fn check_instance(schema: &DirectorySchema, dir: &DirectoryInstance, out: &m
         let syntax = dir.registry().syntax_of(attr);
         let holders = dir.index().entries_with_attribute(attr);
         let mut seen: HashMap<String, EntryId> = HashMap::with_capacity(holders.len());
-        for &id in holders {
+        for id in holders.iter() {
             let entry = dir.entry(id).expect("indexed entries are live");
             for value in entry.values(attr) {
                 let normalized = syntax.normalize(value);
@@ -92,15 +92,15 @@ pub fn check_insertion(
         // Clashes with pre-existing entries (D was legal, so only
         // new-vs-old pairs are possible beyond the new-vs-new above), in
         // document order whichever list they are read from.
-        let holders = match &mut posted {
+        let holders: Box<dyn Iterator<Item = EntryId>> = match &mut posted {
             Some(posted) => {
                 posted.sort_unstable_by_key(|&id| forest.pre(id));
                 posted.dedup();
-                posted.as_slice()
+                Box::new(posted.iter().copied())
             }
-            None => index.entries_with_attribute(attr),
+            None => Box::new(index.entries_with_attribute(attr).iter()),
         };
-        for &id in holders {
+        for id in holders {
             if in_delta(id) {
                 continue;
             }

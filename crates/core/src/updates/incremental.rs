@@ -19,18 +19,22 @@
 //! The content schema is fully incremental both ways: insertion checks only
 //! the new entries; deletion checks nothing (§4.2).
 //!
-//! [`check_deletion`](IncrementalChecker::check_deletion) is that table,
-//! literally. The served write path runs Figure 5′ instead
-//! ([`check_deletion_scoped`](IncrementalChecker::check_deletion_scoped)):
-//! the two "no" rows re-tested on the deleted subtrees' former parents
-//! and their ancestors only — see [`scoped`](super::scoped) — with the
-//! literal recheck kept as the oracle it is tested against.
+//! [`check_insertions`](IncrementalChecker::check_insertions) and
+//! [`check_deletion`](IncrementalChecker::check_deletion) are that table,
+//! literally. The served write path runs Figure 5′ instead — see
+//! [`scoped`](super::scoped): an insertion's rows answered from ∆D and
+//! the ancestor chain of its root
+//! ([`check_insertions_scoped`](IncrementalChecker::check_insertions_scoped)),
+//! a deletion's two "no" rows re-tested on the deleted subtrees' former
+//! parents and their ancestors only
+//! ([`check_deletion_scoped`](IncrementalChecker::check_deletion_scoped)) —
+//! with the literal table kept as the oracle both are tested against.
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{names, Probe, SpanId, NO_SPAN};
 use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
 
-use super::scoped::Neighbourhood;
+use super::scoped::{Inserted, Neighbourhood};
 use crate::legality::report::{LegalityReport, Violation};
 use crate::legality::{content, fan_out, translate};
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
@@ -107,12 +111,13 @@ pub struct IncrementalChecker<'s> {
     probe: &'s dyn Probe,
 }
 
-/// One Δ-query evaluation unit of a batched insertion check: a delta root
-/// paired with a structure-schema element. Units are independent, so a
-/// multi-subtree transaction fans them all out at once.
-enum DeltaJob<'s> {
-    Required(EntryId, &'s RequiredRel),
-    Forbidden(EntryId, &'s ForbiddenRel),
+/// One structure-schema row of the insertion column. Paired with a
+/// delta root it is one unit of a batched insertion check; units are
+/// independent, so a multi-subtree transaction fans them all out at once.
+#[derive(Clone, Copy)]
+enum Row<'s> {
+    Required(&'s RequiredRel),
+    Forbidden(&'s ForbiddenRel),
 }
 
 impl<'s> IncrementalChecker<'s> {
@@ -141,25 +146,18 @@ impl<'s> IncrementalChecker<'s> {
         out: &mut Vec<Violation>,
     ) {
         let probe = self.probe;
-        let structure = self.schema.structure();
-        let mut jobs: Vec<DeltaJob<'s>> = Vec::with_capacity(
-            roots.len() * (structure.required_rels().len() + structure.forbidden_rels().len()),
-        );
+        let jobs: Vec<(EntryId, Row<'s>)> =
+            roots.iter().flat_map(|&root| self.rows().map(move |row| (root, row))).collect();
         // Count Δ-queries per Figure 5 row here, at job construction on
         // the caller's thread, so the counters are deterministic no
         // matter how the jobs are chunked over workers.
-        for &root in roots {
-            for rel in structure.required_rels() {
-                if probe.enabled() {
-                    probe.add_labeled(names::DELTA_QUERY, required_row(rel.kind), 1);
-                }
-                jobs.push(DeltaJob::Required(root, rel));
-            }
-            for rel in structure.forbidden_rels() {
-                if probe.enabled() {
-                    probe.add_labeled(names::DELTA_QUERY, forbidden_row(rel.kind), 1);
-                }
-                jobs.push(DeltaJob::Forbidden(root, rel));
+        if probe.enabled() {
+            for (_, row) in &jobs {
+                let label = match *row {
+                    Row::Required(rel) => required_row(rel.kind),
+                    Row::Forbidden(rel) => forbidden_row(rel.kind),
+                };
+                probe.add_labeled(names::DELTA_QUERY, label, 1);
             }
         }
         let classes = self.schema.classes();
@@ -167,9 +165,9 @@ impl<'s> IncrementalChecker<'s> {
             // One child span per Δ-query, named by its Figure 5 row
             // and ordered by in-chunk position, so a request trace
             // attributes time to individual rows deterministically.
-            for (j, job) in chunk.iter().enumerate() {
-                match *job {
-                    DeltaJob::Required(root, rel) => {
+            for (j, &(root, row)) in chunk.iter().enumerate() {
+                match row {
+                    Row::Required(rel) => {
                         let row = probe.span_start(span, required_row(rel.kind), j as u64);
                         let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
                         let q = insertion_delta_query(self.schema, rel);
@@ -183,7 +181,7 @@ impl<'s> IncrementalChecker<'s> {
                         }
                         probe.span_end(row);
                     }
-                    DeltaJob::Forbidden(root, rel) => {
+                    Row::Forbidden(rel) => {
                         let row = probe.span_start(span, forbidden_row(rel.kind), j as u64);
                         let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
                         let q = insertion_delta_query_forbidden(self.schema, rel);
@@ -223,6 +221,41 @@ impl<'s> IncrementalChecker<'s> {
         }));
     }
 
+    /// Figure 5′'s structure rows for every (delta root, row) pair on
+    /// `workers` workers, in the order of
+    /// [`structure_delta_violations`](Self::structure_delta_violations):
+    /// each root's neighbourhood ([`Inserted`]) is read once, then the
+    /// rows fan out over it.
+    fn structure_scoped_violations(
+        &self,
+        dir: &DirectoryInstance,
+        roots: &[EntryId],
+        workers: usize,
+        parent: SpanId,
+        out: &mut Vec<Violation>,
+    ) {
+        let near: Vec<Inserted<'_>> =
+            roots.iter().map(|&root| Inserted::new(self.schema, dir, root)).collect();
+        let jobs: Vec<(&Inserted<'_>, Row<'s>)> =
+            near.iter().flat_map(|near| self.rows().map(move |row| (near, row))).collect();
+        out.extend(fan_out(&jobs, workers, self.probe, parent, |_, chunk, local| {
+            for &(near, row) in chunk {
+                match row {
+                    Row::Required(rel) => near.required(rel, local),
+                    Row::Forbidden(rel) => near.forbidden(rel, local),
+                }
+            }
+        }));
+    }
+
+    /// The structure rows an insertion is checked against, in report
+    /// order: required rows, then forbidden, each in schema order.
+    fn rows(&self) -> impl Iterator<Item = Row<'s>> + 's {
+        let structure = self.schema.structure();
+        let required = structure.required_rels().iter().map(Row::Required);
+        required.chain(structure.forbidden_rels().iter().map(Row::Forbidden))
+    }
+
     /// Checks that inserting the subtree rooted at `delta_root` preserved
     /// legality. `dir` is the instance **after** the insertion, prepared;
     /// `D` (the instance before) is assumed legal.
@@ -248,10 +281,39 @@ impl<'s> IncrementalChecker<'s> {
     /// for a served write, fanned out for a bulk load. The report equals
     /// the union of per-root [`check_insertion`] reports against the final
     /// instance.
+    ///
+    /// This is Figure 5 as printed — four of its rows join ∆D against a
+    /// whole-instance posting list — and the oracle
+    /// [`check_insertions_scoped`](Self::check_insertions_scoped) answers to.
     pub fn check_insertions(
         &self,
         dir: &DirectoryInstance,
         delta_roots: &[EntryId],
+    ) -> LegalityReport {
+        self.insertion_column(dir, delta_roots, false)
+    }
+
+    /// Figure 5′: what [`check_insertions`](Self::check_insertions)
+    /// checks, with the same report — same violations, same order — in
+    /// O(|∆D| · |rows| + depth) instead of joins against whole posting
+    /// lists: content and keys as there, the structure rows answered from
+    /// ∆D and the ancestor chain of each delta root
+    /// ([`scoped`](super::scoped)). What every certify runs.
+    pub fn check_insertions_scoped(
+        &self,
+        dir: &DirectoryInstance,
+        delta_roots: &[EntryId],
+    ) -> LegalityReport {
+        self.insertion_column(dir, delta_roots, true)
+    }
+
+    /// The insertion column: content and keys of ∆D, then the structure
+    /// rows — `scoped` (Figure 5′) or as Figure 5's Δ-queries.
+    fn insertion_column(
+        &self,
+        dir: &DirectoryInstance,
+        delta_roots: &[EntryId],
+        scoped: bool,
     ) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_insertions", 0);
@@ -277,11 +339,17 @@ impl<'s> IncrementalChecker<'s> {
         }
         probe.span_end(span);
 
-        // Structure schema: Figure 5 insertion Δ-queries per delta root.
-        // Required classes `◇c` cannot be violated by an insertion.
-        let span = probe.span_start(root_span, "structure_delta", 2);
-        self.structure_delta_violations(dir, delta_roots, workers, span, &mut out);
-        probe.span_end(span);
+        // Structure schema, per delta root. Required classes `◇c` cannot
+        // be violated by an insertion.
+        if scoped {
+            let span = probe.span_start(root_span, "structure_scoped", 2);
+            self.structure_scoped_violations(dir, delta_roots, workers, span, &mut out);
+            probe.span_end(span);
+        } else {
+            let span = probe.span_start(root_span, "structure_delta", 2);
+            self.structure_delta_violations(dir, delta_roots, workers, span, &mut out);
+            probe.span_end(span);
+        }
 
         probe.span_end(root_span);
         LegalityReport::from_violations(out)
@@ -308,10 +376,10 @@ impl<'s> IncrementalChecker<'s> {
         let root_span = probe.span_start(NO_SPAN, "incremental.check_move", 0);
         let mut out = Vec::new();
 
-        // Insertion half: the Figure 5 Δ-queries at the new location.
+        // Insertion half: Figure 5′'s insertion column at the new location.
         let workers = bschema_parallel::workers_for(dir.forest().subtree_size(moved_root));
-        let span = probe.span_start(root_span, "structure_delta", 0);
-        self.structure_delta_violations(dir, &[moved_root], workers, span, &mut out);
+        let span = probe.span_start(root_span, "structure_scoped", 0);
+        self.structure_scoped_violations(dir, &[moved_root], workers, span, &mut out);
         probe.span_end(span);
 
         // Deletion half, Figure 5′: only the old parent and its ancestors

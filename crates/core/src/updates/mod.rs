@@ -78,25 +78,33 @@ pub fn apply_and_check(
     Ok(AppliedTx { inserted_roots, removed, report })
 }
 
-/// `dir.prepare()` on a path that holds a probe: what the call did to
-/// the index is attributed there — `managed.index_posted` entries (the
-/// |ΔD| of Theorem 4.2, when nothing else is wrong) and
+/// `dir.prepare()` on a path that holds a probe, in an `instance.prepare`
+/// span: what the call did to the index is attributed there —
+/// `managed.index_posted` entries (the |ΔD| of Theorem 4.2, when nothing
+/// else is wrong), `managed.index_chunks_unshared` chunks copied (O(1)
+/// per list an entry joins or leaves, whatever |D|) and
 /// `managed.index_rebuilt` from-scratch passes (none, on a served write).
 pub(crate) fn prepare_probed(dir: &mut DirectoryInstance, probe: &dyn bschema_obs::Probe) {
+    let span = probe.span_start(bschema_obs::NO_SPAN, "instance.prepare", 0);
     let did = dir.prepare();
     if probe.enabled() {
         if did.posted > 0 {
             probe.add("managed.index_posted", did.posted as u64);
         }
+        if did.unshared > 0 {
+            probe.add(bschema_obs::names::INDEX_CHUNKS_UNSHARED, did.unshared as u64);
+        }
         if did.rebuilt {
             probe.add("managed.index_rebuilt", 1);
         }
     }
+    probe.span_end(span);
 }
 
-/// Like [`apply_and_check`] but **batched**: all insertions are applied
-/// first and their Figure 5 Δ-queries checked in one wave
-/// ([`IncrementalChecker::check_insertions`]), then all deletions are
+/// Like [`apply_and_check`] but **batched** and scoped: all insertions
+/// are applied first and checked in one wave by Figure 5′'s insertion
+/// column ([`IncrementalChecker::check_insertions_scoped`]), then all
+/// deletions are
 /// applied and the union of removed entries checked once, at the deleted
 /// subtrees' former parents and their ancestors
 /// ([`IncrementalChecker::check_deletion_scoped`], Figure 5′).
@@ -109,9 +117,11 @@ pub(crate) fn prepare_probed(dir: &mut DirectoryInstance, probe: &dyn bschema_ob
 /// [`ManagedDirectory`](crate::managed::ManagedDirectory) exposes, and
 /// always in agreement with a full recheck of the final instance.
 ///
-/// `probe` (pass [`bschema_obs::noop`] for none) records the Figure 5
-/// Δ-query counters and check spans, and what each `prepare()` cost the
-/// index; behaviour and reports do not depend on it.
+/// `probe` (pass [`bschema_obs::noop`] for none) records the check
+/// spans and what each `prepare()` cost the index; behaviour and reports
+/// do not depend on it. No Figure 4 query is evaluated: the
+/// `incremental.delta_query.*` counters come from the Figure 5 oracle
+/// alone.
 pub fn apply_and_check_probed(
     schema: &DirectorySchema,
     dir: &mut DirectoryInstance,
@@ -131,7 +141,7 @@ pub fn apply_and_check_probed(
     }
     if !inserted_roots.is_empty() {
         prepare_probed(dir, probe);
-        report.extend(checker.check_insertions(dir, &inserted_roots));
+        report.extend(checker.check_insertions_scoped(dir, &inserted_roots));
     }
 
     let mut removed = Vec::new();
@@ -152,7 +162,9 @@ pub fn apply_and_check_probed(
         report.extend(checker.check_deletion_scoped(dir, &removed, &former_parents));
     }
 
-    prepare_probed(dir, probe);
+    if !dir.is_prepared() {
+        prepare_probed(dir, probe);
+    }
 
     Ok(AppliedTx { inserted_roots, removed, report })
 }

@@ -168,7 +168,7 @@ pub fn check_modification(
                         }
                     }
                     RelKind::Ancestor => {
-                        for &d in near.below(target, rel.source) {
+                        for d in near.below(target, rel.source) {
                             near.require(d, rel, &mut out);
                         }
                     }

@@ -10,12 +10,16 @@
 //! descendant test is a binary search on the class's label-sorted posting
 //! list followed by one comparison against the entry's exact `end`, and
 //! a walk up the ancestors ends at the first that passes it.
-//! DESIGN.md §4 states the theorem.
+//!
+//! An insertion needs no index at all: every relative a new entry has is
+//! either in ∆D or on the ancestor chain of ∆D's root, so the insertion
+//! column ([`Inserted`]) reads that chain once and ∆D once per row.
+//! DESIGN.md §4 states both theorems.
 
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use bschema_directory::{DirectoryInstance, EntryId};
+use bschema_directory::{DirectoryInstance, EntryId, Postings};
 use bschema_obs::Probe;
 
 use super::incremental::{forbidden_row, required_row};
@@ -53,20 +57,18 @@ impl<'a> Neighbourhood<'a> {
         self.dir.entry(id).is_some_and(|entry| entry.has_class(name))
     }
 
-    /// The `class` entries labelled after `e`, in label order: the tail
-    /// of the posting list past `pre(e)`, one binary search away.
-    fn after(&self, e: EntryId, class: ClassId) -> &'a [EntryId] {
-        let forest = self.dir.forest();
-        let list = self.dir.index().entries_with_class(self.schema.classes().name(class));
-        &list[list.partition_point(|&x| forest.pre(x) <= forest.pre(e))..]
+    /// The posting list of `class`.
+    fn members(&self, class: ClassId) -> Postings<'a> {
+        self.dir.index().entries_with_class(self.schema.classes().name(class))
     }
 
     /// The `class` entries properly below `e`, in label order: the run of
-    /// the posting list inside `(pre(e), end(e)]`.
-    pub(super) fn below(&self, e: EntryId, class: ClassId) -> &'a [EntryId] {
+    /// the posting list inside `(pre(e), end(e)]`, found by one binary
+    /// search over its chunks and one inside a chunk.
+    pub(super) fn below(&self, e: EntryId, class: ClassId) -> Vec<EntryId> {
         let forest = self.dir.forest();
-        let tail = self.after(e, class);
-        let run = &tail[..tail.partition_point(|&x| forest.pre(x) <= forest.end(e))];
+        let run: Vec<EntryId> =
+            self.members(class).between(forest, forest.pre(e), forest.end(e)).collect();
         self.examine(run.len());
         run
     }
@@ -83,7 +85,10 @@ impl<'a> Neighbourhood<'a> {
             RelKind::Ancestor => forest.ancestors(e).any(|a| self.carries(a, class)),
             RelKind::Descendant => {
                 self.examine(1);
-                self.after(e, class).first().is_some_and(|&x| forest.pre(x) <= forest.end(e))
+                self.members(class)
+                    .after(forest, forest.pre(e))
+                    .next()
+                    .is_some_and(|x| forest.pre(x) <= forest.end(e))
             }
         }
     }
@@ -97,21 +102,11 @@ impl<'a> Neighbourhood<'a> {
         self.has_relative(e, rel.kind, rel.target)
     }
 
-    fn unmet(&self, e: EntryId, rel: &RequiredRel) -> Violation {
-        let classes = self.schema.classes();
-        Violation::RequiredRelViolation {
-            entry: e,
-            source: classes.name(rel.source).to_owned(),
-            kind: rel.kind,
-            target: classes.name(rel.target).to_owned(),
-        }
-    }
-
     /// Appends the violation of `rel` at `e` unless `e` has the relative
     /// `rel` asks of it. `e` carries `rel.source`.
     pub(super) fn require(&self, e: EntryId, rel: &RequiredRel, out: &mut Vec<Violation>) {
         if !self.served(e, rel) {
-            out.push(self.unmet(e, rel));
+            out.push(unmet(self.schema, e, rel));
         }
     }
 
@@ -126,13 +121,7 @@ impl<'a> Neighbourhood<'a> {
             ForbidKind::Descendant => RelKind::Descendant,
         };
         if self.has_relative(upper, kind, rel.lower) {
-            let classes = self.schema.classes();
-            out.push(Violation::ForbiddenRelViolation {
-                entry: upper,
-                upper: classes.name(rel.upper).to_owned(),
-                kind: rel.kind,
-                lower: classes.name(rel.lower).to_owned(),
-            });
+            out.push(forbidden(self.schema, upper, rel));
         }
     }
 
@@ -187,7 +176,7 @@ impl<'a> Neighbourhood<'a> {
                 }
             }
             found.sort_unstable_by_key(|&a| forest.pre(a));
-            out.extend(found.into_iter().map(|a| self.unmet(a, rel)));
+            out.extend(found.into_iter().map(|a| unmet(self.schema, a, rel)));
         }
     }
 
@@ -197,5 +186,155 @@ impl<'a> Neighbourhood<'a> {
         if self.probe.enabled() {
             self.probe.add("incremental.scoped_entries", self.examined.get());
         }
+    }
+}
+
+fn unmet(schema: &DirectorySchema, e: EntryId, rel: &RequiredRel) -> Violation {
+    let classes = schema.classes();
+    Violation::RequiredRelViolation {
+        entry: e,
+        source: classes.name(rel.source).to_owned(),
+        kind: rel.kind,
+        target: classes.name(rel.target).to_owned(),
+    }
+}
+
+fn forbidden(schema: &DirectorySchema, upper: EntryId, rel: &ForbiddenRel) -> Violation {
+    let classes = schema.classes();
+    Violation::ForbiddenRelViolation {
+        entry: upper,
+        upper: classes.name(rel.upper).to_owned(),
+        kind: rel.kind,
+        lower: classes.name(rel.lower).to_owned(),
+    }
+}
+
+/// The insertion column of Figure 5′: the neighbourhood of one inserted
+/// subtree, read once, against which each structure row is one pass.
+///
+/// A new entry's parent and ancestors are the subtree root's ancestor
+/// chain plus the path to it inside ∆D, and its children and descendants
+/// all lie in ∆D. So [`new`](Self::new) walks the chain once for the
+/// classes on it and ∆D once in preorder for each entry's parent and
+/// classes; then [`required`](Self::required) and
+/// [`forbidden`](Self::forbidden) answer a row by one pass over ∆D going
+/// down (`→pa`, `→an`) or up (`→ch`, `→de`, and which entries gained a
+/// lower `↛` relative). O(|∆D| · |rows| + depth), whatever |D|; each row's
+/// witnesses come out in label order, as the Figure 5 Δ-query reports
+/// them.
+pub(super) struct Inserted<'a> {
+    schema: &'a DirectorySchema,
+    /// How many classes the schema declares: the stride of the flags.
+    width: usize,
+    /// The chain above the root, parent first.
+    chain: Vec<EntryId>,
+    /// `width` class flags per chain entry.
+    chain_classes: Vec<bool>,
+    /// ∆D in preorder, the root first.
+    delta: Vec<EntryId>,
+    /// Each ∆D entry's parent, as a position in `delta` (the root's own:
+    /// unused, its parent is `chain[0]`).
+    parent: Vec<usize>,
+    /// `width` class flags per ∆D entry.
+    classes: Vec<bool>,
+}
+
+impl<'a> Inserted<'a> {
+    /// Reads the neighbourhood of the subtree rooted at `root` in the
+    /// prepared instance `dir`.
+    pub(super) fn new(schema: &'a DirectorySchema, dir: &DirectoryInstance, root: EntryId) -> Self {
+        let forest = dir.forest();
+        let width = schema.classes().len();
+        let mark = |e: EntryId, flags: &mut Vec<bool>| {
+            let at = flags.len();
+            flags.resize(at + width, false);
+            let entry = dir.entry(e).expect("chain and ∆D entries are live");
+            for class in entry.classes().iter().filter_map(|name| schema.classes().lookup(name)) {
+                flags[at + class.index()] = true;
+            }
+        };
+        let chain: Vec<EntryId> = forest.ancestors(root).collect();
+        let mut chain_classes = Vec::with_capacity(chain.len() * width);
+        for &a in &chain {
+            mark(a, &mut chain_classes);
+        }
+        let delta: Vec<EntryId> = std::iter::once(root).chain(forest.descendants(root)).collect();
+        let (mut parent, mut path) = (vec![0; delta.len()], Vec::new());
+        let mut classes = Vec::with_capacity(delta.len() * width);
+        for (i, &e) in delta.iter().enumerate() {
+            while path.last().is_some_and(|&p: &usize| forest.end(delta[p]) < forest.pre(e)) {
+                path.pop();
+            }
+            parent[i] = path.last().copied().unwrap_or(0);
+            path.push(i);
+            mark(e, &mut classes);
+        }
+        Inserted { schema, width, chain, chain_classes, delta, parent, classes }
+    }
+
+    /// Whether the `i`-th entry of ∆D carries `class`.
+    fn has(&self, i: usize, class: ClassId) -> bool {
+        self.classes[i * self.width + class.index()]
+    }
+
+    /// Whether the `k`-th entry of the chain carries `class`.
+    fn above(&self, k: usize, class: ClassId) -> bool {
+        self.chain_classes[k * self.width + class.index()]
+    }
+
+    /// Whether each ∆D entry has a child — `deep`: a proper descendant —
+    /// in `class`; all of them lie in ∆D.
+    fn below(&self, class: ClassId, deep: bool) -> Vec<bool> {
+        let mut found = vec![false; self.delta.len()];
+        for i in (1..self.delta.len()).rev() {
+            found[self.parent[i]] |= self.has(i, class) || (deep && found[i]);
+        }
+        found
+    }
+
+    /// Appends the ∆D entries of `rel.source` that lack the relative
+    /// `rel` asks for.
+    pub(super) fn required(&self, rel: &RequiredRel, out: &mut Vec<Violation>) {
+        let n = self.delta.len();
+        let served: Vec<bool> = match rel.kind {
+            RelKind::Child | RelKind::Descendant => {
+                self.below(rel.target, rel.kind == RelKind::Descendant)
+            }
+            RelKind::Parent => (0..n)
+                .map(|i| match i {
+                    0 => !self.chain.is_empty() && self.above(0, rel.target),
+                    _ => self.has(self.parent[i], rel.target),
+                })
+                .collect(),
+            RelKind::Ancestor => {
+                let on_chain = (0..self.chain.len()).any(|k| self.above(k, rel.target));
+                let mut over = vec![on_chain; n];
+                for i in 1..n {
+                    over[i] = over[self.parent[i]] || self.has(self.parent[i], rel.target);
+                }
+                over
+            }
+        };
+        let unserved = (0..n).filter(|&i| self.has(i, rel.source) && !served[i]);
+        out.extend(unserved.map(|i| unmet(self.schema, self.delta[i], rel)));
+    }
+
+    /// Appends the entries of `rel.upper` — on the chain or in ∆D — that
+    /// gained a `rel.lower` child (descendant) with ∆D.
+    pub(super) fn forbidden(&self, rel: &ForbiddenRel, out: &mut Vec<Violation>) {
+        let n = self.delta.len();
+        let deep = rel.kind == ForbidKind::Descendant;
+        // On the chain: the parent, if the root is a lower; every
+        // ancestor, if any of ∆D is.
+        let reach = match deep {
+            false if self.has(0, rel.lower) => self.chain.len().min(1),
+            true if (0..n).any(|i| self.has(i, rel.lower)) => self.chain.len(),
+            _ => 0,
+        };
+        let gained = self.below(rel.lower, deep);
+        let on_chain =
+            (0..reach).rev().filter(|&k| self.above(k, rel.upper)).map(|k| self.chain[k]);
+        let inside = (0..n).filter(|&i| gained[i] && self.has(i, rel.upper)).map(|i| self.delta[i]);
+        out.extend(on_chain.chain(inside).map(|upper| forbidden(self.schema, upper, rel)));
     }
 }

@@ -10,8 +10,10 @@
 //! The index is built once ([`InstanceIndex::build`]) and from then on
 //! maintained in place: a write of |ΔD| entries posts |ΔD| entries
 //! (§4's promise), each by a binary search on the forest's gap labels.
-//! Every list sits behind its own `Arc`, so the version of an instance a
-//! write forks from keeps the lists the write did not touch.
+//! The class, presence and `all` lists are [`PostingList`]s, chunked
+//! copy-on-write, and each value table sits behind its own `Arc`, so the
+//! version of an instance a write forks from keeps every chunk and table
+//! the write did not touch.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +22,7 @@ use crate::attribute::{fold_name, AttributeRegistry};
 use crate::cow::CowVec;
 use crate::entry::Entry;
 use crate::forest::{EntryId, Forest};
+use crate::postings::{PostingList, Postings};
 use crate::syntax::Syntax;
 
 /// How many separately shared tables one attribute's equality postings
@@ -38,13 +41,13 @@ fn bucket_of(normalized: &str) -> usize {
 /// normalized value → entries holding it, sorted by label.
 type ValueTable = HashMap<String, Vec<EntryId>>;
 
-/// What the index keeps per attribute present in the instance. Every
-/// list sits behind its own `Arc`: versions of an instance share the
-/// lists neither has posted to since they forked.
+/// What the index keeps per attribute present in the instance. Versions
+/// of an instance share the chunks and tables neither has posted to
+/// since they forked.
 #[derive(Debug, Clone, PartialEq)]
 struct AttributePostings {
     /// Entries holding at least one value, sorted by label.
-    present: Arc<Vec<EntryId>>,
+    present: PostingList,
     /// The equality postings, [`BUCKETS`] tables selected by
     /// [`bucket_of`]. Kept only for attributes the registry declares
     /// single-valued: one posting per entry, and the key-like
@@ -84,7 +87,7 @@ impl UnsharedPostings {
 
     fn share(self) -> AttributePostings {
         AttributePostings {
-            present: Arc::new(self.present),
+            present: PostingList::from_sorted(self.present),
             by_value: self
                 .by_value
                 .map(|(syntax, tables)| (syntax, tables.into_iter().map(Arc::new).collect())),
@@ -92,7 +95,7 @@ impl UnsharedPostings {
     }
 }
 
-/// Where `id` sits (`Ok`) or belongs (`Err`) in a list sorted by label;
+/// Where `id` sits (`Ok`) or belongs (`Err`) in a value table's list;
 /// an entry labelled past the last element — an append — skips the
 /// search.
 fn position(list: &[EntryId], forest: &Forest, id: EntryId) -> Result<usize, usize> {
@@ -105,31 +108,28 @@ fn position(list: &[EntryId], forest: &Forest, id: EntryId) -> Result<usize, usi
     }
 }
 
-fn insert(list: &mut Vec<EntryId>, forest: &Forest, id: EntryId) {
-    if let Err(at) = position(list, forest, id) {
-        list.insert(at, id);
-    }
-}
-
-fn remove(list: &mut Vec<EntryId>, forest: &Forest, id: EntryId) {
-    if let Ok(at) = position(list, forest, id) {
-        list.remove(at);
-    }
+/// The distinct normalized values `values` post under `syntax`.
+fn keys(syntax: &Syntax, values: &[String]) -> Vec<String> {
+    let mut keys: Vec<String> = values.iter().map(|v| syntax.normalize(v)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
 /// Label-sorted entry lists by object class, by attribute presence,
 /// and by value for single-valued attributes.
 ///
-/// Two indexes are equal iff they hold the same lists: one maintained
-/// post by post equals the one built from scratch of the same instance.
+/// Two indexes are equal iff they hold the same lists, however those are
+/// chunked: one maintained post by post equals the one built from
+/// scratch of the same instance.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstanceIndex {
     /// lowercase class name → entry ids sorted by label.
-    by_class: HashMap<String, Arc<Vec<EntryId>>>,
+    by_class: HashMap<String, PostingList>,
     /// lowercase attribute key → presence and equality postings.
     by_attribute: HashMap<String, AttributePostings>,
     /// All live entries sorted by label.
-    all: Arc<Vec<EntryId>>,
+    all: PostingList,
 }
 
 impl InstanceIndex {
@@ -137,7 +137,9 @@ impl InstanceIndex {
     /// restore, after a move) and the oracle the maintained index is
     /// tested against. `forest` must be numbered (entries are visited in
     /// preorder, so pushed lists come out sorted). Map keys are allocated
-    /// once per distinct name, not once per (entry, name) pair.
+    /// once per distinct name, not once per (entry, name) pair; each list
+    /// is one flat allocation, shared as one chunk until a write splits
+    /// it.
     pub(crate) fn build(
         forest: &Forest,
         entries: &CowVec<Option<Entry>>,
@@ -176,77 +178,153 @@ impl InstanceIndex {
             }
         }
         InstanceIndex {
-            by_class: by_class.into_iter().map(|(class, list)| (class, Arc::new(list))).collect(),
+            by_class: by_class
+                .into_iter()
+                .map(|(class, list)| (class, PostingList::from_sorted(list)))
+                .collect(),
             by_attribute: by_attribute.into_iter().map(|(a, p)| (a, p.share())).collect(),
-            all: Arc::new(all),
+            all: PostingList::from_sorted(all),
         }
     }
 
     /// Adds the labelled, live entry `id` to exactly the lists it
-    /// belongs to, un-sharing those and no others.
+    /// belongs to. Returns how many chunks and value tables the post
+    /// copied out of a shared version or split off — O(1) per list.
     pub(crate) fn post(
         &mut self,
         forest: &Forest,
         registry: &AttributeRegistry,
         id: EntryId,
         entry: &Entry,
-    ) {
-        insert(Arc::make_mut(&mut self.all), forest, id);
+    ) -> usize {
+        let mut written = self.all.insert(forest, id);
         for class in entry.classes() {
-            let list = self.by_class.entry(fold_name(class).into_owned()).or_default();
-            insert(Arc::make_mut(list), forest, id);
+            written += self.add_class(forest, &fold_name(class), id);
         }
         for (attr, values) in entry.attributes() {
-            let postings = self
-                .by_attribute
-                .entry(attr.to_owned())
-                .or_insert_with(|| UnsharedPostings::new(registry, attr).share());
-            insert(Arc::make_mut(&mut postings.present), forest, id);
-            let Some((syntax, tables)) = &mut postings.by_value else { continue };
-            for value in values {
-                let key = syntax.normalize(value);
-                let table = Arc::make_mut(&mut tables[bucket_of(&key)]);
-                insert(table.entry(key).or_default(), forest, id);
-            }
+            written += self.add_attribute(forest, registry, id, attr, values);
         }
+        written
     }
 
     /// Takes `id` out of every list `entry` — its content when it was
     /// posted — put it in. `id` must still be live and labelled. Lists
     /// left empty go, as [`build`](Self::build) would not have made them.
-    pub(crate) fn unpost(&mut self, forest: &Forest, id: EntryId, entry: &Entry) {
-        remove(Arc::make_mut(&mut self.all), forest, id);
+    /// Returns what [`post`](Self::post) does.
+    pub(crate) fn unpost(&mut self, forest: &Forest, id: EntryId, entry: &Entry) -> usize {
+        let mut written = self.all.remove(forest, id);
         for class in entry.classes() {
-            let class = fold_name(class);
-            let Some(list) = self.by_class.get_mut(class.as_ref()) else { continue };
-            remove(Arc::make_mut(list), forest, id);
-            if list.is_empty() {
-                self.by_class.remove(class.as_ref());
-            }
+            written += self.drop_class(forest, &fold_name(class), id);
         }
         for (attr, values) in entry.attributes() {
-            let Some(postings) = self.by_attribute.get_mut(attr) else { continue };
-            remove(Arc::make_mut(&mut postings.present), forest, id);
-            if postings.present.is_empty() {
-                self.by_attribute.remove(attr);
-                continue;
-            }
-            let Some((syntax, tables)) = &mut postings.by_value else { continue };
-            for value in values {
-                let key = syntax.normalize(value);
-                let table = Arc::make_mut(&mut tables[bucket_of(&key)]);
-                let Some(list) = table.get_mut(&key) else { continue };
-                remove(list, forest, id);
-                if list.is_empty() {
-                    table.remove(&key);
+            written += self.drop_attribute(forest, id, attr, values);
+        }
+        written
+    }
+
+    /// Moves the live entry `id`, posted under `old`, to the lists its
+    /// content `new` puts it in — touching only the lists whose membership
+    /// the change alters, and of an attribute whose values changed only
+    /// the value tables of the values it gained or lost. Returns what
+    /// [`post`](Self::post) does.
+    pub(crate) fn repost(
+        &mut self,
+        forest: &Forest,
+        registry: &AttributeRegistry,
+        id: EntryId,
+        old: &Entry,
+        new: &Entry,
+    ) -> usize {
+        let mut written = 0;
+        for class in old.classes().iter().filter(|&c| !new.has_class(c)) {
+            written += self.drop_class(forest, &fold_name(class), id);
+        }
+        for class in new.classes().iter().filter(|&c| !old.has_class(c)) {
+            written += self.add_class(forest, &fold_name(class), id);
+        }
+        for (attr, before) in old.attributes() {
+            let after = new.values(attr);
+            if after.is_empty() {
+                written += self.drop_attribute(forest, id, attr, before);
+            } else if before != after {
+                let Some(postings) = self.by_attribute.get_mut(attr) else { continue };
+                let Some((syntax, tables)) = &mut postings.by_value else { continue };
+                let (gone, kept) = (keys(syntax, before), keys(syntax, after));
+                for key in gone.iter().filter(|key| kept.binary_search(key).is_err()) {
+                    written += drop_value(tables, forest, key, id);
+                }
+                for key in kept.into_iter().filter(|key| gone.binary_search(key).is_err()) {
+                    written += add_value(tables, forest, key, id);
                 }
             }
         }
+        for (attr, values) in new.attributes().filter(|(attr, _)| !old.has_attribute(attr)) {
+            written += self.add_attribute(forest, registry, id, attr, values);
+        }
+        written
+    }
+
+    fn add_class(&mut self, forest: &Forest, class: &str, id: EntryId) -> usize {
+        match self.by_class.get_mut(class) {
+            Some(list) => list.insert(forest, id),
+            None => self.by_class.entry(class.to_owned()).or_default().insert(forest, id),
+        }
+    }
+
+    fn drop_class(&mut self, forest: &Forest, class: &str, id: EntryId) -> usize {
+        let Some(list) = self.by_class.get_mut(class) else { return 0 };
+        let written = list.remove(forest, id);
+        if list.is_empty() {
+            self.by_class.remove(class);
+        }
+        written
+    }
+
+    fn add_attribute(
+        &mut self,
+        forest: &Forest,
+        registry: &AttributeRegistry,
+        id: EntryId,
+        attr: &str,
+        values: &[String],
+    ) -> usize {
+        let postings = self
+            .by_attribute
+            .entry(attr.to_owned())
+            .or_insert_with(|| UnsharedPostings::new(registry, attr).share());
+        let mut written = postings.present.insert(forest, id);
+        if let Some((syntax, tables)) = &mut postings.by_value {
+            for key in keys(syntax, values) {
+                written += add_value(tables, forest, key, id);
+            }
+        }
+        written
+    }
+
+    fn drop_attribute(
+        &mut self,
+        forest: &Forest,
+        id: EntryId,
+        attr: &str,
+        values: &[String],
+    ) -> usize {
+        let Some(postings) = self.by_attribute.get_mut(attr) else { return 0 };
+        let mut written = postings.present.remove(forest, id);
+        if postings.present.is_empty() {
+            self.by_attribute.remove(attr);
+            return written;
+        }
+        if let Some((syntax, tables)) = &mut postings.by_value {
+            for key in keys(syntax, values) {
+                written += drop_value(tables, forest, &key, id);
+            }
+        }
+        written
     }
 
     /// Entries that belong to `class` (case-insensitive), preorder-sorted.
-    pub fn entries_with_class(&self, class: &str) -> &[EntryId] {
-        self.by_class.get(fold_name(class).as_ref()).map_or(&[], |list| list.as_slice())
+    pub fn entries_with_class(&self, class: &str) -> Postings<'_> {
+        self.by_class.get(fold_name(class).as_ref()).map(PostingList::view).unwrap_or_default()
     }
 
     fn postings(&self, attr: &str) -> Option<&AttributePostings> {
@@ -254,8 +332,8 @@ impl InstanceIndex {
     }
 
     /// Entries holding at least one value of `attr`, preorder-sorted.
-    pub fn entries_with_attribute(&self, attr: &str) -> &[EntryId] {
-        self.postings(attr).map_or(&[], |postings| &postings.present)
+    pub fn entries_with_attribute(&self, attr: &str) -> Postings<'_> {
+        self.postings(attr).map(|postings| postings.present.view()).unwrap_or_default()
     }
 
     /// Entries holding a value of `attr` equal to `value` under the
@@ -271,8 +349,8 @@ impl InstanceIndex {
     }
 
     /// All live entries, preorder-sorted.
-    pub fn all_entries(&self) -> &[EntryId] {
-        &self.all
+    pub fn all_entries(&self) -> Postings<'_> {
+        self.all.view()
     }
 
     /// Number of entries that belong to `class` (the per-class counts that,
@@ -288,6 +366,37 @@ impl InstanceIndex {
     }
 }
 
+/// Posts `id` under the normalized value `key`; says whether the value
+/// table was copied out of a shared version.
+fn add_value(tables: &mut [Arc<ValueTable>], forest: &Forest, key: String, id: EntryId) -> usize {
+    let table = &mut tables[bucket_of(&key)];
+    let copied = usize::from(Arc::get_mut(table).is_none());
+    let list = Arc::make_mut(table).entry(key).or_default();
+    if let Err(at) = position(list, forest, id) {
+        list.insert(at, id);
+    }
+    copied
+}
+
+/// Un-posts `id` from the normalized value `key`, dropping the key when
+/// no entry is left under it; says whether the value table was copied.
+fn drop_value(tables: &mut [Arc<ValueTable>], forest: &Forest, key: &str, id: EntryId) -> usize {
+    let table = &mut tables[bucket_of(key)];
+    if table.get(key).is_none_or(|list| position(list, forest, id).is_err()) {
+        return 0;
+    }
+    let copied = usize::from(Arc::get_mut(table).is_none());
+    let table = Arc::make_mut(table);
+    let list = table.get_mut(key).expect("checked above");
+    if let Ok(at) = position(list, forest, id) {
+        list.remove(at);
+    }
+    if list.is_empty() {
+        table.remove(key);
+    }
+    copied
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -295,6 +404,7 @@ mod tests {
     use crate::entry::Entry;
     use crate::forest::EntryId;
     use crate::instance::{DirectoryInstance, Prepared};
+    use crate::postings::PostingList;
 
     fn sample() -> DirectoryInstance {
         let mut d = DirectoryInstance::white_pages();
@@ -330,7 +440,7 @@ mod tests {
     fn class_lists_are_preorder_sorted() {
         let d = sample();
         let (f, idx) = (d.forest(), d.index());
-        let tops = idx.entries_with_class("top");
+        let tops = idx.entries_with_class("top").to_slice();
         assert_eq!(tops.len(), 4);
         for w in tops.windows(2) {
             assert!(f.pre(w[0]) < f.pre(w[1]));
@@ -365,7 +475,7 @@ mod tests {
     #[test]
     fn equality_postings_cover_the_single_valued_attributes() {
         let mut d = sample();
-        let b = d.index().entries_with_attribute("mail")[0];
+        let b = d.index().entries_with_attribute("mail").iter().next().unwrap();
         assert_eq!(d.index().entries_with_value("uid", "B"), Some(&[b][..]));
         assert_eq!(d.index().entries_with_value("UID", "nobody"), Some(&[][..]));
         // Multi-valued attributes carry no postings; an attribute no
@@ -384,9 +494,9 @@ mod tests {
     }
 
     /// The O(|ΔD|) tripwire, as counts: one insertion into a shared
-    /// version of a 20k-entry directory copies the lists the new entry
-    /// belongs to and one value table per posted value — nothing else —
-    /// and relabels no other node.
+    /// version of a 20k-entry directory copies one chunk of each list the
+    /// new entry belongs to and one value table per posted value —
+    /// nothing else — and relabels no other node.
     #[test]
     fn one_insertion_unshares_only_the_lists_it_posts_to() {
         let mut base = DirectoryInstance::white_pages();
@@ -407,7 +517,14 @@ mod tests {
                 base.add_child_entry(unit, person.build()).unwrap();
             }
         }
-        assert_eq!(base.prepare(), Prepared { posted: 0, rebuilt: true });
+        assert_eq!(base.prepare(), Prepared { posted: 0, rebuilt: true, unshared: 0 });
+        // A first write splits every built list it lands in; the version
+        // it leaves is the one later writes fork from.
+        let warm = Entry::builder().class("person").class("top").attr("uid", "warm");
+        let warm = base.add_child_entry(units[3], warm.build()).unwrap();
+        base.prepare();
+        base.remove_leaf(warm).unwrap();
+        base.prepare();
         let labels = |d: &DirectoryInstance, ids: &[EntryId]| -> Vec<u64> {
             ids.iter().map(|&id| d.forest().pre(id)).collect()
         };
@@ -416,22 +533,27 @@ mod tests {
         let mut next = base.clone();
         let fresh = Entry::builder().class("person").class("top").attr("uid", "fresh");
         let new = next.add_child_entry(units[77], fresh.attr("mail", "f@x").build()).unwrap();
-        assert_eq!(next.prepare(), Prepared { posted: 1, rebuilt: false });
+        // all, person, top, objectclass, uid, a new mail list, one uid table.
+        assert_eq!(next.prepare(), Prepared { posted: 1, rebuilt: false, unshared: 7 });
 
         let (old, now) = (base.index(), next.index());
-        assert!(!Arc::ptr_eq(&old.all, &now.all));
+        let copied = |a: &PostingList, b: &PostingList| {
+            let (a, b) = (a.view(), b.view());
+            a.chunk_count() - a.shared_chunks(&b)
+        };
+        assert_eq!(copied(&old.all, &now.all), 1);
         assert_eq!(old.by_class.len(), 4);
         for (class, list) in &old.by_class {
             let posted_to = ["person", "top"].contains(&class.as_str());
-            assert_eq!(Arc::ptr_eq(list, &now.by_class[class]), !posted_to, "class {class}");
+            assert_eq!(copied(list, &now.by_class[class]), usize::from(posted_to), "class {class}");
         }
         assert_eq!(old.by_attribute.len(), 6);
         assert_eq!(now.by_attribute.len(), 7, "mail is new");
         for (attr, postings) in &old.by_attribute {
             let posted_to = ["objectclass", "uid"].contains(&attr.as_str());
             assert_eq!(
-                Arc::ptr_eq(&postings.present, &now.by_attribute[attr].present),
-                !posted_to,
+                copied(&postings.present, &now.by_attribute[attr].present),
+                usize::from(posted_to),
                 "attribute {attr}"
             );
             let tables = |index: &super::InstanceIndex| {

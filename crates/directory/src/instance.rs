@@ -7,9 +7,9 @@
 //! evaluation and legality checking run against: call
 //! [`DirectoryInstance::prepare`] after a batch of mutations, then read
 //! through the shared accessors. The first `prepare()` numbers the forest
-//! and builds the index; later ones post the entries the batch added or
-//! changed (removals un-post on the spot), so a write of |ΔD| entries
-//! costs |ΔD| postings, not a pass over the directory.
+//! and builds the index; later ones post the entries the batch added and
+//! re-post the ones it changed (removals un-post on the spot), so a write
+//! of |ΔD| entries costs |ΔD| postings, not a pass over the directory.
 
 use std::fmt;
 use std::sync::Arc;
@@ -101,12 +101,18 @@ pub struct SlotRow {
 /// write-amplification a caller can attribute to its batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Prepared {
-    /// Entries posted to the maintained index.
+    /// Entries posted to the maintained index: added ones, and changed
+    /// ones re-posted.
     pub posted: usize,
     /// Whether the forest was renumbered and the index built from
     /// scratch instead: the first call, or after a move, a registry
     /// change or a batch past the rebuild bound.
     pub rebuilt: bool,
+    /// Posting-list chunks and value tables the batch copied out of a
+    /// version it shares them with, or split off — its removals' un-posts
+    /// included. O(1) per list an entry joins or leaves, whatever |D|;
+    /// the first write to a freshly built list pays one split of it.
+    pub unshared: usize,
 }
 
 /// A batch — every entry queued for the index or taken out of it since
@@ -124,8 +130,9 @@ const REBUILD_FRACTION: usize = 32;
 ///
 /// Cloning is cheap and structurally shared: the entry table, the RDN
 /// table and the forest's link arena are chunked copy-on-write vectors,
-/// and the registry and every list of the index sit behind `Arc`s, so
-/// a clone copies one pointer per chunk and nothing else of size |D|.
+/// the registry sits behind an `Arc` and the index is chunked the same
+/// way, so a clone copies one pointer per chunk and nothing else of size
+/// |D|.
 /// Two clones share every chunk neither has written to, so a clone is
 /// the unit of atomicity of a transaction (mutate the copy, swap it in
 /// or drop it) and of publication (readers keep the version they
@@ -139,15 +146,23 @@ pub struct DirectoryInstance {
     rdns: CowVec<Option<Rdn>>,
     registry: Arc<AttributeRegistry>,
     /// `Some` from the first [`prepare`](Self::prepare) on: covers every
-    /// live entry but those in `unposted`, and implies a numbered forest.
+    /// live entry but those in `unposted`, holds those in `changed` under
+    /// their former content, and implies a numbered forest.
     index: Option<Arc<InstanceIndex>>,
-    /// Entries added or handed out mutably since the last `prepare()`,
-    /// which posts them under the content they have by then. Empty
-    /// while there is no index to maintain.
+    /// Entries added since the last `prepare()`, which posts them under
+    /// the content they have by then. Empty while there is no index to
+    /// maintain.
     unposted: Vec<EntryId>,
+    /// Entries handed out mutably since the last `prepare()`, with the
+    /// content the index holds them under: `prepare()` re-posts each from
+    /// that content to the one it has by then.
+    changed: Vec<(EntryId, Entry)>,
     /// Entries taken out of the index since the last `prepare()`: with
-    /// `unposted.len()`, the batch the rebuild bound measures.
+    /// the two queues, the batch the rebuild bound measures.
     withdrawn: usize,
+    /// Chunks and value tables the batch has copied or split so far
+    /// ([`Prepared::unshared`]).
+    unshared: usize,
 }
 
 impl Default for DirectoryInstance {
@@ -166,7 +181,9 @@ impl DirectoryInstance {
             registry: Arc::new(registry),
             index: None,
             unposted: Vec::new(),
+            changed: Vec::new(),
             withdrawn: 0,
+            unshared: 0,
         }
     }
 
@@ -253,13 +270,16 @@ impl DirectoryInstance {
     fn invalidate(&mut self) {
         self.index = None;
         self.unposted.clear();
+        self.changed.clear();
         self.withdrawn = 0;
+        self.unshared = 0;
     }
 
     /// Whether `more` entries would take the batch since the last
     /// `prepare()` past the rebuild bound.
     fn past_rebuild_bound(&self, more: usize) -> bool {
-        self.unposted.len() + self.withdrawn + more > self.forest.len() / REBUILD_FRACTION
+        let batch = self.unposted.len() + 2 * self.changed.len() + self.withdrawn + more;
+        batch > self.forest.len() / REBUILD_FRACTION
     }
 
     /// Queues `id`, which the index does not hold, for the next
@@ -273,9 +293,25 @@ impl DirectoryInstance {
         }
     }
 
+    /// Notes that the live entry `id` is about to change content: unless
+    /// it is queued already, `prepare()` re-posts it from what it holds
+    /// now.
+    fn queue_change(&mut self, id: EntryId) {
+        if self.index.is_none()
+            || self.unposted.contains(&id)
+            || self.changed.iter().any(|(queued, _)| *queued == id)
+        {
+            return;
+        }
+        self.changed.push((id, live_entry(&self.entries, id).clone()));
+        if self.past_rebuild_bound(0) {
+            self.invalidate();
+        }
+    }
+
     /// Takes the live entries `ids` out of the index, or out of the
-    /// queue, ahead of their removal or a change of content — while the
-    /// forest still knows their labels and the index their old content.
+    /// queues, ahead of their removal — while the forest still knows their
+    /// labels and the index the content it holds them under.
     fn unpost(&mut self, ids: &[EntryId]) {
         if self.index.is_none() {
             return;
@@ -285,15 +321,15 @@ impl DirectoryInstance {
         }
         let index = Arc::make_mut(self.index.as_mut().expect("checked above"));
         for &id in ids {
-            match self.unposted.iter().position(|&queued| queued == id) {
-                Some(at) => {
-                    self.unposted.swap_remove(at);
-                }
-                None => {
-                    index.unpost(&self.forest, id, live_entry(&self.entries, id));
-                    self.withdrawn += 1;
-                }
+            if let Some(at) = self.unposted.iter().position(|&queued| queued == id) {
+                self.unposted.swap_remove(at);
+                continue;
             }
+            let at = self.changed.iter().position(|(queued, _)| *queued == id);
+            let old = at.map(|at| self.changed.swap_remove(at).1);
+            let posted = old.as_ref().unwrap_or_else(|| live_entry(&self.entries, id));
+            self.unshared += index.unpost(&self.forest, id, posted);
+            self.withdrawn += 1;
         }
     }
 
@@ -428,15 +464,15 @@ impl DirectoryInstance {
         self.entries.get(id.index()).and_then(Option::as_ref)
     }
 
-    /// Mutable access to the entry at `id`. The index lets go of the
-    /// entry (class membership and values may change); the next
-    /// [`prepare`](Self::prepare) posts it as it is by then.
+    /// Mutable access to the entry at `id`. Class membership and values
+    /// may change: the next [`prepare`](Self::prepare) moves the entry to
+    /// the lists its content then puts it in, touching only those whose
+    /// membership changed.
     pub fn entry_mut(&mut self, id: EntryId) -> Option<&mut Entry> {
         if !self.forest.contains(id) {
             return None;
         }
-        self.unpost(&[id]);
-        self.queue(id);
+        self.queue_change(id);
         self.entries.get_mut(id.index()).and_then(Option::as_mut)
     }
 
@@ -608,24 +644,30 @@ impl DirectoryInstance {
             self.forest.ensure_numbered();
             self.index =
                 Some(Arc::new(InstanceIndex::build(&self.forest, &self.entries, &self.registry)));
-            return Prepared { posted: 0, rebuilt: true };
+            return Prepared { posted: 0, rebuilt: true, unshared: 0 };
         };
         debug_assert!(self.forest.is_numbered(), "an index implies a numbered forest");
         self.withdrawn = 0;
-        let posted = self.unposted.len();
+        let posted = self.unposted.len() + self.changed.len();
+        let mut unshared = std::mem::take(&mut self.unshared);
         if posted > 0 {
+            let (forest, registry) = (&self.forest, &self.registry);
             let index = Arc::make_mut(index);
             for id in self.unposted.drain(..) {
-                index.post(&self.forest, &self.registry, id, live_entry(&self.entries, id));
+                unshared += index.post(forest, registry, id, live_entry(&self.entries, id));
+            }
+            for (id, old) in self.changed.drain(..) {
+                let new = live_entry(&self.entries, id);
+                unshared += index.repost(forest, registry, id, &old, new);
             }
         }
-        Prepared { posted, rebuilt: false }
+        Prepared { posted, rebuilt: false, unshared }
     }
 
     /// Whether [`prepare`](Self::prepare) has run since the last addition
     /// or content change (a removal leaves a prepared instance prepared).
     pub fn is_prepared(&self) -> bool {
-        self.index.is_some() && self.unposted.is_empty()
+        self.index.is_some() && self.unposted.is_empty() && self.changed.is_empty()
     }
 
     /// The secondary index.
@@ -633,7 +675,10 @@ impl DirectoryInstance {
     /// # Panics
     /// If the instance is not [`prepare`](Self::prepare)d.
     pub fn index(&self) -> &InstanceIndex {
-        assert!(self.unposted.is_empty(), "instance not prepared; call prepare() after mutations");
+        assert!(
+            self.unposted.is_empty() && self.changed.is_empty(),
+            "instance not prepared; call prepare() after mutations"
+        );
         self.index.as_deref().expect("instance not prepared; call prepare() after mutations")
     }
 

@@ -22,7 +22,8 @@
 //! * [`instance`] — the assembled [`DirectoryInstance`] with secondary
 //!   indexes ([`index`]) that a write posts its |ΔD| entries to; its side
 //!   tables are chunked copy-on-write vectors (`cow`) and its index lists
-//!   sit behind `Arc`s, so clones share what they do not write.
+//!   chunked copy-on-write posting lists ([`Postings`]), so clones share
+//!   what they do not write.
 //! * [`dn`] / [`ldif`] — naming and interchange.
 //!
 //! ## Quick start
@@ -57,6 +58,7 @@ pub mod index;
 pub mod instance;
 pub mod ldif;
 pub mod oid;
+mod postings;
 pub mod syntax;
 
 pub use attribute::{AttributeDef, AttributeRegistry, OBJECT_CLASS};
@@ -66,6 +68,7 @@ pub use forest::{EntryId, Forest, ForestError};
 pub use index::InstanceIndex;
 pub use instance::{DirectoryInstance, InstanceError, Prepared, SlotRow};
 pub use oid::Oid;
+pub use postings::Postings;
 pub use syntax::Syntax;
 
 /// 64-bit FNV-1a over `bytes` — the one hash behind checkpoint checksums,

@@ -591,6 +591,86 @@ fn a_batch_past_the_bound_is_rebuilt() {
     dir.check_prepared().expect("rebuilt");
 }
 
+/// One step of a posting-list workout: `n` entries posted under, or
+/// taken from under, one of a few hot parents — enough at once to fill
+/// the chunk their labels fall in and split it, or to empty it — or one
+/// entry's content changed.
+#[derive(Debug, Clone)]
+enum Burst {
+    Post { at: usize, n: usize },
+    Unpost { at: usize, n: usize },
+    Change { at: usize },
+}
+
+fn burst_strategy() -> impl Strategy<Value = Burst> {
+    prop_oneof![
+        3 => (any::<usize>(), 1usize..700).prop_map(|(at, n)| Burst::Post { at, n }),
+        2 => (any::<usize>(), 1usize..700).prop_map(|(at, n)| Burst::Unpost { at, n }),
+        1 => any::<usize>().prop_map(|at| Burst::Change { at }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The chunked posting lists through their boundaries: a built list
+    /// (one chunk of ~1.5k ids) split by its first post, chunks filled
+    /// and split by bursts of posts under one parent, emptied by bursts
+    /// of un-posts and posted into again. After every step, on a clone
+    /// of the version before it, both versions hold exactly the index a
+    /// fresh build makes (`check_prepared`), and the step copied no more
+    /// than a few chunks per list once the first post has split them.
+    #[test]
+    fn posting_chunks_fill_split_empty_and_refill(
+        bursts in proptest::collection::vec(burst_strategy(), 1..12),
+    ) {
+        let mut current = seeded(24, 0);
+        current.prepare();
+        let hot: Vec<EntryId> = current.forest().iter().step_by(97).take(4).collect();
+        let mut tag = 0;
+        for burst in &bursts {
+            let mut next = current.clone();
+            match *burst {
+                Burst::Post { at, n } => {
+                    for _ in 0..n {
+                        tag += 1;
+                        let entry = Entry::builder().class("top").attr("uid", format!("h{tag}"));
+                        next.add_child_entry(hot[at % hot.len()], entry.build()).expect("live");
+                        // One post per `prepare()`, as a served write posts.
+                        next.prepare();
+                    }
+                }
+                Burst::Unpost { at, n } => {
+                    let parent = hot[at % hot.len()];
+                    let leaves: Vec<EntryId> = next
+                        .forest()
+                        .children(parent)
+                        .filter(|&c| next.forest().is_leaf(c) && !hot.contains(&c))
+                        .take(n)
+                        .collect();
+                    for leaf in leaves {
+                        next.remove_leaf(leaf).expect("a leaf");
+                        next.prepare();
+                    }
+                }
+                Burst::Change { at } => {
+                    let entry = next.entry_mut(hot[at % hot.len()]).expect("live");
+                    entry.add_class(format!("c{tag}"));
+                    entry.set_values("uid", [format!("moved{tag}")]);
+                    let did = next.prepare();
+                    // A new class list, one class-list chunk, one uid table
+                    // un-posted and one posted: nothing of the lists the
+                    // change leaves alone.
+                    prop_assert!(did.unshared <= 4, "{:?}", did);
+                }
+            }
+            prop_assert_eq!(next.check_prepared(), Ok(()));
+            prop_assert_eq!(current.check_prepared(), Ok(()));
+            current = next;
+        }
+    }
+}
+
 // ------------------------------------------------- matching primitives --
 
 /// Values over an alphabet that exercises case folding (ASCII and not),

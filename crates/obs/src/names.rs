@@ -26,7 +26,8 @@ names! {
     QUEUE_DEPTH = "server.queue_depth", "count", "Accept-queue depth at each enqueue.";
     TX_COMMITTED = "server.tx_committed", "count", "Writes that committed (§3 legal rate).";
     TX_REJECTED = "server.tx_rejected", "count", "Refused writes; label = the code.";
-    DELTA_QUERY = "incremental.delta_query", "count", "Δ-queries; label = the Figure 5 row.";
+    DELTA_QUERY = "incremental.delta_query", "count", "Figure 5 oracle Δ-queries; label = the row.";
+    INDEX_CHUNKS_UNSHARED = "managed.index_chunks_unshared", "count", "Index chunks a write copied.";
     SHARD_PREPARE = "sharded.prepare", "count", "Cross-shard prepares; label = `shard(k)`.";
     SHARD_COMMIT = "sharded.commit", "count", "Cross-shard commits; label = `shard(k)`.";
     PREPARED = "sharded.prepared", "count", "Cross-shard transactions every shard prepared.";

@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 
-use bschema_directory::{Entry, EntryId, Forest};
+use bschema_directory::{Entry, EntryId, Forest, Postings};
 
 use super::explain::access;
 use super::EvalContext;
@@ -27,10 +27,9 @@ pub fn evaluate(ctx: &EvalContext<'_>, query: &Query) -> Vec<EntryId> {
 }
 
 /// Core evaluator. Atomic indexable selections borrow the instance's
-/// sorted-entry index slices directly (`Cow::Borrowed`) instead of
-/// re-deriving an owned copy per query, so the index built once by
-/// [`prepare`](bschema_directory::DirectoryInstance::prepare) is shared
-/// across every query evaluated against the instance — the operators
+/// sorted posting lists directly (`Cow::Borrowed`) when a list is one
+/// chunk, and concatenate its chunks once when it is several — the copy
+/// [`evaluate`] makes of a top-level selection anyway — so the operators
 /// only ever read `&[EntryId]`.
 pub(crate) fn eval_cow<'a>(ctx: &EvalContext<'a>, query: &Query) -> Cow<'a, [EntryId]> {
     let forest = ctx.instance().forest();
@@ -113,13 +112,11 @@ pub(crate) fn select_whole<'a>(
 ) -> (Cow<'a, [EntryId]>, &'static str, usize) {
     let dir = ctx.instance();
     let index = dir.index();
-    let reused = |list: &'a [EntryId]| (Cow::Borrowed(list), access::INDEX_REUSED, list.len());
+    // A posting list as it is: borrowed when it is one chunk.
+    let reused = |list: Postings<'a>| (list.to_slice(), access::INDEX_REUSED, list.len());
     // Post-filters a candidate list that is known to contain every match.
-    let narrowed = |list: &'a [EntryId], path, keep: &dyn Fn(&Entry) -> bool| {
-        let kept = list
-            .iter()
-            .copied()
-            .filter(|&id| keep(dir.entry(id).expect("indexed entries are live")));
+    let narrowed = |list: Postings<'a>, path, keep: &dyn Fn(&Entry) -> bool| {
+        let kept = list.iter().filter(|&id| keep(dir.entry(id).expect("indexed entries are live")));
         (Cow::Owned(kept.collect()), path, list.len())
     };
     let matches = |entry: &Entry| filter.matches(entry, dir.registry());
@@ -132,7 +129,7 @@ pub(crate) fn select_whole<'a>(
                 return reused(index.entries_with_class(class));
             }
             if let Some(hits) = index.entries_with_value(attr, value) {
-                return reused(hits);
+                return (Cow::Borrowed(hits), access::INDEX_REUSED, hits.len());
             }
             // No equality postings: only entries holding the attribute
             // can match, and the needle is normalized once for all of them.

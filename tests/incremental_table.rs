@@ -2,20 +2,24 @@
 //! a legal instance, the incremental Δ-check's verdict equals a full
 //! from-scratch legality check of the updated instance.
 //!
-//! Figure 5′: the scoped deletion check reports exactly what the paper's
-//! whole-instance recheck reports, and the scoped move and class-change
-//! checks exactly what the §3 checker finds.
+//! Figure 5′: the scoped insertion and deletion checks report exactly
+//! what the paper's Δ-queries and whole-instance recheck report, and the
+//! scoped move and class-change checks exactly what the §3 checker finds.
+//! Theorem 4.2 by counting: a write copies as many index chunks at |D| ≈
+//! 20k as at |D| ≈ 2k.
 
 use std::collections::BTreeSet;
 
 use bschema_core::legality::{content, LegalityChecker, LegalityReport, Violation};
-use bschema_core::paper::white_pages_schema_builder;
+use bschema_core::paper::{white_pages_schema, white_pages_schema_builder};
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
 use bschema_core::updates::{
     apply_and_check, apply_and_check_probed, apply_mods, check_modification, IncrementalChecker,
     Mod, Transaction,
 };
+use bschema_core::{ManagedDirectory, Op};
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
+use bschema_obs::names;
 use proptest::prelude::*;
 
 /// The white-pages schema extended with a required-child and a
@@ -611,6 +615,46 @@ fn delete_both_ways(
     figure5
 }
 
+/// A subtree to insert: where it hangs (`None`: a new forest root) and its
+/// shape, one `(template, under)` per node.
+type Subtree = (Option<usize>, Vec<(u8, u8)>);
+
+/// Inserts one subtree per `(anchor, shape)` into a copy of `base` — under
+/// `anchors[anchor]`, or as a new forest root when `anchor` is `None`; a
+/// shape's node `k` hangs under an earlier node of the same subtree, or
+/// under the subtree's root — and holds the scoped check against the
+/// Figure 5 Δ-queries, report for report. Returns the report.
+fn insert_both_ways(
+    schema: &DirectorySchema,
+    base: &DirectoryInstance,
+    anchors: &[EntryId],
+    subtrees: &[Subtree],
+) -> LegalityReport {
+    let mut dir = base.clone();
+    let mut roots = Vec::new();
+    let mut n = 0;
+    for (anchor, shape) in subtrees {
+        let mut created: Vec<EntryId> = Vec::new();
+        for &(kind, under) in shape {
+            n += 1;
+            let entry = entry_template(kind, n);
+            let id = match (created.is_empty(), anchor) {
+                (true, Some(a)) => dir.add_child_entry(anchors[a % anchors.len()], entry),
+                (true, None) => Ok(dir.add_root_entry(entry)),
+                (false, _) => dir.add_child_entry(created[under as usize % created.len()], entry),
+            };
+            created.push(id.unwrap());
+        }
+        roots.push(created[0]);
+    }
+    dir.prepare();
+    let figure5 = IncrementalChecker::new(schema).check_insertions(&dir, &roots);
+    let scoped = IncrementalChecker::new(schema).check_insertions_scoped(&dir, &roots);
+    assert_eq!(scoped, figure5, "inserting {subtrees:?}");
+    assert_eq!(figure5.is_legal(), LegalityChecker::new(schema).check(&dir).is_legal());
+    figure5
+}
+
 /// The class sets a class-flip swaps in: every source, target, upper and
 /// lower class of `full_schema()` is joined by one and left by another.
 const FLIPS: [&[&str]; 5] = [
@@ -640,6 +684,32 @@ proptest! {
         let all: Vec<EntryId> = groups.iter().chain(&persons).copied().collect();
         let victims: Vec<EntryId> = victims.iter().map(|v| all[v.index(all.len())]).collect();
         delete_both_ways(&schema, &dir, &victims);
+    }
+
+    /// Any insertion — one subtree or several, under any entry or as a new
+    /// forest root, of any shape — draws the same report, violation for
+    /// violation and in the same order, from the scoped check as from the
+    /// Figure 5 Δ-queries, on dense and on sparse (paper-schema)
+    /// instances.
+    #[test]
+    fn scoped_insertion_report_equals_figure5_report(
+        dense in any::<bool>(),
+        orgs in 1usize..3,
+        attach in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..9),
+        subtrees in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), proptest::collection::vec((any::<u8>(), any::<u8>()), 1..6)),
+            1..4,
+        ),
+    ) {
+        let schema = schema_for(dense);
+        let (dir, groups, persons) = deep_instance(orgs, &attach, dense);
+        let all: Vec<EntryId> = groups.iter().chain(&persons).copied().collect();
+        // One subtree in eight is a new forest root.
+        let subtrees: Vec<_> = subtrees
+            .into_iter()
+            .map(|(root, anchor, shape)| ((root % 8 != 0).then_some(anchor), shape))
+            .collect();
+        insert_both_ways(&schema, &dir, &all, &subtrees);
     }
 
     /// A move of any subtree anywhere draws from the scoped check what
@@ -763,4 +833,103 @@ fn deleting_the_last_witness_at_every_depth_matches_figure5() {
         let report = delete_both_ways(&schema, &dir, &persons);
         assert_eq!(starved(&report, RelKind::Descendant), groups, "depth {d}");
     }
+}
+
+/// Figure 5′'s insertion column along a 22-deep chain — as deep as any
+/// workload's directories go — dense and sparse: every template, alone
+/// and under a new unit, inserted at every depth; each report is the
+/// Figure 5 report.
+#[test]
+fn inserting_at_every_depth_of_a_22_deep_chain_matches_figure5() {
+    const DEPTH: usize = 22;
+    for dense in [true, false] {
+        let schema = schema_for(dense);
+        let chain: Vec<(u8, bool)> = (0..DEPTH).map(|d| (d as u8, d + 1 == DEPTH)).collect();
+        let (dir, groups, persons) = deep_instance(1, &chain, dense);
+        assert_eq!(dir.forest().depth(groups[DEPTH]), DEPTH);
+        assert!(LegalityChecker::new(&schema).check(&dir).is_legal());
+        let mut illegal = 0;
+        for anchor in groups.iter().chain(&persons) {
+            for kind in 0..5 {
+                let alone = vec![(Some(0), vec![(kind, 0)])];
+                let under_unit = vec![(Some(0), vec![(1, 0), (kind, 0), (0, 0)])];
+                for subtrees in [alone, under_unit] {
+                    let report = insert_both_ways(&schema, &dir, &[*anchor], &subtrees);
+                    illegal += usize::from(!report.is_legal());
+                }
+            }
+        }
+        assert!(illegal > 0, "the chain saw violations of every kind it can");
+    }
+}
+
+/// Theorem 4.2, counted rather than timed: the same 3-entry insert,
+/// refused TXN, MODIFY and delete copy the same number of index chunks
+/// (`managed.index_chunks_unshared`) at |D| ≈ 2k as at |D| ≈ 20k — up to
+/// one split per list touched — and post the same entries. Each engine
+/// first commits one write, as a served directory has: the first write
+/// to a freshly built list splits it once.
+#[test]
+fn a_write_copies_as_many_index_chunks_at_20k_as_at_2k() {
+    let counts = |orgs: usize| -> Vec<(u64, u64)> {
+        let base = bschema_workload::multi_org_base(orgs, 250, 0xC0C0);
+        let mut engine =
+            ManagedDirectory::with_instance(white_pages_schema(), base).expect("legal base");
+        let org = engine.instance().forest().roots().next().expect("orgs");
+        let person = |uid: &str| {
+            Entry::builder()
+                .classes(["person", "top"])
+                .attr("uid", uid)
+                .attr("name", format!("{uid} tester"))
+                .build()
+        };
+        let unit = |ou: &str| {
+            Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", ou).build()
+        };
+        let insert = |tag: &str| {
+            let mut tx = Transaction::new();
+            let new = tx.insert_under(org, unit(tag));
+            tx.insert_under_new(new, person(&format!("{tag}a")));
+            tx.insert_under_new(new, person(&format!("{tag}b")));
+            tx
+        };
+        engine.apply(&insert("warm")).expect("legal");
+        let warm = engine.instance().forest().children(org).last().expect("the warm unit");
+        let warm = engine.instance().forest().children(warm).next().expect("a person");
+        let mods = [Mod::Add { attribute: "telephoneNumber".into(), value: "+1 555".into() }];
+        engine.modify_entry(warm, &mods).expect("legal");
+        let mut out = Vec::new();
+        let mut measure = |engine: &mut ManagedDirectory, op: Op<'_>, legal: bool| {
+            let recorder = bschema_obs::Recorder::new();
+            assert_eq!(engine.apply_op(op, &recorder).is_ok(), legal);
+            let m = recorder.metrics();
+            assert_eq!(m.counter("managed.index_rebuilt"), 0);
+            out.push((m.counter(names::INDEX_CHUNKS_UNSHARED), m.counter("managed.index_posted")));
+        };
+        measure(&mut engine, Op::Tx { tx: &insert("unit"), global: None }, true);
+        let target = engine.instance().forest().children(org).last().expect("the new unit");
+        let target = engine.instance().forest().children(target).next().expect("a person");
+        let mut refused = Transaction::new();
+        refused.insert_under(target, person("intruder"));
+        measure(&mut engine, Op::Tx { tx: &refused, global: None }, false);
+        measure(&mut engine, Op::Modify { target, mods: &mods }, true);
+        let mut delete = Transaction::new();
+        delete.delete(target);
+        measure(&mut engine, Op::Tx { tx: &delete, global: None }, true);
+        out
+    };
+    let (small, large) = (counts(8), counts(80));
+    // The insert joins `all`, three class lists and four presence lists
+    // per entry type; at most that many of them can split on one side.
+    const LISTS: u64 = 8;
+    for ((a, posted_a), (b, posted_b)) in small.iter().zip(&large) {
+        assert_eq!(posted_a, posted_b, "{small:?} vs {large:?}");
+        assert!(a.abs_diff(*b) <= LISTS, "{small:?} vs {large:?}");
+        assert!(*a <= 2 * LISTS && *b <= 2 * LISTS, "{small:?} vs {large:?}");
+    }
+    // A MODIFY adding a value re-posts one presence list, not every list
+    // its entry is in.
+    assert_eq!((small[2], large[2]), ((1, 1), (1, 1)));
+    // A delete-only TXN reports the chunks its un-posts copy.
+    assert!(small[3].0 > 0 && large[3].0 > 0, "{small:?} vs {large:?}");
 }

@@ -15,7 +15,7 @@ use bschema_core::engine::Op;
 use bschema_core::legality::{self, translate, LegalityChecker};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
-use bschema_core::updates::Transaction;
+use bschema_core::updates::{IncrementalChecker, Transaction};
 use bschema_directory::Entry;
 use bschema_obs::Recorder;
 
@@ -139,10 +139,26 @@ fn insertion_counts_figure5_delta_queries_per_row() {
     let (mut dir, ids) = white_pages_instance();
     let mut tx = Transaction::new();
     tx.insert_under(ids.databases, researcher("zoe"));
-    let recorder = Recorder::new();
-    let applied = bschema_core::updates::apply_and_check_probed(&schema, &mut dir, &tx, &recorder)
+    // The served path certifies with Figure 5′ and evaluates no Δ-query;
+    // the counters below come from the Figure 5 oracle alone.
+    let served = Recorder::new();
+    let applied = bschema_core::updates::apply_and_check_probed(&schema, &mut dir, &tx, &served)
         .expect("valid transaction");
     assert!(applied.report.is_legal(), "{}", applied.report);
+    assert!(
+        served
+            .metrics()
+            .counters()
+            .iter()
+            .all(|(key, _)| !key.starts_with("incremental.delta_query")),
+        "{:?}",
+        served.metrics().counters()
+    );
+    let recorder = Recorder::new();
+    let report = IncrementalChecker::new(&schema)
+        .with_probe(&recorder)
+        .check_insertions(&dir, &applied.inserted_roots);
+    assert_eq!(report, applied.report);
 
     let m = recorder.metrics();
     // One researcher/person inserted under an orgUnit. Figure 5 Δ-queries

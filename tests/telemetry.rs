@@ -18,18 +18,19 @@ use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimi
 /// The complete span tree of a committed single-insertion `TXN`, as
 /// pinned below. Engine roots open at
 /// `NO_SPAN` and are re-parented under `server.request`, so the managed
-/// guard (`managed.apply`) and the incremental check land as siblings of
-/// the `service.*` stages, in recording order.
+/// guard (`managed.apply`), the index's `prepare()` and the incremental
+/// check land as siblings of the `service.*` stages, in recording order.
+/// The check is Figure 5′'s: the structure rows are answered from the
+/// new entry's neighbourhood in one chunk, with no Figure 4 Δ-query.
 const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,service.tx_build,\
-                         managed.apply,incremental.check_insertions(\
-                         content_delta(chunk),keys,structure_delta(chunk(require_descendant,\
-                         require_parent,require_ancestor,require_parent,forbid_child,\
-                         forbid_child))),journal.begin,journal.commit,service.publish)";
+                         managed.apply,instance.prepare,incremental.check_insertions(\
+                         content_delta(chunk),keys,structure_scoped(chunk)),journal.begin,\
+                         journal.commit,service.publish)";
 
 /// The span tree of a committed `MODIFY` adding one attribute value: the
 /// same engine sequence as a `TXN`, with the per-entry modification
-/// check in place of the insertion Δ-queries.
-const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,\
+/// check in place of the insertion column.
+const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,instance.prepare,\
                             incremental.check_modification,journal.begin,journal.commit,\
                             service.publish)";
 
