@@ -27,7 +27,15 @@
 #   the two Δ-query builders themselves, `structure_delta_violations`
 #   (the Figure 5 insertion rows) and `check_deletion`;
 # * `crates/server/src/service/` wraps no clone of an instance in an
-#   `Arc`: `publish` is handed the engine's own.
+#   `Arc`: `publish` is handed the engine's own;
+# * verdict before copy (DESIGN.md §4, §16): in
+#   `crates/core/src/managed.rs` the live instance is copied —
+#   `DirectoryInstance::clone(`, or a clone through the `Arc` — only in
+#   `fn fork(`, which builds the successor; a legal directory's TXN is
+#   decided on (D, ∆D) before it, so a refused one copies nothing; and the
+#   clone-and-check oracle `apply_and_check_probed(` is called there only
+#   on the no-baseline branch, `fn recheck_tx(` (today it is not called
+#   at all: that branch applies and runs the full check).
 #
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
@@ -80,6 +88,23 @@ if [ -n "$evaluated" ]; then
     echo "$evaluated"
     echo "error: a query evaluated under crates/core/src/updates/ outside the Figure 5 oracles;" >&2
     echo "       certify from the update's neighbourhood instead (updates/scoped.rs, Figure 5′)" >&2
+    status=1
+fi
+
+forks=$(calls 'DirectoryInstance::clone[(]|[(][*]self[.]dir[)][.]clone[(]|[.]dir[.]as_ref[(][)][.]clone[(]' \
+    '^    fn fork[(]' crates/core/src/managed.rs)
+if [ -n "$forks" ]; then
+    echo "$forks"
+    echo "error: crates/core/src/managed.rs copies the instance outside fn fork; decide on (D, ∆D)" >&2
+    echo "       first and copy only to build a legal successor (DESIGN.md §4, verdict before copy)" >&2
+    status=1
+fi
+
+rechecks=$(calls 'apply_and_check_probed[(]' '^    fn recheck_tx[(]' crates/core/src/managed.rs)
+if [ -n "$rechecks" ]; then
+    echo "$rechecks"
+    echo "error: crates/core/src/managed.rs runs the clone-and-check oracle outside the no-baseline" >&2
+    echo "       branch (fn recheck_tx); certify a legal directory with updates::verdict" >&2
     status=1
 fi
 

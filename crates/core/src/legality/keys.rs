@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use bschema_directory::{DirectoryInstance, EntryId};
+use bschema_directory::{DirectoryInstance, Entry, EntryId};
 
 use super::report::Violation;
 use crate::schema::DirectorySchema;
@@ -56,64 +56,115 @@ pub fn check_insertion(
     delta_root: EntryId,
     out: &mut Vec<Violation>,
 ) {
-    let (forest, index) = (dir.forest(), dir.index());
+    let forest = dir.forest();
     let in_delta = |id: EntryId| id == delta_root || forest.interval_is_ancestor(delta_root, id);
+    let live = |id: EntryId| (id, dir.entry(id).expect("indexed entries are live"));
+    let delta: Vec<(EntryId, &Entry)> =
+        std::iter::once(delta_root).chain(forest.descendants(delta_root)).map(live).collect();
     for attr in schema.attributes().unique_attributes() {
-        let syntax = dir.registry().syntax_of(attr);
-        // Values held by new entries, and the entries posted under them
-        // (`None` once the attribute turns out to carry no postings).
-        let mut new_values: HashMap<String, EntryId> = HashMap::new();
-        let mut posted: Option<Vec<EntryId>> = Some(Vec::new());
-        for id in std::iter::once(delta_root).chain(forest.descendants(delta_root)) {
-            let Some(entry) = dir.entry(id) else { continue };
-            for value in entry.values(attr) {
-                let normalized = syntax.normalize(value);
-                if let Some(&first) = new_values.get(&normalized) {
-                    if first != id {
-                        out.push(Violation::DuplicateKey {
-                            entry: id,
-                            attribute: attr.to_owned(),
-                            value: value.clone(),
-                            first,
-                        });
-                    }
-                } else {
-                    new_values.insert(normalized, id);
-                    match (posted.as_mut(), index.entries_with_value(attr, value)) {
-                        (Some(posted), Some(holders)) => posted.extend_from_slice(holders),
-                        _ => posted = None,
-                    }
-                }
-            }
-        }
-        if new_values.is_empty() {
-            continue;
-        }
+        let Some((new_values, holders)) = new_values(dir, attr, &delta, out) else { continue };
         // Clashes with pre-existing entries (D was legal, so only
-        // new-vs-old pairs are possible beyond the new-vs-new above), in
-        // document order whichever list they are read from.
-        let holders: Box<dyn Iterator<Item = EntryId>> = match &mut posted {
-            Some(posted) => {
-                posted.sort_unstable_by_key(|&id| forest.pre(id));
-                posted.dedup();
-                Box::new(posted.iter().copied())
-            }
-            None => Box::new(index.entries_with_attribute(attr).iter()),
-        };
-        for id in holders {
-            if in_delta(id) {
-                continue;
-            }
-            let entry = dir.entry(id).expect("indexed entries are live");
-            for value in entry.values(attr) {
-                if let Some(&new_entry) = new_values.get(&syntax.normalize(value)) {
+        // new-vs-old pairs are possible beyond the new-vs-new above).
+        let rest = holders.into_iter().filter(|&id| !in_delta(id)).map(live);
+        clashes(dir, attr, &new_values, rest, out);
+    }
+}
+
+/// [`check_insertion`] of the subtree `delta` (`(id, entry)` in
+/// preorder) of a transaction not applied to the prepared `dir` yet. The
+/// rest of the instance the insertions make is `dir` — its value tables,
+/// deleted entries included — and `others`, the transaction's other new
+/// entries, each with its place in that instance's document order; `place`
+/// gives an entry of `dir` its own, on the same scale.
+pub(crate) fn check_unapplied<'e, P: Ord + Copy>(
+    schema: &DirectorySchema,
+    dir: &'e DirectoryInstance,
+    delta: &[(EntryId, &'e Entry)],
+    others: &[(P, EntryId, &'e Entry)],
+    place: impl Fn(EntryId) -> P,
+    out: &mut Vec<Violation>,
+) {
+    for attr in schema.attributes().unique_attributes() {
+        let Some((new_values, holders)) = new_values(dir, attr, delta, out) else { continue };
+        let mut rest: Vec<(P, EntryId, &Entry)> = holders
+            .into_iter()
+            .map(|id| (place(id), id, dir.entry(id).expect("indexed entries are live")))
+            .collect();
+        rest.extend(others.iter().filter(|(_, _, entry)| entry.has_attribute(attr)));
+        rest.sort_by_key(|&(at, _, _)| at);
+        clashes(dir, attr, &new_values, rest.into_iter().map(|(_, id, e)| (id, e)), out);
+    }
+}
+
+/// The normalized values of `attr` the new entries `delta` hold, each
+/// with the first entry holding it, appending a violation for every later
+/// one; `None` when they hold none. Beside it, in document order, the
+/// entries of `dir` that may hold one too: those its index posts under
+/// them, or every holder of `attr` where it carries no equality postings.
+fn new_values(
+    dir: &DirectoryInstance,
+    attr: &str,
+    delta: &[(EntryId, &Entry)],
+    out: &mut Vec<Violation>,
+) -> Option<(HashMap<String, EntryId>, Vec<EntryId>)> {
+    let syntax = dir.registry().syntax_of(attr);
+    let mut new_values: HashMap<String, EntryId> = HashMap::new();
+    let mut posted: Option<Vec<EntryId>> = Some(Vec::new());
+    for &(id, entry) in delta {
+        for value in entry.values(attr) {
+            let normalized = syntax.normalize(value);
+            if let Some(&first) = new_values.get(&normalized) {
+                if first != id {
                     out.push(Violation::DuplicateKey {
-                        entry: new_entry,
+                        entry: id,
                         attribute: attr.to_owned(),
                         value: value.clone(),
-                        first: id,
+                        first,
                     });
                 }
+            } else {
+                new_values.insert(normalized, id);
+                match (posted.as_mut(), dir.index().entries_with_value(attr, value)) {
+                    (Some(posted), Some(holders)) => posted.extend_from_slice(holders),
+                    _ => posted = None,
+                }
+            }
+        }
+    }
+    if new_values.is_empty() {
+        return None;
+    }
+    let holders = match posted {
+        Some(mut posted) => {
+            let forest = dir.forest();
+            posted.sort_unstable_by_key(|&id| forest.pre(id));
+            posted.dedup();
+            posted
+        }
+        None => dir.index().entries_with_attribute(attr).iter().collect(),
+    };
+    Some((new_values, holders))
+}
+
+/// Appends a violation for each value of `attr` an entry of `rest` — in
+/// document order — holds among `new_values`.
+fn clashes<'e>(
+    dir: &DirectoryInstance,
+    attr: &str,
+    new_values: &HashMap<String, EntryId>,
+    rest: impl Iterator<Item = (EntryId, &'e Entry)>,
+    out: &mut Vec<Violation>,
+) {
+    let syntax = dir.registry().syntax_of(attr);
+    for (id, entry) in rest {
+        for value in entry.values(attr) {
+            if let Some(&new_entry) = new_values.get(&syntax.normalize(value)) {
+                out.push(Violation::DuplicateKey {
+                    entry: new_entry,
+                    attribute: attr.to_owned(),
+                    value: value.clone(),
+                    first: id,
+                });
             }
         }
     }

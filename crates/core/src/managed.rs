@@ -4,17 +4,19 @@
 //! This is the downstream-user API the paper's machinery adds up to: a
 //! schema-checked directory server core. Construction verifies the schema
 //! is consistent (§5 — a schema nothing can satisfy is rejected up front);
-//! every update is applied atomically and checked with the incremental §4
-//! machinery on a structurally shared copy of the instance, swapped in on
-//! a legal verdict and dropped otherwise.
+//! every update is checked with the incremental §4 machinery — a
+//! transaction on the instance and its ∆D alone, before anything is
+//! copied — and only a legal one is applied, atomically, to a
+//! structurally shared copy of the instance that is then swapped in.
 //!
 //! The directory also owns its journal: a [`JournalWriter`] encodes the
 //! records and an optional [`JournalSink`] makes them durable, so the
 //! write-ahead discipline is a property of the type, not a convention per
 //! call site. [`ManagedDirectory::apply_all`] is the one driver of a
 //! write, to one directory or many: on every directory it runs the
-//! operation to a legal verdict on a structurally shared copy
-//! (`certify`) and flushes the begin records (`begin`); then it flushes
+//! operation to a legal verdict and builds the successor on a
+//! structurally shared copy (`certify`) and flushes the begin records
+//! (`begin`); then it flushes
 //! every commit record (`commit`), and only then swaps every copy in
 //! (`install`). Each step consumes the previous step's token and all four
 //! are private to this module, so the live state never changes before its
@@ -48,7 +50,7 @@ use crate::engine::{append_sync, JournalSink, Op, SITE_COMMIT_IO_ERROR, SITE_SCH
 use crate::journal::{JournalTx, JournalWriter, Payload};
 use crate::legality::{LegalityChecker, LegalityReport};
 use crate::schema::DirectorySchema;
-use crate::updates::{apply_and_check_probed, prepare_probed, Mod, Transaction, TxError};
+use crate::updates::{prepare_probed, verdict, Mod, Transaction, TxError};
 
 /// Errors from managed-directory operations.
 #[derive(Debug)]
@@ -208,8 +210,8 @@ enum Successor {
     Schema(Box<DirectorySchema>),
 }
 
-/// An operation certified legal on a structurally shared copy; neither
-/// the journal nor the live state has seen it.
+/// An operation certified legal, its successor built; neither the
+/// journal nor the live state has seen it.
 #[derive(Debug)]
 #[must_use = "begin it, or drop it: nothing was written and nothing changed"]
 struct Certified<'a> {
@@ -593,9 +595,9 @@ impl ManagedDirectory {
         Ok(())
     }
 
-    /// Step 1: runs `op` to a legal verdict on a structurally shared copy
-    /// of the instance. On `Err` — an illegal verdict, a typed error, a
-    /// panic — there is no record, no mutation.
+    /// Step 1: runs `op` to a legal verdict and builds its successor on a
+    /// structurally shared copy of the instance. On `Err` — an illegal
+    /// verdict, a typed error, a panic — there is no record, no mutation.
     fn certify<'a>(&self, op: Op<'a>, probe: &dyn Probe) -> Result<Certified<'a>, ManagedError> {
         let next = match op {
             Op::Tx { tx, .. } => self.certify_tx(tx, probe)?,
@@ -662,28 +664,29 @@ impl ManagedDirectory {
 
     /// The crash-consistency core of step 1.
     ///
-    /// `body` (mutation + legality verdict) runs under `catch_unwind` on
+    /// `body` runs the operation to a verdict under `catch_unwind` and
+    /// returns the certified successor, built by [`fork`](Self::fork) on
     /// a structurally shared copy of the instance — a clone shares every
-    /// chunk the operation does not write. A legal verdict returns the
-    /// copy as the certified successor; a structurally invalid
-    /// transaction, an illegal verdict, a typed internal error or a
-    /// panic at any instrumented site drops it. The live instance is not
-    /// touched either way, so nothing can be half-applied and there is
-    /// nothing to restore. Rollback diagnostics are recorded through
-    /// `probe` before the `managed.apply` span closes, and recording
-    /// itself is panic-guarded: instrumentation never decides an outcome.
+    /// chunk the operation does not write. A structurally invalid
+    /// transaction, an illegal verdict ([`ManagedError::RolledBack`]), a
+    /// typed internal error or a panic at any instrumented site comes
+    /// back as the refusal, and whatever copy there was is dropped. The
+    /// live instance is not touched either way, so nothing can be
+    /// half-applied and there is nothing to restore. Rollback diagnostics
+    /// are recorded through `probe` before the `managed.apply` span
+    /// closes, and recording itself is panic-guarded: instrumentation
+    /// never decides an outcome.
     fn guarded(
         &self,
         probe: &dyn Probe,
-        body: impl FnOnce(&mut DirectoryInstance) -> Result<LegalityReport, ManagedError>,
+        body: impl FnOnce() -> Result<DirectoryInstance, ManagedError>,
     ) -> Result<Successor, ManagedError> {
-        let mut next = DirectoryInstance::clone(&self.dir);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let span = probe.span_start(NO_SPAN, "managed.apply", 0);
-            (span, body(&mut next))
+            (span, body())
         }));
         let (span, refusal) = match outcome {
-            Ok((span, Ok(report))) if report.is_legal() => {
+            Ok((span, Ok(next))) => {
                 let _ = guard_probe(|| {
                     if probe.enabled() {
                         probe.add("managed.tx_applied", 1);
@@ -692,7 +695,6 @@ impl ManagedDirectory {
                 });
                 return Ok(Successor::Instance(next));
             }
-            Ok((span, Ok(report))) => (Some(span), ManagedError::RolledBack(report)),
             Ok((span, Err(e))) => (Some(span), e),
             // The span stays open — the tracer renders unclosed spans
             // explicitly, mirroring how the trace of a real crash ends.
@@ -718,47 +720,94 @@ impl ManagedDirectory {
         })
     }
 
-    /// Runs `tx` to a verdict without touching the live state.
+    /// The successor state: a structurally shared copy of the live
+    /// instance, edited by `edit` and prepared — the one place an
+    /// operation copies the instance, counted as
+    /// [`names::INSTANCE_CLONED`].
+    fn fork(
+        &self,
+        probe: &dyn Probe,
+        edit: impl FnOnce(&mut DirectoryInstance) -> Result<(), ManagedError>,
+    ) -> Result<DirectoryInstance, ManagedError> {
+        let mut next = DirectoryInstance::clone(&self.dir);
+        if probe.enabled() {
+            probe.add(names::INSTANCE_CLONED, 1);
+        }
+        edit(&mut next)?;
+        prepare_probed(&mut next, probe);
+        Ok(next)
+    }
+
+    /// Runs `tx` to a verdict without touching the live state. D is
+    /// legal: the verdict is Theorem 4.1 + Figure 5′ on (D, ∆D), and only
+    /// a legal one copies the instance and applies `tx` to the copy —
+    /// with the ids the verdict named, or it is an engine bug.
     fn certify_tx(&self, tx: &Transaction, probe: &dyn Probe) -> Result<Successor, ManagedError> {
-        self.guarded(probe, |dir| {
-            if self.known_legal {
-                // D is legal: the Theorem 4.1 + Figure 5 incremental path.
-                return Ok(apply_and_check_probed(&self.schema, dir, tx, probe)?.report);
-            }
-            // No legality baseline: apply, then full check.
-            let normalized = tx.normalize(dir)?;
-            for subtree in &normalized.insertions {
-                subtree.apply(dir)?;
-            }
-            for &root in &normalized.deletion_roots {
-                dir.remove_subtree(root).map_err(|e| {
-                    ManagedError::Internal(format!("removing validated deletion root {root}: {e}"))
-                })?;
-            }
-            prepare_probed(dir, probe);
-            Ok(self.checker(probe).check(dir))
+        if !self.known_legal {
+            return self.recheck_tx(tx, probe);
+        }
+        self.guarded(probe, || {
+            let normalized = tx.normalize(&self.dir)?;
+            legal(verdict(&self.schema, &self.dir, &normalized, probe)?)?;
+            let named: Vec<EntryId> = self.dir.next_ids(normalized.inserted()).collect();
+            self.fork(probe, |dir| {
+                let internal = |detail: String| {
+                    ManagedError::Internal(format!("applying a certified transaction: {detail}"))
+                };
+                let ids = normalized.apply(dir).map_err(|e| internal(e.to_string()))?;
+                if ids != named {
+                    return Err(internal(format!("it took ids {ids:?}, certified as {named:?}")));
+                }
+                Ok(())
+            })
+        })
+    }
+
+    /// Runs `tx` to a verdict with no legality baseline: apply it to a
+    /// copy, then check the copy in full.
+    fn recheck_tx(&self, tx: &Transaction, probe: &dyn Probe) -> Result<Successor, ManagedError> {
+        self.guarded(probe, || {
+            let next = self.fork(probe, |dir| {
+                tx.normalize(dir)?.apply(dir)?;
+                Ok(())
+            })?;
+            legal(self.checker(probe).check(&next))?;
+            Ok(next)
         })
     }
 
     /// Runs an LDAP Modify of `target` to a verdict without touching the
-    /// live state.
+    /// live state: applied to a copy, then checked there.
     fn certify_modify(
         &self,
         target: EntryId,
         mods: &[Mod],
         probe: &dyn Probe,
     ) -> Result<Successor, ManagedError> {
-        self.guarded(probe, |dir| {
-            let Some(changed) = crate::updates::apply_mods(dir, target, mods) else {
-                return Ok(inapplicable(target, "no such entry".to_owned()));
-            };
-            prepare_probed(dir, probe);
-            Ok(if self.known_legal {
-                crate::updates::check_modification(&self.schema, dir, target, &changed, probe)
+        self.guarded(probe, || {
+            let mut changed = std::collections::BTreeSet::new();
+            let next = self.fork(probe, |dir| {
+                changed = crate::updates::apply_mods(dir, target, mods).ok_or_else(|| {
+                    ManagedError::RolledBack(inapplicable(target, "no such entry".to_owned()))
+                })?;
+                Ok(())
+            })?;
+            legal(if self.known_legal {
+                crate::updates::check_modification(&self.schema, &next, target, &changed, probe)
             } else {
-                self.checker(probe).check(dir)
-            })
+                self.checker(probe).check(&next)
+            })?;
+            Ok(next)
         })
+    }
+}
+
+/// An illegal verdict as the refusal it is.
+fn legal(report: LegalityReport) -> Result<(), ManagedError> {
+    if report.is_legal() {
+        Ok(())
+    } else {
+        Err(ManagedError::RolledBack(report))
     }
 }
 

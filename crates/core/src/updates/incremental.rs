@@ -28,13 +28,16 @@
 //! a deletion's two "no" rows re-tested on the deleted subtrees' former
 //! parents and their ancestors only
 //! ([`check_deletion_scoped`](IncrementalChecker::check_deletion_scoped)) —
-//! with the literal table kept as the oracle both are tested against.
+//! with the literal table kept as the oracle both are tested against. It
+//! runs them on D and the normalised transaction before anything is
+//! applied (`check_unapplied`, via [`verdict`](super::verdict)).
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{names, Probe, SpanId, NO_SPAN};
 use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
 
 use super::scoped::{Inserted, Neighbourhood};
+use super::transaction::NormalizedTx;
 use crate::legality::report::{LegalityReport, Violation};
 use crate::legality::{content, fan_out, translate};
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
@@ -203,16 +206,14 @@ impl<'s> IncrementalChecker<'s> {
     /// Content-schema check of the `∆D` entries on `workers` workers.
     fn content_delta_violations(
         &self,
-        dir: &DirectoryInstance,
-        entries: &[EntryId],
+        delta: &[(EntryId, &Entry)],
         workers: usize,
         parent: SpanId,
         out: &mut Vec<Violation>,
     ) {
         let probe = self.probe;
-        out.extend(fan_out(entries, workers, probe, parent, |_, chunk, local| {
-            for &id in chunk {
-                let entry = dir.entry(id).expect("delta entries are live");
+        out.extend(fan_out(delta, workers, probe, parent, |_, chunk, local| {
+            for &(id, entry) in chunk {
                 content::check_entry(self.schema, id, entry, local);
             }
             if probe.enabled() {
@@ -221,21 +222,18 @@ impl<'s> IncrementalChecker<'s> {
         }));
     }
 
-    /// Figure 5′'s structure rows for every (delta root, row) pair on
-    /// `workers` workers, in the order of
+    /// Figure 5′'s structure rows for every (inserted subtree, row) pair
+    /// on `workers` workers, in the order of
     /// [`structure_delta_violations`](Self::structure_delta_violations):
-    /// each root's neighbourhood ([`Inserted`]) is read once, then the
+    /// each subtree's neighbourhood ([`Inserted`]) was read once, and the
     /// rows fan out over it.
     fn structure_scoped_violations(
         &self,
-        dir: &DirectoryInstance,
-        roots: &[EntryId],
+        near: &[Inserted<'_>],
         workers: usize,
         parent: SpanId,
         out: &mut Vec<Violation>,
     ) {
-        let near: Vec<Inserted<'_>> =
-            roots.iter().map(|&root| Inserted::new(self.schema, dir, root)).collect();
         let jobs: Vec<(&Inserted<'_>, Row<'s>)> =
             near.iter().flat_map(|near| self.rows().map(move |row| (near, row))).collect();
         out.extend(fan_out(&jobs, workers, self.probe, parent, |_, chunk, local| {
@@ -290,7 +288,8 @@ impl<'s> IncrementalChecker<'s> {
         dir: &DirectoryInstance,
         delta_roots: &[EntryId],
     ) -> LegalityReport {
-        self.insertion_column(dir, delta_roots, false)
+        let near = self.inserted(dir, delta_roots);
+        self.insertion_column(&near, |out| keys(self.schema, dir, delta_roots, out), Some(dir))
     }
 
     /// Figure 5′: what [`check_insertions`](Self::check_insertions)
@@ -298,61 +297,122 @@ impl<'s> IncrementalChecker<'s> {
     /// O(|∆D| · |rows| + depth) instead of joins against whole posting
     /// lists: content and keys as there, the structure rows answered from
     /// ∆D and the ancestor chain of each delta root
-    /// ([`scoped`](super::scoped)). What every certify runs.
+    /// ([`scoped`](super::scoped)). What the oracle
+    /// [`apply_and_check_probed`](super::apply_and_check_probed) runs;
+    /// every certify runs the same column on D and ∆D before it is
+    /// applied ([`verdict`](super::verdict)).
     pub fn check_insertions_scoped(
         &self,
         dir: &DirectoryInstance,
         delta_roots: &[EntryId],
     ) -> LegalityReport {
-        self.insertion_column(dir, delta_roots, true)
+        let near = self.inserted(dir, delta_roots);
+        self.insertion_column(&near, |out| keys(self.schema, dir, delta_roots, out), None)
     }
 
-    /// The insertion column: content and keys of ∆D, then the structure
-    /// rows — `scoped` (Figure 5′) or as Figure 5's Δ-queries.
+    /// The neighbourhoods of the subtrees rooted at `delta_roots` in the
+    /// prepared instance `dir`.
+    fn inserted<'d>(&self, dir: &'d DirectoryInstance, delta_roots: &[EntryId]) -> Vec<Inserted<'d>>
+    where
+        's: 'd,
+    {
+        delta_roots.iter().map(|&root| Inserted::new(self.schema, dir, root)).collect()
+    }
+
+    /// The insertion column over the subtrees `near`: content of ∆D, its
+    /// keys (appended by `keys`), then the structure rows — Figure 5′ on
+    /// `near`, or Figure 5's Δ-queries on the instance after the
+    /// insertions when it is given.
     fn insertion_column(
         &self,
-        dir: &DirectoryInstance,
-        delta_roots: &[EntryId],
-        scoped: bool,
+        near: &[Inserted<'_>],
+        keys: impl FnOnce(&mut Vec<Violation>),
+        figure5: Option<&DirectoryInstance>,
     ) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_insertions", 0);
         let mut out = Vec::new();
         // ∆D, in root-major document order; its size decides the fan-out
         // of both waves below.
-        let forest = dir.forest();
-        let delta: Vec<EntryId> = delta_roots
-            .iter()
-            .flat_map(|&r| std::iter::once(r).chain(forest.descendants(r)))
-            .collect();
+        let delta: Vec<(EntryId, &Entry)> = near.iter().flat_map(Inserted::entries).collect();
         let workers = bschema_parallel::workers_for(delta.len());
 
         // Content schema: only the new entries need checking (§4.2).
         let span = probe.span_start(root_span, "content_delta", 0);
-        self.content_delta_violations(dir, &delta, workers, span, &mut out);
+        self.content_delta_violations(&delta, workers, span, &mut out);
         probe.span_end(span);
 
         // Keys (§6.1): only the new entries' values can clash.
         let span = probe.span_start(root_span, "keys", 1);
-        for &root in delta_roots {
-            crate::legality::keys::check_insertion(self.schema, dir, root, &mut out);
-        }
+        keys(&mut out);
         probe.span_end(span);
 
-        // Structure schema, per delta root. Required classes `◇c` cannot
-        // be violated by an insertion.
-        if scoped {
-            let span = probe.span_start(root_span, "structure_scoped", 2);
-            self.structure_scoped_violations(dir, delta_roots, workers, span, &mut out);
-            probe.span_end(span);
-        } else {
-            let span = probe.span_start(root_span, "structure_delta", 2);
-            self.structure_delta_violations(dir, delta_roots, workers, span, &mut out);
-            probe.span_end(span);
+        // Structure schema, per inserted subtree. Required classes `◇c`
+        // cannot be violated by an insertion.
+        match figure5 {
+            None => {
+                let span = probe.span_start(root_span, "structure_scoped", 2);
+                self.structure_scoped_violations(near, workers, span, &mut out);
+                probe.span_end(span);
+            }
+            Some(dir) => {
+                let roots: Vec<EntryId> =
+                    near.iter().filter_map(|s| s.entries().next().map(|(id, _)| id)).collect();
+                let span = probe.span_start(root_span, "structure_delta", 2);
+                self.structure_delta_violations(dir, &roots, workers, span, &mut out);
+                probe.span_end(span);
+            }
         }
 
         probe.span_end(root_span);
         LegalityReport::from_violations(out)
+    }
+
+    /// Figure 5′ on (D, ∆D): the report [`check_insertions_scoped`] and
+    /// [`check_deletion_scoped`] give the instance `tx` makes of the
+    /// legal, prepared `dir` — insertion column, then deletion column —
+    /// read from `dir` and `tx` alone, nothing applied. A new entry is
+    /// named by the id its apply will take ([`DirectoryInstance::next_ids`]).
+    ///
+    /// [`check_insertions_scoped`]: Self::check_insertions_scoped
+    /// [`check_deletion_scoped`]: Self::check_deletion_scoped
+    pub(super) fn check_unapplied(
+        &self,
+        dir: &DirectoryInstance,
+        tx: &NormalizedTx,
+    ) -> LegalityReport {
+        let mut ids = dir.next_ids(tx.inserted());
+        let near: Vec<Inserted<'_>> = tx
+            .insertions
+            .iter()
+            .map(|subtree| {
+                let ids: Vec<EntryId> = ids.by_ref().take(subtree.len()).collect();
+                Inserted::detached(self.schema, dir, subtree, &ids)
+            })
+            .collect();
+        let mut report = LegalityReport::legal();
+        if !near.is_empty() {
+            let keys = |out: &mut Vec<Violation>| unapplied_keys(self.schema, dir, &near, out);
+            report.extend(self.insertion_column(&near, keys, None));
+        }
+        if !tx.deletion_roots.is_empty() {
+            let forest = dir.forest();
+            let gone: Vec<&Entry> = tx
+                .deletion_roots
+                .iter()
+                .flat_map(|&root| std::iter::once(root).chain(forest.descendants(root)))
+                .map(|id| dir.entry(id).expect("deletion roots are live"))
+                .collect();
+            let former_parents: Vec<Option<EntryId>> =
+                tx.deletion_roots.iter().map(|&root| forest.parent(root)).collect();
+            let near = Neighbourhood::new(self.schema, dir, self.probe).pending(
+                &tx.deletion_roots,
+                &gone,
+                &near,
+            );
+            report.extend(self.deletion_column(near, &gone, &former_parents));
+        }
+        report
     }
 
     /// Checks that **moving** a subtree (LDAP ModifyDN) preserved legality.
@@ -379,7 +439,8 @@ impl<'s> IncrementalChecker<'s> {
         // Insertion half: Figure 5′'s insertion column at the new location.
         let workers = bschema_parallel::workers_for(dir.forest().subtree_size(moved_root));
         let span = probe.span_start(root_span, "structure_scoped", 0);
-        self.structure_scoped_violations(dir, &[moved_root], workers, span, &mut out);
+        let near = self.inserted(dir, &[moved_root]);
+        self.structure_scoped_violations(&near, workers, span, &mut out);
         probe.span_end(span);
 
         // Deletion half, Figure 5′: only the old parent and its ancestors
@@ -416,12 +477,26 @@ impl<'s> IncrementalChecker<'s> {
         removed: &[Entry],
         former_parents: &[Option<EntryId>],
     ) -> LegalityReport {
+        let removed: Vec<&Entry> = removed.iter().collect();
+        let near = Neighbourhood::new(self.schema, dir, self.probe);
+        self.deletion_column(near, &removed, former_parents)
+    }
+
+    /// The deletion column of Figure 5′, asked of `near`: `◇c` by the
+    /// counts, then the required child / descendant rows at
+    /// `former_parents` and up, for the classes the `removed` entries
+    /// carried.
+    fn deletion_column(
+        &self,
+        near: Neighbourhood<'_>,
+        removed: &[&Entry],
+        former_parents: &[Option<EntryId>],
+    ) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_deletion_scoped", 0);
         let mut out = Vec::new();
         let classes = self.schema.classes();
         let lost = |class: ClassId| removed.iter().any(|e| e.has_class(classes.name(class)));
-        let near = Neighbourhood::new(self.schema, dir, probe);
         near.emptied(lost, &mut out);
         near.starved(former_parents, lost, &mut out);
         near.finish();
@@ -477,6 +552,60 @@ impl<'s> IncrementalChecker<'s> {
 
         probe.span_end(root_span);
         LegalityReport::from_violations(out)
+    }
+}
+
+/// Keys (§6.1) of the subtrees rooted at `delta_roots` in the instance
+/// `dir` after their insertion.
+fn keys(
+    schema: &DirectorySchema,
+    dir: &DirectoryInstance,
+    delta_roots: &[EntryId],
+    out: &mut Vec<Violation>,
+) {
+    for &root in delta_roots {
+        crate::legality::keys::check_insertion(schema, dir, root, out);
+    }
+}
+
+/// Where an entry sits in the document order of the instance a
+/// transaction's insertions make: `(pre, 0, 0, 0)` for an entry of D;
+/// `(end(p), u64::MAX − h, k, j)` for the `j`-th entry, in preorder, of
+/// the `k`-th subtree, hung under `p` with `h` entries on the chain above
+/// it (a new root's: `u64::MAX` for both).
+type Place = (u64, u64, usize, usize);
+
+/// Keys (§6.1) of the subtrees `near` of a transaction not applied to
+/// `dir` yet, subtree after subtree. Each of the others' entries is placed
+/// in the document order of the instance the insertions make: a subtree
+/// joins its parent as the last child, so it follows the parent's last
+/// descendant in `dir` — ahead of a subtree joining that entry's ancestor
+/// there, behind an earlier one joining the same parent — and a new root
+/// follows everything.
+fn unapplied_keys(
+    schema: &DirectorySchema,
+    dir: &DirectoryInstance,
+    near: &[Inserted<'_>],
+    out: &mut Vec<Violation>,
+) {
+    if schema.attributes().unique_attributes().next().is_none() {
+        return;
+    }
+    let forest = dir.forest();
+    let placed: Vec<(Place, EntryId, &Entry)> = near
+        .iter()
+        .enumerate()
+        .flat_map(|(k, s)| {
+            let (end, h) = s.parent().map_or((u64::MAX, 0), |p| (forest.end(p), s.height()));
+            let after = u64::MAX - h as u64;
+            s.entries().enumerate().map(move |(j, (id, entry))| ((end, after, k, j), id, entry))
+        })
+        .collect();
+    for (k, s) in near.iter().enumerate() {
+        let delta: Vec<(EntryId, &Entry)> = s.entries().collect();
+        let others: Vec<_> = placed.iter().filter(|(at, _, _)| at.2 != k).copied().collect();
+        let place = |id: EntryId| -> Place { (forest.pre(id), 0, 0, 0) };
+        crate::legality::keys::check_unapplied(schema, dir, &delta, &others, place, out);
     }
 }
 

@@ -78,6 +78,27 @@ pub fn apply_and_check(
     Ok(AppliedTx { inserted_roots, removed, report })
 }
 
+/// Theorem 4.1 + Figure 5′ on (D, ∆D): what [`apply_and_check_probed`]
+/// returns for `tx` on a copy of `dir` — the same refusal, or the same
+/// report, violation for violation — reached on `dir` itself, nothing
+/// applied or copied. `tx` is normalised against `dir`, and `dir` is
+/// legal and prepared.
+///
+/// The refusals come in the copy's order: a [`TxError::DuplicateRdn`]
+/// the apply would hit first ([`NormalizedTx::check_names`]), then the
+/// insertion column's findings, then the deletion column's. A new entry
+/// is named by the id its apply will take
+/// ([`DirectoryInstance::next_ids`]). DESIGN.md §4.
+pub fn verdict(
+    schema: &DirectorySchema,
+    dir: &DirectoryInstance,
+    tx: &NormalizedTx,
+    probe: &dyn bschema_obs::Probe,
+) -> Result<LegalityReport, TxError> {
+    tx.check_names(dir)?;
+    Ok(IncrementalChecker::new(schema).with_probe(probe).check_unapplied(dir, tx))
+}
+
 /// `dir.prepare()` on a path that holds a probe, in an `instance.prepare`
 /// span: what the call did to the index is attributed there —
 /// `managed.index_posted` entries (the |ΔD| of Theorem 4.2, when nothing
@@ -122,6 +143,10 @@ pub(crate) fn prepare_probed(dir: &mut DirectoryInstance, probe: &dyn bschema_ob
 /// do not depend on it. No Figure 4 query is evaluated: the
 /// `incremental.delta_query.*` counters come from the Figure 5 oracle
 /// alone.
+///
+/// On a copy of the instance, this is the clone-and-check oracle the
+/// served [`verdict`] — the same checks on D and ∆D, nothing applied —
+/// is held to.
 pub fn apply_and_check_probed(
     schema: &DirectorySchema,
     dir: &mut DirectoryInstance,

@@ -15,14 +15,21 @@
 //! either in ∆D or on the ancestor chain of ∆D's root, so the insertion
 //! column ([`Inserted`]) reads that chain once and ∆D once per row.
 //! DESIGN.md §4 states both theorems.
+//!
+//! Neither column needs the instance the update makes. [`Inserted`] reads
+//! ∆D as applied or detached — the normalised subtree and the ids its
+//! apply will take — and a [`Neighbourhood`] over D told what a pending
+//! transaction removes and inserts ([`pending`](Neighbourhood::pending))
+//! answers every witness test as the updated instance would.
 
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use bschema_directory::{DirectoryInstance, EntryId, Postings};
+use bschema_directory::{DirectoryInstance, Entry, EntryId, Postings};
 use bschema_obs::Probe;
 
 use super::incremental::{forbidden_row, required_row};
+use super::transaction::SubtreeInsertion;
 use crate::legality::report::Violation;
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
 
@@ -35,6 +42,13 @@ pub(super) struct Neighbourhood<'a> {
     probe: &'a dyn Probe,
     /// Chain entries, children and posting-list members looked at.
     examined: Cell<u64>,
+    /// `[pre, end]` of each subtree a pending transaction deletes, in
+    /// label order; empty when `dir` is the instance after the update.
+    removed: Vec<(u64, u64)>,
+    /// The entries those subtrees hold.
+    gone: &'a [&'a Entry],
+    /// The subtrees a pending transaction inserts.
+    inserted: &'a [Inserted<'a>],
 }
 
 impl<'a> Neighbourhood<'a> {
@@ -43,7 +57,34 @@ impl<'a> Neighbourhood<'a> {
         dir: &'a DirectoryInstance,
         probe: &'a dyn Probe,
     ) -> Self {
-        Neighbourhood { schema, dir, probe, examined: Cell::new(0) }
+        let (removed, gone, inserted) = (Vec::new(), &[][..], &[][..]);
+        Neighbourhood { schema, dir, probe, examined: Cell::new(0), removed, gone, inserted }
+    }
+
+    /// The same tests asked of the instance a transaction not applied to
+    /// `dir` yet would make: one that deletes the subtrees of
+    /// `deletion_roots`, holding the entries `gone`, and inserts
+    /// `inserted`. Only entries that survive it may be asked about.
+    pub(super) fn pending(
+        mut self,
+        deletion_roots: &[EntryId],
+        gone: &'a [&'a Entry],
+        inserted: &'a [Inserted<'a>],
+    ) -> Self {
+        let forest = self.dir.forest();
+        self.removed = deletion_roots.iter().map(|&r| (forest.pre(r), forest.end(r))).collect();
+        self.removed.sort_unstable();
+        self.gone = gone;
+        self.inserted = inserted;
+        self
+    }
+
+    /// The `end` of the deleted subtree the entry labelled `label` lies
+    /// in, if it lies in one.
+    fn removed_through(&self, label: u64) -> Option<u64> {
+        let after = self.removed.partition_point(|&(pre, _)| pre <= label);
+        let (_, end) = *self.removed.get(after.checked_sub(1)?)?;
+        (label <= end).then_some(end)
     }
 
     fn examine(&self, entries: usize) {
@@ -76,19 +117,33 @@ impl<'a> Neighbourhood<'a> {
     /// Whether `e` has a `kind`-relative in `class`. A child is found by
     /// walking `e`'s child list to the first witness — O(fan-out), and
     /// the reason no per-entry witness counts are kept; a descendant by
-    /// one binary search and one comparison.
+    /// one binary search and one comparison. A pending deletion's members
+    /// are stepped over, one binary search per deleted subtree in the
+    /// way; a pending insertion's are read off its class flags.
     pub(super) fn has_relative(&self, e: EntryId, kind: RelKind, class: ClassId) -> bool {
         let forest = self.dir.forest();
         match kind {
-            RelKind::Child => forest.children(e).any(|c| self.carries(c, class)),
+            RelKind::Child => {
+                forest.children(e).any(|c| {
+                    self.removed_through(forest.pre(c)).is_none() && self.carries(c, class)
+                }) || self.inserted.iter().any(|s| s.parent() == Some(e) && s.has(0, class))
+            }
             RelKind::Parent => forest.parent(e).is_some_and(|p| self.carries(p, class)),
             RelKind::Ancestor => forest.ancestors(e).any(|a| self.carries(a, class)),
             RelKind::Descendant => {
                 self.examine(1);
-                self.members(class)
-                    .after(forest, forest.pre(e))
-                    .next()
-                    .is_some_and(|x| forest.pre(x) <= forest.end(e))
+                let (members, end) = (self.members(class), forest.end(e));
+                let mut from = forest.pre(e);
+                let kept = loop {
+                    match members.after(forest, from).next().map(|x| forest.pre(x)) {
+                        Some(label) if label <= end => match self.removed_through(label) {
+                            Some(past) => from = past,
+                            None => break true,
+                        },
+                        _ => break false,
+                    }
+                };
+                kept || self.inserted.iter().any(|s| s.under(e) && s.holds(class) > 0)
             }
         }
     }
@@ -126,11 +181,15 @@ impl<'a> Neighbourhood<'a> {
     }
 
     /// `◇c` by the class counts of §4.2: only a class that `lost` a member
-    /// can have become empty, and the index answers emptiness in O(1).
+    /// can have become empty, and the index answers emptiness in O(1) —
+    /// D's count, less a pending deletion's members, plus a pending
+    /// insertion's.
     pub(super) fn emptied(&self, lost: impl Fn(ClassId) -> bool, out: &mut Vec<Violation>) {
-        for class in self.schema.structure().required_classes() {
+        for class in self.schema.structure().required_classes().filter(|&class| lost(class)) {
             let name = self.schema.classes().name(class);
-            if lost(class) && self.dir.index().class_count(name) == 0 {
+            let gained: usize = self.inserted.iter().map(|s| s.holds(class)).sum();
+            let gone = self.gone.iter().filter(|e| e.has_class(name)).count();
+            if self.dir.index().class_count(name) + gained == gone {
                 out.push(Violation::MissingRequiredClass { class: name.to_owned() });
             }
         }
@@ -214,9 +273,9 @@ fn forbidden(schema: &DirectorySchema, upper: EntryId, rel: &ForbiddenRel) -> Vi
 ///
 /// A new entry's parent and ancestors are the subtree root's ancestor
 /// chain plus the path to it inside ∆D, and its children and descendants
-/// all lie in ∆D. So [`new`](Self::new) walks the chain once for the
-/// classes on it and ∆D once in preorder for each entry's parent and
-/// classes; then [`required`](Self::required) and
+/// all lie in ∆D. So [`new`](Self::new) and [`detached`](Self::detached)
+/// walk the chain once for the classes on it and ∆D once in preorder for
+/// each entry's parent and classes; then [`required`](Self::required) and
 /// [`forbidden`](Self::forbidden) answer a row by one pass over ∆D going
 /// down (`→pa`, `→an`) or up (`→ch`, `→de`, and which entries gained a
 /// lower `↛` relative). O(|∆D| · |rows| + depth), whatever |D|; each row's
@@ -232,6 +291,8 @@ pub(super) struct Inserted<'a> {
     chain_classes: Vec<bool>,
     /// ∆D in preorder, the root first.
     delta: Vec<EntryId>,
+    /// Each ∆D entry's content.
+    entries: Vec<&'a Entry>,
     /// Each ∆D entry's parent, as a position in `delta` (the root's own:
     /// unused, its parent is `chain[0]`).
     parent: Vec<usize>,
@@ -242,34 +303,101 @@ pub(super) struct Inserted<'a> {
 impl<'a> Inserted<'a> {
     /// Reads the neighbourhood of the subtree rooted at `root` in the
     /// prepared instance `dir`.
-    pub(super) fn new(schema: &'a DirectorySchema, dir: &DirectoryInstance, root: EntryId) -> Self {
+    pub(super) fn new(
+        schema: &'a DirectorySchema,
+        dir: &'a DirectoryInstance,
+        root: EntryId,
+    ) -> Self {
         let forest = dir.forest();
-        let width = schema.classes().len();
-        let mark = |e: EntryId, flags: &mut Vec<bool>| {
-            let at = flags.len();
-            flags.resize(at + width, false);
-            let entry = dir.entry(e).expect("chain and ∆D entries are live");
-            for class in entry.classes().iter().filter_map(|name| schema.classes().lookup(name)) {
-                flags[at + class.index()] = true;
-            }
-        };
-        let chain: Vec<EntryId> = forest.ancestors(root).collect();
-        let mut chain_classes = Vec::with_capacity(chain.len() * width);
-        for &a in &chain {
-            mark(a, &mut chain_classes);
-        }
         let delta: Vec<EntryId> = std::iter::once(root).chain(forest.descendants(root)).collect();
         let (mut parent, mut path) = (vec![0; delta.len()], Vec::new());
-        let mut classes = Vec::with_capacity(delta.len() * width);
         for (i, &e) in delta.iter().enumerate() {
             while path.last().is_some_and(|&p: &usize| forest.end(delta[p]) < forest.pre(e)) {
                 path.pop();
             }
             parent[i] = path.last().copied().unwrap_or(0);
             path.push(i);
-            mark(e, &mut classes);
         }
-        Inserted { schema, width, chain, chain_classes, delta, parent, classes }
+        let live = |e: EntryId| dir.entry(e).expect("∆D entries are live");
+        let nodes = delta.iter().zip(parent).map(|(&e, p)| (e, live(e), p));
+        Self::read(schema, dir, forest.ancestors(root), nodes)
+    }
+
+    /// Reads the neighbourhood `subtree` will have once applied to the
+    /// prepared instance `dir`, its nodes named by `ids` (parallel to
+    /// `subtree.nodes`): the chain from `dir`, ∆D from the detached nodes
+    /// laid out as the apply lays them out.
+    pub(super) fn detached(
+        schema: &'a DirectorySchema,
+        dir: &'a DirectoryInstance,
+        subtree: &'a SubtreeInsertion,
+        ids: &[EntryId],
+    ) -> Self {
+        let forest = dir.forest();
+        let chain =
+            subtree.parent.into_iter().flat_map(|p| std::iter::once(p).chain(forest.ancestors(p)));
+        let nodes = subtree
+            .preorder()
+            .into_iter()
+            .map(|(node, parent)| (ids[node], &subtree.nodes[node].2, parent));
+        Self::read(schema, dir, chain, nodes)
+    }
+
+    /// Flags the classes of the `chain` entries of `dir` and of the
+    /// `(id, entry, parent position)` nodes of ∆D, in preorder.
+    fn read(
+        schema: &'a DirectorySchema,
+        dir: &'a DirectoryInstance,
+        chain: impl Iterator<Item = EntryId>,
+        nodes: impl Iterator<Item = (EntryId, &'a Entry, usize)>,
+    ) -> Self {
+        let width = schema.classes().len();
+        let mark = |entry: &Entry, flags: &mut Vec<bool>| {
+            let at = flags.len();
+            flags.resize(at + width, false);
+            for class in entry.classes().iter().filter_map(|name| schema.classes().lookup(name)) {
+                flags[at + class.index()] = true;
+            }
+        };
+        let chain: Vec<EntryId> = chain.collect();
+        let mut chain_classes = Vec::with_capacity(chain.len() * width);
+        for &a in &chain {
+            mark(dir.entry(a).expect("chain entries are live"), &mut chain_classes);
+        }
+        let (mut delta, mut entries, mut parent, mut classes) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (id, entry, up) in nodes {
+            delta.push(id);
+            entries.push(entry);
+            parent.push(up);
+            mark(entry, &mut classes);
+        }
+        Inserted { schema, width, chain, chain_classes, delta, entries, parent, classes }
+    }
+
+    /// ∆D's `(id, entry)` pairs, in preorder.
+    pub(super) fn entries(&self) -> impl Iterator<Item = (EntryId, &'a Entry)> + '_ {
+        self.delta.iter().copied().zip(self.entries.iter().copied())
+    }
+
+    /// The entry ∆D hangs under; `None` for a new forest root.
+    pub(super) fn parent(&self) -> Option<EntryId> {
+        self.chain.first().copied()
+    }
+
+    /// How many entries the chain above ∆D holds: the depth it hangs at.
+    pub(super) fn height(&self) -> usize {
+        self.chain.len()
+    }
+
+    /// Whether ∆D hangs under `e` or under one of its descendants.
+    fn under(&self, e: EntryId) -> bool {
+        self.chain.contains(&e)
+    }
+
+    /// How many ∆D entries carry `class`.
+    fn holds(&self, class: ClassId) -> usize {
+        (0..self.delta.len()).filter(|&i| self.has(i, class)).count()
     }
 
     /// Whether the `i`-th entry of ∆D carries `class`.

@@ -12,7 +12,7 @@
 //!
 //! [`Transaction::normalize`] computes that canonical form.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use bschema_directory::{DirectoryInstance, Entry, EntryId, InstanceError, Rdn};
@@ -207,6 +207,24 @@ impl SubtreeInsertion {
         }
         Ok(ids)
     }
+
+    /// The order [`apply`](Self::apply) lays the nodes out in — preorder,
+    /// each node's children in `nodes` order — as `(node, parent)`
+    /// pairs: the index into `nodes`, and the position of its parent in
+    /// this order (the root's own: 0).
+    pub fn preorder(&self) -> Vec<(usize, usize)> {
+        let mut children = vec![Vec::new(); self.nodes.len()];
+        for (node, (parent, _, _)) in self.nodes.iter().enumerate().skip(1) {
+            children[parent.unwrap_or(0)].push(node);
+        }
+        let (mut order, mut stack) = (Vec::with_capacity(self.nodes.len()), vec![(0, 0)]);
+        while let Some((node, parent)) = stack.pop() {
+            let at = order.len();
+            order.push((node, parent));
+            stack.extend(children[node].iter().rev().map(|&child| (child, at)));
+        }
+        order
+    }
 }
 
 /// The Theorem 4.1 canonical form: subtree insertions, then subtree
@@ -218,6 +236,64 @@ pub struct NormalizedTx {
     /// Roots of subtrees to delete. No root is an ancestor of another, and
     /// each deleted subtree is fully contained in the delete set.
     pub deletion_roots: Vec<EntryId>,
+}
+
+impl NormalizedTx {
+    /// How many entries the insertions create.
+    pub fn inserted(&self) -> usize {
+        self.insertions.iter().map(SubtreeInsertion::len).sum()
+    }
+
+    /// Applies the insertions, then the deletions, to the instance this
+    /// was normalised against; returns the created ids, subtree after
+    /// subtree, each parallel to its `nodes`.
+    pub fn apply(&self, dir: &mut DirectoryInstance) -> Result<Vec<EntryId>, TxError> {
+        let mut ids = Vec::with_capacity(self.inserted());
+        for subtree in &self.insertions {
+            ids.extend(subtree.apply(dir)?);
+        }
+        for &root in &self.deletion_roots {
+            dir.remove_subtree(root).map_err(|e| {
+                TxError::Internal(format!("removing validated deletion root {root}: {e}"))
+            })?;
+        }
+        Ok(ids)
+    }
+
+    /// The [`TxError::DuplicateRdn`] [`apply`](Self::apply) fails with on
+    /// `dir`, found without applying: the first named node, subtree after
+    /// subtree, whose RDN a sibling already holds — one of `dir`'s (those
+    /// this transaction deletes included: insertions apply first), or
+    /// one inserted before it.
+    pub fn check_names(&self, dir: &DirectoryInstance) -> Result<(), TxError> {
+        // Names inserted so far under each existing parent (`None`: the
+        // roots), whichever subtree inserted them.
+        let mut taken: HashMap<Option<EntryId>, Vec<&Rdn>> = HashMap::new();
+        for subtree in &self.insertions {
+            // Names inserted so far under this subtree's own nodes.
+            let mut local: Vec<(usize, &Rdn)> = Vec::new();
+            for (node, (parent, rdn, _)) in subtree.nodes.iter().enumerate() {
+                let Some(rdn) = rdn else { continue };
+                let clash = match parent {
+                    Some(p) => local.iter().any(|&(q, name)| q == *p && name.matches(rdn)),
+                    None => {
+                        let earlier = taken.entry(subtree.parent).or_default();
+                        let clash = earlier.iter().any(|name| name.matches(rdn))
+                            || dir.named_child(subtree.parent, rdn).is_some();
+                        earlier.push(rdn);
+                        clash
+                    }
+                };
+                if clash {
+                    return Err(TxError::DuplicateRdn { node, rdn: rdn.to_string() });
+                }
+                if let Some(p) = parent {
+                    local.push((*p, rdn));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Transaction {

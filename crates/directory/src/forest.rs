@@ -273,6 +273,15 @@ impl Forest {
         self.nodes.get(id.index()).filter(|n| n.alive).ok_or(ForestError::NoSuchEntry(id))
     }
 
+    /// The ids the next `n` allocations will take, in order, taking
+    /// none: the free stack from its top, then fresh slots from
+    /// [`slot_bound`](Self::slot_bound) up — what lets a write be judged
+    /// before it is applied name the entries it would create.
+    pub fn next_ids(&self, n: usize) -> impl Iterator<Item = EntryId> + '_ {
+        let reused = self.free.iter().rev().map(|&slot| EntryId(slot));
+        reused.chain((self.nodes.len()..).map(EntryId::from_index)).take(n)
+    }
+
     fn alloc(&mut self) -> EntryId {
         self.len += 1;
         if let Some(slot) = self.free.pop() {

@@ -123,7 +123,7 @@ pub struct Prepared {
 /// it lands in): the two met near `len / 30` at 50k and `len / 3` at 2k
 /// (EXPERIMENTS.md SRV). The benchmark cannot re-check the value: every
 /// `dirbench` write has |ΔD| ≤ 3, so the rebuilt side of the bound sees
-/// no measured traffic until it has a bulk-TXN workload (ROADMAP item 7).
+/// no measured traffic until it has a bulk-TXN workload (ROADMAP item 1).
 const REBUILD_FRACTION: usize = 32;
 
 /// An LDAP directory instance.
@@ -515,6 +515,21 @@ impl DirectoryInstance {
 
     fn find_child(&self, parent: EntryId, rdn: &Rdn) -> Option<EntryId> {
         self.forest.children(parent).find(|&c| self.rdn(c).is_some_and(|x| x.matches(rdn)))
+    }
+
+    /// The child of `parent` (`None`: the root) whose RDN matches `rdn` —
+    /// the sibling a named insertion there would collide with.
+    pub fn named_child(&self, parent: Option<EntryId>, rdn: &Rdn) -> Option<EntryId> {
+        match parent {
+            Some(parent) => self.find_child(parent, rdn),
+            None => self.find_root(rdn),
+        }
+    }
+
+    /// The ids the next `n` insertions will take, in order
+    /// ([`Forest::next_ids`]).
+    pub fn next_ids(&self, n: usize) -> impl Iterator<Item = EntryId> + '_ {
+        self.forest.next_ids(n)
     }
 
     /// Resolves a DN to an entry by walking RDN components from the root.

@@ -28,6 +28,7 @@ names! {
     TX_REJECTED = "server.tx_rejected", "count", "Refused writes; label = the code.";
     DELTA_QUERY = "incremental.delta_query", "count", "Figure 5 oracle Δ-queries; label = the row.";
     INDEX_CHUNKS_UNSHARED = "managed.index_chunks_unshared", "count", "Index chunks a write copied.";
+    INSTANCE_CLONED = "managed.instance_cloned", "count", "Instances a write copied to apply itself to.";
     SHARD_PREPARE = "sharded.prepare", "count", "Cross-shard prepares; label = `shard(k)`.";
     SHARD_COMMIT = "sharded.commit", "count", "Cross-shard commits; label = `shard(k)`.";
     PREPARED = "sharded.prepared", "count", "Cross-shard transactions every shard prepared.";

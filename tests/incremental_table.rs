@@ -6,7 +6,7 @@
 //! what the paper's Δ-queries and whole-instance recheck report, and the
 //! scoped move and class-change checks exactly what the §3 checker finds.
 //! Theorem 4.2 by counting: a write copies as many index chunks at |D| ≈
-//! 20k as at |D| ≈ 2k.
+//! 20k as at |D| ≈ 2k, and a refused write copies nothing at all.
 
 use std::collections::BTreeSet;
 
@@ -932,4 +932,74 @@ fn a_write_copies_as_many_index_chunks_at_20k_as_at_2k() {
     assert_eq!((small[2], large[2]), ((1, 1), (1, 1)));
     // A delete-only TXN reports the chunks its un-posts copy.
     assert!(small[3].0 > 0 && large[3].0 > 0, "{small:?} vs {large:?}");
+}
+
+/// Verdict before copy, counted: at |D| ≈ 2k and ≈ 20k a refused TXN —
+/// a refused insert, a refused delete, an insert whose name is taken, a
+/// legal insert beside an illegal one — copies no instance
+/// (`managed.instance_cloned`), un-shares no index chunk and prepares
+/// nothing (no `instance.prepare` span): it is decided on the published
+/// instance. An accepted TXN copies the instance once.
+#[test]
+fn a_refused_txn_copies_nothing_and_an_accepted_one_copies_once() {
+    fn spans(nodes: &[bschema_obs::SpanNode], out: &mut Vec<&'static str>) {
+        for node in nodes {
+            out.push(node.name);
+            spans(&node.children, out);
+        }
+    }
+    for orgs in [8, 80] {
+        let base = bschema_workload::multi_org_base(orgs, 250, 0xC0C0);
+        let mut engine =
+            ManagedDirectory::with_instance(white_pages_schema(), base).expect("legal base");
+        let forest = engine.instance().forest();
+        let org = forest.roots().next().expect("orgs");
+        let unit = forest.children(org).next().expect("a unit");
+        let person = forest
+            .descendants(org)
+            .find(|&e| engine.instance().entry(e).is_some_and(|e| e.has_class("person")))
+            .expect("a person");
+        let rdn = engine.instance().rdn(unit).expect("named").clone();
+        let researcher = |uid: &str| {
+            Entry::builder()
+                .classes(["researcher", "person", "top"])
+                .attr("uid", uid)
+                .attr("name", uid)
+                .build()
+        };
+        let mut under_person = Transaction::new();
+        under_person.insert_under(person, researcher("intruder"));
+        let mut every_org = Transaction::new();
+        for root in forest.roots() {
+            for id in forest.postorder_of(root) {
+                every_org.delete(id);
+            }
+        }
+        let mut taken = Transaction::new();
+        taken.insert_under_named(org, rdn, researcher("twin"));
+        let mut half = Transaction::new();
+        half.insert_under(unit, researcher("fine"));
+        half.insert_under(person, researcher("stowaway"));
+        let mut legal = Transaction::new();
+        legal.insert_under(unit, researcher("welcome"));
+        let cases = [(&under_person, false), (&every_org, false), (&taken, false), (&half, false)];
+        for (i, (tx, accepted)) in cases.into_iter().chain([(&legal, true)]).enumerate() {
+            let recorder = bschema_obs::Recorder::new();
+            let outcome = engine.apply_op(Op::Tx { tx, global: None }, &recorder);
+            assert_eq!(outcome.is_ok(), accepted, "{orgs} orgs, case {i}: {outcome:?}");
+            let m = recorder.metrics();
+            let mut seen = Vec::new();
+            spans(&recorder.tracer().tree(), &mut seen);
+            assert!(seen.contains(&"managed.apply"), "{orgs} orgs, case {i}: {seen:?}");
+            assert_eq!(
+                m.counter(names::INSTANCE_CLONED),
+                u64::from(accepted),
+                "{orgs} orgs, case {i}"
+            );
+            assert_eq!(seen.contains(&"instance.prepare"), accepted, "{orgs} orgs, case {i}");
+            if !accepted {
+                assert_eq!(m.counter(names::INDEX_CHUNKS_UNSHARED), 0, "{orgs} orgs, case {i}");
+            }
+        }
+    }
 }

@@ -14,16 +14,24 @@
 //!
 //! Every commit on either engine is also held against the paper's own
 //! deletion recheck: what the scoped check of the write path let through,
-//! Figure 5's whole-instance evaluation lets through too.
+//! Figure 5's whole-instance evaluation lets through too. And every
+//! verdict — reached on (D, ∆D) before anything is copied — is held
+//! against the clone-and-check oracle, `apply_and_check_probed` on a copy
+//! of the engine's instance: the same refusal byte for byte, or the same
+//! committed instance. On the sharded backend the oracle runs per shard,
+//! on each shard's part of the transaction.
 //!
 //! A seed override (`CHAOS_SEED`) lets CI run fresh workloads nightly
 //! while the default stays reproducible.
 
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::white_pages_schema;
+use bschema_core::schema::DirectorySchema;
 use bschema_core::sharded::{canonical_merge, partition, ShardedDirectory};
-use bschema_core::updates::transaction_from_ldif;
-use bschema_directory::ldif::parse_ldif;
+use bschema_core::updates::{apply_and_check_probed, transaction_from_ldif, Transaction};
+use bschema_core::Violation;
+use bschema_directory::ldif::{parse_ldif, LdifRecord};
+use bschema_directory::DirectoryInstance;
 use bschema_workload::oracle::scoped_deletion_matches_figure5;
 use bschema_workload::{GeneratedTx, LdifWorkload, LdifWorkloadParams};
 
@@ -45,6 +53,26 @@ fn workload() -> (bschema_directory::DirectoryInstance, Vec<GeneratedTx>) {
     })
 }
 
+/// The clone-and-check oracle: `tx` applied to a copy of `dir` and
+/// checked there — the refusal, or the instance to commit.
+fn oracle(
+    schema: &DirectorySchema,
+    dir: &DirectoryInstance,
+    tx: &Transaction,
+) -> Result<DirectoryInstance, ManagedError> {
+    let mut copy = dir.clone();
+    match apply_and_check_probed(schema, &mut copy, tx, bschema_obs::noop()) {
+        Err(e) => Err(ManagedError::Transaction(e)),
+        Ok(applied) if !applied.report.is_legal() => Err(ManagedError::RolledBack(applied.report)),
+        Ok(_) => Ok(copy),
+    }
+}
+
+/// A refusal as the oracle compares it: code and wording.
+fn said(e: &ManagedError) -> (&'static str, String) {
+    (e.code(), e.to_string())
+}
+
 /// Replays `txs` through an unsharded managed directory; returns the
 /// verdict per transaction ("committed" or the rejection code) and the
 /// canonical bytes of the final state.
@@ -60,10 +88,20 @@ fn replay_unsharded(
         let before = managed.shared_instance();
         let verdict = match transaction_from_ldif(managed.instance(), records) {
             Err(e) => ManagedError::from(e).code(),
-            Ok(tx) => match managed.apply(&tx) {
-                Ok(()) => "committed",
-                Err(e) => e.code(),
-            },
+            Ok(tx) => {
+                let want = oracle(managed.schema(), managed.instance(), &tx);
+                match (managed.apply(&tx), want) {
+                    (Ok(()), Ok(copy)) => {
+                        assert_eq!(managed.instance().canonical_bytes(), copy.canonical_bytes());
+                        "committed"
+                    }
+                    (Err(e), Err(want)) => {
+                        assert_eq!(said(&e), said(&want), "the verdict differs from the copy's");
+                        e.code()
+                    }
+                    (got, want) => panic!("engine {got:?}, oracle {want:?}:\n{tx:?}"),
+                }
+            }
         };
         managed.instance().check_prepared().expect("numbering and index are maintained");
         scoped_deletion_matches_figure5(managed.schema(), &before, managed.instance())
@@ -73,6 +111,49 @@ fn replay_unsharded(
     let merged = canonical_merge(partition(managed.instance(), 1).expect("partition").iter())
         .expect("merge");
     (verdicts, merged.canonical_bytes())
+}
+
+/// What the oracle expects of the sharded router on `records`, as far as
+/// the shards decide it: the first decoding or normalisation refusal of
+/// any shard's part, else the first refusal of a part checked on a copy
+/// of its shard (ascending shard order, as the 2-phase apply certifies),
+/// else each involved shard's committed instance. `None` for a refusal
+/// leaves the verdict to the `◇c` ledger, which admits first.
+fn sharded_oracle(
+    sharded: &ShardedDirectory,
+    records: &[LdifRecord],
+) -> Result<Vec<(usize, DirectoryInstance)>, Option<ManagedError>> {
+    let mut groups: Vec<Vec<LdifRecord>> = (0..sharded.shards()).map(|_| Vec::new()).collect();
+    for rec in records {
+        groups[sharded.shard_of_dn(&rec.dn)].push(rec.clone());
+    }
+    let mut parts = Vec::new();
+    for (k, group) in groups.into_iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+        let (schema, dir) = sharded.with_shard(k, |e| (e.schema().clone(), e.shared_instance()));
+        let tx = transaction_from_ldif(&dir, group).map_err(|e| Some(e.into()))?;
+        tx.normalize(&dir).map_err(|e| Some(e.into()))?;
+        parts.push((k, schema, dir, tx));
+    }
+    let mut committed = Vec::new();
+    let mut refusal = None;
+    for (k, schema, dir, tx) in parts {
+        match oracle(&schema, &dir, &tx) {
+            Ok(copy) => committed.push((k, copy)),
+            Err(e) => {
+                refusal = refusal.or(Some(e));
+            }
+        }
+    }
+    match refusal {
+        Some(e) => Err(Some(e)),
+        None => Ok(committed),
+    }
+}
+
+/// A refusal the `◇c` ledger gave: nothing but unmet required classes.
+fn from_the_ledger(e: &ManagedError) -> bool {
+    matches!(e, ManagedError::RolledBack(report)
+        if report.violations().iter().all(|v| matches!(v, Violation::MissingRequiredClass { .. })))
 }
 
 /// Replays `txs` through a sharded directory; returns per-transaction
@@ -90,14 +171,25 @@ fn replay_sharded(
         let records = parse_ldif(&tx.ldif).expect("generated ldif parses");
         let before: Vec<_> =
             (0..shards).map(|k| sharded.with_shard(k, |engine| engine.shared_instance())).collect();
-        let verdict = match sharded.apply_ldif(records) {
-            Ok(outcome) => {
+        let want = sharded_oracle(&sharded, &records);
+        let verdict = match (sharded.apply_ldif(records), want) {
+            (Ok(outcome), Ok(copies)) => {
+                for (k, copy) in copies {
+                    let bytes = sharded.with_shard(k, |e| e.instance().canonical_bytes());
+                    assert_eq!(bytes, copy.canonical_bytes(), "shard {k} committed otherwise");
+                }
                 if outcome.shards.len() > 1 {
                     cross_shard_commits += 1;
                 }
                 "committed"
             }
-            Err(e) => e.code(),
+            (Err(e), Err(Some(want))) if said(&e) != said(&want) => {
+                assert!(from_the_ledger(&e), "{e} differs from the copy's refusal {want}");
+                e.code()
+            }
+            (Err(e), Err(_)) => e.code(),
+            (Err(e), Ok(_)) if from_the_ledger(&e) => e.code(),
+            (got, want) => panic!("router {got:?}, per-shard oracle {want:?}:\n{}", tx.ldif),
         };
         for (k, before) in before.iter().enumerate() {
             sharded

@@ -21,10 +21,12 @@ use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimi
 /// guard (`managed.apply`), the index's `prepare()` and the incremental
 /// check land as siblings of the `service.*` stages, in recording order.
 /// The check is Figure 5′'s: the structure rows are answered from the
-/// new entry's neighbourhood in one chunk, with no Figure 4 Δ-query.
+/// new entry's neighbourhood in one chunk, with no Figure 4 Δ-query. It
+/// runs on the published instance, before anything is copied: only the
+/// legal verdict's copy is `prepare()`d.
 const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,service.tx_build,\
-                         managed.apply,instance.prepare,incremental.check_insertions(\
-                         content_delta(chunk),keys,structure_scoped(chunk)),journal.begin,\
+                         managed.apply,incremental.check_insertions(content_delta(chunk),keys,\
+                         structure_scoped(chunk)),instance.prepare,journal.begin,\
                          journal.commit,service.publish)";
 
 /// The span tree of a committed `MODIFY` adding one attribute value: the
