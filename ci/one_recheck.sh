@@ -19,8 +19,8 @@
 #   chaos drivers run after every commit);
 # * inside `crates/core/src/updates/` the whole-instance translations
 #   `required_rel_query(` / `forbidden_rel_query(` are called only from
-#   `check_deletion` itself — a move and a class change go through the
-#   scoped tests too;
+#   `check_deletion` itself — a class change goes through the scoped
+#   tests too;
 # * inside `crates/core/src/updates/` nothing evaluates a query —
 #   `evaluate(`, `eval_cow(`, `insertion_delta_query(`,
 #   `insertion_delta_query_forbidden(` — outside the oracle functions:
@@ -31,11 +31,14 @@
 # * verdict before copy (DESIGN.md §4, §16): in
 #   `crates/core/src/managed.rs` the live instance is copied —
 #   `DirectoryInstance::clone(`, or a clone through the `Arc` — only in
-#   `fn fork(`, which builds the successor; a legal directory's TXN is
-#   decided on (D, ∆D) before it, so a refused one copies nothing; and the
-#   clone-and-check oracle `apply_and_check_probed(` is called there only
-#   on the no-baseline branch, `fn recheck_tx(` (today it is not called
-#   at all: that branch applies and runs the full check).
+#   `fn fork(`, which builds the successor; every TXN is decided on
+#   (D, ∆D) before it, so a refused one copies nothing;
+# * one way to decide a write: a `ManagedDirectory` is legal but
+#   possibly for `◇c` from construction on, and every write decides
+#   `◇c` by counts, so in `crates/core/src/managed.rs` the full §3
+#   checker (`LegalityChecker`) runs only in the constructor,
+#   `fn checked(`, and the clone-and-check oracle
+#   `apply_and_check_probed(` is not called at all.
 #
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
@@ -100,11 +103,19 @@ if [ -n "$forks" ]; then
     status=1
 fi
 
-rechecks=$(calls 'apply_and_check_probed[(]' '^    fn recheck_tx[(]' crates/core/src/managed.rs)
+full=$(calls 'LegalityChecker' '^    fn checked[(]' crates/core/src/managed.rs)
+if [ -n "$full" ]; then
+    echo "$full"
+    echo "error: crates/core/src/managed.rs runs the full §3 check outside its constructor" >&2
+    echo "       (fn checked); decide a write with updates::verdict or check_modification" >&2
+    status=1
+fi
+
+rechecks=$(calls 'apply_and_check_probed[(]' '' crates/core/src/managed.rs)
 if [ -n "$rechecks" ]; then
     echo "$rechecks"
-    echo "error: crates/core/src/managed.rs runs the clone-and-check oracle outside the no-baseline" >&2
-    echo "       branch (fn recheck_tx); certify a legal directory with updates::verdict" >&2
+    echo "error: crates/core/src/managed.rs runs the clone-and-check oracle; certify a TXN" >&2
+    echo "       with updates::verdict on (D, ∆D) (DESIGN.md §4, verdict before copy)" >&2
     status=1
 fi
 

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use bschema_core::consistency::{build_witness, ConsistencyChecker};
 use bschema_core::discover::{suggest_schema, DiscoveryOptions};
-use bschema_core::evolution::{self, plan::parse_step_words};
+use bschema_core::evolution::plan::{parse_proposal, parse_step_words};
 use bschema_core::legality::{translate, LegalityChecker, LegalityReport};
 use bschema_core::schema::dsl::print_schema;
 use bschema_core::schema::DirectorySchema;
@@ -215,10 +215,11 @@ pub(crate) fn print_schema_file(args: &[String], out: &mut String) -> Result<i32
 }
 
 /// `evolve`: one evolution step, in the grammar the server's `SCHEMA
-/// PROPOSE` step lines go through ([`parse_step_words`]), so anything
-/// the CLI accepts offline is also a valid online proposal (and vice
-/// versa) — the relaxing `add-class` / `add-aux` / `allow-aux` forms
-/// included.
+/// PROPOSE` step lines go through ([`parse_step_words`]), decided by the
+/// plan the server stages ([`parse_proposal`], then
+/// [`recheck`](bschema_core::evolution::plan::EvolutionPlan::recheck)),
+/// so the CLI accepts offline exactly what it would accept online — the
+/// relaxing `add-class` / `add-aux` / `allow-aux` forms included.
 pub(crate) fn evolve(args: &[String], out: &mut String) -> Result<i32, CliError> {
     let args = Args::read(args, &[], &[])?;
     let [schema_path, ldif_path, words @ ..] = args.positional() else {
@@ -237,26 +238,30 @@ pub(crate) fn evolve(args: &[String], out: &mut String) -> Result<i32, CliError>
         );
         return Ok(1);
     }
-    match evolution::evolve(&parsed.schema, &step, &dir) {
-        Ok(evolved) => {
-            let _ = writeln!(
-                out,
-                "OK: {step} is safe ({} kind)",
-                if step.is_relaxing() {
-                    "relaxing — no recheck needed"
-                } else {
-                    "restricting — new element verified"
-                }
-            );
-            let _ = writeln!(out, "evolved schema:\n");
-            out.push_str(&print_schema(&evolved, None));
-            Ok(0)
-        }
+    let plan = match parse_proposal(&parsed.schema, &words.join(" ")) {
+        Ok(plan) => plan,
         Err(e) => {
             let _ = writeln!(out, "REFUSED: {e}");
-            Ok(1)
+            return Ok(1);
         }
+    };
+    let report = plan.recheck(&dir);
+    if !report.is_legal() {
+        let _ = writeln!(out, "REFUSED: existing directory violates the new element:\n{report}");
+        return Ok(1);
     }
+    let _ = writeln!(
+        out,
+        "OK: {step} is safe ({} kind)",
+        if plan.is_relaxing_only() {
+            "relaxing — no recheck needed"
+        } else {
+            "restricting — new element verified"
+        }
+    );
+    let _ = writeln!(out, "evolved schema:\n");
+    out.push_str(&plan.dsl);
+    Ok(0)
 }
 
 /// `suggest-schema` (`header`: the human-facing form, with a provenance

@@ -14,6 +14,9 @@
 //!   needs testing against the instance — one per-entry sweep for a content
 //!   element, one Figure 4 query for a structure element — plus a schema
 //!   consistency re-verification.
+//!
+//! [`plan`] is the one path that decides a proposal, online (`SCHEMA
+//! PROPOSE`) and offline (`bschema evolve`) alike.
 
 pub mod plan;
 
@@ -22,7 +25,6 @@ use std::fmt;
 use bschema_directory::DirectoryInstance;
 use bschema_query::{evaluate, EvalContext};
 
-use crate::consistency::ConsistencyChecker;
 use crate::legality::report::{LegalityReport, Violation};
 use crate::legality::translate;
 use crate::schema::{DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel, SchemaError};
@@ -138,22 +140,12 @@ impl fmt::Display for Evolution {
 pub enum EvolutionError {
     /// The step references missing classes or is otherwise ill-formed.
     Schema(SchemaError),
-    /// The evolved schema would be inconsistent; payload is the ◇∅ proof.
-    WouldBeInconsistent(String),
-    /// The instance violates the new element; nothing was changed.
-    InstanceViolates(LegalityReport),
 }
 
 impl fmt::Display for EvolutionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvolutionError::Schema(e) => write!(f, "{e}"),
-            EvolutionError::WouldBeInconsistent(proof) => {
-                write!(f, "evolution would make the schema inconsistent:\n{proof}")
-            }
-            EvolutionError::InstanceViolates(report) => {
-                write!(f, "existing directory violates the new element:\n{report}")
-            }
         }
     }
 }
@@ -167,7 +159,8 @@ impl From<SchemaError> for EvolutionError {
 }
 
 /// Applies `step` to `schema`, returning the evolved schema. No instance
-/// involved — see [`evolve`] for the checked variant.
+/// involved — [`plan::parse_proposal`] checks the result, and
+/// [`plan::EvolutionPlan::recheck`] the instance against it.
 pub fn apply(
     schema: &DirectorySchema,
     step: &Evolution,
@@ -260,31 +253,6 @@ pub fn recheck_new_element(
     LegalityReport::from_violations(out)
 }
 
-/// Fully-checked evolution: applies `step`, verifies the evolved schema is
-/// still consistent, and — for restricting steps — verifies the existing
-/// (legal) instance satisfies the new element. On success returns the
-/// evolved schema; on failure nothing changes.
-pub fn evolve(
-    schema: &DirectorySchema,
-    step: &Evolution,
-    dir: &DirectoryInstance,
-) -> Result<DirectorySchema, EvolutionError> {
-    let evolved = apply(schema, step)?;
-    if !step.is_relaxing() {
-        let verdict = ConsistencyChecker::new(&evolved).check();
-        if !verdict.is_consistent() {
-            return Err(EvolutionError::WouldBeInconsistent(
-                verdict.explain_inconsistency().unwrap_or_default(),
-            ));
-        }
-        let report = recheck_new_element(&evolved, step, dir);
-        if !report.is_legal() {
-            return Err(EvolutionError::InstanceViolates(report));
-        }
-    }
-    Ok(evolved)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,28 +268,47 @@ mod tests {
         assert!(LegalityChecker::new(&rebuilt).check(&dir).is_legal());
     }
 
+    /// Why the plan refused a step.
+    #[derive(Debug)]
+    enum Refused {
+        Plan(plan::PlanError),
+        Recheck(LegalityReport),
+    }
+
+    /// The plan's verdict on one step line against `dir`: the evolved
+    /// schema, or the refusal.
+    fn evolve(
+        schema: &DirectorySchema,
+        step: &str,
+        dir: &DirectoryInstance,
+    ) -> Result<DirectorySchema, Refused> {
+        let plan = plan::parse_proposal(schema, step).map_err(Refused::Plan)?;
+        let report = plan.recheck(dir);
+        if report.is_legal() {
+            Ok(plan.target)
+        } else {
+            Err(Refused::Recheck(report))
+        }
+    }
+
     #[test]
     fn relaxing_steps_need_no_recheck_and_preserve_legality() {
         let schema = white_pages_schema();
         let (dir, _) = white_pages_instance();
-        let steps = [
-            Evolution::AllowAttribute { class: "person".into(), attribute: "homePage".into() },
-            Evolution::AddAuxiliaryClass { name: "pgpUser".into() },
-            Evolution::AddCoreClass { name: "contractor".into(), parent: "person".into() },
-        ];
+        let steps =
+            ["allow-attr person homePage", "add-aux pgpUser", "add-class contractor person"];
         let mut current = schema;
         for step in steps {
-            assert!(step.is_relaxing());
-            current = evolve(&current, &step, &dir).unwrap_or_else(|e| panic!("{step}: {e}"));
+            let plan = plan::parse_proposal(&current, step).unwrap();
+            assert!(plan.is_relaxing_only(), "{step}");
+            current = evolve(&current, step, &dir).unwrap_or_else(|e| panic!("{step}: {e:?}"));
             assert!(
                 LegalityChecker::new(&current).check(&dir).is_legal(),
                 "relaxing step {step} broke legality"
             );
         }
         // The new auxiliary can then be admitted for a class.
-        let step =
-            Evolution::AllowAuxiliaryFor { core: "person".into(), auxiliary: "pgpUser".into() };
-        current = evolve(&current, &step, &dir).unwrap();
+        current = evolve(&current, "allow-aux person pgpUser", &dir).unwrap();
         assert!(LegalityChecker::new(&current).check(&dir).is_legal());
     }
 
@@ -330,17 +317,10 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, _) = white_pages_instance();
         // Every researcher in Figure 1 already has a name.
-        let step =
-            Evolution::RequireAttribute { class: "researcher".into(), attribute: "name".into() };
-        let evolved = evolve(&schema, &step, &dir).unwrap();
+        let evolved = evolve(&schema, "require-attr researcher name", &dir).unwrap();
         assert!(LegalityChecker::new(&evolved).check(&dir).is_legal());
         // And a structure element that already holds.
-        let step = Evolution::RequireRel {
-            source: "researcher".into(),
-            kind: RelKind::Ancestor,
-            target: "organization".into(),
-        };
-        let evolved = evolve(&evolved, &step, &dir).unwrap();
+        let evolved = evolve(&evolved, "require-rel researcher an organization", &dir).unwrap();
         assert!(LegalityChecker::new(&evolved).check(&dir).is_legal());
     }
 
@@ -350,34 +330,25 @@ mod tests {
         let (dir, ids) = white_pages_instance();
         // suciu has no mail: requiring mail on researchers must fail and
         // name the violators.
-        let step =
-            Evolution::RequireAttribute { class: "researcher".into(), attribute: "mail".into() };
-        match evolve(&schema, &step, &dir) {
-            Err(EvolutionError::InstanceViolates(report)) => {
+        match evolve(&schema, "require-attr researcher mail", &dir) {
+            Err(Refused::Recheck(report)) => {
                 assert!(report.violations().iter().any(|v| v.entry() == Some(ids.suciu)));
             }
-            other => panic!("expected InstanceViolates, got {other:?}"),
+            other => panic!("expected the recheck to refuse, got {other:?}"),
         }
         // A forbidden rel the instance violates: orgUnit ↛de researcher
         // (attLabs has laks and suciu below it). The schema itself stays
         // consistent, so the refusal comes from the instance recheck.
-        let step = Evolution::ForbidRel {
-            upper: "orgUnit".into(),
-            kind: ForbidKind::Descendant,
-            lower: "researcher".into(),
-        };
-        assert!(matches!(evolve(&schema, &step, &dir), Err(EvolutionError::InstanceViolates(_))));
+        assert!(matches!(
+            evolve(&schema, "forbid-rel orgUnit de researcher", &dir),
+            Err(Refused::Recheck(_))
+        ));
         // Forbidding organization ↛de person, by contrast, is refused one
         // level earlier: it contradicts the (inherited) orgGroup →de person
         // requirement, making the schema itself inconsistent.
-        let step = Evolution::ForbidRel {
-            upper: "organization".into(),
-            kind: ForbidKind::Descendant,
-            lower: "person".into(),
-        };
         assert!(matches!(
-            evolve(&schema, &step, &dir),
-            Err(EvolutionError::WouldBeInconsistent(_))
+            evolve(&schema, "forbid-rel organization de person", &dir),
+            Err(Refused::Plan(plan::PlanError::Inconsistent(_)))
         ));
     }
 
@@ -386,14 +357,9 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, _) = white_pages_instance();
         // person →de person with ◇person already present ⇒ infinite chains.
-        let step = Evolution::RequireRel {
-            source: "person".into(),
-            kind: RelKind::Descendant,
-            target: "person".into(),
-        };
         assert!(matches!(
-            evolve(&schema, &step, &dir),
-            Err(EvolutionError::WouldBeInconsistent(_))
+            evolve(&schema, "require-rel person de person", &dir),
+            Err(Refused::Plan(plan::PlanError::Inconsistent(_)))
         ));
     }
 

@@ -238,11 +238,8 @@ pub fn parse_proposal(
         for line in meaningful_lines(payload) {
             let step = parse_step_line(line)
                 .map_err(|message| PlanError::Step { step: line.to_owned(), message })?;
-            schema = evolution::apply(&schema, &step).map_err(|e| match e {
-                EvolutionError::Schema(err) => {
-                    PlanError::Step { step: line.to_owned(), message: err.to_string() }
-                }
-                other => PlanError::Step { step: line.to_owned(), message: other.to_string() },
+            schema = evolution::apply(&schema, &step).map_err(|EvolutionError::Schema(err)| {
+                PlanError::Step { step: line.to_owned(), message: err.to_string() }
             })?;
             steps.push(step);
         }

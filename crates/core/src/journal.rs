@@ -1259,8 +1259,7 @@ mod tests {
     #[test]
     fn schema_records_roundtrip_and_recover() {
         use crate::checkpoint::schema_hash;
-        use crate::evolution::{self, Evolution};
-        use crate::schema::dsl::print_schema;
+        use crate::evolution::plan::parse_proposal;
 
         let schema = white_pages_schema();
         let (dir, ids) = white_pages_instance();
@@ -1274,10 +1273,9 @@ mod tests {
         tx.insert_under(ids.databases, researcher("zoe"));
         live.apply_op(Op::Tx { tx: &tx, global: None }, noop()).unwrap().expect("flushes");
 
-        let step =
-            Evolution::AllowAttribute { class: "researcher".into(), attribute: "homePage".into() };
-        let evolved = evolution::evolve(&schema, &step, live.instance()).unwrap();
-        let dsl = print_schema(&evolved, None);
+        let plan = parse_proposal(&schema, "allow-attr researcher homePage").unwrap();
+        assert!(plan.recheck(live.instance()).is_legal());
+        let (evolved, dsl) = (plan.target, plan.dsl);
         live.apply_op(
             Op::Schema { schema: &evolved, dsl: &dsl, local: false, global: None },
             noop(),

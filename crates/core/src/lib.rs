@@ -64,7 +64,7 @@ pub use checkpoint::{
 pub use consistency::ConsistencyChecker;
 pub use discover::{suggest_schema, DiscoveryOptions};
 pub use engine::{JournalSink, Op};
-pub use evolution::{evolve, Evolution, EvolutionError};
+pub use evolution::{Evolution, EvolutionError};
 pub use journal::{Journal, JournalModify, JournalTx, JournalWriter, Payload, RecoveryReport};
 pub use legality::{LegalityChecker, LegalityReport, Violation};
 pub use managed::ManagedDirectory;

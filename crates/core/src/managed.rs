@@ -48,9 +48,11 @@ use bschema_query::{evaluate, EvalContext, Query};
 use crate::consistency::ConsistencyChecker;
 use crate::engine::{append_sync, JournalSink, Op, SITE_COMMIT_IO_ERROR, SITE_SCHEMA_CUTOVER};
 use crate::journal::{JournalTx, JournalWriter, Payload};
-use crate::legality::{LegalityChecker, LegalityReport};
+use crate::legality::{LegalityReport, Violation};
 use crate::schema::DirectorySchema;
-use crate::updates::{prepare_probed, verdict, Mod, Transaction, TxError};
+use crate::updates::{
+    apply_mods, check_modification, prepare_probed, verdict, Mod, Transaction, TxError,
+};
 
 /// Errors from managed-directory operations.
 #[derive(Debug)]
@@ -239,10 +241,9 @@ pub struct ManagedDirectory {
     schema: DirectorySchema,
     /// The live version. Shared, not owned: whoever publishes it to
     /// readers clones the `Arc`, and an operation forks its copy from it.
+    /// Legal but possibly for `◇c` — the one §3 element an empty or
+    /// recovering base can miss, and the one a write's verdict counts.
     dir: Arc<DirectoryInstance>,
-    /// Whether the current instance is known legal (enables the incremental
-    /// §4 checks; until then transactions are fully rechecked).
-    known_legal: bool,
     /// Encodes every operation's journal records; a recovered directory's
     /// writer continues the recovered journal's numbering.
     writer: JournalWriter,
@@ -260,7 +261,6 @@ impl Clone for ManagedDirectory {
         ManagedDirectory {
             schema: self.schema.clone(),
             dir: Arc::clone(&self.dir),
-            known_legal: self.known_legal,
             writer: self.writer.clone(),
             sink: None,
             path: None,
@@ -272,7 +272,6 @@ impl fmt::Debug for ManagedDirectory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ManagedDirectory")
             .field("entries", &self.dir.len())
-            .field("known_legal", &self.known_legal)
             .field("writer", &self.writer)
             .field("journaled", &self.sink.is_some())
             .field("path", &self.path)
@@ -283,8 +282,8 @@ impl fmt::Debug for ManagedDirectory {
 impl ManagedDirectory {
     /// Creates an empty managed directory after verifying schema
     /// consistency. Note an empty instance is itself illegal when the
-    /// schema has required classes (`◇c`); the first transaction must
-    /// populate them, and is checked with a full legality pass.
+    /// schema has required classes (`◇c`); only a transaction that
+    /// populates them is accepted, decided like any other by the counts.
     pub fn new(schema: DirectorySchema, registry: AttributeRegistry) -> Result<Self, ManagedError> {
         Self::for_recovery(schema, DirectoryInstance::new(registry))
     }
@@ -302,10 +301,9 @@ impl ManagedDirectory {
     }
 
     /// Wraps an existing instance for journal recovery: schema consistency
-    /// is still mandatory, but the base may be illegal (e.g. an empty
-    /// directory whose journal bootstraps the required classes) — it is
-    /// checked and tracked via `known_legal` exactly like
-    /// [`new`](ManagedDirectory::new).
+    /// is still mandatory, and the base may miss a required class (e.g.
+    /// an empty directory whose journal bootstraps the required classes)
+    /// like [`new`](ManagedDirectory::new)'s, but nothing else.
     pub(crate) fn for_recovery(
         schema: DirectorySchema,
         dir: DirectoryInstance,
@@ -313,8 +311,10 @@ impl ManagedDirectory {
         Self::checked(schema, dir).map(|(managed, _)| managed)
     }
 
-    /// The one constructor: consistency closure, `prepare()`, one full
-    /// §3 check whose verdict seeds `known_legal`.
+    /// The one constructor: consistency closure, `prepare()`, and the one
+    /// full §3 check this type runs. An instance is accepted if it is
+    /// legal but possibly for `◇c`, which every write then decides by
+    /// counts; any other violation refuses it.
     fn checked(
         schema: DirectorySchema,
         mut dir: DirectoryInstance,
@@ -324,11 +324,14 @@ impl ManagedDirectory {
             return Err(inconsistency_error(&result));
         }
         dir.prepare();
-        let report = LegalityChecker::new(&schema).check(&dir);
+        let report = crate::legality::LegalityChecker::new(&schema).check(&dir);
+        let only_counts = |v: &Violation| matches!(v, Violation::MissingRequiredClass { .. });
+        if !report.violations().iter().all(only_counts) {
+            return Err(ManagedError::IllegalInstance(report));
+        }
         let managed = ManagedDirectory {
             schema,
             dir: Arc::new(dir),
-            known_legal: report.is_legal(),
             writer: JournalWriter::new(),
             sink: None,
             path: None,
@@ -385,11 +388,6 @@ impl ManagedDirectory {
         (self.schema, Arc::unwrap_or_clone(self.dir))
     }
 
-    /// The full legality checker, reporting to `probe`.
-    fn checker<'s>(&'s self, probe: &'s dyn Probe) -> LegalityChecker<'s> {
-        LegalityChecker::new(&self.schema).with_probe(probe)
-    }
-
     /// The schema being enforced.
     pub fn schema(&self) -> &DirectorySchema {
         &self.schema
@@ -416,11 +414,13 @@ impl ManagedDirectory {
         self.dir.is_empty()
     }
 
-    /// Whether the current contents satisfy the schema. `false` before the
-    /// first successful transaction of a directory that starts with unmet
-    /// `◇c` requirements.
+    /// Whether the current contents satisfy the schema: whether every
+    /// required class has a member, the index says. `false` until a
+    /// transaction populates the `◇c` requirements an empty or
+    /// recovering base left unmet.
     pub fn is_legal(&self) -> bool {
-        self.known_legal
+        let (classes, index) = (self.schema.classes(), self.dir.index());
+        self.schema.structure().required_classes().all(|c| index.class_count(classes.name(c)) > 0)
     }
 
     /// Evaluates a hierarchical selection query against the directory.
@@ -654,10 +654,7 @@ impl ManagedDirectory {
     /// swap.
     fn install(&mut self, next: Successor) {
         match next {
-            Successor::Instance(dir) => {
-                self.dir = Arc::new(dir);
-                self.known_legal = true;
-            }
+            Successor::Instance(dir) => self.dir = Arc::new(dir),
             Successor::Schema(schema) => self.schema = *schema,
         }
     }
@@ -739,13 +736,11 @@ impl ManagedDirectory {
     }
 
     /// Runs `tx` to a verdict without touching the live state. D is
-    /// legal: the verdict is Theorem 4.1 + Figure 5′ on (D, ∆D), and only
-    /// a legal one copies the instance and applies `tx` to the copy —
-    /// with the ids the verdict named, or it is an engine bug.
+    /// legal but possibly for `◇c`: the verdict is Theorem 4.1 + Figure
+    /// 5′ on (D, ∆D) with `◇c` counted, and only a legal one copies the
+    /// instance and applies `tx` to the copy — with the ids the verdict
+    /// named, or it is an engine bug.
     fn certify_tx(&self, tx: &Transaction, probe: &dyn Probe) -> Result<Successor, ManagedError> {
-        if !self.known_legal {
-            return self.recheck_tx(tx, probe);
-        }
         self.guarded(probe, || {
             let normalized = tx.normalize(&self.dir)?;
             legal(verdict(&self.schema, &self.dir, &normalized, probe)?)?;
@@ -763,19 +758,6 @@ impl ManagedDirectory {
         })
     }
 
-    /// Runs `tx` to a verdict with no legality baseline: apply it to a
-    /// copy, then check the copy in full.
-    fn recheck_tx(&self, tx: &Transaction, probe: &dyn Probe) -> Result<Successor, ManagedError> {
-        self.guarded(probe, || {
-            let next = self.fork(probe, |dir| {
-                tx.normalize(dir)?.apply(dir)?;
-                Ok(())
-            })?;
-            legal(self.checker(probe).check(&next))?;
-            Ok(next)
-        })
-    }
-
     /// Runs an LDAP Modify of `target` to a verdict without touching the
     /// live state: applied to a copy, then checked there.
     fn certify_modify(
@@ -787,16 +769,12 @@ impl ManagedDirectory {
         self.guarded(probe, || {
             let mut changed = std::collections::BTreeSet::new();
             let next = self.fork(probe, |dir| {
-                changed = crate::updates::apply_mods(dir, target, mods).ok_or_else(|| {
+                changed = apply_mods(dir, target, mods).ok_or_else(|| {
                     ManagedError::RolledBack(inapplicable(target, "no such entry".to_owned()))
                 })?;
                 Ok(())
             })?;
-            legal(if self.known_legal {
-                crate::updates::check_modification(&self.schema, &next, target, &changed, probe)
-            } else {
-                self.checker(probe).check(&next)
-            })?;
+            legal(check_modification(&self.schema, &next, target, &changed, probe))?;
             Ok(next)
         })
     }
@@ -815,8 +793,8 @@ fn legal(report: LegalityReport) -> Result<(), ManagedError> {
 /// consistency closure runs here; the caller attests the instance was
 /// already verified legal under `schema` (the evolution plane's targeted
 /// recheck, or a journalled cutover record that was only committed after
-/// one). `known_legal` is deliberately preserved on the same trust basis
-/// as journal replay trusting committed transactions.
+/// one), on the same trust basis as journal replay trusting committed
+/// transactions.
 fn certify_schema(schema: DirectorySchema) -> Result<Successor, ManagedError> {
     let result = ConsistencyChecker::new(&schema).check();
     if !result.is_consistent() {
@@ -1096,6 +1074,46 @@ mod tests {
             recover_with_checkpoint(white_pages_schema(), base, None, &Journal::parse(&journal))
                 .expect("the journal recovers");
         assert_eq!(recovered.report.replayed, 5);
+        assert_eq!(
+            recovered.managed.instance().canonical_bytes(),
+            managed.instance().canonical_bytes()
+        );
+    }
+
+    /// A recovery base may miss a required class, and nothing else: a
+    /// base with a content violation is refused at open, and an empty one
+    /// under `◇organization`, `◇orgUnit`, `◇person` replays the journal
+    /// that populated it.
+    #[test]
+    fn recovery_accepts_a_base_missing_only_a_required_class() {
+        let (mut dir, ids) = white_pages_instance();
+        dir.entry_mut(ids.suciu).unwrap().remove_attribute("name");
+        let refused = recover_with_checkpoint(white_pages_schema(), dir, None, &Journal::parse(""));
+        assert!(matches!(refused, Err(ManagedError::IllegalInstance(_))), "{refused:?}");
+
+        let registry = AttributeRegistry::white_pages();
+        let mut managed = ManagedDirectory::new(white_pages_schema(), registry.clone()).unwrap();
+        let mem = MemoryJournal::default();
+        managed.set_sink(mem.sink());
+        let organization =
+            Entry::builder().classes(["organization", "orgGroup", "top"]).attr("o", "acme").build();
+        let unit =
+            Entry::builder().classes(["orgUnit", "orgGroup", "top"]).attr("ou", "labs").build();
+        let mut tx = Transaction::new();
+        let org = tx.insert_root(organization);
+        let labs = tx.insert_under_new(org, unit);
+        let refusal = managed.apply(&tx);
+        assert!(matches!(refusal, Err(ManagedError::RolledBack(_))), "{refusal:?}");
+        tx.insert_under_new(labs, researcher("first"));
+        managed.apply(&tx).unwrap();
+        assert!(managed.is_legal());
+
+        let base = DirectoryInstance::new(registry);
+        let recovered =
+            recover_with_checkpoint(white_pages_schema(), base, None, &Journal::parse(&mem.take()))
+                .expect("the journal recovers");
+        assert_eq!(recovered.report.replayed, 1);
+        assert!(recovered.managed.is_legal());
         assert_eq!(
             recovered.managed.instance().canonical_bytes(),
             managed.instance().canonical_bytes()

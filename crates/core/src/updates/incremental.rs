@@ -105,9 +105,12 @@ pub fn deletion_needs_recheck(kind: RelKind) -> bool {
     matches!(kind, RelKind::Child | RelKind::Descendant)
 }
 
-/// The incremental checker for subtree updates — single-subtree
-/// ([`check_insertion`](Self::check_insertion)) or batched multi-subtree
-/// ([`check_insertions`](Self::check_insertions)).
+/// The incremental checker for subtree insertions and deletions —
+/// single-subtree ([`check_insertion`](Self::check_insertion)) or batched
+/// multi-subtree ([`check_insertions`](Self::check_insertions)). Each
+/// column assumes the instance before the update legal; Figure 5′'s
+/// scoped columns also take one that is legal but possibly for `◇c`,
+/// which they count for every required class.
 #[derive(Debug, Clone)]
 pub struct IncrementalChecker<'s> {
     schema: &'s DirectorySchema,
@@ -370,9 +373,16 @@ impl<'s> IncrementalChecker<'s> {
 
     /// Figure 5′ on (D, ∆D): the report [`check_insertions_scoped`] and
     /// [`check_deletion_scoped`] give the instance `tx` makes of the
-    /// legal, prepared `dir` — insertion column, then deletion column —
-    /// read from `dir` and `tx` alone, nothing applied. A new entry is
-    /// named by the id its apply will take ([`DirectoryInstance::next_ids`]).
+    /// prepared `dir` — insertion column, then deletion column — read
+    /// from `dir` and `tx` alone, nothing applied. A new entry is named by
+    /// the id its apply will take ([`DirectoryInstance::next_ids`]).
+    ///
+    /// `dir` is legal but possibly for `◇c`, so `◇c` is counted for every
+    /// TXN: first in the deletion column, or after the insertion column
+    /// when nothing is deleted. Either way the report names the
+    /// violations a full §3 check of the updated instance finds — but for
+    /// keys (§6.1), which are read in Theorem 4.1's order, after the
+    /// insertions and before the deletions.
     ///
     /// [`check_insertions_scoped`]: Self::check_insertions_scoped
     /// [`check_deletion_scoped`]: Self::check_deletion_scoped
@@ -395,69 +405,28 @@ impl<'s> IncrementalChecker<'s> {
             let keys = |out: &mut Vec<Violation>| unapplied_keys(self.schema, dir, &near, out);
             report.extend(self.insertion_column(&near, keys, None));
         }
-        if !tx.deletion_roots.is_empty() {
-            let forest = dir.forest();
-            let gone: Vec<&Entry> = tx
-                .deletion_roots
-                .iter()
-                .flat_map(|&root| std::iter::once(root).chain(forest.descendants(root)))
-                .map(|id| dir.entry(id).expect("deletion roots are live"))
-                .collect();
+        let forest = dir.forest();
+        let gone: Vec<&Entry> = tx
+            .deletion_roots
+            .iter()
+            .flat_map(|&root| std::iter::once(root).chain(forest.descendants(root)))
+            .map(|id| dir.entry(id).expect("deletion roots are live"))
+            .collect();
+        let pending = Neighbourhood::new(self.schema, dir, self.probe).pending(
+            &tx.deletion_roots,
+            &gone,
+            &near,
+        );
+        if tx.deletion_roots.is_empty() {
+            let mut out = Vec::new();
+            pending.emptied(&mut out);
+            report.extend(LegalityReport::from_violations(out));
+        } else {
             let former_parents: Vec<Option<EntryId>> =
                 tx.deletion_roots.iter().map(|&root| forest.parent(root)).collect();
-            let near = Neighbourhood::new(self.schema, dir, self.probe).pending(
-                &tx.deletion_roots,
-                &gone,
-                &near,
-            );
-            report.extend(self.deletion_column(near, &gone, &former_parents));
+            report.extend(self.deletion_column(pending, &gone, &former_parents));
         }
         report
-    }
-
-    /// Checks that **moving** a subtree (LDAP ModifyDN) preserved legality.
-    /// `dir` is the instance **after** the move, prepared, with the subtree
-    /// now rooted at `moved_root`; `former_parent` is the entry it hung
-    /// under before (`None`: it was a forest root); the instance before is
-    /// assumed legal.
-    ///
-    /// A move is a deletion at the old location plus an insertion of the
-    /// same subtree at the new one, so the check is the union of both
-    /// columns — minus what a move can never change: entry content is
-    /// untouched, and per-class counts are preserved so `◇c` cannot
-    /// break.
-    pub fn check_move(
-        &self,
-        dir: &DirectoryInstance,
-        moved_root: EntryId,
-        former_parent: Option<EntryId>,
-    ) -> LegalityReport {
-        let probe = self.probe;
-        let root_span = probe.span_start(NO_SPAN, "incremental.check_move", 0);
-        let mut out = Vec::new();
-
-        // Insertion half: Figure 5′'s insertion column at the new location.
-        let workers = bschema_parallel::workers_for(dir.forest().subtree_size(moved_root));
-        let span = probe.span_start(root_span, "structure_scoped", 0);
-        let near = self.inserted(dir, &[moved_root]);
-        self.structure_scoped_violations(&near, workers, span, &mut out);
-        probe.span_end(span);
-
-        // Deletion half, Figure 5′: only the old parent and its ancestors
-        // had the subtree below them, so only they can miss a child /
-        // descendant that moved away. They all lie outside ∆D.
-        let span = probe.span_start(root_span, "scoped", 1);
-        let near = Neighbourhood::new(self.schema, dir, probe);
-        let moved_away = |class: ClassId| {
-            near.carries(moved_root, class)
-                || near.has_relative(moved_root, RelKind::Descendant, class)
-        };
-        near.starved(&[former_parent], moved_away, &mut out);
-        near.finish();
-        probe.span_end(span);
-
-        probe.span_end(root_span);
-        LegalityReport::from_violations(out).normalized()
     }
 
     /// Figure 5′: checks that deleting subtrees preserved legality, in
@@ -467,10 +436,11 @@ impl<'s> IncrementalChecker<'s> {
     /// `former_parents` the entry each deleted subtree hung under (`None`
     /// for a forest root); the instance before is assumed legal.
     ///
-    /// `◇c` is the count test of §4.2. A required child / descendant row
-    /// is re-tested only if a removed entry carried its target class, and
-    /// only at the former parents (child) and their ancestors
-    /// (descendant) — nobody else had a removed entry below them.
+    /// `◇c` is the count test of §4.2, asked of every required class. A
+    /// required child / descendant row is re-tested only if a removed
+    /// entry carried its target class, and only at the former parents
+    /// (child) and their ancestors (descendant) — nobody else had a
+    /// removed entry below them.
     pub fn check_deletion_scoped(
         &self,
         dir: &DirectoryInstance,
@@ -483,9 +453,9 @@ impl<'s> IncrementalChecker<'s> {
     }
 
     /// The deletion column of Figure 5′, asked of `near`: `◇c` by the
-    /// counts, then the required child / descendant rows at
-    /// `former_parents` and up, for the classes the `removed` entries
-    /// carried.
+    /// counts, for every required class, then the required child /
+    /// descendant rows at `former_parents` and up, for the classes the
+    /// `removed` entries carried.
     fn deletion_column(
         &self,
         near: Neighbourhood<'_>,
@@ -497,7 +467,7 @@ impl<'s> IncrementalChecker<'s> {
         let mut out = Vec::new();
         let classes = self.schema.classes();
         let lost = |class: ClassId| removed.iter().any(|e| e.has_class(classes.name(class)));
-        near.emptied(lost, &mut out);
+        near.emptied(&mut out);
         near.starved(former_parents, lost, &mut out);
         near.finish();
         probe.span_end(root_span);
@@ -737,46 +707,6 @@ mod tests {
             .violations()
             .iter()
             .any(|v| matches!(v, Violation::MissingRequiredClass { class } if class == "person")));
-    }
-
-    #[test]
-    fn move_check_matches_full_recheck() {
-        let schema = white_pages_schema();
-        let checker = IncrementalChecker::new(&schema);
-        let full = LegalityChecker::new(&schema);
-        // Legal move: databases under att.
-        let (mut dir, ids) = white_pages_instance();
-        let from = dir.forest().parent(ids.databases);
-        dir.move_subtree(ids.databases, ids.att).unwrap();
-        dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases, from);
-        assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
-        assert!(inc.is_legal(), "{inc}");
-
-        // Illegal move: databases under armstrong (a person gains a child;
-        // attLabs keeps its person descendants through armstrong itself).
-        let (mut dir, ids) = white_pages_instance();
-        dir.move_subtree(ids.databases, ids.armstrong).unwrap();
-        dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases, from);
-        assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
-        assert!(!inc.is_legal());
-        assert!(inc.violations().iter().any(|v| matches!(
-            v,
-            Violation::ForbiddenRelViolation { entry, .. } if *entry == ids.armstrong
-        )));
-
-        // Illegal move where only an OUTSIDE entry breaks: move armstrong
-        // under databases — attLabs keeps its person descendants via
-        // databases... so instead delete-side: move the whole databases
-        // subtree to the root; attLabs still has armstrong (fine), but the
-        // moved orgUnit loses its organization ancestor.
-        let (mut dir, ids) = white_pages_instance();
-        dir.move_subtree_to_root(ids.databases).unwrap();
-        dir.prepare();
-        let inc = checker.check_move(&dir, ids.databases, from);
-        assert_eq!(inc.is_legal(), full.check(&dir).is_legal());
-        assert!(!inc.is_legal());
     }
 
     #[test]

@@ -117,7 +117,10 @@ pub fn apply_mods(
 
 /// Incremental legality check after modifying one entry. `dir` is the
 /// instance **after** the modification, prepared; `changed_classes` is
-/// [`apply_mods`]' return value; the instance before is assumed legal.
+/// [`apply_mods`]' return value; the instance before is assumed legal
+/// but possibly for `◇c`, which is counted for every required class, so
+/// the report names the violations a full §3 check of `dir` finds (a key
+/// clash from `target`'s side).
 pub fn check_modification(
     schema: &DirectorySchema,
     dir: &DirectoryInstance,
@@ -136,11 +139,15 @@ pub fn check_modification(
     // Keys: the modified entry's values against the rest.
     crate::legality::keys::check_insertion(schema, dir, target, &mut out);
 
+    // `◇c` by the counts, whatever changed: the instance before may miss
+    // a required class.
+    let near = Neighbourhood::new(schema, dir, probe);
+    near.emptied(&mut out);
+
     // Structure: only elements whose classes intersect the change set,
     // and of those only what `target` itself can have changed.
     if !changed_classes.is_empty() {
         let forest = dir.forest();
-        let near = Neighbourhood::new(schema, dir, probe);
         let touched = |c: ClassId| {
             let name = schema.classes().name(c);
             changed_classes.iter().any(|changed| changed.eq_ignore_ascii_case(name))
@@ -148,7 +155,6 @@ pub fn check_modification(
         let joined = |c: ClassId| touched(c) && near.carries(target, c);
         let left = |c: ClassId| touched(c) && !near.carries(target, c);
 
-        near.emptied(left, &mut out);
         // Leaving a class takes a child-witness from the parent and a
         // descendant-witness from the ancestors, as a deletion would.
         near.starved(&[forest.parent(target)], left, &mut out);

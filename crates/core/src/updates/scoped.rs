@@ -4,12 +4,12 @@
 //! after a deletion. It does not have to: taking a subtree out from under
 //! `p` changes the child set of `p` and the descendant sets of `p` and
 //! its ancestors, and of no other entry — so only they can have lost a
-//! witness. The same locality bounds what a move (a deletion at the old
-//! parent) and a class change at one entry can alter. Each test below
-//! asks one entry whether it still has a relative of one class; the
-//! descendant test is a binary search on the class's label-sorted posting
-//! list followed by one comparison against the entry's exact `end`, and
-//! a walk up the ancestors ends at the first that passes it.
+//! witness. The same locality bounds what a class change at one entry
+//! can alter. Each test below asks one entry whether it still has a
+//! relative of one class; the descendant test is a binary search on the
+//! class's label-sorted posting list followed by one comparison against
+//! the entry's exact `end`, and a walk up the ancestors ends at the first
+//! that passes it.
 //!
 //! An insertion needs no index at all: every relative a new entry has is
 //! either in ∆D or on the ancestor chain of ∆D's root, so the insertion
@@ -21,6 +21,10 @@
 //! apply will take — and a [`Neighbourhood`] over D told what a pending
 //! transaction removes and inserts ([`pending`](Neighbourhood::pending))
 //! answers every witness test as the updated instance would.
+//!
+//! Every locality argument here is per element, so each holds on a D
+//! that is legal but for `◇c`; `◇c` itself is a class count, asked of
+//! every required class ([`emptied`](Neighbourhood::emptied)).
 
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -120,7 +124,7 @@ impl<'a> Neighbourhood<'a> {
     /// one binary search and one comparison. A pending deletion's members
     /// are stepped over, one binary search per deleted subtree in the
     /// way; a pending insertion's are read off its class flags.
-    pub(super) fn has_relative(&self, e: EntryId, kind: RelKind, class: ClassId) -> bool {
+    fn has_relative(&self, e: EntryId, kind: RelKind, class: ClassId) -> bool {
         let forest = self.dir.forest();
         match kind {
             RelKind::Child => {
@@ -180,12 +184,13 @@ impl<'a> Neighbourhood<'a> {
         }
     }
 
-    /// `◇c` by the class counts of §4.2: only a class that `lost` a member
-    /// can have become empty, and the index answers emptiness in O(1) —
-    /// D's count, less a pending deletion's members, plus a pending
-    /// insertion's.
-    pub(super) fn emptied(&self, lost: impl Fn(ClassId) -> bool, out: &mut Vec<Violation>) {
-        for class in self.schema.structure().required_classes().filter(|&class| lost(class)) {
+    /// `◇c` by the class counts of §4.2, for every required class: D's
+    /// count, less a pending deletion's members, plus a pending
+    /// insertion's — the index answers the first in O(1). Every class,
+    /// not only those a deletion took members from: D is legal but
+    /// possibly for `◇c`, so a class can be empty before the update.
+    pub(super) fn emptied(&self, out: &mut Vec<Violation>) {
+        for class in self.schema.structure().required_classes() {
             let name = self.schema.classes().name(class);
             let gained: usize = self.inserted.iter().map(|s| s.holds(class)).sum();
             let gone = self.gone.iter().filter(|e| e.has_class(name)).count();

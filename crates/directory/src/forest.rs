@@ -13,8 +13,8 @@
 //! from then on an insertion labels the one node it adds from the gap it
 //! lands in and a leaf removal tightens `end` along its ancestor chain, so
 //! an update of |ΔD| entries touches O(|ΔD| · depth) labels (§4). Only an
-//! exhausted gap renumbers the forest, preserving order; only a move,
-//! which reorders a whole subtree, leaves the numbering stale.
+//! exhausted gap renumbers the forest, preserving order; the numbering
+//! is stale only before the first `ensure_numbered`.
 //!
 //! The arena is a chunked copy-on-write vector (`crate::cow`), like the
 //! entry and RDN tables of a [`DirectoryInstance`](crate::DirectoryInstance):
@@ -101,14 +101,6 @@ pub enum ForestError {
     /// `remove_leaf` was called on an entry that still has children —
     /// forbidden by the LDAP update discipline (paper §4.1).
     NotALeaf(EntryId),
-    /// `move_subtree` would place an entry under itself or one of its own
-    /// descendants.
-    MoveIntoSelf {
-        /// The subtree being moved.
-        moved: EntryId,
-        /// The illegal destination.
-        target: EntryId,
-    },
     /// A slot-exact snapshot ([`Forest::from_slots`]) is internally
     /// inconsistent — out-of-bound slots, duplicate slots, a parent that
     /// is not alive yet, or a free list that does not cover exactly the
@@ -125,9 +117,6 @@ impl fmt::Display for ForestError {
             ForestError::NoSuchEntry(id) => write!(f, "entry {id} does not exist"),
             ForestError::NotALeaf(id) => {
                 write!(f, "entry {id} has descendants and cannot be deleted (LDAP allows leaf deletion only)")
-            }
-            ForestError::MoveIntoSelf { moved, target } => {
-                write!(f, "cannot move entry {moved} under {target}: the destination is inside the moved subtree")
             }
             ForestError::InvalidSnapshot { reason } => {
                 write!(f, "invalid slot snapshot: {reason}")
@@ -426,58 +415,6 @@ impl Forest {
         Ok(order)
     }
 
-    /// Moves the subtree rooted at `id` under `new_parent` (appended after
-    /// its existing children) — the LDAP ModifyDN/"move" operation. Fails if
-    /// either entry is dead or if `new_parent` is `id` itself or one of its
-    /// descendants (which would detach the subtree into a cycle).
-    pub fn move_subtree(&mut self, id: EntryId, new_parent: EntryId) -> Result<(), ForestError> {
-        self.node(id)?;
-        self.node(new_parent)?;
-        if new_parent == id || self.is_ancestor(id, new_parent) {
-            return Err(ForestError::MoveIntoSelf { moved: id, target: new_parent });
-        }
-        self.unlink(id);
-        let n = &mut self.nodes[id.index()];
-        n.parent = Some(new_parent);
-        n.prev_sibling = None;
-        n.next_sibling = None;
-        let last = self.nodes[new_parent.index()].last_child;
-        match last {
-            Some(prev) => {
-                self.nodes[prev.index()].next_sibling = Some(id);
-                self.nodes[id.index()].prev_sibling = Some(prev);
-            }
-            None => self.nodes[new_parent.index()].first_child = Some(id),
-        }
-        self.nodes[new_parent.index()].last_child = Some(id);
-        self.numbering_valid = false;
-        Ok(())
-    }
-
-    /// Detaches the subtree rooted at `id`, making it a new forest root
-    /// (appended after existing roots). The other half of ModifyDN.
-    pub fn move_subtree_to_root(&mut self, id: EntryId) -> Result<(), ForestError> {
-        self.node(id)?;
-        if self.nodes[id.index()].parent.is_none() {
-            return Ok(()); // already a root
-        }
-        self.unlink(id);
-        let n = &mut self.nodes[id.index()];
-        n.parent = None;
-        n.prev_sibling = None;
-        n.next_sibling = None;
-        match self.last_root {
-            Some(prev) => {
-                self.nodes[prev.index()].next_sibling = Some(id);
-                self.nodes[id.index()].prev_sibling = Some(prev);
-            }
-            None => self.first_root = Some(id),
-        }
-        self.last_root = Some(id);
-        self.numbering_valid = false;
-        Ok(())
-    }
-
     /// The parent of `id`, or `None` for roots.
     pub fn parent(&self, id: EntryId) -> Option<EntryId> {
         self.node(id).ok().and_then(|n| n.parent)
@@ -574,8 +511,7 @@ impl Forest {
     // ----- interval numbering -----
 
     /// Whether the interval numbering currently reflects the structure.
-    /// Once numbered, insertions and removals keep it so; only a move
-    /// makes it stale.
+    /// Once numbered, insertions and removals keep it so.
     pub fn is_numbered(&self) -> bool {
         self.numbering_valid
     }
@@ -868,50 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn move_subtree_relocates_whole_subtree() {
-        let (mut f, [att, labs, armstrong, db, laks, suciu]) = figure1_shape();
-        // Move databases (with laks, suciu) directly under att.
-        f.move_subtree(db, att).unwrap();
-        assert_eq!(f.parent(db), Some(att));
-        assert_eq!(f.parent(laks), Some(db));
-        assert_eq!(f.children(att).collect::<Vec<_>>(), [labs, db]);
-        assert_eq!(f.children(labs).collect::<Vec<_>>(), [armstrong]);
-        assert_eq!(f.len(), 6);
-        f.ensure_numbered();
-        assert!(f.interval_is_ancestor(att, suciu));
-        assert!(!f.interval_is_ancestor(labs, suciu));
-    }
-
-    #[test]
-    fn move_into_own_subtree_is_rejected() {
-        let (mut f, [_, labs, _, db, laks, _]) = figure1_shape();
-        assert_eq!(
-            f.move_subtree(labs, laks),
-            Err(ForestError::MoveIntoSelf { moved: labs, target: laks })
-        );
-        assert_eq!(
-            f.move_subtree(db, db),
-            Err(ForestError::MoveIntoSelf { moved: db, target: db })
-        );
-        // Structure unchanged after rejections.
-        assert_eq!(f.parent(laks), Some(db));
-    }
-
-    #[test]
-    fn move_subtree_to_root_detaches() {
-        let (mut f, [att, labs, _, db, laks, _]) = figure1_shape();
-        f.move_subtree_to_root(db).unwrap();
-        assert_eq!(f.parent(db), None);
-        assert!(f.is_root(db));
-        assert_eq!(f.roots().collect::<Vec<_>>(), [att, db]);
-        assert_eq!(f.parent(laks), Some(db));
-        assert_eq!(f.children(labs).count(), 1);
-        // Idempotent on roots.
-        f.move_subtree_to_root(db).unwrap();
-        assert_eq!(f.roots().count(), 2);
-    }
-
-    #[test]
     fn slot_reuse_after_removal() {
         let mut f = Forest::new();
         let r = f.add_root();
@@ -958,12 +850,6 @@ mod tests {
         assert!(f.is_numbered());
         assert_eq!(f.end(armstrong), f.pre(armstrong));
         assert_eq!(f.end(att), f.pre(suciu));
-        f.check_numbering().unwrap();
-        // A move reorders a subtree: the numbering is stale until rebuilt.
-        f.move_subtree(armstrong, db).unwrap();
-        assert!(!f.is_numbered());
-        f.ensure_numbered();
-        assert!(f.interval_is_ancestor(db, armstrong));
         f.check_numbering().unwrap();
     }
 

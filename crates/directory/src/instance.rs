@@ -105,8 +105,8 @@ pub struct Prepared {
     /// ones re-posted.
     pub posted: usize,
     /// Whether the forest was renumbered and the index built from
-    /// scratch instead: the first call, or after a move, a registry
-    /// change or a batch past the rebuild bound.
+    /// scratch instead: the first call, or after a registry change or a
+    /// batch past the rebuild bound.
     pub rebuilt: bool,
     /// Posting-list chunks and value tables the batch copied out of a
     /// version it shares them with, or split off — its removals' un-posts
@@ -421,32 +421,6 @@ impl DirectoryInstance {
             out.push((e, self.entry_slot(e).take().expect("live node has an entry")));
         }
         Ok(out)
-    }
-
-    /// Moves the subtree rooted at `id` under `new_parent` (LDAP ModifyDN).
-    /// If `id` is named, its RDN must not clash among the destination's
-    /// children.
-    pub fn move_subtree(&mut self, id: EntryId, new_parent: EntryId) -> Result<(), InstanceError> {
-        if let Some(rdn) = self.rdn(id).cloned() {
-            if self.find_child(new_parent, &rdn).is_some_and(|existing| existing != id) {
-                return Err(InstanceError::DuplicateRdn(rdn.to_string()));
-            }
-        }
-        self.forest.move_subtree(id, new_parent)?;
-        self.invalidate();
-        Ok(())
-    }
-
-    /// Detaches the subtree rooted at `id` into a new forest root.
-    pub fn move_subtree_to_root(&mut self, id: EntryId) -> Result<(), InstanceError> {
-        if let Some(rdn) = self.rdn(id).cloned() {
-            if self.find_root(&rdn).is_some_and(|existing| existing != id) {
-                return Err(InstanceError::DuplicateRdn(rdn.to_string()));
-            }
-        }
-        self.forest.move_subtree_to_root(id)?;
-        self.invalidate();
-        Ok(())
     }
 
     // ----- access -----
@@ -813,21 +787,6 @@ mod tests {
         assert_eq!(removed[0].0, l);
         assert_eq!(removed[1].0, m);
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn move_subtree_checks_rdn_uniqueness() {
-        let mut d = DirectoryInstance::default();
-        let r1 = d.add_named_root(Rdn::single("o", "a"), person("a")).unwrap();
-        let r2 = d.add_named_root(Rdn::single("o", "b"), person("b")).unwrap();
-        let kid = d.add_named_child(r1, Rdn::single("uid", "k"), person("k")).unwrap();
-        d.add_named_child(r2, Rdn::single("uid", "k"), person("k2")).unwrap();
-        // Moving kid under r2 would clash with the existing uid=k child.
-        assert!(matches!(d.move_subtree(kid, r2), Err(InstanceError::DuplicateRdn(_))));
-        // Moving under a fresh parent works and updates the DN.
-        let r3 = d.add_named_root(Rdn::single("o", "c"), person("c")).unwrap();
-        d.move_subtree(kid, r3).unwrap();
-        assert_eq!(d.dn(kid).unwrap().to_string(), "uid=k,o=c");
     }
 
     #[test]

@@ -387,18 +387,16 @@ fn observed(dir: &DirectoryInstance) -> Observed {
     (dir.canonical_bytes(), order, forest.free_slots().to_vec(), labels)
 }
 
-/// The structural writes an edit script does not make: appends into one
-/// gap of the numbering until the forest renumbers, then a subtree move,
-/// which leaves the numbering stale until the next `prepare()`. Targets
-/// are picked modulo the entry counts they pick from.
-fn renumber_and_move(dir: &mut DirectoryInstance, (at, moved, to): (usize, usize, usize)) {
+/// The structural write an edit script does not make: appends into one
+/// gap of the numbering until the forest renumbers. The parent is picked
+/// modulo the path it picks from.
+fn renumber(dir: &mut DirectoryInstance, at: usize) {
     dir.prepare();
-    let live: Vec<EntryId> = dir.forest().iter().collect();
     // A new root is labelled one `STEP` past the last entry in preorder,
     // so the entries whose subtree ends on that one append into a gap a
     // dozen halvings exhaust; only the renumber that follows moves the
     // new root's label.
-    let last = *live.last().expect("seeded instances are never empty");
+    let last = dir.forest().iter().last().expect("seeded instances are never empty");
     let path: Vec<EntryId> = std::iter::once(last).chain(dir.forest().ancestors(last)).collect();
     let sentinel = dir.add_root_entry(Entry::builder().class("top").build());
     let label = dir.forest().pre(sentinel);
@@ -410,17 +408,13 @@ fn renumber_and_move(dir: &mut DirectoryInstance, (at, moved, to): (usize, usize
         }
         assert!(appends < 64, "no renumber after {appends} appends into one gap");
     }
-    let (moved, to) = (live[moved % live.len()], live[to % live.len()]);
-    if moved != to && !dir.forest().is_ancestor(moved, to) {
-        dir.move_subtree(moved, to).expect("a legal move");
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A clone shares storage with its source, and neither side ever
-    /// sees the other's writes: mutate one — edits, a renumber, a move —
+    /// sees the other's writes: mutate one — edits, then a renumber —
     /// and the other's preorder, labels, free stack and canonical bytes
     /// stand, across chunk boundaries, through free-slot reuse, and
     /// through a slot-exact snapshot round trip.
@@ -430,8 +424,7 @@ proptest! {
         slack in -2isize..3,
         left in proptest::collection::vec(edit_strategy(), 1..24),
         right in proptest::collection::vec(edit_strategy(), 1..24),
-        restructure in (any::<u16>(), any::<u16>(), any::<u16>())
-            .prop_map(|(at, moved, to)| (at as usize, moved as usize, to as usize)),
+        at in any::<u16>().prop_map(usize::from),
     ) {
         let mut a = seeded(chunks, slack);
         if chunks == 2 {
@@ -441,14 +434,14 @@ proptest! {
 
         let mut b = a.clone();
         apply_edits(&mut b, &left, "l");
-        renumber_and_move(&mut b, restructure);
+        renumber(&mut b, at);
         prop_assert!(observed(&a) == original, "the clone's writes reached the source");
         b.prepare();
         let b_seen = observed(&b);
         let b_bytes = b_seen.0.clone();
 
         apply_edits(&mut a, &right, "r");
-        renumber_and_move(&mut a, restructure);
+        renumber(&mut a, at);
         prop_assert!(observed(&b) == b_seen, "the source's writes reached the clone");
 
         // A third version forked from the clone is as independent.

@@ -26,17 +26,25 @@
 //! clone-and-check oracle (`apply_and_check_probed` on a copy) does —
 //! same code, same wording, the same entry ids in the same order — and
 //! commit exactly what the oracle's copy holds.
+//!
+//! Legal but for `◇c`: a directory that starts empty, or is recovered onto
+//! a base missing a required class, decides every write the same way —
+//! and must refuse exactly what the full §3 check of the applied copy
+//! finds, commit exactly that copy, and call itself legal exactly when
+//! that check does.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use bschema_core::consistency::build_witness;
-use bschema_core::legality::{self, LegalityChecker, Violation};
+use bschema_core::legality::{self, LegalityChecker, LegalityReport, Violation};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_schema, white_pages_schema_builder};
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
-use bschema_core::updates::{apply_and_check, apply_and_check_probed, Transaction, TxError};
-use bschema_core::Op;
-use bschema_directory::{DirectoryInstance, Entry, EntryId, Rdn};
+use bschema_core::updates::{
+    apply_and_check, apply_and_check_probed, apply_mods, Mod, Transaction, TxError,
+};
+use bschema_core::{checkpoint::recover_with_checkpoint, Journal, Op};
+use bschema_directory::{AttributeRegistry, DirectoryInstance, Entry, EntryId, Rdn};
 use bschema_obs::names;
 use bschema_workload::{
     OrgGenerator, OrgParams, SchemaGenerator, SchemaParams, TxGenerator, TxParams,
@@ -429,7 +437,7 @@ impl TxMaker {
         let mut tx = Transaction::new();
         let mut deleted: BTreeSet<EntryId> = BTreeSet::new();
         let mut doomed_roots = Vec::new();
-        if matches!(shape, Shape::DeleteOnly | Shape::Mixed) {
+        if matches!(shape, Shape::DeleteOnly | Shape::Mixed) && !live.is_empty() {
             // A person beside another person keeps every row served.
             let spare: Vec<EntryId> = persons
                 .iter()
@@ -721,4 +729,176 @@ fn verdict_before_copy_refuses_and_commits_as_the_applied_copy_does() {
     ] {
         assert!(seen.get(row).is_some_and(|&n| n > 0), "never exercised: {row}\n{seen:?}");
     }
+}
+
+/// One write of the `◇c` differential.
+enum Write {
+    Tx(Transaction),
+    Modify(EntryId, Vec<Mod>),
+}
+
+/// A MODIFY of a random live entry: a class change into or out of
+/// `staffMember` (the class a recovered base lacks), into `orgUnit`, a
+/// dropped required attribute, or a harmless added value.
+fn generated_modify(rng: &mut StdRng, dir: &DirectoryInstance) -> Option<Write> {
+    let live: Vec<EntryId> = dir.forest().iter().collect();
+    let target = *live.get(rng.random_range(0..live.len().max(1)))?;
+    let classes = |names: [&str; 3]| Mod::Replace {
+        attribute: "objectClass".into(),
+        values: names.map(str::to_owned).to_vec(),
+    };
+    let m = match rng.random_range(0..5) {
+        0 | 1 => classes(["staffMember", "person", "top"]),
+        2 => classes(["researcher", "person", "top"]),
+        3 if rng.random_bool(0.5) => classes(["orgUnit", "orgGroup", "top"]),
+        3 => Mod::DeleteAttribute { attribute: "name".into() },
+        _ => Mod::Add { attribute: "description".into(), value: "seen".into() },
+    };
+    Some(Write::Modify(target, vec![m]))
+}
+
+/// A report as the entries it names: every violation but the key clashes,
+/// normalised, and per clashing `(attribute, value)` the entries holding
+/// it. The two checks name a clash differently: the incremental one from
+/// each new entry against every earlier holder, the full one from each
+/// later entry in document order against the first.
+type Named = (LegalityReport, BTreeMap<(String, String), BTreeSet<EntryId>>);
+
+fn named(report: LegalityReport) -> Named {
+    let (mut others, mut clashes) = (Vec::new(), BTreeMap::new());
+    for v in report {
+        match v {
+            Violation::DuplicateKey { entry, attribute, value, first } => {
+                let holders: &mut BTreeSet<EntryId> =
+                    clashes.entry((attribute, value)).or_default();
+                holders.extend([entry, first]);
+            }
+            other => others.push(other),
+        }
+    }
+    (LegalityReport::from_violations(others).normalized(), clashes)
+}
+
+/// What the full §3 check says of `write` applied to a copy of `dir`:
+/// the copy, or the apply's refusal, and the violations. Keys (§6.1) are
+/// read off the instance the insertions make, before the deletions: a
+/// TXN is decided in Theorem 4.1's order, so re-inserting a value the
+/// same TXN deletes clashes — as it does in the clone-and-check oracle.
+fn full_check(
+    full: &LegalityChecker<'_>,
+    dir: &DirectoryInstance,
+    write: &Write,
+) -> Result<(DirectoryInstance, Named), TxError> {
+    let is_key = |v: &Violation| matches!(v, Violation::DuplicateKey { .. });
+    let mut copy = dir.clone();
+    let mut inserted = None;
+    match write {
+        Write::Tx(tx) => {
+            let normalized = tx.normalize(&copy)?;
+            let mut keyed = copy.clone();
+            for subtree in &normalized.insertions {
+                subtree.apply(&mut keyed)?;
+            }
+            keyed.prepare();
+            inserted = Some(keyed);
+            normalized.apply(&mut copy)?;
+        }
+        Write::Modify(target, mods) => {
+            apply_mods(&mut copy, *target, mods).expect("a live target");
+        }
+    }
+    copy.prepare();
+    let mut found: Vec<Violation> = full.check(&copy).into_iter().filter(|v| !is_key(v)).collect();
+    found.extend(full.check(inserted.as_ref().unwrap_or(&copy)).into_iter().filter(is_key));
+    Ok((copy, named(LegalityReport::from_violations(found))))
+}
+
+/// Runs `rounds` generated writes on `managed`, holding every verdict to
+/// the full §3 check of the applied copy ([`full_check`]): a refusal's
+/// report names what that check names ([`named`]); a commit is that
+/// copy, byte for byte; `is_legal()` is that check's verdict on the live
+/// instance after every step. Returns how many writes committed and how
+/// many refusals named a `◇c`.
+fn full_check_differential(
+    mut managed: ManagedDirectory,
+    rng: StdRng,
+    modifies: bool,
+    rounds: usize,
+    label: &str,
+) -> (usize, usize) {
+    let schema = managed.schema().clone();
+    let full = LegalityChecker::new(&schema);
+    let mut maker = TxMaker { rng, n: 0, tame: false };
+    let (mut committed, mut unmet) = (0, 0);
+    for round in 0..rounds {
+        let label = format!("{label} round {round}");
+        let write = match modifies && maker.rng.random_bool(0.4) {
+            true => generated_modify(&mut maker.rng, managed.instance()),
+            false => None,
+        };
+        let write = write.unwrap_or_else(|| Write::Tx(maker.generate(managed.instance()).0));
+        let want = full_check(&full, managed.instance(), &write);
+        let got = match &write {
+            Write::Tx(tx) => managed.apply(tx),
+            Write::Modify(target, mods) => managed.modify_entry(*target, mods),
+        };
+        match (want, got) {
+            (Err(want), Err(ManagedError::Transaction(got))) => {
+                assert_eq!(got.to_string(), want.to_string(), "{label}");
+            }
+            (Ok((copy, (report, clashes))), Ok(())) if report.is_legal() && clashes.is_empty() => {
+                assert_eq!(managed.instance().canonical_bytes(), copy.canonical_bytes(), "{label}");
+                committed += 1;
+            }
+            (Ok((_, want)), Err(ManagedError::RolledBack(got))) => {
+                let missing = |v: &Violation| matches!(v, Violation::MissingRequiredClass { .. });
+                unmet += usize::from(got.violations().iter().any(missing));
+                assert_eq!(named(got), want, "{label}");
+            }
+            (want, got) => panic!("{label}: full check {want:?}, engine {got:?}"),
+        }
+        assert_eq!(managed.is_legal(), full.check(managed.instance()).is_legal(), "{label}");
+    }
+    (committed, unmet)
+}
+
+/// A directory that starts empty under `◇organization`, `◇orgUnit` and
+/// `◇person` refuses every generated TXN that leaves one of them unmet,
+/// the way the full check of the applied copy does, and commits the
+/// first that populates them all — then goes on as any legal directory.
+#[test]
+fn an_empty_directory_decides_a_bootstrap_as_the_full_check_does() {
+    let (mut commits, mut unmet) = (0, 0);
+    for seed in 0..6u64 {
+        let rng = StdRng::seed_from_u64(0xB007 ^ seed);
+        let registry = AttributeRegistry::white_pages();
+        let managed = ManagedDirectory::new(keyed_schema(), registry).expect("consistent");
+        assert!(!managed.is_legal());
+        let (c, u) = full_check_differential(managed, rng, false, 60, &format!("seed {seed}"));
+        (commits, unmet) = (commits + c, unmet + u);
+    }
+    assert!(commits > 0, "no generated TXN bootstrapped an empty directory");
+    assert!(unmet > 0, "no refusal named a required class");
+}
+
+/// A base missing `◇staffMember`, recovered with an empty journal, takes
+/// generated TXNs and MODIFYs: each is decided as the full check of the
+/// applied copy decides it, until a MODIFY makes a staff member and the
+/// directory is legal.
+#[test]
+fn a_recovered_base_missing_a_class_decides_writes_as_the_full_check_does() {
+    let schema = keyed_schema().to_builder().require_class("staffMember").expect("a class").build();
+    let (mut commits, mut unmet) = (0, 0);
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x5AFF ^ seed);
+        let base = keyed_base(&mut rng);
+        let recovered = recover_with_checkpoint(schema.clone(), base, None, &Journal::parse(""))
+            .expect("a base missing only a required class recovers");
+        assert!(!recovered.managed.is_legal());
+        let label = format!("seed {seed}");
+        let (c, u) = full_check_differential(recovered.managed, rng, true, 60, &label);
+        (commits, unmet) = (commits + c, unmet + u);
+    }
+    assert!(commits > 0, "nothing committed on a base missing a class");
+    assert!(unmet > 0, "no refusal named a required class");
 }

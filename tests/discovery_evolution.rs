@@ -4,7 +4,6 @@
 use bschema_core::consistency::ConsistencyChecker;
 use bschema_core::discover::{suggest_schema, DiscoveryOptions};
 use bschema_core::evolution::plan::parse_proposal;
-use bschema_core::evolution::{evolve, Evolution};
 use bschema_core::legality::LegalityChecker;
 use bschema_core::managed::ManagedDirectory;
 use bschema_workload::{OrgGenerator, OrgParams};
@@ -42,18 +41,15 @@ proptest! {
         prop_assume!(LegalityChecker::new(&schema).check(&org.dir).is_legal());
         for i in 0..steps {
             let step = match i % 3 {
-                0 => Evolution::AllowAttribute {
-                    class: "person".into(),
-                    attribute: format!("custom{i}"),
-                },
-                1 => Evolution::AddAuxiliaryClass { name: format!("aux{i}") },
-                _ => Evolution::AddCoreClass {
-                    name: format!("core{i}"),
-                    parent: "person".into(),
-                },
+                0 => format!("allow-attr person custom{i}"),
+                1 => format!("add-aux aux{i}"),
+                _ => format!("add-class core{i} person"),
             };
-            schema = evolve(&schema, &step, &org.dir)
+            let plan = parse_proposal(&schema, &step)
                 .unwrap_or_else(|e| panic!("relaxing step refused: {e}"));
+            prop_assert!(plan.is_relaxing_only(), "{}", step);
+            prop_assert!(plan.recheck(&org.dir).is_legal());
+            schema = plan.target;
             prop_assert!(
                 LegalityChecker::new(&schema).check(&org.dir).is_legal(),
                 "relaxing step {} broke legality", step
@@ -180,12 +176,8 @@ fn restricting_evolution_on_an_empty_directory_is_trivially_safe() {
     empty.prepare();
     let schema = bschema_core::paper::white_pages_schema();
 
-    let step = Evolution::RequireAttribute { class: "person".into(), attribute: "title".into() };
-    let evolved = evolve(&schema, &step, &empty).expect("no entries, nothing to violate");
-    assert!(ConsistencyChecker::new(&evolved).check().is_consistent());
-
-    // The plan engine agrees: stage the same step as a proposal and the
-    // recheck comes back clean.
     let plan = parse_proposal(&schema, "require-attr person title").expect("valid proposal");
-    assert!(plan.recheck(&empty).is_legal());
+    assert!(!plan.is_relaxing_only());
+    assert!(plan.recheck(&empty).is_legal(), "no entries, nothing to violate");
+    assert!(ConsistencyChecker::new(&plan.target).check().is_consistent());
 }
