@@ -78,6 +78,7 @@ use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
 use bschema_directory::{fnv1a, AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
@@ -244,7 +245,7 @@ impl Checkpoint {
         }
         write_record(&mut body, CHECKPOINT_DN, &header);
         for row in &self.rows {
-            let mut entry = row.entry.clone();
+            let mut entry = Entry::clone(&row.entry);
             entry.add_value(
                 "ckpparent",
                 row.parent.map_or_else(|| "-".to_owned(), |p| p.to_string()),
@@ -405,7 +406,7 @@ fn decode_slot_record(record: &LdifRecord) -> Result<SlotRow, CheckpointError> {
     for attr in ["ckpparent", "ckprdn"] {
         entry.remove_attribute(attr);
     }
-    Ok(SlotRow { slot, parent, rdn, entry })
+    Ok(SlotRow { slot, parent, rdn, entry: Arc::new(entry) })
 }
 
 /// Atomically and durably installs checkpoint `text` at `path`: the

@@ -32,6 +32,8 @@
 //! runs them on D and the normalised transaction before anything is
 //! applied (`check_unapplied`, via [`verdict`](super::verdict)).
 
+use std::borrow::Borrow;
+
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 use bschema_obs::{names, Probe, SpanId, NO_SPAN};
 use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
@@ -444,10 +446,10 @@ impl<'s> IncrementalChecker<'s> {
     pub fn check_deletion_scoped(
         &self,
         dir: &DirectoryInstance,
-        removed: &[Entry],
+        removed: &[impl Borrow<Entry>],
         former_parents: &[Option<EntryId>],
     ) -> LegalityReport {
-        let removed: Vec<&Entry> = removed.iter().collect();
+        let removed: Vec<&Entry> = removed.iter().map(Borrow::borrow).collect();
         let near = Neighbourhood::new(self.schema, dir, self.probe);
         self.deletion_column(near, &removed, former_parents)
     }
@@ -484,7 +486,11 @@ impl<'s> IncrementalChecker<'s> {
     /// elements are skipped outright. This is the paper's table as
     /// printed — the two "no" rows cost O(|D|) — and the oracle
     /// [`check_deletion_scoped`](Self::check_deletion_scoped) answers to.
-    pub fn check_deletion(&self, dir: &DirectoryInstance, removed: &[Entry]) -> LegalityReport {
+    pub fn check_deletion(
+        &self,
+        dir: &DirectoryInstance,
+        removed: &[impl Borrow<Entry>],
+    ) -> LegalityReport {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_deletion", 0);
         let mut out = Vec::new();
@@ -495,7 +501,7 @@ impl<'s> IncrementalChecker<'s> {
         // become empty, and the index answers emptiness in O(1).
         for class in self.schema.structure().required_classes() {
             let name = classes.name(class);
-            let lost_member = removed.iter().any(|e| e.has_class(name));
+            let lost_member = removed.iter().any(|e| e.borrow().has_class(name));
             if lost_member && dir.index().class_count(name) == 0 {
                 out.push(Violation::MissingRequiredClass { class: name.to_owned() });
             }
@@ -663,7 +669,7 @@ mod tests {
     fn legal_deletion_passes() {
         let schema = white_pages_schema();
         let (mut dir, ids) = white_pages_instance();
-        let removed: Vec<Entry> =
+        let removed: Vec<_> =
             dir.remove_subtree(ids.armstrong).unwrap().into_iter().map(|(_, e)| e).collect();
         dir.prepare();
         let report = IncrementalChecker::new(&schema).check_deletion(&dir, &removed);

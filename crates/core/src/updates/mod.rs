@@ -16,6 +16,8 @@ pub use ldif_tx::{is_delete_record, transaction_from_ldif};
 pub use modify::{apply_mods, check_modification, Mod};
 pub use transaction::{NodeRef, NormalizedTx, SubtreeInsertion, Transaction, TxError, TxOp};
 
+use std::sync::Arc;
+
 use bschema_directory::{DirectoryInstance, Entry, EntryId};
 
 use crate::legality::LegalityReport;
@@ -27,7 +29,7 @@ pub struct AppliedTx {
     /// Roots of the inserted subtrees, in application order.
     pub inserted_roots: Vec<EntryId>,
     /// All entries removed by the deletion phase.
-    pub removed: Vec<Entry>,
+    pub removed: Vec<Arc<Entry>>,
     /// Accumulated violations across every intermediate instance. By
     /// Theorem 4.1 the final instance is legal iff this is empty.
     pub report: LegalityReport,
@@ -58,7 +60,7 @@ pub fn apply_and_check(
 
     let mut removed = Vec::new();
     for &root in &normalized.deletion_roots {
-        let batch: Vec<Entry> = dir
+        let batch: Vec<Arc<Entry>> = dir
             .remove_subtree(root)
             .map_err(|e| {
                 TxError::Internal(format!("removing validated deletion root {root}: {e}"))

@@ -9,6 +9,11 @@
 //! dropping a version frees only the chunks it owned alone. That makes
 //! a clone and its drop O(len / CHUNK), which is what lets a whole-copy
 //! be the unit of atomicity for a transaction of |ΔD| entries.
+//!
+//! Un-sharing a chunk clones its slots. The node and RDN slots are small
+//! values; the entry table's slots are `Arc`s, so un-sharing one of its
+//! chunks copies 64 pointers, not 64 attribute maps, and the one entry
+//! an edit changes is copied on its own.
 
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;

@@ -142,7 +142,7 @@ impl InstanceIndex {
     /// it.
     pub(crate) fn build(
         forest: &Forest,
-        entries: &CowVec<Option<Entry>>,
+        entries: &CowVec<Option<Arc<Entry>>>,
         registry: &AttributeRegistry,
     ) -> InstanceIndex {
         debug_assert!(forest.is_numbered());
@@ -152,7 +152,7 @@ impl InstanceIndex {
         let mut folded = String::new();
         for id in forest.iter() {
             all.push(id);
-            let Some(entry) = entries.get(id.index()).and_then(Option::as_ref) else {
+            let Some(entry) = entries.get(id.index()).and_then(Option::as_deref) else {
                 continue;
             };
             for class in entry.classes() {

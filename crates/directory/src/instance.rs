@@ -78,8 +78,9 @@ impl std::error::Error for InstanceError {}
 
 /// One preorder row of a slot-exact instance snapshot: the raw slot
 /// number, the parent's slot (if any), and the entry's naming and
-/// content. Together with the arena bound and the free stack this is
-/// the full observable state of an instance —
+/// content (shared with the instance it was taken from). Together with
+/// the arena bound and the free stack this is the full observable state
+/// of an instance —
 /// [`DirectoryInstance::from_slots`] rebuilds an instance with
 /// byte-identical [`canonical_bytes`](DirectoryInstance::canonical_bytes)
 /// *and* identical future slot assignment, which is what lets a journal
@@ -94,7 +95,7 @@ pub struct SlotRow {
     /// The entry's RDN, when named.
     pub rdn: Option<Rdn>,
     /// The entry content.
-    pub entry: Entry,
+    pub entry: Arc<Entry>,
 }
 
 /// What a [`DirectoryInstance::prepare`] call did to the index — the
@@ -132,7 +133,8 @@ const REBUILD_FRACTION: usize = 32;
 /// table and the forest's link arena are chunked copy-on-write vectors,
 /// the registry sits behind an `Arc` and the index is chunked the same
 /// way, so a clone copies one pointer per chunk and nothing else of size
-/// |D|.
+/// |D|. Entries sit behind their own `Arc`s, so un-sharing an entry
+/// chunk copies its pointers, and an edit copies the one entry it edits.
 /// Two clones share every chunk neither has written to, so a clone is
 /// the unit of atomicity of a transaction (mutate the copy, swap it in
 /// or drop it) and of publication (readers keep the version they
@@ -140,8 +142,8 @@ const REBUILD_FRACTION: usize = 32;
 #[derive(Debug, Clone)]
 pub struct DirectoryInstance {
     forest: Forest,
-    /// Slot-parallel entry storage.
-    entries: CowVec<Option<Entry>>,
+    /// Slot-parallel entry storage, each entry shared until edited.
+    entries: CowVec<Option<Arc<Entry>>>,
     /// Slot-parallel RDN storage (optional naming).
     rdns: CowVec<Option<Rdn>>,
     registry: Arc<AttributeRegistry>,
@@ -156,7 +158,7 @@ pub struct DirectoryInstance {
     /// Entries handed out mutably since the last `prepare()`, with the
     /// content the index holds them under: `prepare()` re-posts each from
     /// that content to the one it has by then.
-    changed: Vec<(EntryId, Entry)>,
+    changed: Vec<(EntryId, Arc<Entry>)>,
     /// Entries taken out of the index since the last `prepare()`: with
     /// the two queues, the batch the rebuild bound measures.
     withdrawn: usize,
@@ -203,7 +205,7 @@ impl DirectoryInstance {
                 slot: id.index() as u32,
                 parent: self.forest.parent(id).map(|p| p.index() as u32),
                 rdn: self.rdn(id).cloned(),
-                entry: live_entry(&self.entries, id).clone(),
+                entry: Arc::clone(live_arc(&self.entries, id)),
             })
             .collect()
     }
@@ -303,7 +305,7 @@ impl DirectoryInstance {
         {
             return;
         }
-        self.changed.push((id, live_entry(&self.entries, id).clone()));
+        self.changed.push((id, Arc::clone(live_arc(&self.entries, id))));
         if self.past_rebuild_bound(0) {
             self.invalidate();
         }
@@ -327,14 +329,14 @@ impl DirectoryInstance {
             }
             let at = self.changed.iter().position(|(queued, _)| *queued == id);
             let old = at.map(|at| self.changed.swap_remove(at).1);
-            let posted = old.as_ref().unwrap_or_else(|| live_entry(&self.entries, id));
+            let posted = old.as_deref().unwrap_or_else(|| live_entry(&self.entries, id));
             self.unshared += index.unpost(&self.forest, id, posted);
             self.withdrawn += 1;
         }
     }
 
     /// The entry cell of an allocated slot, un-sharing its chunk.
-    fn entry_slot(&mut self, id: EntryId) -> &mut Option<Entry> {
+    fn entry_slot(&mut self, id: EntryId) -> &mut Option<Arc<Entry>> {
         self.entries.get_mut(id.index()).expect("slot is allocated")
     }
 
@@ -349,7 +351,7 @@ impl DirectoryInstance {
     pub fn add_root_entry(&mut self, entry: Entry) -> EntryId {
         let id = self.forest.add_root();
         self.grow_slots(id);
-        *self.entry_slot(id) = Some(entry);
+        *self.entry_slot(id) = Some(Arc::new(entry));
         *self.rdn_slot(id) = None;
         self.queue(id);
         id
@@ -364,7 +366,7 @@ impl DirectoryInstance {
     ) -> Result<EntryId, InstanceError> {
         let id = self.forest.add_child(parent)?;
         self.grow_slots(id);
-        *self.entry_slot(id) = Some(entry);
+        *self.entry_slot(id) = Some(Arc::new(entry));
         *self.rdn_slot(id) = None;
         self.queue(id);
         Ok(id)
@@ -397,8 +399,9 @@ impl DirectoryInstance {
 
     // ----- removal -----
 
-    /// Removes a leaf entry (LDAP deletion discipline).
-    pub fn remove_leaf(&mut self, id: EntryId) -> Result<Entry, InstanceError> {
+    /// Removes a leaf entry (LDAP deletion discipline); returns its
+    /// content, still shared with any version that holds it.
+    pub fn remove_leaf(&mut self, id: EntryId) -> Result<Arc<Entry>, InstanceError> {
         if self.forest.is_leaf(id) {
             self.unpost(&[id]);
         }
@@ -408,8 +411,12 @@ impl DirectoryInstance {
     }
 
     /// Removes the subtree rooted at `id`; returns removed `(id, entry)`
-    /// pairs in post-order.
-    pub fn remove_subtree(&mut self, id: EntryId) -> Result<Vec<(EntryId, Entry)>, InstanceError> {
+    /// pairs in post-order, each entry still shared with any version
+    /// that holds it.
+    pub fn remove_subtree(
+        &mut self,
+        id: EntryId,
+    ) -> Result<Vec<(EntryId, Arc<Entry>)>, InstanceError> {
         if self.index.is_some() && self.forest.contains(id) {
             let doomed = self.forest.postorder_of(id);
             self.unpost(&doomed);
@@ -435,19 +442,22 @@ impl DirectoryInstance {
         if !self.forest.contains(id) {
             return None;
         }
-        self.entries.get(id.index()).and_then(Option::as_ref)
+        self.entries.get(id.index()).and_then(Option::as_deref)
     }
 
     /// Mutable access to the entry at `id`. Class membership and values
     /// may change: the next [`prepare`](Self::prepare) moves the entry to
     /// the lists its content then puts it in, touching only those whose
-    /// membership changed.
+    /// membership changed. The entry is copied first if another version
+    /// (or the index's pre-image of it) still shares it: the one entry
+    /// copy a write makes.
     pub fn entry_mut(&mut self, id: EntryId) -> Option<&mut Entry> {
         if !self.forest.contains(id) {
             return None;
         }
         self.queue_change(id);
-        self.entries.get_mut(id.index()).and_then(Option::as_mut)
+        let entry = self.entries.get_mut(id.index())?.as_mut()?;
+        Some(Arc::make_mut(entry))
     }
 
     /// The RDN of `id`, if the entry was added with a name.
@@ -528,6 +538,13 @@ impl DirectoryInstance {
     /// same order always yields the same canonical bytes — the basis of
     /// the sharded≡unsharded comparison, which rebuilds both engines'
     /// states through this method before comparing.
+    ///
+    /// Unlike every other path into the entry table, a graft copies each
+    /// entry instead of sharing its `Arc`: it builds a new directory (the
+    /// sharded open), whose entries then sit together in the heap rather
+    /// than interleaved with the other shards' where the loader left
+    /// them. Sharing them read `sharded-20k` `search_eq_p50_ms` ×1.19–1.26
+    /// (EXPERIMENTS.md SHARE).
     pub fn graft_subtree(
         &mut self,
         src: &DirectoryInstance,
@@ -693,7 +710,12 @@ impl DirectoryInstance {
 
 /// The entry of a live node — a free function over the one field, so
 /// callers can hold the index or the queue mutably beside it.
-fn live_entry(entries: &CowVec<Option<Entry>>, id: EntryId) -> &Entry {
+fn live_entry(entries: &CowVec<Option<Arc<Entry>>>, id: EntryId) -> &Entry {
+    live_arc(entries, id)
+}
+
+/// [`live_entry`]'s `Arc`, for a caller that keeps a handle on it.
+fn live_arc(entries: &CowVec<Option<Arc<Entry>>>, id: EntryId) -> &Arc<Entry> {
     entries.get(id.index()).and_then(Option::as_ref).expect("live node has an entry")
 }
 
@@ -888,6 +910,93 @@ mod tests {
         let y = rest.add_child_entry(r, person("x")).unwrap();
         assert_eq!(x, y, "reused slot must match");
         assert_eq!(live.canonical_bytes(), rest.canonical_bytes());
+    }
+
+    /// An organisation of `units` units of 100 people each, prepared:
+    /// |D| = 1 + 101 · `units`. Returns it with its root.
+    fn org(units: usize) -> (DirectoryInstance, EntryId) {
+        let mut d = DirectoryInstance::white_pages();
+        let root = d.add_root_entry(Entry::builder().class("organization").attr("o", "x").build());
+        for u in 0..units {
+            let unit = Entry::builder().class("orgUnit").attr("ou", format!("u{u}")).build();
+            let unit = d.add_child_entry(root, unit).unwrap();
+            for p in 0..100 {
+                d.add_child_entry(unit, person(&format!("u{u}p{p}"))).unwrap();
+            }
+        }
+        d.prepare();
+        (d, root)
+    }
+
+    /// What `next` did to `before`'s entry table, slot by slot: entries
+    /// it added, live entries it holds a copy of rather than `before`'s
+    /// own `Arc`, and entries it removed.
+    fn entry_delta(before: &DirectoryInstance, next: &DirectoryInstance) -> [usize; 3] {
+        fn live(d: &DirectoryInstance, slot: usize) -> Option<&Arc<Entry>> {
+            let id = EntryId::from_index(slot);
+            d.contains(id).then(|| live_arc(&d.entries, id))
+        }
+        let mut delta = [0; 3];
+        for slot in 0..before.entries.len().max(next.entries.len()) {
+            match (live(before, slot), live(next, slot)) {
+                (None, Some(_)) => delta[0] += 1,
+                (Some(old), Some(new)) if !Arc::ptr_eq(old, new) => delta[1] += 1,
+                (Some(_), None) => delta[2] += 1,
+                _ => {}
+            }
+        }
+        delta
+    }
+
+    #[test]
+    fn a_write_shares_every_entry_it_does_not_add_or_edit_at_2k_as_at_20k() {
+        // [added, edited, removed] after a 3-entry insert, a MODIFY and a
+        // 3-entry subtree delete, each on a clone of the state before it.
+        let writes = |units: usize| {
+            let (base, root) = org(units);
+            let bytes = base.canonical_bytes();
+
+            let mut inserted = base.clone();
+            let unit = Entry::builder().class("orgUnit").attr("ou", "new").build();
+            let unit = inserted.add_child_entry(root, unit).unwrap();
+            for uid in ["n1", "n2"] {
+                inserted.add_child_entry(unit, person(uid)).unwrap();
+            }
+            inserted.prepare();
+
+            let mut modified = inserted.clone();
+            let target = EntryId::from_index(5);
+            modified.entry_mut(target).unwrap().add_value("title", "lead");
+            let (queued, pre_image) = &modified.changed[0];
+            assert_eq!(*queued, target);
+            assert!(
+                Arc::ptr_eq(pre_image, live_arc(&inserted.entries, target)),
+                "the index's pre-image of an edited entry is the published entry, not a copy"
+            );
+            modified.prepare();
+
+            let mut deleted = modified.clone();
+            let removed = deleted.remove_subtree(unit).unwrap();
+            for (id, entry) in &removed {
+                assert!(
+                    Arc::ptr_eq(entry, live_arc(&modified.entries, *id)),
+                    "a removed entry is handed back shared, not copied"
+                );
+            }
+            deleted.prepare();
+
+            assert_eq!(base.canonical_bytes(), bytes, "the base never sees its clones' writes");
+            assert_eq!(modified.entry(target).unwrap().first_value("title"), Some("lead"));
+            assert_eq!(inserted.entry(target).unwrap().first_value("title"), None);
+            [
+                entry_delta(&base, &inserted),
+                entry_delta(&inserted, &modified),
+                entry_delta(&modified, &deleted),
+            ]
+        };
+        let expected = [[3, 0, 0], [0, 1, 0], [0, 0, 3]];
+        assert_eq!(writes(20), expected, "at 2 021 entries");
+        assert_eq!(writes(200), expected, "at 20 201 entries");
     }
 
     #[test]

@@ -166,7 +166,7 @@ proptest! {
         // Delete either a person or a whole unit subtree.
         let all: Vec<EntryId> = unit_ids.iter().chain(&person_ids).copied().collect();
         let target = all[victim.index(all.len())];
-        let removed: Vec<Entry> = dir
+        let removed: Vec<_> = dir
             .remove_subtree(target)
             .unwrap()
             .into_iter()
