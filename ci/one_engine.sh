@@ -1,37 +1,29 @@
 #!/usr/bin/env bash
-# Grep-gate: Theorem 3.1's check exists once, and nobody configures how
-# many threads it runs on.
+# Grep-gate: Theorem 3.1's check exists once, runs on the caller's
+# thread, and nobody configures it.
 #
 # `LegalityChecker::check` runs one body — signature-cached content
-# checks, batched Figure 4 structure queries — and `IncrementalChecker`
-# one Δ-wave. How far either fans out is derived from the size of the
-# work by `bschema_parallel::workers_for` (|D| for a full check, |ΔD| for
-# an incremental one; DESIGN.md §4), so a served write is inline by
-# construction. Two things would undo that quietly:
+# checks, keys, then the Figure 4 structure queries — and
+# `IncrementalChecker` one insertion wave, each a plain loop in the order
+# it reports in (DESIGN.md §4). Four things would undo that quietly:
 #
 # * the fork coming back: the option type, its builders, the twin
 #   function, or the CLI flag, by the names they had — anywhere under
 #   crates/, tests/ or examples/, comments and tests included (the one
 #   test that feeds the flag to the CLI spells it in two pieces);
-# * a fan-out site choosing its own worker count: every
-#   `bschema_parallel::par_*` call outside `crates/parallel`, and every
-#   call of the two functions that wrap one (`legality::fan_out`,
-#   `bschema_query::evaluate_batch`), passes as its count either
-#   `workers_for(..)` or a plain `workers` binding; in those files every
-#   `let workers` is computed by `workers_for(..)` (a function parameter
-#   is the only other source) and no struct carries the count
-#   (`.workers`).
-#   Literals are for test modules, which hold the engine at 1 / 2 / 4 / 5
-#   workers through the module-level functions;
 # * a knob on the incremental checker: value-syntax validation is the
 #   full check's option (`LegalityChecker::with_value_validation`, which
 #   `check` and `validate` read), and no caller ever set it on the Δ-wave,
 #   so `with_value_validation` / `validate_values` may not appear under
-#   crates/core/src/updates/, comments and tests included.
-#
-# Exempt from the second rule: comment/doc lines and test modules — this
-# repo keeps exactly one `#[cfg(test)]` marker per file, at the start of
-# the trailing tests module.
+#   crates/core/src/updates/, comments and tests included;
+# * the deleted data-parallel helper crate (`crates/parallel`) coming
+#   back: its package name may not appear under crates/, tests/ or
+#   examples/, nor in any Cargo.toml;
+# * a check starting threads of its own: no `std::thread` (nor
+#   `thread::scope` / `thread::spawn` / `thread::Builder`) under the
+#   engine crates' sources, crates/{core,query,directory}/src, comments
+#   and tests included. The server owns the threads; an engine call runs
+#   on the one it is given.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,38 +46,22 @@ if [ -n "$knob" ]; then
     status=1
 fi
 
-# The files that fan out: whoever names the helper crate or a wrapper of
-# it, bar the crate.
-sources=$(grep -rlE --include='*.rs' 'bschema_parallel|fan_out[(]|evaluate_batch[(]' crates/*/src examples \
-    | grep -v '^crates/parallel/' | sort)
-
-# Non-test, non-comment code, each `par_*(` call joined with the two
-# lines after it so that a call rustfmt broke after `(` is still read
-# with its first two arguments.
+manifests=$(find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*')
 # shellcheck disable=SC2086
-counts=$(awk '
-    function check() {
-        skip = (call ~ /evaluate_batch[(]/) ? 2 : 1    # arguments before the count
-        sub(/^.*(par_(map|flat_map_chunks|flat_map_chunks_indexed)|fan_out|evaluate_batch)[(][[:space:]]*/, "", call)
-        while (skip-- > 0) sub(/^[^,]+,[[:space:]]*/, "", call)
-        if (call !~ /^(workers[,)]|(bschema_parallel::)?workers_for[(])/)
-            print at ": " call
-    }
-    FNR == 1 { tests = 0; if (pending > 0) check(); pending = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { tests = 1 }
-    tests || /^[[:space:]]*\/\// { next }
-    /let (mut )?workers[ :=]/ && !/workers_for[(]/ { print FILENAME ":" FNR ": " $0 }
-    /[.]workers([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }
-    pending > 0 { call = call " " $0; if (--pending == 0) check(); next }
-    /(par_(map|flat_map_chunks|flat_map_chunks_indexed)|[^_]fan_out|[^_]evaluate_batch)[(]/ && !/fn evaluate_batch[(]/ {
-        call = $0; at = FILENAME ":" FNR; pending = 2
-    }
-    END { if (pending > 0) check() }
-' $sources)
-if [ -n "$counts" ]; then
-    echo "$counts"
-    echo "error: a fan-out site takes its worker count from somewhere other than" >&2
-    echo "       bschema_parallel::workers_for(<size of the work>) or its caller's argument" >&2
+crate=$(grep -rnE 'bschema[_-]parallel' crates tests examples $manifests || true)
+if [ -n "$crate" ]; then
+    echo "$crate"
+    echo "error: the data-parallel helper crate is named again; every check runs once, on the" >&2
+    echo "       caller's thread (DESIGN.md §4, ci/one_engine.sh)" >&2
+    status=1
+fi
+
+threads=$(grep -rnE 'std::(\{[^}]*)?\bthread\b|\bthread::(scope|spawn|Builder)\b' \
+    crates/core/src crates/query/src crates/directory/src || true)
+if [ -n "$threads" ]; then
+    echo "$threads"
+    echo "error: an engine crate starts threads; a check runs on the caller's thread" >&2
+    echo "       (DESIGN.md §4, ci/one_engine.sh)" >&2
     status=1
 fi
 exit "$status"

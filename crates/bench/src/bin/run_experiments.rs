@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use bschema_bench::{fmt_us, nearest_rank, org_of_size, time_median_us, Table, SIZES};
 use bschema_core::consistency::ConsistencyChecker;
-use bschema_core::legality::{self, translate, LegalityChecker, LegalityReport};
+use bschema_core::legality::{translate, LegalityChecker, LegalityReport};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
 use bschema_core::updates::{
@@ -258,36 +258,18 @@ fn exp_f5() {
 }
 
 /// Theorem 3.1: legality testing is linear in |D|; the naive pairwise
-/// checker is quadratic. The one engine is timed twice: held at one
-/// worker (what the signature cache and the batched queries give on the
-/// caller's thread) and as `LegalityChecker::check` runs it (`auto`:
-/// `workers_for(|D|)`, which differs from one worker only from
-/// 2 × `GRAIN` entries up and only on a host with more than one core).
+/// checker is quadratic. The one engine (`LegalityChecker::check`: the
+/// signature cache and the Figure 4 queries, on the caller's thread) is
+/// timed beside the traversal and pairwise references.
 fn exp_t31(sizes: &[usize], runs: usize) {
     println!("== T3.1: legality testing — query reduction (linear) vs traversal vs pairwise strawman (quadratic) ==");
-    println!(
-        "   host threads: {}, GRAIN: {} entries per worker",
-        bschema_parallel::available_threads(),
-        bschema_parallel::GRAIN
-    );
     let schema = white_pages_schema();
     let checker = LegalityChecker::new(&schema);
-    let mut table = Table::new([
-        "|D|",
-        "1 worker",
-        "auto",
-        "auto workers",
-        "traversal",
-        "pairwise (strawman)",
-        "pairwise/auto",
-        "legal",
-    ]);
+    let mut table =
+        Table::new(["|D|", "check", "traversal", "pairwise (strawman)", "pairwise/check", "legal"]);
     for &n in sizes {
         let org = org_of_size(n);
-        let one = time_median_us(runs, || {
-            legality::check_instance(&schema, &org.dir, false, 1, bschema_obs::noop())
-        });
-        let auto = time_median_us(runs, || checker.check(&org.dir));
+        let check = time_median_us(runs, || checker.check(&org.dir));
         let traversal = time_median_us(runs.min(3), || checker.check_naive(&org.dir));
         // The quadratic strawman becomes painful quickly; cap its input.
         let pairwise = if n <= 10_000 {
@@ -298,12 +280,10 @@ fn exp_t31(sizes: &[usize], runs: usize) {
         let legal = checker.check(&org.dir).is_legal();
         table.row([
             n.to_string(),
-            fmt_us(one),
-            fmt_us(auto),
-            bschema_parallel::workers_for(org.dir.len()).to_string(),
+            fmt_us(check),
             fmt_us(traversal),
             pairwise.map_or("-".to_owned(), fmt_us),
-            pairwise.map_or("-".to_owned(), |p| format!("{:.1}x", p / auto)),
+            pairwise.map_or("-".to_owned(), |p| format!("{:.1}x", p / check)),
             legal.to_string(),
         ]);
 

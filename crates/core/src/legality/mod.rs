@@ -20,66 +20,6 @@ use bschema_directory::DirectoryInstance;
 
 use crate::schema::DirectorySchema;
 
-/// One fan-out site of the engine: `check` over contiguous chunks of
-/// `items` on `workers` workers, findings concatenated in chunk order —
-/// what one pass over all of `items` would have found, in that order.
-/// Each chunk runs under its own `chunk` span (ordinal = chunk index, so
-/// span trees do not depend on scheduling) and is counted and timed
-/// (`parallel.chunks`, `parallel.chunk_us`); an inline run is one chunk.
-pub(crate) fn fan_out<T: Sync>(
-    items: &[T],
-    workers: usize,
-    probe: &dyn bschema_obs::Probe,
-    parent: bschema_obs::SpanId,
-    check: impl Fn(bschema_obs::SpanId, &[T], &mut Vec<Violation>) + Sync,
-) -> Vec<Violation> {
-    bschema_parallel::par_flat_map_chunks_indexed(items, workers, |i, chunk| {
-        let span = probe.span_start(parent, "chunk", i as u64);
-        let started = probe.enabled().then(std::time::Instant::now);
-        let mut found = Vec::new();
-        check(span, chunk, &mut found);
-        if let Some(start) = started {
-            probe.add("parallel.chunks", 1);
-            probe.observe("parallel.chunk_us", start.elapsed().as_micros() as u64);
-        }
-        probe.span_end(span);
-        found
-    })
-}
-
-/// The Theorem 3.1 check on `workers` workers: signature-cached content
-/// checks (§3.1), keys (§6.1), then the batched Figure 4 structure
-/// queries (§3.2). The report is **identical** for every `workers`
-/// (same violations, same order) — per-entry content checks and the
-/// independent structure queries are data-parallel, and every worker
-/// reads the one sorted-entry index the instance built in
-/// [`prepare`](DirectoryInstance::prepare).
-///
-/// [`LegalityChecker::check`] is this with `workers` derived from |D|;
-/// the argument exists so the differential suite and the experiments can
-/// hold it fixed.
-pub fn check_instance(
-    schema: &DirectorySchema,
-    dir: &DirectoryInstance,
-    validate_values: bool,
-    workers: usize,
-    probe: &dyn bschema_obs::Probe,
-) -> LegalityReport {
-    let root = probe.span_start(bschema_obs::NO_SPAN, "legality.check", 0);
-    let mut out = Vec::new();
-    let span = probe.span_start(root, "content", 0);
-    content::check_instance(schema, dir, validate_values, workers, probe, span, &mut out);
-    probe.span_end(span);
-    let span = probe.span_start(root, "keys", 1);
-    keys::check_instance(schema, dir, &mut out);
-    probe.span_end(span);
-    let span = probe.span_start(root, "structure", 2);
-    structure::check_instance(schema, dir, workers, probe, &mut out);
-    probe.span_end(span);
-    probe.span_end(root);
-    LegalityReport::from_violations(out)
-}
-
 /// The legality checker: schema + configuration.
 #[derive(Debug, Clone)]
 pub struct LegalityChecker<'s> {
@@ -119,17 +59,29 @@ impl<'s> LegalityChecker<'s> {
     /// [`prepare`](DirectoryInstance::prepare)d.
     ///
     /// Runs in the Theorem 3.1 bound: O(|D| · (per-entry content cost +
-    /// |S|)) — linear in the instance size — on
-    /// [`workers_for(|D|)`](bschema_parallel::workers_for) workers: inline
-    /// for a small instance, fanned out for a large one on a host that
-    /// has the cores. The report is the same either way.
+    /// |S|)) — linear in the instance size — as one pass on the caller's
+    /// thread: signature-cached content checks (§3.1), keys (§6.1), then
+    /// the Figure 4 structure queries (§3.2), each reading the one
+    /// sorted-entry index the instance built in `prepare`.
     pub fn check(&self, dir: &DirectoryInstance) -> LegalityReport {
-        let workers = bschema_parallel::workers_for(dir.len());
-        check_instance(self.schema, dir, self.validate_values, workers, self.probe)
+        let probe = self.probe;
+        let root = probe.span_start(bschema_obs::NO_SPAN, "legality.check", 0);
+        let mut out = Vec::new();
+        let span = probe.span_start(root, "content", 0);
+        content::check_instance(self.schema, dir, self.validate_values, probe, &mut out);
+        probe.span_end(span);
+        let span = probe.span_start(root, "keys", 1);
+        keys::check_instance(self.schema, dir, &mut out);
+        probe.span_end(span);
+        let span = probe.span_start(root, "structure", 2);
+        structure::check_instance(self.schema, dir, probe, &mut out);
+        probe.span_end(span);
+        probe.span_end(root);
+        LegalityReport::from_violations(out)
     }
 
     /// Definition 2.7's content and key conditions as printed —
-    /// [`content::check_entry`] entry by entry, no cache, no workers: the
+    /// [`content::check_entry`] entry by entry, no cache: the
     /// reference half of the two baselines below.
     fn content_as_printed(&self, dir: &DirectoryInstance) -> Vec<Violation> {
         let mut out = Vec::new();

@@ -200,7 +200,7 @@ mod tests {
         let mut naive_out = Vec::new();
         check_instance(&schema, &dir, &mut naive_out);
         let mut fast_out = Vec::new();
-        fast::check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut fast_out);
+        fast::check_instance(&schema, &dir, bschema_obs::noop(), &mut fast_out);
         naive_out.sort();
         fast_out.sort();
         assert_eq!(naive_out, fast_out);
@@ -225,7 +225,7 @@ mod tests {
         let mut pair_out = Vec::new();
         check_instance_pairwise(&schema, &dir, &mut pair_out);
         let mut fast_out = Vec::new();
-        fast::check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut fast_out);
+        fast::check_instance(&schema, &dir, bschema_obs::noop(), &mut fast_out);
         pair_out.sort();
         fast_out.sort();
         assert_eq!(pair_out, fast_out);
@@ -253,7 +253,7 @@ mod tests {
         let mut naive_out = Vec::new();
         check_instance(&schema, &dir, &mut naive_out);
         let mut fast_out = Vec::new();
-        fast::check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut fast_out);
+        fast::check_instance(&schema, &dir, bschema_obs::noop(), &mut fast_out);
         naive_out.sort();
         fast_out.sort();
         assert_eq!(naive_out, fast_out);

@@ -8,32 +8,20 @@
 //! of Theorem 3.1.
 
 use bschema_directory::DirectoryInstance;
-use bschema_query::{evaluate_batch, EvalContext, Query};
+use bschema_query::{evaluate, EvalContext};
 
 use super::report::Violation;
 use super::translate;
 use crate::schema::DirectorySchema;
 
-/// How a structure-schema element turns its query's witnesses into
-/// violations.
-enum StructureJob<'s> {
-    RequiredClass(crate::schema::ClassId),
-    RequiredRel(&'s crate::schema::RequiredRel),
-    ForbiddenRel(&'s crate::schema::ForbiddenRel),
-}
-
 /// Checks the instance against the structure schema, appending violations
-/// (with one witness violation per offending entry).
-///
-/// The Figure 4 queries are independent, so they are evaluated as one
-/// batch on `workers` workers over one shared evaluation context (and the
-/// one shared sorted-entry index behind it). Violations come out in
-/// schema-element order whatever `workers` is: witnesses are collected
-/// per query and concatenated in query order.
+/// (with one witness violation per offending entry) in schema-element
+/// order: required classes, required relationships, forbidden
+/// relationships. Every Figure 4 query reads the one sorted-entry index
+/// behind the shared evaluation context.
 pub fn check_instance(
     schema: &DirectorySchema,
     dir: &DirectoryInstance,
-    workers: usize,
     probe: &dyn bschema_obs::Probe,
     out: &mut Vec<Violation>,
 ) {
@@ -44,50 +32,29 @@ pub fn check_instance(
         probe.add("legality.structure_queries", structure.len() as u64);
     }
 
-    let mut jobs: Vec<StructureJob<'_>> = Vec::with_capacity(structure.len());
-    let mut queries: Vec<Query> = Vec::with_capacity(structure.len());
     for class in structure.required_classes() {
-        jobs.push(StructureJob::RequiredClass(class));
-        queries.push(translate::required_class_query(schema, class));
+        if evaluate(&ctx, &translate::required_class_query(schema, class)).is_empty() {
+            out.push(Violation::MissingRequiredClass { class: classes.name(class).to_owned() });
+        }
     }
     for rel in structure.required_rels() {
-        jobs.push(StructureJob::RequiredRel(rel));
-        queries.push(translate::required_rel_query(schema, rel));
+        for witness in evaluate(&ctx, &translate::required_rel_query(schema, rel)) {
+            out.push(Violation::RequiredRelViolation {
+                entry: witness,
+                source: classes.name(rel.source).to_owned(),
+                kind: rel.kind,
+                target: classes.name(rel.target).to_owned(),
+            });
+        }
     }
     for rel in structure.forbidden_rels() {
-        jobs.push(StructureJob::ForbiddenRel(rel));
-        queries.push(translate::forbidden_rel_query(schema, rel));
-    }
-
-    for (job, witnesses) in jobs.iter().zip(evaluate_batch(&ctx, &queries, workers)) {
-        match *job {
-            StructureJob::RequiredClass(class) => {
-                if witnesses.is_empty() {
-                    out.push(Violation::MissingRequiredClass {
-                        class: classes.name(class).to_owned(),
-                    });
-                }
-            }
-            StructureJob::RequiredRel(rel) => {
-                for witness in witnesses {
-                    out.push(Violation::RequiredRelViolation {
-                        entry: witness,
-                        source: classes.name(rel.source).to_owned(),
-                        kind: rel.kind,
-                        target: classes.name(rel.target).to_owned(),
-                    });
-                }
-            }
-            StructureJob::ForbiddenRel(rel) => {
-                for witness in witnesses {
-                    out.push(Violation::ForbiddenRelViolation {
-                        entry: witness,
-                        upper: classes.name(rel.upper).to_owned(),
-                        kind: rel.kind,
-                        lower: classes.name(rel.lower).to_owned(),
-                    });
-                }
-            }
+        for witness in evaluate(&ctx, &translate::forbidden_rel_query(schema, rel)) {
+            out.push(Violation::ForbiddenRelViolation {
+                entry: witness,
+                upper: classes.name(rel.upper).to_owned(),
+                kind: rel.kind,
+                lower: classes.name(rel.lower).to_owned(),
+            });
         }
     }
 }
@@ -103,7 +70,7 @@ mod tests {
         let schema = white_pages_schema();
         let (dir, _) = white_pages_instance();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
         assert_eq!(out, [], "Figure 1 must satisfy the Figure 3 structure schema");
     }
 
@@ -120,7 +87,7 @@ mod tests {
             .unwrap();
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
         // person ↛ch top violated at suciu; orgUnit →pa orgGroup violated at
         // the new entry; orgGroup ⇒⇒de person violated at the new entry (it
         // has no person descendant); orgUnit →an organization is satisfied
@@ -152,7 +119,7 @@ mod tests {
         );
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
         let missing: Vec<&str> = out
             .iter()
             .filter_map(|v| match v {
@@ -171,7 +138,7 @@ mod tests {
         let mut dir = DirectoryInstance::white_pages();
         dir.prepare();
         let mut out = Vec::new();
-        check_instance(&schema, &dir, 1, bschema_obs::noop(), &mut out);
+        check_instance(&schema, &dir, bschema_obs::noop(), &mut out);
         assert_eq!(out.len(), 3); // ◇organization, ◇orgUnit, ◇person
         assert!(out.iter().all(|v| matches!(v, Violation::MissingRequiredClass { .. })));
     }

@@ -68,9 +68,9 @@ pub enum ManagedError {
     /// Applying the transaction would leave the directory illegal; it was
     /// rolled back.
     RolledBack(LegalityReport),
-    /// The engine panicked mid-transaction (e.g. an injected fault or a
-    /// dying worker); the copy it was running on was dropped, so the
-    /// directory is unchanged and still legal.
+    /// The engine panicked mid-transaction (e.g. an injected fault); the
+    /// copy it was running on was dropped, so the directory is unchanged
+    /// and still legal.
     Panicked {
         /// The panic payload, when it carried a message.
         reason: String,

@@ -41,7 +41,7 @@ use bschema_query::{evaluate, Binding, EvalContext, Filter, Query};
 use super::scoped::{Inserted, Neighbourhood};
 use super::transaction::NormalizedTx;
 use crate::legality::report::{LegalityReport, Violation};
-use crate::legality::{content, fan_out, translate};
+use crate::legality::{content, translate};
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
 
 /// Figure 5 row label for a required relationship, as used in the
@@ -119,9 +119,8 @@ pub struct IncrementalChecker<'s> {
     probe: &'s dyn Probe,
 }
 
-/// One structure-schema row of the insertion column. Paired with a
-/// delta root it is one unit of a batched insertion check; units are
-/// independent, so a multi-subtree transaction fans them all out at once.
+/// One structure-schema row of the insertion column, checked once per
+/// inserted subtree.
 #[derive(Clone, Copy)]
 enum Row<'s> {
     Required(&'s RequiredRel),
@@ -142,113 +141,57 @@ impl<'s> IncrementalChecker<'s> {
     }
 
     /// Evaluates the Figure 5 insertion Δ-queries for every (delta root,
-    /// structure element) pair on `workers` workers, appending witnesses
-    /// as violations in root-major, required-before-forbidden order — the
-    /// order per-root loops produce.
+    /// structure element) pair, appending witnesses as violations in
+    /// root-major, required-before-forbidden order. Each Δ-query runs
+    /// under a child span of `parent` named by its Figure 5 row, ordered
+    /// by its position in that order.
     fn structure_delta_violations(
         &self,
         dir: &DirectoryInstance,
         roots: &[EntryId],
-        workers: usize,
         parent: SpanId,
         out: &mut Vec<Violation>,
     ) {
         let probe = self.probe;
-        let jobs: Vec<(EntryId, Row<'s>)> =
-            roots.iter().flat_map(|&root| self.rows().map(move |row| (root, row))).collect();
-        // Count Δ-queries per Figure 5 row here, at job construction on
-        // the caller's thread, so the counters are deterministic no
-        // matter how the jobs are chunked over workers.
-        if probe.enabled() {
-            for (_, row) in &jobs {
-                let label = match *row {
+        let classes = self.schema.classes();
+        let mut ordinal = 0;
+        for &root in roots {
+            let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
+            for row in self.rows() {
+                let label = match row {
                     Row::Required(rel) => required_row(rel.kind),
                     Row::Forbidden(rel) => forbidden_row(rel.kind),
                 };
                 probe.add_labeled(names::DELTA_QUERY, label, 1);
-            }
-        }
-        let classes = self.schema.classes();
-        out.extend(fan_out(&jobs, workers, probe, parent, |span, chunk, local| {
-            // One child span per Δ-query, named by its Figure 5 row
-            // and ordered by in-chunk position, so a request trace
-            // attributes time to individual rows deterministically.
-            for (j, &(root, row)) in chunk.iter().enumerate() {
+                let span = probe.span_start(parent, label, ordinal);
+                ordinal += 1;
                 match row {
                     Row::Required(rel) => {
-                        let row = probe.span_start(span, required_row(rel.kind), j as u64);
-                        let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
                         let q = insertion_delta_query(self.schema, rel);
                         for witness in evaluate(&ctx, &q) {
-                            local.push(Violation::RequiredRelViolation {
+                            out.push(Violation::RequiredRelViolation {
                                 entry: witness,
                                 source: classes.name(rel.source).to_owned(),
                                 kind: rel.kind,
                                 target: classes.name(rel.target).to_owned(),
                             });
                         }
-                        probe.span_end(row);
                     }
                     Row::Forbidden(rel) => {
-                        let row = probe.span_start(span, forbidden_row(rel.kind), j as u64);
-                        let ctx = EvalContext::with_delta(dir, root).with_probe(probe);
                         let q = insertion_delta_query_forbidden(self.schema, rel);
                         for witness in evaluate(&ctx, &q) {
-                            local.push(Violation::ForbiddenRelViolation {
+                            out.push(Violation::ForbiddenRelViolation {
                                 entry: witness,
                                 upper: classes.name(rel.upper).to_owned(),
                                 kind: rel.kind,
                                 lower: classes.name(rel.lower).to_owned(),
                             });
                         }
-                        probe.span_end(row);
                     }
                 }
+                probe.span_end(span);
             }
-        }));
-    }
-
-    /// Content-schema check of the `∆D` entries on `workers` workers.
-    fn content_delta_violations(
-        &self,
-        delta: &[(EntryId, &Entry)],
-        workers: usize,
-        parent: SpanId,
-        out: &mut Vec<Violation>,
-    ) {
-        let probe = self.probe;
-        out.extend(fan_out(delta, workers, probe, parent, |_, chunk, local| {
-            for &(id, entry) in chunk {
-                content::check_entry(self.schema, id, entry, local);
-            }
-            if probe.enabled() {
-                probe.add("legality.entries_content_checked", chunk.len() as u64);
-            }
-        }));
-    }
-
-    /// Figure 5′'s structure rows for every (inserted subtree, row) pair
-    /// on `workers` workers, in the order of
-    /// [`structure_delta_violations`](Self::structure_delta_violations):
-    /// each subtree's neighbourhood ([`Inserted`]) was read once, and the
-    /// rows fan out over it.
-    fn structure_scoped_violations(
-        &self,
-        near: &[Inserted<'_>],
-        workers: usize,
-        parent: SpanId,
-        out: &mut Vec<Violation>,
-    ) {
-        let jobs: Vec<(&Inserted<'_>, Row<'s>)> =
-            near.iter().flat_map(|near| self.rows().map(move |row| (near, row))).collect();
-        out.extend(fan_out(&jobs, workers, self.probe, parent, |_, chunk, local| {
-            for &(near, row) in chunk {
-                match row {
-                    Row::Required(rel) => near.required(rel, local),
-                    Row::Forbidden(rel) => near.forbidden(rel, local),
-                }
-            }
-        }));
+        }
     }
 
     /// The structure rows an insertion is checked against, in report
@@ -279,11 +222,8 @@ impl<'s> IncrementalChecker<'s> {
     /// off pre-existing entries), so no subtree can satisfy another's
     /// required relationships or create a forbidden pair spanning two
     /// deltas — each root's Figure 5 Δ-queries are independent, and the
-    /// whole batch runs as one wave on
-    /// [`workers_for(|∆D|)`](bschema_parallel::workers_for) workers: inline
-    /// for a served write, fanned out for a bulk load. The report equals
-    /// the union of per-root [`check_insertion`] reports against the final
-    /// instance.
+    /// whole batch runs as one wave. The report equals the union of
+    /// per-root [`check_insertion`] reports against the final instance.
     ///
     /// This is Figure 5 as printed — four of its rows join ∆D against a
     /// whole-instance posting list — and the oracle
@@ -337,14 +277,17 @@ impl<'s> IncrementalChecker<'s> {
         let probe = self.probe;
         let root_span = probe.span_start(NO_SPAN, "incremental.check_insertions", 0);
         let mut out = Vec::new();
-        // ∆D, in root-major document order; its size decides the fan-out
-        // of both waves below.
-        let delta: Vec<(EntryId, &Entry)> = near.iter().flat_map(Inserted::entries).collect();
-        let workers = bschema_parallel::workers_for(delta.len());
-
-        // Content schema: only the new entries need checking (§4.2).
+        // Content schema: only the new entries need checking (§4.2), in
+        // root-major document order.
         let span = probe.span_start(root_span, "content_delta", 0);
-        self.content_delta_violations(&delta, workers, span, &mut out);
+        let mut checked = 0;
+        for (id, entry) in near.iter().flat_map(Inserted::entries) {
+            content::check_entry(self.schema, id, entry, &mut out);
+            checked += 1;
+        }
+        if probe.enabled() {
+            probe.add("legality.entries_content_checked", checked);
+        }
         probe.span_end(span);
 
         // Keys (§6.1): only the new entries' values can clash.
@@ -357,14 +300,21 @@ impl<'s> IncrementalChecker<'s> {
         match figure5 {
             None => {
                 let span = probe.span_start(root_span, "structure_scoped", 2);
-                self.structure_scoped_violations(near, workers, span, &mut out);
+                for near in near {
+                    for row in self.rows() {
+                        match row {
+                            Row::Required(rel) => near.required(rel, &mut out),
+                            Row::Forbidden(rel) => near.forbidden(rel, &mut out),
+                        }
+                    }
+                }
                 probe.span_end(span);
             }
             Some(dir) => {
                 let roots: Vec<EntryId> =
                     near.iter().filter_map(|s| s.entries().next().map(|(id, _)| id)).collect();
                 let span = probe.span_start(root_span, "structure_delta", 2);
-                self.structure_delta_violations(dir, &roots, workers, span, &mut out);
+                self.structure_delta_violations(dir, &roots, span, &mut out);
                 probe.span_end(span);
             }
         }

@@ -37,9 +37,8 @@ use super::transaction::SubtreeInsertion;
 use crate::legality::report::Violation;
 use crate::schema::{ClassId, DirectorySchema, ForbidKind, ForbiddenRel, RelKind, RequiredRel};
 
-/// The witness tests of one scoped check over a prepared instance.
-/// Single-threaded by construction: the work is O(depth · log|D|) at
-/// worst, there is nothing to fan out.
+/// The witness tests of one scoped check over a prepared instance: the
+/// work is O(depth · log|D|) at worst.
 pub(super) struct Neighbourhood<'a> {
     schema: &'a DirectorySchema,
     dir: &'a DirectoryInstance,

@@ -5,8 +5,8 @@
 //! The instrumentation sites PR 2 threaded through the legality,
 //! consistency, query, and managed-update engines double as *fault
 //! sites*: every `Probe` call marks a point where real deployments can
-//! fail (an allocation inside a content check, a worker thread dying
-//! mid-chunk, a crash between mutation and verdict). [`FaultPlan`]
+//! fail (an allocation inside a content check, a crash between mutation
+//! and verdict). [`FaultPlan`]
 //! wraps any inner [`Probe`] and panics at a chosen site, which lets
 //! the chaos suite in `crates/workload` drive every reachable site to
 //! failure and assert the atomicity invariant behind Theorem 4.1: a
@@ -14,17 +14,15 @@
 //! instance byte-identical to its pre-transaction snapshot.
 //!
 //! Plans are deterministic: [`FaultPlan::fail_nth`] fires at the Nth
-//! probe event (events are counted in program order wherever the
-//! legality engine runs inline — every check of fewer than two
-//! `bschema_parallel::GRAIN`s of entries), [`FaultPlan::fail_at_site`]
+//! probe event (the engines run each check on the caller's thread, so
+//! events are counted in program order), [`FaultPlan::fail_at_site`]
 //! fires at the k-th visit of a named site, and [`nth_from_seed`] maps
 //! an arbitrary seed to an event ordinal so CI can replay a failure from
 //! its logged seed (within one build: ordinals move when the events an
 //! engine emits change). Every plan
 //! fires **at most once** — after the injected panic is caught and the
-//! operation retried (a fanned-out check degrades a dead worker's chunk
-//! to a retry on the caller's thread), the same site passes, modelling a
-//! transient fault.
+//! operation retried, the same site passes, modelling a transient
+//! fault.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,9 +11,9 @@
 //! *operation counts* behind those bounds first-class: entries
 //! content-checked, Figure 4 queries evaluated and their result sizes,
 //! index reuses through the Cow evaluation path, Δ-queries per Figure 5
-//! row, inference-rule firings, and parallel chunk count/timing.
+//! row, and inference-rule firings.
 //!
-//! Like `bschema-parallel`, the crate is dependency-free. The design
+//! The crate is dependency-free. The design
 //! splits three concerns:
 //!
 //! * [`Probe`] — the instrumentation *interface* the engines call. Every
@@ -22,7 +22,7 @@
 //!   virtual `enabled()` test (predictably false) on the hot paths and
 //!   nothing else.
 //! * [`Tracer`] — hierarchical spans with thread-safe collection.
-//!   Workers on parallel chunks record spans concurrently; the
+//!   Server threads record spans concurrently; the
 //!   reconstructed tree is deterministic regardless of thread count
 //!   because siblings are ordered by a caller-supplied ordinal, not by
 //!   completion time.
@@ -111,8 +111,8 @@ pub trait Probe: std::fmt::Debug + Sync {
 
     /// Opens a span named `name` under `parent` ([`NO_SPAN`] for a
     /// root). `ord` fixes the span's position among its siblings, so
-    /// trees reconstructed from parallel workers are deterministic —
-    /// pass the chunk/job index, not a timestamp.
+    /// trees reconstructed from concurrent threads are deterministic —
+    /// pass the phase or job index, not a timestamp.
     fn span_start(&self, parent: SpanId, name: &'static str, ord: u64) -> SpanId {
         let _ = (parent, name, ord);
         NO_SPAN

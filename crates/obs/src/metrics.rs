@@ -8,7 +8,7 @@
 //! `[2^(i-1), 2^i - 1]` (bucket 0 holds exactly 0), 65 buckets cover the
 //! whole `u64` range, and a quantile is answered by a rank walk over the
 //! bucket counts. The representation is a plain array of counts, so two
-//! histograms recorded by different workers [`merge`](Histogram::merge)
+//! histograms recorded by different threads [`merge`](Histogram::merge)
 //! by element-wise addition, and a sampler can subtract a baseline
 //! ([`Histogram::delta_since`]) to get only the traffic since its last
 //! tick — the delta each server `WATCH` tick carries.

@@ -1,10 +1,10 @@
 //! Hierarchical spans with monotonic timing and thread-safe collection.
 //!
 //! Spans are appended to one mutex-guarded arena; a [`SpanId`] is the
-//! arena index. Parallel workers open spans concurrently, so arena
+//! arena index. Server threads open spans concurrently, so arena
 //! order is nondeterministic — the reconstructed [`tree`](Tracer::tree)
 //! is made deterministic by stable-sorting siblings on the
-//! caller-supplied ordinal (chunk index, phase number, ...), with the
+//! caller-supplied ordinal (phase number, job index, ...), with the
 //! arena sequence only breaking ties among equal ordinals.
 
 use std::sync::Mutex;
@@ -246,26 +246,26 @@ mod tests {
 
     #[test]
     fn tree_is_deterministic_under_concurrent_workers() {
-        // Workers record chunk spans in scheduler order; the ordinal makes
+        // Threads record their spans in scheduler order; the ordinal makes
         // the reconstruction identical across runs and thread counts.
         let expected = {
             let t = Tracer::new();
-            let root = t.start(NO_SPAN, "parallel", 0);
+            let root = t.start(NO_SPAN, "root", 0);
             for i in 0..8u64 {
-                t.end(t.start(root, "chunk", i));
+                t.end(t.start(root, "job", i));
             }
             t.end(root);
             t.tree()[0].shape()
         };
         for _ in 0..4 {
             let t = Tracer::new();
-            let root = t.start(NO_SPAN, "parallel", 0);
+            let root = t.start(NO_SPAN, "root", 0);
             let ords: Vec<u64> = (0..8).collect();
             std::thread::scope(|scope| {
                 for &i in &ords {
                     let t = &t;
                     scope.spawn(move || {
-                        let s = t.start(root, "chunk", i);
+                        let s = t.start(root, "job", i);
                         t.end(s);
                     });
                 }

@@ -10,34 +10,7 @@ pub use explain::{explain, Explain, ExplainNode};
 pub use interval::evaluate;
 pub use naive::evaluate_naive;
 
-use crate::algebra::Query;
 use bschema_directory::{DirectoryInstance, EntryId};
-
-/// Evaluates independent queries over one shared context, returning the
-/// result lists in query order (each exactly what [`evaluate`] returns).
-///
-/// The queries share the instance's sorted-entry index — built once by
-/// [`prepare`](DirectoryInstance::prepare) — rather than re-deriving
-/// per-query entry lists, and are fanned out over `workers` workers
-/// (`<= 1`: inline on the caller's thread). The caller derives `workers`
-/// from the size of the instance (`bschema_parallel::workers_for`).
-pub fn evaluate_batch(
-    ctx: &EvalContext<'_>,
-    queries: &[Query],
-    workers: usize,
-) -> Vec<Vec<EntryId>> {
-    let probe = ctx.probe();
-    if !probe.enabled() {
-        return bschema_parallel::par_map(queries, workers, |q| evaluate(ctx, q));
-    }
-    bschema_parallel::par_flat_map_chunks_indexed(queries, workers, |_, chunk| {
-        let chunk_start = std::time::Instant::now();
-        let out: Vec<Vec<EntryId>> = chunk.iter().map(|q| evaluate(ctx, q)).collect();
-        probe.add("parallel.chunks", 1);
-        probe.observe("parallel.chunk_us", chunk_start.elapsed().as_micros() as u64);
-        out
-    })
-}
 
 /// Evaluation context: a prepared instance plus the optional update-delta
 /// subtree that `Binding::Delta` selections range over, and a probe that

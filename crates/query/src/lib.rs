@@ -50,9 +50,7 @@ pub mod result;
 pub mod search;
 
 pub use algebra::{Binding, Query};
-pub use eval::{
-    evaluate, evaluate_batch, evaluate_naive, explain, EvalContext, Explain, ExplainNode,
-};
+pub use eval::{evaluate, evaluate_naive, explain, EvalContext, Explain, ExplainNode};
 pub use filter::Filter;
 pub use filter_parser::{
     parse_filter, parse_filter_limited, FilterParseError, DEFAULT_FILTER_DEPTH,

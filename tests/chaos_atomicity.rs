@@ -20,7 +20,6 @@ use bschema_core::updates::Transaction;
 use bschema_directory::Entry;
 use bschema_faults::FaultPlan;
 use bschema_obs::{Probe, SpanId, NO_SPAN};
-use bschema_parallel::{available_threads, workers_for, GRAIN};
 use bschema_workload::chaos::{run_chaos, run_once, ChaosConfig, ChaosWorkload};
 use bschema_workload::{OrgGenerator, OrgParams, TxGenerator, TxParams};
 
@@ -31,15 +30,14 @@ fn chaos_seed() -> u64 {
     }
 }
 
-/// The full campaign on served-size transactions (every ∆D runs inline on
-/// the caller's thread): one fail-nth run per injectable event.
-/// Every fault either aborts a transaction (verified atomic by the
+/// The full campaign on served-size transactions: one fail-nth run per
+/// injectable event. Every fault either aborts a transaction (verified atomic by the
 /// driver) or is absorbed; injection count proves full event coverage.
 #[test]
 fn chaos_campaign_sequential_covers_every_event() {
     let cfg = ChaosConfig { seed: chaos_seed(), ..ChaosConfig::default() };
     let report = run_chaos(&cfg);
-    eprintln!("chaos(seed={:#x}, inline): {report:?}", cfg.seed);
+    eprintln!("chaos(seed={:#x}, served): {report:?}", cfg.seed);
 
     // fail_nth(n) leaves events 0..n untouched, so event n always fires:
     // exactly one injection per run.
@@ -66,13 +64,15 @@ fn chaos_campaign_sequential_covers_every_event() {
     }
 }
 
-/// The bulk workload: one TXN inserting a unit of 2 × `GRAIN` entries —
-/// the smallest ∆D whose two check waves fan out over a second worker,
-/// on a host that has one — and one TXN deleting those entries again.
+/// Entries the bulk insertion adds: far more than any served write.
+const BULK: usize = 8_192;
+
+/// The bulk workload: one TXN inserting a unit of [`BULK`] entries, and
+/// one TXN deleting those entries again.
 fn bulk_workload(seed: u64) -> ChaosWorkload {
     let schema = white_pages_schema();
     let org = OrgGenerator::new(OrgParams { seed, ..OrgParams::sized(40) }).generate();
-    let insert = TxGenerator::new(TxParams { subtree_size: 2 * GRAIN, seed }).legal_insertion(&org);
+    let insert = TxGenerator::new(TxParams { subtree_size: BULK, seed }).legal_insertion(&org);
     let mut reference = ManagedDirectory::with_instance(schema.clone(), org.dir.clone())
         .expect("generated org is legal");
     reference.apply(&insert).expect("bulk insertion is legal");
@@ -80,20 +80,19 @@ fn bulk_workload(seed: u64) -> ChaosWorkload {
     for (id, _) in reference.instance().iter().filter(|&(id, _)| !org.dir.contains(id)) {
         delete.delete(id);
     }
-    assert_eq!(delete.len(), 2 * GRAIN);
+    assert_eq!(delete.len(), BULK);
     ChaosWorkload { schema, base: org.dir, txs: vec![insert, delete] }
 }
 
-/// The campaign on the bulk insertion, where the engine fans out: one
-/// fail-nth run per injectable event, worker-thread events included.
-/// A fault either aborts the TXN — instance byte-identical to the base —
-/// or is absorbed and the TXN commits the fault-free state; one that
-/// lands inside a worker is always absorbed (the sequential retry).
-/// Journal recovery under faults is the inline campaign's and
-/// `worker_fault_degrades_to_sequential_retry`'s business: a full driver
-/// run costs a second on 8k entries, this loop makes one per event.
+/// The campaign on the bulk insertion: one fail-nth run per injectable
+/// event. A fault either aborts the TXN — instance byte-identical to the
+/// base — or is absorbed and the TXN commits the fault-free state.
+/// Journal recovery under faults is the served-size campaign's and
+/// `a_content_fault_aborts_the_bulk_insertion_atomically`'s business: a
+/// full driver run costs a second on 8k entries, this loop makes one per
+/// event.
 #[test]
-fn chaos_campaign_parallel_engine() {
+fn chaos_campaign_bulk_transaction() {
     bschema_faults::silence_injected_panics();
     let w = bulk_workload(chaos_seed() ^ 0xA11E1);
     let base_bytes = w.base.canonical_bytes();
@@ -109,12 +108,6 @@ fn chaos_campaign_parallel_engine() {
     let observer = Arc::new(FaultPlan::observer());
     let (outcome, committed_bytes) = run(&observer);
     outcome.expect("the bulk insertion is legal");
-    // Two fan-out sites (content wave, Δ-query wave), `workers` chunks at
-    // each; everything recorded at these three sites happens in a chunk.
-    let workers = workers_for(2 * GRAIN) as u64;
-    let sites = observer.sites();
-    assert_eq!(sites.get("parallel.chunks"), Some(&(2 * workers)), "{sites:?}");
-    let in_chunks = sites["span:chunk"] + sites["parallel.chunks"] + sites["parallel.chunk_us"];
 
     let (mut injected, mut survived, mut aborted) = (0, 0, 0);
     for event in 0..observer.events() {
@@ -132,32 +125,27 @@ fn chaos_campaign_parallel_engine() {
         }
         injected += plan.injected();
     }
-    eprintln!("chaos(bulk, {workers} worker(s)): {injected} injected, {survived} survived");
+    eprintln!("chaos(bulk): {injected} injected, {aborted} aborted, {survived} survived");
     assert_eq!(injected, observer.events(), "every event index must inject exactly once");
-    assert!(aborted > 0, "faults on the caller's thread must abort the TXN");
+    assert!(aborted > 0, "faults before the verdict must abort the TXN");
     assert!(survived > 0, "post-verdict probe faults must be absorbed");
-    if workers > 1 {
-        assert!(survived >= in_chunks, "worker faults must be absorbed: {survived} < {in_chunks}");
-    }
 }
 
-/// A fault pinned at `parallel.chunks` while the bulk insertion is being
-/// checked: inside a worker it is absorbed — the chunk is retried on the
-/// caller's thread and the TXN commits; where the host has one core the
-/// chunk *is* the caller's thread, and the TXN aborts atomically instead.
+/// A fault pinned at `legality.entries_content_checked` while the bulk
+/// insertion is being checked aborts that TXN (`ManagedError::Panicked`)
+/// and leaves the base's bytes — on every host, since the check runs on
+/// the caller's thread. The fault is transient: the insertion, retried,
+/// commits, and so does the delete TXN after it.
 #[test]
-fn worker_fault_degrades_to_sequential_retry() {
+fn a_content_fault_aborts_the_bulk_insertion_atomically() {
     bschema_faults::silence_injected_panics();
-    let w = bulk_workload(chaos_seed());
-    let plan = Arc::new(FaultPlan::fail_at_site("parallel.chunks", 0));
+    let mut w = bulk_workload(chaos_seed());
+    w.txs.insert(1, w.txs[0].clone());
+    let plan = Arc::new(FaultPlan::fail_at_site("legality.entries_content_checked", 0));
     let stats = run_once(&w, &plan);
-    assert_eq!(plan.injected(), 1, "the chunk fault must fire");
-    if available_threads() > 1 {
-        assert_eq!(stats.panicked, 0, "a worker fault must be absorbed, not abort the TXN");
-        assert_eq!(stats.applied, 2);
-    } else {
-        assert_eq!((stats.panicked, stats.applied), (1, 1), "inline fault aborts one TXN");
-    }
+    assert_eq!(plan.injected(), 1, "the content fault must fire");
+    assert_eq!((stats.panicked, stats.applied, stats.rejected), (1, 2, 0));
+    assert_eq!(stats.final_state, w.base.canonical_bytes());
 }
 
 /// Fault-injection sweep over the ◇∅ consistency engine: every injected

@@ -2,11 +2,9 @@
 //!
 //! Independent routes to a report must agree on every randomized input:
 //!
-//! * [`LegalityChecker::check`] — the one engine, its fan-out derived
-//!   from |D|,
-//! * the same engine held at 1, 2 and 5 workers through the module-level
-//!   [`legality::check_instance`] — required to be *byte-identical* (same
-//!   violations, same order), with and without a recording probe, and
+//! * [`LegalityChecker::check`] — the one engine, required to be
+//!   *byte-identical* (same violations, same order) with and without a
+//!   recording probe, and
 //! * the **naive** traversal baseline (`legality/naive.rs`, Definition
 //!   2.7's content check entry by entry, no cache) — required to agree up
 //!   to ordering ([`LegalityReport::normalized`]).
@@ -36,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bschema_core::consistency::build_witness;
-use bschema_core::legality::{self, LegalityChecker, LegalityReport, Violation};
+use bschema_core::legality::{LegalityChecker, LegalityReport, Violation};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_schema, white_pages_schema_builder};
 use bschema_core::schema::{DirectorySchema, ForbidKind, RelKind};
@@ -52,10 +50,6 @@ use bschema_workload::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Worker counts the engine is held at: inline, a couple, an odd count
-/// larger than most inputs' chunk counts.
-const WORKER_COUNTS: [usize; 3] = [1, 2, 5];
-
 /// Asserts every route produces the same report for (schema, dir) — with
 /// and without an instrumentation probe attached. Returns the agreed
 /// verdict.
@@ -65,19 +59,6 @@ fn engines_agree(schema: &DirectorySchema, dir: &DirectoryInstance, label: &str)
     let recorder = bschema_obs::Recorder::new();
     let probed = LegalityChecker::new(schema).with_probe(&recorder).check(dir);
     assert_eq!(derived, probed, "{label}: instrumented report differs from no-op-probe report");
-    for workers in WORKER_COUNTS {
-        let held = legality::check_instance(schema, dir, false, workers, bschema_obs::noop());
-        assert_eq!(
-            derived, held,
-            "{label}: report at {workers} worker(s) differs from the derived fan-out's.\n\
-             derived: {derived}\nheld: {held}"
-        );
-        let held_probed = legality::check_instance(schema, dir, false, workers, &recorder);
-        assert_eq!(
-            derived, held_probed,
-            "{label}: instrumented report at {workers} worker(s) differs"
-        );
-    }
     let naive = LegalityChecker::new(schema).check_naive(dir).normalized();
     let normalized = derived.clone().normalized();
     assert_eq!(
@@ -246,16 +227,18 @@ fn transactions_all_engines_agree() {
         let a_probed =
             apply_and_check_probed(&schema, &mut d_probed, &tx, &recorder).expect("valid tx");
 
-        // The probe changes nothing, and a served-size Δ runs inline.
+        // The probe changes nothing, and every insertion is checked in
+        // one wave.
         assert_eq!(a_batch.report, a_probed.report, "round {round}: probe perturbed the report");
         assert_eq!(a_batch.inserted_roots, a_probed.inserted_roots, "round {round}");
         assert_eq!(a_batch.removed.len(), a_probed.removed.len(), "round {round}");
         assert_eq!(a_steps.inserted_roots, a_batch.inserted_roots, "round {round}");
-        let sites = u64::from(!a_batch.inserted_roots.is_empty()) * 2;
+        let tree = recorder.tracer().tree();
+        let waves = tree.iter().filter(|root| root.name == "incremental.check_insertions").count();
         assert_eq!(
-            recorder.metrics().counter("parallel.chunks"),
-            sites,
-            "round {round}: inline chunks"
+            waves,
+            usize::from(!a_batch.inserted_roots.is_empty()),
+            "round {round}: insertion waves"
         );
 
         // Every route's verdict equals a from-scratch recheck.

@@ -1,6 +1,6 @@
 //! Instrumentation-layer tests: the probe counters must match
 //! hand-computed operation counts on the paper's Figure 1–3 fixtures, and
-//! span trees must be deterministic across runs and worker counts.
+//! span trees must follow the order the checks report in.
 //!
 //! Counter ↔ paper mapping (see DESIGN.md):
 //! * `legality.structure_queries` / `query.evaluated` — the Figure 4
@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use bschema_core::consistency::ConsistencyChecker;
 use bschema_core::engine::Op;
-use bschema_core::legality::{self, translate, LegalityChecker};
+use bschema_core::legality::{translate, LegalityChecker};
 use bschema_core::managed::{ManagedDirectory, ManagedError};
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
 use bschema_core::updates::{IncrementalChecker, Transaction};
@@ -49,45 +49,11 @@ fn full_check_counters_match_hand_computed_values() {
     // 2 orgUnits, 3 persons = 6 hits); every violation query is empty.
     assert_eq!(sizes.sum(), 6);
 
-    // Six entries are far below one grain, so both fan-out sites (the
-    // content pass, the structure batch) ran as one inline chunk each.
-    assert_eq!(m.counter("parallel.chunks"), 2);
-    assert_eq!(m.histogram("parallel.chunk_us").expect("chunk timings").count(), 2);
-
-    // The content pass shows its one chunk; `keys` has no fan-out site and
-    // none is invented for it.
+    // The pass runs once, on the caller's thread: content, keys, then the
+    // structure queries, each a leaf span.
     let tree = recorder.tracer().tree();
     assert_eq!(tree.len(), 1);
-    assert_eq!(tree[0].shape(), "legality.check(content(chunk),keys,structure)");
-}
-
-#[test]
-fn parallel_chunk_metrics_and_deterministic_span_tree() {
-    let schema = white_pages_schema();
-    let (dir, _) = white_pages_instance();
-    let mut shapes = Vec::new();
-    for _ in 0..3 {
-        let recorder = Recorder::new();
-        // The engine held at four workers (`LegalityChecker::check`
-        // would derive one for six entries).
-        let report = legality::check_instance(&schema, &dir, false, 4, &recorder);
-        assert!(report.is_legal());
-
-        let m = recorder.metrics();
-        // 6 entries over 4 workers → ⌈6/4⌉ = 2 per chunk → 3 content
-        // chunks; the 9 structure queries batch the same way → 3 chunks.
-        assert_eq!(m.counter("parallel.chunks"), 6);
-        assert_eq!(m.histogram("parallel.chunk_us").expect("chunk timings").count(), 6);
-        // Same verdict-relevant counters as the inline run.
-        assert_eq!(m.counter("legality.entries_content_checked"), 6);
-        assert_eq!(m.counter("legality.structure_queries"), 9);
-
-        shapes.push(recorder.tracer().tree()[0].shape());
-    }
-    // Chunk spans are ordered by chunk index, not completion time, so the
-    // reconstructed tree is identical on every run.
-    assert_eq!(shapes[0], "legality.check(content(chunk,chunk,chunk),keys,structure)");
-    assert!(shapes.iter().all(|s| *s == shapes[0]), "{shapes:?}");
+    assert_eq!(tree[0].shape(), "legality.check(content,keys,structure)");
 }
 
 #[test]
@@ -182,14 +148,14 @@ fn insertion_counts_figure5_delta_queries_per_row() {
 
     let tree = recorder.tracer().tree();
     let shapes: Vec<String> = tree.iter().map(|n| n.shape()).collect();
-    // Each Δ-query evaluated inside the structure chunk gets its own row
-    // span, named for its Figure 5 row, in structure-schema order — the
-    // same per-row census the counters above pin.
+    // Each Δ-query gets its own row span under the structure wave, named
+    // for its Figure 5 row, in structure-schema order — the same per-row
+    // census the counters above pin.
     assert!(
         shapes.contains(
-            &"incremental.check_insertions(content_delta(chunk),keys,structure_delta(chunk(\
+            &"incremental.check_insertions(content_delta,keys,structure_delta(\
               require_descendant,require_parent,require_ancestor,require_parent,forbid_child,\
-              forbid_child)))"
+              forbid_child))"
                 .to_owned()
         ),
         "{shapes:?}"

@@ -21,13 +21,13 @@ use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimi
 /// guard (`managed.apply`), the index's `prepare()` and the incremental
 /// check land as siblings of the `service.*` stages, in recording order.
 /// The check is Figure 5′'s: the structure rows are answered from the
-/// new entry's neighbourhood in one chunk, with no Figure 4 Δ-query. It
-/// runs on the published instance, before anything is copied: only the
-/// legal verdict's copy is `prepare()`d.
+/// new entry's neighbourhood, with no Figure 4 Δ-query. It runs on the
+/// published instance, before anything is copied: only the legal
+/// verdict's copy is `prepare()`d.
 const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,service.tx_build,\
-                         managed.apply,incremental.check_insertions(content_delta(chunk),keys,\
-                         structure_scoped(chunk)),instance.prepare,journal.begin,\
-                         journal.commit,service.publish)";
+                         managed.apply,incremental.check_insertions(content_delta,keys,\
+                         structure_scoped),instance.prepare,journal.begin,journal.commit,\
+                         service.publish)";
 
 /// The span tree of a committed `MODIFY` adding one attribute value: the
 /// same engine sequence as a `TXN`, with the per-entry modification
@@ -37,9 +37,7 @@ const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,insta
                             service.publish)";
 
 /// A traced white-pages service: metered into one registry, one flight
-/// recorder for span trees. (Chunk spans cannot depend on the
-/// host's core count: a one-entry ∆D is one inline chunk by
-/// construction.)
+/// recorder for span trees.
 fn traced_service() -> (Arc<DirectoryService>, Arc<FlightRecorder>, Arc<MetricsRegistry>) {
     let (dir, _) = white_pages_instance();
     let managed =
