@@ -40,7 +40,8 @@
 //! Every shard is a journaled [`ManagedDirectory`]: the router decides
 //! *which* shards and in *what order*, and the one write-ahead driver
 //! runs the sequence across them — the same driver a one-directory write
-//! runs — with every site on the router's probe.
+//! runs — with every site on the caller's probe, and hands the caller the
+//! installed versions before the shard locks are released.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -535,9 +536,10 @@ impl ShardedDirectory {
         self.epoch.read().unwrap_or_else(|e| e.into_inner()).required.clone()
     }
 
-    /// Total entry count across shards.
+    /// Total entry count across shards, read under every shard lock so
+    /// a cross-shard commit is counted whole or not at all.
     pub fn len(&self) -> usize {
-        (0..self.slots.len()).map(|k| self.with_shard(k, ManagedDirectory::len)).sum()
+        self.lock_all().iter().map(|engine| engine.len()).sum()
     }
 
     /// True when every shard is empty.
@@ -546,14 +548,14 @@ impl ShardedDirectory {
     }
 
     /// Whole-directory §3 legality: every shard legal under the local
-    /// schema, plus a positive ledger count for every `◇c ∈ Cr`.
+    /// schema, plus a positive ledger count for every `◇c ∈ Cr` — one
+    /// cut, the ledger read after every shard lock (shards-then-ledger).
     pub fn is_legal(&self) -> bool {
         let required = self.required();
-        let counts_ok = {
-            let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
-            required.iter().all(|name| counts.get(name).copied().unwrap_or(0) > 0)
-        };
-        counts_ok && (0..self.slots.len()).all(|k| self.with_shard(k, ManagedDirectory::is_legal))
+        let guards = self.lock_all();
+        let counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
+        required.iter().all(|name| counts.get(name).copied().unwrap_or(0) > 0)
+            && guards.iter().all(|engine| engine.is_legal())
     }
 
     /// Runs `f` on shard `k`'s engine under that shard's lock — a
@@ -598,11 +600,23 @@ impl ShardedDirectory {
         }
     }
 
+    /// [`commit_ldif`](Self::commit_ldif) on the router's probe, publishing nowhere.
+    pub fn apply_ldif(&self, records: Vec<LdifRecord>) -> Result<ShardedTxOutcome, ManagedError> {
+        self.commit_ldif(records, self.probe(), |_| {})
+    }
+
     /// Applies one LDIF transaction: records are routed per shard by
     /// root RDN, decoded into per-shard transactions, vetted against
-    /// the `◇c` ledger, and applied — one locked shard on the fast
-    /// path, a 2-phase apply across all involved shards otherwise.
-    pub fn apply_ldif(&self, records: Vec<LdifRecord>) -> Result<ShardedTxOutcome, ManagedError> {
+    /// the `◇c` ledger, and applied on `probe` — one locked shard on the
+    /// fast path, a 2-phase apply across all involved shards otherwise.
+    /// A commit hands `publish` each touched shard's new version while
+    /// their locks are held (lock order: shards, then what it takes).
+    pub fn commit_ldif(
+        &self,
+        records: Vec<LdifRecord>,
+        probe: &dyn Probe,
+        publish: impl FnOnce(&[(usize, Arc<DirectoryInstance>)]),
+    ) -> Result<ShardedTxOutcome, ManagedError> {
         // Pin this transaction's `Cr` view before taking shard locks
         // (the epoch-before-shards lock order): a concurrent cutover
         // holds every shard lock, so the epoch cannot change while this
@@ -639,13 +653,26 @@ impl ShardedDirectory {
             subtxs.push(tx);
         }
 
-        self.admitted(&delta, || match &mut guards[..] {
-            // Fast path: one shard, the ordinary journaled apply.
-            [(k, engine)] => engine
-                .apply_op(Op::Tx { tx: &subtxs[0], global: None }, self.probe())
-                .map(|_counted| ShardedTxOutcome { shards: vec![*k], gid: None, ops }),
-            _ => self.apply_cross(&mut guards, &subtxs, ops),
-        })
+        let outcome = self.admitted(&delta, || {
+            // One shard is the ordinary journaled apply; more, the 2-phase
+            // apply, each part stamped with one fresh global id and the peer
+            // count for recovery's all-peers reconciliation of a torn commit.
+            let shards = guards.iter().map(|(k, _)| *k).collect();
+            let peers = guards.len() as u64;
+            let gid = (peers > 1).then(|| self.next_gid.fetch_add(1, Ordering::Relaxed));
+            let global = gid.map(|gid| (gid, peers));
+            let mut parts: Vec<_> = guards
+                .iter_mut()
+                .zip(&subtxs)
+                .map(|((_, engine), tx)| (&mut **engine, Op::Tx { tx, global }))
+                .collect();
+            let _counted = ManagedDirectory::apply_all(&mut parts, probe)?;
+            Ok(ShardedTxOutcome { shards, gid, ops })
+        })?;
+        publish(
+            &guards.iter().map(|(k, engine)| (*k, engine.shared_instance())).collect::<Vec<_>>(),
+        );
+        Ok(outcome)
     }
 
     /// `◇c` admission around an apply: reject any transaction that would
@@ -666,6 +693,11 @@ impl ShardedDirectory {
         outcome
     }
 
+    /// [`commit_modify`](Self::commit_modify) on the router's probe, publishing nowhere.
+    pub fn modify_dn(&self, dn: &Dn, mods: &[Mod]) -> Result<ShardedTxOutcome, ManagedError> {
+        self.commit_modify(dn, mods, self.probe(), |_| {})
+    }
+
     /// Applies an LDAP Modify to the entry named `dn`. A Modify targets
     /// exactly one DN, and the target's top-level subtree pins it — and
     /// every structural consequence (Theorem 4.1 locality) — to one
@@ -675,8 +707,15 @@ impl ShardedDirectory {
     /// [`Mod`], `commit`). A modification can move
     /// the entry in or out of a required class via its `objectClass`
     /// values, so the `◇c` ledger sees the simulated class delta before
-    /// admission, exactly like insert/delete routing.
-    pub fn modify_dn(&self, dn: &Dn, mods: &[Mod]) -> Result<ShardedTxOutcome, ManagedError> {
+    /// admission, exactly like insert/delete routing. `probe` and
+    /// `publish` as for [`commit_ldif`](Self::commit_ldif).
+    pub fn commit_modify(
+        &self,
+        dn: &Dn,
+        mods: &[Mod],
+        probe: &dyn Probe,
+        publish: impl FnOnce(&[(usize, Arc<DirectoryInstance>)]),
+    ) -> Result<ShardedTxOutcome, ManagedError> {
         let required = self.required();
         let k = self.shard_of_dn(dn);
         let mut engine = self.lock_slot(k);
@@ -695,10 +734,12 @@ impl ShardedDirectory {
             // A class the entry keeps must not reserve anything.
             delta.retain(|_, net| *net != 0);
         }
-        self.admitted(&delta, || {
-            let _counted = engine.apply_op(Op::Modify { target, mods }, self.probe())?;
+        let outcome = self.admitted(&delta, || {
+            let _counted = engine.apply_op(Op::Modify { target, mods }, probe)?;
             Ok(ShardedTxOutcome { shards: vec![k], gid: None, ops: mods.len() })
-        })
+        })?;
+        publish(&[(k, engine.shared_instance())]);
+        Ok(outcome)
     }
 
     /// Atomically cuts every shard over to the evolved `target` schema.
@@ -792,30 +833,6 @@ impl ShardedDirectory {
                 *counts.entry(name.clone()).or_insert(0) -= net;
             }
         }
-    }
-
-    /// Cross-shard 2-phase apply: every involved shard's part, stamped
-    /// with one fresh global id and the peer count, through the engine's
-    /// one driver ([`ManagedDirectory::apply_all`]) with every site on
-    /// the router's probe. An error or panic before the installs
-    /// leaves every shard as it was; a torn commit flush is repaired at
-    /// recovery by the all-peers reconciliation.
-    fn apply_cross(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, ManagedDirectory>)],
-        subtxs: &[Transaction],
-        ops: usize,
-    ) -> Result<ShardedTxOutcome, ManagedError> {
-        let gid = self.next_gid.fetch_add(1, Ordering::Relaxed);
-        let global = Some((gid, guards.len() as u64));
-        let shards = guards.iter().map(|(k, _)| *k).collect();
-        let mut parts: Vec<_> = guards
-            .iter_mut()
-            .zip(subtxs)
-            .map(|((_, engine), tx)| (&mut **engine, Op::Tx { tx, global }))
-            .collect();
-        let _counted = ManagedDirectory::apply_all(&mut parts, self.probe())?;
-        Ok(ShardedTxOutcome { shards, gid: Some(gid), ops })
     }
 }
 

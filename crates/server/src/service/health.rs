@@ -154,9 +154,9 @@ impl DirectoryService {
 
         // Per-shard signal groups — the same pinned signal set whatever
         // the backend, so `HEALTH` consumers need no shape switch.
-        for k in 0..self.shards() {
+        for (k, version) in self.cut().iter().enumerate() {
             let (records, bytes) = self.with_engine(k, ManagedDirectory::journal_stats);
-            let entries = self.shard_snapshot(k).len();
+            let entries = version.len();
             let swap = self.last_swap_us[k].load(Ordering::Relaxed);
             let age_s = now_us.saturating_sub(swap) as f64 / 1e6;
             let shard_count = |family| {

@@ -3,24 +3,24 @@
 //! [`DirectoryService`] is the concurrency layer of the server: it wraps
 //! one journaled [`ManagedDirectory`] so that
 //!
-//! * **reads** (`SEARCH`) are served from an immutable snapshot — an
-//!   `Arc<DirectoryInstance>` cloned out of an `RwLock` in O(1), after
-//!   which the search runs with **no lock held**; the snapshot is the
-//!   very version the engine holds live, published without a copy, and
+//! * **reads** (`SEARCH`) are served from the published **cut** — one
+//!   `Arc<DirectoryInstance>` per shard, cloned out of one `RwLock` in
+//!   O(1), after which the search runs with **no lock held**; each is the
+//!   version its engine holds live, published without a copy, and
 //! * **writes** (`TXN`, `MODIFY`, `SCHEMA COMMIT`) are serialized
 //!   through a single mutex around the directory's one write-ahead driver
 //!   ([`ManagedDirectory::apply_op`]: guarded apply on a copy → begin →
-//!   commit → install, reporting to the request's probe), with the snapshot swapped only after the
+//!   commit → install, reporting to the request's probe), with the cut swapped only after the
 //!   transaction has been certified legal and committed.
 //!
 //! Readers therefore observe a sequence of complete, legal instances —
 //! either the pre-transaction or the post-transaction state, never a
 //! partially applied one. That holds even when a write worker panics
 //! mid-transaction: the engine's `apply_op` drops the copy it ran on, the
-//! snapshot is only swapped after success, and both locks are
-//! recovered from poisoning (`into_inner`), so the next writer proceeds
-//! against an intact instance. This is the paper's §4 atomicity contract
-//! lifted to a shared, concurrent frontend.
+//! cut is only swapped after success, and every lock is recovered from
+//! poisoning (`into_inner`), so the next writer proceeds against an
+//! intact instance. This is the paper's §4 atomicity contract lifted to
+//! a shared, concurrent frontend.
 //!
 //! ## The sharded backend
 //!
@@ -32,12 +32,13 @@
 //! writes to distinct shards commit concurrently; a cross-shard
 //! transaction goes through the router's 2-phase apply (prepare on every
 //! involved shard, then commit everywhere or roll back everywhere).
-//! Each shard publishes its **own** snapshot: readers still only ever
-//! observe complete, §3-legal states, and an unscoped search simply
-//! fans out over the per-shard snapshots in shard order. The read side
-//! is the same code on both backends — a `Vec` of snapshots, of length
-//! one on the single engine — and the private `Backend` enum survives
-//! only to route the write verbs and `SHIP`.
+//! A commit replaces the **one** cut once, with every touched shard's new
+//! version, while the router still holds their locks (lock order: shard
+//! locks, then the cut); a reader takes the cut's lock once, so a search
+//! fans out over one cut in shard order and sees a cross-shard commit
+//! whole or not at all. The read side is the same code on both backends
+//! — a cut of length one on the single engine — and the private
+//! `Backend` enum survives only to route the write verbs and `SHIP`.
 //!
 //! This file holds the type, its construction and the helpers every
 //! plane shares; each plane (read, write, schema, ship, health) is one
@@ -133,7 +134,7 @@ impl From<ManagedError> for ServiceError {
 /// mutex; the sharded backend is a [`ShardedDirectory`], which routes
 /// each write to the shards owning its top-level subtrees (Theorem 4.1
 /// boundaries) and locks only those. Everything a reader touches lives
-/// in [`DirectoryService::snapshots`], not here.
+/// in [`DirectoryService::cut`], not here.
 // One per service, never moved around: boxing a variant buys nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
@@ -181,13 +182,13 @@ impl Probe for InFront {
 }
 
 /// The shared, thread-safe directory service. See the module docs for
-/// the snapshot/write-lock protocol.
+/// the cut/write-lock protocol.
 #[derive(Debug)]
 pub struct DirectoryService {
     backend: Backend,
-    /// One published read snapshot per shard (exactly one on the single
-    /// backend): what every read verb sees.
-    snapshots: Vec<RwLock<Arc<DirectoryInstance>>>,
+    /// The published cut, one version per shard (exactly one on the
+    /// single backend): what every read verb sees, behind one lock.
+    cut: RwLock<Arc<[Arc<DirectoryInstance>]>>,
     /// Whether a journal is attached — without one there is nothing to
     /// checkpoint or ship.
     journaled: bool,
@@ -242,7 +243,7 @@ fn lock_unpoisoned<T>(lock: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl DirectoryService {
-    /// Wraps a managed directory. The initial snapshot is the current
+    /// Wraps a managed directory. The initial cut is the current
     /// instance.
     pub fn new(managed: ManagedDirectory) -> Self {
         Self::from_backend(Backend::Single(Mutex::new(managed)), 1)
@@ -263,10 +264,9 @@ impl DirectoryService {
     }
 
     fn from_backend(backend: Backend, shards: usize) -> Self {
-        let empty = Arc::new(DirectoryInstance::new(Default::default()));
         let mut service = DirectoryService {
             backend,
-            snapshots: (0..shards).map(|_| RwLock::new(empty.clone())).collect(),
+            cut: RwLock::new(Arc::from([])),
             journaled: false,
             since_checkpoint: AtomicU64::new(0),
             probe: Arc::new(bschema_obs::NoopProbe),
@@ -283,14 +283,14 @@ impl DirectoryService {
             evolution: Mutex::new(None),
             schema_epoch: AtomicU64::new(0),
         };
-        service.refresh_snapshots();
+        service.refresh_cut();
         service
     }
 
     /// Number of write shards behind this service (1 for the classic
     /// single-engine backend).
     pub fn shards(&self) -> usize {
-        self.snapshots.len()
+        self.sharded().map_or(1, ShardedDirectory::shards)
     }
 
     /// The sharded router, when there is one.
@@ -318,13 +318,10 @@ impl DirectoryService {
         self.with_engine(k, ManagedDirectory::shared_instance)
     }
 
-    /// Re-derives every read snapshot from the engines — at boot and
-    /// after recovery replaced them. Not a commit: nothing is counted.
-    fn refresh_snapshots(&mut self) {
-        for k in 0..self.shards() {
-            let next = self.live_instance(k);
-            *self.snapshots[k].get_mut().unwrap_or_else(|e| e.into_inner()) = next;
-        }
+    /// Re-derives the cut from the engines — at boot and after recovery
+    /// replaced them. Not a commit: nothing is counted.
+    fn refresh_cut(&mut self) {
+        self.cut = RwLock::new((0..self.shards()).map(|k| self.live_instance(k)).collect());
     }
 
     /// Replaces the resource limits.
@@ -477,7 +474,7 @@ impl DirectoryService {
         // baseline). Every shard journals its own copy of each schema
         // record, so shard 0 stands in for the family.
         self.schema_epoch.store(reports[0].schema_cutovers as u64, Ordering::SeqCst);
-        self.refresh_snapshots();
+        self.refresh_cut();
         Ok((self, reports.iter().map(|r| r.replayed).sum()))
     }
 
@@ -498,7 +495,11 @@ mod tests {
     use bschema_core::journal::shard_journal_path;
     use bschema_core::paper::{white_pages_instance, white_pages_schema};
     use bschema_core::updates::Mod;
+    use bschema_directory::Dn;
     use bschema_query::SearchScope;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn service() -> DirectoryService {
         let (dir, _) = white_pages_instance();
@@ -625,6 +626,77 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code, "rolled-back");
         assert_eq!(svc.snapshot().canonical_bytes(), before);
+    }
+
+    /// Parks the first cross-shard commit at its first shard swap counter
+    /// — after the commit published, before it returns and releases its
+    /// shard locks — until the test lets it go.
+    #[derive(Debug)]
+    struct ParkAtFirstSwap {
+        prepared: AtomicBool,
+        parked: Mutex<Option<mpsc::Sender<()>>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Probe for ParkAtFirstSwap {
+        fn add(&self, key: &str, _: u64) {
+            if key == bschema_obs::names::PREPARED {
+                self.prepared.store(true, Ordering::SeqCst);
+            }
+        }
+
+        fn add_labeled(&self, key: &str, _: &str, _: u64) {
+            if key != "server.shard_snapshot_swap" || !self.prepared.swap(false, Ordering::SeqCst) {
+                return;
+            }
+            if let Some(parked) = lock_unpoisoned(&self.parked).take() {
+                let _ = parked.send(());
+                let _ = lock_unpoisoned(&self.release).recv_timeout(Duration::from_secs(10));
+            }
+        }
+    }
+
+    #[test]
+    fn a_reader_never_sees_half_of_a_cross_shard_commit() {
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let probe = Arc::new(ParkAtFirstSwap {
+            prepared: AtomicBool::new(false),
+            parked: Mutex::new(Some(parked_tx)),
+            release: Mutex::new(release_rx),
+        });
+        let base = bschema_workload::multi_org_base(4, 12, 7);
+        let svc = DirectoryService::new_sharded(white_pages_schema(), base, 4).unwrap();
+        let svc = Arc::new(svc.with_probe(probe));
+        let (a, b) = orgs_on_distinct_shards(4);
+        let writer = {
+            let (svc, pair) = (
+                svc.clone(),
+                format!("{}\n{}", person_ldif("half1", &a), person_ldif("half2", &b)),
+            );
+            std::thread::spawn(move || svc.apply_ldif_tx(&pair))
+        };
+        parked.recv_timeout(Duration::from_secs(10)).expect("the cross-shard commit swaps");
+        // The commit is parked on the writer thread: read what it shows.
+        let searched = svc.search(None, SearchScope::Subtree, "(objectClass=person)", None);
+        let dumped = svc.snapshot();
+        release.send(()).expect("the writer waits for the release");
+        let (_, ldif) = searched.unwrap();
+        let found = |uid: &str| ldif.contains(&format!("uid: {uid}\n"));
+        assert_eq!(found("half1"), found("half2"), "a search saw half of a cross-shard commit");
+        let dumped = |uid: &str, org: &str| {
+            dumped.lookup_dn(&Dn::parse(&format!("uid={uid},o={org}")).unwrap()).is_some()
+        };
+        assert_eq!(
+            dumped("half1", &a),
+            dumped("half2", &b),
+            "a dump saw half of a cross-shard commit"
+        );
+        assert_eq!(writer.join().unwrap().unwrap().shards, 2);
+        assert_eq!(
+            svc.search(None, SearchScope::Subtree, "(|(uid=half1)(uid=half2))", None).unwrap().0,
+            2
+        );
     }
 
     #[test]

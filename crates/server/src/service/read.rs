@@ -1,5 +1,5 @@
-//! The read plane: every read verb runs on published snapshots, with no
-//! write lock held.
+//! The read plane: every read verb runs on one published cut, taken
+//! under the cut's read lock once, with no write lock held.
 
 use std::sync::Arc;
 
@@ -14,33 +14,31 @@ use bschema_query::{
 use super::{DirectoryService, ServiceError};
 
 impl DirectoryService {
-    /// The current read snapshot — a complete, legal instance. On the
-    /// single backend this is cheap (one `Arc` clone under a read
-    /// lock). On a sharded backend it is the **canonical merge** of the
-    /// per-shard snapshots — an O(n) rebuild, meant for assertions and
-    /// diagnostics, not the request path (searches fan out over
-    /// [`shard_snapshot`](DirectoryService::shard_snapshot)s instead).
+    /// The current read snapshot — a complete, legal instance from one
+    /// cut. On the single backend this is cheap (the cut's one version).
+    /// On a sharded backend it is the **canonical merge** of the cut —
+    /// an O(n) rebuild, meant for assertions and diagnostics, not the
+    /// request path (searches fan out over the [`cut`](Self::cut)
+    /// instead) — holding a cross-shard commit whole or not at all.
     pub fn snapshot(&self) -> Arc<DirectoryInstance> {
+        let cut = self.cut();
         if self.sharded().is_none() {
-            return self.shard_snapshot(0);
+            return Arc::clone(&cut[0]);
         }
-        let parts: Vec<Arc<DirectoryInstance>> =
-            (0..self.shards()).map(|k| self.shard_snapshot(k)).collect();
-        let merged = canonical_merge(parts.iter().map(Arc::as_ref))
-            .expect("published shard snapshots merge");
+        let merged = canonical_merge(cut.iter().map(Arc::as_ref)).expect("a published cut merges");
         Arc::new(merged)
     }
 
-    /// Shard `k`'s current read snapshot (`k = 0` on the single
-    /// backend). Always cheap: one `Arc` clone under that shard's read
-    /// lock.
-    pub fn shard_snapshot(&self, k: usize) -> Arc<DirectoryInstance> {
-        self.snapshots[k].read().unwrap_or_else(|e| e.into_inner()).clone()
+    /// The published cut: shard `k`'s current version at index `k` (one
+    /// version on the single backend), all as of one commit point.
+    /// Always cheap: one `Arc` clone under the cut's read lock.
+    pub fn cut(&self) -> Arc<[Arc<DirectoryInstance>]> {
+        self.cut.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Directory size, from the read snapshot(s).
+    /// Directory size, from one cut.
     pub fn len(&self) -> usize {
-        (0..self.shards()).map(|k| self.shard_snapshot(k).len()).sum()
+        self.cut().iter().map(|version| version.len()).sum()
     }
 
     /// Whether the directory is empty.
@@ -168,8 +166,8 @@ impl DirectoryService {
     }
 
     /// Shared front half of the search paths: parse the filter
-    /// (depth-capped) and assemble one `(shard, snapshot, request)`
-    /// target per shard the search must visit — exactly one for a
+    /// (depth-capped) and assemble, from one cut, one `(shard, version,
+    /// request)` target per shard the search must visit — exactly one for a
     /// base-scoped search (a base DN's whole subtree lives on the shard
     /// owning its top-level RDN, the Theorem 4.1 boundary) or on the
     /// single backend; every shard in index order for an unscoped
@@ -184,22 +182,23 @@ impl DirectoryService {
     ) -> Result<Vec<(usize, Arc<DirectoryInstance>, SearchRequest)>, ServiceError> {
         let filter = parse_filter_limited(filter_src, self.limits.filter_depth)
             .map_err(|e| ServiceError::new("bad-filter", e.to_string()))?;
+        let cut = self.cut();
         match base {
             Some(dn_src) => {
                 let dn =
                     Dn::parse(dn_src).map_err(|e| ServiceError::new("bad-dn", e.to_string()))?;
                 let k = self.sharded().map_or(0, |sharded| sharded.shard_of_dn(&dn));
-                let snapshot = self.shard_snapshot(k);
+                let snapshot = Arc::clone(&cut[k]);
                 let id = snapshot.lookup_dn(&dn).ok_or_else(|| {
                     ServiceError::new("no-such-base", format!("no entry named {dn_src}"))
                 })?;
                 Ok(vec![(k, snapshot, SearchRequest::under(id, scope, filter))])
             }
-            None => Ok((0..self.shards())
+            None => Ok((0..cut.len())
                 .map(|k| {
                     let mut r = SearchRequest::whole_directory(filter.clone());
                     r.scope = scope;
-                    (k, self.shard_snapshot(k), r)
+                    (k, Arc::clone(&cut[k]), r)
                 })
                 .collect()),
         }

@@ -157,7 +157,7 @@ impl DirectoryService {
                 let (schema, dsl) = (&plan.target, plan.dsl.as_str());
                 let cutover = Op::Schema { schema, dsl, local: false, global: None };
                 let _counted = engine.apply_op(cutover, &*self.probe)?;
-                self.publish(0, engine.shared_instance(), &*self.probe);
+                self.publish(&[(0, engine.shared_instance())], &*self.probe);
             }
             Backend::Sharded(sharded) => {
                 let mut violation = None;

@@ -217,7 +217,7 @@ impl DirectoryService {
             self.schema_epoch.fetch_add(1, Ordering::SeqCst);
             self.probe.add("server.schema_replicated", 1);
         }
-        self.publish(0, engine.shared_instance(), &*self.probe);
+        self.publish(&[(0, engine.shared_instance())], &*self.probe);
         Ok(())
     }
 
@@ -228,7 +228,7 @@ impl DirectoryService {
         let mut engine =
             self.single_engine("replication applies to the single-engine backend only")?;
         *engine = managed;
-        self.publish(0, engine.shared_instance(), &*self.probe);
+        self.publish(&[(0, engine.shared_instance())], &*self.probe);
         Ok(())
     }
 }

@@ -37,8 +37,8 @@ enum Write<'a> {
 impl DirectoryService {
     /// Applies an LDIF transaction body atomically: parse (bounded),
     /// build the transaction against the current instance, checked apply
-    /// on a copy, write-ahead `begin`, `commit`, install, snapshot swap.
-    /// On any rejection the instance — and the snapshot — are exactly
+    /// on a copy, write-ahead `begin`, `commit`, install, cut swap.
+    /// On any rejection the instance — and the cut — are exactly
     /// what they were.
     pub fn apply_ldif_tx(&self, ldif: &str) -> Result<TxOutcome, ServiceError> {
         self.apply_ldif_tx_traced(ldif, &*self.probe)
@@ -120,7 +120,7 @@ impl DirectoryService {
     /// the operation against the current instance, then the directory's
     /// write-ahead sequence ([`ManagedDirectory::apply_op`], reporting to
     /// the request's probe), then publish. On any rejection the
-    /// instance, the snapshot and the journal's committed prefix are
+    /// instance, the cut and the journal's committed prefix are
     /// exactly what they were.
     fn write_single(
         &self,
@@ -145,7 +145,7 @@ impl DirectoryService {
         // (`server.journal_commit_io_error`) instead of failing the
         // certified request.
         let _counted = engine.apply_op(op, probe)?;
-        scoped(probe, "service.publish", || self.publish(0, engine.shared_instance(), probe));
+        scoped(probe, "service.publish", || self.publish(&[(0, engine.shared_instance())], probe));
         Ok(TxOutcome { ops, len: engine.len(), shards: 1 })
     }
 
@@ -153,8 +153,8 @@ impl DirectoryService {
     /// journals and applies the write on exactly the shards its DN
     /// prefixes route to — one locked shard on the fast path (always,
     /// for a MODIFY), the 2-phase apply across all involved shards
-    /// otherwise — then each touched shard republishes its own
-    /// snapshot. Untouched shards keep serving reads and committing
+    /// otherwise — on the request's probe, publishing one cut before it
+    /// releases the shards' locks. Untouched shards keep committing
     /// concurrently throughout.
     fn write_sharded(
         &self,
@@ -162,15 +162,12 @@ impl DirectoryService {
         write: Write<'_>,
         probe: &dyn Probe,
     ) -> Result<TxOutcome, ServiceError> {
+        let publish =
+            |installed: &_| scoped(probe, "service.publish", || self.publish(installed, probe));
         let outcome = scoped(probe, "service.apply_sharded", || match write {
-            Write::Txn(records) => sharded.apply_ldif(records),
-            Write::Modify { dn, mods } => sharded.modify_dn(dn, mods),
+            Write::Txn(records) => sharded.commit_ldif(records, probe, publish),
+            Write::Modify { dn, mods } => sharded.commit_modify(dn, mods, probe, publish),
         })?;
-        scoped(probe, "service.publish", || {
-            for &k in &outcome.shards {
-                sharded.with_shard(k, |engine| self.publish(k, engine.shared_instance(), probe));
-            }
-        });
         let route = if outcome.shards.len() > 1 { "cross" } else { "single" };
         probe.add_labeled("server.tx_route", route, 1);
         Ok(TxOutcome { ops: outcome.ops, len: self.len(), shards: outcome.shards.len().max(1) })
@@ -189,21 +186,27 @@ impl DirectoryService {
         ))
     }
 
-    /// Publishes `live` — the version shard `k`'s engine just installed
-    /// — as its read snapshot: the one place a committed state becomes
-    /// visible to readers, called with the lock that serialises shard
-    /// `k`'s writes still held, so snapshots appear in commit order.
-    /// Nothing is copied. The superseded version is released last and
-    /// outside the slot's lock, so no reader waits on its drop.
-    pub(super) fn publish(&self, k: usize, live: Arc<DirectoryInstance>, probe: &dyn Probe) {
-        let _superseded = std::mem::replace(
-            &mut *self.snapshots[k].write().unwrap_or_else(|e| e.into_inner()),
-            live,
-        );
-        self.last_swap_us[k].store(self.uptime_us(), Ordering::Relaxed);
-        match self.sharded() {
-            None => probe.add("server.snapshot_swap", 1),
-            Some(_) => probe.add_labeled("server.shard_snapshot_swap", &names::shard(k), 1),
+    /// Publishes `installed` — the version each touched shard's engine
+    /// just installed — in one new cut swapped in under the cut's write
+    /// lock: the one place a committed state becomes visible. Called with
+    /// the touched shards' write locks held, so cuts appear in commit
+    /// order and show a commit on all its shards or none. No instance is
+    /// copied; the superseded cut is released outside the lock, so no
+    /// reader waits on its drop.
+    pub(super) fn publish(&self, installed: &[(usize, Arc<DirectoryInstance>)], probe: &dyn Probe) {
+        let mut cut = self.cut.write().unwrap_or_else(|e| e.into_inner());
+        let mut next = cut.to_vec();
+        for (k, live) in installed {
+            next[*k] = Arc::clone(live);
+        }
+        let _superseded = std::mem::replace(&mut *cut, next.into());
+        drop(cut);
+        for &(k, _) in installed {
+            self.last_swap_us[k].store(self.uptime_us(), Ordering::Relaxed);
+            match self.sharded() {
+                None => probe.add("server.snapshot_swap", 1),
+                Some(_) => probe.add_labeled("server.shard_snapshot_swap", &names::shard(k), 1),
+            }
         }
     }
 

@@ -606,8 +606,8 @@ fn served_writes_post_their_delta_and_never_rebuild_the_index() {
         assert!(metrics.counter("managed.tx_applied") >= 200, "{shards} shard(s)");
         assert_eq!(metrics.counter("managed.index_rebuilt"), 0, "{shards} shard(s)");
         assert_eq!(metrics.counter("managed.index_posted"), posted, "{shards} shard(s)");
-        for k in 0..shards {
-            service.shard_snapshot(k).check_prepared().expect("published snapshots are maintained");
+        for version in service.cut().iter() {
+            version.check_prepared().expect("published snapshots are maintained");
         }
         client.shutdown_server().expect("shutdown");
         handle.wait();
@@ -735,7 +735,7 @@ fn served_deletes_recheck_their_ancestor_chain_and_publish_without_copying() {
         // The last request committed: the readers' snapshot of every
         // shard is the allocation its engine holds live.
         for k in 0..shards {
-            let (served, live) = (service.shard_snapshot(k), service.live_instance(k));
+            let (served, live) = (service.cut()[k].clone(), service.live_instance(k));
             assert!(Arc::ptr_eq(&served, &live), "{shards} shard(s): shard {k} was copied");
         }
         if shards == 1 {
@@ -758,8 +758,9 @@ fn org_person_ldif(uid: &str, org: &str) -> String {
 }
 
 /// Invariant 4: 8 clients race single-shard and cross-shard transactions
-/// against a 4-shard backend while a live reader dumps the fan-out merge
-/// and checks §3 legality client-side. Then two deterministic same-RDN
+/// against a 4-shard backend while a live reader dumps the fan-out merge,
+/// checks §3 legality client-side and that every cross-shard pair is in
+/// the dump whole or not at all. Then two deterministic same-RDN
 /// races: on a single shard (one winner, losers `invalid-tx`) and across
 /// shards (the loser's *other-shard* half must leave no residue — the
 /// 2-phase rollback observed over the wire).
@@ -786,8 +787,10 @@ fn sharded_server_survives_racing_single_and_cross_shard_writers() {
         .expect("four fixed org names cannot all hash to one of four shards here");
 
     // Live reader: every dump that succeeds during the race is the
-    // fan-out merge of the per-shard snapshots — it must be loadable
-    // and legal at every instant, or a cross-shard commit was torn.
+    // fan-out over one published cut — it must be loadable and legal at
+    // every instant, and hold both halves of each cross-shard pair the
+    // odd writers insert (`w{w}x{i}a` on org_a's shard, `w{w}x{i}b` on
+    // org_b's) or neither, or a cross-shard commit was torn.
     let stop = Arc::new(AtomicBool::new(false));
     let reader_stop = stop.clone();
     let reader = thread::spawn(move || {
@@ -801,6 +804,10 @@ fn sharded_server_survives_racing_single_and_cross_shard_writers() {
                 dir.prepare();
                 let report = checker.check(&dir);
                 assert!(report.is_legal(), "reader saw an illegal merged instance:\n{report}");
+                for (w, i) in (1..8).step_by(2).flat_map(|w| (0..6).map(move |i| (w, i))) {
+                    let has = |half: &str| text.contains(&format!("uid: w{w}x{i}{half}\n"));
+                    assert_eq!(has("a"), has("b"), "reader saw half of cross pair w{w}x{i}");
+                }
                 dumps += 1;
             }
             thread::sleep(Duration::from_millis(2));

@@ -11,9 +11,12 @@
 use std::sync::Arc;
 
 use bschema_core::paper::{white_pages_instance, white_pages_schema};
+use bschema_core::sharded::shard_of_root_rdn;
 use bschema_core::ManagedDirectory;
+use bschema_directory::Rdn;
 use bschema_obs::{json, FlightRecorder, MetricsRegistry};
 use bschema_server::{Client, DirectoryService, Server, ServerConfig, ServiceLimits, WireLimits};
+use bschema_workload::multi_org_base;
 
 /// The complete span tree of a committed single-insertion `TXN`, as
 /// pinned below. Engine roots open at
@@ -35,6 +38,25 @@ const TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,ser
 const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,instance.prepare,\
                             incremental.check_modification,journal.begin,journal.commit,\
                             service.publish)";
+
+/// The span tree of a committed single-shard `TXN` on a sharded
+/// backend: the router runs the same engine sequence as the single
+/// backend, on the request's probe, inside `service.apply_sharded`, and
+/// publishes the cut before it releases the shard's lock.
+const SHARDED_TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,\
+                                 service.apply_sharded,managed.apply,incremental.check_insertions(\
+                                 content_delta,keys,structure_scoped),instance.prepare,\
+                                 journal.begin,journal.commit,service.publish)";
+
+/// The span tree of a committed cross-shard `TXN`: each shard's part is
+/// certified and begun, then each commits, then the one cut is
+/// published.
+const CROSS_TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,\
+                               service.apply_sharded,managed.apply,incremental.check_insertions(\
+                               content_delta,keys,structure_scoped),instance.prepare,journal.begin,\
+                               managed.apply,incremental.check_insertions(content_delta,keys,\
+                               structure_scoped),instance.prepare,journal.begin,journal.commit,\
+                               journal.commit,service.publish)";
 
 /// A traced white-pages service: metered into one registry, one flight
 /// recorder for span trees.
@@ -109,6 +131,48 @@ fn a_traced_modify_records_its_span_tree() {
     assert_eq!(modify.trace_id, "mod-0");
     assert_eq!(modify.status, "ok");
     assert_eq!(modify.root.shape(), MODIFY_SHAPE);
+
+    client.shutdown_server().expect("shutdown");
+    handle.wait();
+}
+
+#[test]
+fn a_traced_sharded_txn_hangs_its_engine_spans_under_the_request() {
+    const SHARDS: usize = 4;
+    let base = multi_org_base(4, 12, 7);
+    let flight = Arc::new(FlightRecorder::new(8));
+    let service = DirectoryService::new_sharded(white_pages_schema(), base, SHARDS)
+        .expect("legal base")
+        .with_metrics(Arc::new(MetricsRegistry::new()))
+        .with_flight_recorder(flight.clone());
+    let handle =
+        Server::spawn(Arc::new(service), ServerConfig { threads: 2, ..Default::default() })
+            .expect("bind");
+    let shard_of = |org: &str| shard_of_root_rdn(&Rdn::single("o", org), SHARDS);
+    let other = (1..4).map(|i| format!("org{i}")).find(|org| shard_of(org) != shard_of("org0"));
+    let other = other.expect("four roots cannot all collide");
+    let person = |uid: &str, org: &str| {
+        format!(
+            "dn: uid={uid},o={org}\nobjectClass: person\nobjectClass: top\nuid: {uid}\nname: {uid}\n"
+        )
+    };
+
+    // One connection each, so each TXN is its connection's first request.
+    let mut client = Client::connect(handle.addr()).expect("connect").with_trace_label("shard");
+    assert_eq!(client.apply_ldif(&person("one", "org0")).expect("commit").shards, 1);
+    let mut client = Client::connect(handle.addr()).expect("connect").with_trace_label("cross");
+    let pair = format!("{}\n{}", person("two", "org0"), person("three", &other));
+    assert_eq!(client.apply_ldif(&pair).expect("commit").shards, 2);
+    let records = flight.recent();
+    let shapes: Vec<_> = records
+        .iter()
+        .filter(|r| r.verb == "TXN")
+        .map(|r| (r.trace_id.as_str(), r.root.shape()))
+        .collect();
+    assert_eq!(
+        shapes,
+        [("shard-0", SHARDED_TXN_SHAPE.to_owned()), ("cross-0", CROSS_TXN_SHAPE.to_owned())]
+    );
 
     client.shutdown_server().expect("shutdown");
     handle.wait();
