@@ -17,9 +17,14 @@
 #   crates/server/src spells a record DN;
 # * `SCHEMA COMMIT` revalidates restricting plans under its locks on
 #   both backends: the commit counter that let the single backend skip
-#   it is gone, and stays gone.
+#   it is gone, and stays gone;
+# * LDIF has one reader, and it walks the input: the logical lines of
+#   crates/directory/src/ldif/parser.rs are borrowed one at a time, never
+#   collected into a `Vec`; the checkpoint codec (crates/core/src/
+#   checkpoint.rs) writes rows from their shared entries and moves
+#   decoded rows into the instance, so it copies no entry.
 #
-# Exempt from the first four rules: test modules — this repo keeps
+# Exempt from the first four rules and the last: test modules — this repo keeps
 # exactly one `#[cfg(test)]` marker per file, at the start of the
 # trailing tests module.
 set -euo pipefail
@@ -83,5 +88,16 @@ counter=$(git grep -nI 'commit[_]counter' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!
 if [ -n "$counter" ]; then
     echo "$counter"
     fail "the SCHEMA freshness token is back; COMMIT revalidates under its locks on every backend"
+fi
+collected=$(nontest crates/directory/src/ldif/parser.rs | grep -E 'Vec<[A-Za-z:]*Logical|\.collect' || true)
+if [ -n "$collected" ]; then
+    echo "$collected"
+    fail "the LDIF reader collects its lines; walk them borrowed (LogicalLines)"
+fi
+
+copies=$(nontest crates/core/src/checkpoint.rs | grep -F -e 'Entry::clone(' -e '.entry.clone()' -e 'rows.clone()' || true)
+if [ -n "$copies" ]; then
+    echo "$copies"
+    fail "the checkpoint codec copies an entry; write rows from their Arc and move decoded ones"
 fi
 exit "$status"

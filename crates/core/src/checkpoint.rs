@@ -74,13 +74,13 @@
 //!
 //! [`canonical_bytes`]: DirectoryInstance::canonical_bytes
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bschema_directory::ldif::{parse_ldif, write_record, LdifRecord};
+use bschema_directory::ldif::{parse_ldif, write_record, write_record_with, LdifRecord};
 use bschema_directory::{fnv1a, AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
 use bschema_obs::Probe;
 
@@ -244,16 +244,25 @@ impl Checkpoint {
             header.add_value("ckpfree", slot.to_string());
         }
         write_record(&mut body, CHECKPOINT_DN, &header);
+        // Each row is written from its shared entry, `ckpparent` and
+        // `ckprdn` merged into its attribute order: the bytes adding them
+        // to a copy of the entry would write.
+        let (mut dn, mut parent, mut rdn) = (String::new(), String::new(), String::new());
         for row in &self.rows {
-            let mut entry = Entry::clone(&row.entry);
-            entry.add_value(
-                "ckpparent",
-                row.parent.map_or_else(|| "-".to_owned(), |p| p.to_string()),
-            );
-            if let Some(rdn) = &row.rdn {
-                entry.add_value("ckprdn", rdn.to_string());
+            dn.clear();
+            let _ = write!(dn, "slot={},{CHECKPOINT_DN}", row.slot);
+            parent.clear();
+            let _ = match row.parent {
+                Some(p) => write!(parent, "{p}"),
+                None => parent.write_char('-'),
+            };
+            rdn.clear();
+            if let Some(name) = &row.rdn {
+                let _ = name.write_to(&mut rdn);
             }
-            write_record(&mut body, &format!("slot={},{CHECKPOINT_DN}", row.slot), &entry);
+            let extra = [("ckpparent", parent.as_str()), ("ckprdn", rdn.as_str())];
+            let named = if row.rdn.is_some() { 2 } else { 1 };
+            write_record_with(&mut body, &dn, &row.entry, &extra[..named]);
         }
         format!(
             "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} len={} sum={:016x}\n{body}",
@@ -327,8 +336,9 @@ impl Checkpoint {
             free.push(value.trim().parse().map_err(|_| torn("malformed ckpfree"))?);
         }
         let mut rows = Vec::with_capacity(entries);
+        let mut rendered = String::new();
         for record in records {
-            rows.push(decode_slot_record(&record)?);
+            rows.push(decode_slot_record(record, &mut rendered)?);
         }
         if rows.len() != entries {
             return Err(torn(format!(
@@ -370,24 +380,27 @@ impl Checkpoint {
     /// Rebuilds the instance this checkpoint snapshots, over the given
     /// attribute namespace. The result is slot-exact: byte-identical
     /// [`canonical_bytes`](DirectoryInstance::canonical_bytes) and the
-    /// same future slot assignment as the snapshot source.
+    /// same future slot assignment as the snapshot source. The rows move
+    /// into the instance; no entry is copied.
     pub fn restore(
-        &self,
+        self,
         registry: AttributeRegistry,
     ) -> Result<DirectoryInstance, CheckpointError> {
-        DirectoryInstance::from_slots(registry, self.slot_bound, self.rows.clone(), &self.free)
+        DirectoryInstance::from_slots(registry, self.slot_bound, self.rows, &self.free)
             .map_err(|e| CheckpointError::Restore(e.to_string()))
     }
 }
 
-/// Decodes one `slot=<n>,cn=checkpoint` body record into a [`SlotRow`].
-fn decode_slot_record(record: &LdifRecord) -> Result<SlotRow, CheckpointError> {
-    let dn = record.dn.to_string();
-    let slot = dn
-        .strip_prefix("slot=")
-        .and_then(|rest| rest.strip_suffix(&format!(",{CHECKPOINT_DN}")[..]))
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| torn(format!("unexpected record DN {dn:?} in snapshot body")))?;
+/// Decodes one `slot=<n>,cn=checkpoint` body record into a [`SlotRow`],
+/// moving its entry into the row. `rendered` is scratch space for the
+/// DN's RDNs.
+fn decode_slot_record(
+    record: LdifRecord,
+    rendered: &mut String,
+) -> Result<SlotRow, CheckpointError> {
+    let slot = slot_of(&record.dn, rendered).ok_or_else(|| {
+        torn(format!("unexpected record DN {:?} in snapshot body", record.dn.to_string()))
+    })?;
     let parent = match record.entry.first_value("ckpparent") {
         Some("-") => None,
         Some(v) => Some(v.trim().parse().map_err(|_| torn("malformed ckpparent"))?),
@@ -402,11 +415,27 @@ fn decode_slot_record(record: &LdifRecord) -> Result<SlotRow, CheckpointError> {
         ),
         None => None,
     };
-    let mut entry = record.entry.clone();
+    let mut entry = record.entry;
     for attr in ["ckpparent", "ckprdn"] {
         entry.remove_attribute(attr);
     }
     Ok(SlotRow { slot, parent, rdn, entry: Arc::new(entry) })
+}
+
+/// The slot a body record's DN names: the DN must render as
+/// `slot=<n>,cn=checkpoint`. Each of its two RDNs is rendered into the
+/// reused `rendered`, so the DNs accepted are exactly those whose whole
+/// rendering matches, with no string made per record.
+fn slot_of(dn: &Dn, rendered: &mut String) -> Option<u32> {
+    let [leaf, top] = dn.rdns() else { return None };
+    rendered.clear();
+    let _ = top.write_to(rendered);
+    if rendered != CHECKPOINT_DN {
+        return None;
+    }
+    rendered.clear();
+    let _ = leaf.write_to(rendered);
+    rendered.strip_prefix("slot=")?.trim().parse().ok()
 }
 
 /// Atomically and durably installs checkpoint `text` at `path`: the
@@ -503,6 +532,14 @@ pub enum RecoveryPlan {
     Fatal(String),
 }
 
+/// The journal cursor of a restored checkpoint: what recovery still needs
+/// once the rows have moved into the instance.
+struct Cursor {
+    seq: u64,
+    next_tx: u64,
+    shard: Option<u64>,
+}
+
 /// The journal transactions a recovery starting at `from` looks at.
 fn tail_from(journal: &Journal, from: u64) -> impl Iterator<Item = &JournalTx> {
     journal.txs.iter().filter(move |jtx| jtx.first_seq >= from)
@@ -572,10 +609,11 @@ impl RecoveryPlan {
                 (ManagedDirectory::for_recovery(schema, base)?, None)
             }
             RecoveryPlan::Restore { ckpt, schema, .. } => {
+                let cursor = Cursor { seq: ckpt.seq, next_tx: ckpt.next_tx, shard: ckpt.shard };
                 let restored = ckpt
                     .restore(base.registry().clone())
                     .map_err(|e| ManagedError::Recovery(e.to_string()))?;
-                (ManagedDirectory::for_recovery(schema, restored)?, Some(ckpt))
+                (ManagedDirectory::for_recovery(schema, restored)?, Some(cursor))
             }
         };
         let covered = ckpt.as_ref().map_or(0, |c| c.seq);
@@ -889,5 +927,169 @@ mod tests {
         assert_eq!(reopened.instance().canonical_bytes(), base().instance().canonical_bytes());
         assert_eq!(fs::read_to_string(&path).expect("still there"), "", "nothing appended");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `encode` as it was before it wrote rows from their shared
+    /// entries: copy each entry, add `ckpparent` and `ckprdn` to the
+    /// copy, write the copy.
+    fn encode_by_copy(ckpt: &Checkpoint) -> String {
+        let mut body = String::new();
+        let mut header = Entry::default();
+        header.add_value("ckpversion", CHECKPOINT_VERSION.to_string());
+        header.add_value("ckpseq", ckpt.seq.to_string());
+        header.add_value("ckptx", ckpt.next_tx.to_string());
+        header.add_value("ckpschema", format!("{:016x}", ckpt.schema_hash));
+        if let Some(dsl) = &ckpt.schema_dsl {
+            header.add_value("ckpdsl", crate::journal::escape_text(dsl));
+        }
+        header.add_value("ckpbound", ckpt.slot_bound.to_string());
+        header.add_value("ckpentries", ckpt.rows.len().to_string());
+        if let Some(shard) = ckpt.shard {
+            header.add_value("ckpshard", shard.to_string());
+        }
+        for slot in &ckpt.free {
+            header.add_value("ckpfree", slot.to_string());
+        }
+        write_record(&mut body, CHECKPOINT_DN, &header);
+        for row in &ckpt.rows {
+            let mut entry = Entry::clone(&row.entry);
+            entry.add_value(
+                "ckpparent",
+                row.parent.map_or_else(|| "-".to_owned(), |p| p.to_string()),
+            );
+            if let Some(rdn) = &row.rdn {
+                entry.add_value("ckprdn", rdn.to_string());
+            }
+            write_record(&mut body, &format!("slot={},{CHECKPOINT_DN}", row.slot), &entry);
+        }
+        format!(
+            "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} len={} sum={:016x}\n{body}",
+            body.len(),
+            fnv1a(body.as_bytes()),
+        )
+    }
+
+    /// A checkpoint of `instance` with every header field set.
+    fn snapshot_of(instance: &DirectoryInstance) -> Checkpoint {
+        Checkpoint {
+            seq: 41,
+            next_tx: 17,
+            schema_hash: 0x9ae1_c602_2754_a3b5,
+            schema_dsl: Some(crate::schema::dsl::print_schema(&white_pages_schema(), None)),
+            shard: Some(2),
+            slot_bound: instance.forest().slot_bound(),
+            free: instance.forest().free_slots().to_vec(),
+            rows: instance.slot_rows(),
+        }
+    }
+
+    /// Encodes `instance` both ways, requires the same bytes, and
+    /// requires the decoded rows to restore the instance.
+    fn encodes_as_the_copy_did(instance: &DirectoryInstance) -> String {
+        let ckpt = snapshot_of(instance);
+        let encoded = ckpt.encode();
+        assert_eq!(encoded, encode_by_copy(&ckpt));
+        let restored = Checkpoint::decode(&encoded)
+            .expect("decodes")
+            .restore(instance.registry().clone())
+            .expect("restores");
+        assert_eq!(restored.canonical_bytes(), instance.canonical_bytes());
+        assert_eq!(restored.forest().free_slots(), instance.forest().free_slots());
+        encoded
+    }
+
+    #[test]
+    fn encode_writes_the_bytes_the_copying_encode_wrote_on_generated_instances() {
+        for (orgs, per_org, seed) in [(1, 50, 1), (3, 200, 2), (8, 250, 3)] {
+            let mut instance = bschema_workload::multi_org_base(orgs, per_org, seed);
+            // Delete every eleventh leaf, so the free stack is not empty.
+            let leaves: Vec<_> = instance
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|&id| instance.forest().is_leaf(id))
+                .collect();
+            for id in leaves.into_iter().step_by(11) {
+                instance.remove_leaf(id).expect("a leaf");
+            }
+            assert!(!instance.forest().free_slots().is_empty());
+            encodes_as_the_copy_did(&instance);
+        }
+    }
+
+    #[test]
+    fn encode_writes_the_bytes_the_copying_encode_wrote_on_edge_cases() {
+        use bschema_directory::dn::Ava;
+        use bschema_directory::Rdn;
+        let mut d = DirectoryInstance::white_pages();
+        // Attribute names on every side of `ckpparent` and `ckprdn`.
+        let around = [
+            "b",
+            "c",
+            "ck",
+            "ckp",
+            "ckpa",
+            "ckpparen",
+            "ckpparent0",
+            "ckpq",
+            "ckprd",
+            "ckprdn0",
+            "ckps",
+            "cl",
+            "cn",
+            "d",
+            "objectclasz",
+            "z",
+        ];
+        let mut entry = Entry::builder().class("top").class("person").build();
+        for (i, attr) in around.iter().enumerate() {
+            entry.add_value(attr, format!("v{i}"));
+            entry.add_value(attr, format!("w{i}"));
+        }
+        let root = d.add_named_root(Rdn::single("o", "att"), entry.clone()).unwrap();
+        // A multi-valued RDN, escaped values, a long RDN that folds.
+        let multi =
+            Rdn::new(vec![Ava::new("uid", "x, y"), Ava::new("cn", "#lead+trail ")]).unwrap();
+        let child = d.add_named_child(root, multi, entry.clone()).unwrap();
+        d.add_named_child(child, Rdn::single("cn", "r".repeat(120)), entry.clone()).unwrap();
+        // Folded and base64 values.
+        let values = Entry::builder()
+            .class("top")
+            .attr("description", "x".repeat(300))
+            .attr("description", " leading space")
+            .attr("description", "ünïcode")
+            .attr("description", "two\nlines")
+            .attr("cn", "é".repeat(90))
+            .build();
+        d.add_named_child(child, Rdn::single("cn", "values"), values).unwrap();
+        // Unnamed entries: a root and a child, neither with `ckprdn`.
+        let unnamed = d.add_root_entry(Entry::builder().class("top").attr("c", "x").build());
+        d.add_child_entry(unnamed, Entry::builder().class("top").attr("cl", "y").build()).unwrap();
+        // A second named root after a dead slot.
+        let dead = d.add_named_root(Rdn::single("o", "gone"), entry.clone()).unwrap();
+        d.add_named_root(Rdn::single("o", "ibm"), entry).unwrap();
+        d.remove_leaf(dead).unwrap();
+
+        let encoded = encodes_as_the_copy_did(&d);
+        assert!(encoded.contains("\nckpparent: -\n"), "roots");
+        assert!(encoded.contains("\nckprdn: cn=\\#lead\\+trail\\ +uid=x\\, y\n"), "{encoded}");
+        assert!(encoded.contains("\nckprdn: cn=rrrr"), "long RDN");
+        assert!(encoded.contains("\n rr"), "folded");
+        assert!(encoded.contains("description:: "), "base64");
+        let unnamed_rows =
+            encoded.split("\n\n").filter(|r| r.contains("ckpparent") && !r.contains("ckprdn"));
+        assert_eq!(unnamed_rows.count(), 2);
+
+        // A payload already holding the reserved names: the merge still
+        // writes what adding to a copy wrote.
+        let mut odd = DirectoryInstance::white_pages();
+        let reserved = Entry::builder()
+            .class("top")
+            .attr("ckpparent", "-")
+            .attr("ckpparent", "7")
+            .attr("ckprdn", "o=odd")
+            .build();
+        odd.add_named_root(Rdn::single("o", "odd"), reserved).unwrap();
+        let ckpt = snapshot_of(&odd);
+        assert_eq!(ckpt.encode(), encode_by_copy(&ckpt));
     }
 }

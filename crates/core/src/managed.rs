@@ -182,6 +182,17 @@ fn guard_probe(f: impl FnOnce()) -> Option<String> {
     catch_unwind(AssertUnwindSafe(f)).err().map(|payload| panic_reason(payload.as_ref()))
 }
 
+/// Runs `f`, a panic in it — a fault injected at an instrumented site —
+/// coming back as the refusal [`ManagedError::Panicked`], as a panic
+/// inside [`ManagedDirectory::apply_op`] does.
+pub(crate) fn refusing_panics<T>(
+    f: impl FnOnce() -> Result<T, ManagedError>,
+) -> Result<T, ManagedError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(ManagedError::Panicked { reason: panic_reason(payload.as_ref()) })
+    })
+}
+
 /// The verdict on an operation that could not be carried out on `entry`.
 fn inapplicable(entry: EntryId, message: String) -> LegalityReport {
     LegalityReport::from_violations(vec![crate::legality::Violation::ValueViolation {

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use bschema_directory::ldif::LdifRecord;
 use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
-use bschema_obs::Probe;
+use bschema_obs::{scoped, Probe};
 
 use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
 use crate::consistency::ConsistencyChecker;
@@ -60,7 +60,7 @@ use crate::engine::{JournalFiles, Op};
 use crate::journal::{shard_journal_path, Journal, Payload, RecoveryReport};
 use crate::legality::report::Violation;
 use crate::legality::{LegalityChecker, LegalityReport};
-use crate::managed::{inconsistency_error, ManagedDirectory, ManagedError};
+use crate::managed::{inconsistency_error, refusing_panics, ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 use crate::updates::{is_delete_record, transaction_from_ldif, Mod, Transaction};
 
@@ -648,8 +648,13 @@ impl ShardedDirectory {
         for (k, guard) in &guards {
             let group = std::mem::take(&mut groups[*k]);
             ledger_delta(&required, guard.instance(), &group, &mut delta);
-            let tx = transaction_from_ldif(guard.instance(), group)?;
-            tx.normalize(guard.instance())?;
+            let tx = refusing_panics(|| {
+                scoped(probe, "service.tx_build", || {
+                    let tx = transaction_from_ldif(guard.instance(), group)?;
+                    tx.normalize(guard.instance())?;
+                    Ok(tx)
+                })
+            })?;
             subtxs.push(tx);
         }
 

@@ -94,23 +94,30 @@ impl Rdn {
             }
             out.push_str(&ava.attr);
             out.push('=');
-            push_escaped(&mut out, &ava.normalized_value());
+            let _ = write_escaped(&mut out, &ava.normalized_value());
         }
         out
+    }
+
+    /// Renders the RDN as its [`Display`](fmt::Display) form does —
+    /// `attr=value` pairs joined with `+`, values RFC 2253-escaped —
+    /// straight into `out`, with no temporary string.
+    pub fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        for (i, ava) in self.avas.iter().enumerate() {
+            if i > 0 {
+                out.write_char('+')?;
+            }
+            out.write_str(&ava.attr)?;
+            out.write_char('=')?;
+            write_escaped(out, &ava.value)?;
+        }
+        Ok(())
     }
 }
 
 impl fmt::Display for Rdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, ava) in self.avas.iter().enumerate() {
-            if i > 0 {
-                f.write_str("+")?;
-            }
-            let mut escaped = String::new();
-            push_escaped(&mut escaped, &ava.value);
-            write!(f, "{}={}", ava.attr, escaped)?;
-        }
-        Ok(())
+        self.write_to(f)
     }
 }
 
@@ -360,17 +367,21 @@ fn unescape(s: &str) -> Result<String, DnParseError> {
     Ok(out)
 }
 
-fn push_escaped(out: &mut String, value: &str) {
-    let last = value.chars().count().saturating_sub(1);
-    for (i, ch) in value.chars().enumerate() {
+/// Writes `value` with RFC 2253's specials escaped, plus a leading space
+/// or `#` and a trailing space; the runs between escapes go out whole.
+fn write_escaped(out: &mut impl fmt::Write, value: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, ch) in value.char_indices() {
         let needs_escape = matches!(ch, ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=')
             || (i == 0 && matches!(ch, ' ' | '#'))
-            || (i == last && ch == ' ');
+            || (i + ch.len_utf8() == value.len() && ch == ' ');
         if needs_escape {
-            out.push('\\');
+            out.write_str(&value[run..i])?;
+            out.write_char('\\')?;
+            run = i;
         }
-        out.push(ch);
     }
+    out.write_str(&value[run..])
 }
 
 #[cfg(test)]
@@ -441,5 +452,55 @@ mod tests {
         assert!(matches!(Dn::parse("=laks"), Err(DnParseError::EmptyAttribute)));
         assert!(matches!(Dn::parse(r"cn=x\"), Err(DnParseError::BadEscape(_))));
         assert!(matches!(Dn::parse(r"cn=x\q,o=a"), Err(DnParseError::BadEscape(_))));
+    }
+
+    /// The escaping as it was before `write_to`: char by char, into a
+    /// temporary string per AVA.
+    fn reference_render(rdn: &Rdn) -> String {
+        let mut out = String::new();
+        for (i, ava) in rdn.avas().iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            let last = ava.value().chars().count().saturating_sub(1);
+            let mut escaped = String::new();
+            for (i, ch) in ava.value().chars().enumerate() {
+                let needs_escape = matches!(ch, ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=')
+                    || (i == 0 && matches!(ch, ' ' | '#'))
+                    || (i == last && ch == ' ');
+                if needs_escape {
+                    escaped.push('\\');
+                }
+                escaped.push(ch);
+            }
+            out.push_str(&format!("{}={}", ava.attr(), escaped));
+        }
+        out
+    }
+
+    #[test]
+    fn write_to_renders_what_the_per_ava_rendering_did() {
+        const ALPHABET: [char; 14] =
+            ['a', 'Z', '0', ' ', '#', ',', '+', '"', '\\', '<', '>', ';', '=', 'é'];
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut value = || (0..next(8)).map(|_| ALPHABET[next(ALPHABET.len())]).collect::<String>();
+        for _ in 0..20_000 {
+            let rdn = match value() {
+                v if v.len() % 3 == 0 => {
+                    Rdn::new(vec![Ava::new("cn", v), Ava::new("uid", value())]).unwrap()
+                }
+                v => Rdn::single("ou", v),
+            };
+            let mut written = String::new();
+            rdn.write_to(&mut written).unwrap();
+            assert_eq!(written, reference_render(&rdn), "{rdn:?}");
+            assert_eq!(rdn.to_string(), written);
+        }
     }
 }

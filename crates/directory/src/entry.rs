@@ -39,23 +39,21 @@ impl Entry {
     /// the value was new. For `objectClass`, duplicates are detected
     /// case-insensitively (class names are case-insensitive).
     pub fn add_value(&mut self, attr: &str, value: impl Into<String>) -> bool {
-        let key = attr.to_ascii_lowercase();
+        let key = fold_name(attr);
         let value = value.into();
-        let values = self.attrs.entry(key.clone()).or_default();
+        let Some(values) = self.attrs.get_mut(key.as_ref()) else {
+            self.attrs.insert(key.into_owned(), vec![value]);
+            return true;
+        };
         let duplicate = if key == OBJECT_CLASS {
             values.iter().any(|v| v.eq_ignore_ascii_case(&value))
         } else {
-            values.iter().any(|v| v == &value)
+            values.contains(&value)
         };
-        if duplicate {
-            // Avoid leaving an empty value vector behind if we just created it.
-            if values.is_empty() {
-                self.attrs.remove(&key);
-            }
-            return false;
+        if !duplicate {
+            values.push(value);
         }
-        values.push(value);
-        true
+        !duplicate
     }
 
     /// Removes one value from `attr` (exact match, except class names which
@@ -95,7 +93,7 @@ impl Entry {
 
     /// Drops an attribute and all its values. Returns `true` if it existed.
     pub fn remove_attribute(&mut self, attr: &str) -> bool {
-        self.attrs.remove(&attr.to_ascii_lowercase()).is_some()
+        self.attrs.remove(fold_name(attr).as_ref()).is_some()
     }
 
     /// The values of `attr` (empty slice if absent).

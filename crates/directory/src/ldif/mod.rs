@@ -11,7 +11,7 @@ mod parser;
 mod writer;
 
 pub use parser::{parse_ldif, parse_ldif_limited, LdifError, LdifLimits, LdifRecord};
-pub use writer::{write_ldif, write_record};
+pub use writer::{write_ldif, write_record, write_record_with};
 
 use crate::instance::{DirectoryInstance, InstanceError};
 

@@ -1,6 +1,9 @@
 //! LDIF record parser (RFC 2849 subset).
 
+use std::borrow::Cow;
 use std::fmt;
+use std::iter::{Enumerate, Peekable};
+use std::str::Lines;
 
 use super::base64;
 use crate::dn::{Dn, DnParseError};
@@ -142,60 +145,106 @@ impl LdifLimits {
     }
 }
 
-/// A logical (unfolded) LDIF line with its source position.
-struct Logical {
+/// A logical (unfolded) LDIF line with its source position: borrowed
+/// from the input, owned only when continuation lines were joined onto it.
+struct Logical<'a> {
     line: usize,
-    text: String,
+    text: Cow<'a, str>,
 }
 
-/// Unfolds continuation lines and strips comments / the version header.
-fn logical_lines(text: &str, limits: &LdifLimits) -> Result<Vec<Logical>, LdifError> {
-    let mut out: Vec<Logical> = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
+/// The logical lines of an LDIF text, in order: each line with its
+/// continuation lines joined on, comments skipped. A comment between a
+/// line and its continuation is skipped too, so the continuation still
+/// joins the earlier line. The walk yields an error at the first raw line
+/// longer than `max_line_len`, at the first continuation that would
+/// unfold its line past that, and at the first continuation with nothing
+/// to continue (at the start of the input, or after a blank line); after
+/// an error it yields nothing more.
+struct LogicalLines<'a> {
+    raw: Peekable<Enumerate<Lines<'a>>>,
+    max_line_len: usize,
+    failed: bool,
+    /// Logical lines yielded as [`Cow::Owned`]: exactly the folded ones.
+    owned: usize,
+}
+
+impl<'a> LogicalLines<'a> {
+    fn new(text: &'a str, limits: &LdifLimits) -> Self {
+        LogicalLines {
+            raw: text.lines().enumerate().peekable(),
+            max_line_len: limits.max_line_len,
+            failed: false,
+            owned: 0,
+        }
+    }
+
+    /// The next raw line as `(line number, text)`, length-checked.
+    fn next_raw(&mut self) -> Result<Option<(usize, &'a str)>, LdifError> {
+        let Some((i, raw)) = self.raw.next() else { return Ok(None) };
         let line = i + 1;
-        if raw.len() > limits.max_line_len {
+        if raw.len() > self.max_line_len {
             return Err(LdifError::LimitExceeded {
                 line,
-                what: format!("line is {} bytes (limit {})", raw.len(), limits.max_line_len),
+                what: format!("line is {} bytes (limit {})", raw.len(), self.max_line_len),
             });
         }
-        if let Some(rest) = raw.strip_prefix(' ') {
-            // Continuation of the previous logical line. Cap the unfolded
-            // length so a continuation bomb cannot grow one line unboundedly.
-            match out.last_mut() {
-                Some(prev) if !prev.text.is_empty() => {
-                    if prev.text.len() + rest.len() > limits.max_line_len {
-                        return Err(LdifError::LimitExceeded {
-                            line,
-                            what: format!(
-                                "unfolded logical line exceeds {} bytes",
-                                limits.max_line_len
-                            ),
-                        });
-                    }
-                    prev.text.push_str(rest);
-                }
-                _ => return Err(LdifError::DanglingContinuation { line }),
-            }
-            continue;
-        }
-        if raw.starts_with('#') {
-            continue;
-        }
-        out.push(Logical { line, text: raw.to_owned() });
+        Ok(Some((line, raw)))
     }
-    Ok(out)
+
+    fn logical(&mut self) -> Result<Option<Logical<'a>>, LdifError> {
+        let (line, mut text) = loop {
+            let Some((line, raw)) = self.next_raw()? else { return Ok(None) };
+            if raw.starts_with(' ') {
+                return Err(LdifError::DanglingContinuation { line });
+            }
+            if !raw.starts_with('#') {
+                break (line, Cow::Borrowed(raw));
+            }
+        };
+        // Join the continuations, skipping the comments among them. Cap
+        // the unfolded length so a continuation bomb cannot grow one line
+        // unboundedly.
+        while self.raw.peek().is_some_and(|(_, raw)| raw.starts_with([' ', '#'])) {
+            let Some((cont, raw)) = self.next_raw()? else { break };
+            let Some(rest) = raw.strip_prefix(' ') else { continue };
+            if text.is_empty() {
+                return Err(LdifError::DanglingContinuation { line: cont });
+            }
+            if text.len() + rest.len() > self.max_line_len {
+                return Err(LdifError::LimitExceeded {
+                    line: cont,
+                    what: format!("unfolded logical line exceeds {} bytes", self.max_line_len),
+                });
+            }
+            text.to_mut().push_str(rest);
+        }
+        self.owned += usize::from(matches!(text, Cow::Owned(_)));
+        Ok(Some(Logical { line, text }))
+    }
+}
+
+impl<'a> Iterator for LogicalLines<'a> {
+    type Item = Result<Logical<'a>, LdifError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.failed {
+            return None;
+        }
+        let next = self.logical();
+        self.failed = next.is_err();
+        next.transpose()
+    }
 }
 
 /// Splits `attr: value` / `attr:: base64`, returning the attribute name and
-/// decoded value.
-fn split_line(l: &Logical) -> Result<(String, String), LdifError> {
-    let colon = l
-        .text
+/// decoded value, both borrowed from the line unless base64 was decoded.
+fn split_line<'l>(l: &'l Logical<'_>) -> Result<(&'l str, Cow<'l, str>), LdifError> {
+    let text: &str = &l.text;
+    let colon = text
         .find(':')
-        .ok_or_else(|| LdifError::MissingColon { line: l.line, content: l.text.clone() })?;
-    let attr = l.text[..colon].trim().to_owned();
-    let rest = &l.text[colon + 1..];
+        .ok_or_else(|| LdifError::MissingColon { line: l.line, content: text.to_owned() })?;
+    let attr = text[..colon].trim();
+    let rest = &text[colon + 1..];
     if let Some(b64) = rest.strip_prefix(':') {
         let bytes = base64::decode(b64.trim())
             .map_err(|e| LdifError::BadBase64 { line: l.line, reason: e.to_string() })?;
@@ -203,9 +252,9 @@ fn split_line(l: &Logical) -> Result<(String, String), LdifError> {
             line: l.line,
             reason: "base64 value is not valid UTF-8".to_owned(),
         })?;
-        Ok((attr, value))
+        Ok((attr, Cow::Owned(value)))
     } else {
-        Ok((attr, rest.trim_start().to_owned()))
+        Ok((attr, Cow::Borrowed(rest.trim_start())))
     }
 }
 
@@ -219,33 +268,56 @@ pub fn parse_ldif(text: &str) -> Result<Vec<LdifRecord>, LdifError> {
 /// Like [`parse_ldif`] but with explicit resource limits, returning
 /// [`LdifError::LimitExceeded`] as soon as one is crossed.
 pub fn parse_ldif_limited(text: &str, limits: &LdifLimits) -> Result<Vec<LdifRecord>, LdifError> {
+    read(text, limits).map(|(records, _owned)| records)
+}
+
+/// The one reader: the records of `text`, and how many of its logical
+/// lines had to be owned (one per folded line; every other line and
+/// value is read in place). A line fault — an over-long raw or unfolded
+/// line, a dangling continuation — anywhere in the input outranks a
+/// record fault: after a record fault the walk goes on to the end, and
+/// the first line fault it meets, if any, is the error.
+fn read(text: &str, limits: &LdifLimits) -> Result<(Vec<LdifRecord>, usize), LdifError> {
     if text.len() > limits.max_input_len {
         return Err(LdifError::LimitExceeded {
             line: 0,
             what: format!("input is {} bytes (limit {})", text.len(), limits.max_input_len),
         });
     }
-    let lines = logical_lines(text, limits)?;
+    let mut lines = LogicalLines::new(text, limits);
+    match records(&mut lines, limits) {
+        Ok(records) => Ok((records, lines.owned)),
+        Err(e) => Err(lines.find_map(Result::err).unwrap_or(e)),
+    }
+}
+
+/// The record loop: blank lines end records, a first `version:` line is
+/// skipped, a `dn:` line starts a record and every other line adds a
+/// value to it.
+fn records(
+    lines: &mut LogicalLines<'_>,
+    limits: &LdifLimits,
+) -> Result<Vec<LdifRecord>, LdifError> {
     let mut records = Vec::new();
     let mut current: Option<LdifRecord> = None;
     let mut seen_any = false;
 
-    for l in &lines {
+    for l in lines {
+        let l = l?;
         if l.text.trim().is_empty() {
             if let Some(rec) = current.take() {
                 records.push(rec);
             }
             continue;
         }
-        let (attr, value) = split_line(l)?;
-        let key = attr.to_ascii_lowercase();
-        if !seen_any && key == "version" {
+        let (attr, value) = split_line(&l)?;
+        if !seen_any && attr.eq_ignore_ascii_case("version") {
             seen_any = true;
             continue;
         }
         seen_any = true;
-        match (&mut current, key.as_str()) {
-            (None, "dn") => {
+        match (&mut current, attr.eq_ignore_ascii_case("dn")) {
+            (None, true) => {
                 if records.len() >= limits.max_records {
                     return Err(LdifError::LimitExceeded {
                         line: l.line,
@@ -266,10 +338,10 @@ pub fn parse_ldif_limited(text: &str, limits: &LdifLimits) -> Result<Vec<LdifRec
                 }
                 current = Some(LdifRecord { dn, entry: Entry::new(), line: l.line });
             }
-            (None, _) => return Err(LdifError::MissingDn { line: l.line }),
-            (Some(_), "dn") => return Err(LdifError::DuplicateDn { line: l.line }),
-            (Some(rec), _) => {
-                rec.entry.add_value(&attr, value);
+            (None, false) => return Err(LdifError::MissingDn { line: l.line }),
+            (Some(_), true) => return Err(LdifError::DuplicateDn { line: l.line }),
+            (Some(rec), false) => {
+                rec.entry.add_value(attr, value);
             }
         }
     }
@@ -419,5 +491,397 @@ location: FP
         let limits = LdifLimits { max_input_len: 16, ..LdifLimits::default() };
         let err = parse_ldif_limited("dn: o=att\nobjectClass: top\n", &limits).unwrap_err();
         assert!(matches!(err, LdifError::LimitExceeded { line: 0, .. }), "{err}");
+    }
+
+    // ----- the borrowed reader against the two-pass reader it replaced -----
+
+    /// An owned logical line, as the two-pass reader collected them.
+    struct OwnedLogical {
+        line: usize,
+        text: String,
+    }
+
+    /// The first pass of the reader as it was before it borrowed: every
+    /// logical line copied into its own `String`, comments stripped,
+    /// continuations joined.
+    fn logical_lines(text: &str, limits: &LdifLimits) -> Result<Vec<OwnedLogical>, LdifError> {
+        let mut out: Vec<OwnedLogical> = Vec::new();
+        for (i, raw) in text.lines().enumerate() {
+            let line = i + 1;
+            if raw.len() > limits.max_line_len {
+                return Err(LdifError::LimitExceeded {
+                    line,
+                    what: format!("line is {} bytes (limit {})", raw.len(), limits.max_line_len),
+                });
+            }
+            if let Some(rest) = raw.strip_prefix(' ') {
+                match out.last_mut() {
+                    Some(prev) if !prev.text.is_empty() => {
+                        if prev.text.len() + rest.len() > limits.max_line_len {
+                            return Err(LdifError::LimitExceeded {
+                                line,
+                                what: format!(
+                                    "unfolded logical line exceeds {} bytes",
+                                    limits.max_line_len
+                                ),
+                            });
+                        }
+                        prev.text.push_str(rest);
+                    }
+                    _ => return Err(LdifError::DanglingContinuation { line }),
+                }
+                continue;
+            }
+            if raw.starts_with('#') {
+                continue;
+            }
+            out.push(OwnedLogical { line, text: raw.to_owned() });
+        }
+        Ok(out)
+    }
+
+    fn reference_split_line(l: &OwnedLogical) -> Result<(String, String), LdifError> {
+        let colon = l
+            .text
+            .find(':')
+            .ok_or_else(|| LdifError::MissingColon { line: l.line, content: l.text.clone() })?;
+        let attr = l.text[..colon].trim().to_owned();
+        let rest = &l.text[colon + 1..];
+        if let Some(b64) = rest.strip_prefix(':') {
+            let bytes = base64::decode(b64.trim())
+                .map_err(|e| LdifError::BadBase64 { line: l.line, reason: e.to_string() })?;
+            let value = String::from_utf8(bytes).map_err(|_| LdifError::BadBase64 {
+                line: l.line,
+                reason: "base64 value is not valid UTF-8".to_owned(),
+            })?;
+            Ok((attr, value))
+        } else {
+            Ok((attr, rest.trim_start().to_owned()))
+        }
+    }
+
+    /// The two-pass reader: `logical_lines`, then the record loop.
+    fn reference_parse(text: &str, limits: &LdifLimits) -> Result<Vec<LdifRecord>, LdifError> {
+        if text.len() > limits.max_input_len {
+            return Err(LdifError::LimitExceeded {
+                line: 0,
+                what: format!("input is {} bytes (limit {})", text.len(), limits.max_input_len),
+            });
+        }
+        let lines = logical_lines(text, limits)?;
+        let mut records = Vec::new();
+        let mut current: Option<LdifRecord> = None;
+        let mut seen_any = false;
+        for l in &lines {
+            if l.text.trim().is_empty() {
+                if let Some(rec) = current.take() {
+                    records.push(rec);
+                }
+                continue;
+            }
+            let (attr, value) = reference_split_line(l)?;
+            let key = attr.to_ascii_lowercase();
+            if !seen_any && key == "version" {
+                seen_any = true;
+                continue;
+            }
+            seen_any = true;
+            match (&mut current, key.as_str()) {
+                (None, "dn") => {
+                    if records.len() >= limits.max_records {
+                        return Err(LdifError::LimitExceeded {
+                            line: l.line,
+                            what: format!("more than {} records", limits.max_records),
+                        });
+                    }
+                    let dn = Dn::parse(&value)
+                        .map_err(|e| LdifError::BadDn { line: l.line, source: e })?;
+                    if dn.depth() > limits.max_dn_depth {
+                        return Err(LdifError::LimitExceeded {
+                            line: l.line,
+                            what: format!(
+                                "DN depth {} exceeds limit {}",
+                                dn.depth(),
+                                limits.max_dn_depth
+                            ),
+                        });
+                    }
+                    current = Some(LdifRecord { dn, entry: Entry::new(), line: l.line });
+                }
+                (None, _) => return Err(LdifError::MissingDn { line: l.line }),
+                (Some(_), "dn") => return Err(LdifError::DuplicateDn { line: l.line }),
+                (Some(rec), _) => {
+                    rec.entry.add_value(&attr, value);
+                }
+            }
+        }
+        if let Some(rec) = current.take() {
+            records.push(rec);
+        }
+        Ok(records)
+    }
+
+    type Outcome = Result<Vec<(Dn, Entry, usize)>, LdifError>;
+
+    fn outcome(parsed: Result<Vec<LdifRecord>, LdifError>) -> Outcome {
+        parsed.map(|records| records.into_iter().map(|r| (r.dn, r.entry, r.line)).collect())
+    }
+
+    /// Both readers return the same records, or the same error.
+    fn same(text: &str, limits: &LdifLimits) -> Outcome {
+        let new = outcome(parse_ldif_limited(text, limits));
+        assert_eq!(new, outcome(reference_parse(text, limits)), "{text:?} under {limits:?}");
+        new
+    }
+
+    #[test]
+    fn the_borrowed_reader_reads_hostile_input_as_the_two_pass_reader_did() {
+        let long = "x".repeat(100);
+        let b64 = super::base64::encode("héllo, wörld".as_bytes());
+        let bad_utf8 = super::base64::encode(&[0xff, 0xfe]);
+        let deep = (0..80).map(|i| format!("ou=d{i}")).collect::<Vec<_>>().join(",");
+        let cases: Vec<String> = vec![
+            // A continuation after a comment joins the line before it.
+            "dn: o=att\nobjectClass: to\n# a comment\n p\n".into(),
+            "dn: o=att\nobjectClass: to\n#\n#\n p\n#\n".into(),
+            // After a blank line, at the start, after a leading comment.
+            "dn: o=att\nobjectClass: top\n\n more\n".into(),
+            " leading\ndn: o=att\n".into(),
+            "# c\n x\n".into(),
+            "dn: o=att\n\n# c\n x\n".into(),
+            // A continuation bomb: one logical line past `max_line_len`.
+            format!("dn: o=att\ndescription: start\n{}", format!(" {long}\n").repeat(700)),
+            // An over-long raw line after a record fault.
+            format!("dn: o=a,,b\nobjectClass: top\n\n{}\n", "y".repeat(70_000)),
+            format!("nonsense\n\ndn: o=att\ndescription: {}\n", "y".repeat(70_000)),
+            "objectClass: top\n\n x\n".into(),
+            "dn: o=att\ndn: o=ibm\n\n\n x\n".into(),
+            // Two line faults: the first one is reported.
+            format!("dn: o=att\n\n y\n{}\n", "y".repeat(70_000)),
+            // A record fault with no line fault after it.
+            "dn: o=a,,b\nobjectClass: top\n\ndn: o=c\n".into(),
+            // CRLF line endings, folded too.
+            "dn: o=att\r\nobjectClass: top\r\ndescription: fol\r\n ded\r\n\r\n".into(),
+            "version: 1\r\n\r\ndn: o=att\r\nobjectClass: top\r\n".into(),
+            // Base64 values, good and bad; a base64 DN.
+            format!("dn: o=att\nobjectClass: top\ndescription:: {b64}\n"),
+            format!("dn: o=att\nobjectClass: top\ndescription:: {bad_utf8}\n"),
+            "dn: o=att\nobjectClass: top\ndescription:: !!!!\n".into(),
+            format!("dn:: {}\nobjectClass: top\n", super::base64::encode(b"o=att")),
+            format!("dn: o=att\nobjectClass: top\ndescription:: {}\n {}\n", &b64[..8], &b64[8..]),
+            // The version header: only first, any case, once.
+            "version: 1\ndn: o=att\nobjectClass: top\n".into(),
+            "VERSION: 1\ndn: o=att\nobjectClass: top\n".into(),
+            "version: 1\nversion: 1\ndn: o=att\n".into(),
+            "dn: o=att\nversion: 1\n".into(),
+            // Attribute names fold; values keep their spelling.
+            "DN: o=att\nObjectClass: Top\nOBJECTCLASS: top\nMail: A@b\nmail: a@b\nmail: a@b\n"
+                .into(),
+            // Whitespace-only lines end records; a tab line is continued.
+            "dn: o=att\nobjectClass: top\n\t\ndn: o=ibm\nobjectClass: top\n".into(),
+            "dn: o=att\n\t\n x\n".into(),
+            "dn: o=att\n \nobjectClass: top\n".into(),
+            // Empty input, blank input, no final newline, a lone CR.
+            "".into(),
+            "\n\n\n".into(),
+            "dn: o=att".into(),
+            "dn: o=att\r".into(),
+            "dn: o=att\nnonsense\n".into(),
+            // Limits: depth, record count, input length.
+            format!("dn: {deep}\nobjectClass: top\n"),
+            "dn: o=a\n\n".repeat(200),
+        ];
+        let limits = [
+            LdifLimits::default(),
+            LdifLimits::strict(),
+            LdifLimits { max_line_len: 64, max_records: 100, ..LdifLimits::default() },
+            LdifLimits { max_input_len: 40, ..LdifLimits::default() },
+        ];
+        for text in &cases {
+            for limits in &limits {
+                let _ = same(text, limits);
+            }
+        }
+
+        // The faults the cases are there for.
+        let strict = LdifLimits::strict();
+        let fault = |i: usize| same(&cases[i], &strict).unwrap_err();
+        let joined = same(&cases[0], &strict).unwrap();
+        assert!(joined[0].1.has_class("top"), "the continuation joins across the comment");
+        assert_eq!(fault(2), LdifError::DanglingContinuation { line: 4 });
+        assert_eq!(fault(3), LdifError::DanglingContinuation { line: 1 });
+        assert_eq!(fault(4), LdifError::DanglingContinuation { line: 2 });
+        assert!(
+            matches!(fault(6), LdifError::LimitExceeded { ref what, .. } if what.starts_with("unfolded")),
+            "{}",
+            fault(6)
+        );
+        assert!(matches!(fault(7), LdifError::LimitExceeded { line: 4, .. }), "{}", fault(7));
+        assert!(matches!(fault(8), LdifError::LimitExceeded { line: 4, .. }), "{}", fault(8));
+        assert_eq!(fault(9), LdifError::DanglingContinuation { line: 3 });
+        assert_eq!(fault(10), LdifError::DanglingContinuation { line: 5 });
+        assert_eq!(fault(11), LdifError::DanglingContinuation { line: 3 });
+        assert!(matches!(fault(12), LdifError::BadDn { line: 1, .. }));
+        assert!(matches!(fault(33), LdifError::LimitExceeded { line: 1, .. }));
+    }
+
+    /// A small xorshift generator, so the corpora below are reproducible.
+    fn xorshift(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |bound| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        }
+    }
+
+    #[test]
+    fn the_borrowed_reader_reads_generated_line_soup_as_the_two_pass_reader_did() {
+        const LINES: [&str; 18] = [
+            "dn: o=att",
+            "dn: ou=x,o=att",
+            "dn: o=a,,b",
+            "DN: o=Z",
+            "objectClass: top",
+            "cn:: aGVsbG8=",
+            "cn:: !!",
+            " cont",
+            " ",
+            "#c",
+            "",
+            "\t",
+            "noColon",
+            "version: 1",
+            "description: xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+            " xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+            "dn: ou=a,ou=b,ou=c,ou=d,o=att",
+            "mail: a@b",
+        ];
+        let limits = [
+            LdifLimits::default(),
+            LdifLimits {
+                max_line_len: 64,
+                max_records: 3,
+                max_dn_depth: 3,
+                ..LdifLimits::default()
+            },
+        ];
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        let mut errors = 0;
+        for _ in 0..20_000 {
+            let len = next(14);
+            let newline = if next(4) == 0 { "\r\n" } else { "\n" };
+            let text: String =
+                (0..len).map(|_| format!("{}{newline}", LINES[next(LINES.len())])).collect();
+            for limits in &limits {
+                errors += usize::from(same(&text, limits).is_err());
+            }
+        }
+        assert!((1_000..39_000).contains(&errors), "{errors} of 40000 soups failed");
+    }
+
+    /// A generated instance: a random forest with multi-valued RDNs,
+    /// escaped and non-ASCII RDN values, and long, multi-line, non-ASCII
+    /// and leading-space attribute values.
+    fn generated_instance(seed: u64, n: usize) -> crate::instance::DirectoryInstance {
+        use crate::dn::{Ava, Rdn};
+        let mut next = xorshift(seed);
+        let mut d = crate::instance::DirectoryInstance::white_pages();
+        let mut ids = Vec::new();
+        const VALUES: [&str; 8] =
+            ["plain", "a, b", "ünï", " lead", "trail ", "#hash", "x+y=z", "semi;colon"];
+        for i in 0..n {
+            let value = format!("{}{i}", VALUES[next(VALUES.len())]);
+            let rdn = if next(5) == 0 {
+                Rdn::new(vec![Ava::new("cn", value.clone()), Ava::new("uid", format!("u{i}"))])
+                    .unwrap()
+            } else {
+                Rdn::single(["o", "ou", "cn", "uid"][next(4)], value.clone())
+            };
+            let mut entry = Entry::builder().class(["person", "top", "orgUnit"][next(3)]).build();
+            for _ in 0..next(5) {
+                let attr = ["description", "mail", "telephoneNumber", "name"][next(4)];
+                let v = match next(6) {
+                    0 => "y".repeat(50 + next(300)),
+                    1 => "é".repeat(10 + next(60)),
+                    2 => format!(" {value}"),
+                    3 => "two\nlines".to_owned(),
+                    _ => format!("{attr} {i}"),
+                };
+                entry.add_value(attr, v);
+            }
+            let added = if ids.is_empty() || next(6) == 0 {
+                d.add_named_root(rdn, entry)
+            } else {
+                d.add_named_child(ids[next(ids.len())], rdn, entry)
+            };
+            if let Ok(id) = added {
+                ids.push(id);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn the_borrowed_reader_reads_dumped_instances_as_the_two_pass_reader_did() {
+        for seed in 1..=8 {
+            let d = generated_instance(seed, 300);
+            let text = crate::ldif::dump(&d).unwrap();
+            let records = same(&text, &LdifLimits::default()).unwrap();
+            assert_eq!(records.len(), d.len());
+            same(&text, &LdifLimits { max_line_len: 200, ..LdifLimits::default() }).ok();
+        }
+    }
+
+    /// The folded logical lines of `text`: lines followed by a
+    /// continuation line.
+    fn folded_lines(text: &str) -> usize {
+        let lines: Vec<&str> = text.lines().collect();
+        lines.windows(2).filter(|w| !w[0].starts_with(' ') && w[1].starts_with(' ')).count()
+    }
+
+    /// `n` person records under eight units, written by the LDIF writer;
+    /// with `fold`, every seventh record also holds a description the
+    /// writer folds over one to five continuation lines.
+    fn people(n: usize, fold: bool) -> String {
+        let mut text = String::from("version: 1\n\n");
+        for i in 0..n {
+            let mut entry = Entry::builder()
+                .class("person")
+                .class("top")
+                .attr("uid", format!("u{i}"))
+                .attr("name", format!("name of u{i}"))
+                .attr("mail", format!("u{i}@example.com"))
+                .build();
+            if fold && i % 7 == 3 {
+                entry.add_value("description", "d".repeat(75 * (1 + i % 5)));
+            }
+            crate::ldif::write_record(
+                &mut text,
+                &format!("uid=u{i},ou=unit{},o=acme", i % 8),
+                &entry,
+            );
+        }
+        text
+    }
+
+    /// The reader's counted contract: it owns one logical line per folded
+    /// line and nothing else, at 2k records as at 20k.
+    #[test]
+    fn the_reader_owns_exactly_the_folded_lines_at_2k_as_at_20k() {
+        for n in [2_000, 20_000] {
+            let text = people(n, false);
+            assert_eq!(folded_lines(&text), 0);
+            let (records, owned) = read(&text, &LdifLimits::default()).unwrap();
+            assert_eq!((records.len(), owned), (n, 0), "{n} records with no folded line");
+
+            let text = people(n, true);
+            let folds = folded_lines(&text);
+            assert!(folds >= n / 7, "{folds} folded lines");
+            assert!(text.lines().filter(|l| l.starts_with(' ')).count() > 2 * folds);
+            let (records, owned) = read(&text, &LdifLimits::default()).unwrap();
+            assert_eq!((records.len(), owned), (n, folds), "{n} records, {folds} folded lines");
+        }
     }
 }

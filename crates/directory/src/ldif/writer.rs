@@ -52,18 +52,40 @@ fn push_line(out: &mut String, attr: &str, value: &str) {
 
 /// Writes a single record (a `dn:` line plus the entry's attributes).
 pub fn write_record(out: &mut String, dn: &str, entry: &Entry) {
+    write_record_with(out, dn, entry, &[]);
+}
+
+/// Writes a record as [`write_record`] would write `entry` with each
+/// `(attr, value)` of `extra` added to it — without copying the entry.
+/// `extra` must be sorted by attribute, names lowercase and none
+/// `objectclass`; each pair goes in the entry's attribute order, after
+/// the values the entry already holds for that attribute, and not at all
+/// when the entry already holds that value.
+pub fn write_record_with(out: &mut String, dn: &str, entry: &Entry, extra: &[(&str, &str)]) {
     push_line(out, "dn", dn);
     // objectClass values first, per convention.
     for class in entry.classes() {
         push_line(out, "objectClass", class);
     }
+    let mut extra = extra.iter().peekable();
     for (attr, values) in entry.attributes() {
         if attr == crate::attribute::OBJECT_CLASS {
             continue;
         }
+        while let Some((name, value)) = extra.next_if(|(name, _)| *name < attr) {
+            push_line(out, name, value);
+        }
         for value in values {
             push_line(out, attr, value);
         }
+        if let Some((_, value)) = extra.next_if(|(name, _)| *name == attr) {
+            if !values.iter().any(|v| v == value) {
+                push_line(out, attr, value);
+            }
+        }
+    }
+    for (name, value) in extra {
+        push_line(out, name, value);
     }
     out.push('\n');
 }

@@ -40,23 +40,25 @@ const MODIFY_SHAPE: &str = "server.request(server.queue_wait,managed.apply,insta
                             service.publish)";
 
 /// The span tree of a committed single-shard `TXN` on a sharded
-/// backend: the router runs the same engine sequence as the single
-/// backend, on the request's probe, inside `service.apply_sharded`, and
-/// publishes the cut before it releases the shard's lock.
+/// backend: the router decodes the shard's part (`service.tx_build`, as
+/// on the single backend) and runs the same engine sequence, on the
+/// request's probe, inside `service.apply_sharded`, and publishes the cut
+/// before it releases the shard's lock.
 const SHARDED_TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,\
-                                 service.apply_sharded,managed.apply,incremental.check_insertions(\
-                                 content_delta,keys,structure_scoped),instance.prepare,\
-                                 journal.begin,journal.commit,service.publish)";
+                                 service.apply_sharded,service.tx_build,managed.apply,\
+                                 incremental.check_insertions(content_delta,keys,structure_scoped),\
+                                 instance.prepare,journal.begin,journal.commit,service.publish)";
 
 /// The span tree of a committed cross-shard `TXN`: each shard's part is
-/// certified and begun, then each commits, then the one cut is
-/// published.
+/// decoded, then each is certified and begun, then each commits, then
+/// the one cut is published.
 const CROSS_TXN_SHAPE: &str = "server.request(server.queue_wait,service.parse_ldif,\
-                               service.apply_sharded,managed.apply,incremental.check_insertions(\
-                               content_delta,keys,structure_scoped),instance.prepare,journal.begin,\
+                               service.apply_sharded,service.tx_build,service.tx_build,\
                                managed.apply,incremental.check_insertions(content_delta,keys,\
-                               structure_scoped),instance.prepare,journal.begin,journal.commit,\
-                               journal.commit,service.publish)";
+                               structure_scoped),instance.prepare,journal.begin,managed.apply,\
+                               incremental.check_insertions(content_delta,keys,structure_scoped),\
+                               instance.prepare,journal.begin,journal.commit,journal.commit,\
+                               service.publish)";
 
 /// A traced white-pages service: metered into one registry, one flight
 /// recorder for span trees.
