@@ -215,11 +215,12 @@ pub(crate) fn inconsistency_error(result: &crate::consistency::ConsistencyResult
 }
 
 /// A certified successor state, not installed yet: the instance an
-/// operation left on its structurally shared copy, or the consistent
-/// schema a cutover swaps to. Exists only after a legal verdict.
+/// operation left on its structurally shared copy (already in the `Arc`
+/// it is published in), or the consistent schema a cutover swaps to.
+/// Exists only after a legal verdict.
 #[derive(Debug)]
 enum Successor {
-    Instance(DirectoryInstance),
+    Instance(Arc<DirectoryInstance>),
     Schema(Box<DirectorySchema>),
 }
 
@@ -665,7 +666,7 @@ impl ManagedDirectory {
     /// swap.
     fn install(&mut self, next: Successor) {
         match next {
-            Successor::Instance(dir) => self.dir = Arc::new(dir),
+            Successor::Instance(dir) => self.dir = dir,
             Successor::Schema(schema) => self.schema = *schema,
         }
     }
@@ -701,7 +702,7 @@ impl ManagedDirectory {
                     }
                     probe.span_end(span);
                 });
-                return Ok(Successor::Instance(next));
+                return Ok(Successor::Instance(Arc::new(next)));
             }
             Ok((span, Err(e))) => (Some(span), e),
             // The span stays open — the tracer renders unclosed spans

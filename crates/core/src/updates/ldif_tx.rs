@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use bschema_directory::ldif::LdifRecord;
-use bschema_directory::DirectoryInstance;
+use bschema_directory::{DirectoryInstance, Dn};
 
 use super::{Transaction, TxError};
 
@@ -42,27 +42,27 @@ pub fn transaction_from_ldif(
             continue;
         }
         rec.entry.remove_attribute("changetype");
-        let rdn = rec.dn.rdn().cloned().ok_or_else(|| TxError::Ldif {
+        let (rdn, parent) = rec.dn.rdns().split_first().ok_or_else(|| TxError::Ldif {
             line: rec.line,
             reason: "insertion record has an empty dn".to_owned(),
         })?;
-        let op = match rec.dn.parent() {
-            Some(parent) if !parent.is_root() => {
-                if let Some(id) = dir.lookup_dn(&parent) {
-                    tx.insert_under_named(id, rdn, rec.entry)
-                } else if let Some(&parent_op) = pending.get(&parent.to_normalized_string()) {
-                    tx.insert_under_new_named(parent_op, rdn, rec.entry)
-                } else {
-                    return Err(TxError::Ldif {
-                        line: rec.line,
-                        reason: format!(
-                            "parent of {:?} is neither in the directory nor earlier in the transaction",
-                            rec.dn.to_normalized_string()
-                        ),
-                    });
-                }
-            }
-            _ => tx.insert_root_named(rdn, rec.entry),
+        let rdn = rdn.clone();
+        let op = if parent.is_empty() {
+            tx.insert_root_named(rdn, rec.entry)
+        } else if let Some(id) = dir.lookup_rdns(parent) {
+            tx.insert_under_named(id, rdn, rec.entry)
+        } else if let Some(&parent_op) =
+            pending.get(&Dn::from_rdns(parent.to_vec()).to_normalized_string())
+        {
+            tx.insert_under_new_named(parent_op, rdn, rec.entry)
+        } else {
+            return Err(TxError::Ldif {
+                line: rec.line,
+                reason: format!(
+                    "parent of {:?} is neither in the directory nor earlier in the transaction",
+                    rec.dn.to_normalized_string()
+                ),
+            });
         };
         pending.insert(rec.dn.to_normalized_string(), op);
     }

@@ -2,7 +2,8 @@
 //!
 //! The slot-parallel tables of a
 //! [`DirectoryInstance`](crate::DirectoryInstance) — its entries, its
-//! RDNs and its forest's link arena — live in fixed-width chunks behind
+//! RDNs (with their name-table links) and its forest's link arena — and
+//! the name table's bucket heads live in fixed-width chunks behind
 //! `Arc`s, so cloning an instance copies one pointer per chunk and two
 //! versions share every chunk neither of them wrote to. A write
 //! un-shares exactly the chunk it touches ([`Arc::make_mut`]);
@@ -18,39 +19,40 @@
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-/// Slots per chunk: what one write to a shared vector copies.
+/// Slots per chunk unless a table says otherwise: what one write to a
+/// shared vector copies.
 const CHUNK: usize = 64;
 
-/// A grow-only `Vec<T>` whose clones share storage chunk by chunk.
-/// Every chunk but the last is full.
+/// A grow-only `Vec<T>` whose clones share storage chunk by chunk, `N`
+/// slots a chunk. Every chunk but the last is full.
 #[derive(Debug, Clone)]
-pub(crate) struct CowVec<T> {
+pub(crate) struct CowVec<T, const N: usize = CHUNK> {
     chunks: Vec<Arc<Vec<T>>>,
 }
 
-impl<T: Clone> CowVec<T> {
+impl<T: Clone, const N: usize> CowVec<T, N> {
     pub(crate) fn new() -> Self {
         CowVec::default()
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * N + last.len())
     }
 
     pub(crate) fn get(&self, index: usize) -> Option<&T> {
-        self.chunks.get(index / CHUNK)?.get(index % CHUNK)
+        self.chunks.get(index / N)?.get(index % N)
     }
 
     /// Mutable access to one slot; copies the slot's chunk first if
     /// another version still shares it.
     pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
-        Arc::make_mut(self.chunks.get_mut(index / CHUNK)?).get_mut(index % CHUNK)
+        Arc::make_mut(self.chunks.get_mut(index / N)?).get_mut(index % N)
     }
 
     /// Appends one slot. Only the last chunk is ever written to.
     pub(crate) fn push(&mut self, value: T) {
-        if self.len() % CHUNK == 0 {
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
+        if self.len() % N == 0 {
+            self.chunks.push(Arc::new(Vec::with_capacity(N)));
         }
         Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured")).push(value);
     }
@@ -61,26 +63,48 @@ impl<T: Clone> CowVec<T> {
             self.push(fill());
         }
     }
+
+    /// Calls `f` on every slot with its index, mutably: un-shares every
+    /// chunk, once each.
+    pub(crate) fn for_each_mut(&mut self, mut f: impl FnMut(usize, &mut T)) {
+        for (c, chunk) in self.chunks.iter_mut().enumerate() {
+            for (i, slot) in Arc::make_mut(chunk).iter_mut().enumerate() {
+                f(c * N + i, slot);
+            }
+        }
+    }
 }
 
-impl<T> Default for CowVec<T> {
+/// Chunks `values`, sharing nothing yet.
+impl<T, const N: usize> From<Vec<T>> for CowVec<T, N> {
+    fn from(values: Vec<T>) -> Self {
+        let mut chunks = Vec::with_capacity(values.len().div_ceil(N));
+        let mut values = values.into_iter().peekable();
+        while values.peek().is_some() {
+            chunks.push(Arc::new(values.by_ref().take(N).collect()));
+        }
+        CowVec { chunks }
+    }
+}
+
+impl<T, const N: usize> Default for CowVec<T, N> {
     fn default() -> Self {
         CowVec { chunks: Vec::new() }
     }
 }
 
-impl<T> Index<usize> for CowVec<T> {
+impl<T, const N: usize> Index<usize> for CowVec<T, N> {
     type Output = T;
 
     fn index(&self, index: usize) -> &T {
-        &self.chunks[index / CHUNK][index % CHUNK]
+        &self.chunks[index / N][index % N]
     }
 }
 
 /// Like [`CowVec::get_mut`]: the slot's chunk is un-shared first.
-impl<T: Clone> IndexMut<usize> for CowVec<T> {
+impl<T: Clone, const N: usize> IndexMut<usize> for CowVec<T, N> {
     fn index_mut(&mut self, index: usize) -> &mut T {
-        &mut Arc::make_mut(&mut self.chunks[index / CHUNK])[index % CHUNK]
+        &mut Arc::make_mut(&mut self.chunks[index / N])[index % N]
     }
 }
 
@@ -88,10 +112,10 @@ impl<T: Clone> IndexMut<usize> for CowVec<T> {
 mod tests {
     use super::*;
 
-    impl<T> CowVec<T> {
+    impl<T, const N: usize> CowVec<T, N> {
         /// How many of `self`'s chunks are not `other`'s own chunk at
         /// the same position: what a write to one of two clones copied.
-        pub(crate) fn unshared_chunks(&self, other: &CowVec<T>) -> usize {
+        pub(crate) fn unshared_chunks(&self, other: &CowVec<T, N>) -> usize {
             let shared = self.chunks.iter().zip(&other.chunks).filter(|(x, y)| Arc::ptr_eq(x, y));
             self.chunks.len() - shared.count()
         }
@@ -153,6 +177,33 @@ mod tests {
         assert_eq!(b.unshared_chunks(&a), 3);
         b.push(7);
         assert_eq!((b.len(), b[2 * CHUNK + 3]), (2 * CHUNK + 4, 7));
+    }
+
+    #[test]
+    fn a_chunked_vec_reads_like_the_vec_it_came_from() {
+        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let mut v = CowVec::<usize>::from((0..len).collect::<Vec<_>>());
+            assert_eq!(contents(&v), (0..len).collect::<Vec<_>>());
+            v.push(len);
+            assert_eq!(v.len(), len + 1, "the last chunk is the only one short");
+        }
+        let wide = CowVec::<usize, 1024>::from(vec![3; 2_049]);
+        assert_eq!((wide.len(), wide.chunks.len(), wide[2_048]), (2_049, 3, 3));
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_slot_and_unshares_every_chunk() {
+        let a = filled(2 * CHUNK + 5);
+        let mut b = a.clone();
+        let mut seen = Vec::new();
+        b.for_each_mut(|i, slot| {
+            seen.push(i);
+            *slot += 1;
+        });
+        assert_eq!(seen, (0..2 * CHUNK + 5).collect::<Vec<_>>());
+        assert_eq!(contents(&b), (1..2 * CHUNK + 6).collect::<Vec<_>>());
+        assert_eq!(contents(&a), (0..2 * CHUNK + 5).collect::<Vec<_>>());
+        assert_eq!(b.unshared_chunks(&a), 3);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! `ou=databases,ou=attLabs,o=att`. An RDN is one or more
 //! `attribute=value` pairs joined with `+`.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// One `attribute=value` component of an RDN.
@@ -76,8 +77,10 @@ impl Rdn {
     }
 
     /// Case/whitespace-insensitive equality used for tree navigation:
-    /// `uid=Laks` and `uid=laks` name the same child.
+    /// `uid=Laks` and `uid=laks` name the same child. Each call counts
+    /// one [`rdn_comparisons`].
     pub fn matches(&self, other: &Rdn) -> bool {
+        COMPARISONS.with(|n| n.set(n.get() + 1));
         self.avas.len() == other.avas.len()
             && self
                 .avas
@@ -113,6 +116,18 @@ impl Rdn {
         }
         Ok(())
     }
+}
+
+thread_local! {
+    static COMPARISONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many RDN comparisons ([`Rdn::matches`]) this thread has made so
+/// far. The difference across a name resolution is the work it did: one
+/// comparison per level of the DN when names resolve through the
+/// instance's name table, whatever the number of roots or siblings.
+pub fn rdn_comparisons() -> u64 {
+    COMPARISONS.with(Cell::get)
 }
 
 impl fmt::Display for Rdn {
@@ -178,7 +193,8 @@ impl Dn {
     /// Parses an RFC 2253 string such as
     /// `uid=laks,ou=databases,ou=attLabs,o=att`. Supports backslash escapes
     /// (`\,`, `\+`, `\\`, `\=`, hex pairs `\2C`) and multi-valued RDNs with
-    /// `+`. The empty string parses to the empty DN.
+    /// `+`. A run of hex pairs is UTF-8 (RFC 4514 §3: `\C3\A9` is `é`). The
+    /// empty string parses to the empty DN.
     pub fn parse(s: &str) -> Result<Dn, DnParseError> {
         if s.is_empty() {
             return Ok(Dn::root());
@@ -284,23 +300,23 @@ impl std::str::FromStr for Dn {
     }
 }
 
-/// Splits on `sep` occurrences not preceded by a backslash.
-fn split_unescaped(s: &str, sep: char) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut escaped = false;
-    for (i, ch) in s.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if ch == '\\' {
-            escaped = true;
-        } else if ch == sep {
-            parts.push(&s[start..i]);
-            start = i + ch.len_utf8();
+/// Splits on `sep` occurrences not preceded by a backslash, lazily:
+/// parsing a DN collects no list of its parts.
+fn split_unescaped(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        match find_unescaped(s, sep) {
+            Some(at) => {
+                rest = Some(&s[at + sep.len_utf8()..]);
+                Some(&s[..at])
+            }
+            None => {
+                rest = None;
+                Some(s)
+            }
         }
-    }
-    parts.push(&s[start..]);
-    parts
+    })
 }
 
 fn find_unescaped(s: &str, target: char) -> Option<usize> {
@@ -332,28 +348,40 @@ fn trim_value(s: &str) -> &str {
     v
 }
 
+/// Removes the escapes of an RDN value. A run of `\XX` hex pairs is the
+/// UTF-8 encoding of what it stands for, and a run that is not UTF-8 is a
+/// [`DnParseError::BadEscape`] at the run's first backslash.
 fn unescape(s: &str) -> Result<String, DnParseError> {
     let mut out = String::with_capacity(s.len());
     let bytes = s.as_bytes();
+    // The bytes of the hex-pair run being read, and where it started.
+    let mut run: Vec<u8> = Vec::new();
+    let mut run_start = 0;
     let mut i = 0;
     while i < s.len() {
         let ch = s[i..].chars().next().expect("in-bounds char");
-        if ch == '\\' {
+        let hex = ch == '\\' && bytes.get(i + 1).is_some_and(u8::is_ascii_hexdigit);
+        if !hex && !run.is_empty() {
+            flush_hex_run(&mut run, run_start, &mut out)?;
+        }
+        if hex {
+            if i + 2 >= s.len() || !bytes[i + 2].is_ascii_hexdigit() {
+                return Err(DnParseError::BadEscape(i));
+            }
+            let byte =
+                u8::from_str_radix(&s[i + 1..i + 3], 16).map_err(|_| DnParseError::BadEscape(i))?;
+            if run.is_empty() {
+                run_start = i;
+            }
+            run.push(byte);
+            i += 3;
+        } else if ch == '\\' {
             let rest = &s[i + 1..];
             let next = rest.chars().next().ok_or(DnParseError::BadEscape(i))?;
             match next {
                 ',' | '+' | '"' | '\\' | '<' | '>' | ';' | '=' | ' ' | '#' => {
                     out.push(next);
                     i += 1 + next.len_utf8();
-                }
-                c if c.is_ascii_hexdigit() => {
-                    if i + 2 >= s.len() || !bytes[i + 2].is_ascii_hexdigit() {
-                        return Err(DnParseError::BadEscape(i));
-                    }
-                    let byte = u8::from_str_radix(&s[i + 1..i + 3], 16)
-                        .map_err(|_| DnParseError::BadEscape(i))?;
-                    out.push(byte as char);
-                    i += 3;
                 }
                 _ => return Err(DnParseError::BadEscape(i)),
             }
@@ -364,7 +392,17 @@ fn unescape(s: &str) -> Result<String, DnParseError> {
             i += ch.len_utf8();
         }
     }
+    if !run.is_empty() {
+        flush_hex_run(&mut run, run_start, &mut out)?;
+    }
     Ok(out)
+}
+
+/// Appends a finished run of hex-pair bytes as UTF-8 text.
+fn flush_hex_run(run: &mut Vec<u8>, start: usize, out: &mut String) -> Result<(), DnParseError> {
+    out.push_str(std::str::from_utf8(run).map_err(|_| DnParseError::BadEscape(start))?);
+    run.clear();
+    Ok(())
 }
 
 /// Writes `value` with RFC 2253's specials escaped, plus a leading space
@@ -435,6 +473,47 @@ mod tests {
     fn hex_escape() {
         let dn = Dn::parse(r"cn=a\2Cb,o=att").unwrap();
         assert_eq!(dn.rdn().unwrap().avas()[0].value(), "a,b");
+    }
+
+    #[test]
+    fn a_run_of_hex_pairs_is_utf8() {
+        let escaped = Dn::parse(r"cn=caf\C3\A9,o=x").unwrap();
+        assert_eq!(escaped.rdn().unwrap().avas()[0].value(), "café");
+        assert!(escaped.matches(&Dn::parse("cn=café,o=x").unwrap()));
+        assert!(escaped.matches(&Dn::parse(r"CN=CAF\C3\89,O=X").unwrap()), "É folds to é");
+        // A four-byte character, and a run that ends the value.
+        let dn = Dn::parse(r"cn=\F0\9F\98\80").unwrap();
+        assert_eq!(dn.rdn().unwrap().avas()[0].value(), "\u{1F600}");
+    }
+
+    #[test]
+    fn hex_runs_mix_with_plain_and_special_escapes() {
+        let dn = Dn::parse(r"cn=\41b\2C\C3\A9\,z\+\e2\82\ac\20x,o=att").unwrap();
+        assert_eq!(dn.rdn().unwrap().avas()[0].value(), "Ab,é,z+€ x");
+        assert_eq!(dn.depth(), 2);
+        let rendered = dn.to_string();
+        assert_eq!(Dn::parse(&rendered).unwrap(), dn, "{rendered}");
+    }
+
+    #[test]
+    fn a_hex_run_that_is_not_utf8_is_a_bad_escape_at_its_start() {
+        // A lone lead byte, a lead byte cut off by another escape, a
+        // stray continuation byte, and an overlong encoding of '/'.
+        for (value, at) in [(r"x\C3", 1), (r"ab\C3\,\A9", 2), (r"\A9", 0), (r"a\41\C0\AF", 1)] {
+            let dn = format!("cn={value},o=x");
+            assert_eq!(Dn::parse(&dn), Err(DnParseError::BadEscape(at)), "{dn}");
+        }
+        // A run broken by a plain character is two runs: each must be UTF-8.
+        assert_eq!(Dn::parse(r"cn=\C3x\A9"), Err(DnParseError::BadEscape(0)));
+    }
+
+    #[test]
+    fn parts_split_lazily_keep_every_empty_part() {
+        let parts = |s| split_unescaped(s, ',').collect::<Vec<_>>();
+        assert_eq!(parts(""), [""]);
+        assert_eq!(parts(","), ["", ""]);
+        assert_eq!(parts(r"a\,b,,c\\,d"), [r"a\,b", "", r"c\\", "d"]);
+        assert_eq!(parts("é,ü"), ["é", "ü"]);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub fn load_into_limited(
     limits: &LdifLimits,
 ) -> Result<usize, LdifError> {
     let records = parse_ldif_limited(text, limits)?;
+    instance.reserve_names(records.len());
     let mut added = 0;
     for record in records {
         let dn = &record.dn;

@@ -57,6 +57,7 @@ pub mod forest;
 pub mod index;
 pub mod instance;
 pub mod ldif;
+mod names;
 pub mod oid;
 mod postings;
 pub mod syntax;

@@ -306,6 +306,32 @@ pub(crate) fn case_ignore_matches(raw: &str, needle: &str) -> bool {
     }
 }
 
+/// Feeds the bytes of [`normalize_case_ignore`]`(raw)` to `state`, so two
+/// values hash alike whenever [`case_ignore_eq`] holds of them. An ASCII
+/// value streams its folded bytes and builds no string; both paths hand
+/// the bytes over in the same pieces, so a non-ASCII value whose normal
+/// form is ASCII (`\u{212A}` is `k`) hashes as that form does.
+pub(crate) fn hash_case_ignore(raw: &str, state: &mut impl std::hash::Hasher) {
+    fn feed(bytes: impl Iterator<Item = u8>, state: &mut impl std::hash::Hasher) {
+        let mut piece = [0u8; 32];
+        let mut len = 0;
+        for b in bytes {
+            if len == piece.len() {
+                state.write(&piece);
+                len = 0;
+            }
+            piece[len] = b;
+            len += 1;
+        }
+        state.write(&piece[..len]);
+    }
+    if raw.is_ascii() {
+        feed(case_ignore_ascii(raw), state);
+    } else {
+        feed(normalize_case_ignore(raw).bytes(), state);
+    }
+}
+
 /// `normalize_case_ignore(a) == normalize_case_ignore(b)`.
 pub(crate) fn case_ignore_eq(a: &str, b: &str) -> bool {
     if a.is_ascii() && b.is_ascii() {
@@ -416,6 +442,32 @@ mod tests {
     fn case_ignore_normalization_collapses_whitespace() {
         assert_eq!(normalize_case_ignore("  A  B\tC "), "a b c");
         assert_eq!(normalize_case_ignore(""), "");
+    }
+
+    #[test]
+    fn values_that_match_case_ignoring_hash_alike() {
+        use std::hash::{BuildHasher, Hasher};
+        let keys = std::collections::hash_map::RandomState::new();
+        let hash = |raw: &str| {
+            let mut state = keys.build_hasher();
+            hash_case_ignore(raw, &mut state);
+            state.finish()
+        };
+        let long = "Organisational Unit Of The Directory Research Group";
+        let pairs = [
+            ("  A  B\tC ", "a b c"),
+            ("k", "\u{212A}"),
+            ("CAFÉ", "café"),
+            (long, &long.to_uppercase()),
+            (&format!(" {long}\t\t{long} "), &format!("{long} {long}").to_lowercase()),
+            (&"x".repeat(64), &"X".repeat(64)),
+        ];
+        for (a, b) in pairs {
+            assert!(case_ignore_eq(a, b), "{a:?} {b:?}");
+            assert_eq!(hash(a), hash(b), "{a:?} {b:?}");
+        }
+        assert_ne!(hash("ab"), hash("a b"));
+        assert_ne!(hash(&"x".repeat(32)), hash(&"x".repeat(33)));
     }
 
     #[test]
