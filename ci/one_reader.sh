@@ -22,9 +22,14 @@
 #   crates/directory/src/ldif/parser.rs are borrowed one at a time, never
 #   collected into a `Vec`; the checkpoint codec (crates/core/src/
 #   checkpoint.rs) writes rows from their shared entries and moves
-#   decoded rows into the instance, so it copies no entry.
+#   decoded rows into the instance, so it copies no entry;
+# * a checkpoint is decoded once, in one walk of its lines: the decoder
+#   consumes the reader's walk (`walk_ldif`), so non-test checkpoint.rs
+#   calls no `parse_ldif`, and sharded recovery reads each shard's
+#   checkpoint through that shard's `RecoveryPlan`, so non-test
+#   crates/core/src/sharded.rs calls no `Checkpoint::decode`.
 #
-# Exempt from the first four rules and the last: test modules — this repo keeps
+# Exempt from the first four rules and the last two: test modules — this repo keeps
 # exactly one `#[cfg(test)]` marker per file, at the start of the
 # trailing tests module.
 set -euo pipefail
@@ -99,5 +104,16 @@ copies=$(nontest crates/core/src/checkpoint.rs | grep -F -e 'Entry::clone(' -e '
 if [ -n "$copies" ]; then
     echo "$copies"
     fail "the checkpoint codec copies an entry; write rows from their Arc and move decoded ones"
+fi
+records=$(nontest crates/core/src/checkpoint.rs | grep -F 'parse_ldif' || true)
+if [ -n "$records" ]; then
+    echo "$records"
+    fail "the checkpoint decoder collects LDIF records; consume the reader's walk (walk_ldif)"
+fi
+
+decodes=$(nontest crates/core/src/sharded.rs | grep -F 'Checkpoint::decode' || true)
+if [ -n "$decodes" ]; then
+    echo "$decodes"
+    fail "sharded recovery decodes a checkpoint beside its shard's RecoveryPlan; decode each once"
 fi
 exit "$status"

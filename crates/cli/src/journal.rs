@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bschema_core::checkpoint::{checkpoint_path, RecoveryPlan};
+use bschema_core::checkpoint::{checkpoint_path, Checkpoint, RecoveryPlan};
 use bschema_core::engine::{JournalFiles, Op};
 use bschema_core::journal::Journal;
 use bschema_core::legality::LegalityChecker;
@@ -137,7 +137,8 @@ pub(crate) fn recover(args: &[String], out: &mut String) -> Result<i32, CliError
     let obs = ObsOpts::new(&args);
     let parsed = load_schema(schema_path)?;
     let JournalFiles { journal, ckpt_text, .. } = read_journal_files(journal_path)?;
-    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt_text.as_deref(), &journal);
+    let ckpt = ckpt_text.as_deref().map(Checkpoint::decode);
+    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt, &journal);
     if args.has("--verify") {
         return Ok(recover_verify(&journal, &plan, out));
     }
@@ -256,7 +257,8 @@ pub(crate) fn checkpoint(args: &[String], out: &mut String) -> Result<i32, CliEr
             journal.dropped_records
         );
     }
-    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt_text.as_deref(), &journal);
+    let ckpt = ckpt_text.as_deref().map(Checkpoint::decode);
+    let plan = RecoveryPlan::new(parsed.schema.clone(), ckpt, &journal);
     let recovery = match plan.execute(base, &journal) {
         Ok(recovery) => recovery,
         Err(e) => {

@@ -35,7 +35,13 @@
 //! ```
 //!
 //! The body is the same LDIF dialect as directory content and the
-//! journal, so standard tooling can inspect it. The first record
+//! journal, so standard tooling can inspect it, and [`Checkpoint::decode`]
+//! reads it with the one LDIF reader, in one walk of its lines
+//! ([`walk_ldif`]): no record list is built, the slot number is read off
+//! the `dn:` text (`slot=<n>,cn=checkpoint`, no DN parsed), `ckpparent`
+//! and `ckprdn` are read straight into the row and never enter the
+//! entry, and each entry moves into its [`SlotRow`] when its record
+//! ends. No allocation is sized from the header. The first record
 //! carries the snapshot header under reserved `ckp*` attributes: the
 //! arena `slot_bound`, the free-slot stack (bottom first, as repeated
 //! `ckpfree` values), the journal sequence number the snapshot covers
@@ -80,8 +86,10 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bschema_directory::ldif::{parse_ldif, write_record, write_record_with, LdifRecord};
-use bschema_directory::{fnv1a, AttributeRegistry, DirectoryInstance, Dn, Entry, SlotRow};
+use bschema_directory::ldif::{
+    walk_ldif, write_record, write_record_with, LdifError, LdifEvent, LdifLimits,
+};
+use bschema_directory::{fnv1a, AttributeRegistry, DirectoryInstance, Entry, Rdn, SlotRow};
 use bschema_obs::Probe;
 
 use crate::journal::{Journal, JournalTx, JournalWriter, Payload, RecoveryReport};
@@ -162,6 +170,13 @@ impl std::error::Error for CheckpointError {}
 
 fn torn(reason: impl Into<String>) -> CheckpointError {
     CheckpointError::Torn(reason.into())
+}
+
+/// A body the LDIF reader refuses is a torn checkpoint.
+impl From<LdifError> for CheckpointError {
+    fn from(e: LdifError) -> Self {
+        torn(format!("body is not LDIF: {e}"))
+    }
 }
 
 /// A decoded (or captured) checkpoint: the slot-exact snapshot plus the
@@ -301,52 +316,9 @@ impl Checkpoint {
         if fnv1a(body.as_bytes()) != sum {
             return Err(torn("checksum mismatch"));
         }
-        let records = parse_ldif(body).map_err(|e| torn(format!("body is not LDIF: {e}")))?;
-        let mut records = records.into_iter();
-        let header = records.next().ok_or_else(|| torn("empty body"))?;
-        if header.dn.to_string() != CHECKPOINT_DN {
-            return Err(torn("first record is not the snapshot header"));
-        }
-        let field = |attr: &str| -> Result<u64, CheckpointError> {
-            header
-                .entry
-                .first_value(attr)
-                .and_then(|v| v.trim().parse().ok())
-                .ok_or_else(|| torn(format!("missing or malformed {attr}")))
-        };
-        if field("ckpversion")? != CHECKPOINT_VERSION {
-            return Err(torn("unsupported snapshot version"));
-        }
-        let seq = field("ckpseq")?;
-        let next_tx = field("ckptx")?;
-        let schema_hash = header
-            .entry
-            .first_value("ckpschema")
-            .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
-            .ok_or_else(|| torn("missing or malformed ckpschema"))?;
-        let schema_dsl = header.entry.first_value("ckpdsl").map(crate::journal::unescape_text);
-        let slot_bound = field("ckpbound")? as usize;
-        let entries = field("ckpentries")? as usize;
-        let shard = match header.entry.first_value("ckpshard") {
-            Some(v) => Some(v.trim().parse().map_err(|_| torn("malformed ckpshard"))?),
-            None => None,
-        };
-        let mut free = Vec::new();
-        for value in header.entry.values("ckpfree") {
-            free.push(value.trim().parse().map_err(|_| torn("malformed ckpfree"))?);
-        }
-        let mut rows = Vec::with_capacity(entries);
-        let mut rendered = String::new();
-        for record in records {
-            rows.push(decode_slot_record(record, &mut rendered)?);
-        }
-        if rows.len() != entries {
-            return Err(torn(format!(
-                "snapshot header promises {entries} entries, body has {}",
-                rows.len()
-            )));
-        }
-        Ok(Checkpoint { seq, next_tx, schema_hash, schema_dsl, shard, slot_bound, free, rows })
+        let mut reader = BodyReader::default();
+        walk_ldif(body, &LdifLimits::default(), |event| reader.read(event))?;
+        reader.finish()
     }
 
     /// The full embedded schema (`ckpdsl`), hash-verified: it must
@@ -391,51 +363,161 @@ impl Checkpoint {
     }
 }
 
-/// Decodes one `slot=<n>,cn=checkpoint` body record into a [`SlotRow`],
-/// moving its entry into the row. `rendered` is scratch space for the
-/// DN's RDNs.
-fn decode_slot_record(
-    record: LdifRecord,
-    rendered: &mut String,
-) -> Result<SlotRow, CheckpointError> {
-    let slot = slot_of(&record.dn, rendered).ok_or_else(|| {
-        torn(format!("unexpected record DN {:?} in snapshot body", record.dn.to_string()))
-    })?;
-    let parent = match record.entry.first_value("ckpparent") {
-        Some("-") => None,
-        Some(v) => Some(v.trim().parse().map_err(|_| torn("malformed ckpparent"))?),
-        None => return Err(torn(format!("slot {slot} record is missing ckpparent"))),
-    };
-    let rdn = match record.entry.first_value("ckprdn") {
-        Some(s) => Some(
-            Dn::parse(s)
-                .ok()
-                .and_then(|dn| dn.rdn().cloned())
-                .ok_or_else(|| torn(format!("slot {slot} has malformed ckprdn")))?,
-        ),
-        None => None,
-    };
-    let mut entry = record.entry;
-    for attr in ["ckpparent", "ckprdn"] {
-        entry.remove_attribute(attr);
-    }
-    Ok(SlotRow { slot, parent, rdn, entry: Arc::new(entry) })
+/// The record a body walk is in.
+#[derive(Default)]
+enum Open {
+    /// Between records.
+    #[default]
+    None,
+    /// The first record, the snapshot header, collected whole.
+    Header(Entry),
+    /// A slot record: its `ckpparent` (`Some(None)` for a root) and
+    /// `ckprdn` once read, and the entry its other values build.
+    Slot { slot: u32, parent: Option<Option<u32>>, rdn: Option<Rdn>, entry: Entry },
 }
 
-/// The slot a body record's DN names: the DN must render as
-/// `slot=<n>,cn=checkpoint`. Each of its two RDNs is rendered into the
-/// reused `rendered`, so the DNs accepted are exactly those whose whole
-/// rendering matches, with no string made per record.
-fn slot_of(dn: &Dn, rendered: &mut String) -> Option<u32> {
-    let [leaf, top] = dn.rdns() else { return None };
-    rendered.clear();
-    let _ = top.write_to(rendered);
-    if rendered != CHECKPOINT_DN {
-        return None;
+/// Decodes a checkpoint body in one walk of its lines: the header record
+/// into a [`Checkpoint`] with no rows, then each slot record into a
+/// [`SlotRow`] as it ends. `ckpparent` and `ckprdn` are read straight
+/// into the row, the first value of each under any case of its name,
+/// and never enter the entry.
+#[derive(Default)]
+struct BodyReader {
+    /// The header, once its record ended, and the entries it promises.
+    ckpt: Option<(Checkpoint, u64)>,
+    open: Open,
+}
+
+impl BodyReader {
+    fn read(&mut self, event: LdifEvent<'_>) -> Result<(), CheckpointError> {
+        match event {
+            LdifEvent::Start { dn, .. } if self.ckpt.is_none() => {
+                if !names_checkpoint(dn) {
+                    return Err(torn("first record is not the snapshot header"));
+                }
+                self.open = Open::Header(Entry::new());
+            }
+            LdifEvent::Start { dn, .. } => {
+                let slot = slot_of(dn)
+                    .ok_or_else(|| torn(format!("unexpected record DN {dn:?} in snapshot body")))?;
+                self.open = Open::Slot { slot, parent: None, rdn: None, entry: Entry::new() };
+            }
+            LdifEvent::Value { attr, value } => match &mut self.open {
+                Open::Header(entry) => {
+                    entry.add_value(attr, value);
+                }
+                Open::Slot { slot, parent, .. } if attr.eq_ignore_ascii_case("ckpparent") => {
+                    if parent.is_none() {
+                        *parent = Some(match &*value {
+                            "-" => None,
+                            v => Some(v.trim().parse().map_err(|_| {
+                                torn(format!("slot {slot} has malformed ckpparent"))
+                            })?),
+                        });
+                    }
+                }
+                Open::Slot { slot, rdn, .. } if attr.eq_ignore_ascii_case("ckprdn") => {
+                    if rdn.is_none() {
+                        *rdn = Some(
+                            Rdn::parse(&value)
+                                .map_err(|_| torn(format!("slot {slot} has malformed ckprdn")))?,
+                        );
+                    }
+                }
+                Open::Slot { entry, .. } => {
+                    entry.add_value(attr, value);
+                }
+                Open::None => {}
+            },
+            LdifEvent::End => match std::mem::take(&mut self.open) {
+                Open::Header(entry) => self.ckpt = Some(header(&entry)?),
+                Open::Slot { slot, parent, rdn, entry } => {
+                    let parent = parent
+                        .ok_or_else(|| torn(format!("slot {slot} record is missing ckpparent")))?;
+                    if let Some((ckpt, _)) = &mut self.ckpt {
+                        ckpt.rows.push(SlotRow { slot, parent, rdn, entry: Arc::new(entry) });
+                    }
+                }
+                Open::None => {}
+            },
+        }
+        Ok(())
     }
-    rendered.clear();
-    let _ = leaf.write_to(rendered);
-    rendered.strip_prefix("slot=")?.trim().parse().ok()
+
+    /// The decoded checkpoint, once its body holds the rows its header
+    /// promises. No allocation is sized from the header: the rows grow
+    /// as the body yields them.
+    fn finish(self) -> Result<Checkpoint, CheckpointError> {
+        let (ckpt, entries) = self.ckpt.ok_or_else(|| torn("empty body"))?;
+        if ckpt.rows.len() as u64 != entries {
+            return Err(torn(format!(
+                "snapshot header promises {entries} entries, body has {}",
+                ckpt.rows.len()
+            )));
+        }
+        Ok(ckpt)
+    }
+}
+
+/// The snapshot header record's fields: a checkpoint with no rows yet,
+/// and the number of rows (`ckpentries`) it promises.
+fn header(entry: &Entry) -> Result<(Checkpoint, u64), CheckpointError> {
+    let field = |attr: &str| -> Result<u64, CheckpointError> {
+        entry
+            .first_value(attr)
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| torn(format!("missing or malformed {attr}")))
+    };
+    if field("ckpversion")? != CHECKPOINT_VERSION {
+        return Err(torn("unsupported snapshot version"));
+    }
+    let seq = field("ckpseq")?;
+    let next_tx = field("ckptx")?;
+    let schema_hash = entry
+        .first_value("ckpschema")
+        .and_then(|v| u64::from_str_radix(v.trim(), 16).ok())
+        .ok_or_else(|| torn("missing or malformed ckpschema"))?;
+    let schema_dsl = entry.first_value("ckpdsl").map(crate::journal::unescape_text);
+    let slot_bound = field("ckpbound")? as usize;
+    let entries = field("ckpentries")?;
+    let shard = match entry.first_value("ckpshard") {
+        Some(v) => Some(v.trim().parse().map_err(|_| torn("malformed ckpshard"))?),
+        None => None,
+    };
+    let mut free = Vec::new();
+    for value in entry.values("ckpfree") {
+        free.push(value.trim().parse().map_err(|_| torn("malformed ckpfree"))?);
+    }
+    let rows = Vec::new();
+    Ok((
+        Checkpoint { seq, next_tx, schema_hash, schema_dsl, shard, slot_bound, free, rows },
+        entries,
+    ))
+}
+
+/// Whether `rdn` spells the header's `cn=checkpoint`: the attribute name
+/// in any case, whitespace around it and before the value, spaces after
+/// it. A second RDN or AVA, an escape or another case of `checkpoint` is
+/// not that spelling.
+fn names_checkpoint(rdn: &str) -> bool {
+    rdn.split_once('=').is_some_and(|(attr, value)| {
+        attr.trim().eq_ignore_ascii_case("cn")
+            && value.trim_start().trim_end_matches(' ') == "checkpoint"
+    })
+}
+
+/// The slot a body record's DN names, read off its text: the DN must
+/// spell `slot=<n>,cn=checkpoint`, `<n>` decimal digits with whitespace
+/// around them, the `slot` name in any case and the second RDN as
+/// [`names_checkpoint`] reads it.
+fn slot_of(dn: &str) -> Option<u32> {
+    let (leaf, top) = dn.split_once(',')?;
+    let (attr, n) = leaf.split_once('=')?;
+    let n = n.trim();
+    let spelled = attr.trim().eq_ignore_ascii_case("slot")
+        && n.bytes().all(|b| b.is_ascii_digit())
+        && names_checkpoint(top);
+    spelled.then(|| n.parse().ok()).flatten()
 }
 
 /// Atomically and durably installs checkpoint `text` at `path`: the
@@ -546,10 +628,15 @@ fn tail_from(journal: &Journal, from: u64) -> impl Iterator<Item = &JournalTx> {
 }
 
 impl RecoveryPlan {
-    /// Decides the ladder rung for `journal` + `ckpt_text` under the
-    /// boot `schema`. Pure.
-    pub fn new(schema: DirectorySchema, ckpt_text: Option<&str>, journal: &Journal) -> Self {
-        let ignored = match ckpt_text.map(Checkpoint::decode) {
+    /// Decides the ladder rung for `journal` + its decoded checkpoint
+    /// (`None`: there is no checkpoint file) under the boot `schema`.
+    /// Pure.
+    pub fn new(
+        schema: DirectorySchema,
+        ckpt: Option<Result<Checkpoint, CheckpointError>>,
+        journal: &Journal,
+    ) -> Self {
+        let ignored = match ckpt {
             None => None,
             Some(Err(torn)) => Some(torn),
             Some(Ok(ckpt)) => {
@@ -588,6 +675,20 @@ impl RecoveryPlan {
                 "journal is truncated (starts at seq {}) and its checkpoint is unusable: {reason}",
                 journal.start_seq
             )),
+        }
+    }
+
+    /// [`new`](RecoveryPlan::new) over a checkpoint's text, decoded here
+    /// once.
+    pub fn decode(schema: DirectorySchema, ckpt_text: Option<&str>, journal: &Journal) -> Self {
+        RecoveryPlan::new(schema, ckpt_text.map(Checkpoint::decode), journal)
+    }
+
+    /// The checkpoint this plan restores, if it restores one.
+    pub fn checkpoint(&self) -> Option<&Checkpoint> {
+        match self {
+            RecoveryPlan::Restore { ckpt, .. } => Some(ckpt),
+            _ => None,
         }
     }
 
@@ -650,7 +751,7 @@ impl RecoveryPlan {
     }
 }
 
-/// Checkpoint-aware recovery: [`RecoveryPlan::new`] then
+/// Checkpoint-aware recovery: [`RecoveryPlan::decode`] then
 /// [`RecoveryPlan::execute`] — the one recovery ladder.
 pub fn recover_with_checkpoint(
     schema: DirectorySchema,
@@ -658,7 +759,7 @@ pub fn recover_with_checkpoint(
     ckpt_text: Option<&str>,
     journal: &Journal,
 ) -> Result<CheckpointRecovery, ManagedError> {
-    RecoveryPlan::new(schema, ckpt_text, journal).execute(base, journal)
+    RecoveryPlan::decode(schema, ckpt_text, journal).execute(base, journal)
 }
 
 #[cfg(test)]
@@ -1091,5 +1192,256 @@ mod tests {
         odd.add_named_root(Rdn::single("o", "odd"), reserved).unwrap();
         let ckpt = snapshot_of(&odd);
         assert_eq!(ckpt.encode(), encode_by_copy(&ckpt));
+    }
+
+    // ----- the one-walk decoder against the record decoder it replaced -----
+
+    /// `decode` as it was before it walked the body: every record parsed
+    /// into a `Dn` and an entry, the slot read off the rendered DN, the
+    /// `ckp*` fields read from the entry and then removed from it. The
+    /// header record is read by the same `header` the walk uses.
+    fn decode_by_records(text: &str) -> Result<Checkpoint, CheckpointError> {
+        use bschema_directory::ldif::parse_ldif;
+        use bschema_directory::Dn;
+        let (line, rest) = text.split_once('\n').ok_or_else(|| torn("missing header line"))?;
+        let mut tokens = line.split_ascii_whitespace();
+        if tokens.next() != Some(CHECKPOINT_MAGIC) || tokens.next() != Some("v1") {
+            return Err(torn("bad magic or version"));
+        }
+        let len: usize = tokens
+            .next()
+            .and_then(|t| t.strip_prefix("len="))
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| torn("bad length prefix"))?;
+        let sum: u64 = tokens
+            .next()
+            .and_then(|t| t.strip_prefix("sum="))
+            .and_then(|t| u64::from_str_radix(t, 16).ok())
+            .ok_or_else(|| torn("bad checksum field"))?;
+        if rest.len() < len || !rest.is_char_boundary(len) || fnv1a(&rest.as_bytes()[..len]) != sum
+        {
+            return Err(torn("short body or checksum mismatch"));
+        }
+        let body = &rest[..len];
+        let records = parse_ldif(body).map_err(|e| torn(format!("body is not LDIF: {e}")))?;
+        let mut records = records.into_iter();
+        let header_record = records.next().ok_or_else(|| torn("empty body"))?;
+        if header_record.dn.to_string() != CHECKPOINT_DN {
+            return Err(torn("first record is not the snapshot header"));
+        }
+        let (mut ckpt, entries) = header(&header_record.entry)?;
+        for record in records {
+            let [leaf, top] = record.dn.rdns() else { return Err(torn("slot DN")) };
+            let slot: u32 = (top.to_string() == CHECKPOINT_DN)
+                .then(|| leaf.to_string().strip_prefix("slot=")?.trim().parse().ok())
+                .flatten()
+                .ok_or_else(|| torn("slot DN"))?;
+            let parent = match record.entry.first_value("ckpparent") {
+                Some("-") => None,
+                Some(v) => Some(v.trim().parse().map_err(|_| torn("malformed ckpparent"))?),
+                None => return Err(torn("missing ckpparent")),
+            };
+            let rdn = match record.entry.first_value("ckprdn") {
+                Some(s) => Some(
+                    Dn::parse(s)
+                        .ok()
+                        .and_then(|dn| dn.rdn().cloned())
+                        .ok_or_else(|| torn("malformed ckprdn"))?,
+                ),
+                None => None,
+            };
+            let mut entry = record.entry;
+            for attr in ["ckpparent", "ckprdn"] {
+                entry.remove_attribute(attr);
+            }
+            ckpt.rows.push(SlotRow { slot, parent, rdn, entry: Arc::new(entry) });
+        }
+        if ckpt.rows.len() as u64 != entries {
+            return Err(torn("count"));
+        }
+        Ok(ckpt)
+    }
+
+    /// A checkpoint file around `body`, its header line sealing it.
+    fn reseal(body: &str) -> String {
+        format!(
+            "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} len={} sum={:016x}\n{body}",
+            body.len(),
+            fnv1a(body.as_bytes())
+        )
+    }
+
+    /// The body of an encoded checkpoint.
+    fn body_of(encoded: &str) -> &str {
+        encoded.split_once('\n').expect("a header line").1
+    }
+
+    /// What a decode came to, comparable: the re-encoded checkpoint, or
+    /// the error's variant.
+    fn outcome(decoded: &Result<Checkpoint, CheckpointError>) -> Result<String, &'static str> {
+        match decoded {
+            Ok(ckpt) => Ok(ckpt.encode()),
+            Err(CheckpointError::Torn(_)) => Err("torn"),
+            Err(CheckpointError::SchemaMismatch { .. }) => Err("schema mismatch"),
+            Err(CheckpointError::Restore(_)) => Err("restore"),
+        }
+    }
+
+    /// The white-pages checkpoint the robustness tests damage: a deleted
+    /// slot on the free stack, the schema DSL embedded.
+    fn white_pages_checkpoint() -> (Checkpoint, AttributeRegistry) {
+        let (mut live, _mem, _text, _ids) = journalled_fixture();
+        let leaves: Vec<_> = live
+            .instance()
+            .iter()
+            .map(|(id, _)| id)
+            .filter(|&id| live.instance().forest().is_leaf(id))
+            .collect();
+        let deleted = leaves.into_iter().any(|leaf| {
+            let mut tx = Transaction::new();
+            tx.delete(leaf);
+            live.apply(&tx).is_ok()
+        });
+        assert!(deleted && !live.instance().forest().free_slots().is_empty());
+        (live.capture(None), live.instance().registry().clone())
+    }
+
+    #[test]
+    fn a_header_promising_more_entries_than_memory_holds_is_torn() {
+        let (ckpt, registry) = white_pages_checkpoint();
+        let encoded = ckpt.encode();
+        let promised = format!("\nckpentries: {}\n", ckpt.rows.len());
+        assert!(encoded.contains(&promised));
+        for entries in ["1000000000000", "18446744073709551615"] {
+            let hostile = reseal(
+                &body_of(&encoded).replace(&promised, &format!("\nckpentries: {entries}\n")),
+            );
+            let err = Checkpoint::decode(&hostile).expect_err("a false promise is torn");
+            assert!(
+                matches!(&err, CheckpointError::Torn(why) if why.contains("promises")),
+                "{err}"
+            );
+        }
+        // A slot bound past what the rows and the free stack fill decodes
+        // (it is a number) and is refused before anything is sized from it.
+        let bound = format!("\nckpbound: {}\n", ckpt.slot_bound);
+        let hostile = reseal(&body_of(&encoded).replace(&bound, "\nckpbound: 1000000000000\n"));
+        let decoded = Checkpoint::decode(&hostile).expect("the bound is a number");
+        assert!(matches!(decoded.restore(registry), Err(CheckpointError::Restore(_))));
+    }
+
+    #[test]
+    fn every_cut_and_byte_replacement_of_a_body_decodes_or_is_torn_as_the_records_read() {
+        let (ckpt, registry) = white_pages_checkpoint();
+        let encoded = ckpt.encode();
+        let body = body_of(&encoded);
+        // Whether `text` decodes, and then whether it restores.
+        let judge = |text: &str| {
+            let new = Checkpoint::decode(text);
+            assert!(matches!(new, Ok(_) | Err(CheckpointError::Torn(_))), "{text:?}");
+            assert_eq!(outcome(&new), outcome(&decode_by_records(text)), "{text:?}");
+            new.ok().map(|ckpt| match ckpt.restore(registry.clone()) {
+                Ok(_) => true,
+                Err(e) => {
+                    assert!(matches!(e, CheckpointError::Restore(_)), "{e}");
+                    false
+                }
+            })
+        };
+        let cuts = (0..=body.len()).filter(|&cut| body.is_char_boundary(cut));
+        // A cut resealed inside the last record's values is a checkpoint
+        // of a smaller last entry; the whole body restores.
+        let restores: Vec<bool> = cuts.filter_map(|cut| judge(&reseal(&body[..cut]))).collect();
+        assert_eq!(restores.last(), Some(&true));
+        // Every byte replaced by each byte the syntax turns on: a line
+        // break, a space (continuations, trimming), `:` (separator, base64
+        // marker), `=` and `,` and `+` (DNs), `-` (a root's parent), a
+        // digit, a backslash (escapes). The embedded DSL, one opaque
+        // value, is left out of this sweep; the cuts above run through it.
+        let bare = Checkpoint { schema_dsl: None, ..ckpt.clone() }.encode();
+        let (mut decoded, mut restored) = (0, 0);
+        let mut bytes = body_of(&bare).as_bytes().to_vec();
+        for at in 0..bytes.len() {
+            let was = bytes[at];
+            if !was.is_ascii() {
+                continue;
+            }
+            for &with in b"\n :=,+-0\\".iter().filter(|&&with| with != was) {
+                bytes[at] = with;
+                if let Some(ok) = judge(&reseal(std::str::from_utf8(&bytes).expect("ASCII"))) {
+                    decoded += 1;
+                    restored += usize::from(ok);
+                }
+            }
+            bytes[at] = was;
+        }
+        assert!(decoded > 100 && restored > 0, "{decoded} replacements decode, {restored} restore");
+    }
+
+    #[test]
+    fn slot_record_spellings_decode_as_pinned() {
+        let (ckpt, _registry) = white_pages_checkpoint();
+        let encoded = ckpt.encode();
+        let first = &ckpt.rows[0];
+        let n = first.slot;
+        let dn_line = format!("\ndn: slot={n},{CHECKPOINT_DN}\n");
+        assert!(encoded.contains(&dn_line));
+        let with_dn =
+            |dn: &str| reseal(&body_of(&encoded).replacen(&dn_line, &format!("\ndn: {dn}\n"), 1));
+        // (DN, the one-walk decoder reads it, the record decoder read it).
+        let table: [(String, bool, bool); 12] = [
+            (format!("slot={n},cn=checkpoint"), true, true),
+            (format!("SLOT={n},CN=checkpoint"), true, true),
+            (format!("Slot={n},Cn=checkpoint"), true, true),
+            (format!("slot={n}, cn=checkpoint"), true, true),
+            (format!(" slot = {n} , cn = checkpoint "), true, true),
+            (format!("slot=0{n},cn=checkpoint"), true, true),
+            (format!("slot={n},cn=Checkpoint"), false, false),
+            ("slot=x,cn=checkpoint".to_owned(), false, false),
+            (format!("slot={n},cn=checkpoint,o=att"), false, false),
+            (format!("slot={n}+cn=x,cn=checkpoint"), false, false),
+            // Escaped spellings `encode` never wrote: narrowed.
+            (format!("slot=\\3{n},cn=checkpoint"), false, true),
+            (format!("slot={n},cn=check\\70oint"), false, true),
+        ];
+        assert!(n < 10, "slot {n} spells as one hex-escaped digit");
+        for (dn, new, old) in &table {
+            let text = with_dn(dn);
+            let decoded = Checkpoint::decode(&text);
+            assert_eq!(decoded.is_ok(), *new, "{dn:?}: {decoded:?}");
+            assert_eq!(decode_by_records(&text).is_ok(), *old, "{dn:?} under the record decoder");
+            if let Ok(decoded) = decoded {
+                assert_eq!(decoded.encode(), encoded, "{dn:?} reads as slot {n}");
+            }
+        }
+
+        // `ckpparent` and `ckprdn` are read under any case of their names
+        // and never enter the entry; a second value is ignored.
+        let record = |text: &str| {
+            let at = text.find(&dn_line).expect("the first slot record") + 1;
+            let end = text[at..].find("\n\n").map_or(text.len(), |e| at + e + 1);
+            (at, end)
+        };
+        let body = body_of(&encoded);
+        let (at, end) = record(body);
+        let folded =
+            body[at..end].replace("\nckpparent:", "\nCKPPARENT:").replace("\nckprdn:", "\nCkpRdn:");
+        let doubled = body[at..end].replace("\nckpparent: -\n", "\nckpparent: -\nckpparent: 7\n");
+        for changed in [&folded, &doubled] {
+            assert_ne!(changed, &body[at..end]);
+            let text = reseal(&format!("{}{changed}{}", &body[..at], &body[end..]));
+            let decoded = Checkpoint::decode(&text).expect("decodes");
+            assert_eq!(decoded.encode(), encoded, "{changed}");
+            assert!(decoded.rows[0].entry.attributes().all(|(name, _)| !name.starts_with("ckp")));
+        }
+        // A `ckprdn` holding a whole DN: the record decoder took its leaf
+        // RDN; the one-walk decoder reads one RDN and refuses it.
+        let rdn = first.rdn.as_ref().expect("the first row is named").to_string();
+        let whole =
+            body[at..end].replace(&format!("\nckprdn: {rdn}\n"), &format!("\nckprdn: {rdn},o=x\n"));
+        assert_ne!(whole, &body[at..end]);
+        let text = reseal(&format!("{}{whole}{}", &body[..at], &body[end..]));
+        assert!(matches!(Checkpoint::decode(&text), Err(CheckpointError::Torn(_))));
+        assert_eq!(outcome(&decode_by_records(&text)), Ok(encoded.clone()));
     }
 }

@@ -53,7 +53,7 @@ use bschema_directory::ldif::LdifRecord;
 use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
 use bschema_obs::{scoped, Probe};
 
-use crate::checkpoint::{recover_with_checkpoint, Checkpoint};
+use crate::checkpoint::{Checkpoint, RecoveryPlan};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
 use crate::engine::{JournalFiles, Op};
@@ -218,15 +218,17 @@ fn ledger_delta(
 /// cutover journals an identical full-schema record on all shards under
 /// one `gid`, so after cross-shard reconciliation the newest surviving
 /// schema record (max `gid`, any journal) names the final schema; with
-/// no surviving record, a checkpoint's embedded schema covers cutovers
-/// the truncated journals no longer show (every checkpoint of a
-/// campaign snapshots the same epoch, so any shard's will do); with
-/// neither, the boot schema stands.
-fn final_full_schema(
+/// no surviving record, the embedded schema of a checkpoint a shard
+/// restores covers cutovers the truncated journals no longer show (every
+/// checkpoint of a campaign snapshots the same epoch, so any shard's will
+/// do; a decodable one its shard does not restore either embeds no
+/// schema that verifies or fails that shard's recovery); with neither,
+/// the boot schema stands.
+fn final_full_schema<'c>(
     boot: &DirectorySchema,
     journals: &[Journal],
     commits: &BTreeMap<u64, u64>,
-    checkpoints: &[Option<Checkpoint>],
+    checkpoints: impl IntoIterator<Item = &'c Checkpoint>,
 ) -> Result<DirectorySchema, ManagedError> {
     let mut best: Option<(u64, &crate::journal::JournalSchema)> = None;
     for journal in journals {
@@ -245,7 +247,7 @@ fn final_full_schema(
     if let Some((_, schema)) = best {
         return schema.full_schema().map_err(ManagedError::Recovery);
     }
-    for ckpt in checkpoints.iter().flatten() {
+    for ckpt in checkpoints {
         if let Some(full) = ckpt.embedded_full_schema() {
             return Ok(full);
         }
@@ -325,9 +327,10 @@ impl ShardedDirectory {
     /// reconciled — a `gid` counts as committed only when a commit
     /// record for it is intact in all `peers` journals, so a torn
     /// 2-phase commit is discarded everywhere — then each shard goes
-    /// through the one recovery ladder ([`recover_with_checkpoint`]),
-    /// where a checkpoint's snapshot absorbs the truncated part of its
-    /// journal. Reconciliation runs over the *visible* journals only — sound
+    /// through the one recovery ladder ([`RecoveryPlan`], its checkpoint
+    /// decoded once), where a checkpoint's snapshot absorbs the
+    /// truncated part of its journal. Reconciliation runs over the
+    /// *visible* journals only — sound
     /// because a checkpoint campaign writes every shard's checkpoint
     /// before truncating any journal, so a global transaction's commit
     /// records are either all still in journals or all covered by
@@ -358,19 +361,14 @@ impl ShardedDirectory {
                 }
             }
         }
-        // Decode the checkpoints once: schema derivation consults their
-        // embedded schemas when no journal still shows a cutover record.
-        let decoded: Vec<Option<Checkpoint>> = checkpoints
-            .iter()
-            .map(|text| text.as_deref().and_then(|t| Checkpoint::decode(t).ok()))
-            .collect();
-        let final_schema = final_full_schema(&schema, journals, &commits, &decoded)?;
-        reject_global_keys(&final_schema)?;
+        // Plan every shard first, decoding each checkpoint once: schema
+        // derivation reads the embedded schemas off the plans that
+        // restore one, and each plan then moves its own rows into its
+        // shard.
         let local_schema = schema.without_required_classes();
-        let mut slots = Vec::with_capacity(bases.len());
-        let mut reports = Vec::with_capacity(bases.len());
         let mut next_gid = 0u64;
-        for (k, (base, journal)) in bases.into_iter().zip(journals).enumerate() {
+        let mut plans = Vec::with_capacity(journals.len());
+        for (journal, ckpt_text) in journals.iter().zip(checkpoints) {
             let mut reconciled = journal.clone();
             for jtx in &mut reconciled.txs {
                 if let (Some(gid), Some(peers)) = (jtx.gid, jtx.peers) {
@@ -380,13 +378,19 @@ impl ShardedDirectory {
                     }
                 }
             }
-            let recovery = recover_with_checkpoint(
-                local_schema.clone(),
-                base,
-                checkpoints[k].as_deref(),
-                &reconciled,
-            )
-            .map_err(|e| ManagedError::Recovery(format!("shard {k}: {e}")))?;
+            let plan =
+                RecoveryPlan::decode(local_schema.clone(), ckpt_text.as_deref(), &reconciled);
+            plans.push((plan, reconciled));
+        }
+        let restored = plans.iter().filter_map(|(plan, _)| plan.checkpoint());
+        let final_schema = final_full_schema(&schema, journals, &commits, restored)?;
+        reject_global_keys(&final_schema)?;
+        let mut slots = Vec::with_capacity(bases.len());
+        let mut reports = Vec::with_capacity(bases.len());
+        for (k, ((plan, journal), base)) in plans.into_iter().zip(bases).enumerate() {
+            let recovery = plan
+                .execute(base, &journal)
+                .map_err(|e| ManagedError::Recovery(format!("shard {k}: {e}")))?;
             reports.push(recovery.report.clone());
             slots.push(Mutex::new(recovery.managed.with_shard(k)));
         }

@@ -71,6 +71,40 @@ impl Rdn {
         Ok(Rdn { avas })
     }
 
+    /// Parses one RDN such as `uid=laks` or `cn=a+uid=b`, reading what
+    /// [`Dn::parse`] reads in one component: an unescaped `,` (a second
+    /// RDN) is refused.
+    pub fn parse(s: &str) -> Result<Rdn, DnParseError> {
+        if let Some(position) = find_unescaped(s, ',') {
+            return Err(DnParseError::UnescapedSpecial { position, ch: ',' });
+        }
+        Rdn::parse_component(s)
+    }
+
+    /// One `,`-separated component of a DN.
+    #[inline]
+    fn parse_component(raw_rdn: &str) -> Result<Rdn, DnParseError> {
+        if raw_rdn.trim().is_empty() {
+            return Err(DnParseError::EmptyRdn);
+        }
+        let mut avas = Vec::new();
+        for raw_ava in split_unescaped(raw_rdn, '+') {
+            // Only trim the left side here: a trailing space may be an
+            // escaped value character; `trim_value` below handles the
+            // right side escape-awarely.
+            let raw_ava = raw_ava.trim_start();
+            let eq = find_unescaped(raw_ava, '=')
+                .ok_or_else(|| DnParseError::MissingEquals(raw_ava.to_owned()))?;
+            let attr = raw_ava[..eq].trim();
+            if attr.is_empty() {
+                return Err(DnParseError::EmptyAttribute);
+            }
+            let value = unescape(trim_value(&raw_ava[eq + 1..]))?;
+            avas.push(Ava::new(attr, value));
+        }
+        Rdn::new(avas)
+    }
+
     /// The AVAs of this RDN, in canonical order.
     pub fn avas(&self) -> &[Ava] {
         &self.avas
@@ -201,25 +235,7 @@ impl Dn {
         }
         let mut rdns = Vec::new();
         for raw_rdn in split_unescaped(s, ',') {
-            if raw_rdn.trim().is_empty() {
-                return Err(DnParseError::EmptyRdn);
-            }
-            let mut avas = Vec::new();
-            for raw_ava in split_unescaped(raw_rdn, '+') {
-                // Only trim the left side here: a trailing space may be an
-                // escaped value character; `trim_value` below handles the
-                // right side escape-awarely.
-                let raw_ava = raw_ava.trim_start();
-                let eq = find_unescaped(raw_ava, '=')
-                    .ok_or_else(|| DnParseError::MissingEquals(raw_ava.to_owned()))?;
-                let attr = raw_ava[..eq].trim();
-                if attr.is_empty() {
-                    return Err(DnParseError::EmptyAttribute);
-                }
-                let value = unescape(trim_value(&raw_ava[eq + 1..]))?;
-                avas.push(Ava::new(attr, value));
-            }
-            rdns.push(Rdn::new(avas)?);
+            rdns.push(Rdn::parse_component(raw_rdn)?);
         }
         Ok(Dn { rdns })
     }
@@ -531,6 +547,20 @@ mod tests {
         assert!(matches!(Dn::parse("=laks"), Err(DnParseError::EmptyAttribute)));
         assert!(matches!(Dn::parse(r"cn=x\"), Err(DnParseError::BadEscape(_))));
         assert!(matches!(Dn::parse(r"cn=x\q,o=a"), Err(DnParseError::BadEscape(_))));
+    }
+
+    #[test]
+    fn an_rdn_parses_as_the_leaf_of_a_dn_and_refuses_a_second_one() {
+        for text in ["uid=laks", " CN = a + uid=b ", "cn=a\\,b", "cn=caf\\C3\\A9", "o=x\\ "] {
+            let dn = Dn::parse(text).unwrap();
+            assert_eq!(Rdn::parse(text).as_ref(), Ok(&dn.rdns()[0]), "{text:?}");
+        }
+        assert_eq!(
+            Rdn::parse("cn=a,o=b"),
+            Err(DnParseError::UnescapedSpecial { position: 4, ch: ',' })
+        );
+        assert_eq!(Rdn::parse(""), Err(DnParseError::EmptyRdn));
+        assert_eq!(Rdn::parse("cn"), Err(DnParseError::MissingEquals("cn".to_owned())));
     }
 
     /// The escaping as it was before `write_to`: char by char, into a

@@ -10,7 +10,9 @@ pub mod base64;
 mod parser;
 mod writer;
 
-pub use parser::{parse_ldif, parse_ldif_limited, LdifError, LdifLimits, LdifRecord};
+pub use parser::{
+    parse_ldif, parse_ldif_limited, walk_ldif, LdifError, LdifEvent, LdifLimits, LdifRecord,
+};
 pub use writer::{write_ldif, write_record, write_record_with};
 
 use crate::instance::{DirectoryInstance, InstanceError};

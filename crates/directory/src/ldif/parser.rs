@@ -258,6 +258,27 @@ fn split_line<'l>(l: &'l Logical<'_>) -> Result<(&'l str, Cow<'l, str>), LdifErr
     }
 }
 
+/// One step of [`walk_ldif`], the record loop as it reads the input.
+#[derive(Debug)]
+pub enum LdifEvent<'l> {
+    /// A `dn:` line opens a record: its value, unparsed, and its line.
+    Start {
+        /// The DN as written (base64 decoded), not yet parsed.
+        dn: &'l str,
+        /// 1-based line number of the `dn:` line.
+        line: usize,
+    },
+    /// An `attr: value` line of the open record, the value base64 decoded.
+    Value {
+        /// The attribute name as written, trimmed.
+        attr: &'l str,
+        /// The value, borrowed from the input unless it was decoded.
+        value: Cow<'l, str>,
+    },
+    /// The open record ends: at a blank line or at the end of the input.
+    End,
+}
+
 /// Parses LDIF text into records. Records are separated by blank lines; the
 /// optional `version: 1` header is accepted and ignored. Uses the default
 /// [`LdifLimits`]; see [`parse_ldif_limited`] for untrusted input.
@@ -271,42 +292,59 @@ pub fn parse_ldif_limited(text: &str, limits: &LdifLimits) -> Result<Vec<LdifRec
     read(text, limits).map(|(records, _owned)| records)
 }
 
-/// The one reader: the records of `text`, and how many of its logical
-/// lines had to be owned (one per folded line; every other line and
-/// value is read in place). A line fault — an over-long raw or unfolded
-/// line, a dangling continuation — anywhere in the input outranks a
-/// record fault: after a record fault the walk goes on to the end, and
-/// the first line fault it meets, if any, is the error.
-fn read(text: &str, limits: &LdifLimits) -> Result<(Vec<LdifRecord>, usize), LdifError> {
+/// The one reader, as a walk: hands `visit` each record's start, values
+/// and end in input order, building nothing. The walk keeps the input
+/// length, line length and record count limits, refuses a value before
+/// any `dn:` ([`LdifError::MissingDn`]) and a second `dn:` in a record
+/// ([`LdifError::DuplicateDn`]); it leaves the DN unparsed, so the DN
+/// depth limit is the visitor's to keep. A line fault — an over-long raw
+/// or unfolded line, a dangling continuation — anywhere in the input
+/// outranks a record fault, the visitor's own errors included: after a
+/// record fault the walk goes on to the end, and the first line fault it
+/// meets, if any, is the error.
+pub fn walk_ldif<E: From<LdifError>>(
+    text: &str,
+    limits: &LdifLimits,
+    visit: impl FnMut(LdifEvent<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    walk(text, limits, visit).map(|_owned| ())
+}
+
+/// [`walk_ldif`], also counting how many logical lines had to be owned
+/// (one per folded line; every other line and value is read in place).
+fn walk<E: From<LdifError>>(
+    text: &str,
+    limits: &LdifLimits,
+    mut visit: impl FnMut(LdifEvent<'_>) -> Result<(), E>,
+) -> Result<usize, E> {
     if text.len() > limits.max_input_len {
         return Err(LdifError::LimitExceeded {
             line: 0,
             what: format!("input is {} bytes (limit {})", text.len(), limits.max_input_len),
-        });
+        }
+        .into());
     }
     let mut lines = LogicalLines::new(text, limits);
-    match records(&mut lines, limits) {
-        Ok(records) => Ok((records, lines.owned)),
-        Err(e) => Err(lines.find_map(Result::err).unwrap_or(e)),
+    match records(&mut lines, limits, &mut visit) {
+        Ok(()) => Ok(lines.owned),
+        Err(e) => Err(lines.find_map(Result::err).map_or(e, E::from)),
     }
 }
 
 /// The record loop: blank lines end records, a first `version:` line is
 /// skipped, a `dn:` line starts a record and every other line adds a
 /// value to it.
-fn records(
+fn records<E: From<LdifError>>(
     lines: &mut LogicalLines<'_>,
     limits: &LdifLimits,
-) -> Result<Vec<LdifRecord>, LdifError> {
-    let mut records = Vec::new();
-    let mut current: Option<LdifRecord> = None;
-    let mut seen_any = false;
-
+    visit: &mut impl FnMut(LdifEvent<'_>) -> Result<(), E>,
+) -> Result<(), E> {
+    let (mut open, mut started, mut seen_any) = (false, 0, false);
     for l in lines {
         let l = l?;
         if l.text.trim().is_empty() {
-            if let Some(rec) = current.take() {
-                records.push(rec);
+            if std::mem::take(&mut open) {
+                visit(LdifEvent::End)?;
             }
             continue;
         }
@@ -316,39 +354,68 @@ fn records(
             continue;
         }
         seen_any = true;
-        match (&mut current, attr.eq_ignore_ascii_case("dn")) {
-            (None, true) => {
-                if records.len() >= limits.max_records {
+        match (open, attr.eq_ignore_ascii_case("dn")) {
+            (false, true) => {
+                if started >= limits.max_records {
                     return Err(LdifError::LimitExceeded {
                         line: l.line,
                         what: format!("more than {} records", limits.max_records),
-                    });
+                    }
+                    .into());
                 }
-                let dn =
-                    Dn::parse(&value).map_err(|e| LdifError::BadDn { line: l.line, source: e })?;
-                if dn.depth() > limits.max_dn_depth {
-                    return Err(LdifError::LimitExceeded {
-                        line: l.line,
-                        what: format!(
-                            "DN depth {} exceeds limit {}",
-                            dn.depth(),
-                            limits.max_dn_depth
-                        ),
-                    });
-                }
-                current = Some(LdifRecord { dn, entry: Entry::new(), line: l.line });
+                (open, started) = (true, started + 1);
+                visit(LdifEvent::Start { dn: &value, line: l.line })?;
             }
-            (None, false) => return Err(LdifError::MissingDn { line: l.line }),
-            (Some(_), true) => return Err(LdifError::DuplicateDn { line: l.line }),
-            (Some(rec), false) => {
-                rec.entry.add_value(attr, value);
-            }
+            (false, false) => return Err(LdifError::MissingDn { line: l.line }.into()),
+            (true, true) => return Err(LdifError::DuplicateDn { line: l.line }.into()),
+            (true, false) => visit(LdifEvent::Value { attr, value })?,
         }
     }
-    if let Some(rec) = current.take() {
-        records.push(rec);
+    if open {
+        visit(LdifEvent::End)?;
     }
-    Ok(records)
+    Ok(())
+}
+
+/// The records of `text`, built on the walk: each DN parsed and held to
+/// the depth limit, each value added to its record's entry. Also returns
+/// how many logical lines had to be owned.
+fn read(text: &str, limits: &LdifLimits) -> Result<(Vec<LdifRecord>, usize), LdifError> {
+    let mut records = Vec::new();
+    let mut current: Option<LdifRecord> = None;
+    // Forced into the walk's loop: left out of line, the call per
+    // attribute line made this reader 4–7% slower than the loop it replaced.
+    let owned = walk(
+        text,
+        limits,
+        #[inline(always)]
+        |event| {
+            match event {
+                LdifEvent::Start { dn, line } => {
+                    let dn = Dn::parse(dn).map_err(|e| LdifError::BadDn { line, source: e })?;
+                    if dn.depth() > limits.max_dn_depth {
+                        return Err(LdifError::LimitExceeded {
+                            line,
+                            what: format!(
+                                "DN depth {} exceeds limit {}",
+                                dn.depth(),
+                                limits.max_dn_depth
+                            ),
+                        });
+                    }
+                    current = Some(LdifRecord { dn, entry: Entry::new(), line });
+                }
+                LdifEvent::Value { attr, value } => {
+                    if let Some(rec) = &mut current {
+                        rec.entry.add_value(attr, value);
+                    }
+                }
+                LdifEvent::End => records.extend(current.take()),
+            }
+            Ok(())
+        },
+    )?;
+    Ok((records, owned))
 }
 
 #[cfg(test)]
@@ -491,6 +558,84 @@ location: FP
         let limits = LdifLimits { max_input_len: 16, ..LdifLimits::default() };
         let err = parse_ldif_limited("dn: o=att\nobjectClass: top\n", &limits).unwrap_err();
         assert!(matches!(err, LdifError::LimitExceeded { line: 0, .. }), "{err}");
+    }
+
+    /// The events of a walk, each as a line of text.
+    fn events(text: &str, limits: &LdifLimits) -> Result<Vec<String>, LdifError> {
+        let mut seen = Vec::new();
+        walk_ldif(text, limits, |event| {
+            seen.push(match event {
+                LdifEvent::Start { dn, line } => format!("start {dn:?} @{line}"),
+                LdifEvent::Value { attr, value } => format!("{attr} = {value:?}"),
+                LdifEvent::End => "end".to_owned(),
+            });
+            Ok::<_, LdifError>(())
+        })?;
+        Ok(seen)
+    }
+
+    #[test]
+    fn the_walk_hands_over_each_record_as_it_reads_it() {
+        let text = format!(
+            "version: 1\n# c\ndn: uid=A\\, b,o=att\nObjectClass: to\n p\ncn:: {}\n\n\ndn:: {}\n",
+            super::base64::encode(b"h\xc3\xa9"),
+            super::base64::encode(b"o=ibm"),
+        );
+        let seen = events(&text, &LdifLimits::default()).unwrap();
+        assert_eq!(
+            seen,
+            [
+                r#"start "uid=A\\, b,o=att" @3"#,
+                r#"ObjectClass = "top""#,
+                r#"cn = "hé""#,
+                "end",
+                r#"start "o=ibm" @9"#,
+                "end",
+            ]
+        );
+        // The walk keeps the record count and the record faults; the DN
+        // is the visitor's to parse, so a bad one walks.
+        let limits = LdifLimits { max_records: 1, ..LdifLimits::default() };
+        assert!(matches!(events(&text, &limits), Err(LdifError::LimitExceeded { line: 9, .. })));
+        let bad = "dn: o=a,,b\ncn: x\n";
+        assert_eq!(events(bad, &LdifLimits::default()).unwrap().len(), 3);
+        assert_eq!(
+            events("cn: x\n", &LdifLimits::default()),
+            Err(LdifError::MissingDn { line: 1 })
+        );
+        assert_eq!(
+            events("dn: o=a\ndn: o=b\n", &LdifLimits::default()),
+            Err(LdifError::DuplicateDn { line: 2 })
+        );
+    }
+
+    /// A visitor's refusal is a record fault: a line fault after it is the
+    /// error, and without one the refusal is.
+    #[test]
+    fn a_line_fault_outranks_the_visitors_refusal() {
+        #[derive(Debug, PartialEq)]
+        enum Fault {
+            Refused(usize),
+            Ldif(LdifError),
+        }
+        impl From<LdifError> for Fault {
+            fn from(e: LdifError) -> Self {
+                Fault::Ldif(e)
+            }
+        }
+        let refuse = |text: &str| {
+            walk_ldif(text, &LdifLimits::strict(), |event| match event {
+                LdifEvent::Start { line, .. } => Err(Fault::Refused(line)),
+                _ => Ok(()),
+            })
+        };
+        assert_eq!(refuse("dn: o=a\ncn: x\n\ndn: o=b\n"), Err(Fault::Refused(1)));
+        let late = format!("dn: o=a\n\ndn: o=b\ncn: {}\n", "y".repeat(70_000));
+        assert!(matches!(
+            refuse(&late),
+            Err(Fault::Ldif(LdifError::LimitExceeded { line: 4, .. }))
+        ));
+        assert_eq!(refuse(""), Ok(()));
     }
 
     // ----- the borrowed reader against the two-pass reader it replaced -----

@@ -37,7 +37,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bschema_core::checkpoint::RecoveryPlan;
+use bschema_core::checkpoint::{Checkpoint, RecoveryPlan};
 use bschema_core::journal::{Journal, Payload};
 use bschema_core::schema::DirectorySchema;
 use bschema_core::ManagedDirectory;
@@ -251,7 +251,7 @@ fn decode_state(
     text: &str,
 ) -> Result<(ManagedDirectory, DirectorySchema), FollowerError> {
     let none = Journal::empty();
-    let plan = RecoveryPlan::new(schema.clone(), Some(text), &none);
+    let plan = RecoveryPlan::new(schema.clone(), Some(Checkpoint::decode(text)), &none);
     let restore_schema = match &plan {
         RecoveryPlan::Restore { schema, .. } => schema.clone(),
         RecoveryPlan::FullReplay { ignored, .. } => {
