@@ -38,7 +38,12 @@
 #   `◇c` by counts, so in `crates/core/src/managed.rs` the full §3
 #   checker (`LegalityChecker`) runs only in the constructor,
 #   `fn checked(`, and the clone-and-check oracle
-#   `apply_and_check_probed(` is not called at all.
+#   `apply_and_check_probed(` is not called at all;
+# * certify once (DESIGN.md §16, Theorem 4.1): a sharded boot certifies
+#   each shard in its constructor and decides `◇c` from the ledger, so
+#   in `crates/core/src/sharded.rs` the full §3 checker
+#   (`LegalityChecker`) appears only in `fn refusal(`, which words why an
+#   illegal base was refused over the base's own slots.
 #
 # Exempt: comment/doc lines and test modules — this repo keeps exactly
 # one `#[cfg(test)]` marker per file, at the start of the trailing tests
@@ -108,6 +113,14 @@ if [ -n "$full" ]; then
     echo "$full"
     echo "error: crates/core/src/managed.rs runs the full §3 check outside its constructor" >&2
     echo "       (fn checked); decide a write with updates::verdict or check_modification" >&2
+    status=1
+fi
+
+merged=$(calls 'LegalityChecker' '^fn refusal[(]' crates/core/src/sharded.rs)
+if [ -n "$merged" ]; then
+    echo "$merged"
+    echo "error: crates/core/src/sharded.rs checks a merged instance outside fn refusal; certify" >&2
+    echo "       each shard once and decide ◇c from the ledger (DESIGN.md §16, Theorem 4.1)" >&2
     status=1
 fi
 

@@ -614,6 +614,57 @@ pub enum RecoveryPlan {
     Fatal(String),
 }
 
+/// What a recovery starts from when it restores no checkpoint: the state
+/// the journal's history begins at. A restore reads only its attribute
+/// registry.
+#[derive(Debug)]
+pub enum Seed {
+    /// An instance nothing has checked: a full replay certifies it.
+    Raw(Box<DirectoryInstance>),
+    /// A directory its constructor already certified — legal but possibly
+    /// for `◇c` under its schema, as every [`ManagedDirectory`] is. A full
+    /// replay under a schema of the same [`schema_hash`] takes it as it
+    /// is, without checking it again; under any other schema it is
+    /// certified like a raw one.
+    Managed(Box<ManagedDirectory>),
+}
+
+impl From<DirectoryInstance> for Seed {
+    fn from(dir: DirectoryInstance) -> Self {
+        Seed::Raw(Box::new(dir))
+    }
+}
+
+impl From<ManagedDirectory> for Seed {
+    fn from(managed: ManagedDirectory) -> Self {
+        Seed::Managed(Box::new(managed))
+    }
+}
+
+impl Seed {
+    /// The attribute namespace a restored checkpoint is rebuilt over.
+    fn registry(&self) -> &AttributeRegistry {
+        match self {
+            Seed::Raw(dir) => dir.registry(),
+            Seed::Managed(managed) => managed.instance().registry(),
+        }
+    }
+
+    /// The seed as a directory under `schema`, with no journal attached:
+    /// certified once, here or by whoever built it.
+    fn into_managed(self, schema: DirectorySchema) -> Result<ManagedDirectory, ManagedError> {
+        match self {
+            Seed::Managed(managed) if schema_hash(managed.schema()) == schema_hash(&schema) => {
+                Ok((*managed).detached())
+            }
+            Seed::Managed(managed) => {
+                ManagedDirectory::for_recovery(schema, managed.into_parts().1)
+            }
+            Seed::Raw(dir) => ManagedDirectory::for_recovery(schema, *dir),
+        }
+    }
+}
+
 /// The journal cursor of a restored checkpoint: what recovery still needs
 /// once the rows have moved into the instance.
 struct Cursor {
@@ -693,26 +744,28 @@ impl RecoveryPlan {
     }
 
     /// Carries the plan out over the `journal` it was made for: restore
-    /// the checkpoint (or start from `base`), then the one replay loop —
-    /// committed transactions past the covered sequence go back through
+    /// the checkpoint (or start from the `seed`), then the one replay loop
+    /// — committed transactions past the covered sequence go back through
     /// the checked apply path, unprobed, uncommitted ones are discarded.
+    /// A full replay certifies a [`Seed::Raw`] and reuses a
+    /// [`Seed::Managed`] one certified under the same schema; a restore
+    /// reads only the seed's registry, and certifies what it restored.
     /// The recovered directory's writer resumes at the higher of the
     /// journal's and the checkpoint's cursors, so numbering never rewinds
     /// across a truncation.
     pub fn execute(
         self,
-        base: DirectoryInstance,
+        seed: impl Into<Seed>,
         journal: &Journal,
     ) -> Result<CheckpointRecovery, ManagedError> {
+        let seed = seed.into();
         let (mut managed, ckpt) = match self {
             RecoveryPlan::Fatal(reason) => return Err(ManagedError::Recovery(reason)),
-            RecoveryPlan::FullReplay { schema, .. } => {
-                (ManagedDirectory::for_recovery(schema, base)?, None)
-            }
+            RecoveryPlan::FullReplay { schema, .. } => (seed.into_managed(schema)?, None),
             RecoveryPlan::Restore { ckpt, schema, .. } => {
                 let cursor = Cursor { seq: ckpt.seq, next_tx: ckpt.next_tx, shard: ckpt.shard };
                 let restored = ckpt
-                    .restore(base.registry().clone())
+                    .restore(seed.registry().clone())
                     .map_err(|e| ManagedError::Recovery(e.to_string()))?;
                 (ManagedDirectory::for_recovery(schema, restored)?, Some(cursor))
             }

@@ -18,8 +18,7 @@ use bschema_directory::EntryId;
 use bschema_obs::Probe;
 
 use crate::checkpoint::{
-    checkpoint_path, recover_with_checkpoint, sync_parent, truncate_journal, write_checkpoint,
-    Checkpoint,
+    checkpoint_path, sync_parent, truncate_journal, write_checkpoint, Checkpoint, RecoveryPlan,
 };
 use crate::journal::{Journal, RecoveryReport};
 use crate::managed::{ManagedDirectory, ManagedError};
@@ -182,8 +181,10 @@ impl ManagedDirectory {
     /// Opens the journal at `path` onto `base` (the seed state the
     /// journal's history starts from): read the file and its checkpoint
     /// sibling, repair a torn tail in place, recover through the ladder
-    /// ([`recover_with_checkpoint`], unprobed), and resume appending to
-    /// the file. A file that cannot be read or repaired is
+    /// ([`RecoveryPlan`], unprobed), and resume appending to the file.
+    /// `base` was certified when it was built, so a full replay starts
+    /// from it as it is and a restore reads only its registry: nothing
+    /// checks the seed again. A file that cannot be read or repaired is
     /// [`ManagedError::Open`]; a state that cannot be rebuilt, whatever
     /// recovery reports.
     pub fn open(
@@ -192,9 +193,9 @@ impl ManagedDirectory {
     ) -> Result<(Self, RecoveryReport), ManagedError> {
         let path = path.into();
         let files = JournalFiles::read_repaired(&path)?;
-        let (schema, seed) = base.into_parts();
-        let recovery =
-            recover_with_checkpoint(schema, seed, files.ckpt_text.as_deref(), &files.journal)?;
+        let plan =
+            RecoveryPlan::decode(base.schema().clone(), files.ckpt_text.as_deref(), &files.journal);
+        let recovery = plan.execute(base, &files.journal)?;
         let mut managed = recovery.managed;
         managed.attach_file(path);
         Ok((managed, recovery.report))

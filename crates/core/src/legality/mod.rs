@@ -16,6 +16,8 @@ pub mod translate;
 
 pub use report::{LegalityReport, Violation};
 
+use std::cell::Cell;
+
 use bschema_directory::DirectoryInstance;
 
 use crate::schema::DirectorySchema;
@@ -64,6 +66,7 @@ impl<'s> LegalityChecker<'s> {
     /// the Figure 4 structure queries (§3.2), each reading the one
     /// sorted-entry index the instance built in `prepare`.
     pub fn check(&self, dir: &DirectoryInstance) -> LegalityReport {
+        CHECKED.with(|n| n.set(n.get() + dir.len() as u64));
         let probe = self.probe;
         let root = probe.span_start(bschema_obs::NO_SPAN, "legality.check", 0);
         let mut out = Vec::new();
@@ -119,6 +122,19 @@ impl<'s> LegalityChecker<'s> {
     pub fn is_legal(&self, dir: &DirectoryInstance) -> bool {
         self.check(dir).is_legal()
     }
+}
+
+thread_local! {
+    static CHECKED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many entries [`LegalityChecker::check`] has examined on this
+/// thread so far: each full §3 check counts the instance's size. The
+/// difference across a boot or a restart is how often it certified what
+/// it holds — once per entry when every instance is certified once on
+/// its way in.
+pub fn entries_checked() -> u64 {
+    CHECKED.with(Cell::get)
 }
 
 #[cfg(test)]

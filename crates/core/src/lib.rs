@@ -59,7 +59,7 @@ pub mod sharded;
 pub mod updates;
 
 pub use checkpoint::{
-    recover_with_checkpoint, Checkpoint, CheckpointError, CheckpointRecovery, RecoveryPlan,
+    recover_with_checkpoint, Checkpoint, CheckpointError, CheckpointRecovery, RecoveryPlan, Seed,
 };
 pub use consistency::ConsistencyChecker;
 pub use discover::{suggest_schema, DiscoveryOptions};

@@ -351,6 +351,14 @@ impl ManagedDirectory {
         Ok((managed, report))
     }
 
+    /// The certified state without its journal attachment: what a
+    /// recovery reuses of a seed it need not check again.
+    pub(crate) fn detached(mut self) -> Self {
+        self.sink = None;
+        self.path = None;
+        self
+    }
+
     /// Continues the journal `writer` is positioned in — what a recovery
     /// hands its directory.
     pub(crate) fn with_writer(mut self, writer: JournalWriter) -> Self {

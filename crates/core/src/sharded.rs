@@ -53,13 +53,13 @@ use bschema_directory::ldif::LdifRecord;
 use bschema_directory::{DirectoryInstance, Dn, Entry, Rdn};
 use bschema_obs::{scoped, Probe};
 
-use crate::checkpoint::{Checkpoint, RecoveryPlan};
+use crate::checkpoint::{Checkpoint, RecoveryPlan, Seed};
 use crate::consistency::ConsistencyChecker;
 pub use crate::engine::JournalSink;
 use crate::engine::{JournalFiles, Op};
 use crate::journal::{shard_journal_path, Journal, Payload, RecoveryReport};
 use crate::legality::report::Violation;
-use crate::legality::{LegalityChecker, LegalityReport};
+use crate::legality::LegalityReport;
 use crate::managed::{inconsistency_error, refusing_panics, ManagedDirectory, ManagedError};
 use crate::schema::DirectorySchema;
 use crate::updates::{is_delete_record, transaction_from_ldif, Mod, Transaction};
@@ -142,6 +142,26 @@ pub fn canonical_merge<'a>(
     }
     merged.prepare();
     Ok(merged)
+}
+
+/// Why a sharded boot refused `dir`, worded as the unsharded engine
+/// words it: the full §3 check of the whole instance, over its own slot
+/// ids (a shard's ids differ). An illegal `dir` is refused with that
+/// report whatever the shards met first; a legal one with the error its
+/// shard path returned (a `partition` that could not graft), as when the
+/// whole was checked before partitioning. The one place a sharded boot
+/// prepares and checks `dir` whole.
+fn refusal(
+    schema: &DirectorySchema,
+    mut dir: DirectoryInstance,
+    shard_error: Option<ManagedError>,
+) -> ManagedError {
+    dir.prepare();
+    let report = crate::legality::LegalityChecker::new(schema).check(&dir);
+    match shard_error {
+        Some(error) if report.is_legal() => error,
+        _ => ManagedError::IllegalInstance(report),
+    }
 }
 
 /// §6.1 keys are directory-wide uniqueness constraints — the one other
@@ -304,22 +324,29 @@ impl fmt::Debug for ShardedDirectory {
 }
 
 impl ShardedDirectory {
-    /// Partitions `dir` into `shards` shards after verifying schema
-    /// consistency and whole-instance legality, exactly like
-    /// [`ManagedDirectory::with_instance`].
+    /// Partitions `dir` into `shards` shards and certifies each once, as
+    /// [`ManagedDirectory::with_instance`] would certify `dir`: schema
+    /// consistency first, then legality shard by shard under the
+    /// `Cr`-stripped schema, then `◇c` from the ledger's counts. No index
+    /// is built over `dir` and nothing checks it whole. That is Theorem
+    /// 4.1: every structure relationship lies within one top-level
+    /// subtree, so within one shard; content is per entry; `◇c` is what
+    /// the ledger counts; and keys, the one other instance-wide element,
+    /// `shardable` refuses. Only a refused `dir` is prepared and checked
+    /// whole, so that the report names `dir`'s own slots byte for byte, as
+    /// the unsharded engine's does.
     pub fn with_instance(
         schema: DirectorySchema,
-        mut dir: DirectoryInstance,
+        dir: DirectoryInstance,
         shards: usize,
     ) -> Result<Self, ManagedError> {
         shardable(&schema)?;
-        dir.prepare();
-        let report = LegalityChecker::new(&schema).check(&dir);
-        if !report.is_legal() {
-            return Err(ManagedError::IllegalInstance(report));
+        let certified =
+            partition(&dir, shards).and_then(|bases| Self::from_parts(schema.clone(), bases));
+        match certified {
+            Ok(sharded) if sharded.counts_every_required_class() => Ok(sharded),
+            refused => Err(refusal(&schema, dir, refused.err())),
         }
-        let bases = partition(&dir, shards)?;
-        Self::from_parts(schema, bases)
     }
 
     /// Rebuilds a sharded directory from per-shard bases, journals and
@@ -336,9 +363,9 @@ impl ShardedDirectory {
     /// records are either all still in journals or all covered by
     /// checkpoints (and then skipped by the `first_seq >= ckpt.seq`
     /// replay rule before the reconciled commit flag is consulted).
-    pub fn recover_with_checkpoints(
+    pub fn recover_with_checkpoints<S: Into<Seed>>(
         schema: DirectorySchema,
-        bases: Vec<DirectoryInstance>,
+        bases: Vec<S>,
         checkpoints: &[Option<String>],
         journals: &[Journal],
     ) -> Result<(Self, Vec<RecoveryReport>), ManagedError> {
@@ -412,7 +439,10 @@ impl ShardedDirectory {
     /// is read and its torn tail repaired in place, the family recovers
     /// through [`recover_with_checkpoints`](Self::recover_with_checkpoints)
     /// with each shard's sibling checkpoint, and every shard resumes
-    /// appending to its own file. The router probe carries over.
+    /// appending to its own file. The router probe carries over. Each
+    /// shard is its own [`Seed::Managed`]: a shard that replays its
+    /// whole journal starts from it unchecked, and one that restores a
+    /// checkpoint reads only its registry.
     pub fn open(self, base: &Path) -> Result<(Self, Vec<RecoveryReport>), ManagedError> {
         let paths: Vec<_> = (0..self.shards()).map(|k| shard_journal_path(base, k)).collect();
         let mut journals = Vec::with_capacity(paths.len());
@@ -423,12 +453,13 @@ impl ShardedDirectory {
             checkpoints.push(files.ckpt_text);
         }
         let schema = self.schema();
-        let seeds = self
+        let seeds: Vec<ManagedDirectory> = self
             .slots
             .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()).into_parts().1);
+            .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
+            .collect();
         let (mut recovered, reports) =
-            Self::recover_with_checkpoints(schema, seeds.collect(), &checkpoints, &journals)?;
+            Self::recover_with_checkpoints(schema, seeds, &checkpoints, &journals)?;
         recovered.probe = self.probe;
         for (slot, path) in recovered.slots.iter_mut().zip(paths) {
             slot.get_mut().unwrap_or_else(|e| e.into_inner()).attach_file(path);
@@ -487,8 +518,9 @@ impl ShardedDirectory {
         Ok(seqs)
     }
 
-    /// Assembles shards from already-partitioned, already-validated
-    /// bases (callers: [`with_instance`](Self::with_instance) and tests).
+    /// Assembles shards from partitioned bases, certifying each under
+    /// the `Cr`-stripped schema and counting the `◇c` ledger (caller:
+    /// [`with_instance`](Self::with_instance), which decides `◇c`).
     fn from_parts(
         schema: DirectorySchema,
         bases: Vec<DirectoryInstance>,
@@ -508,6 +540,12 @@ impl ShardedDirectory {
             next_gid: AtomicU64::new(0),
             probe: None,
         })
+    }
+
+    /// Whether the ledger counts a live entry of every required class:
+    /// `◇c` for the whole directory, decided without reading a shard.
+    fn counts_every_required_class(&self) -> bool {
+        self.counts.lock().unwrap_or_else(|e| e.into_inner()).values().all(|&n| n > 0)
     }
 
     /// Attaches `probe` to the router: every write it drives reports
@@ -849,6 +887,7 @@ impl ShardedDirectory {
 mod tests {
     use super::*;
     use crate::engine::MemoryJournal;
+    use crate::legality::LegalityChecker;
     use crate::paper::{white_pages_instance, white_pages_schema};
     use bschema_directory::ldif::parse_ldif;
 
@@ -902,6 +941,63 @@ mod tests {
         format!(
             "dn: o={name}\nobjectClass: organization\nobjectClass: orgGroup\nobjectClass: online\nobjectClass: top\no: {name}\nuri: https://{name}.example\n\ndn: ou=u,o={name}\nobjectClass: orgUnit\nobjectClass: orgGroup\nobjectClass: top\nou: u\n\ndn: uid=p,ou=u,o={name}\nobjectClass: person\nobjectClass: top\nuid: p\nname: p\n"
         )
+    }
+
+    /// A legal but for `◇orgUnit` organization: its person sits right
+    /// under it.
+    fn flat_org_ldif(name: &str) -> String {
+        format!(
+            "dn: o={name}\nobjectClass: organization\nobjectClass: orgGroup\nobjectClass: top\no: {name}\n\ndn: uid=p,o={name}\nobjectClass: person\nobjectClass: top\nuid: p\nname: p\n"
+        )
+    }
+
+    #[test]
+    fn a_sharded_boot_refuses_an_illegal_base_as_the_merged_check_words_it() {
+        let schema = white_pages_schema();
+        let orgs = |last: &dyn Fn(&str) -> String| {
+            let mut text: String = (0..6).map(|i| org_ldif(&format!("org{i}")) + "\n").collect();
+            text.push_str(&last("org6"));
+            text
+        };
+        // A person with a child, inside the last of seven organizations.
+        let nested = orgs(&|name| {
+            org_ldif(name)
+                + &format!(
+                    "\ndn: uid=q,uid=p,ou=u,o={name}\nobjectClass: person\nobjectClass: top\nuid: q\nname: q\n"
+                )
+        });
+        let flat = |name: &str| flat_org_ldif(name) + "\n";
+        // No orgUnit on any shard.
+        let unitless: String = (0..7).map(|i| flat(&format!("org{i}"))).collect();
+        // One orgUnit, so on one shard only.
+        let one_unit: String =
+            (0..6).map(|i| flat(&format!("org{i}"))).collect::<String>() + &org_ldif("org6");
+        for n in [1, 2, 4] {
+            for (what, text) in [("structure", &nested), ("◇orgUnit", &unitless)] {
+                let base = || bschema_directory::ldif::load(text).expect("ldif");
+                let mut merged = base();
+                merged.prepare();
+                let expected = LegalityChecker::new(&schema).check(&merged);
+                assert!(!expected.is_legal(), "{what}: the base is illegal");
+                let unsharded = ManagedDirectory::with_instance(schema.clone(), base());
+                let words = unsharded.expect_err("the unsharded boot refuses").to_string();
+                match ShardedDirectory::with_instance(schema.clone(), base(), n) {
+                    Err(ManagedError::IllegalInstance(report)) => {
+                        assert_eq!(report.to_string(), expected.to_string(), "{what}, {n} shards");
+                        let refused = ManagedError::IllegalInstance(report).to_string();
+                        assert_eq!(refused, words, "{what}, {n} shards");
+                    }
+                    other => panic!("{what}, {n} shards: {other:?}"),
+                }
+            }
+            let base = bschema_directory::ldif::load(&one_unit).expect("ldif");
+            let sharded = ShardedDirectory::with_instance(schema.clone(), base, n)
+                .expect("a required class held on one shard is held");
+            assert_eq!(sharded.ledger()["orgUnit"], 1);
+            let holders =
+                (0..n).filter(|&k| sharded.shard_instance(k).index().class_count("orgUnit") > 0);
+            assert_eq!(holders.count(), 1);
+        }
     }
 
     #[test]

@@ -119,6 +119,11 @@ mod tests {
             let shared = self.chunks.iter().zip(&other.chunks).filter(|(x, y)| Arc::ptr_eq(x, y));
             self.chunks.len() - shared.count()
         }
+
+        /// How many chunks hold the slots.
+        pub(crate) fn chunks(&self) -> usize {
+            self.chunks.len()
+        }
     }
 
     fn filled(len: usize) -> CowVec<usize> {

@@ -1342,6 +1342,41 @@ mod tests {
     }
 
     #[test]
+    fn a_write_that_doubles_the_name_table_on_a_clone_unshares_every_name_chunk() {
+        // Pinned as growing (ROADMAP item 22): the write that takes the
+        // named count past the bucket count doubles the heads and
+        // re-chains every named slot, so on a clone it copies every RDN
+        // chunk, and more of them the larger the table. The write just
+        // before it copies two chunks, as any other write does.
+        let unshared = |roots: usize| {
+            let mut base = named_orgs(roots);
+            let org = base.lookup_dn(&Dn::parse("o=org0").unwrap()).unwrap();
+            let add = |d: &mut DirectoryInstance, i: usize| {
+                d.add_named_child(org, Rdn::single("cn", format!("f{i}")), person("f")).unwrap();
+            };
+            let buckets = base.names.buckets();
+            let filled = roots * 250;
+            for i in filled..buckets - 1 {
+                add(&mut base, i);
+            }
+            let mut last_in = base.clone();
+            add(&mut last_in, buckets - 1);
+            assert_eq!(last_in.names.buckets(), buckets, "the table is full, not grown");
+            let mut crossing = last_in.clone();
+            add(&mut crossing, buckets);
+            assert_eq!(crossing.names.buckets(), 2 * buckets);
+            crossing.names.check_chains().unwrap();
+            let copied = crossing.names.unshared_chunks(&last_in.names);
+            assert_eq!(copied, crossing.names.chunks(), "every chunk of both tables");
+            [last_in.names.unshared_chunks(&base.names), copied]
+        };
+        // 2 049 RDN slots in 33 chunks + 4 096 heads in 4; 32 769 slots in
+        // 513 chunks + 65 536 heads in 64.
+        assert_eq!(unshared(8), [2, 37], "at 2 000 entries");
+        assert_eq!(unshared(80), [2, 577], "at 20 000 entries");
+    }
+
+    #[test]
     fn the_name_table_is_sized_once_by_a_load_and_never_shrinks() {
         let d = named_orgs(4);
         let text = crate::ldif::dump(&d).unwrap();

@@ -204,6 +204,11 @@ mod tests {
             self.slots.unshared_chunks(&before.slots) + self.heads.unshared_chunks(&before.heads)
         }
 
+        /// How many chunks the two tables hold.
+        pub(crate) fn chunks(&self) -> usize {
+            self.slots.chunks() + self.heads.chunks()
+        }
+
         /// The bucket count.
         pub(crate) fn buckets(&self) -> usize {
             self.heads.len()
